@@ -14,10 +14,7 @@
 //! * [`detect_vsb`] / [`detect_pushback`] — very-short-bottleneck episodes
 //!   and cross-tier queue pushback;
 //! * [`rank_correlations`] — which resource series moves with the symptom
-//!   (Fig. 7's disk-utilization ↔ queue-length correlation);
-//! * [`OnlinePit`] / [`OnlineQueue`] / [`OnlineVsb`] / [`OnlinePushback`]
-//!   — streaming counterparts that fold observations as they arrive and
-//!   seal windows behind a configurable watermark lag.
+//!   (Fig. 7's disk-utilization ↔ queue-length correlation).
 //!
 //! ## Example
 //!
@@ -40,7 +37,6 @@ mod breakdown;
 mod correlate;
 mod detect;
 mod flow;
-mod online;
 mod pit;
 mod queue;
 mod slo;
@@ -49,7 +45,6 @@ pub use breakdown::{error_rate, interaction_breakdown, tier_contribution, Intera
 pub use correlate::{align, correlate, rank_correlations, CorrelationHit, WindowSeries};
 pub use detect::{detect_pushback, detect_vsb, PushbackEpisode, VsbEpisode};
 pub use flow::{reconstruct_flows, CausalViolation, FlowError, FlowHop, RequestFlow};
-pub use online::{OnlinePit, OnlinePushback, OnlineQueue, OnlineVsb};
 pub use pit::{PitPoint, PitSeries};
 pub use queue::{
     intervals_from_event_table, mean_queue, queue_from_event_table, queue_series,

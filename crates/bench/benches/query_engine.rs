@@ -1,9 +1,9 @@
 //! mScopeDB query-engine shoot-out: the compiled, indexed paths against
 //! the naive row-at-a-time oracles on paper-shaped workloads — a windowed
 //! select over a time-sorted event table (the PiT/VLRT slice query), a
-//! request-ID join (the §IV-B flow-reconstruction access pattern),
-//! PiT-series construction, and the stats-driven SQL planner against its
-//! planner-off ablation — at ≥100k rows.
+//! request-ID join (the §IV-B flow-reconstruction access pattern), and
+//! the stats-driven SQL planner against its planner-off ablation — at
+//! ≥100k rows.
 //!
 //! Before any number is reported, every compiled result is checked
 //! identical to its naive oracle, every planner result is checked
@@ -22,7 +22,6 @@
 //! planner's projection-pushdown and join-reorder wins are ≥1.5x over
 //! the planner-off run.
 
-use mscope_analysis::PitSeries;
 use mscope_db::{
     Column, ColumnType, Database, KeyIndex, Predicate, QueryOptions, Schema, Table, Value,
 };
@@ -353,18 +352,6 @@ fn main() {
         group_off, group_on
     );
 
-    // ---- PiT construction: columnar `ud − ua` extraction + bucketing.
-    let (pit_secs, pit_points) = best_of(samples, || {
-        PitSeries::from_event_table(&table, 50_000)
-            .expect("event table has ua/ud")
-            .points
-            .len()
-    });
-    eprintln!(
-        "  PiT construction: {:.4}s ({pit_points} windows)",
-        pit_secs
-    );
-
     assert!(
         speedup_select >= 3.0,
         "windowed select speedup {speedup_select:.2}x < 3x"
@@ -420,7 +407,6 @@ fn main() {
                 result("sql_projection_pushdown", proj_off, proj_on, 100),
                 result("sql_join_reorder", join_off, join_on, probes),
                 result("sql_group_having", group_off, group_on, n_groups),
-                result("pit_construction", pit_secs, pit_secs, pit_points),
             ]),
         ),
         ("speedup_window_select", Json::Float(speedup_select)),

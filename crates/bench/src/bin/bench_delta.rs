@@ -61,8 +61,16 @@ fn str_field<'j>(doc: &'j Json, key: &str, which: &str) -> Result<&'j str, Strin
         .ok_or_else(|| format!("{which} summary has no string `{key}` field"))
 }
 
+/// True when a summary says its bench ran with its own gate switched off.
+/// `sim_scale` does so on a host with too few cores and then reports a
+/// `best_speedup` of 1.0 by construction — a number that cannot regress.
+fn gate_off(doc: &Json) -> bool {
+    doc.get("gate_enforced").and_then(Json::as_bool) == Some(false)
+}
+
 /// Compares two parsed bench summaries; `Err` on malformed or mismatched
-/// input, `Ok` with per-metric outcomes otherwise.
+/// input, `Ok` with per-metric outcomes otherwise — none when either side
+/// ran with its gate off.
 fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<Vec<Delta>, String> {
     let base_bench = str_field(baseline, "bench", "baseline")?;
     let fresh_bench = str_field(fresh, "bench", "fresh")?;
@@ -84,6 +92,9 @@ fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<Vec<Delta>, 
         .find(|(b, _)| *b == base_bench)
         .map(|(_, m)| *m)
         .ok_or_else(|| format!("no tracked headline metrics for bench `{base_bench}`"))?;
+    if gate_off(baseline) || gate_off(fresh) {
+        return Ok(Vec::new());
+    }
     let mut out = Vec::with_capacity(metrics.len());
     for &metric in metrics {
         let base = baseline
@@ -164,6 +175,13 @@ fn main() {
     let fresh = load(&fresh_path);
 
     let deltas = compare(&baseline, &fresh, tolerance).unwrap_or_else(|e| die(&e));
+    if deltas.is_empty() {
+        println!(
+            "bench_delta: skipped — {baseline_path} or {fresh_path} ran with \
+             `gate_enforced: false`, so its headline ratio cannot regress"
+        );
+        return;
+    }
     let mut regressions = 0usize;
     for d in &deltas {
         let verdict = if d.regressed { "REGRESSED" } else { "ok" };
@@ -257,6 +275,20 @@ mod tests {
         let incomplete = summary("query_engine", "full", &[("speedup_window_select", 8.0)]);
         let err = compare(&incomplete, &incomplete, 0.15).unwrap_err();
         assert!(err.contains("speedup_request_id_join"), "{err}");
+    }
+
+    #[test]
+    fn ungated_summary_is_skipped_not_compared() {
+        let gated = summary("sim_scale", "smoke", &[("best_speedup", 3.0)]);
+        let ungated = Json::parse(
+            r#"{"bench":"sim_scale","mode":"smoke","best_speedup":1.0,"gate_enforced":false}"#,
+        )
+        .unwrap();
+        // 3.0 → 1.0 would be a regression; with the gate off on either
+        // side it is not a measurement at all.
+        assert_eq!(compare(&gated, &ungated, 0.15).unwrap(), vec![]);
+        assert_eq!(compare(&ungated, &gated, 0.15).unwrap(), vec![]);
+        assert_eq!(compare(&gated, &gated, 0.15).unwrap().len(), 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   path. Use `BTreeMap`/`BTreeSet` or sort before emitting.
 //! * `DT002` — a floating-point reduction (`sum::<f64>`, `fold` over
 //!   `f64` identities) inside a worker fan-out argument span
-//!   (`parallel_map(…)`, `scan_blocks(…)`, `.spawn(…)`) without a nearby
+//!   (`parallel_map(…)`, `.spawn(…)`) without a nearby
 //!   comment documenting the deterministic merge order: float addition is
 //!   non-associative, so the reduction order is part of the contract.
 //! * `DT003` — raw `thread::spawn` / `thread::scope` / `thread::Builder`
@@ -37,8 +37,9 @@
 //!   `stable`/`tie`/`determin…` comment: concurrent records share
 //!   timestamps, so a bare time sort leaves their relative order to the
 //!   sort implementation.
-//! * `DT007` — any `unsafe` in an identity-gated crate: the determinism
-//!   argument assumes the borrow checker rules out data races.
+//! * `DT007` — retired. It flagged `unsafe` in an identity-gated crate;
+//!   every such crate now carries `#![forbid(unsafe_code)]`, so the
+//!   compiler enforces it. The ID is not reused.
 //! * `DT008` — `available_parallelism`/`num_cpus` outside the sanctioned
 //!   plan-selection sites ([`SANCTIONED_PLAN_FILES`]): worker counts may
 //!   pick the *plan*, never the *result*, so they must not be readable
@@ -69,17 +70,15 @@ pub const IDENTITY_GATED_CRATES: &[&str] = &[
     "warehouse",
 ];
 
-/// The sanctioned worker-pool implementations: the shared `WorkQueue`,
-/// the simulator's `parallel_map`, the bounded `RecordStream` channel,
-/// the transformer's convert stage, and the warehouse block scanner. Only
-/// these may spawn threads or hold the shared slots/atomics that make
-/// job-order merging work (DT003, DT005).
+/// The sanctioned worker-pool implementations: the `WorkQueue`, the
+/// `parallel_map` built on it — the one fan-out every parallel stage
+/// calls — and the bounded `RecordStream` channel. Only these may spawn
+/// threads or hold the shared slots/atomics that make job-order merging
+/// work (DT003, DT005).
 pub const SANCTIONED_POOL_FILES: &[&str] = &[
     "crates/sim/src/par.rs",
     "crates/sim/src/queue.rs",
     "crates/sim/src/stream.rs",
-    "crates/transform/src/pipeline.rs",
-    "crates/warehouse/src/engine.rs",
 ];
 
 /// Where `SimRng` streams may be constructed: the RNG itself, the
@@ -111,7 +110,7 @@ const HASH_CONSUMERS: &[&str] = &[
 ];
 
 /// Fan-out call sites whose argument spans are worker closures.
-const FAN_OUT_CALLS: &[&str] = &["parallel_map(", "scan_blocks(", ".spawn("];
+const FAN_OUT_CALLS: &[&str] = &["parallel_map(", ".spawn("];
 
 /// Order-sensitive floating-point reduction needles.
 const F64_REDUCTIONS: &[&str] = &[
@@ -347,7 +346,7 @@ fn dt002(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// DT003–DT008 — needle rules
+// DT003–DT006, DT008 — needle rules
 // ---------------------------------------------------------------------
 
 fn dt003(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
@@ -468,17 +467,6 @@ fn dt006(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-fn dt007(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for at in find_word(ctx.masked, "unsafe") {
-        ctx.push(
-            findings,
-            "DT007",
-            at,
-            "`unsafe` in an identity-gated crate — the determinism argument assumes the borrow checker rules out data races",
-        );
-    }
-}
-
 fn dt008(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     if SANCTIONED_PLAN_FILES.contains(&ctx.rel) {
         return;
@@ -533,7 +521,6 @@ pub fn lint_det_source(crate_name: &str, rel: &str, text: &str) -> Vec<Finding> 
     dt004(&ctx, &mut findings);
     dt005(&ctx, &mut findings);
     dt006(&ctx, &mut findings);
-    dt007(&ctx, &mut findings);
     dt008(&ctx, &mut findings);
     // One finding per (rule, line): overlapping needles (`Mutex<` in a
     // `Mutex::new` line) must not double-report.

@@ -31,8 +31,8 @@
 //!    float reductions in worker closures without a documented merge
 //!    order, no threads or interior mutability outside the sanctioned
 //!    `WorkQueue` pools, per-cell RNG stream hygiene, tie-broken
-//!    timestamp sorts, no `unsafe`, and no worker-count reads outside
-//!    the plan selectors (rules `DT001`–`DT008`).
+//!    timestamp sorts, and no worker-count reads outside the plan
+//!    selectors (rules `DT001`–`DT008`; `DT007` is retired).
 //! 5. **Performance front** ([`perf`]) — statically proves the hot paths
 //!    stay hot before the BENCH gates ever run: no allocation or
 //!    re-sorting inside hot-path loops without a `// perf:`

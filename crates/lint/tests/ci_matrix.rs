@@ -9,6 +9,8 @@
 //! [`SystemConfig::presets`] or [`mscope_lint::FRONTS`] exactly, in
 //! either direction. The bench-smoke job's bench-delta guard is held to
 //! the same standard: every committed smoke baseline must be compared.
+//! So is the step that builds and tests `benchmark/`, the one consumer of
+//! the crates' public API that lives outside the workspace.
 
 use mscope_ntier::SystemConfig;
 
@@ -133,6 +135,21 @@ fn bench_delta_guard_covers_every_smoke_baseline() {
     assert!(
         baselines >= 4,
         "expected smoke baselines for the query, transform, sim, and stream benches"
+    );
+}
+
+#[test]
+fn end_to_end_benchmark_is_built_and_tested() {
+    // `benchmark/` is outside the workspace, so `--workspace` steps never
+    // compile it; without this step a public-API break against it stays
+    // invisible until the benchmark pipeline runs.
+    let yml = ci_yml();
+    assert!(
+        yml.lines().any(|l| l.trim_start().starts_with("run:")
+            && l.contains("cargo test")
+            && l.contains("--release")
+            && l.contains("--manifest-path benchmark/Cargo.toml")),
+        "ci.yml must run `cargo test --release --offline --manifest-path benchmark/Cargo.toml`"
     );
 }
 

@@ -148,8 +148,13 @@ fn dt005_fires_on_interior_mutability_outside_pools() {
     );
     let refcell = "struct S { cache: RefCell<Vec<u64>> }\n";
     assert_eq!(det_rules("crates/analysis/src/fake.rs", refcell), ["DT005"]);
-    // The pool slots are where interior mutability is the design.
-    assert_eq!(det_rules("crates/warehouse/src/engine.rs", mutex), [""; 0]);
+    // The pool slots are where interior mutability is the design — and
+    // `parallel_map` is the only pool, so its callers get no exemption.
+    assert_eq!(det_rules("crates/sim/src/par.rs", mutex), [""; 0]);
+    assert_eq!(
+        det_rules("crates/warehouse/src/engine.rs", mutex),
+        ["DT005"]
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -187,18 +192,6 @@ fn dt006_accepts_composite_keys_then_chains_and_documented_stability() {
     // Non-time keys are out of scope entirely.
     let ids = "fn order(mut evs: Vec<Ev>) { evs.sort_by_key(|e| e.id); }\n";
     assert_eq!(det_rules("crates/ntier/src/fake.rs", ids), [""; 0]);
-}
-
-// ---------------------------------------------------------------------
-// DT007 — unsafe in identity-gated crates
-// ---------------------------------------------------------------------
-
-#[test]
-fn dt007_fires_on_unsafe_but_not_the_forbid_attribute() {
-    let dirty = "fn peek(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-    assert_eq!(det_rules("crates/serdes/src/fake.rs", dirty), ["DT007"]);
-    let forbid = "#![forbid(unsafe_code)]\nfn ok() {}\n";
-    assert_eq!(det_rules("crates/serdes/src/fake.rs", forbid), [""; 0]);
 }
 
 // ---------------------------------------------------------------------

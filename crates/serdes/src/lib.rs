@@ -32,6 +32,8 @@
 //! assert_eq!(Point::from_json(&Json::parse(&text).unwrap()).unwrap(), p);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod convert;
 mod macros;
 mod parse;

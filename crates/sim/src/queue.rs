@@ -1,37 +1,28 @@
-//! A small shared work queue for parallel fan-out stages: an atomic index
-//! dispenser over a fixed job list, plus a poison flag for early stop on
-//! error.
+//! The job dispenser behind [`parallel_map`](crate::parallel_map): an
+//! atomic index counter over a fixed job list.
 //!
-//! Both the transformer's parallel convert stage and the warehouse's
-//! parallel block scan fan jobs out over scoped worker threads fed from
-//! this queue — one implementation, one set of invariants.
-//!
-//! Indices are handed out in strictly increasing, contiguous order, which
-//! is the property the consumers' error semantics rely on: if job `e` was
-//! dispensed, every job `< e` was dispensed too (and, because workers
-//! always finish a job they claimed, will produce a result). Undispensed
-//! jobs therefore always form a suffix of the job list.
+//! Indices are handed out in strictly increasing, contiguous order, and a
+//! worker always finishes a job it claimed, so every job `0..total` runs
+//! exactly once whatever the worker count.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// An atomic index dispenser over `total` jobs with a stop flag.
+/// An atomic index dispenser over `total` jobs.
 ///
 /// # Examples
 ///
 /// ```
 /// use mscope_sim::WorkQueue;
 ///
-/// let q = WorkQueue::new(3);
+/// let q = WorkQueue::new(2);
 /// assert_eq!(q.take(), Some(0));
 /// assert_eq!(q.take(), Some(1));
-/// q.poison();
 /// assert_eq!(q.take(), None);
 /// ```
 #[derive(Debug)]
 pub struct WorkQueue {
     next: AtomicUsize,
     total: usize,
-    poisoned: AtomicBool,
 }
 
 impl WorkQueue {
@@ -40,25 +31,17 @@ impl WorkQueue {
         WorkQueue {
             next: AtomicUsize::new(0),
             total,
-            poisoned: AtomicBool::new(false),
         }
     }
 
-    /// Claims the next job index, or `None` when the queue is drained or
-    /// poisoned. A claimed job must be completed — later jobs may already
-    /// have been claimed by other workers.
+    /// Claims the next job index, or `None` when the queue is drained. A
+    /// claimed job must be completed — later jobs may already have been
+    /// claimed by other workers.
     pub fn take(&self) -> Option<usize> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return None;
-        }
+        // Relaxed: the counter publishes no other data; results travel
+        // through the caller's own synchronisation.
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         (i < self.total).then_some(i)
-    }
-
-    /// Marks the queue poisoned: no further jobs are dispensed. Jobs
-    /// already claimed still run to completion.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
     }
 }
 
@@ -73,14 +56,6 @@ mod tests {
         let taken: Vec<usize> = std::iter::from_fn(|| q.take()).collect();
         assert_eq!(taken, vec![0, 1, 2, 3, 4]);
         assert_eq!(q.take(), None, "drained");
-    }
-
-    #[test]
-    fn poison_stops_dispensing() {
-        let q = WorkQueue::new(10);
-        assert_eq!(q.take(), Some(0));
-        q.poison();
-        assert_eq!(q.take(), None);
     }
 
     #[test]

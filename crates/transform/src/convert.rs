@@ -19,7 +19,6 @@ use crate::error::TransformError;
 use crate::import::{normalize_cell, parse_cell};
 use crate::xml::XmlNode;
 use mscope_db::{Column, ColumnType, Schema, Value};
-use std::collections::BTreeSet;
 
 /// Result of converting one table's worth of annotated XML: the inferred
 /// schema plus the typed rows ready for direct warehouse load.
@@ -58,6 +57,110 @@ impl ConvertedTable {
     }
 }
 
+/// Running schema inference for one destination table — the one definition
+/// of the fold both drivers apply to every entry: a field may appear once
+/// per entry, the column set is the union of all fields in first-appearance
+/// order, and a column's type is the lattice join of every observed
+/// (normalized) value type. Batch folds all entries, then reads the schema
+/// once; streaming reads it after every chunk.
+#[derive(Debug, Default)]
+pub(crate) struct SchemaFold {
+    cols: Vec<FoldColumn>,
+    entries: usize,
+}
+
+/// One column of a [`SchemaFold`].
+#[derive(Debug)]
+pub(crate) struct FoldColumn {
+    pub(crate) name: String,
+    /// Join of the value types seen so far; `Null` while no non-null value
+    /// has been seen.
+    pub(crate) join: ColumnType,
+    /// Ordinal of the last entry that carried this field.
+    last_entry: usize,
+}
+
+impl FoldColumn {
+    /// The warehouse type: a column never observed with a non-null value is
+    /// widened to `Text`, so the warehouse can hold whatever later loads
+    /// bring.
+    pub(crate) fn ty(&self) -> ColumnType {
+        match self.join {
+            ColumnType::Null => ColumnType::Text,
+            t => t,
+        }
+    }
+}
+
+impl SchemaFold {
+    /// Folds one entry's `(field, raw value)` pairs in; `owner` names the
+    /// entry's origin in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::SchemaInference`] if a field repeats within the
+    /// entry (ambiguous annotation).
+    pub(crate) fn observe<'a>(
+        &mut self,
+        owner: &str,
+        fields: impl Iterator<Item = (&'a str, &'a str)>,
+    ) -> Result<(), TransformError> {
+        self.entries += 1;
+        for (name, raw) in fields {
+            // The same trim/null rules the importer applies: a cell the
+            // importer would load as Null must not widen the column.
+            let vt = match normalize_cell(raw) {
+                None => ColumnType::Null,
+                Some(t) => Value::infer(t).column_type(),
+            };
+            match self.cols.iter_mut().find(|c| c.name == name) {
+                Some(c) if c.last_entry == self.entries => {
+                    return Err(TransformError::SchemaInference(format!(
+                        "duplicate field `{name}` within one entry of `{owner}`"
+                    )));
+                }
+                Some(c) => {
+                    c.join = c.join.unify(vt);
+                    c.last_entry = self.entries;
+                }
+                // perf: one owned name per *distinct* column, not per field.
+                None => self.cols.push(FoldColumn {
+                    name: name.to_string(),
+                    join: vt,
+                    last_entry: self.entries,
+                }),
+            }
+        }
+        Ok(())
+    }
+
+    /// Entries folded so far.
+    pub(crate) fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// The columns, in first-appearance order.
+    pub(crate) fn columns(&self) -> &[FoldColumn] {
+        &self.cols
+    }
+
+    /// The schema the entries folded so far load under.
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::SchemaInference`] if the warehouse rejects the
+    /// column set.
+    pub(crate) fn schema(&self) -> Result<Schema, TransformError> {
+        Schema::new(
+            self.cols
+                .iter()
+                .map(|c| Column::new(c.name.clone(), c.ty()))
+                .collect(),
+        )
+        .map_err(|e| TransformError::SchemaInference(e.to_string()))
+    }
+}
+
 /// Converts one or more annotated `<log>` documents (all destined for the
 /// same table) into an inferred schema and typed rows.
 ///
@@ -73,55 +176,20 @@ impl ConvertedTable {
 /// inconsistent pipeline — cannot happen when inference and loading share
 /// [`normalize_cell`], but never loads silently-wrong data).
 pub fn convert_xml(docs: &[XmlNode]) -> Result<ConvertedTable, TransformError> {
-    // Pass 1: union of columns (first-appearance order) and type join.
-    let mut columns: Vec<(String, ColumnType)> = Vec::new();
-    let mut entry_count = 0usize;
+    // Pass 1: the schema fold over every entry of every document.
+    let mut fold = SchemaFold::default();
     for doc in docs {
+        let source = doc.get_attr("source").unwrap_or("?");
         for entry in doc.children.iter().filter(|c| c.name == "entry") {
-            entry_count += 1;
-            let mut seen_in_entry: BTreeSet<&str> = BTreeSet::new();
-            for field in &entry.children {
-                if !seen_in_entry.insert(&field.name) {
-                    return Err(TransformError::SchemaInference(format!(
-                        "duplicate field `{}` within one entry of `{}`",
-                        field.name,
-                        doc.get_attr("source").unwrap_or("?")
-                    )));
-                }
-                // The same trim/null rules the importer applies: a cell the
-                // importer would load as Null must not widen the column.
-                let vt = match normalize_cell(&field.text) {
-                    None => ColumnType::Null,
-                    Some(t) => Value::infer(t).column_type(),
-                };
-                match columns.iter_mut().find(|(n, _)| *n == field.name) {
-                    Some((_, ty)) => *ty = ty.unify(vt),
-                    // perf: one owned name per *distinct* column, not per field.
-                    None => columns.push((field.name.clone(), vt)),
-                }
-            }
+            let fields = entry.children.iter();
+            fold.observe(source, fields.map(|f| (f.name.as_str(), f.text.as_str())))?;
         }
     }
-    // Columns never observed with a non-null value stay Null; widen to Text
-    // so the warehouse can hold whatever later loads bring.
-    let schema = Schema::new(
-        columns
-            .iter()
-            .map(|(n, t)| {
-                let t = if *t == ColumnType::Null {
-                    ColumnType::Text
-                } else {
-                    *t
-                };
-                Column::new(n.clone(), t)
-            })
-            .collect(),
-    )
-    .map_err(|e| TransformError::SchemaInference(e.to_string()))?;
+    let schema = fold.schema()?;
 
     // Pass 2: typed rows, through the exact cell rules the CSV importer
     // uses, so the direct and export paths are value-identical.
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(entry_count);
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(fold.entries());
     for doc in docs {
         let source = doc.get_attr("source").unwrap_or("?");
         for entry in doc.children.iter().filter(|c| c.name == "entry") {

@@ -127,6 +127,37 @@ mscope_serdes::json_struct!(ParsingDeclaration {
     constants
 });
 
+/// One parsed `(field, raw value)` pair.
+pub(crate) type Field = (String, String);
+
+/// One entry's fields in their canonical order — the declaration's
+/// constants, then the sticky context, then the line's own captures — as
+/// built by [`ParsingDeclaration::entry_fields`]. Inherited pairs are
+/// cloned per entry; captures move.
+pub(crate) type EntryFields<'a> = std::iter::Chain<
+    std::iter::Cloned<std::iter::Chain<std::slice::Iter<'a, Field>, std::slice::Iter<'a, Field>>>,
+    std::vec::IntoIter<Field>,
+>;
+
+/// What the staged engine carries from one line to the next: the 1-based
+/// number of the last line seen, the sticky context, and the open block
+/// (`(captures so far, next positional line)`).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StagedState {
+    line_no: usize,
+    ctx: Vec<Field>,
+    block: Option<(Vec<Field>, usize)>,
+}
+
+/// The batch rendering of one entry: an `<entry>` with one child per field.
+fn entry_node(fields: EntryFields<'_>) -> XmlNode {
+    let mut entry = XmlNode::new("entry");
+    entry
+        .children
+        .extend(fields.map(|(k, v)| XmlNode::new(k).with_text(v)));
+    entry
+}
+
 impl ParsingDeclaration {
     /// Executes the declaration over file contents, producing the annotated
     /// `<log>` document.
@@ -138,8 +169,26 @@ impl ParsingDeclaration {
     /// the direct path.
     pub fn execute(&self, content: &str) -> Result<XmlNode, TransformError> {
         let entries = match &self.parser {
-            ParserKind::Staged(spec) => self.run_staged(spec, content)?,
-            ParserKind::XmlDirect(map) => self.run_xml(map, content)?,
+            ParserKind::Staged(spec) => {
+                // Upper bound: one entry per line. Record-style logs (the
+                // common case) sit near it; block logs over-reserve by the
+                // block length.
+                let mut entries = Vec::with_capacity(content.lines().count());
+                // An open block at end of input is dropped, mirroring a
+                // tool killed mid-record.
+                let mut st = StagedState::default();
+                for line in content.lines() {
+                    self.staged_line(spec, &mut st, line, &mut |f| entries.push(entry_node(f)))?;
+                }
+                entries
+            }
+            ParserKind::XmlDirect(map) => {
+                let doc = xml::parse(content).map_err(TransformError::Xml)?;
+                let els = doc.find_all(&map.entry_element);
+                els.into_iter()
+                    .map(|el| entry_node(self.xml_entry(map, el)))
+                    .collect()
+            }
         };
         let mut root = XmlNode::new("log")
             .attr("source", &self.path)
@@ -149,123 +198,96 @@ impl ParsingDeclaration {
         Ok(root)
     }
 
-    fn make_entry(&self, ctx: &[(String, String)], fields: Vec<(String, String)>) -> XmlNode {
-        let mut entry = XmlNode::new("entry");
-        entry
-            .children
-            .reserve(self.constants.len() + ctx.len() + fields.len());
-        for (k, v) in self.constants.iter().chain(ctx) {
-            // perf: constants and context are shared across entries — each
-            // entry owns one clone pair per inherited field.
-            entry
-                .children
-                .push(XmlNode::new(k.clone()).with_text(v.clone()));
-        }
-        for (k, v) in fields {
-            entry.children.push(XmlNode::new(k).with_text(v));
-        }
-        entry
+    /// The one place an entry's field order is decided.
+    fn entry_fields<'a>(&'a self, ctx: &'a [Field], captures: Vec<Field>) -> EntryFields<'a> {
+        self.constants.iter().chain(ctx).cloned().chain(captures)
     }
 
-    fn run_staged(&self, spec: &ParserSpec, content: &str) -> Result<Vec<XmlNode>, TransformError> {
-        // Upper bound: one entry per line. Record-style logs (the common
-        // case) sit near it; block logs over-reserve by the block length.
-        let mut entries = Vec::with_capacity(content.lines().count());
-        let mut ctx: Vec<(String, String)> = Vec::new();
-        // Block mode state: Some((captures, next line index)) while inside.
-        let mut block: Option<(Vec<(String, String)>, usize)> = None;
-
-        'lines: for (ln, line) in content.lines().enumerate() {
-            if spec.filters.iter().any(|f| f.matches(line)) {
-                continue;
-            }
-            if let Some(bs) = &spec.blocks {
-                if let Some(caps) = bs.marker.match_line(line) {
-                    // New block begins (flushing any incomplete previous one
-                    // would hide truncation; incomplete blocks are dropped
-                    // only at EOF, mirroring a tool killed mid-record).
-                    block = Some((caps, 0));
-                    continue;
-                }
-                if let Some((fields, idx)) = &mut block {
-                    let Some(slot) = bs.lines.get(*idx) else {
-                        return Err(TransformError::UnparsedLine {
-                            file: self.path.clone(),
-                            line_no: ln + 1,
-                            line: line.to_string(),
-                        });
-                    };
-                    if let Some(pat) = slot {
-                        let caps =
-                            pat.match_line(line)
-                                .ok_or_else(|| TransformError::UnparsedLine {
-                                    file: self.path.clone(),
-                                    line_no: ln + 1,
-                                    line: line.to_string(),
-                                })?;
-                        fields.extend(caps);
-                    }
-                    *idx += 1;
-                    if *idx == bs.lines.len() {
-                        if let Some((fields, _)) = block.take() {
-                            entries.push(self.make_entry(&[], fields));
-                        }
-                    }
-                    continue;
-                }
-            }
-            for pat in &spec.context {
-                if let Some(caps) = pat.match_line(line) {
-                    for (k, v) in caps {
-                        ctx.retain(|(ck, _)| *ck != k);
-                        ctx.push((k, v));
-                    }
-                    continue 'lines;
-                }
-            }
-            for pat in &spec.records {
-                if let Some(caps) = pat.match_line(line) {
-                    // The entry node borrows the shared context and takes the
-                    // captures by value — no intermediate merged Vec.
-                    entries.push(self.make_entry(&ctx, caps));
-                    continue 'lines;
-                }
-            }
-            return Err(TransformError::UnparsedLine {
-                file: self.path.clone(),
-                line_no: ln + 1,
-                line: line.to_string(),
-            });
+    /// One line through the staged ladder — filters → block → context →
+    /// records → unparsed — calling `emit` for each entry the line
+    /// completes. Batch feeds it `str::lines`; streaming feeds it each
+    /// complete line as it arrives.
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::UnparsedLine`] when the line survives the filters
+    /// and matches no instruction.
+    pub(crate) fn staged_line(
+        &self,
+        spec: &ParserSpec,
+        st: &mut StagedState,
+        line: &str,
+        emit: &mut impl FnMut(EntryFields<'_>),
+    ) -> Result<(), TransformError> {
+        st.line_no += 1;
+        let unparsed = |line_no| TransformError::UnparsedLine {
+            file: self.path.clone(),
+            line_no,
+            line: line.to_string(),
+        };
+        if spec.filters.iter().any(|f| f.matches(line)) {
+            return Ok(());
         }
-        Ok(entries)
+        if let Some(bs) = &spec.blocks {
+            if let Some(caps) = bs.marker.match_line(line) {
+                // A new block begins. Flushing an incomplete previous one
+                // would hide truncation, so it is dropped.
+                st.block = Some((caps, 0));
+                return Ok(());
+            }
+            if let Some((fields, idx)) = &mut st.block {
+                let slot = bs.lines.get(*idx).ok_or_else(|| unparsed(st.line_no))?;
+                if let Some(pat) = slot {
+                    let caps = pat.match_line(line).ok_or_else(|| unparsed(st.line_no))?;
+                    fields.extend(caps);
+                }
+                *idx += 1;
+                if *idx == bs.lines.len() {
+                    if let Some((fields, _)) = st.block.take() {
+                        emit(self.entry_fields(&[], fields));
+                    }
+                }
+                return Ok(());
+            }
+        }
+        for pat in &spec.context {
+            if let Some(caps) = pat.match_line(line) {
+                for (k, v) in caps {
+                    st.ctx.retain(|(ck, _)| *ck != k);
+                    st.ctx.push((k, v));
+                }
+                return Ok(());
+            }
+        }
+        for pat in &spec.records {
+            if let Some(caps) = pat.match_line(line) {
+                emit(self.entry_fields(&st.ctx, caps));
+                return Ok(());
+            }
+        }
+        Err(unparsed(st.line_no))
     }
 
-    fn run_xml(&self, map: &XmlMapping, content: &str) -> Result<Vec<XmlNode>, TransformError> {
-        let doc = xml::parse(content).map_err(TransformError::Xml)?;
-        let els = doc.find_all(&map.entry_element);
-        let mut entries = Vec::with_capacity(els.len());
-        for el in els {
-            let mut fields: Vec<(String, String)> =
-                Vec::with_capacity(map.entry_attrs.len() + map.leaf_attrs.len());
-            for (attr, field) in &map.entry_attrs {
-                if let Some(v) = el.get_attr(attr) {
-                    // perf: extracted fields own their values — one pair per
-                    // matched attribute, consumed by make_entry below.
-                    fields.push((field.clone(), v.to_string()));
-                }
+    /// Maps one parsed entry element of the direct-XML path to its fields:
+    /// the entry element's own attributes, then one attribute each from the
+    /// first matching descendant.
+    pub(crate) fn xml_entry<'a>(&'a self, map: &XmlMapping, el: &XmlNode) -> EntryFields<'a> {
+        let mut fields = Vec::with_capacity(map.entry_attrs.len() + map.leaf_attrs.len());
+        for (attr, field) in &map.entry_attrs {
+            if let Some(v) = el.get_attr(attr) {
+                // perf: extracted fields own their values — one pair per
+                // matched attribute.
+                fields.push((field.clone(), v.to_string()));
             }
-            for (elem, attr, field) in &map.leaf_attrs {
-                if let Some(leaf) = el.find_all(elem).first() {
-                    if let Some(v) = leaf.get_attr(attr) {
-                        // perf: extracted fields own their values — one pair
-                        // per matched attribute, consumed by make_entry below.
-                        fields.push((field.clone(), v.to_string()));
-                    }
-                }
-            }
-            entries.push(self.make_entry(&[], fields));
         }
-        Ok(entries)
+        for (elem, attr, field) in &map.leaf_attrs {
+            if let Some(v) = el.find_all(elem).first().and_then(|l| l.get_attr(attr)) {
+                // perf: extracted fields own their values — one pair per
+                // matched attribute.
+                fields.push((field.clone(), v.to_string()));
+            }
+        }
+        self.entry_fields(&[], fields)
     }
 }
 
@@ -297,7 +319,7 @@ pub struct DeclIssue {
 }
 
 /// The statically knowable column set of a declaration: constants first
-/// (the order [`make_entry`](ParsingDeclaration::execute) emits them), then
+/// (the order [`execute`](ParsingDeclaration::execute) emits them), then
 /// pattern captures or XML fields. Constants and wall-clock captures carry
 /// a concrete type; plain captures and XML attributes are
 /// [`ColumnType::Null`] — "no value seen yet", the bottom of the inference

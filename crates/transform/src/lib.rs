@@ -20,10 +20,23 @@
 //!    tables on the fly and batch-loads the tuples, registering monitor /
 //!    log-file metadata in the static tables.
 //!
-//! [`DataTransformer`] orchestrates all four stages over a monitor
-//! manifest, fanning the CPU-bound parse/convert stages out across scoped
-//! worker threads ([`RunOptions`]) while keeping warehouse loads serial and
-//! deterministic.
+//! Two drivers run these stages, and neither owns a rule:
+//!
+//! * [`DataTransformer`] is the batch driver: it orchestrates all four
+//!   stages over a monitor manifest's finished files, fanning the
+//!   CPU-bound parse/convert stages out with `mscope_sim::parallel_map`
+//!   ([`RunOptions`] is the worker count) while keeping warehouse loads
+//!   serial and deterministic.
+//! * [`StreamingTransformer`] is the incremental driver: it tails the
+//!   same files while they grow and converges on the same warehouse.
+//!
+//! What a line means (the staged ladder, the XML entry mapper, the order
+//! of an entry's fields) is defined once in [`declare`]; what a table's
+//! schema is (the inference fold) once beside [`convert_xml`]; the
+//! `monitors` / `log_files` registration once beside [`DataTransformer`].
+//! Each driver passes the shared core an `emit` callback — batch builds
+//! `<entry>` nodes, streaming collects `(field, raw)` pairs — and keeps
+//! only what the other has no counterpart for.
 //!
 //! ## Example
 //!

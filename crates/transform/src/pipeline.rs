@@ -4,22 +4,20 @@
 //!
 //! The CPU-heavy front of the pipeline — log read → parse → XML → typed
 //! rows — is embarrassingly parallel across destination tables, so
-//! [`DataTransformer::run`] fans the table groups out over scoped worker
-//! threads fed by a small in-tree work queue, then loads the converted
-//! groups into the warehouse serially in deterministic table order. The
-//! report and the warehouse contents are byte-identical whether the run
-//! used one worker or many.
+//! [`DataTransformer::run`] fans the table groups out with
+//! [`parallel_map`], then loads the converted groups into the warehouse
+//! serially in deterministic table order. The report and the warehouse
+//! contents are byte-identical whether the run used one worker or many.
 
 use crate::convert::{convert_xml, ConvertedTable};
 use crate::declare::{self, ParsingDeclaration};
 use crate::error::TransformError;
-use crate::import::{import_csv, import_rows};
+use crate::import::import_rows;
 use crate::parsers::declaration_for;
 use mscope_db::Database;
 use mscope_monitors::{LogFileMeta, LogStore, MonitorKind};
-use mscope_sim::WorkQueue;
+use mscope_sim::parallel_map;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// What one pipeline run produced.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -43,10 +41,9 @@ mscope_serdes::json_struct!(TransformReport {
 /// *slower* than serial; the crossover is comfortably above that).
 const AUTO_PARALLEL_MIN_BYTES: u64 = 4 << 20;
 
-/// How a pipeline run executes: worker fan-out and load path. The default
-/// (`workers: 0`, direct load) sizes the fan-out to the work: the
-/// machine's parallelism for large runs, serial below
-/// [`AUTO_PARALLEL_MIN_BYTES`] of declared input.
+/// How a pipeline run executes. The default (`workers: 0`) sizes the
+/// fan-out to the work: the machine's parallelism for large runs, serial
+/// below [`AUTO_PARALLEL_MIN_BYTES`] of declared input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunOptions {
     /// Worker threads for the convert stage; `0` picks automatically —
@@ -54,29 +51,12 @@ pub struct RunOptions {
     /// groups), falling back to serial when the declared input is too
     /// small for the fan-out to pay for itself.
     pub workers: usize,
-    /// Load through a CSV serialize→reparse round-trip instead of the
-    /// direct typed-row path. The results are identical; this exists for
-    /// benchmarking the historical interchange format and validating the
-    /// CSV export.
-    pub csv_round_trip: bool,
 }
 
 impl RunOptions {
-    /// One worker, direct typed-row load.
+    /// One worker.
     pub fn serial() -> RunOptions {
-        RunOptions {
-            workers: 1,
-            csv_round_trip: false,
-        }
-    }
-
-    /// One worker, CSV round-trip load — the historical pipeline shape,
-    /// kept as the benchmark baseline.
-    pub fn serial_csv() -> RunOptions {
-        RunOptions {
-            workers: 1,
-            csv_round_trip: true,
-        }
+        RunOptions { workers: 1 }
     }
 }
 
@@ -105,10 +85,32 @@ fn convert_group(
     })
 }
 
-/// Locks a mutex, ignoring poisoning — a worker panic already propagates
-/// through the thread scope, so a poisoned guard's data is never observed.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Populates the static metadata tables (`monitors`, `log_files`) from the
+/// manifest, in manifest order — the last step of a run, batch or
+/// streaming. A file that was declared but is absent from the store is an
+/// error, not a healthy zero-byte log.
+pub(crate) fn register_metadata(
+    manifest: &[LogFileMeta],
+    store: &LogStore,
+    db: &mut Database,
+) -> Result<(), TransformError> {
+    for m in manifest {
+        let kind = match m.kind {
+            MonitorKind::Event => "event",
+            MonitorKind::Resource => "resource",
+        };
+        // perf: one rendered node name per manifest entry, shared by
+        // both registrations below.
+        let node = m.node.to_string();
+        db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
+            .map_err(TransformError::Db)?;
+        let bytes = store
+            .size(&m.path)
+            .ok_or_else(|| TransformError::MissingFile(m.path.clone()))? as i64;
+        db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
+            .map_err(TransformError::Db)?;
+    }
+    Ok(())
 }
 
 /// The transformer: a set of parsing declarations derived from the monitor
@@ -152,8 +154,8 @@ impl DataTransformer {
         declare::validate(&self.declarations)
     }
 
-    /// Runs the full pipeline with default options: parallel convert
-    /// stage, direct typed-row load. See [`DataTransformer::run_with`].
+    /// Runs the full pipeline with default options. See
+    /// [`DataTransformer::run_with`].
     ///
     /// # Errors
     ///
@@ -174,8 +176,8 @@ impl DataTransformer {
     /// are batch-loaded into the warehouse; and the static metadata tables
     /// (`monitors`, `log_files`) are populated.
     ///
-    /// The convert stage fans out across `opts.workers` scoped threads
-    /// (one table group per job); the load stage is serial and iterates
+    /// The convert stage fans out across `opts.workers` threads (one
+    /// table group per job); the load stage is serial and iterates
     /// groups in table order, so the warehouse contents and the report are
     /// identical for any worker count.
     ///
@@ -208,84 +210,28 @@ impl DataTransformer {
             .map(|b| b as u64)
             .sum();
         let workers = self.worker_count(opts, groups.len(), declared_bytes);
-        let mut results: Vec<Option<Result<GroupOutput, TransformError>>> =
-            if workers <= 1 || groups.len() <= 1 {
-                groups
-                    .iter()
-                    .map(|(_, decls)| Some(convert_group(decls, store)))
-                    .collect()
-            } else {
-                let queue = WorkQueue::new(groups.len());
-                let slots = Mutex::new((0..groups.len()).map(|_| None).collect::<Vec<_>>());
-                std::thread::scope(|s| {
-                    for _ in 0..workers {
-                        s.spawn(|| {
-                            // A claimed job always runs to completion, so
-                            // dispensed indices always yield a result and
-                            // unconverted groups form a strict suffix
-                            // behind the first error.
-                            while let Some(i) = queue.take() {
-                                let out = convert_group(&groups[i].1, store);
-                                if out.is_err() {
-                                    queue.poison();
-                                }
-                                lock(&slots)[i] = Some(out);
-                            }
-                        });
-                    }
-                });
-                slots
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            };
+        // Every group is converted even behind a failing one, so the
+        // error surfaced below is the first in table order for any worker
+        // count.
+        let results = parallel_map(groups.len(), workers, |i| {
+            convert_group(&groups[i].1, store)
+        });
 
         // Load stage: serial, in table order — this is what makes reports
         // and warehouse state deterministic despite the parallel front.
         let mut report = TransformReport::default();
-        for (i, (table, _)) in groups.iter().enumerate() {
-            let out = match results[i].take() {
-                Some(Ok(out)) => out,
-                Some(Err(e)) => return Err(e),
-                // Only reachable behind an error at a smaller index, which
-                // the arm above already returned.
-                None => {
-                    return Err(TransformError::SchemaInference(format!(
-                        "internal: group `{table}` left unconverted"
-                    )))
-                }
-            };
+        for ((table, _), out) in groups.iter().zip(results) {
+            let out = out?;
             report.files += out.files;
             report.entries += out.converted.row_count();
-            let loaded = if opts.csv_round_trip {
-                import_csv(db, table, &out.converted.schema, &out.converted.to_csv())?
-            } else {
-                let ConvertedTable { schema, rows } = out.converted;
-                import_rows(db, table, &schema, rows)?
-            };
+            let ConvertedTable { schema, rows } = out.converted;
+            let loaded = import_rows(db, table, &schema, rows)?;
             // perf: one owned table name per loaded table — bounded by the
             // manifest's table groups, never by row count.
             report.tables.push((table.to_string(), loaded));
         }
 
-        // Metadata registration. A file that was declared but is absent
-        // from the store is an error, not a healthy zero-byte log.
-        for m in &self.manifest {
-            let kind = match m.kind {
-                MonitorKind::Event => "event",
-                MonitorKind::Resource => "resource",
-            };
-            // perf: one rendered node name per manifest entry, shared by
-            // both registrations below (this used to render it twice).
-            let node = m.node.to_string();
-            db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
-                .map_err(TransformError::Db)?;
-            let bytes = store
-                .size(&m.path)
-                .ok_or_else(|| TransformError::MissingFile(m.path.clone()))?
-                as i64;
-            db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
-                .map_err(TransformError::Db)?;
-        }
+        register_metadata(&self.manifest, store, db)?;
         Ok(report)
     }
 
@@ -363,17 +309,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_serial_and_csv_paths_are_byte_identical() {
+    fn parallel_and_serial_paths_are_byte_identical() {
         let (_out, art) = artifacts();
         let tr = DataTransformer::from_manifest(&art.manifest);
         let variants = [
             RunOptions::default(),
             RunOptions::serial(),
-            RunOptions::serial_csv(),
-            RunOptions {
-                workers: 3,
-                csv_round_trip: true,
-            },
+            RunOptions { workers: 3 },
         ];
         let mut outputs = Vec::new();
         for opts in variants {
@@ -479,6 +421,18 @@ mod tests {
             matches!(err, TransformError::MissingFile(ref p) if p.contains("iostat")),
             "{err}"
         );
+        // A second missing file in a later table group (`sar` sorts after
+        // `iostat`): every worker count reports the first in table order.
+        assert!(art.store.remove("logs/tier0-0/sar.log").is_some());
+        for workers in [1, 2, 8] {
+            let err = tr
+                .run_with(&art.store, &mut Database::new(), RunOptions { workers })
+                .unwrap_err();
+            assert!(
+                matches!(err, TransformError::MissingFile(ref p) if p.contains("iostat")),
+                "workers={workers}: {err}"
+            );
+        }
     }
 
     #[test]

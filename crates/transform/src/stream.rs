@@ -1,115 +1,82 @@
 //! Streaming ingestion — the transformer's half of the spine.
 //!
 //! The batch pipeline ([`DataTransformer::run`]) needs every log file
-//! complete before it starts: schema inference is defined over *all*
-//! entries, so the converter reads whole files. [`StreamingTransformer`]
-//! is the incremental counterpart: it *tails* the declared files of a
-//! growing [`LogStore`] (tracking a consumed-byte offset per declaration),
-//! parses exactly the complete new lines / XML entries each
-//! [`poll`](StreamingTransformer::poll), and appends typed rows to the
-//! warehouse via [`Database::insert_batch`] as they arrive — the per-block
-//! zone maps and the sorted-on-append flag are maintained on append, so
-//! the warehouse is queryable mid-run.
+//! complete before it starts. [`StreamingTransformer`] is the incremental
+//! driver of the *same rules*: it tails the declared files of a growing
+//! [`LogStore`], pushes exactly the complete new lines / XML entries
+//! through the shared core each [`poll`](StreamingTransformer::poll), and
+//! appends typed rows to the warehouse via [`Database::insert_batch`] as
+//! they arrive, so the warehouse is queryable mid-run.
+//!
+//! What a line or an entry element *means* is not decided here. The staged
+//! ladder and the XML entry mapper are
+//! [`ParsingDeclaration::staged_line`] / [`ParsingDeclaration::xml_entry`],
+//! schema inference is [`SchemaFold`], and the `monitors` / `log_files`
+//! registration is [`register_metadata`] — each called by the batch driver
+//! too. This module owns only what batch has no counterpart for:
+//!
+//! * **Tailing.** A consumed-byte offset per declaration; a staged file
+//!   advances by complete lines, an XML-direct file by complete
+//!   `<entry…>…</entry>` spans extracted from the unconsumed suffix and
+//!   parsed as standalone fragments.
+//! * **Raw retention.** Batch inference sees all values before choosing
+//!   column types; streaming commits rows under the *running* join and may
+//!   later learn it was too narrow (a column of all-digit hex request IDs
+//!   infers `Int` until the first ID with a letter arrives). So every
+//!   committed cell remembers how to recover its raw text ([`RawCell`]):
+//!   most cells render back to their raw form exactly (`Canonical`, no
+//!   storage); the rest keep the raw string (`Kept`). A column that
+//!   reaches `Text` — the top of the lattice — drops its raws.
+//! * **Migration by rebuild.** When a chunk widens a column's type (or
+//!   introduces a column), the committed prefix is rebuilt under the new
+//!   schema — unchanged columns copied, changed columns re-parsed from
+//!   their recovered raws — and swapped in with
+//!   [`Database::replace_table`]. Batch parses each cell once with the
+//!   final type; streaming re-parses the same raw text with the same
+//!   final type, so the values are byte-identical.
 //!
 //! ## Convergence with batch
 //!
 //! At [`finish`](StreamingTransformer::finish) the warehouse holds, table
 //! for table, **exactly** the schema and cell values the batch pipeline
-//! infers from the finished files. The subtlety is that batch inference
-//! sees all values before choosing column types, while streaming must
-//! commit rows under the *running* type join and may later learn the join
-//! was too narrow (a column of all-digit hex request IDs infers `Int`
-//! until the first ID with a letter arrives). Three mechanisms close the
-//! gap:
-//!
-//! * **Effective schema.** A column whose running join is still `Null`
-//!   (no non-null value seen) is committed as `Text` — the same widening
-//!   batch applies to all-null columns at schema build.
-//! * **Raw retention.** Every committed cell remembers how to recover its
-//!   raw text ([`RawCell`]): most cells render back to their raw form
-//!   exactly (`Canonical`, no storage); the rest keep the raw string
-//!   (`Kept`). A column that reaches `Text` — the top of the lattice, its
-//!   type can never change again — drops its raws.
-//! * **Migration by rebuild.** When a chunk widens a column's effective
-//!   type (or introduces a new column), the committed prefix is rebuilt
-//!   under the new schema — unchanged columns copied, changed columns
-//!   re-parsed from their recovered raws — and swapped in with
-//!   [`Database::replace_table`]. Batch parses each cell once with the
-//!   final type; streaming re-parses the same raw text with the same
-//!   final type, so the values are byte-identical.
+//! infers from the finished files. `finish` also re-parses each XML-direct
+//! document whole, to surface the malformed-XML errors batch would have
+//! raised and to verify the span extraction saw every entry.
 //!
 //! Row *order* is the one place streaming is allowed to differ: a table
 //! fed by several files (one resource monitor per node) receives rows in
 //! arrival-interleaved order rather than batch's file-concatenated order.
 //! Tables fed by a single file — every event table — come out
 //! byte-identical, rows included.
-//!
-//! XML-direct declarations are tailed by extracting each complete
-//! `<entry…>…</entry>` span from the unconsumed suffix and parsing it as
-//! a standalone fragment; [`finish`](StreamingTransformer::finish)
-//! re-parses the whole document once to surface the malformed-XML errors
-//! batch would have raised and to verify the span extraction saw every
-//! entry.
 
-use crate::declare::{ParserKind, ParserSpec, ParsingDeclaration, XmlMapping};
+use crate::convert::SchemaFold;
+use crate::declare::{
+    EntryFields, Field, ParserKind, ParserSpec, ParsingDeclaration, StagedState, XmlMapping,
+};
 use crate::error::TransformError;
-use crate::import::{normalize_cell, parse_cell};
-use crate::pipeline::{DataTransformer, TransformReport};
-use crate::xml::{self, XmlNode};
-use mscope_db::{Column, ColumnType, Database, DbError, Schema, Table, Value};
-use mscope_monitors::{LogFileMeta, LogStore, MonitorKind};
+use crate::import::parse_cell;
+use crate::pipeline::{register_metadata, DataTransformer, TransformReport};
+use crate::xml;
+use mscope_db::{ColumnType, Database, DbError, Schema, Table, Value};
+use mscope_monitors::{LogFileMeta, LogStore};
 use mscope_sim::parallel_map;
 
 /// One parsed entry: `(field, raw value)` pairs, constants first — the
 /// streaming equivalent of batch's `<entry>` element.
-type Fields = Vec<(String, String)>;
+type Fields = Vec<Field>;
 
 // ---------------------------------------------------------------------------
 // Per-declaration incremental parser state
 // ---------------------------------------------------------------------------
 
 /// Incremental parse state for one declaration: how many bytes of the
-/// declared file have been consumed, plus the staged-parser carry-over
-/// (sticky context, open block, line counter).
-#[derive(Debug, Clone)]
+/// declared file have been consumed and how many entries they held, plus
+/// the staged engine's line-to-line carry-over.
+#[derive(Debug, Clone, Default)]
 struct DeclState {
     consumed: usize,
-    line_no: usize,
-    ctx: Vec<(String, String)>,
-    block: Option<(Fields, usize)>,
     entries: usize,
-}
-
-impl DeclState {
-    fn new() -> DeclState {
-        DeclState {
-            consumed: 0,
-            line_no: 0,
-            ctx: Vec::new(),
-            block: None,
-            entries: 0,
-        }
-    }
-}
-
-fn unparsed(decl: &ParsingDeclaration, line_no: usize, line: &str) -> TransformError {
-    TransformError::UnparsedLine {
-        file: decl.path.clone(),
-        line_no,
-        line: line.to_string(),
-    }
-}
-
-/// Builds one entry's field list exactly as batch `make_entry` does:
-/// constants, then sticky context, then the captures.
-fn entry_fields(decl: &ParsingDeclaration, ctx: &[(String, String)], fields: Fields) -> Fields {
-    let mut e = Vec::with_capacity(decl.constants.len() + ctx.len() + fields.len());
-    // perf: constants and context are shared across entries — each entry
-    // owns one clone pair per inherited field, as in the batch parser.
-    e.extend(decl.constants.iter().cloned());
-    e.extend(ctx.iter().cloned());
-    e.extend(fields);
-    e
+    staged: StagedState,
 }
 
 /// Consumes the unconsumed suffix of `content`, emitting entries for every
@@ -135,6 +102,7 @@ fn advance_staged(
     at_end: bool,
 ) -> Result<Vec<Fields>, TransformError> {
     let mut out = Vec::new();
+    let mut emit = |fields: EntryFields<'_>| out.push(fields.collect());
     let mut pos = st.consumed;
     while let Some(nl) = content[pos..].find('\n') {
         // A complete line: strip the newline and an optional \r, exactly
@@ -143,76 +111,16 @@ fn advance_staged(
             .strip_suffix('\r')
             .unwrap_or(&content[pos..pos + nl]);
         pos += nl + 1;
-        st.line_no += 1;
-        staged_line(decl, spec, st, line, &mut out)?;
+        decl.staged_line(spec, &mut st.staged, line, &mut emit)?;
         st.consumed = pos;
     }
     if at_end && pos < content.len() {
         // The final newline-less line. `str::lines` keeps a lone trailing
         // \r here (it only strips \r before a \n), so no stripping.
-        let line = &content[pos..];
-        st.line_no += 1;
-        staged_line(decl, spec, st, line, &mut out)?;
+        decl.staged_line(spec, &mut st.staged, &content[pos..], &mut emit)?;
         st.consumed = content.len();
     }
     Ok(out)
-}
-
-/// One line through the staged engine — a faithful incremental transcription
-/// of the batch `run_staged` loop body (filters → block mode → context →
-/// records → unparsed).
-fn staged_line(
-    decl: &ParsingDeclaration,
-    spec: &ParserSpec,
-    st: &mut DeclState,
-    line: &str,
-    out: &mut Vec<Fields>,
-) -> Result<(), TransformError> {
-    if spec.filters.iter().any(|f| f.matches(line)) {
-        return Ok(());
-    }
-    if let Some(bs) = &spec.blocks {
-        if let Some(caps) = bs.marker.match_line(line) {
-            // New block begins; an incomplete previous one is dropped only
-            // at end-of-stream, mirroring a tool killed mid-record.
-            st.block = Some((caps, 0));
-            return Ok(());
-        }
-        if let Some((fields, idx)) = &mut st.block {
-            let Some(slot) = bs.lines.get(*idx) else {
-                return Err(unparsed(decl, st.line_no, line));
-            };
-            if let Some(pat) = slot {
-                let caps = pat
-                    .match_line(line)
-                    .ok_or_else(|| unparsed(decl, st.line_no, line))?;
-                fields.extend(caps);
-            }
-            *idx += 1;
-            if *idx == bs.lines.len() {
-                if let Some((fields, _)) = st.block.take() {
-                    out.push(entry_fields(decl, &[], fields));
-                }
-            }
-            return Ok(());
-        }
-    }
-    for pat in &spec.context {
-        if let Some(caps) = pat.match_line(line) {
-            for (k, v) in caps {
-                st.ctx.retain(|(ck, _)| *ck != k);
-                st.ctx.push((k, v));
-            }
-            return Ok(());
-        }
-    }
-    for pat in &spec.records {
-        if let Some(caps) = pat.match_line(line) {
-            out.push(entry_fields(decl, &st.ctx, caps));
-            return Ok(());
-        }
-    }
-    Err(unparsed(decl, st.line_no, line))
 }
 
 // ---------------------------------------------------------------------------
@@ -330,41 +238,15 @@ fn advance_xml(
     content: &str,
 ) -> Result<Vec<Fields>, TransformError> {
     let mut out = Vec::new();
-    loop {
-        match find_entry_span(&content[st.consumed..], &map.entry_element) {
-            Span::None | Span::Incomplete => break,
-            Span::Complete(start, end) => {
-                let span = &content[st.consumed + start..st.consumed + end];
-                let el = xml::parse(span).map_err(TransformError::Xml)?;
-                out.push(xml_entry(decl, map, &el));
-                st.consumed += end;
-            }
-        }
+    while let Span::Complete(start, end) =
+        find_entry_span(&content[st.consumed..], &map.entry_element)
+    {
+        let span = &content[st.consumed + start..st.consumed + end];
+        let el = xml::parse(span).map_err(TransformError::Xml)?;
+        out.push(decl.xml_entry(map, &el).collect());
+        st.consumed += end;
     }
     Ok(out)
-}
-
-/// Extracts one entry's fields from a parsed entry element — the batch
-/// `run_xml` per-entry body (entry attributes, then first-leaf attributes).
-fn xml_entry(decl: &ParsingDeclaration, map: &XmlMapping, el: &XmlNode) -> Fields {
-    let mut fields: Fields = Vec::with_capacity(map.entry_attrs.len() + map.leaf_attrs.len());
-    for (attr, field) in &map.entry_attrs {
-        if let Some(v) = el.get_attr(attr) {
-            // perf: extracted fields own their values — one pair per
-            // matched attribute, as in the batch XML path.
-            fields.push((field.clone(), v.to_string()));
-        }
-    }
-    for (elem, attr, field) in &map.leaf_attrs {
-        if let Some(leaf) = el.find_all(elem).first() {
-            if let Some(v) = leaf.get_attr(attr) {
-                // perf: extracted fields own their values — one pair per
-                // matched attribute, as in the batch XML path.
-                fields.push((field.clone(), v.to_string()));
-            }
-        }
-    }
-    entry_fields(decl, &[], fields)
 }
 
 // ---------------------------------------------------------------------------
@@ -384,30 +266,22 @@ enum RawCell {
     Kept(Box<str>),
 }
 
-/// Running inference for one column of a sink.
-#[derive(Debug)]
-struct SinkCol {
-    name: String,
-    /// Lattice join of every observed (normalized) value type; `Null`
-    /// while no non-null value has been seen.
-    join: ColumnType,
-    /// One [`RawCell`] per committed row; `None` once the join reached
-    /// `Text` (top of the lattice — the type can never change again).
-    raws: Option<Vec<RawCell>>,
-}
-
-/// A column's *effective* warehouse type: the running join, with the
-/// all-null → `Text` widening batch applies at schema build.
-fn effective(join: ColumnType) -> ColumnType {
-    if join == ColumnType::Null {
-        ColumnType::Text
-    } else {
-        join
+impl RawCell {
+    /// The cheapest form that still recovers `raw` from its committed `v`.
+    fn retain(raw: &str, v: &Value) -> RawCell {
+        if raw == v.render() {
+            RawCell::Canonical
+        } else {
+            // perf: raw retained only when it diverges from the canonical
+            // rendering — rare.
+            RawCell::Kept(raw.into())
+        }
     }
 }
 
 /// Accumulates one destination table's entries, maintains the running
-/// schema, and keeps the warehouse table converged with it.
+/// schema ([`SchemaFold`], the fold batch applies), and keeps the
+/// warehouse table converged with it.
 #[derive(Debug)]
 struct TableSink {
     table: String,
@@ -415,7 +289,11 @@ struct TableSink {
     files: usize,
     created: bool,
     committed: usize,
-    cols: Vec<SinkCol>,
+    fold: SchemaFold,
+    /// Per fold column, one [`RawCell`] per committed row; `None` once the
+    /// column's join reached `Text` (top of the lattice — the type can
+    /// never change again).
+    raws: Vec<Option<Vec<RawCell>>>,
     buffered: Vec<Fields>,
 }
 
@@ -426,65 +304,35 @@ impl TableSink {
             files: 0,
             created: false,
             committed: 0,
-            cols: Vec::new(),
+            fold: SchemaFold::default(),
+            raws: Vec::new(),
             buffered: Vec::new(),
         }
     }
 
     /// Folds one entry into the running schema and buffers it for the next
-    /// flush. Mirrors batch pass 1: duplicate fields rejected, column set
-    /// unioned in first-appearance order, types joined through the same
-    /// `normalize_cell` / `Value::infer` rules.
+    /// flush.
     fn add_entry(&mut self, entry: Fields) -> Result<(), TransformError> {
-        for (i, (k, _)) in entry.iter().enumerate() {
-            if entry[..i].iter().any(|(p, _)| p == k) {
-                return Err(TransformError::SchemaInference(format!(
-                    "duplicate field `{k}` within one entry for `{}`",
-                    self.table
-                )));
-            }
-        }
-        for (k, v) in &entry {
-            let vt = match normalize_cell(v) {
-                None => ColumnType::Null,
-                Some(t) => Value::infer(t).column_type(),
-            };
-            match self.cols.iter_mut().find(|c| c.name == *k) {
-                Some(c) => c.join = c.join.unify(vt),
-                // perf: one name clone + one Missing backfill per *newly
-                // discovered column* (a handful per table, ever), not per
-                // entry — the steady state takes the update arm above.
-                None => self.cols.push(SinkCol {
-                    name: k.clone(),
-                    join: vt,
-                    // perf: a column first seen now was Missing in every
-                    // already-committed row — one backfill per new column.
-                    raws: Some(vec![RawCell::Missing; self.committed]),
-                }),
-            }
-        }
+        let fields = entry.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        self.fold.observe(&self.table, fields)?;
+        // perf: a column first seen now was Missing in every
+        // already-committed row — one backfill per new column (a handful
+        // per table, ever), not per entry.
+        let committed = self.committed;
+        self.raws.resize_with(self.fold.columns().len(), || {
+            Some(vec![RawCell::Missing; committed])
+        });
         self.buffered.push(entry);
         Ok(())
     }
 
-    fn effective_schema(&self) -> Result<Schema, TransformError> {
-        Schema::new(
-            self.cols
-                .iter()
-                .map(|c| Column::new(c.name.clone(), effective(c.join)))
-                .collect(),
-        )
-        .map_err(|e| TransformError::SchemaInference(e.to_string()))
-    }
-
     /// Commits the buffered entries: migrates the warehouse table if the
-    /// effective schema moved, then materializes and batch-appends the new
-    /// rows.
+    /// schema moved, then materializes and batch-appends the new rows.
     fn flush(&mut self, db: &mut Database) -> Result<(), TransformError> {
         if self.buffered.is_empty() {
             return Ok(());
         }
-        let schema = self.effective_schema()?;
+        let schema = self.fold.schema()?;
         if !self.created {
             db.ensure_table(&self.table, schema.clone())
                 .map_err(TransformError::Db)?;
@@ -500,36 +348,22 @@ impl TableSink {
         // perf: one rows vector per flush, sized to the buffered chunk.
         let mut rows: Vec<Vec<Value>> = Vec::with_capacity(self.buffered.len());
         for entry in &self.buffered {
-            let mut row = Vec::with_capacity(self.cols.len());
-            let mut rawcells = Vec::with_capacity(self.cols.len());
-            for col in &self.cols {
-                match entry.iter().find(|(k, _)| *k == col.name) {
-                    None => {
-                        row.push(Value::Null);
-                        rawcells.push(RawCell::Missing);
-                    }
-                    Some((_, raw)) => {
-                        let v = parse_cell(&self.table, &col.name, effective(col.join), raw)?;
-                        let rc = if col.raws.is_some() {
-                            if *raw == v.render() {
-                                RawCell::Canonical
-                            } else {
-                                // perf: raw retained only when it diverges
-                                // from the canonical rendering — rare.
-                                RawCell::Kept(raw.as_str().into())
-                            }
-                        } else {
-                            RawCell::Missing // unused: raws already dropped
-                        };
-                        row.push(v);
-                        rawcells.push(rc);
-                    }
+            let mut row = Vec::with_capacity(self.raws.len());
+            for (col, raws) in self.fold.columns().iter().zip(&mut self.raws) {
+                let cell = entry.iter().find(|(k, _)| *k == col.name);
+                let v = match cell {
+                    None => Value::Null,
+                    Some((_, raw)) => parse_cell(&self.table, &col.name, col.ty(), raw)?,
+                };
+                // Only a column that still holds raws pays for the render
+                // comparison.
+                if let Some(raws) = raws {
+                    raws.push(match cell {
+                        None => RawCell::Missing,
+                        Some((_, raw)) => RawCell::retain(raw, &v),
+                    });
                 }
-            }
-            for (col, rc) in self.cols.iter_mut().zip(rawcells) {
-                if let Some(raws) = &mut col.raws {
-                    raws.push(rc);
-                }
+                row.push(v);
             }
             rows.push(row);
         }
@@ -540,19 +374,19 @@ impl TableSink {
         self.buffered.clear();
         // Text is the top of the lattice: those columns can never change
         // type again, so their raws are dead weight.
-        for col in &mut self.cols {
+        for (col, raws) in self.fold.columns().iter().zip(&mut self.raws) {
             if col.join == ColumnType::Text {
-                col.raws = None;
+                *raws = None;
             }
         }
         Ok(())
     }
 
-    /// Rebuilds the committed prefix under a new effective schema and swaps
-    /// it in. Unchanged columns are copied; columns whose effective type
-    /// moved are re-parsed from their recovered raw text — producing the
-    /// cells batch would have produced parsing the same raws with the
-    /// final type in the first place.
+    /// Rebuilds the committed prefix under a new schema and swaps it in.
+    /// Unchanged columns are copied; columns whose type moved are re-parsed
+    /// from their recovered raw text — producing the cells batch would
+    /// have produced parsing the same raws with the final type in the
+    /// first place.
     fn migrate(&mut self, db: &mut Database, new_schema: &Schema) -> Result<(), TransformError> {
         let old = db.require(&self.table).map_err(TransformError::Db)?;
         if old.row_count() != self.committed {
@@ -565,70 +399,50 @@ impl TableSink {
                 incoming: new_schema.to_string(),
             }));
         }
-        let mut cols_data: Vec<Vec<Value>> = Vec::with_capacity(self.cols.len());
-        for col in &mut self.cols {
-            let new_ty = effective(col.join);
-            let old_ci = old.schema().index_of(&col.name);
-            let unchanged = old_ci.is_some_and(|ci| old.schema().columns()[ci].ty == new_ty);
-            match old_ci {
-                Some(_) if unchanged => {
-                    let vals = old.column(&col.name).map(<[Value]>::to_vec);
-                    let Some(vals) = vals else {
-                        return Err(TransformError::SchemaInference(format!(
-                            "migration of `{}` lost column `{}`",
-                            self.table, col.name
-                        )));
-                    };
-                    cols_data.push(vals);
-                }
-                Some(_) => {
-                    // Re-parse every committed cell from its recovered raw.
-                    let (Some(old_vals), Some(raws)) = (old.column(&col.name), col.raws.as_ref())
-                    else {
-                        // A column below the lattice top always holds raws,
-                        // and the index came from this very schema.
+        let mut cols_data: Vec<Vec<Value>> = Vec::with_capacity(self.raws.len());
+        for (col, raws) in self.fold.columns().iter().zip(&mut self.raws) {
+            let new_ty = col.ty();
+            let old_schema = old.schema();
+            let old_ty = old_schema
+                .index_of(&col.name)
+                .map(|ci| old_schema.columns()[ci].ty);
+            let vals = match old.column(&col.name) {
+                // perf: one Null backfill per brand-new column (every
+                // committed row lacked it), during a migration that runs
+                // at most a few times per table.
+                None => vec![Value::Null; self.committed],
+                Some(old_vals) if old_ty == Some(new_ty) => old_vals.to_vec(),
+                Some(old_vals) => {
+                    // A column below the lattice top always holds raws.
+                    let Some(raws) = raws else {
                         return Err(TransformError::SchemaInference(format!(
                             "migration of `{}` lost raws for column `{}`",
                             self.table, col.name
                         )));
                     };
+                    // Re-parse every committed cell from its recovered raw.
                     let mut vals = Vec::with_capacity(self.committed);
-                    let mut nraws = Vec::with_capacity(self.committed);
-                    for (r, rc) in raws.iter().enumerate() {
-                        match rc {
+                    for (rc, old_val) in raws.iter_mut().zip(old_vals) {
+                        let recovered;
+                        let raw: &str = match rc {
                             RawCell::Missing => {
                                 vals.push(Value::Null);
-                                nraws.push(RawCell::Missing);
+                                continue;
                             }
-                            RawCell::Canonical | RawCell::Kept(_) => {
-                                let recovered;
-                                let raw: &str = match rc {
-                                    RawCell::Kept(s) => s,
-                                    _ => {
-                                        recovered = old_vals[r].render();
-                                        &recovered
-                                    }
-                                };
-                                let v = parse_cell(&self.table, &col.name, new_ty, raw)?;
-                                nraws.push(if raw == v.render() {
-                                    RawCell::Canonical
-                                } else {
-                                    RawCell::Kept(raw.into())
-                                });
-                                vals.push(v);
+                            RawCell::Kept(s) => s,
+                            RawCell::Canonical => {
+                                recovered = old_val.render();
+                                &recovered
                             }
-                        }
+                        };
+                        let v = parse_cell(&self.table, &col.name, new_ty, raw)?;
+                        *rc = RawCell::retain(raw, &v);
+                        vals.push(v);
                     }
-                    col.raws = Some(nraws);
-                    cols_data.push(vals);
+                    vals
                 }
-                None => {
-                    // perf: one Null backfill per brand-new column, during a
-                    // migration that runs at most a few times per table.
-                    // Brand-new column: every committed row lacked it.
-                    cols_data.push(vec![Value::Null; self.committed]);
-                }
-            }
+            };
+            cols_data.push(vals);
         }
         let mut rebuilt = Table::new(self.table.clone(), new_schema.clone());
         // perf: migrations happen at most a few times per table, on the
@@ -646,8 +460,8 @@ impl TableSink {
 // The streaming transformer
 // ---------------------------------------------------------------------------
 
-/// The incremental counterpart of [`DataTransformer::run`]: construct it
-/// once, call [`poll`](StreamingTransformer::poll) whenever the log store
+/// The incremental counterpart of [`DataTransformer::run`]: obtain one
+/// from [`DataTransformer::stream`], call [`poll`](StreamingTransformer::poll) whenever the log store
 /// has grown, and [`finish`](StreamingTransformer::finish) when the run
 /// ends. See the module docs for the convergence guarantees.
 #[derive(Debug)]
@@ -660,20 +474,6 @@ pub struct StreamingTransformer {
 }
 
 impl StreamingTransformer {
-    /// Builds a streaming ingester from a transformer's declaration set,
-    /// validating it up front exactly as [`DataTransformer::run`] does.
-    ///
-    /// # Errors
-    ///
-    /// [`TransformError::BadDeclaration`] for the first deny-level issue.
-    pub fn new(transformer: &DataTransformer) -> Result<StreamingTransformer, TransformError> {
-        transformer.validate()?;
-        Ok(Self::from_parts(
-            transformer.declarations().to_vec(),
-            transformer.manifest_entries().to_vec(),
-        ))
-    }
-
     pub(crate) fn from_parts(
         declarations: Vec<ParsingDeclaration>,
         manifest: Vec<LogFileMeta>,
@@ -695,7 +495,7 @@ impl StreamingTransformer {
         for &si in &sink_of {
             sinks[si].files += 1;
         }
-        let states = declarations.iter().map(|_| DeclState::new()).collect();
+        let states = declarations.iter().map(|_| DeclState::default()).collect();
         StreamingTransformer {
             declarations,
             manifest,
@@ -703,11 +503,6 @@ impl StreamingTransformer {
             sink_of,
             sinks,
         }
-    }
-
-    /// Entries ingested so far across all tables.
-    pub fn entries_seen(&self) -> usize {
-        self.states.iter().map(|s| s.entries).sum()
     }
 
     /// Parses every declaration's unconsumed suffix. Results (and the
@@ -745,17 +540,11 @@ impl StreamingTransformer {
             match r {
                 Ok(entries) => out.push(entries),
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    out.push(Vec::new());
+                    first_err.get_or_insert(e);
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        first_err.map_or(Ok(out), Err)
     }
 
     fn apply(&mut self, parsed: Vec<Vec<Fields>>, db: &mut Database) -> Result<(), TransformError> {
@@ -842,31 +631,13 @@ impl StreamingTransformer {
         // document set into an empty schema and ensures the table).
         for sink in &mut self.sinks {
             if !sink.created {
-                let schema = sink.effective_schema()?;
-                db.ensure_table(&sink.table, schema)
+                db.ensure_table(&sink.table, sink.fold.schema()?)
                     .map_err(TransformError::Db)?;
                 sink.created = true;
             }
         }
 
-        // Metadata registration, manifest order — identical to batch.
-        for m in &self.manifest {
-            let kind = match m.kind {
-                MonitorKind::Event => "event",
-                MonitorKind::Resource => "resource",
-            };
-            // perf: one rendered node name per manifest entry, shared by
-            // both registrations below — same shape as the batch loop.
-            let node = m.node.to_string();
-            db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
-                .map_err(TransformError::Db)?;
-            let bytes = store
-                .size(&m.path)
-                .ok_or_else(|| TransformError::MissingFile(m.path.clone()))?
-                as i64;
-            db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
-                .map_err(TransformError::Db)?;
-        }
+        register_metadata(&self.manifest, store, db)?;
 
         let mut report = TransformReport::default();
         for sink in &self.sinks {
@@ -880,9 +651,10 @@ impl StreamingTransformer {
 }
 
 impl DataTransformer {
-    /// Deploys this transformer in streaming mode; the returned
-    /// [`StreamingTransformer`] tails the log store incrementally and
-    /// finishes into the same warehouse contents
+    /// Deploys this transformer in streaming mode, validating the
+    /// declaration set up front exactly as [`DataTransformer::run`] does;
+    /// the returned [`StreamingTransformer`] tails the log store
+    /// incrementally and finishes into the same warehouse contents
     /// [`DataTransformer::run`] produces (see the `stream` module docs
     /// for the row-order caveat on multi-file tables).
     ///
@@ -890,7 +662,11 @@ impl DataTransformer {
     ///
     /// [`TransformError::BadDeclaration`] for the first deny-level issue.
     pub fn stream(&self) -> Result<StreamingTransformer, TransformError> {
-        StreamingTransformer::new(self)
+        self.validate()?;
+        Ok(StreamingTransformer::from_parts(
+            self.declarations().to_vec(),
+            self.manifest_entries().to_vec(),
+        ))
     }
 }
 

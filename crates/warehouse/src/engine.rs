@@ -12,9 +12,8 @@
 //!   whole blocks and binary-search within the survivors;
 //! * [`KeyIndex`] is a borrowed-key hash index for joins, built once from
 //!   the typed column slice;
-//! * [`scan_blocks`] fans block scans out over a [`WorkQueue`] with an
-//!   in-block-order merge, so output is byte-identical for any worker
-//!   count.
+//! * block scans fan out through [`parallel_map`], whose in-job-order
+//!   merge makes output byte-identical for any worker count.
 //!
 //! Everything here is result-identical to the naive evaluators, which the
 //! query layer keeps as reference oracles (`filter_naive`,
@@ -23,10 +22,9 @@
 use crate::table::{Schema, Table};
 use crate::value::{ColumnType, Value};
 use crate::Predicate;
-use mscope_sim::WorkQueue;
+use mscope_sim::parallel_map;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
 
 /// Rows per zone-map block. Small enough that a skipped block saves little
 /// waste on the boundary, large enough that per-block metadata stays tiny
@@ -541,7 +539,7 @@ impl<'t> CompiledPredicate<'t> {
         let b0 = lo / self.block_rows;
         let b1 = (hi - 1) / self.block_rows + 1;
         let workers = resolve_workers(workers, hi - lo);
-        let per_block = scan_blocks(b1 - b0, workers, |rel| {
+        let per_block = parallel_map(b1 - b0, workers, |rel| {
             let b = b0 + rel;
             let s = (b * self.block_rows).max(lo);
             let e = ((b + 1) * self.block_rows).min(hi);
@@ -624,48 +622,6 @@ pub(crate) fn resolve_workers(requested: usize, rows: usize) -> usize {
             .map(usize::from)
             .unwrap_or(4)
     }
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // A worker panic aborts the scope anyway; a poisoned slot vector is
-    // still structurally intact.
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
-
-/// Runs `f(0..blocks)` on up to `workers` scoped threads fed from a
-/// [`WorkQueue`] and returns the results **in block order** — output is
-/// independent of the worker count or scheduling.
-pub(crate) fn scan_blocks<R, F>(blocks: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.min(blocks).max(1);
-    if workers <= 1 {
-        return (0..blocks).map(f).collect();
-    }
-    let queue = WorkQueue::new(blocks);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..blocks).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                while let Some(b) = queue.take() {
-                    let r = f(b);
-                    lock(&slots)[b] = Some(r);
-                }
-            });
-        }
-    });
-    let slots = match slots.into_inner() {
-        Ok(v) => v,
-        Err(p) => p.into_inner(),
-    };
-    // Every slot is Some: the queue dispenses every index and a claimed
-    // job always completes (a worker panic would have propagated above).
-    slots.into_iter().flatten().collect()
 }
 
 /// Borrowed hashable key form of a non-null [`Value`] (floats by bit
@@ -882,12 +838,5 @@ mod tests {
         assert_eq!(idx.rows(&Value::Null), &[] as &[usize]);
         assert_eq!(idx.len(), 2);
         assert!(!idx.is_empty());
-    }
-
-    #[test]
-    fn scan_blocks_preserves_order() {
-        let out = scan_blocks(100, 7, |b| b * 2);
-        assert_eq!(out, (0..100).map(|b| b * 2).collect::<Vec<_>>());
-        assert_eq!(scan_blocks(0, 4, |b| b), Vec::<usize>::new());
     }
 }

@@ -11,6 +11,7 @@ use crate::plan::Side;
 use crate::table::{Column, Schema, Table};
 use crate::value::{ColumnType, Value, ValueKey};
 use crate::DbError;
+use mscope_sim::parallel_map;
 use std::collections::{BTreeMap, HashMap};
 
 /// A filter predicate over a row.
@@ -263,7 +264,7 @@ impl Table {
         // order and Last semantics are identical for any worker count.
         // BTreeMap (not HashMap) so bucket iteration order is the key
         // order by construction — hash order must never reach output.
-        let partials = engine::scan_blocks(nblocks, engine::resolve_workers(0, n), |b| {
+        let partials = parallel_map(nblocks, engine::resolve_workers(0, n), |b| {
             let (s, e) = (b * block_rows, ((b + 1) * block_rows).min(n));
             let mut local: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
             for i in s..e {

@@ -9,7 +9,7 @@
 //!   output columns are gathered exactly once, at the end;
 //! * [`gather_sel`]/[`gather_pair_cols`] materialize output columns
 //!   whole-column-at-a-time, parallelized across columns over the shared
-//!   [`scan_blocks`](crate::engine) pool with the established
+//!   [`parallel_map`] pool with the established
 //!   deterministic merge (each output column is an independent job);
 //! * [`join_pairs`] is build-side aware: the planner hashes whichever
 //!   input the statistics estimate smaller, and the output pair list is
@@ -28,6 +28,7 @@ use crate::query::AggFn;
 use crate::table::{Column, Schema, Table};
 use crate::value::Value;
 use crate::{DbError, Predicate};
+use mscope_sim::parallel_map;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -37,12 +38,12 @@ use std::collections::HashMap;
 
 /// Gathers `sel` out of each column slice — one owned output column per
 /// input slice, parallelized across columns (each column is an
-/// independent job; `scan_blocks` merges in column order, so output is
+/// independent job; `parallel_map` merges in column order, so output is
 /// byte-identical for any worker count).
 pub(crate) fn gather_sel(cols: &[&[Value]], sel: &[usize], workers: usize) -> Vec<Vec<Value>> {
     let cells = cols.len().saturating_mul(sel.len());
     let workers = engine::resolve_workers(workers, cells);
-    engine::scan_blocks(cols.len(), workers, |ci| {
+    parallel_map(cols.len(), workers, |ci| {
         let src = cols[ci];
         sel.iter().map(|&i| src[i].clone()).collect()
     })
@@ -57,7 +58,7 @@ pub(crate) fn gather_pair_cols(
 ) -> Vec<Vec<Value>> {
     let cells = cols.len().saturating_mul(pairs.len());
     let workers = engine::resolve_workers(workers, cells);
-    engine::scan_blocks(cols.len(), workers, |ci| {
+    parallel_map(cols.len(), workers, |ci| {
         let (side, src) = cols[ci];
         pairs
             .iter()

@@ -468,9 +468,9 @@ fn convert_import_roundtrip_lossless() {
     });
 }
 
-/// The parallel and serial pipelines (and both load paths) produce
-/// byte-identical warehouse state and equal reports for any sample
-/// stream across several monitor formats.
+/// The parallel and serial pipelines produce byte-identical warehouse
+/// state and equal reports for any sample stream across several monitor
+/// formats.
 #[test]
 fn parallel_pipeline_matches_serial() {
     forall("parallel pipeline matches serial", 24, |g| {
@@ -503,11 +503,7 @@ fn parallel_pipeline_matches_serial() {
         let variants = [
             mscope_transform::RunOptions::default(),
             mscope_transform::RunOptions::serial(),
-            mscope_transform::RunOptions::serial_csv(),
-            mscope_transform::RunOptions {
-                workers: 2,
-                csv_round_trip: true,
-            },
+            mscope_transform::RunOptions { workers: 2 },
         ];
         let mut first: Option<(mscope_transform::TransformReport, String)> = None;
         for opts in variants {
