@@ -1,14 +1,21 @@
-//! Transformer pipeline shoot-out: serial vs parallel convert stage, CSV
-//! round-trip vs direct typed-row load.
+//! Transformer pipeline shoot-out: serial vs parallel convert stage, the
+//! paper's interchange formats vs the direct columnar load.
 //!
-//! The direct legs are [`DataTransformer::run_with`]. The CSV legs — the
-//! historical interchange format, kept here as the baseline the direct
-//! load is measured against — are composed in this file from the public
-//! stage functions (`execute → convert_xml → to_csv → import_csv`).
+//! The direct legs are [`DataTransformer::run_with`], which builds neither
+//! annotated XML nor CSV: entries go from the parsers into a columnar
+//! raw-cell sink and are loaded as typed columns. The CSV legs keep the
+//! paper's Fig. 3 interchange chain as the baseline the direct load is
+//! measured against, composed in this file from the public stage functions
+//! (`execute → convert_xml → to_csv → import_csv`): every file becomes an
+//! annotated XML tree, every table CSV text, and the importer re-parses it.
 //!
 //! Beyond timing, every variant's tables are checked identical to the
 //! serial+CSV baseline's, so the speedup numbers are only ever reported
-//! for *equivalent* pipelines.
+//! for *equivalent* pipelines. Since the direct legs stopped composing
+//! `execute → convert_xml` themselves, that check is also the XML ≡ direct
+//! gate: the one place a bench holds the export chain and the load path to
+//! the same tables at bench scale (the unit-scale property is
+//! `run_with_is_the_public_composition` in `mscope-transform`).
 //!
 //! ```text
 //! cargo bench -p mscope-bench --bench transform_pipeline -- [--smoke] [--out PATH]

@@ -358,15 +358,20 @@ pub fn parse_wallclock(s: &str) -> Option<SimTime> {
     if parts.next().is_some() || m >= 60 || sec >= 60 {
         return None;
     }
+    // The first six fractional places are the microseconds; whatever
+    // follows them is truncated unread. A non-ASCII character there has
+    // no digit among its bytes, so scanning bytes rejects what scanning
+    // characters would.
     let mut us = 0u64;
-    if !frac.is_empty() {
-        let digits: String = frac.chars().take(6).collect();
-        if digits.chars().any(|c| !c.is_ascii_digit()) {
+    let mut scale = 1_000_000u64;
+    for b in frac.bytes().take(6) {
+        if !b.is_ascii_digit() {
             return None;
         }
-        let val: u64 = digits.parse().ok()?;
-        us = val * 10u64.pow(6 - digits.len() as u32);
+        us = us * 10 + u64::from(b - b'0');
+        scale /= 10;
     }
+    us *= scale;
     Some(SimTime::from_micros(
         (h * 3600 + m * 60 + sec) * 1_000_000 + us,
     ))
@@ -477,6 +482,76 @@ mod tests {
             Some(SimTime::from_micros(1_500_000))
         );
         assert_eq!(parse_wallclock("00:00:01"), Some(SimTime::from_secs(1)));
+    }
+
+    #[test]
+    fn wallclock_parse_truncates_past_microseconds() {
+        let t = Some(SimTime::from_micros(1_123_456));
+        assert_eq!(parse_wallclock("00:00:01.123456"), t);
+        assert_eq!(parse_wallclock("00:00:01.123456789"), t);
+        // Past the sixth place nothing is read, digit or not.
+        assert_eq!(parse_wallclock("00:00:01.123456xyz"), t);
+        assert_eq!(parse_wallclock("00:00:01.123456é"), t);
+        assert_eq!(parse_wallclock("00:00:01.123456.7"), t);
+    }
+
+    #[test]
+    fn wallclock_parse_rejects_non_digits_in_the_first_six_places() {
+        for s in [
+            "00:00:01.12x456",
+            "00:00:01.12345x",
+            "00:00:01.1 ",
+            "00:00:01.-1",
+            "00:00:01.+1",
+            "00:00:01.1.2",
+            "00:00:01.12é",
+            "00:00:01.12345é",
+            "00:00:01.１２３",
+        ] {
+            assert_eq!(parse_wallclock(s), None, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn wallclock_parse_non_ascii_and_no_fraction_forms() {
+        assert_eq!(parse_wallclock("é"), None);
+        assert_eq!(parse_wallclock("00:00:é"), None);
+        assert_eq!(parse_wallclock("００:００:０１"), None);
+        assert_eq!(parse_wallclock("中:00:01.5"), None);
+        // No fraction, with or without the dot.
+        assert_eq!(
+            parse_wallclock("12:59:59"),
+            Some(SimTime::from_secs(46_799))
+        );
+        assert_eq!(parse_wallclock("00:00:01."), Some(SimTime::from_secs(1)));
+        assert_eq!(parse_wallclock("1:2:3"), Some(SimTime::from_secs(3_723)));
+        assert_eq!(parse_wallclock("00:00:60"), None);
+    }
+
+    /// The fraction rule as it was first written — collect six characters,
+    /// then parse them — kept as the oracle for the allocation-free scan.
+    fn fraction_by_collecting(frac: &str) -> Option<u64> {
+        if frac.is_empty() {
+            return Some(0);
+        }
+        let digits: String = frac.chars().take(6).collect();
+        if digits.chars().any(|c| !c.is_ascii_digit()) {
+            return None;
+        }
+        let val: u64 = digits.parse().ok()?;
+        Some(val * 10u64.pow(6 - digits.len() as u32))
+    }
+
+    #[test]
+    fn wallclock_fraction_scan_matches_the_collecting_rule() {
+        crate::prop::forall("wallclock fraction scan", 512, |g| {
+            const ALPHABET: &[char] = &['0', '1', '5', '9', '9', '0', '.', 'x', ' ', 'é', '７'];
+            let frac: String = g.vec(0..=9, |g| g.choose(ALPHABET)).into_iter().collect();
+            let got = parse_wallclock(&format!("00:00:07.{frac}"));
+            let want = fraction_by_collecting(&frac).map(|us| SimTime::from_micros(7_000_000 + us));
+            crate::prop_ensure!(got == want, "{frac:?}: {got:?} vs {want:?}");
+            Ok(())
+        });
     }
 
     #[test]

@@ -1,18 +1,22 @@
-//! mScope XMLtoCSV Converter (paper §III-B3): turns annotated XML into an
-//! inferred schema plus typed rows, separating the parsers' data annotation
-//! from warehouse schema creation.
+//! mScope XMLtoCSV Converter (paper §III-B3): turns a table's worth of
+//! annotated entries into an inferred schema plus typed cells, separating
+//! the parsers' data annotation from warehouse schema creation.
 //!
 //! Schema inference is bottom-up exactly as described: the column set is
 //! the **union** of all tags appearing in any entry (first-appearance
 //! order), and each column's type is the **narrowest** type in the lattice
 //! that admits every observed value.
 //!
-//! Historically this stage emitted CSV text that the importer immediately
-//! re-parsed. The conversion now goes straight to typed [`Value`] rows —
-//! every cell is classified once, by [`normalize_cell`], for both
-//! inference and loading — and CSV is an on-demand *export* artifact
-//! ([`ConvertedTable::to_csv`]) that round-trips losslessly through
-//! [`import_csv`](crate::import_csv).
+//! The paper's converter reads annotated XML and writes CSV text. Here both
+//! are on-demand *export* artifacts
+//! ([`ParsingDeclaration::execute`](crate::ParsingDeclaration::execute),
+//! [`ConvertedTable::to_csv`]) and the load path touches neither: entries
+//! collect, as borrowed `(field, raw value)` pairs, in one columnar
+//! raw-cell sink ([`RawColumns`]) that folds the schema as they arrive
+//! ([`SchemaFold`]) and then types each column whole ([`parse_cell`]). The
+//! batch driver feeds the sink from the parsing ladder and loads its
+//! columns as they are; [`convert_xml`] feeds it `<entry>` children and
+//! transposes the columns into rows — one inference, one typing.
 
 use crate::csv::write_csv;
 use crate::error::TransformError;
@@ -67,6 +71,11 @@ impl ConvertedTable {
 pub(crate) struct SchemaFold {
     cols: Vec<FoldColumn>,
     entries: usize,
+    /// Where the next field of the entry in hand is expected: the column
+    /// after the previous field's. Entries of one log list their fields in
+    /// one order, so the guess is nearly always right and a field costs one
+    /// name comparison, not a search.
+    next: usize,
 }
 
 /// One column of a [`SchemaFold`].
@@ -92,46 +101,65 @@ impl FoldColumn {
     }
 }
 
+/// The type a raw cell contributes to its column's join, under the same
+/// trim/null rules the importer applies: a cell the importer would load as
+/// Null must not widen the column.
+fn cell_type(raw: &str) -> ColumnType {
+    normalize_cell(raw).map_or(ColumnType::Null, Value::infer_type)
+}
+
 impl SchemaFold {
-    /// Folds one entry's `(field, raw value)` pairs in; `owner` names the
-    /// entry's origin in the error.
+    /// Opens the next entry and returns its 0-based row number.
+    pub(crate) fn begin_entry(&mut self) -> usize {
+        self.entries += 1;
+        self.next = 0;
+        self.entries - 1
+    }
+
+    /// Folds one `(field, raw value)` pair of the open entry in and returns
+    /// the index of the field's column; `owner` names the entry's origin in
+    /// the error.
     ///
     /// # Errors
     ///
-    /// [`TransformError::SchemaInference`] if a field repeats within the
+    /// [`TransformError::SchemaInference`] if the field repeats within the
     /// entry (ambiguous annotation).
-    pub(crate) fn observe<'a>(
+    pub(crate) fn field(
         &mut self,
         owner: &str,
-        fields: impl Iterator<Item = (&'a str, &'a str)>,
-    ) -> Result<(), TransformError> {
-        self.entries += 1;
-        for (name, raw) in fields {
-            // The same trim/null rules the importer applies: a cell the
-            // importer would load as Null must not widen the column.
-            let vt = match normalize_cell(raw) {
-                None => ColumnType::Null,
-                Some(t) => Value::infer(t).column_type(),
-            };
-            match self.cols.iter_mut().find(|c| c.name == name) {
-                Some(c) if c.last_entry == self.entries => {
-                    return Err(TransformError::SchemaInference(format!(
-                        "duplicate field `{name}` within one entry of `{owner}`"
-                    )));
-                }
-                Some(c) => {
-                    c.join = c.join.unify(vt);
-                    c.last_entry = self.entries;
-                }
-                // perf: one owned name per *distinct* column, not per field.
-                None => self.cols.push(FoldColumn {
-                    name: name.to_string(),
-                    join: vt,
-                    last_entry: self.entries,
-                }),
+        name: &str,
+        raw: &str,
+    ) -> Result<usize, TransformError> {
+        let expected = self.cols.get(self.next).is_some_and(|c| c.name == name);
+        let ci = if expected {
+            self.next
+        } else {
+            let found = self.cols.iter().position(|c| c.name == name);
+            found.unwrap_or(self.cols.len())
+        };
+        self.next = ci + 1;
+        match self.cols.get_mut(ci) {
+            Some(c) if c.last_entry == self.entries => {
+                return Err(TransformError::SchemaInference(format!(
+                    "duplicate field `{name}` within one entry of `{owner}`"
+                )));
             }
+            Some(c) => {
+                c.last_entry = self.entries;
+                // Text is the top of the lattice: no cell can move it, so
+                // none is classified.
+                if c.join != ColumnType::Text {
+                    c.join = c.join.unify(cell_type(raw));
+                }
+            }
+            // perf: one owned name per *distinct* column, not per field.
+            None => self.cols.push(FoldColumn {
+                name: name.to_string(),
+                join: cell_type(raw),
+                last_entry: self.entries,
+            }),
         }
-        Ok(())
+        Ok(ci)
     }
 
     /// Entries folded so far.
@@ -161,8 +189,105 @@ impl SchemaFold {
     }
 }
 
+/// The columnar raw-cell sink: one destination table's entries, kept as
+/// raw text column by column while the schema folds, then typed a column at
+/// a time. Batch inference sees every value before it types any, so
+/// something must hold the cells until the last entry; this holds them as
+/// one string and one offset vector per column — no node, vector or string
+/// per field — for [`DataTransformer::run_with`](crate::DataTransformer::run_with)
+/// and [`convert_xml`] alike.
+#[derive(Debug, Default)]
+pub(crate) struct RawColumns {
+    fold: SchemaFold,
+    /// Parallel to `fold.columns()`.
+    cols: Vec<RawColumn>,
+}
+
+/// One column of a [`RawColumns`] sink.
+#[derive(Debug, Default)]
+struct RawColumn {
+    /// The raw text of the column's cells, concatenated in row order.
+    text: String,
+    /// Where each row's cell ends in `text`; it starts where the previous
+    /// row's ends. A row that lacks the field holds a zero-length cell:
+    /// [`parse_cell`] loads an empty cell as `Null` under every type, as a
+    /// missing field loads. Rows since the column's last cell are filled in
+    /// when its next one (or the end) arrives.
+    ends: Vec<usize>,
+}
+
+/// What a [`RawColumns`] sink finishes into: the inferred schema and one
+/// typed vector per schema column, each `rows` long.
+#[derive(Debug)]
+pub(crate) struct TypedColumns {
+    pub(crate) schema: Schema,
+    pub(crate) columns: Vec<Vec<Value>>,
+    pub(crate) rows: usize,
+}
+
+impl RawColumns {
+    /// Takes one entry in: folds its fields into the schema and appends
+    /// their raw text to their columns. `owner` names the entry's origin
+    /// in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::SchemaInference`] if a field repeats within the
+    /// entry.
+    pub(crate) fn entry<'a>(
+        &mut self,
+        owner: &str,
+        fields: impl Iterator<Item = (&'a str, &'a str)>,
+    ) -> Result<(), TransformError> {
+        let row = self.fold.begin_entry();
+        for (name, raw) in fields {
+            let ci = self.fold.field(owner, name, raw)?;
+            if ci == self.cols.len() {
+                self.cols.push(RawColumn::default());
+            }
+            let col = &mut self.cols[ci];
+            col.ends.resize(row, col.text.len());
+            col.text.push_str(raw);
+            col.ends.push(col.text.len());
+        }
+        Ok(())
+    }
+
+    /// Types every column under its final lattice type, one [`parse_cell`]
+    /// per cell; a column's raw text is freed as soon as it is typed.
+    /// `table` names the destination in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::SchemaInference`] if the warehouse rejects the
+    /// column set; [`TransformError::BadCell`] if a cell fails to load as
+    /// the type inferred for its column.
+    pub(crate) fn finish(self, table: &str) -> Result<TypedColumns, TransformError> {
+        let schema = self.fold.schema()?;
+        let rows = self.fold.entries();
+        let mut columns = Vec::with_capacity(self.cols.len());
+        for (col, mut raw) in self.fold.columns().iter().zip(self.cols) {
+            raw.ends.resize(rows, raw.text.len());
+            let ty = col.ty();
+            let mut values = Vec::with_capacity(rows);
+            let mut start = 0;
+            for end in raw.ends {
+                values.push(parse_cell(table, &col.name, ty, &raw.text[start..end])?);
+                start = end;
+            }
+            columns.push(values);
+        }
+        Ok(TypedColumns {
+            schema,
+            columns,
+            rows,
+        })
+    }
+}
+
 /// Converts one or more annotated `<log>` documents (all destined for the
-/// same table) into an inferred schema and typed rows.
+/// same table) into an inferred schema and typed rows — the row-major,
+/// from-XML face of the sink the batch driver feeds directly.
 ///
 /// Converting the documents together is what makes the column-set union and
 /// type join span *all* inputs — two Apache replicas' logs cannot produce
@@ -173,38 +298,33 @@ impl SchemaFold {
 /// [`TransformError::SchemaInference`] if an entry carries duplicate field
 /// names (ambiguous annotation); [`TransformError::BadCell`] if a cell
 /// fails to load as the type inferred for its column (internally
-/// inconsistent pipeline — cannot happen when inference and loading share
+/// inconsistent pipeline — cannot happen while inference and loading share
 /// [`normalize_cell`], but never loads silently-wrong data).
 pub fn convert_xml(docs: &[XmlNode]) -> Result<ConvertedTable, TransformError> {
-    // Pass 1: the schema fold over every entry of every document.
-    let mut fold = SchemaFold::default();
+    let mut sink = RawColumns::default();
     for doc in docs {
         let source = doc.get_attr("source").unwrap_or("?");
         for entry in doc.children.iter().filter(|c| c.name == "entry") {
             let fields = entry.children.iter();
-            fold.observe(source, fields.map(|f| (f.name.as_str(), f.text.as_str())))?;
+            sink.entry(source, fields.map(|f| (f.name.as_str(), f.text.as_str())))?;
         }
     }
-    let schema = fold.schema()?;
-
-    // Pass 2: typed rows, through the exact cell rules the CSV importer
-    // uses, so the direct and export paths are value-identical.
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(fold.entries());
-    for doc in docs {
-        let source = doc.get_attr("source").unwrap_or("?");
-        for entry in doc.children.iter().filter(|c| c.name == "entry") {
-            let row = schema
-                .columns()
-                .iter()
-                .map(|c| match entry.find(&c.name) {
-                    Some(f) => parse_cell(source, &c.name, c.ty, &f.text),
-                    None => Ok(Value::Null),
-                })
-                .collect::<Result<Vec<Value>, _>>()?;
-            rows.push(row);
-        }
-    }
-    Ok(ConvertedTable { schema, rows })
+    let table = docs.first().and_then(|d| d.get_attr("table"));
+    let typed = sink.finish(table.unwrap_or("?"))?;
+    // Transpose: every column is `rows` long, so each row draws one cell
+    // from each.
+    let mut columns: Vec<_> = typed.columns.into_iter().map(Vec::into_iter).collect();
+    let rows = (0..typed.rows)
+        .map(|_| {
+            let mut row = Vec::with_capacity(columns.len());
+            row.extend(columns.iter_mut().filter_map(Iterator::next));
+            row
+        })
+        .collect();
+    Ok(ConvertedTable {
+        schema: typed.schema,
+        rows,
+    })
 }
 
 #[cfg(test)]

@@ -8,14 +8,18 @@
 //!
 //! A [`ParsingDeclaration`] is that mapping entry: a file, a parser
 //! ([`ParserKind`]), a destination table, and constant fields to inject
-//! (node name, tier, …). Executing a declaration yields the annotated XML
-//! of §III-B2 — every log line wrapped in an `<entry>` with semantic child
-//! tags.
+//! (node name, tier, …). Running a declaration over a file
+//! (`for_each_entry`) yields its entries one at a time as borrowed
+//! `(field, raw value)` pairs (`EntryFields`); that is what the drivers
+//! load from. [`ParsingDeclaration::execute`] renders the same entries as
+//! the annotated XML of §III-B2 — every log line wrapped in an `<entry>`
+//! with semantic child tags — an export artifact, not a step of the load.
 
 use crate::error::TransformError;
-use crate::pattern::{Pattern, Tok};
+use crate::pattern::{CaptureRanges, Pattern, Tok};
 use crate::xml::{self, XmlNode};
 use mscope_db::{ColumnType, Value};
+use std::ops::Range;
 
 /// Cheap line classifiers used by filter stages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,40 +131,71 @@ mscope_serdes::json_struct!(ParsingDeclaration {
     constants
 });
 
-/// One parsed `(field, raw value)` pair.
+/// One owned `(field, raw value)` pair: a declared constant, or a capture
+/// that has to outlive its line.
 pub(crate) type Field = (String, String);
 
-/// One entry's fields in their canonical order — the declaration's
-/// constants, then the sticky context, then the line's own captures — as
-/// built by [`ParsingDeclaration::entry_fields`]. Inherited pairs are
-/// cloned per entry; captures move.
-pub(crate) type EntryFields<'a> = std::iter::Chain<
-    std::iter::Cloned<std::iter::Chain<std::slice::Iter<'a, Field>, std::slice::Iter<'a, Field>>>,
-    std::vec::IntoIter<Field>,
->;
+/// One entry's fields, all borrowed: the declaration's constants, then the
+/// pairs the engine holds (a record's sticky context, a block's lines, an
+/// XML entry's attributes), then a record line's own captures — names from
+/// its pattern, values slices of the line. [`EntryFields::iter`] is the
+/// one place an entry's field order is decided.
+pub(crate) struct EntryFields<'a> {
+    constants: &'a [Field],
+    held: &'a [Field],
+    captured: Option<(&'a Pattern, &'a str, &'a [Range<usize>])>,
+}
+
+impl<'a> EntryFields<'a> {
+    /// How many fields the entry has — what a collector reserves.
+    pub(crate) fn len(&self) -> usize {
+        let captured = self.captured.map_or(0, |(_, _, ranges)| ranges.len());
+        self.constants.len() + self.held.len() + captured
+    }
+
+    /// The `(field, raw value)` pairs in their canonical order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> + '_ {
+        let owned = self.constants.iter().chain(self.held);
+        let captured = self.captured.iter();
+        owned
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .chain(captured.flat_map(|&(pat, line, ranges)| pat.captures(line, ranges)))
+    }
+}
 
 /// What the staged engine carries from one line to the next: the 1-based
-/// number of the last line seen, the sticky context, and the open block
-/// (`(captures so far, next positional line)`).
+/// number of the last line seen, the sticky context, the open block
+/// (`(captures so far, next positional line)`), and the capture ranges of
+/// the line in hand (scratch, reused so a line allocates nothing).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StagedState {
     line_no: usize,
     ctx: Vec<Field>,
     block: Option<(Vec<Field>, usize)>,
+    ranges: CaptureRanges,
 }
 
-/// The batch rendering of one entry: an `<entry>` with one child per field.
-fn entry_node(fields: EntryFields<'_>) -> XmlNode {
+/// Copies a borrowed pair that has to outlive its line: a block or context
+/// line's capture (a record line's never are), or an entry waiting in the
+/// streaming driver's flush buffer.
+pub(crate) fn own((field, raw): (&str, &str)) -> Field {
+    (field.to_string(), raw.to_string())
+}
+
+/// The XML rendering of one entry: an `<entry>` with one child per field.
+fn entry_node(fields: &EntryFields<'_>) -> XmlNode {
     let mut entry = XmlNode::new("entry");
+    entry.children.reserve(fields.len());
     entry
         .children
-        .extend(fields.map(|(k, v)| XmlNode::new(k).with_text(v)));
+        .extend(fields.iter().map(|(k, v)| XmlNode::new(k).with_text(v)));
     entry
 }
 
 impl ParsingDeclaration {
     /// Executes the declaration over file contents, producing the annotated
-    /// `<log>` document.
+    /// `<log>` document: the interchange artifact of the paper's Fig. 3, on
+    /// demand. Nothing on the load path builds it.
     ///
     /// # Errors
     ///
@@ -168,28 +203,18 @@ impl ParsingDeclaration {
     /// instruction (format drift is an error, not silence); XML errors for
     /// the direct path.
     pub fn execute(&self, content: &str) -> Result<XmlNode, TransformError> {
-        let entries = match &self.parser {
-            ParserKind::Staged(spec) => {
-                // Upper bound: one entry per line. Record-style logs (the
-                // common case) sit near it; block logs over-reserve by the
-                // block length.
-                let mut entries = Vec::with_capacity(content.lines().count());
-                // An open block at end of input is dropped, mirroring a
-                // tool killed mid-record.
-                let mut st = StagedState::default();
-                for line in content.lines() {
-                    self.staged_line(spec, &mut st, line, &mut |f| entries.push(entry_node(f)))?;
-                }
-                entries
-            }
-            ParserKind::XmlDirect(map) => {
-                let doc = xml::parse(content).map_err(TransformError::Xml)?;
-                let els = doc.find_all(&map.entry_element);
-                els.into_iter()
-                    .map(|el| entry_node(self.xml_entry(map, el)))
-                    .collect()
-            }
+        // Upper bound for a staged log: one entry per line. Record-style
+        // logs (the common case) sit near it; block logs over-reserve by
+        // the block length.
+        let lines = match &self.parser {
+            ParserKind::Staged(_) => content.lines().count(),
+            ParserKind::XmlDirect(_) => 0,
         };
+        let mut entries = Vec::with_capacity(lines);
+        self.for_each_entry(content, &mut |fields| {
+            entries.push(entry_node(&fields));
+            Ok(())
+        })?;
         let mut root = XmlNode::new("log")
             .attr("source", &self.path)
             .attr("monitor", &self.monitor_id)
@@ -198,26 +223,52 @@ impl ParsingDeclaration {
         Ok(root)
     }
 
-    /// The one place an entry's field order is decided.
-    fn entry_fields<'a>(&'a self, ctx: &'a [Field], captures: Vec<Field>) -> EntryFields<'a> {
-        self.constants.iter().chain(ctx).cloned().chain(captures)
+    /// Every entry of a finished file, in file order, through `emit` —
+    /// what the batch driver feeds its sink and what `execute` wraps in
+    /// XML. The first error, from the ladder or from `emit`, ends the walk.
+    ///
+    /// # Errors
+    ///
+    /// As [`ParsingDeclaration::execute`], plus whatever `emit` returns.
+    pub(crate) fn for_each_entry(
+        &self,
+        content: &str,
+        emit: &mut impl FnMut(EntryFields<'_>) -> Result<(), TransformError>,
+    ) -> Result<(), TransformError> {
+        match &self.parser {
+            ParserKind::Staged(spec) => {
+                // An open block at end of input is dropped, mirroring a
+                // tool killed mid-record.
+                let mut st = StagedState::default();
+                for line in content.lines() {
+                    self.staged_line(spec, &mut st, line, emit)?;
+                }
+            }
+            ParserKind::XmlDirect(map) => {
+                let doc = xml::parse(content).map_err(TransformError::Xml)?;
+                for el in doc.find_all(&map.entry_element) {
+                    self.xml_entry(map, el, emit)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// One line through the staged ladder — filters → block → context →
-    /// records → unparsed — calling `emit` for each entry the line
-    /// completes. Batch feeds it `str::lines`; streaming feeds it each
-    /// complete line as it arrives.
+    /// records → unparsed — calling `emit` for the entry the line
+    /// completes, if it completes one. Batch feeds it `str::lines`;
+    /// streaming feeds it each complete line as it arrives.
     ///
     /// # Errors
     ///
     /// [`TransformError::UnparsedLine`] when the line survives the filters
-    /// and matches no instruction.
+    /// and matches no instruction; otherwise what `emit` returns.
     pub(crate) fn staged_line(
         &self,
         spec: &ParserSpec,
         st: &mut StagedState,
         line: &str,
-        emit: &mut impl FnMut(EntryFields<'_>),
+        emit: &mut impl FnMut(EntryFields<'_>) -> Result<(), TransformError>,
     ) -> Result<(), TransformError> {
         st.line_no += 1;
         let unparsed = |line_no| TransformError::UnparsedLine {
@@ -229,49 +280,68 @@ impl ParsingDeclaration {
             return Ok(());
         }
         if let Some(bs) = &spec.blocks {
-            if let Some(caps) = bs.marker.match_line(line) {
+            if bs.marker.match_ranges(line, &mut st.ranges) {
                 // A new block begins. Flushing an incomplete previous one
                 // would hide truncation, so it is dropped.
-                st.block = Some((caps, 0));
+                let held = bs.marker.captures(line, &st.ranges).map(own).collect();
+                st.block = Some((held, 0));
                 return Ok(());
             }
             if let Some((fields, idx)) = &mut st.block {
                 let slot = bs.lines.get(*idx).ok_or_else(|| unparsed(st.line_no))?;
                 if let Some(pat) = slot {
-                    let caps = pat.match_line(line).ok_or_else(|| unparsed(st.line_no))?;
-                    fields.extend(caps);
+                    if !pat.match_ranges(line, &mut st.ranges) {
+                        return Err(unparsed(st.line_no));
+                    }
+                    fields.extend(pat.captures(line, &st.ranges).map(own));
                 }
                 *idx += 1;
-                if *idx == bs.lines.len() {
-                    if let Some((fields, _)) = st.block.take() {
-                        emit(self.entry_fields(&[], fields));
-                    }
+                if *idx < bs.lines.len() {
+                    return Ok(());
                 }
-                return Ok(());
+                let emitted = emit(EntryFields {
+                    constants: &self.constants,
+                    held: fields,
+                    captured: None,
+                });
+                st.block = None;
+                return emitted;
             }
         }
         for pat in &spec.context {
-            if let Some(caps) = pat.match_line(line) {
-                for (k, v) in caps {
-                    st.ctx.retain(|(ck, _)| *ck != k);
-                    st.ctx.push((k, v));
+            if pat.match_ranges(line, &mut st.ranges) {
+                for (k, v) in pat.captures(line, &st.ranges) {
+                    st.ctx.retain(|(ck, _)| ck != k);
+                    st.ctx.push(own((k, v)));
                 }
                 return Ok(());
             }
         }
         for pat in &spec.records {
-            if let Some(caps) = pat.match_line(line) {
-                emit(self.entry_fields(&st.ctx, caps));
-                return Ok(());
+            if pat.match_ranges(line, &mut st.ranges) {
+                return emit(EntryFields {
+                    constants: &self.constants,
+                    held: &st.ctx,
+                    captured: Some((pat, line, &st.ranges)),
+                });
             }
         }
         Err(unparsed(st.line_no))
     }
 
-    /// Maps one parsed entry element of the direct-XML path to its fields:
+    /// Maps one parsed entry element of the direct-XML path to its fields —
     /// the entry element's own attributes, then one attribute each from the
-    /// first matching descendant.
-    pub(crate) fn xml_entry<'a>(&'a self, map: &XmlMapping, el: &XmlNode) -> EntryFields<'a> {
+    /// first matching descendant — and hands the entry to `emit`.
+    ///
+    /// # Errors
+    ///
+    /// What `emit` returns.
+    pub(crate) fn xml_entry(
+        &self,
+        map: &XmlMapping,
+        el: &XmlNode,
+        emit: &mut impl FnMut(EntryFields<'_>) -> Result<(), TransformError>,
+    ) -> Result<(), TransformError> {
         let mut fields = Vec::with_capacity(map.entry_attrs.len() + map.leaf_attrs.len());
         for (attr, field) in &map.entry_attrs {
             if let Some(v) = el.get_attr(attr) {
@@ -287,7 +357,11 @@ impl ParsingDeclaration {
                 fields.push((field.clone(), v.to_string()));
             }
         }
-        self.entry_fields(&[], fields)
+        emit(EntryFields {
+            constants: &self.constants,
+            held: &fields,
+            captured: None,
+        })
     }
 }
 
@@ -319,7 +393,7 @@ pub struct DeclIssue {
 }
 
 /// The statically knowable column set of a declaration: constants first
-/// (the order [`execute`](ParsingDeclaration::execute) emits them), then
+/// (the order every entry lists them), then
 /// pattern captures or XML fields. Constants and wall-clock captures carry
 /// a concrete type; plain captures and XML attributes are
 /// [`ColumnType::Null`] — "no value seen yet", the bottom of the inference
@@ -332,9 +406,9 @@ pub fn declared_columns(decl: &ParsingDeclaration) -> Vec<(String, ColumnType)> 
         }
     };
     for (k, v) in &decl.constants {
-        // Mirror the importer: a constant that only ever infers Null is
-        // widened to Text at CSV-write time.
-        let ty = match Value::infer(v).column_type() {
+        // Mirror the schema fold: a column that only ever infers Null is
+        // given type Text.
+        let ty = match Value::infer_type(v) {
             ColumnType::Null => ColumnType::Text,
             t => t,
         };

@@ -1,11 +1,14 @@
 //! mScope Data Importer (paper §III-B3, final stage): creates warehouse
 //! tables from inferred schemas and loads the tuples.
 //!
-//! The primary path is **direct**: [`import_rows`] takes the typed rows
-//! the converter produced and batch-loads them ([`Database::insert_batch`])
-//! with no text round-trip. [`import_csv`] remains for loading exported CSV
-//! artifacts and foreign CSV files; it funnels through the same
-//! [`parse_cell`] rules, so both paths load identical values.
+//! Every load is **typed**: no path re-reads text it already typed. The
+//! batch driver hands the sink's typed columns to
+//! [`Database::insert_columns`] as they are; [`import_rows`] is the same
+//! load for the row-major output of [`convert_xml`](crate::convert_xml)
+//! ([`Database::insert_batch`]). [`import_csv`] remains for loading
+//! exported CSV artifacts and foreign CSV files; it funnels through the
+//! same [`parse_cell`] rules the sink types its columns with, so every
+//! path loads identical values.
 
 use crate::csv::parse_csv;
 use crate::error::TransformError;
@@ -82,8 +85,8 @@ pub fn parse_cell(
 }
 
 /// Creates (or verifies) the destination table and batch-loads typed rows —
-/// the direct, zero-round-trip importer path. Returns the number of rows
-/// loaded; on any error nothing is loaded into the table.
+/// the row-major, zero-round-trip importer path. Returns the number of
+/// rows loaded; on any error nothing is loaded into the table.
 ///
 /// # Errors
 ///

@@ -1,42 +1,53 @@
 //! # mscope-transform — mScopeDataTransformer
 //!
 //! The multi-stage log transformation pipeline of the paper's §III-B and
-//! Fig. 3, faithful stage for stage:
+//! Fig. 3, stage for stage:
 //!
 //! 1. **Parsing declaration** ([`declaration_for`], [`ParsingDeclaration`])
 //!    — maps every log file to its mScopeParser plus instructions: either
 //!    *line-sequence* rules (block formats like Collectl's brief mode) or
 //!    *string-token* patterns ([`Pattern`], the in-repo scanf-style engine).
-//! 2. **Adding semantics** ([`ParsingDeclaration::execute`]) — parsers wrap
-//!    each log line into `<entry>` elements with semantic field tags,
-//!    producing annotated XML ([`XmlNode`]); the upgraded SAR's XML output
+//! 2. **Adding semantics** — parsers turn each log line into an entry of
+//!    semantic `(field, raw value)` pairs; the upgraded SAR's XML output
 //!    takes the direct [`XmlMapping`] path instead.
-//! 3. **XMLtoCSV conversion** ([`convert_xml`]) — bottom-up schema
-//!    inference: column set = union of all tags, column type = narrowest
-//!    lattice type admitting every value; produces typed rows directly
-//!    ([`ConvertedTable`]), with CSV as an on-demand export
-//!    ([`ConvertedTable::to_csv`]).
+//!    [`ParsingDeclaration::execute`] renders a file's entries as the
+//!    paper's annotated XML ([`XmlNode`]: one `<entry>` per line, one child
+//!    tag per field).
+//! 3. **XMLtoCSV conversion** — bottom-up schema inference: column set =
+//!    union of all tags, column type = narrowest lattice type admitting
+//!    every value; produces typed cells directly. [`convert_xml`] is that
+//!    stage over annotated XML ([`ConvertedTable`]), with CSV as a second
+//!    on-demand export ([`ConvertedTable::to_csv`]).
 //! 4. **Data import** ([`import_rows`], [`import_csv`]) — creates mScopeDB
 //!    tables on the fly and batch-loads the tuples, registering monitor /
 //!    log-file metadata in the static tables.
 //!
-//! Two drivers run these stages, and neither owns a rule:
+//! The paper's two interchange formats between those stages, annotated XML
+//! and CSV, are **export artifacts** here: the public stage functions
+//! above still produce and consume them (and load the same warehouse
+//! through them), but neither driver builds either on its load path.
 //!
-//! * [`DataTransformer`] is the batch driver: it orchestrates all four
-//!   stages over a monitor manifest's finished files, fanning the
-//!   CPU-bound parse/convert stages out with `mscope_sim::parallel_map`
-//!   ([`RunOptions`] is the worker count) while keeping warehouse loads
-//!   serial and deterministic.
+//! Two drivers run the stages, and neither owns a rule:
+//!
+//! * [`DataTransformer`] is the batch driver: over a monitor manifest's
+//!   finished files it feeds every entry of a destination table, as the
+//!   parsers emit it, into one columnar raw-cell sink, types the sink's
+//!   columns once the table's last entry is in, and loads the typed
+//!   columns whole. The CPU-bound front fans out per table with
+//!   `mscope_sim::parallel_map` ([`RunOptions`] is the worker count); the
+//!   warehouse loads stay serial and deterministic.
 //! * [`StreamingTransformer`] is the incremental driver: it tails the
 //!   same files while they grow and converges on the same warehouse.
 //!
 //! What a line means (the staged ladder, the XML entry mapper, the order
 //! of an entry's fields) is defined once in [`declare`]; what a table's
-//! schema is (the inference fold) once beside [`convert_xml`]; the
-//! `monitors` / `log_files` registration once beside [`DataTransformer`].
-//! Each driver passes the shared core an `emit` callback — batch builds
-//! `<entry>` nodes, streaming collects `(field, raw)` pairs — and keeps
-//! only what the other has no counterpart for.
+//! schema is (the inference fold) and how its cells are typed (the sink)
+//! once beside [`convert_xml`]; the `monitors` / `log_files` registration
+//! once beside [`DataTransformer`]. The shared core hands each entry to an
+//! `emit` callback as borrowed pairs — batch appends them to the sink,
+//! `execute` wraps them in an `<entry>`, streaming copies them into its
+//! flush buffer — and each driver keeps only what the other has no
+//! counterpart for.
 //!
 //! ## Example
 //!

@@ -10,6 +10,11 @@
 
 use crate::error::TransformError;
 use std::fmt;
+use std::ops::Range;
+
+/// Byte ranges of one match's captures, in token order — the scratch
+/// [`Pattern::match_ranges`] fills, reusable across lines.
+pub(crate) type CaptureRanges = Vec<Range<usize>>;
 
 /// One token of a line pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,13 +82,14 @@ impl Pattern {
 
     /// Names of the captures, in order.
     pub fn capture_names(&self) -> Vec<&str> {
-        self.toks
-            .iter()
-            .filter_map(|t| match t {
-                Tok::Cap(n) | Tok::Wall(n) => Some(n.as_str()),
-                _ => None,
-            })
-            .collect()
+        self.names().collect()
+    }
+
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.toks.iter().filter_map(|t| match t {
+            Tok::Cap(n) | Tok::Wall(n) => Some(n.as_str()),
+            _ => None,
+        })
     }
 
     /// Statically checks the pattern for the defect classes that
@@ -183,29 +189,44 @@ impl Pattern {
     /// Attempts to match the whole line; returns `(name, value)` capture
     /// pairs on success.
     pub fn match_line(&self, line: &str) -> Option<Vec<(String, String)>> {
-        let mut caps: Vec<(&str, std::ops::Range<usize>)> = Vec::with_capacity(self.toks.len());
-        if Self::match_from(&self.toks, line, 0, &mut caps) {
-            // perf: captures materialize once, on the successful parse —
-            // the backtracking below moves only byte ranges.
-            Some(
-                caps.iter()
-                    .map(|(name, r)| ((*name).to_string(), line[r.clone()].to_string()))
-                    .collect(),
-            )
-        } else {
-            None
+        let mut ranges = Vec::with_capacity(self.toks.len());
+        if !self.match_ranges(line, &mut ranges) {
+            return None;
         }
+        // perf: the owned form, for callers outside the pipeline — the
+        // drivers read the borrowed [`Pattern::captures`].
+        let owned = |(name, value): (&str, &str)| (name.to_string(), value.to_string());
+        Some(self.captures(line, &ranges).map(owned).collect())
+    }
+
+    /// Attempts to match the whole line, leaving in `ranges` where each
+    /// capture lies in it — one range per capture token, in token order
+    /// (empty when the line does not match). Allocates nothing once
+    /// `ranges` has grown to the pattern's capture count.
+    pub(crate) fn match_ranges(&self, line: &str, ranges: &mut CaptureRanges) -> bool {
+        ranges.clear();
+        Self::match_from(&self.toks, line, 0, ranges)
+    }
+
+    /// The `(name, value)` pairs of a successful [`Pattern::match_ranges`]
+    /// over `line`, names borrowed from the pattern and values from the
+    /// line.
+    pub(crate) fn captures<'a>(
+        &'a self,
+        line: &'a str,
+        ranges: &'a [Range<usize>],
+    ) -> impl Iterator<Item = (&'a str, &'a str)> {
+        self.names()
+            .zip(ranges)
+            .map(move |(name, r)| (name, &line[r.clone()]))
     }
 
     /// Allocation-free backtracking core: `pos` is the byte offset into
-    /// `line`; candidate captures are recorded as `(name, byte range)` and
-    /// popped on backtrack, so failed attempts cost nothing.
-    fn match_from<'p>(
-        toks: &'p [Tok],
-        line: &str,
-        pos: usize,
-        caps: &mut Vec<(&'p str, std::ops::Range<usize>)>,
-    ) -> bool {
+    /// `line`; a candidate capture is recorded as its byte range and
+    /// popped on backtrack, so failed attempts cost nothing. Every capture
+    /// token of a match holds exactly one range, so the ranges line up
+    /// with [`Pattern::names`].
+    fn match_from(toks: &[Tok], line: &str, pos: usize, caps: &mut CaptureRanges) -> bool {
         let rest = &line[pos..];
         let Some((tok, tail_toks)) = toks.split_first() else {
             return rest.is_empty();
@@ -222,7 +243,7 @@ impl Pattern {
                 }
                 Self::match_from(tail_toks, line, pos + rest.len() - trimmed.len(), caps)
             }
-            Tok::Cap(name) | Tok::Wall(name) => {
+            Tok::Cap(_) | Tok::Wall(_) => {
                 let is_wall = matches!(tok, Tok::Wall(_));
                 // Lazily extend the capture until the remaining tokens match.
                 // Candidate end positions: before each char boundary + EOL.
@@ -232,7 +253,7 @@ impl Pattern {
                     let viable =
                         !candidate.is_empty() && (!is_wall || looks_like_wallclock(candidate));
                     if viable {
-                        caps.push((name.as_str(), pos..pos + end));
+                        caps.push(pos..pos + end);
                         if Self::match_from(tail_toks, line, pos + end, caps) {
                             return true;
                         }

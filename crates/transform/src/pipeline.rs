@@ -1,18 +1,20 @@
 //! The end-to-end mScopeDataTransformer pipeline (paper Fig. 3):
-//! parsing declarations → mScopeParsers → annotated XML → XMLtoCSV
-//! converter (schema inference) → Data Importer → mScopeDB.
+//! parsing declarations → mScopeParsers → schema inference → Data
+//! Importer → mScopeDB. The paper's two interchange formats between those
+//! stages — annotated XML and CSV — are export artifacts here
+//! ([`ParsingDeclaration::execute`], `ConvertedTable::to_csv`); the load
+//! path builds neither.
 //!
-//! The CPU-heavy front of the pipeline — log read → parse → XML → typed
-//! rows — is embarrassingly parallel across destination tables, so
-//! [`DataTransformer::run`] fans the table groups out with
-//! [`parallel_map`], then loads the converted groups into the warehouse
+//! The CPU-heavy front of the pipeline — log read → parse → raw columns →
+//! typed columns — is embarrassingly parallel across destination tables,
+//! so [`DataTransformer::run`] fans the table groups out with
+//! [`parallel_map`], then loads the typed columns into the warehouse
 //! serially in deterministic table order. The report and the warehouse
 //! contents are byte-identical whether the run used one worker or many.
 
-use crate::convert::{convert_xml, ConvertedTable};
+use crate::convert::{RawColumns, TypedColumns};
 use crate::declare::{self, ParsingDeclaration};
 use crate::error::TransformError;
-use crate::import::import_rows;
 use crate::parsers::declaration_for;
 use mscope_db::Database;
 use mscope_monitors::{LogFileMeta, LogStore, MonitorKind};
@@ -60,29 +62,22 @@ impl RunOptions {
     }
 }
 
-/// One table group's converted output, waiting to be loaded.
-struct GroupOutput {
-    files: usize,
-    converted: ConvertedTable,
-}
-
-/// Runs the parse→convert front for one table group.
+/// Runs the parse→convert front for one table group: every entry of every
+/// file, in file order, goes from the parsing ladder straight into one
+/// columnar sink, which types its columns once the last entry is in.
 fn convert_group(
+    table: &str,
     decls: &[&ParsingDeclaration],
     store: &LogStore,
-) -> Result<GroupOutput, TransformError> {
-    let mut docs = Vec::with_capacity(decls.len());
+) -> Result<TypedColumns, TransformError> {
+    let mut sink = RawColumns::default();
     for d in decls {
         let content = store
             .read(&d.path)
             .ok_or_else(|| TransformError::MissingFile(d.path.clone()))?;
-        docs.push(d.execute(content)?);
+        d.for_each_entry(content, &mut |fields| sink.entry(&d.path, fields.iter()))?;
     }
-    let converted = convert_xml(&docs)?;
-    Ok(GroupOutput {
-        files: decls.len(),
-        converted,
-    })
+    sink.finish(table)
 }
 
 /// Populates the static metadata tables (`monitors`, `log_files`) from the
@@ -170,11 +165,14 @@ impl DataTransformer {
         self.run_with(store, db, RunOptions::default())
     }
 
-    /// Runs the full pipeline: every declared file is parsed to annotated
-    /// XML; documents destined for the same table are converted together
-    /// (so schema inference unions across replicas) into typed rows; rows
-    /// are batch-loaded into the warehouse; and the static metadata tables
-    /// (`monitors`, `log_files`) are populated.
+    /// Runs the full pipeline: every declared file goes through its
+    /// parser; the entries of all files destined for the same table collect
+    /// in one columnar sink (so schema inference unions across replicas)
+    /// and are typed column by column; the typed columns are loaded as they
+    /// are; and the static metadata tables (`monitors`, `log_files`) are
+    /// populated. No annotated XML or CSV is built on the way; the public
+    /// composition `execute` → `convert_xml` → `import_rows` loads the same
+    /// warehouse through them.
     ///
     /// The convert stage fans out across `opts.workers` threads (one
     /// table group per job); the load stage is serial and iterates
@@ -185,7 +183,12 @@ impl DataTransformer {
     ///
     /// The first error from any stage, in deterministic table order;
     /// nothing is half-loaded on error for the failing table, but
-    /// previously completed tables remain.
+    /// previously completed tables remain. Within one table group the
+    /// order is file order (the manifest's), then line order: a file
+    /// missing from the store ([`TransformError::MissingFile`]) or a line
+    /// no instruction matches ([`TransformError::UnparsedLine`]) in an
+    /// earlier file comes before anything in a later one, and every such
+    /// error comes before the group's schema or load errors.
     pub fn run_with(
         &self,
         store: &LogStore,
@@ -214,18 +217,24 @@ impl DataTransformer {
         // error surfaced below is the first in table order for any worker
         // count.
         let results = parallel_map(groups.len(), workers, |i| {
-            convert_group(&groups[i].1, store)
+            convert_group(groups[i].0, &groups[i].1, store)
         });
 
         // Load stage: serial, in table order — this is what makes reports
         // and warehouse state deterministic despite the parallel front.
         let mut report = TransformReport::default();
-        for ((table, _), out) in groups.iter().zip(results) {
-            let out = out?;
-            report.files += out.files;
-            report.entries += out.converted.row_count();
-            let ConvertedTable { schema, rows } = out.converted;
-            let loaded = import_rows(db, table, &schema, rows)?;
+        for ((table, decls), typed) in groups.iter().zip(results) {
+            let TypedColumns {
+                schema,
+                columns,
+                rows,
+            } = typed?;
+            report.files += decls.len();
+            report.entries += rows;
+            db.ensure_table(table, schema).map_err(TransformError::Db)?;
+            let loaded = db
+                .insert_columns(table, columns)
+                .map_err(TransformError::Db)?;
             // perf: one owned table name per loaded table — bounded by the
             // manifest's table groups, never by row count.
             report.tables.push((table.to_string(), loaded));
@@ -446,6 +455,152 @@ mod tests {
             tr.run(&art.store, &mut db),
             Err(TransformError::UnparsedLine { .. })
         ));
+    }
+
+    /// The pipeline as the public stage functions compose it — through the
+    /// two export artifacts: annotated XML per file, typed rows per table.
+    fn compose(
+        tr: &DataTransformer,
+        store: &LogStore,
+        db: &mut Database,
+    ) -> Result<TransformReport, TransformError> {
+        use crate::{convert_xml, import_rows, ConvertedTable};
+        tr.validate()?;
+        let mut by_table: BTreeMap<&str, Vec<&ParsingDeclaration>> = BTreeMap::new();
+        for d in tr.declarations() {
+            by_table.entry(&d.table).or_default().push(d);
+        }
+        let mut report = TransformReport::default();
+        for (table, decls) in by_table {
+            let mut docs = Vec::with_capacity(decls.len());
+            for d in &decls {
+                let content = store
+                    .read(&d.path)
+                    .ok_or_else(|| TransformError::MissingFile(d.path.clone()))?;
+                docs.push(d.execute(content)?);
+            }
+            let ConvertedTable { schema, rows } = convert_xml(&docs)?;
+            report.files += decls.len();
+            report.entries += rows.len();
+            let loaded = import_rows(db, table, &schema, rows)?;
+            report.tables.push((table.to_string(), loaded));
+        }
+        register_metadata(tr.manifest_entries(), store, db)?;
+        Ok(report)
+    }
+
+    /// Runs both paths over `store` and holds them to one outcome — report
+    /// or error, and the warehouse either leaves behind — at every worker
+    /// count. Returns the outcome, rendered.
+    fn same_outcome(tr: &DataTransformer, store: &LogStore) -> Result<String, String> {
+        let outcome = |r: Result<TransformReport, TransformError>, db: &Database| {
+            let warehouse = db.to_json().map_err(|e| e.to_string())?;
+            Ok::<_, String>((format!("{r:?}"), warehouse))
+        };
+        let mut db = Database::new();
+        let composed = outcome(compose(tr, store, &mut db), &db)?;
+        for workers in [1, 2, 8] {
+            let mut db = Database::new();
+            let ran = outcome(tr.run_with(store, &mut db, RunOptions { workers }), &db)?;
+            mscope_sim::prop_ensure!(
+                ran.0 == composed.0,
+                "workers={workers}: run_with gave {} but execute → convert_xml → import_rows {}",
+                ran.0,
+                composed.0
+            );
+            mscope_sim::prop_ensure!(ran.1 == composed.1, "workers={workers}: warehouse drift");
+        }
+        Ok(composed.0)
+    }
+
+    #[test]
+    fn run_with_is_the_public_composition() {
+        mscope_sim::prop::forall("run_with is the public composition", 5, |g| {
+            let users = g.u64(20..=70) as u32;
+            let mut cfg = g.choose(&[
+                SystemConfig::rubbos_baseline(users),
+                SystemConfig::rubbos_replicated(users),
+                SystemConfig::scenario_db_io(users),
+                SystemConfig::scenario_dirty_page(users),
+            ]);
+            cfg.seed = g.u64(1..=u64::MAX);
+            cfg.duration = SimDuration::from_secs(g.u64(3..=5));
+            cfg.warmup = SimDuration::from_secs(1);
+            cfg.workload.ramp_up = SimDuration::from_secs(1);
+            let out = Simulator::new(cfg).map_err(|e| e.to_string())?.run();
+            let art = MonitorSuite::standard(&out.config).render(&out);
+            let tr = DataTransformer::from_manifest(&art.manifest);
+            let clean = same_outcome(&tr, &art.store)?;
+            mscope_sim::prop_ensure!(clean.starts_with("Ok("), "clean run failed: {clean}");
+
+            // Two files of one table group, in manifest order.
+            let collectl: Vec<&str> = tr
+                .declarations()
+                .iter()
+                .filter(|d| d.table == "collectl")
+                .map(|d| d.path.as_str())
+                .collect();
+            let (first, second) = (collectl[0], collectl[1]);
+            let victim = g.choose(&art.store.paths()).to_string();
+
+            // A corrupted line anywhere.
+            let mut store = art.store.clone();
+            store.append_line(&victim, "THIS LINE MATCHES NO INSTRUCTION <");
+            let got = same_outcome(&tr, &store)?;
+            mscope_sim::prop_ensure!(
+                got.starts_with("Err(UnparsedLine") || got.starts_with("Err(Xml"),
+                "corrupted `{victim}`: {got}"
+            );
+            // A removed file anywhere.
+            let mut store = art.store.clone();
+            store.remove(&victim);
+            let got = same_outcome(&tr, &store)?;
+            mscope_sim::prop_ensure!(got.starts_with("Err(MissingFile"), "{got}");
+            // Inside one group, the earlier file's error wins whichever
+            // kind it is.
+            let mut store = art.store.clone();
+            store.append_line(first, "garbage");
+            store.remove(second);
+            let got = same_outcome(&tr, &store)?;
+            mscope_sim::prop_ensure!(got.starts_with("Err(UnparsedLine"), "{got}");
+            let mut store = art.store.clone();
+            store.remove(first);
+            store.append_line(second, "garbage");
+            let got = same_outcome(&tr, &store)?;
+            mscope_sim::prop_ensure!(got.starts_with("Err(MissingFile"), "{got}");
+            // …and within a file, the earlier line's.
+            let mut store = art.store.clone();
+            store.append_line(first, "garbage one");
+            store.append_line(first, "garbage two");
+            let got = same_outcome(&tr, &store)?;
+            mscope_sim::prop_ensure!(got.contains("garbage one"), "{got}");
+
+            // A duplicate field: validation refuses the declaration on both
+            // paths, and behind validation the sink and `convert_xml`
+            // refuse the first entry in the same words.
+            let mut dup = tr.clone();
+            let di = g.usize(0..=dup.declarations.len() - 1);
+            let field = declare::declared_columns(&dup.declarations[di])
+                .pop()
+                .expect("every declaration has a column")
+                .0;
+            dup.declarations[di].constants.push((field, "7".into()));
+            let got = same_outcome(&dup, &art.store)?;
+            mscope_sim::prop_ensure!(got.starts_with("Err(BadDeclaration"), "{got}");
+            let d = &dup.declarations[di];
+            let content = art.store.read(&d.path).expect("rendered");
+            let direct = convert_group(&d.table, &[d], &art.store).map(|t| t.rows);
+            let via_xml = d
+                .execute(content)
+                .and_then(|doc| crate::convert_xml(&[doc]))
+                .map(|t| t.rows.len());
+            mscope_sim::prop_ensure!(
+                matches!(direct, Err(TransformError::SchemaInference(_)))
+                    && format!("{direct:?}") == format!("{via_xml:?}"),
+                "{direct:?} vs {via_xml:?}"
+            );
+            Ok(())
+        });
     }
 
     #[test]

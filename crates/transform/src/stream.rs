@@ -13,7 +13,9 @@
 //! [`ParsingDeclaration::staged_line`] / [`ParsingDeclaration::xml_entry`],
 //! schema inference is [`SchemaFold`], and the `monitors` / `log_files`
 //! registration is [`register_metadata`] — each called by the batch driver
-//! too. This module owns only what batch has no counterpart for:
+//! too. (Batch also keeps its cells in the fold's columnar sink,
+//! `RawColumns`; this driver still buffers owned entries per flush.) This
+//! module owns only what batch has no counterpart for:
 //!
 //! * **Tailing.** A consumed-byte offset per declaration; a staged file
 //!   advances by complete lines, an XML-direct file by complete
@@ -51,7 +53,7 @@
 
 use crate::convert::SchemaFold;
 use crate::declare::{
-    EntryFields, Field, ParserKind, ParserSpec, ParsingDeclaration, StagedState, XmlMapping,
+    own, EntryFields, Field, ParserKind, ParserSpec, ParsingDeclaration, StagedState, XmlMapping,
 };
 use crate::error::TransformError;
 use crate::import::parse_cell;
@@ -61,9 +63,16 @@ use mscope_db::{ColumnType, Database, DbError, Schema, Table, Value};
 use mscope_monitors::{LogFileMeta, LogStore};
 use mscope_sim::parallel_map;
 
-/// One parsed entry: `(field, raw value)` pairs, constants first — the
-/// streaming equivalent of batch's `<entry>` element.
+/// One parsed entry: `(field, raw value)` pairs, constants first, owned so
+/// they can wait in a table sink's buffer for the next flush.
 type Fields = Vec<Field>;
+
+/// Collects the shared core's borrowed emit into an owned entry.
+fn owned(fields: &EntryFields<'_>) -> Fields {
+    let mut entry = Vec::with_capacity(fields.len());
+    entry.extend(fields.iter().map(own));
+    entry
+}
 
 // ---------------------------------------------------------------------------
 // Per-declaration incremental parser state
@@ -102,7 +111,10 @@ fn advance_staged(
     at_end: bool,
 ) -> Result<Vec<Fields>, TransformError> {
     let mut out = Vec::new();
-    let mut emit = |fields: EntryFields<'_>| out.push(fields.collect());
+    let mut emit = |fields: EntryFields<'_>| {
+        out.push(owned(&fields));
+        Ok(())
+    };
     let mut pos = st.consumed;
     while let Some(nl) = content[pos..].find('\n') {
         // A complete line: strip the newline and an optional \r, exactly
@@ -243,7 +255,10 @@ fn advance_xml(
     {
         let span = &content[st.consumed + start..st.consumed + end];
         let el = xml::parse(span).map_err(TransformError::Xml)?;
-        out.push(decl.xml_entry(map, &el).collect());
+        decl.xml_entry(map, &el, &mut |fields| {
+            out.push(owned(&fields));
+            Ok(())
+        })?;
         st.consumed += end;
     }
     Ok(out)
@@ -313,8 +328,10 @@ impl TableSink {
     /// Folds one entry into the running schema and buffers it for the next
     /// flush.
     fn add_entry(&mut self, entry: Fields) -> Result<(), TransformError> {
-        let fields = entry.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-        self.fold.observe(&self.table, fields)?;
+        self.fold.begin_entry();
+        for (field, raw) in &entry {
+            self.fold.field(&self.table, field, raw)?;
+        }
         // perf: a column first seen now was Missing in every
         // already-committed row — one backfill per new column (a handful
         // per table, ever), not per entry.

@@ -179,6 +179,22 @@ impl Database {
             .push_batch(rows)
     }
 
+    /// [`Database::insert_batch`] for column-major input
+    /// ([`Table::push_columns`]): one table lookup, one validation pass per
+    /// column, and either every column lands or none does. Returns the
+    /// number of rows inserted.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::NoSuchTable`], or the first [`Table::push_columns`]
+    /// validation error (table unchanged).
+    pub fn insert_columns(&mut self, table: &str, cols: Vec<Vec<Value>>) -> Result<usize, DbError> {
+        self.tables
+            .get_mut(table)
+            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?
+            .push_columns(cols)
+    }
+
     /// Replaces a dynamic table wholesale, keeping the warehouse name ↔
     /// table invariant. This is the schema-migration primitive of the
     /// streaming ingester: when a later chunk widens an inferred column
@@ -503,6 +519,165 @@ mod tests {
             .col(0)
             .unwrap()
             .sorted());
+    }
+
+    /// A random schema plus rows every column admits: nulls everywhere,
+    /// Int cells in Float columns, a first column that is sorted half the
+    /// time.
+    fn arb_rows(g: &mut mscope_sim::prop::Gen) -> (Schema, Vec<Vec<Value>>) {
+        use ColumnType::*;
+        let types = g.vec(1..=4, |g| g.choose(&[Int, Float, Timestamp, Text, Bool]));
+        let columns = types.iter().enumerate();
+        let schema = Schema::new(
+            columns
+                .map(|(i, &ty)| Column::new(format!("c{i}"), ty))
+                .collect(),
+        )
+        .expect("distinct names");
+        let sorted = g.bool();
+        let mut clock = 0i64;
+        let rows = g.vec(0..=120, |g| {
+            clock += g.i64(0..=40);
+            let key = if sorted { clock } else { g.i64(-500..=500) };
+            types
+                .iter()
+                .enumerate()
+                .map(|(ci, ty)| {
+                    let n = if ci == 0 { key } else { g.i64(-500..=500) };
+                    match ty {
+                        _ if g.usize(0..=7) == 0 => Value::Null,
+                        Int => Value::Int(n),
+                        Float if g.bool() => Value::Int(n),
+                        Float => Value::Float(n as f64 / 4.0),
+                        Timestamp => Value::Timestamp(n),
+                        Bool => Value::Bool(n % 2 == 0),
+                        Text | Null => Value::Text(format!("k{}", n % 7)),
+                    }
+                })
+                .collect()
+        });
+        (schema, rows)
+    }
+
+    fn transpose(width: usize, rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        (0..width)
+            .map(|ci| rows.iter().map(|r| r[ci].clone()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn push_columns_is_push_batch_across_appends() {
+        mscope_sim::prop::forall("push_columns is push_batch", 192, |g| {
+            let (schema, rows) = arb_rows(g);
+            let width = schema.len();
+            let (mut by_row, mut by_col) =
+                (Table::new("t", schema.clone()), Table::new("t", schema));
+            // Small blocks, so appends straddle zone-map block boundaries.
+            let block = g.usize(1..=16);
+            by_row.reindex(block);
+            by_col.reindex(block);
+            let mut rest = rows.as_slice();
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(g.usize(1..=rest.len()));
+                rest = tail;
+                let n = by_row
+                    .push_batch(chunk.to_vec())
+                    .map_err(|e| e.to_string())?;
+                let m = by_col
+                    .push_columns(transpose(width, chunk))
+                    .map_err(|e| e.to_string())?;
+                mscope_sim::prop_ensure!(n == m, "appended {n} rows vs {m}");
+            }
+            mscope_sim::prop_ensure!(by_row == by_col, "cells differ");
+            mscope_sim::prop_ensure!(
+                by_row.table_index() == by_col.table_index(),
+                "zone maps or sorted flags differ"
+            );
+            // …and the planner reads the same block verdicts off both.
+            let explain = |t: &Table| {
+                let mut db = Database::new();
+                db.replace_table(t.clone()).map_err(|e| e.to_string())?;
+                let plan = db
+                    .query("EXPLAIN SELECT c0 FROM t WHERE c0 >= 0 AND c0 < 200")
+                    .map_err(|e| e.to_string())?;
+                let lines = plan.column("plan").expect("explain has a plan column");
+                Ok::<_, String>(lines.iter().map(Value::render).collect::<Vec<_>>())
+            };
+            let (a, b) = (explain(&by_row)?, explain(&by_col)?);
+            mscope_sim::prop_ensure!(a == b, "EXPLAIN differs: {a:?} vs {b:?}");
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn push_columns_is_all_or_nothing() {
+        let schema = Schema::new(vec![
+            Column::new("t", ColumnType::Int),
+            Column::new("v", ColumnType::Float),
+        ])
+        .unwrap();
+        let mut db = Database::new();
+        db.create_table("m", schema).unwrap();
+        let ints = |r: std::ops::Range<i64>| r.map(Value::Int).collect::<Vec<_>>();
+        assert_eq!(db.insert_columns("m", vec![ints(0..3), ints(0..3)]), Ok(3));
+        let before = db.require("m").unwrap().clone();
+        let index_before = before.table_index().clone();
+        let unchanged = |db: &Database| {
+            let t = db.require("m").unwrap();
+            *t == before && *t.table_index() == index_before
+        };
+        // Ragged columns: the second is one cell short.
+        let ragged = db.insert_columns("m", vec![ints(3..6), ints(3..5)]);
+        assert_eq!(
+            ragged,
+            Err(DbError::Arity {
+                table: "m".into(),
+                expected: 3,
+                got: 2
+            })
+        );
+        assert!(unchanged(&db));
+        // Wrong number of columns.
+        for cols in [vec![ints(3..6)], vec![ints(3..6), ints(3..6), ints(3..6)]] {
+            let got = cols.len();
+            assert_eq!(
+                db.insert_columns("m", cols),
+                Err(DbError::Arity {
+                    table: "m".into(),
+                    expected: 2,
+                    got
+                })
+            );
+            assert!(unchanged(&db));
+        }
+        // A cell its column does not admit, behind a valid first column.
+        let floats = vec![Value::Float(0.5), Value::Null, Value::Float(1.5)];
+        let mismatch = db.insert_columns("m", vec![floats.clone(), floats.clone()]);
+        assert_eq!(
+            mismatch,
+            Err(DbError::TypeMismatch {
+                table: "m".into(),
+                column: "t".into(),
+                expected: ColumnType::Int,
+                got: ColumnType::Float
+            })
+        );
+        assert!(unchanged(&db));
+        let text = vec![Value::Null, Value::Null, Value::Text("x".into())];
+        assert!(matches!(
+            db.insert_columns("m", vec![ints(3..6), text]),
+            Err(DbError::TypeMismatch { .. })
+        ));
+        assert!(unchanged(&db));
+        assert!(matches!(
+            db.insert_columns("ghost", vec![]),
+            Err(DbError::NoSuchTable(_))
+        ));
+        // What push_batch admits, push_columns admits: Int cells in a
+        // Float column, nulls anywhere, and an empty append.
+        assert_eq!(db.insert_columns("m", vec![ints(3..6), ints(3..6)]), Ok(3));
+        assert_eq!(db.insert_columns("m", vec![vec![], vec![]]), Ok(0));
+        assert_eq!(db.require("m").unwrap().row_count(), 6);
     }
 
     #[test]

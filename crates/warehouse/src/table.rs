@@ -200,6 +200,16 @@ impl Table {
         self.row_count() == 0
     }
 
+    /// The error for a cell its column does not admit.
+    fn mismatch(&self, c: &Column, v: &Value) -> DbError {
+        DbError::TypeMismatch {
+            table: self.name.clone(),
+            column: c.name.clone(),
+            expected: c.ty,
+            got: v.column_type(),
+        }
+    }
+
     /// Appends one row.
     ///
     /// # Errors
@@ -217,12 +227,7 @@ impl Table {
         }
         for (v, c) in row.iter().zip(self.schema.columns()) {
             if !c.ty.admits(v.column_type()) {
-                return Err(DbError::TypeMismatch {
-                    table: self.name.clone(),
-                    column: c.name.clone(),
-                    expected: c.ty,
-                    got: v.column_type(),
-                });
+                return Err(self.mismatch(c, v));
             }
         }
         for (ci, (col, v)) in self.cols.iter_mut().zip(row).enumerate() {
@@ -271,12 +276,7 @@ impl Table {
             }
             for (v, c) in row.iter().zip(self.schema.columns()) {
                 if !c.ty.admits(v.column_type()) {
-                    return Err(DbError::TypeMismatch {
-                        table: self.name.clone(),
-                        column: c.name.clone(),
-                        expected: c.ty,
-                        got: v.column_type(),
-                    });
+                    return Err(self.mismatch(c, v));
                 }
             }
         }
@@ -288,6 +288,57 @@ impl Table {
             for (ci, (col, v)) in self.cols.iter_mut().zip(row).enumerate() {
                 self.index.note(ci, col.last(), &v);
                 col.push(v);
+            }
+        }
+        Ok(n)
+    }
+
+    /// Appends whole columns all-or-nothing — [`Table::push_batch`] for a
+    /// producer that already holds its cells column-major (the batch
+    /// transformer types one column at a time), with no row vectors and no
+    /// transpose. `cols[i]` extends schema column `i`; every column must
+    /// carry the same number of cells, one per appended row. Validation
+    /// and the zone-map / sorted-flag bookkeeping are the ones
+    /// `push_batch` applies, so the table ends up in the same state either
+    /// way; an empty table takes ownership of each column instead of
+    /// copying it. Returns the number of rows appended (a table with no
+    /// columns holds no rows).
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Arity`] when the number of columns differs from the
+    /// schema's, or when a column's length differs from the first's
+    /// (`expected` and `got` are then cell counts); [`DbError::TypeMismatch`]
+    /// for the first cell, column by column, that its column does not
+    /// admit. The table is unchanged in every case.
+    pub fn push_columns(&mut self, cols: Vec<Vec<Value>>) -> Result<usize, DbError> {
+        let arity = |expected, got| DbError::Arity {
+            table: self.name.clone(),
+            expected,
+            got,
+        };
+        if cols.len() != self.schema.len() {
+            return Err(arity(self.schema.len(), cols.len()));
+        }
+        let n = cols.first().map_or(0, Vec::len);
+        for (col, c) in cols.iter().zip(self.schema.columns()) {
+            if col.len() != n {
+                return Err(arity(n, col.len()));
+            }
+            if let Some(v) = col.iter().find(|v| !c.ty.admits(v.column_type())) {
+                return Err(self.mismatch(c, v));
+            }
+        }
+        for (ci, (stored, col)) in self.cols.iter_mut().zip(cols).enumerate() {
+            let mut prev = stored.last();
+            for v in &col {
+                self.index.note(ci, prev, v);
+                prev = Some(v);
+            }
+            if stored.is_empty() {
+                *stored = col;
+            } else {
+                stored.extend(col);
             }
         }
         Ok(n)

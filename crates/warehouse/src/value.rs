@@ -139,27 +139,52 @@ impl Value {
     /// assert_eq!(Value::infer("hello"), Value::Text("hello".into()));
     /// ```
     pub fn infer(raw: &str) -> Value {
+        // perf: only a cell no narrower type admits is copied into a value.
+        Self::infer_scalar(raw).unwrap_or_else(|t| Value::Text(t.to_string()))
+    }
+
+    /// The type [`Value::infer`] would give `raw`, without building the
+    /// value: schema inference reads only the type of every cell, and for a
+    /// text cell (a request ID, a URL, an SQL statement) the value is a
+    /// heap copy.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mscope_db::{ColumnType, Value};
+    /// assert_eq!(Value::infer_type(" 42 "), ColumnType::Int);
+    /// assert_eq!(Value::infer_type("-"), ColumnType::Null);
+    /// assert_eq!(Value::infer_type("0000a3f1"), ColumnType::Text);
+    /// ```
+    pub fn infer_type(raw: &str) -> ColumnType {
+        Self::infer_scalar(raw).map_or(ColumnType::Text, |v| v.column_type())
+    }
+
+    /// The inference ladder, narrowest type first: the value when one of
+    /// the scalar types reads the trimmed cell, else the trimmed cell itself
+    /// (it is text).
+    fn infer_scalar(raw: &str) -> Result<Value, &str> {
         let t = raw.trim();
         if t.is_empty() || t == "-" {
-            return Value::Null;
+            return Ok(Value::Null);
         }
         if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
+            return Ok(Value::Int(i));
         }
         if let Ok(f) = t.parse::<f64>() {
             if f.is_finite() {
-                return Value::Float(f);
+                return Ok(Value::Float(f));
             }
         }
         match t {
-            "true" | "TRUE" | "True" => return Value::Bool(true),
-            "false" | "FALSE" | "False" => return Value::Bool(false),
+            "true" | "TRUE" | "True" => return Ok(Value::Bool(true)),
+            "false" | "FALSE" | "False" => return Ok(Value::Bool(false)),
             _ => {}
         }
         if let Some(ts) = mscope_sim::parse_wallclock(t) {
-            return Value::Timestamp(ts.as_micros() as i64);
+            return Ok(Value::Timestamp(ts.as_micros() as i64));
         }
-        Value::Text(t.to_string())
+        Err(t)
     }
 
     /// Numeric view: `Int`, `Float`, and `Timestamp` (as µs) convert;
@@ -369,6 +394,72 @@ mod tests {
             Value::infer("01:02:03.000004"),
             Value::Timestamp(3_723_000_004)
         );
+    }
+
+    #[test]
+    fn infer_type_is_the_type_of_infer() {
+        // Cells built from the pieces the ladder branches on, so a random
+        // draw lands on (and just beside) every rung.
+        const PIECES: &[&str] = &[
+            "",
+            "-",
+            "+",
+            "0",
+            "7",
+            "42",
+            "9223372036854775807",
+            "9223372036854775808",
+            ".",
+            "e",
+            "E",
+            "1e999",
+            "inf",
+            "-inf",
+            "Infinity",
+            "nan",
+            "NaN",
+            "true",
+            "TRUE",
+            "True",
+            "tRue",
+            "false",
+            "FALSE",
+            "False",
+            "00:00:01",
+            "00:00:01.5",
+            "12:59:59.123456789",
+            "00:61:00",
+            ":",
+            " ",
+            "  ",
+            "\t",
+            "x",
+            "é",
+            "0000a3f1",
+        ];
+        mscope_sim::prop::forall("infer_type is the type of infer", 2048, |g| {
+            let cell = g.vec(0..=4, |g| g.choose(PIECES)).concat();
+            let (fast, built) = (Value::infer_type(&cell), Value::infer(&cell).column_type());
+            mscope_sim::prop_ensure!(fast == built, "{cell:?}: {fast:?} vs {built:?}");
+            Ok(())
+        });
+        for (cell, ty) in [
+            ("", ColumnType::Null),
+            (" - ", ColumnType::Null),
+            ("-7", ColumnType::Int),
+            ("+7", ColumnType::Int),
+            ("9223372036854775808", ColumnType::Float),
+            ("1e999", ColumnType::Text),
+            ("inf", ColumnType::Text),
+            ("nan", ColumnType::Text),
+            ("TRUE", ColumnType::Bool),
+            ("tRue", ColumnType::Text),
+            (" 00:00:01.5 ", ColumnType::Timestamp),
+            ("00:61:00", ColumnType::Text),
+            ("0000a3f1", ColumnType::Text),
+        ] {
+            assert_eq!(Value::infer_type(cell), ty, "{cell:?}");
+        }
     }
 
     #[test]
