@@ -147,6 +147,10 @@ fn main() {
         .iter()
         .map(|(_, w, _)| serial_secs / w)
         .fold(0.0f64, f64::max);
+    // What sharding costs (or buys) at its smallest step: events/s at two
+    // shards over the serial engine's. Below 1.0 on a one-core host, where
+    // it is pure overhead; tracked whether or not the speedup gate is on.
+    let shard_overhead = speedup_at(2);
     // The parallel gate needs parallel hardware: enforce on 4+ cores (CI
     // runners qualify), record the measurement either way.
     let gate_enforced = host_cores >= 4;
@@ -185,9 +189,12 @@ fn main() {
         ("scale_digest_identical", Json::Bool(true)),
         ("results", Json::Arr(per_shard)),
         ("best_speedup", Json::Float(best_speedup)),
+        ("shard_overhead", Json::Float(shard_overhead)),
         ("gate_enforced", Json::Bool(gate_enforced)),
     ]);
     let text = mscope_serdes::to_string_pretty(&doc);
     std::fs::write(&out_path, &text).expect("write bench output");
-    eprintln!("  best speedup {best_speedup:.2}x -> {out_path}");
+    eprintln!(
+        "  best speedup {best_speedup:.2}x, shards-2/serial {shard_overhead:.2}x -> {out_path}"
+    );
 }

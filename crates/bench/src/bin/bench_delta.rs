@@ -40,7 +40,7 @@ const TRACKED: &[(&str, &[&str])] = &[
         "transform_pipeline",
         &["speedup_parallel_direct_vs_serial_csv"],
     ),
-    ("sim_scale", &["best_speedup"]),
+    ("sim_scale", &["best_speedup", "shard_overhead"]),
     ("stream_ingest", &["throughput_vs_batch"]),
 ];
 
@@ -61,16 +61,20 @@ fn str_field<'j>(doc: &'j Json, key: &str, which: &str) -> Result<&'j str, Strin
         .ok_or_else(|| format!("{which} summary has no string `{key}` field"))
 }
 
+/// Tracked metrics that mean something only when the bench enforced its own
+/// gate. `sim_scale` switches its gate off on a host with too few cores and
+/// then reports a `best_speedup` of 1.0 by construction — a number that
+/// cannot regress. Its `shard_overhead` is measured either way.
+const NEEDS_GATE: &[&str] = &["best_speedup"];
+
 /// True when a summary says its bench ran with its own gate switched off.
-/// `sim_scale` does so on a host with too few cores and then reports a
-/// `best_speedup` of 1.0 by construction — a number that cannot regress.
 fn gate_off(doc: &Json) -> bool {
     doc.get("gate_enforced").and_then(Json::as_bool) == Some(false)
 }
 
 /// Compares two parsed bench summaries; `Err` on malformed or mismatched
-/// input, `Ok` with per-metric outcomes otherwise — none when either side
-/// ran with its gate off.
+/// input, `Ok` with per-metric outcomes otherwise — without the
+/// [`NEEDS_GATE`] metrics when either side ran with its gate off.
 fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<Vec<Delta>, String> {
     let base_bench = str_field(baseline, "bench", "baseline")?;
     let fresh_bench = str_field(fresh, "bench", "fresh")?;
@@ -92,11 +96,12 @@ fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<Vec<Delta>, 
         .find(|(b, _)| *b == base_bench)
         .map(|(_, m)| *m)
         .ok_or_else(|| format!("no tracked headline metrics for bench `{base_bench}`"))?;
-    if gate_off(baseline) || gate_off(fresh) {
-        return Ok(Vec::new());
-    }
+    let ungated = gate_off(baseline) || gate_off(fresh);
     let mut out = Vec::with_capacity(metrics.len());
     for &metric in metrics {
+        if ungated && NEEDS_GATE.contains(&metric) {
+            continue;
+        }
         let base = baseline
             .get(metric)
             .and_then(Json::as_f64)
@@ -175,12 +180,12 @@ fn main() {
     let fresh = load(&fresh_path);
 
     let deltas = compare(&baseline, &fresh, tolerance).unwrap_or_else(|e| die(&e));
-    if deltas.is_empty() {
+    if gate_off(&baseline) || gate_off(&fresh) {
         println!(
-            "bench_delta: skipped — {baseline_path} or {fresh_path} ran with \
-             `gate_enforced: false`, so its headline ratio cannot regress"
+            "bench_delta: {baseline_path} or {fresh_path} ran with `gate_enforced: false`; \
+             not compared (cannot regress): {}",
+            NEEDS_GATE.join(", ")
         );
-        return;
     }
     let mut regressions = 0usize;
     for d in &deltas {
@@ -278,17 +283,27 @@ mod tests {
     }
 
     #[test]
-    fn ungated_summary_is_skipped_not_compared() {
-        let gated = summary("sim_scale", "smoke", &[("best_speedup", 3.0)]);
+    fn ungated_summary_still_compares_shard_overhead() {
+        let gated = summary(
+            "sim_scale",
+            "smoke",
+            &[("best_speedup", 3.0), ("shard_overhead", 1.8)],
+        );
         let ungated = Json::parse(
-            r#"{"bench":"sim_scale","mode":"smoke","best_speedup":1.0,"gate_enforced":false}"#,
+            r#"{"bench":"sim_scale","mode":"smoke","best_speedup":1.0,
+                "shard_overhead":0.9,"gate_enforced":false}"#,
         )
         .unwrap();
-        // 3.0 → 1.0 would be a regression; with the gate off on either
-        // side it is not a measurement at all.
-        assert_eq!(compare(&gated, &ungated, 0.15).unwrap(), vec![]);
-        assert_eq!(compare(&ungated, &gated, 0.15).unwrap(), vec![]);
-        assert_eq!(compare(&gated, &gated, 0.15).unwrap().len(), 1);
+        // best_speedup 3.0 → 1.0 would be a regression; with the gate off
+        // on either side it is not a measurement at all. The two-shard
+        // ratio is measured on any host, so 1.8 → 0.9 is one.
+        for (base, fresh, regressed) in [(&gated, &ungated, true), (&ungated, &gated, false)] {
+            let deltas = compare(base, fresh, 0.15).unwrap();
+            assert_eq!(deltas.len(), 1, "{deltas:?}");
+            assert_eq!(deltas[0].metric, "shard_overhead");
+            assert_eq!(deltas[0].regressed, regressed);
+        }
+        assert_eq!(compare(&gated, &gated, 0.15).unwrap().len(), 2);
     }
 
     #[test]

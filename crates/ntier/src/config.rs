@@ -11,7 +11,7 @@ use mscope_sim::{SimDuration, SimTime};
 /// ever crosses `dirty_high_bytes`, the kernel's *forced recycling* kicks in:
 /// it seizes CPU (the paper's scenario B root cause) until the count is back
 /// at `dirty_low_bytes`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Total RAM in bytes (reported by monitors).
     pub total_bytes: u64,
@@ -64,7 +64,7 @@ impl MemoryConfig {
 /// log flushing is sync-heavy). While the flush is in progress and
 /// `stall_writes` is set, committing transactions block holding their worker
 /// thread, which is what propagates the stall upstream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogFlushConfig {
     /// Buffer size that triggers a flush, in bytes.
     pub buffer_threshold: u64,

@@ -29,8 +29,10 @@ use crate::record::{
     TierSpan,
 };
 use crate::resources::{CpuModel, DiskModel, MemoryModel, PAGE_BYTES};
-use crate::types::{Interaction, NodeId, RequestId, RwKind, SessionId, TierId, TierKind};
-use crate::workload::Workload;
+use crate::types::{
+    Interaction, NodeId, RequestId, RwKind, SessionId, TierId, TierKind, INTERACTIONS,
+};
+use crate::workload::{Demand, Workload};
 use mscope_sim::{EventQueue, Fnv64, SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
@@ -53,9 +55,9 @@ const SESSION_LOCAL_MASK: u32 = (1 << SESSION_CELL_SHIFT) - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskKind {
     /// Request processing before the downstream call. Payload: request slot.
-    Phase1(usize),
+    Phase1(u32),
     /// Request processing after the downstream reply. Payload: request slot.
-    Phase2(usize),
+    Phase2(u32),
     /// Core seized by a non-request activity.
     Seize(SeizeKind),
 }
@@ -79,6 +81,11 @@ struct CpuTask {
 }
 
 /// Simulation events.
+///
+/// Request slots, nodes, tiers and cores travel as `u32` indices and the
+/// one-shot hogs as an index into the cell's injector list, which keeps an
+/// event at 16 bytes and a queued one at 32: two to a cache line in the
+/// future-event list, where most of a scale run's memory traffic is.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A session issues its next request.
@@ -88,41 +95,38 @@ enum Ev {
     /// The bursty (MMPP on/off) arrival process toggles phase.
     PhaseSwitch,
     /// A request message reaches the node serving `tier` for request `req`.
-    Ingress { req: usize, tier: usize },
+    Ingress { req: u32, tier: u32 },
     /// A CPU burst completed on `node`. `core` is the owning core under
-    /// per-core dFCFS dispatch, `None` under the shared-queue cFCFS path.
+    /// per-core dFCFS dispatch and unused (zero) on a cFCFS node, whose
+    /// cores share one queue.
     BurstDone {
-        node: usize,
+        node: u32,
         kind: TaskKind,
-        core: Option<usize>,
+        core: u32,
     },
     /// A downstream reply reaches the node at `tier` for request `req`.
-    ReplyArrive { req: usize, tier: usize },
+    ReplyArrive { req: u32, tier: u32 },
     /// The response reaches the client.
-    ClientReply { req: usize },
+    ClientReply { req: u32 },
     /// The DB commit-log flush on `node` finished.
-    FlushDone { node: usize },
+    FlushDone { node: u32 },
     /// Periodic background writeback fires on `node`.
-    WritebackStart { node: usize },
+    WritebackStart { node: u32 },
     /// The background writeback IO on `node` completed.
-    WritebackDone { node: usize },
+    WritebackDone { node: u32 },
     /// Periodic resource sampling tick.
     Sample,
     /// Periodic GC trigger for a tier.
-    Gc { tier: usize },
+    Gc { tier: u32 },
     /// DVFS throttle episode starts / ends for a tier.
-    DvfsStart { tier: usize },
+    DvfsStart { tier: u32 },
     /// End of a DVFS throttle episode.
-    DvfsEnd { tier: usize },
-    /// One-shot synthetic CPU hog.
-    CpuHog {
-        tier: usize,
-        cores: u32,
-        duration: SimDuration,
-    },
-    /// One-shot synthetic disk hog.
-    DiskHog { tier: usize, bytes: u64 },
+    DvfsEnd { tier: u32 },
+    /// The one-shot CPU or disk hog at this index of the cell's injector
+    /// list fires.
+    Hog { injector: u32 },
 }
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
 
 /// Monotonic counters snapshotted at each sampling tick.
 #[derive(Debug, Clone, Copy, Default)]
@@ -493,6 +497,10 @@ struct CellSim {
     retention: Retention,
     queue: EventQueue<Ev>,
     workload: Workload,
+    /// First-phase service demand per tier, per interaction.
+    phase1_demand: Vec<Vec<Demand>>,
+    /// Second-phase (post-reply) service demand per tier.
+    phase2_demand: Vec<Demand>,
     phase_rng: SimRng,
     burst_on: bool,
     nodes: Vec<NodeState>,
@@ -575,6 +583,31 @@ impl CellSim {
                 });
             }
         }
+        assert!(
+            nodes.len() <= u32::MAX as usize,
+            "events index nodes with 32 bits"
+        );
+        let phase1_demand = cfg
+            .tiers
+            .iter()
+            .map(|t| {
+                INTERACTIONS
+                    .iter()
+                    .map(|spec| {
+                        let mut mean = t.base_demand.mul_f64(spec.demand_factor);
+                        if spec.rw == RwKind::Write {
+                            mean += t.write_demand_extra;
+                        }
+                        Demand::new(mean, t.demand_cv)
+                    })
+                    .collect()
+            })
+            .collect();
+        let phase2_demand = cfg
+            .tiers
+            .iter()
+            .map(|t| Demand::new(t.phase2_demand, t.demand_cv))
+            .collect();
         let rr_next = vec![0; cfg.tiers.len()];
         let end = cfg.end_time();
         let warm_start = SimTime::ZERO + cfg.warmup;
@@ -584,6 +617,8 @@ impl CellSim {
             retention,
             queue: EventQueue::new(),
             workload,
+            phase1_demand,
+            phase2_demand,
             phase_rng,
             burst_on: false,
             nodes,
@@ -635,48 +670,30 @@ impl CellSim {
         }
         for ni in 0..self.nodes.len() {
             let period = self.tier_cfg(ni).memory.writeback_period;
-            self.queue
-                .schedule(SimTime::ZERO + period, Ev::WritebackStart { node: ni });
+            self.queue.schedule(
+                SimTime::ZERO + period,
+                Ev::WritebackStart { node: ni as u32 },
+            );
         }
         self.queue
             .schedule(SimTime::ZERO + self.cfg.sample_period, Ev::Sample);
-        let injectors = self.cfg.injectors.clone();
-        for inj in injectors {
-            match inj {
+        for (i, inj) in self.cfg.injectors.iter().enumerate() {
+            let (at, ev) = match *inj {
                 InjectorSpec::GcPause { tier, period, .. } => {
-                    self.queue.schedule(SimTime::ZERO + period, Ev::Gc { tier });
+                    (SimTime::ZERO + period, Ev::Gc { tier: tier as u32 })
                 }
                 InjectorSpec::DvfsThrottle { tier, period, .. } => {
-                    self.queue
-                        .schedule(SimTime::ZERO + period, Ev::DvfsStart { tier });
+                    (SimTime::ZERO + period, Ev::DvfsStart { tier: tier as u32 })
                 }
-                InjectorSpec::CpuHog {
-                    tier,
-                    at,
-                    cores,
-                    duration,
-                } => {
-                    self.queue.schedule(
-                        at,
-                        Ev::CpuHog {
-                            tier,
-                            cores,
-                            duration,
-                        },
-                    );
+                InjectorSpec::CpuHog { at, .. } | InjectorSpec::DiskHog { at, .. } => {
+                    (at, Ev::Hog { injector: i as u32 })
                 }
-                InjectorSpec::DiskHog { tier, at, bytes } => {
-                    self.queue.schedule(at, Ev::DiskHog { tier, bytes });
-                }
-            }
+            };
+            self.queue.schedule(at, ev);
         }
 
         // Main loop.
-        while let Some(t) = self.queue.peek_time() {
-            if t > self.end {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event exists");
+        while let Some((now, ev)) = self.queue.pop_until(self.end) {
             self.events += 1;
             self.handle(now, ev);
         }
@@ -692,23 +709,29 @@ impl CellSim {
             Ev::ClientSend(session) => self.client_send(now, session),
             Ev::OpenArrival => self.open_arrival(now),
             Ev::PhaseSwitch => self.phase_switch(now),
-            Ev::Ingress { req, tier } => self.ingress(now, req, tier),
-            Ev::BurstDone { node, kind, core } => self.burst_done(now, node, kind, core),
-            Ev::ReplyArrive { req, tier } => self.reply_arrive(now, req, tier),
-            Ev::ClientReply { req } => self.client_reply(now, req),
-            Ev::FlushDone { node } => self.flush_done(now, node),
-            Ev::WritebackStart { node } => self.writeback_start(now, node),
-            Ev::WritebackDone { node } => self.nodes[node].cpu.unblock_io(now),
+            Ev::Ingress { req, tier } => self.ingress(now, req as usize, tier as usize),
+            Ev::BurstDone { node, kind, core } => {
+                self.burst_done(now, node as usize, kind, core as usize);
+            }
+            Ev::ReplyArrive { req, tier } => self.reply_arrive(now, req as usize, tier as usize),
+            Ev::ClientReply { req } => self.client_reply(now, req as usize),
+            Ev::FlushDone { node } => self.flush_done(now, node as usize),
+            Ev::WritebackStart { node } => self.writeback_start(now, node as usize),
+            Ev::WritebackDone { node } => self.nodes[node as usize].cpu.unblock_io(now),
             Ev::Sample => self.sample(now),
-            Ev::Gc { tier } => self.gc_tick(now, tier),
-            Ev::DvfsStart { tier } => self.dvfs_start(now, tier),
-            Ev::DvfsEnd { tier } => self.dvfs_end(now, tier),
-            Ev::CpuHog {
-                tier,
-                cores,
-                duration,
-            } => self.cpu_hog(now, tier, cores, duration),
-            Ev::DiskHog { tier, bytes } => self.disk_hog(now, tier, bytes),
+            Ev::Gc { tier } => self.gc_tick(now, tier as usize),
+            Ev::DvfsStart { tier } => self.dvfs_start(now, tier as usize),
+            Ev::DvfsEnd { tier } => self.dvfs_end(now, tier as usize),
+            Ev::Hog { injector } => match self.cfg.injectors[injector as usize] {
+                InjectorSpec::CpuHog {
+                    tier,
+                    cores,
+                    duration,
+                    ..
+                } => self.cpu_hog(now, tier, cores, duration),
+                InjectorSpec::DiskHog { tier, bytes, .. } => self.disk_hog(now, tier, bytes),
+                InjectorSpec::GcPause { .. } | InjectorSpec::DvfsThrottle { .. } => {}
+            },
         }
     }
 
@@ -785,6 +808,23 @@ impl CellSim {
         let front = self.pick_node(0);
         let id = RequestId((u64::from(self.cell) << REQ_CELL_SHIFT) | self.issued);
         self.issued += 1;
+        // A recycled slot (digest retention) hands its two vectors on to
+        // the next request, so a steady-state request allocates nothing.
+        let slot = self.free_slots.pop();
+        let (mut nodes, mut spans) = match slot {
+            Some(slot) => {
+                let old = &mut self.inflight[slot];
+                (
+                    std::mem::take(&mut old.nodes),
+                    std::mem::take(&mut old.spans),
+                )
+            }
+            None => (Vec::with_capacity(depth), Vec::with_capacity(depth)),
+        };
+        nodes.clear();
+        nodes.push(front);
+        spans.clear();
+        spans.push(SpanBuild::default());
         let record = InFlight {
             id,
             session,
@@ -793,15 +833,22 @@ impl CellSim {
             client_recv: None,
             status: 200,
             depth,
-            nodes: vec![front],
-            spans: vec![SpanBuild::default()],
+            nodes,
+            spans,
         };
-        let req = if let Some(slot) = self.free_slots.pop() {
-            self.inflight[slot] = record;
-            slot
-        } else {
-            self.inflight.push(record);
-            self.inflight.len() - 1
+        let req = match slot {
+            Some(slot) => {
+                self.inflight[slot] = record;
+                slot
+            }
+            None => {
+                assert!(
+                    self.inflight.len() < u32::MAX as usize,
+                    "events index request slots with 32 bits"
+                );
+                self.inflight.push(record);
+                self.inflight.len() - 1
+            }
         };
         let hop = self.cfg.network.hop_latency;
         self.push_message(MessageEvent {
@@ -813,7 +860,13 @@ impl CellSim {
             interaction,
             kind: MsgKind::RequestDown,
         });
-        self.queue.schedule(now + hop, Ev::Ingress { req, tier: 0 });
+        self.queue.schedule(
+            now + hop,
+            Ev::Ingress {
+                req: req as u32,
+                tier: 0,
+            },
+        );
     }
 
     fn client_reply(&mut self, now: SimTime, req: usize) {
@@ -844,33 +897,15 @@ impl CellSim {
                 }
             }
         }
-        let record = self.build_record(req);
-        fold_request(&mut self.dig_requests, &record);
+        fold_request(&mut self.dig_requests, &self.inflight[req], &self.nodes);
         if self.retention == Retention::Digest {
             self.free_slots.push(req);
         }
     }
 
     /// Materialises the [`RequestRecord`] for an `inflight` slot.
-    /// Incomplete requests get empty spans, exactly as at finalization.
     fn build_record(&self, req: usize) -> RequestRecord {
         let f = &self.inflight[req];
-        let complete = f.client_recv.is_some();
-        let spans = if complete {
-            f.spans
-                .iter()
-                .enumerate()
-                .map(|(i, s)| TierSpan {
-                    node: self.nodes[f.nodes[i]].id,
-                    upstream_arrival: s.ua.expect("complete request has UA"),
-                    upstream_departure: s.ud.expect("complete request has UD"),
-                    downstream_sending: s.ds,
-                    downstream_receiving: s.dr,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         RequestRecord {
             id: f.id,
             session: f.session,
@@ -878,7 +913,7 @@ impl CellSim {
             client_send: f.client_send,
             client_recv: f.client_recv,
             status: f.status,
-            spans,
+            spans: tier_spans(f, &self.nodes).collect(),
         }
     }
 
@@ -953,24 +988,30 @@ impl CellSim {
         if self.cfg.monitoring.event_monitors {
             bytes += self.cfg.monitoring.per_record_bytes;
         }
-        let mem_cfg = tcfg.memory.clone();
         let node = &mut self.nodes[ni];
         node.log_bytes += bytes;
         node.net_rx += REQ_MSG_BYTES;
         node.net_tx += REPLY_MSG_BYTES;
         if node.mem.write(bytes) {
-            self.start_recycle(now, ni, &mem_cfg);
+            self.start_recycle(now, ni);
         }
+        self.reply_up(now, ni, req, tier);
+    }
+
+    /// Sends the reply of `req` from its node at `tier` one hop up: to the
+    /// node that called it, or to the client from the front tier.
+    fn reply_up(&mut self, now: SimTime, ni: usize, req: usize, tier: usize) {
         let hop = self.cfg.network.hop_latency;
+        let req_ix = req as u32;
         let (dst, event): (Endpoint, Ev) = if tier == 0 {
-            (Endpoint::Client, Ev::ClientReply { req })
+            (Endpoint::Client, Ev::ClientReply { req: req_ix })
         } else {
             let up_node = self.inflight[req].nodes[tier - 1];
             (
                 Endpoint::Node(self.nodes[up_node].id),
                 Ev::ReplyArrive {
-                    req,
-                    tier: tier - 1,
+                    req: req_ix,
+                    tier: (tier - 1) as u32,
                 },
             )
         };
@@ -989,15 +1030,12 @@ impl CellSim {
     fn admit(&mut self, now: SimTime, ni: usize, req: usize) {
         self.nodes[ni].workers_busy += 1;
         let tier = self.nodes[ni].tier_cfg;
-        let tcfg = &self.cfg.tiers[tier];
-        let spec = self.inflight[req].interaction.spec();
-        let mut mean = tcfg.base_demand.mul_f64(spec.demand_factor);
-        if spec.rw == RwKind::Write {
-            mean += tcfg.write_demand_extra;
-        }
-        let mut demand = self.workload.demand(mean, tcfg.demand_cv);
-        demand += self.monitor_cpu(tcfg.kind);
-        self.enqueue_cpu(now, ni, TaskKind::Phase1(req), demand, false);
+        let interaction = self.inflight[req].interaction;
+        let mut demand = self
+            .workload
+            .draw(&self.phase1_demand[tier][interaction.idx]);
+        demand += self.monitor_cpu(self.cfg.tiers[tier].kind);
+        self.enqueue_cpu(now, ni, TaskKind::Phase1(req as u32), demand, false);
     }
 
     /// Event-monitor CPU cost per request record at a node of this kind.
@@ -1030,9 +1068,9 @@ impl CellSim {
                     self.queue.schedule(
                         done,
                         Ev::BurstDone {
-                            node: ni,
+                            node: ni as u32,
                             kind,
-                            core: None,
+                            core: 0,
                         },
                     );
                 } else if front {
@@ -1054,9 +1092,9 @@ impl CellSim {
                         self.queue.schedule(
                             done,
                             Ev::BurstDone {
-                                node: ni,
+                                node: ni as u32,
                                 kind,
-                                core: Some(c),
+                                core: c as u32,
                             },
                         );
                         return;
@@ -1071,10 +1109,10 @@ impl CellSim {
         }
     }
 
-    fn burst_done(&mut self, now: SimTime, ni: usize, kind: TaskKind, core: Option<usize>) {
+    fn burst_done(&mut self, now: SimTime, ni: usize, kind: TaskKind, c: usize) {
         self.nodes[ni].cpu.finish(now);
-        match core {
-            None => {
+        match self.nodes[ni].discipline {
+            QueueDiscipline::Cfcfs => {
                 // cFCFS: hand the freed core to the next queued task
                 // (priority first) from the shared queues.
                 let next = {
@@ -1091,14 +1129,14 @@ impl CellSim {
                     self.queue.schedule(
                         done,
                         Ev::BurstDone {
-                            node: ni,
+                            node: ni as u32,
                             kind: task.kind,
-                            core: None,
+                            core: 0,
                         },
                     );
                 }
             }
-            Some(c) => {
+            QueueDiscipline::Dfcfs => {
                 // dFCFS: only this core's own queue may refill it.
                 let node = &mut self.nodes[ni];
                 node.core_busy[c] = false;
@@ -1111,9 +1149,9 @@ impl CellSim {
                         self.queue.schedule(
                             done,
                             Ev::BurstDone {
-                                node: ni,
+                                node: ni as u32,
                                 kind: task.kind,
-                                core: Some(c),
+                                core: c as u32,
                             },
                         );
                     } else {
@@ -1125,8 +1163,8 @@ impl CellSim {
             }
         }
         match kind {
-            TaskKind::Phase1(req) => self.phase1_done(now, ni, req),
-            TaskKind::Phase2(req) => self.complete_tier(now, ni, req),
+            TaskKind::Phase1(req) => self.phase1_done(now, ni, req as usize),
+            TaskKind::Phase2(req) => self.complete_tier(now, ni, req as usize),
             TaskKind::Seize(SeizeKind::Recycle) => {
                 let node = &mut self.nodes[ni];
                 node.recycle_outstanding -= 1;
@@ -1166,8 +1204,8 @@ impl CellSim {
             self.queue.schedule(
                 now + hop,
                 Ev::Ingress {
-                    req,
-                    tier: tier + 1,
+                    req: req as u32,
+                    tier: (tier + 1) as u32,
                 },
             );
         } else {
@@ -1186,7 +1224,7 @@ impl CellSim {
     fn try_commit(&mut self, now: SimTime, ni: usize, req: usize) -> bool {
         let tier = self.nodes[ni].tier_cfg;
         let tcfg = &self.cfg.tiers[tier];
-        let Some(flush) = tcfg.log_flush.clone() else {
+        let Some(flush) = tcfg.log_flush else {
             return true;
         };
         let is_write =
@@ -1215,7 +1253,7 @@ impl CellSim {
             node.log_buffer = 0;
             node.flush_in_progress = true;
             let done = node.disk.submit_write_at_rate(now, bytes, flush.flush_rate);
-            self.queue.schedule(done, Ev::FlushDone { node: ni });
+            self.queue.schedule(done, Ev::FlushDone { node: ni as u32 });
             if flush.stall_writes {
                 let node = &mut self.nodes[ni];
                 node.commit_waiters.push(req);
@@ -1235,14 +1273,14 @@ impl CellSim {
         }
         // Commits that arrived mid-flush may already refill the buffer.
         let tier = self.nodes[ni].tier_cfg;
-        if let Some(flush) = self.cfg.tiers[tier].log_flush.clone() {
+        if let Some(flush) = self.cfg.tiers[tier].log_flush {
             let node = &mut self.nodes[ni];
             if node.log_buffer >= flush.buffer_threshold {
                 let bytes = node.log_buffer;
                 node.log_buffer = 0;
                 node.flush_in_progress = true;
                 let done = node.disk.submit_write_at_rate(now, bytes, flush.flush_rate);
-                self.queue.schedule(done, Ev::FlushDone { node: ni });
+                self.queue.schedule(done, Ev::FlushDone { node: ni as u32 });
             }
         }
     }
@@ -1261,11 +1299,10 @@ impl CellSim {
         if self.cfg.monitoring.event_monitors {
             bytes += self.cfg.monitoring.per_record_bytes;
         }
-        let mem_cfg = tcfg.memory.clone();
         let node = &mut self.nodes[ni];
         node.log_bytes += bytes;
         if node.mem.write(bytes) {
-            self.start_recycle(now, ni, &mem_cfg);
+            self.start_recycle(now, ni);
         }
 
         let node = &mut self.nodes[ni];
@@ -1275,30 +1312,7 @@ impl CellSim {
         if let Some(next_req) = node.accept_q.pop_front() {
             self.admit(now, ni, next_req);
         }
-
-        let hop = self.cfg.network.hop_latency;
-        let (dst, event): (Endpoint, Ev) = if tier == 0 {
-            (Endpoint::Client, Ev::ClientReply { req })
-        } else {
-            let up_node = self.inflight[req].nodes[tier - 1];
-            (
-                Endpoint::Node(self.nodes[up_node].id),
-                Ev::ReplyArrive {
-                    req,
-                    tier: tier - 1,
-                },
-            )
-        };
-        self.push_message(MessageEvent {
-            send_time: now,
-            recv_time: now + hop,
-            src: Endpoint::Node(self.nodes[ni].id),
-            dst,
-            request: self.inflight[req].id,
-            interaction: self.inflight[req].interaction,
-            kind: MsgKind::ReplyUp,
-        });
-        self.queue.schedule(now + hop, event);
+        self.reply_up(now, ni, req, tier);
     }
 
     fn reply_arrive(&mut self, now: SimTime, req: usize, tier: usize) {
@@ -1306,18 +1320,16 @@ impl CellSim {
         self.inflight[req].spans[tier].dr = Some(now);
         self.boundary(now, ni, req, BoundaryKind::DownstreamReceiving);
         self.nodes[ni].net_rx += REPLY_MSG_BYTES;
-        let tcfg = &self.cfg.tiers[tier];
-        let mean = tcfg.phase2_demand;
-        let cv = tcfg.demand_cv;
-        let demand = self.workload.demand(mean, cv);
-        self.enqueue_cpu(now, ni, TaskKind::Phase2(req), demand, false);
+        let demand = self.workload.draw(&self.phase2_demand[tier]);
+        self.enqueue_cpu(now, ni, TaskKind::Phase2(req as u32), demand, false);
     }
 
     // ------------------------------------------------------------------
     // Memory / writeback / injectors
     // ------------------------------------------------------------------
 
-    fn start_recycle(&mut self, now: SimTime, ni: usize, mem_cfg: &crate::config::MemoryConfig) {
+    fn start_recycle(&mut self, now: SimTime, ni: usize) {
+        let mem_cfg = self.tier_cfg(ni).memory;
         let node = &mut self.nodes[ni];
         let drained = node.mem.begin_recycle();
         if drained == 0 {
@@ -1334,27 +1346,27 @@ impl CellSim {
     }
 
     fn writeback_start(&mut self, now: SimTime, ni: usize) {
-        let mem_cfg = self.tier_cfg(ni).memory.clone();
+        let mem_cfg = self.tier_cfg(ni).memory;
         let node = &mut self.nodes[ni];
         let drained = node.mem.background_writeback(mem_cfg.writeback_max_bytes);
         if drained > 0 {
             let done = node.disk.submit_write(now, drained);
             node.cpu.block_on_io(now);
-            self.queue.schedule(done, Ev::WritebackDone { node: ni });
+            self.queue
+                .schedule(done, Ev::WritebackDone { node: ni as u32 });
         }
         self.queue.schedule(
             now + mem_cfg.writeback_period,
-            Ev::WritebackStart { node: ni },
+            Ev::WritebackStart { node: ni as u32 },
         );
     }
 
     fn gc_tick(&mut self, now: SimTime, tier: usize) {
-        let Some(InjectorSpec::GcPause { period, pause, .. }) = self
+        let Some(&InjectorSpec::GcPause { period, pause, .. }) = self
             .cfg
             .injectors
             .iter()
             .find(|i| matches!(i, InjectorSpec::GcPause { tier: t, .. } if *t == tier))
-            .cloned()
         else {
             return;
         };
@@ -1366,11 +1378,12 @@ impl CellSim {
                 self.enqueue_cpu(now, ni, TaskKind::Seize(SeizeKind::Gc), pause, true);
             }
         }
-        self.queue.schedule(now + period, Ev::Gc { tier });
+        self.queue
+            .schedule(now + period, Ev::Gc { tier: tier as u32 });
     }
 
     fn dvfs_start(&mut self, now: SimTime, tier: usize) {
-        let Some(InjectorSpec::DvfsThrottle {
+        let Some(&InjectorSpec::DvfsThrottle {
             period,
             slow_factor,
             duration,
@@ -1380,7 +1393,6 @@ impl CellSim {
             .injectors
             .iter()
             .find(|i| matches!(i, InjectorSpec::DvfsThrottle { tier: t, .. } if *t == tier))
-            .cloned()
         else {
             return;
         };
@@ -1388,8 +1400,11 @@ impl CellSim {
         for ni in start..start + count {
             self.nodes[ni].cpu.set_speed(now, slow_factor);
         }
-        self.queue.schedule(now + duration, Ev::DvfsEnd { tier });
-        self.queue.schedule(now + period, Ev::DvfsStart { tier });
+        let tier_ix = tier as u32;
+        self.queue
+            .schedule(now + duration, Ev::DvfsEnd { tier: tier_ix });
+        self.queue
+            .schedule(now + period, Ev::DvfsStart { tier: tier_ix });
     }
 
     fn dvfs_end(&mut self, now: SimTime, tier: usize) {
@@ -1478,8 +1493,7 @@ impl CellSim {
             if self.inflight[slot].status == 503 {
                 self.rejected += 1;
             }
-            let record = self.build_record(slot);
-            fold_request(&mut self.dig_requests, &record);
+            fold_request(&mut self.dig_requests, &self.inflight[slot], &self.nodes);
         }
         let requests = if self.retention == Retention::Full {
             (0..self.inflight.len())
@@ -1532,15 +1546,43 @@ fn fold_endpoint(d: &mut Fnv64, e: Endpoint) {
     }
 }
 
-fn fold_request(d: &mut Fnv64, r: &RequestRecord) {
-    d.fold_u64(r.id.0);
-    d.fold_u64(u64::from(r.session.0));
-    d.fold_u64(r.interaction.idx as u64);
-    d.fold_u64(r.client_send.as_micros());
-    d.fold_opt(r.client_recv.map(|t| t.as_micros()));
-    d.fold_u64(u64::from(r.status));
-    d.fold_u64(r.spans.len() as u64);
-    for s in &r.spans {
+/// The [`TierSpan`]s of a request slot, served by `nodes`: one per tier
+/// visited once the reply reached the client, none before that (a pending
+/// request's record has empty spans).
+fn tier_spans<'a>(
+    f: &'a InFlight,
+    nodes: &'a [NodeState],
+) -> impl ExactSizeIterator<Item = TierSpan> + 'a {
+    let visited = if f.client_recv.is_some() {
+        f.spans.len()
+    } else {
+        0
+    };
+    f.spans[..visited]
+        .iter()
+        .zip(&f.nodes)
+        .map(|(s, &ni)| TierSpan {
+            node: nodes[ni].id,
+            upstream_arrival: s.ua.expect("complete request has UA"),
+            upstream_departure: s.ud.expect("complete request has UD"),
+            downstream_sending: s.ds,
+            downstream_receiving: s.dr,
+        })
+}
+
+/// Folds the [`RequestRecord`] of a slot, field by field in the record's
+/// order, straight from the slot: a scale run under digest retention
+/// hashes every request and keeps none, so it should not build one.
+fn fold_request(d: &mut Fnv64, f: &InFlight, nodes: &[NodeState]) {
+    d.fold_u64(f.id.0);
+    d.fold_u64(u64::from(f.session.0));
+    d.fold_u64(f.interaction.idx as u64);
+    d.fold_u64(f.client_send.as_micros());
+    d.fold_opt(f.client_recv.map(|t| t.as_micros()));
+    d.fold_u64(u64::from(f.status));
+    let spans = tier_spans(f, nodes);
+    d.fold_u64(spans.len() as u64);
+    for s in spans {
         fold_node(d, s.node);
         d.fold_u64(s.upstream_arrival.as_micros());
         d.fold_u64(s.upstream_departure.as_micros());

@@ -65,4 +65,4 @@ pub use types::{
     Interaction, InteractionSpec, NodeId, RequestId, RwKind, SessionId, TierId, TierKind,
     INTERACTIONS,
 };
-pub use workload::Workload;
+pub use workload::{Demand, Workload};

@@ -6,25 +6,51 @@
 
 use crate::config::WorkloadConfig;
 use crate::types::{Interaction, SessionId, INTERACTIONS};
-use mscope_sim::{SimDuration, SimRng, SimTime};
+use mscope_sim::{LogNormal, SimDuration, SimRng, SimTime, WeightedIndex};
+
+/// A service-demand distribution prepared for repeated draws: log-normal
+/// with a given mean and CV, or the constant zero for a zero mean. The
+/// engine builds one per (tier, interaction) and per tier's second phase
+/// instead of re-deriving the log-normal's parameters on every burst.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Demand(Option<LogNormal>);
+
+impl Demand {
+    /// Prepares the demand distribution with the given mean and CV.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cv` is negative.
+    pub fn new(mean: SimDuration, cv: f64) -> Demand {
+        Demand((!mean.is_zero()).then(|| LogNormal::from_mean_cv(mean.as_micros() as f64, cv)))
+    }
+}
 
 /// Stateful workload generator; one per run.
 #[derive(Debug, Clone)]
 pub struct Workload {
     cfg: WorkloadConfig,
     rng: SimRng,
-    weights: Vec<f64>,
+    mix: WeightedIndex<Vec<f64>>,
 }
 
 impl Workload {
     /// Creates the generator with its own RNG stream; weights reflect the
     /// configured [`WorkloadMix`](crate::config::WorkloadMix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mix leaves no interaction with a positive weight.
     pub fn new(cfg: WorkloadConfig, rng: SimRng) -> Self {
         let weights = INTERACTIONS
             .iter()
             .map(|s| s.weight * cfg.mix.weight_factor(s.rw))
             .collect();
-        Workload { cfg, rng, weights }
+        Workload {
+            cfg,
+            rng,
+            mix: WeightedIndex::new(weights),
+        }
     }
 
     /// The workload configuration.
@@ -47,7 +73,7 @@ impl Workload {
     /// Draws the next interaction for a session from the RUBBoS mix.
     pub fn next_interaction(&mut self) -> Interaction {
         Interaction {
-            idx: self.rng.weighted_index(&self.weights),
+            idx: self.mix.sample(&mut self.rng),
         }
     }
 
@@ -70,10 +96,16 @@ impl Workload {
     /// Draws a log-normal service demand with the given mean and CV,
     /// clamped below at 1 µs so bursts always take time.
     pub fn demand(&mut self, mean: SimDuration, cv: f64) -> SimDuration {
-        if mean.is_zero() {
+        self.draw(&Demand::new(mean, cv))
+    }
+
+    /// Draws from a prepared [`Demand`]: what [`demand`](Workload::demand)
+    /// draws for the same mean and CV.
+    pub fn draw(&mut self, demand: &Demand) -> SimDuration {
+        let Some(dist) = &demand.0 else {
             return SimDuration::ZERO;
-        }
-        let sample = self.rng.lognormal_mean_cv(mean.as_micros() as f64, cv);
+        };
+        let sample = dist.sample(&mut self.rng);
         SimDuration::from_micros((sample.round() as u64).max(1))
     }
 }

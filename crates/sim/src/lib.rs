@@ -13,7 +13,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time.
 //! * [`EventQueue`] — deterministic future-event list with FIFO tie-breaking.
-//! * [`SimRng`] — seeded RNG with the distributions workload models need.
+//! * [`SimRng`] — seeded RNG with the distributions workload models need;
+//!   [`LogNormal`] / [`WeightedIndex`] are the same samplers with their
+//!   parameters prepared once, for draws repeated in a hot loop.
 //! * [`TimeSeries`] / [`StepSeries`] — sampled and event-driven series.
 //! * [`Histogram`], [`Summary`], [`pearson`], [`percentile`], [`rmse`] —
 //!   statistics used by the analysis layer and the figure benches.
@@ -69,7 +71,7 @@ pub use digest::Fnv64;
 pub use event::EventQueue;
 pub use par::parallel_map;
 pub use queue::WorkQueue;
-pub use rng::SimRng;
+pub use rng::{LogNormal, SimRng, WeightedIndex};
 pub use series::{Agg, StepSeries, TimeSeries};
 pub use stats::{pearson, percentile, rmse, Histogram, Summary};
 pub use stream::{run_piped, RecordReceiver, RecordSender, RecordStream};

@@ -184,20 +184,14 @@ impl SimRng {
     /// Log-normal sample parameterized by the *target* mean and coefficient
     /// of variation of the resulting distribution (not of the underlying
     /// normal). This is the natural parameterization for service times:
-    /// "mean 3 ms, CV 0.3".
+    /// "mean 3 ms, CV 0.3". One draw from a [`LogNormal`] built on the spot;
+    /// build it once to draw from the same distribution repeatedly.
     ///
     /// # Panics
     ///
     /// Panics if `mean` is not positive or `cv` is negative.
     pub fn lognormal_mean_cv(&mut self, mean: f64, cv: f64) -> f64 {
-        assert!(mean > 0.0, "lognormal mean must be positive");
-        assert!(cv >= 0.0, "lognormal cv must be non-negative");
-        if cv == 0.0 {
-            return mean;
-        }
-        let sigma2 = (1.0 + cv * cv).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * self.standard_normal()).exp()
+        LogNormal::from_mean_cv(mean, cv).sample(self)
     }
 
     /// Bounded Pareto sample on `[lo, hi]` with shape `alpha`; heavy-tailed
@@ -235,14 +229,80 @@ impl SimRng {
         n - 1
     }
 
-    /// Samples an index according to the given non-negative weights.
+    /// Samples an index according to the given non-negative weights. One
+    /// draw from a [`WeightedIndex`] over borrowed weights; build an owned
+    /// one to draw from the same weights repeatedly.
     ///
     /// # Panics
     ///
     /// Panics if `weights` is empty, contains a negative value, or sums to 0.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index needs weights");
-        let total: f64 = weights
+        WeightedIndex::new(weights).sample(self)
+    }
+}
+
+/// A log-normal distribution prepared from its target mean and coefficient
+/// of variation: the two logarithms and the square root that turn those
+/// into the underlying normal's parameters are taken once, here, and every
+/// [`sample`](LogNormal::sample) is the same arithmetic on the same
+/// operands as [`SimRng::lognormal_mean_cv`] — bit-identical draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    mean: f64,
+    cv: f64,
+    mu: f64,
+    sigma: f64,
+}
+
+impl LogNormal {
+    /// Prepares the distribution with the given mean and CV.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` is not positive or `cv` is negative.
+    pub fn from_mean_cv(mean: f64, cv: f64) -> LogNormal {
+        assert!(mean > 0.0, "lognormal mean must be positive");
+        assert!(cv >= 0.0, "lognormal cv must be non-negative");
+        let sigma2 = (1.0 + cv * cv).ln();
+        LogNormal {
+            mean,
+            cv,
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
+    }
+
+    /// Draws one sample. A zero CV is the constant `mean` and consumes no
+    /// randomness.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        if self.cv == 0.0 {
+            return self.mean;
+        }
+        (self.mu + self.sigma * rng.standard_normal()).exp()
+    }
+}
+
+/// A discrete distribution over indices, prepared from non-negative
+/// weights: validated and summed (left to right) once, so a
+/// [`sample`](WeightedIndex::sample) is one uniform draw and a walk.
+/// Generic over the weight storage so one rule serves a borrowed slice
+/// ([`SimRng::weighted_index`]) and an owned table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightedIndex<W> {
+    weights: W,
+    total: f64,
+}
+
+impl<W: AsRef<[f64]>> WeightedIndex<W> {
+    /// Validates and sums the weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty, contains a negative value, or sums to 0.
+    pub fn new(weights: W) -> WeightedIndex<W> {
+        let w = weights.as_ref();
+        assert!(!w.is_empty(), "weighted_index needs weights");
+        let total: f64 = w
             .iter()
             .map(|w| {
                 assert!(*w >= 0.0, "weights must be non-negative");
@@ -250,7 +310,13 @@ impl SimRng {
             })
             .sum();
         assert!(total > 0.0, "weights must not all be zero");
-        let mut target = self.uniform01() * total;
+        WeightedIndex { weights, total }
+    }
+
+    /// Draws one index.
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        let weights = self.weights.as_ref();
+        let mut target = rng.uniform01() * self.total;
         for (i, w) in weights.iter().enumerate() {
             target -= w;
             if target <= 0.0 {

@@ -7,7 +7,7 @@
 //! order) shifts every seeded experiment in the repo, so it must show up
 //! here as a deliberate diff, not as silent drift.
 
-use mscope_sim::SimRng;
+use mscope_sim::{LogNormal, SimRng, WeightedIndex};
 
 /// First raw draws of the generator for two fixed seeds.
 #[test]
@@ -73,6 +73,31 @@ fn sampler_outputs_are_pinned() {
             want.to_bits()
         );
     }
+}
+
+/// The prepared samplers the engine draws from in its hot loop against
+/// the ad-hoc calls whose outputs are pinned above: 10 000 interleaved
+/// draws each from twin generators must agree to the bit and leave both
+/// generators in the same state (same number of raw draws consumed).
+#[test]
+fn prepared_samplers_draw_what_the_ad_hoc_calls_draw() {
+    // The RUBBoS mix has zero-weight entries (browse-only) and a long
+    // tail; shapes cover a zero CV, which must consume no randomness.
+    let weights = [12.0, 0.0, 7.5, 0.25, 30.0, 0.0, 1e-3, 3.0];
+    let shapes = [(850.0, 0.35), (1.0, 2.5), (40_000.0, 0.0), (3.0, 1e-9)];
+    let index = WeightedIndex::new(weights.to_vec());
+    let demands = shapes.map(|(mean, cv)| LogNormal::from_mean_cv(mean, cv));
+
+    let mut ad_hoc = SimRng::seed_from(0x5CC0_9E02);
+    let mut prepared = ad_hoc.clone();
+    for i in 0..10_000 {
+        assert_eq!(ad_hoc.weighted_index(&weights), index.sample(&mut prepared));
+        let (mean, cv) = shapes[i % shapes.len()];
+        let want = ad_hoc.lognormal_mean_cv(mean, cv);
+        let got = demands[i % shapes.len()].sample(&mut prepared);
+        assert_eq!(got.to_bits(), want.to_bits(), "draw {i}: {got} vs {want}");
+    }
+    assert_eq!(ad_hoc.next_u64(), prepared.next_u64());
 }
 
 /// uniform01 must stay in [0, 1) and use the full 53-bit mantissa budget.
