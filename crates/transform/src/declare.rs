@@ -176,8 +176,8 @@ pub(crate) struct StagedState {
 }
 
 /// Copies a borrowed pair that has to outlive its line: a block or context
-/// line's capture (a record line's never are), or an entry waiting in the
-/// streaming driver's flush buffer.
+/// line's capture. A record line's never are, and no driver copies an
+/// entry: both append its text to a columnar sink while it is borrowed.
 pub(crate) fn own((field, raw): (&str, &str)) -> Field {
     (field.to_string(), raw.to_string())
 }

@@ -44,10 +44,9 @@
 //! schema is (the inference fold) and how its cells are typed (the sink)
 //! once beside [`convert_xml`]; the `monitors` / `log_files` registration
 //! once beside [`DataTransformer`]. The shared core hands each entry to an
-//! `emit` callback as borrowed pairs — batch appends them to the sink,
-//! `execute` wraps them in an `<entry>`, streaming copies them into its
-//! flush buffer — and each driver keeps only what the other has no
-//! counterpart for.
+//! `emit` callback as borrowed pairs — batch and streaming append them to
+//! a sink, `execute` wraps them in an `<entry>` — and each driver keeps
+//! only what the other has no counterpart for.
 //!
 //! ## Example
 //!

@@ -5,37 +5,39 @@
 //! driver of the *same rules*: it tails the declared files of a growing
 //! [`LogStore`], pushes exactly the complete new lines / XML entries
 //! through the shared core each [`poll`](StreamingTransformer::poll), and
-//! appends typed rows to the warehouse via [`Database::insert_batch`] as
-//! they arrive, so the warehouse is queryable mid-run.
+//! appends typed columns to the warehouse via [`Database::insert_columns`]
+//! as they arrive, so the warehouse is queryable mid-run.
 //!
 //! What a line or an entry element *means* is not decided here. The staged
 //! ladder and the XML entry mapper are
 //! [`ParsingDeclaration::staged_line`] / [`ParsingDeclaration::xml_entry`],
-//! schema inference is [`SchemaFold`], and the `monitors` / `log_files`
-//! registration is [`register_metadata`] — each called by the batch driver
-//! too. (Batch also keeps its cells in the fold's columnar sink,
-//! `RawColumns`; this driver still buffers owned entries per flush.) This
+//! schema inference, the raw cells waiting for their type and the typing
+//! itself are the columnar sink batch fills too ([`RawColumns`]), and the
+//! `monitors` / `log_files` registration is [`register_metadata`]. This
 //! module owns only what batch has no counterpart for:
 //!
 //! * **Tailing.** A consumed-byte offset per declaration; a staged file
 //!   advances by complete lines, an XML-direct file by complete
 //!   `<entry…>…</entry>` spans extracted from the unconsumed suffix and
-//!   parsed as standalone fragments.
+//!   parsed as standalone fragments. Each poll parses a file's new entries
+//!   into a sink of its own and appends that to its table's, in
+//!   declaration order at any worker count.
 //! * **Raw retention.** Batch inference sees all values before choosing
 //!   column types; streaming commits rows under the *running* join and may
 //!   later learn it was too narrow (a column of all-digit hex request IDs
-//!   infers `Int` until the first ID with a letter arrives). So every
-//!   committed cell remembers how to recover its raw text ([`RawCell`]):
-//!   most cells render back to their raw form exactly (`Canonical`, no
-//!   storage); the rest keep the raw string (`Kept`). A column that
-//!   reaches `Text` — the top of the lattice — drops its raws.
+//!   infers `Int` until the first ID with a letter arrives). So the
+//!   table's sink is not dropped at a flush: a column below `Text` keeps
+//!   the raw text of its committed rows (the digits of a number and an
+//!   offset — less than a typed cell), and a column that reaches `Text` —
+//!   the top of the lattice, where the long strings are — lets it go at
+//!   every flush.
 //! * **Migration by rebuild.** When a chunk widens a column's type (or
 //!   introduces a column), the committed prefix is rebuilt under the new
-//!   schema — unchanged columns copied, changed columns re-parsed from
-//!   their recovered raws — and swapped in with
-//!   [`Database::replace_table`]. Batch parses each cell once with the
-//!   final type; streaming re-parses the same raw text with the same
-//!   final type, so the values are byte-identical.
+//!   schema — unchanged columns copied, changed and new ones re-typed by
+//!   the sink from the text it kept — and swapped in with
+//!   [`Database::replace_table`]. Batch types each cell once with the
+//!   final type; streaming types the same raw text again with the same
+//!   final type, in the same loop, so the values are byte-identical.
 //!
 //! ## Convergence with batch
 //!
@@ -51,28 +53,16 @@
 //! Tables fed by a single file — every event table — come out
 //! byte-identical, rows included.
 
-use crate::convert::SchemaFold;
+use crate::convert::RawColumns;
 use crate::declare::{
-    own, EntryFields, Field, ParserKind, ParserSpec, ParsingDeclaration, StagedState, XmlMapping,
+    EntryFields, ParserKind, ParserSpec, ParsingDeclaration, StagedState, XmlMapping,
 };
 use crate::error::TransformError;
-use crate::import::parse_cell;
 use crate::pipeline::{register_metadata, DataTransformer, TransformReport};
 use crate::xml;
-use mscope_db::{ColumnType, Database, DbError, Schema, Table, Value};
+use mscope_db::{Database, DbError, Schema, Table};
 use mscope_monitors::{LogFileMeta, LogStore};
 use mscope_sim::parallel_map;
-
-/// One parsed entry: `(field, raw value)` pairs, constants first, owned so
-/// they can wait in a table sink's buffer for the next flush.
-type Fields = Vec<Field>;
-
-/// Collects the shared core's borrowed emit into an owned entry.
-fn owned(fields: &EntryFields<'_>) -> Fields {
-    let mut entry = Vec::with_capacity(fields.len());
-    entry.extend(fields.iter().map(own));
-    entry
-}
 
 // ---------------------------------------------------------------------------
 // Per-declaration incremental parser state
@@ -88,18 +78,20 @@ struct DeclState {
     staged: StagedState,
 }
 
-/// Consumes the unconsumed suffix of `content`, emitting entries for every
-/// complete unit (line or XML entry span). With `at_end` the trailing
+/// Consumes the unconsumed suffix of `content`, handing `sink` the entry of
+/// every complete unit (line or XML entry span). With `at_end` the trailing
 /// newline-less line is processed too (batch `str::lines` semantics).
 fn advance(
     decl: &ParsingDeclaration,
+    tags: &EntryTags,
     st: &mut DeclState,
     content: &str,
     at_end: bool,
-) -> Result<Vec<Fields>, TransformError> {
+    sink: &mut RawColumns,
+) -> Result<(), TransformError> {
     match &decl.parser {
-        ParserKind::Staged(spec) => advance_staged(decl, spec, st, content, at_end),
-        ParserKind::XmlDirect(map) => advance_xml(decl, map, st, content),
+        ParserKind::Staged(spec) => advance_staged(decl, spec, st, content, at_end, sink),
+        ParserKind::XmlDirect(map) => advance_xml(decl, map, tags, st, content, sink),
     }
 }
 
@@ -109,12 +101,9 @@ fn advance_staged(
     st: &mut DeclState,
     content: &str,
     at_end: bool,
-) -> Result<Vec<Fields>, TransformError> {
-    let mut out = Vec::new();
-    let mut emit = |fields: EntryFields<'_>| {
-        out.push(owned(&fields));
-        Ok(())
-    };
+    sink: &mut RawColumns,
+) -> Result<(), TransformError> {
+    let mut emit = |fields: EntryFields<'_>| sink.entry(&decl.path, fields.iter());
     let mut pos = st.consumed;
     while let Some(nl) = content[pos..].find('\n') {
         // A complete line: strip the newline and an optional \r, exactly
@@ -132,12 +121,32 @@ fn advance_staged(
         decl.staged_line(spec, &mut st.staged, &content[pos..], &mut emit)?;
         st.consumed = content.len();
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Incremental XML entry-span extraction
 // ---------------------------------------------------------------------------
+
+/// The `<name` and `</name>` an XML-direct declaration's entry spans are
+/// found by, built once with the transformer; empty for a staged one.
+#[derive(Debug, Default)]
+struct EntryTags {
+    open: String,
+    close: String,
+}
+
+impl EntryTags {
+    fn of(decl: &ParsingDeclaration) -> EntryTags {
+        match &decl.parser {
+            ParserKind::Staged(_) => EntryTags::default(),
+            ParserKind::XmlDirect(map) => EntryTags {
+                open: format!("<{}", map.entry_element),
+                close: format!("</{}>", map.entry_element),
+            },
+        }
+    }
+}
 
 enum Span {
     /// No entry element starts in the haystack.
@@ -185,15 +194,13 @@ fn is_tag_delim(c: Option<&u8>) -> bool {
 /// Finds the next complete `<name …>…</name>` (or self-closing
 /// `<name …/>`) span in `hay`, tolerating prologue/epilogue text and
 /// nested same-name elements.
-fn find_entry_span(hay: &str, name: &str) -> Span {
+fn find_entry_span(hay: &str, tags: &EntryTags) -> Span {
     let b = hay.as_bytes();
-    // perf: two small tag strings per scan call, not per byte.
-    let open = format!("<{name}");
-    let close = format!("</{name}>");
+    let (open, close) = (tags.open.as_str(), tags.close.as_str());
     // Locate a candidate start: `<name` followed by a tag delimiter.
     let mut i = 0;
     let start = loop {
-        match hay[i..].find(&open) {
+        match hay[i..].find(open) {
             None => return Span::None,
             Some(off) => {
                 let s = i + off;
@@ -217,7 +224,7 @@ fn find_entry_span(hay: &str, name: &str) -> Span {
             j += 1;
             continue;
         }
-        if hay[j..].starts_with(&close) {
+        if hay[j..].starts_with(close) {
             if depth <= 1 {
                 return Span::Complete(start, j + close.len());
             }
@@ -225,7 +232,7 @@ fn find_entry_span(hay: &str, name: &str) -> Span {
             j += close.len();
             continue;
         }
-        let opens_entry = hay[j..].starts_with(&open) && is_tag_delim(b.get(j + open.len()));
+        let opens_entry = hay[j..].starts_with(open) && is_tag_delim(b.get(j + open.len()));
         let Some((tag_end, self_closing)) = scan_tag(b, j) else {
             return Span::Incomplete;
         };
@@ -246,112 +253,48 @@ fn find_entry_span(hay: &str, name: &str) -> Span {
 fn advance_xml(
     decl: &ParsingDeclaration,
     map: &XmlMapping,
+    tags: &EntryTags,
     st: &mut DeclState,
     content: &str,
-) -> Result<Vec<Fields>, TransformError> {
-    let mut out = Vec::new();
-    while let Span::Complete(start, end) =
-        find_entry_span(&content[st.consumed..], &map.entry_element)
-    {
+    sink: &mut RawColumns,
+) -> Result<(), TransformError> {
+    let mut emit = |fields: EntryFields<'_>| sink.entry(&decl.path, fields.iter());
+    while let Span::Complete(start, end) = find_entry_span(&content[st.consumed..], tags) {
         let span = &content[st.consumed + start..st.consumed + end];
         let el = xml::parse(span).map_err(TransformError::Xml)?;
-        decl.xml_entry(map, &el, &mut |fields| {
-            out.push(owned(&fields));
-            Ok(())
-        })?;
+        decl.xml_entry(map, &el, &mut emit)?;
         st.consumed += end;
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// Table sinks: running schema inference + migration by rebuild
+// Table sinks: the running schema + migration by rebuild
 // ---------------------------------------------------------------------------
 
-/// How a committed cell's raw text is recoverable for a later re-parse.
-#[derive(Debug, Clone, PartialEq)]
-enum RawCell {
-    /// The field was absent from its entry — `Null` under any type.
-    Missing,
-    /// The raw text equals the committed value's [`Value::render`] output
-    /// exactly; nothing is stored, the render recovers it on demand.
-    Canonical,
-    /// The raw text diverges from the canonical rendering (padding,
-    /// trailing zeros, alternate bool casing) and is kept verbatim.
-    Kept(Box<str>),
-}
-
-impl RawCell {
-    /// The cheapest form that still recovers `raw` from its committed `v`.
-    fn retain(raw: &str, v: &Value) -> RawCell {
-        if raw == v.render() {
-            RawCell::Canonical
-        } else {
-            // perf: raw retained only when it diverges from the canonical
-            // rendering — rare.
-            RawCell::Kept(raw.into())
-        }
-    }
-}
-
-/// Accumulates one destination table's entries, maintains the running
-/// schema ([`SchemaFold`], the fold batch applies), and keeps the
-/// warehouse table converged with it.
-#[derive(Debug)]
+/// One destination table's columnar sink — its entries, its running schema
+/// and the raw text that schema may yet re-type — and the warehouse table
+/// kept converged with it.
+#[derive(Debug, Default)]
 struct TableSink {
     table: String,
     /// Declarations feeding this table (the report's `files` share).
     files: usize,
     created: bool,
-    committed: usize,
-    fold: SchemaFold,
-    /// Per fold column, one [`RawCell`] per committed row; `None` once the
-    /// column's join reached `Text` (top of the lattice — the type can
-    /// never change again).
-    raws: Vec<Option<Vec<RawCell>>>,
-    buffered: Vec<Fields>,
+    raw: RawColumns,
 }
 
 impl TableSink {
-    fn new(table: &str) -> TableSink {
-        TableSink {
-            table: table.to_string(),
-            files: 0,
-            created: false,
-            committed: 0,
-            fold: SchemaFold::default(),
-            raws: Vec::new(),
-            buffered: Vec::new(),
-        }
-    }
-
-    /// Folds one entry into the running schema and buffers it for the next
-    /// flush.
-    fn add_entry(&mut self, entry: Fields) -> Result<(), TransformError> {
-        self.fold.begin_entry();
-        for (field, raw) in &entry {
-            self.fold.field(&self.table, field, raw)?;
-        }
-        // perf: a column first seen now was Missing in every
-        // already-committed row — one backfill per new column (a handful
-        // per table, ever), not per entry.
-        let committed = self.committed;
-        self.raws.resize_with(self.fold.columns().len(), || {
-            Some(vec![RawCell::Missing; committed])
-        });
-        self.buffered.push(entry);
-        Ok(())
-    }
-
-    /// Commits the buffered entries: migrates the warehouse table if the
-    /// schema moved, then materializes and batch-appends the new rows.
+    /// Commits the rows that arrived since the last flush: migrates the
+    /// warehouse table if the schema moved, then types the new rows
+    /// column-wise and appends them.
     fn flush(&mut self, db: &mut Database) -> Result<(), TransformError> {
-        if self.buffered.is_empty() {
+        if self.raw.rows() == self.raw.committed() {
             return Ok(());
         }
-        let schema = self.fold.schema()?;
+        let schema = self.raw.schema()?;
         if !self.created {
-            db.ensure_table(&self.table, schema.clone())
+            db.ensure_table(&self.table, schema)
                 .map_err(TransformError::Db)?;
             self.created = true;
         } else if db
@@ -360,53 +303,22 @@ impl TableSink {
             .schema()
             != &schema
         {
-            self.migrate(db, &schema)?;
+            self.migrate(db, schema)?;
         }
-        // perf: one rows vector per flush, sized to the buffered chunk.
-        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(self.buffered.len());
-        for entry in &self.buffered {
-            let mut row = Vec::with_capacity(self.raws.len());
-            for (col, raws) in self.fold.columns().iter().zip(&mut self.raws) {
-                let cell = entry.iter().find(|(k, _)| *k == col.name);
-                let v = match cell {
-                    None => Value::Null,
-                    Some((_, raw)) => parse_cell(&self.table, &col.name, col.ty(), raw)?,
-                };
-                // Only a column that still holds raws pays for the render
-                // comparison.
-                if let Some(raws) = raws {
-                    raws.push(match cell {
-                        None => RawCell::Missing,
-                        Some((_, raw)) => RawCell::retain(raw, &v),
-                    });
-                }
-                row.push(v);
-            }
-            rows.push(row);
-        }
-        let n = rows.len();
-        db.insert_batch(&self.table, rows)
+        let columns = self.raw.take_new(&self.table)?;
+        db.insert_columns(&self.table, columns)
             .map_err(TransformError::Db)?;
-        self.committed += n;
-        self.buffered.clear();
-        // Text is the top of the lattice: those columns can never change
-        // type again, so their raws are dead weight.
-        for (col, raws) in self.fold.columns().iter().zip(&mut self.raws) {
-            if col.join == ColumnType::Text {
-                *raws = None;
-            }
-        }
         Ok(())
     }
 
     /// Rebuilds the committed prefix under a new schema and swaps it in.
-    /// Unchanged columns are copied; columns whose type moved are re-parsed
-    /// from their recovered raw text — producing the cells batch would
-    /// have produced parsing the same raws with the final type in the
-    /// first place.
-    fn migrate(&mut self, db: &mut Database, new_schema: &Schema) -> Result<(), TransformError> {
+    /// Unchanged columns are copied; a column whose type moved, or that is
+    /// new, is typed again from the raw text the sink kept — producing the
+    /// cells batch would have produced typing the same text under the
+    /// final type in the first place.
+    fn migrate(&mut self, db: &mut Database, new_schema: Schema) -> Result<(), TransformError> {
         let old = db.require(&self.table).map_err(TransformError::Db)?;
-        if old.row_count() != self.committed {
+        if old.row_count() != self.raw.committed() {
             // Rows we did not ingest (a pre-existing table) cannot be
             // migrated — the same situation batch reports as a schema
             // mismatch between the inferred and the existing schema.
@@ -416,58 +328,20 @@ impl TableSink {
                 incoming: new_schema.to_string(),
             }));
         }
-        let mut cols_data: Vec<Vec<Value>> = Vec::with_capacity(self.raws.len());
-        for (col, raws) in self.fold.columns().iter().zip(&mut self.raws) {
-            let new_ty = col.ty();
-            let old_schema = old.schema();
-            let old_ty = old_schema
+        let was = old.schema();
+        let mut columns = Vec::with_capacity(new_schema.len());
+        for (ci, col) in new_schema.columns().iter().enumerate() {
+            let kept = was
                 .index_of(&col.name)
-                .map(|ci| old_schema.columns()[ci].ty);
-            let vals = match old.column(&col.name) {
-                // perf: one Null backfill per brand-new column (every
-                // committed row lacked it), during a migration that runs
-                // at most a few times per table.
-                None => vec![Value::Null; self.committed],
-                Some(old_vals) if old_ty == Some(new_ty) => old_vals.to_vec(),
-                Some(old_vals) => {
-                    // A column below the lattice top always holds raws.
-                    let Some(raws) = raws else {
-                        return Err(TransformError::SchemaInference(format!(
-                            "migration of `{}` lost raws for column `{}`",
-                            self.table, col.name
-                        )));
-                    };
-                    // Re-parse every committed cell from its recovered raw.
-                    let mut vals = Vec::with_capacity(self.committed);
-                    for (rc, old_val) in raws.iter_mut().zip(old_vals) {
-                        let recovered;
-                        let raw: &str = match rc {
-                            RawCell::Missing => {
-                                vals.push(Value::Null);
-                                continue;
-                            }
-                            RawCell::Kept(s) => s,
-                            RawCell::Canonical => {
-                                recovered = old_val.render();
-                                &recovered
-                            }
-                        };
-                        let v = parse_cell(&self.table, &col.name, new_ty, raw)?;
-                        *rc = RawCell::retain(raw, &v);
-                        vals.push(v);
-                    }
-                    vals
-                }
-            };
-            cols_data.push(vals);
+                .filter(|&oi| was.columns()[oi].ty == col.ty)
+                .and_then(|_| old.column(&col.name));
+            columns.push(match kept {
+                Some(cells) => cells.to_vec(),
+                None => self.raw.retype(&self.table, ci)?,
+            });
         }
-        let mut rebuilt = Table::new(self.table.clone(), new_schema.clone());
-        // perf: migrations happen at most a few times per table, on the
-        // committed prefix only — the steady state never pays this.
-        let rows: Vec<Vec<Value>> = (0..self.committed)
-            .map(|r| cols_data.iter().map(|c| c[r].clone()).collect())
-            .collect();
-        rebuilt.push_batch(rows).map_err(TransformError::Db)?;
+        let mut rebuilt = Table::new(self.table.clone(), new_schema);
+        rebuilt.push_columns(columns).map_err(TransformError::Db)?;
         db.replace_table(rebuilt).map_err(TransformError::Db)?;
         Ok(())
     }
@@ -485,6 +359,7 @@ impl TableSink {
 pub struct StreamingTransformer {
     declarations: Vec<ParsingDeclaration>,
     manifest: Vec<LogFileMeta>,
+    tags: Vec<EntryTags>,
     states: Vec<DeclState>,
     sink_of: Vec<usize>,
     sinks: Vec<TableSink>,
@@ -496,80 +371,75 @@ impl StreamingTransformer {
         manifest: Vec<LogFileMeta>,
     ) -> StreamingTransformer {
         // Sinks in sorted table order — the order batch groups by table
-        // (BTreeMap) and therefore the order the report lists.
-        let mut tables: Vec<&str> = declarations.iter().map(|d| d.table.as_str()).collect();
-        tables.sort_unstable();
-        tables.dedup();
-        let mut sinks: Vec<TableSink> = tables.iter().map(|t| TableSink::new(t)).collect();
-        let sink_of: Vec<usize> = declarations
-            .iter()
-            .map(|d| {
-                // The set was just built from these same declarations, so
-                // the lookup cannot miss.
-                tables.binary_search(&d.table.as_str()).unwrap_or(0)
+        // (BTreeMap) and therefore the order the report lists: one sink per
+        // run of equal table names, its index given to that run's files.
+        let mut by_table: Vec<usize> = (0..declarations.len()).collect();
+        by_table.sort_by_key(|&di| &declarations[di].table);
+        let mut sink_of = vec![0; declarations.len()];
+        let sinks = by_table
+            .chunk_by(|&a, &b| declarations[a].table == declarations[b].table)
+            .enumerate()
+            .map(|(si, files)| {
+                for &di in files {
+                    sink_of[di] = si;
+                }
+                TableSink {
+                    table: declarations[files[0]].table.clone(),
+                    files: files.len(),
+                    ..TableSink::default()
+                }
             })
             .collect();
-        for &si in &sink_of {
-            sinks[si].files += 1;
-        }
-        let states = declarations.iter().map(|_| DeclState::default()).collect();
         StreamingTransformer {
+            tags: declarations.iter().map(EntryTags::of).collect(),
+            states: declarations.iter().map(|_| DeclState::default()).collect(),
             declarations,
             manifest,
-            states,
             sink_of,
             sinks,
         }
     }
 
-    /// Parses every declaration's unconsumed suffix. Results (and the
-    /// advanced states) come back in declaration order regardless of
-    /// worker count, which is what makes the parallel path byte-identical
-    /// to the serial one.
-    fn parse_new(
+    /// Parses every declaration's unconsumed suffix into a sink of its
+    /// own, appends those to their tables' sinks and flushes each table.
+    /// The sinks (and the advanced states) come back in declaration order
+    /// regardless of worker count, which is what makes the parallel path
+    /// byte-identical to the serial one.
+    fn ingest(
         &mut self,
         store: &LogStore,
+        db: &mut Database,
         workers: usize,
         at_end: bool,
-    ) -> Result<Vec<Vec<Fields>>, TransformError> {
-        let decls = &self.declarations;
-        let states = &self.states;
-        let results: Vec<(DeclState, Result<Vec<Fields>, TransformError>)> =
+    ) -> Result<(), TransformError> {
+        let (decls, tags, states) = (&self.declarations, &self.tags, &self.states);
+        let results: Vec<(DeclState, Result<RawColumns, TransformError>)> =
             parallel_map(decls.len(), workers.max(1), |di| {
                 let decl = &decls[di];
                 let mut st = states[di].clone();
+                let mut chunk = RawColumns::default();
                 let r = match store.read(&decl.path) {
                     // A file that does not exist yet simply has no data;
                     // it is only an error if still absent at the end.
-                    None if !at_end => Ok(Vec::new()),
+                    None if !at_end => Ok(()),
                     None => Err(TransformError::MissingFile(decl.path.clone())),
-                    Some(content) => advance(decl, &mut st, content, at_end),
+                    Some(content) => advance(decl, &tags[di], &mut st, content, at_end, &mut chunk),
                 };
-                if let Ok(entries) = &r {
-                    st.entries += entries.len();
-                }
-                (st, r)
+                st.entries += chunk.rows();
+                (st, r.map(|()| chunk))
             });
-        let mut out = Vec::with_capacity(results.len());
         let mut first_err = None;
         for (di, (st, r)) in results.into_iter().enumerate() {
             self.states[di] = st;
             match r {
-                Ok(entries) => out.push(entries),
+                Ok(chunk) => self.sinks[self.sink_of[di]].raw.append(chunk),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
-        first_err.map_or(Ok(out), Err)
-    }
-
-    fn apply(&mut self, parsed: Vec<Vec<Fields>>, db: &mut Database) -> Result<(), TransformError> {
-        for (di, entries) in parsed.into_iter().enumerate() {
-            let sink = &mut self.sinks[self.sink_of[di]];
-            for entry in entries {
-                sink.add_entry(entry)?;
-            }
+        if let Some(e) = first_err {
+            return Err(e);
         }
         for sink in &mut self.sinks {
             sink.flush(db)?;
@@ -603,8 +473,7 @@ impl StreamingTransformer {
         db: &mut Database,
         workers: usize,
     ) -> Result<(), TransformError> {
-        let parsed = self.parse_new(store, workers, false)?;
-        self.apply(parsed, db)
+        self.ingest(store, db, workers, false)
     }
 
     /// Drains the final partial lines, validates the XML-direct documents,
@@ -622,8 +491,7 @@ impl StreamingTransformer {
         store: &LogStore,
         db: &mut Database,
     ) -> Result<TransformReport, TransformError> {
-        let parsed = self.parse_new(store, 1, true)?;
-        self.apply(parsed, db)?;
+        self.ingest(store, db, 1, true)?;
 
         // The span extractor only ever sees complete entries; re-parse each
         // XML document once to surface malformed-XML errors exactly as
@@ -648,7 +516,7 @@ impl StreamingTransformer {
         // document set into an empty schema and ensures the table).
         for sink in &mut self.sinks {
             if !sink.created {
-                db.ensure_table(&sink.table, sink.fold.schema()?)
+                db.ensure_table(&sink.table, sink.raw.schema()?)
                     .map_err(TransformError::Db)?;
                 sink.created = true;
             }
@@ -659,9 +527,11 @@ impl StreamingTransformer {
         let mut report = TransformReport::default();
         for sink in &self.sinks {
             report.files += sink.files;
-            report.entries += sink.committed;
+            report.entries += sink.raw.committed();
             // perf: one owned table name per loaded table, once at finish.
-            report.tables.push((sink.table.clone(), sink.committed));
+            report
+                .tables
+                .push((sink.table.clone(), sink.raw.committed()));
         }
         Ok(report)
     }
@@ -692,7 +562,7 @@ mod tests {
     use super::*;
     use crate::declare::ParserSpec;
     use crate::pattern::{Pattern, Tok};
-    use mscope_db::ValueKey;
+    use mscope_db::{ColumnType, Value, ValueKey};
     use mscope_monitors::MonitorSuite;
     use mscope_ntier::{Simulator, SystemConfig};
     use mscope_sim::SimDuration;
@@ -930,7 +800,8 @@ r 3 777 00:00:03.000000 -\n";
     fn late_new_column_null_backfills() {
         // Two record patterns: `p x y` carries a `y` field, `p x` does
         // not — so `y` first appears mid-stream, after rows without it
-        // were already committed.
+        // were already committed and after the `node` constant, at `Text`
+        // from its first row, has let the committed rows' text go.
         let decl = ParsingDeclaration {
             path: "late.log".into(),
             monitor_id: "m1".into(),
@@ -945,7 +816,7 @@ r 3 777 00:00:03.000000 -\n";
                 blocks: None,
             }),
             table: "late".into(),
-            constants: vec![],
+            constants: vec![("node".into(), "n0".into())],
         };
         let content = "p 1\np 2\np 3 9\np 4 10\n";
         let batch = batch_oracle(&decl, content);
@@ -957,6 +828,22 @@ r 3 777 00:00:03.000000 -\n";
         let t = streamed.require("late").unwrap();
         assert_eq!(t.cell(0, "y"), Some(&Value::Null));
         assert_eq!(t.cell(2, "y"), Some(&Value::Int(9)));
+        assert_eq!(t.cell(3, "node"), Some(&Value::Text("n0".into())));
+
+        // Into a warehouse that already holds the table, the same schema
+        // loads — until `y` arrives: rows this run did not load cannot be
+        // migrated, which is the schema mismatch batch reports.
+        let mut db = batch_oracle(&decl, "p 0\n");
+        let mut st = StreamingTransformer::from_parts(vec![decl.clone()], Vec::new());
+        let mut partial = LogStore::new();
+        partial.append(&decl.path, "p 1\np 2\n");
+        st.poll(&partial, &mut db).unwrap();
+        assert_eq!(db.require("late").unwrap().row_count(), 3);
+        partial.append(&decl.path, "p 3 9\n");
+        assert!(matches!(
+            st.poll(&partial, &mut db),
+            Err(TransformError::Db(DbError::SchemaMismatch { .. }))
+        ));
     }
 
     #[test]

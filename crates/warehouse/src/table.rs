@@ -210,14 +210,9 @@ impl Table {
         }
     }
 
-    /// Appends one row.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Arity`] if the row width differs from the schema;
-    /// [`DbError::TypeMismatch`] if a value is not admitted by its column's
-    /// type.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), DbError> {
+    /// The check every row passes before it is appended: the schema's width,
+    /// and each value admitted by its column's type.
+    fn check_row(&self, row: &[Value]) -> Result<(), DbError> {
         if row.len() != self.schema.len() {
             return Err(DbError::Arity {
                 table: self.name.clone(),
@@ -230,6 +225,18 @@ impl Table {
                 return Err(self.mismatch(c, v));
             }
         }
+        Ok(())
+    }
+
+    /// Appends one row.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Arity`] if the row width differs from the schema;
+    /// [`DbError::TypeMismatch`] if a value is not admitted by its column's
+    /// type.
+    pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), DbError> {
+        self.check_row(&row)?;
         for (ci, (col, v)) in self.cols.iter_mut().zip(row).enumerate() {
             self.index.note(ci, col.last(), &v);
             col.push(v);
@@ -267,18 +274,7 @@ impl Table {
     /// offending row; the table is unchanged in that case.
     pub fn push_batch(&mut self, rows: Vec<Vec<Value>>) -> Result<usize, DbError> {
         for row in &rows {
-            if row.len() != self.schema.len() {
-                return Err(DbError::Arity {
-                    table: self.name.clone(),
-                    expected: self.schema.len(),
-                    got: row.len(),
-                });
-            }
-            for (v, c) in row.iter().zip(self.schema.columns()) {
-                if !c.ty.admits(v.column_type()) {
-                    return Err(self.mismatch(c, v));
-                }
-            }
+            self.check_row(row)?;
         }
         let n = rows.len();
         for col in &mut self.cols {
