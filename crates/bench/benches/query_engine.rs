@@ -2,15 +2,20 @@
 //! the naive row-at-a-time oracles on paper-shaped workloads — a windowed
 //! select over a time-sorted event table (the PiT/VLRT slice query), a
 //! request-ID join (the §IV-B flow-reconstruction access pattern), and
-//! the stats-driven SQL planner against its planner-off ablation — at
-//! ≥100k rows.
+//! the SQL planner's statistics-driven join build side against the same
+//! query planned with its choices pinned — at ≥100k rows.
 //!
 //! Before any number is reported, every compiled result is checked
-//! identical to its naive oracle, every planner result is checked
-//! identical to the planner-off clause-by-clause run and to the legacy
-//! verbs, and the parallel legs are checked byte-identical across worker
-//! counts. The speedup figures therefore only ever compare *equivalent*
-//! query plans.
+//! identical to its naive oracle, the planner result is checked identical
+//! to the planner-off plan's and to the naive join, and the parallel legs
+//! are checked byte-identical across worker counts. The speedup figures
+//! therefore only ever compare *equivalent* query plans.
+//!
+//! Planner on and off share one executor, so a ratio between them exists
+//! only where the planner *decides* something from statistics. Projection
+//! pushdown and in-place grouping are properties of that executor — 1.0×
+//! by construction — and are held to the naive interpreter by
+//! `crates/warehouse/tests/sql_prop.rs`, not timed here.
 //!
 //! ```text
 //! cargo bench -p mscope-bench --bench query_engine -- [--smoke] [--out PATH]
@@ -19,11 +24,11 @@
 //! Writes a `BENCH_query.json` summary for CI artifact upload and asserts
 //! the windowed select and request-ID join are ≥3x over the naive scan,
 //! the materializing hash join is ≥2x over its naive oracle, and the
-//! planner's projection-pushdown and join-reorder wins are ≥1.5x over
-//! the planner-off run.
+//! planner's join-reorder win is ≥1.5x over the planner-off plan.
 
 use mscope_db::{
-    Column, ColumnType, Database, KeyIndex, Predicate, QueryOptions, Schema, Table, Value,
+    Column, ColumnType, CompiledPredicate, Database, KeyIndex, Predicate, QueryOptions, Schema,
+    Table, Value,
 };
 use mscope_serdes::Json;
 use mscope_sim::SimRng;
@@ -94,7 +99,10 @@ fn main() {
         });
     let rows = if smoke { 20_000 } else { 150_000 };
     let probes = if smoke { 50 } else { 200 };
-    let samples = if smoke { 3 } else { 5 };
+    // Smoke legs are 0.5–12 ms: one descheduling on a shared host is a 2x
+    // swing in a ratio, and best-of-3 let one run in eleven through at
+    // 2.5x on the request-ID join. More samples cost smoke ~0.25 s.
+    let samples = if smoke { 9 } else { 5 };
 
     eprintln!(
         "## query_engine ({}, {rows} rows)",
@@ -122,9 +130,9 @@ fn main() {
     let expected = table.filter_naive(&window_pred);
     let expected_json = mscope_serdes::to_string(&expected);
     for workers in [0usize, 1, 2, 4, 8] {
-        let got = table.filter_with(&window_pred, workers);
+        let rows = CompiledPredicate::compile(&table, &window_pred).matching_rows_with(workers);
         assert_eq!(
-            mscope_serdes::to_string(&got),
+            mscope_serdes::to_string(&table.select_rows(&rows)),
             expected_json,
             "windowed select drift at workers={workers}"
         );
@@ -213,10 +221,10 @@ fn main() {
         hash_join_naive, hash_join
     );
 
-    // ---- SQL planner vs planner-off ablation: the same parsed query run
-    // through `query_opts` with the optimizer on and off. Every pair is
+    // ---- SQL planner vs planner-off: the same parsed query run through
+    // `query_opts` with the planner's choices live and pinned. The pair is
     // gated identical (and byte-identical across worker counts) before
-    // timing, so each ratio isolates one planner decision.
+    // timing, so the ratio isolates one planner decision.
     let mut db = Database::new();
     let front_schema = Schema::new(vec![
         Column::new("request_id", ColumnType::Text),
@@ -235,9 +243,8 @@ fn main() {
     db.replace_table(front_tbl.clone()).expect("front installs");
     db.replace_table(table.clone()).expect("events install");
 
-    // The identity gate shared by every SQL benchmark below: optimizer on
-    // ≡ optimizer off, and the optimized run is byte-identical across
-    // serial and parallel worker counts.
+    // The identity gate: optimizer on ≡ optimizer off, and the optimized
+    // run is byte-identical across serial and parallel worker counts.
     let gate = |sql: &str| -> Table {
         let on = db
             .query_opts(sql, QueryOptions::default())
@@ -292,64 +299,28 @@ fn main() {
         (off_secs, on_secs)
     };
 
-    // Projection pushdown + late materialization: the planner sorts and
-    // truncates the selection vector, then gathers two columns for 100
-    // rows; the planner-off run materializes every matching row first.
-    let sql_proj = "SELECT request_id, ud FROM event_apache \
-                    WHERE interaction = 'ViewStory' ORDER BY ud DESC LIMIT 100";
-    {
-        let got = gate(sql_proj);
-        let pred = Predicate::Eq("interaction".into(), Value::Text("ViewStory".into()));
-        let legacy = table
-            .select(&["request_id", "ud"], &pred)
-            .expect("select runs")
-            .order_by("ud", false)
-            .expect("ud exists");
-        let keep: Vec<usize> = (0..legacy.row_count().min(100)).collect();
-        assert_eq!(
-            got,
-            legacy.select_rows(&keep),
-            "legacy-verb drift for `{sql_proj}`"
-        );
-    }
-    let (proj_off, proj_on) = sql_pair(sql_proj, samples);
-    let speedup_proj = proj_off / proj_on;
-    eprintln!(
-        "  projection pushdown: planner-off {:.4}s, planner {:.4}s ({speedup_proj:.1}x)",
-        proj_off, proj_on
-    );
-
     // Join reorder: the planner hashes the small `front` table and probes
     // with the event stream; planner-off always hashes the right (large)
     // input, paying a {rows}-entry index build for a {probes}-row result.
     let sql_join = "SELECT slot, ua FROM front JOIN event_apache ON request_id = request_id";
     {
         let got = gate(sql_join);
-        let legacy = front_tbl
+        let naive = front_tbl
             .inner_join_naive(&table, "request_id", "request_id")
-            .expect("join runs")
-            .select(&["slot", "ua"], &Predicate::True)
-            .expect("select runs");
-        assert_eq!(got, legacy, "legacy-verb drift for `{sql_join}`");
+            .expect("join runs");
+        for col in ["slot", "ua"] {
+            assert_eq!(
+                got.column(col),
+                naive.column(col),
+                "naive-join drift on `{col}` for `{sql_join}`"
+            );
+        }
     }
     let (join_off, join_on) = sql_pair(sql_join, samples);
     let speedup_reorder = join_off / join_on;
     eprintln!(
         "  join reorder: planner-off {:.4}s, planner {:.4}s ({speedup_reorder:.1}x)",
         join_off, join_on
-    );
-
-    // Multi-key GROUP BY + HAVING: the planner aggregates over the
-    // selection vector in place; planner-off copies the table first.
-    let sql_group = "SELECT interaction, node, AVG(ud) FROM event_apache \
-                     GROUP BY interaction, node HAVING ud > 0 ORDER BY interaction";
-    let n_groups = gate(sql_group).row_count();
-    let (group_off, group_on) = sql_pair(sql_group, samples);
-    let speedup_group = group_off / group_on;
-    eprintln!(
-        "  grouped HAVING ({n_groups} groups): planner-off {:.4}s, planner {:.4}s \
-         ({speedup_group:.1}x)",
-        group_off, group_on
     );
 
     assert!(
@@ -363,10 +334,6 @@ fn main() {
     assert!(
         speedup_hash_join >= 2.0,
         "materialized hash join speedup {speedup_hash_join:.2}x < 2x"
-    );
-    assert!(
-        speedup_proj >= 1.5,
-        "projection pushdown speedup {speedup_proj:.2}x < 1.5x"
     );
     assert!(
         speedup_reorder >= 1.5,
@@ -404,9 +371,7 @@ fn main() {
                     hash_join,
                     joined.row_count(),
                 ),
-                result("sql_projection_pushdown", proj_off, proj_on, 100),
                 result("sql_join_reorder", join_off, join_on, probes),
-                result("sql_group_having", group_off, group_on, n_groups),
             ]),
         ),
         ("speedup_window_select", Json::Float(speedup_select)),
@@ -415,9 +380,7 @@ fn main() {
             "speedup_hash_join_materialized",
             Json::Float(speedup_hash_join),
         ),
-        ("speedup_projection_pushdown", Json::Float(speedup_proj)),
         ("speedup_join_reorder", Json::Float(speedup_reorder)),
-        ("speedup_group_having", Json::Float(speedup_group)),
     ]);
     let text = mscope_serdes::to_string_pretty(&doc);
     std::fs::write(&out_path, &text).expect("write bench output");

@@ -2,7 +2,7 @@
 //! researcher runs while "scaling the mountain" of monitoring data.
 
 use mscope_bench::{criterion_group, criterion_main, Criterion, Throughput};
-use mscope_db::{AggFn, Column, ColumnType, Predicate, Schema, Table, Value};
+use mscope_db::{AggFn, Column, ColumnType, Database, Predicate, Schema, Table, Value};
 
 /// Builds a synthetic resource table: `rows` samples across 4 nodes.
 fn resource_table(rows: usize) -> Table {
@@ -49,6 +49,8 @@ fn event_table(name: &str, rows: usize, offset: i64) -> Table {
 
 fn bench_queries(c: &mut Criterion) {
     let table = resource_table(100_000);
+    let mut db = Database::new();
+    db.replace_table(table.clone()).expect("collectl installs");
     let mut group = c.benchmark_group("warehouse/query");
     group.sample_size(20);
     group.throughput(Throughput::Elements(table.row_count() as u64));
@@ -77,8 +79,7 @@ fn bench_queries(c: &mut Criterion) {
     });
     group.bench_function("group_by_node_mean", |b| {
         b.iter(|| {
-            table
-                .group_by("node", "cpu_user", AggFn::Mean)
+            db.query("SELECT node, AVG(cpu_user) FROM collectl GROUP BY node")
                 .expect("columns exist")
                 .row_count()
         });

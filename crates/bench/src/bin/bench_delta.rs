@@ -31,9 +31,7 @@ const TRACKED: &[(&str, &[&str])] = &[
             "speedup_window_select",
             "speedup_request_id_join",
             "speedup_hash_join_materialized",
-            "speedup_projection_pushdown",
             "speedup_join_reorder",
-            "speedup_group_having",
         ],
     ),
     (
@@ -237,9 +235,7 @@ mod tests {
                 ("speedup_window_select", select),
                 ("speedup_request_id_join", v),
                 ("speedup_hash_join_materialized", v),
-                ("speedup_projection_pushdown", v),
                 ("speedup_join_reorder", v),
-                ("speedup_group_having", v),
             ],
         )
     }
@@ -249,7 +245,7 @@ mod tests {
         let base = query_summary("full", 8.0, 7.0);
         let fresh = query_summary("full", 7.2, 8.5);
         let deltas = compare(&base, &fresh, 0.15).unwrap();
-        assert_eq!(deltas.len(), 6);
+        assert_eq!(deltas.len(), 4);
         assert!(deltas.iter().all(|d| !d.regressed), "{deltas:?}");
     }
 

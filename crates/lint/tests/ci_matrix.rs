@@ -166,12 +166,7 @@ fn bench_delta_tracks_the_planner_ratios() {
         "{root}/crates/bench/baselines/query_engine.smoke.json"
     ))
     .expect("query_engine smoke baseline exists");
-    for metric in [
-        "speedup_hash_join_materialized",
-        "speedup_projection_pushdown",
-        "speedup_join_reorder",
-        "speedup_group_having",
-    ] {
+    for metric in ["speedup_hash_join_materialized", "speedup_join_reorder"] {
         assert!(
             tracked.contains(&format!("\"{metric}\"")),
             "bench_delta TRACKED no longer lists `{metric}`"

@@ -5,7 +5,7 @@
 //! **dynamically created tables** for the monitoring data that
 //! mScopeDataTransformer produces on the fly.
 
-use crate::table::{Column, Schema, Table};
+use crate::table::{Schema, Table};
 use crate::value::{ColumnType, Value};
 use crate::DbError;
 use std::collections::BTreeMap;
@@ -46,46 +46,43 @@ impl Database {
     /// Creates a warehouse with the four static metadata tables already in
     /// place.
     pub fn new() -> Database {
-        let mut tables = BTreeMap::new();
-        let experiments = Schema::new(vec![
-            Column::new("experiment_id", ColumnType::Int),
-            Column::new("name", ColumnType::Text),
-            Column::new("users", ColumnType::Int),
-            Column::new("duration_ms", ColumnType::Int),
-            Column::new("seed", ColumnType::Int),
-        ])
-        .expect("static schema is valid");
-        let nodes = Schema::new(vec![
-            Column::new("node", ColumnType::Text),
-            Column::new("tier", ColumnType::Int),
-            Column::new("kind", ColumnType::Text),
-            Column::new("cores", ColumnType::Int),
-            Column::new("workers", ColumnType::Int),
-        ])
-        .expect("static schema is valid");
-        let monitors = Schema::new(vec![
-            Column::new("monitor_id", ColumnType::Text),
-            Column::new("node", ColumnType::Text),
-            Column::new("tool", ColumnType::Text),
-            Column::new("kind", ColumnType::Text),
-            Column::new("period_ms", ColumnType::Int),
-        ])
-        .expect("static schema is valid");
-        let log_files = Schema::new(vec![
-            Column::new("path", ColumnType::Text),
-            Column::new("node", ColumnType::Text),
-            Column::new("monitor_id", ColumnType::Text),
-            Column::new("format", ColumnType::Text),
-            Column::new("bytes", ColumnType::Int),
-        ])
-        .expect("static schema is valid");
-        tables.insert(
-            "experiments".to_string(),
-            Table::new("experiments", experiments),
-        );
-        tables.insert("nodes".to_string(), Table::new("nodes", nodes));
-        tables.insert("monitors".to_string(), Table::new("monitors", monitors));
-        tables.insert("log_files".to_string(), Table::new("log_files", log_files));
+        use ColumnType::{Int, Text};
+        // One column list per name in `STATIC_TABLES`, in that order.
+        let schemas: [&[(&str, ColumnType)]; 4] = [
+            &[
+                ("experiment_id", Int),
+                ("name", Text),
+                ("users", Int),
+                ("duration_ms", Int),
+                ("seed", Int),
+            ],
+            &[
+                ("node", Text),
+                ("tier", Int),
+                ("kind", Text),
+                ("cores", Int),
+                ("workers", Int),
+            ],
+            &[
+                ("monitor_id", Text),
+                ("node", Text),
+                ("tool", Text),
+                ("kind", Text),
+                ("period_ms", Int),
+            ],
+            &[
+                ("path", Text),
+                ("node", Text),
+                ("monitor_id", Text),
+                ("format", Text),
+                ("bytes", Int),
+            ],
+        ];
+        let tables = STATIC_TABLES
+            .into_iter()
+            .zip(schemas)
+            .map(|(name, cols)| (name.to_string(), Table::new(name, Schema::fixed(cols))))
+            .collect();
         Database { tables }
     }
 
@@ -356,6 +353,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Column;
 
     #[test]
     fn static_tables_exist() {
@@ -752,6 +750,7 @@ impl Database {
 #[cfg(test)]
 mod persistence_tests {
     use super::*;
+    use crate::table::Column;
 
     #[test]
     fn json_roundtrip_preserves_everything() {

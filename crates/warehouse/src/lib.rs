@@ -11,9 +11,10 @@
 //! * [`Value`] / [`ColumnType`] — cell values and the type-inference
 //!   lattice ("narrowest type that stores all values wins");
 //! * [`Schema`] / [`Table`] — columnar tables with checked inserts;
-//! * query layer — [`Predicate`] filters, projections, fixed-window
-//!   aggregation ([`AggFn`]), hash joins, sorting, grouping — everything
-//!   the analysis layer needs to reproduce the paper's figures;
+//! * query layer — [`Predicate`] filters, fixed-window aggregation
+//!   ([`AggFn`]), hash joins and sorting as [`Table`] verbs; projection,
+//!   grouping and everything else through the one SQL executor
+//!   ([`Database::query`]);
 //! * compiled engine — [`CompiledPredicate`] (names/values bound once per
 //!   query), per-block zone maps with a sorted-timestamp flag,
 //!   [`KeyIndex`] hash joins, and a deterministic parallel block scan;

@@ -21,10 +21,12 @@
 //!   aggregate's own key order subsumes it.
 //!
 //! `EXPLAIN` renders the chosen physical plan ([`Plan::explain_table`]).
-//! The `optimize = false` leg executes the same [`ParsedQuery`]
-//! clause-by-clause in the pre-planner shape — the ablation baseline the
-//! benches measure against, and an identity oracle for the property
-//! suite.
+//! "Planner off" (`optimize = false`) is a plan, not a second executor:
+//! [`plan`] pins each of those choices to the syntactic shape — whole
+//! WHERE as the post-join residual, build side right, every source column
+//! needed, no sort elision — and [`vector::run`](crate::vector::run) runs
+//! the result like any other plan, so `EXPLAIN` describes what executes
+//! on both legs.
 
 use crate::db::Database;
 use crate::engine::{CompiledPredicate, ScanEstimate};
@@ -466,7 +468,6 @@ pub(crate) struct Plan<'a> {
     /// The sort is provably redundant and skipped.
     pub sort_elided: bool,
     pub limit: Option<usize>,
-    pub optimize: bool,
     /// Source columns the executor must gather (projection pushdown),
     /// ascending.
     pub needed: Vec<usize>,
@@ -475,9 +476,9 @@ pub(crate) struct Plan<'a> {
 }
 
 /// Plans a parsed query against live tables. With `optimize = false`
-/// every statistics-driven choice is pinned to the syntactic
-/// (pre-planner) shape: whole WHERE after the join, build side always
-/// right, no projection pushdown, no sort elision.
+/// every statistics-driven choice is pinned to the syntactic shape —
+/// whole WHERE after the join, build side always right, no projection
+/// pushdown, no sort elision — and the plan executes like any other.
 ///
 /// # Errors
 ///
@@ -534,7 +535,7 @@ pub(crate) fn plan<'a>(
             }
         }
     } else if right.is_some() {
-        // Planner off: the whole WHERE filters the materialized join.
+        // Planner off: the whole WHERE is the residual over join pairs.
         residual.push(q.predicate.clone());
     } else {
         lp.push(q.predicate.clone());
@@ -601,7 +602,6 @@ pub(crate) fn plan<'a>(
         order_by: q.order_by.clone(),
         sort_elided,
         limit: q.limit,
-        optimize,
         needed,
         left_est,
         right_est,
@@ -731,14 +731,9 @@ impl Plan<'_> {
 
     /// The `EXPLAIN` result: a one-column `plan` table, one operator per
     /// row.
-    ///
-    /// # Errors
-    ///
-    /// Never in practice — a one-column schema cannot collide — but the
-    /// schema constructor is fallible, so the signature says so.
-    pub(crate) fn explain_table(&self) -> Result<Table, DbError> {
-        let schema = Schema::new(vec![Column::new("plan", ColumnType::Text)])?;
+    pub(crate) fn explain_table(&self) -> Table {
+        let schema = Schema::fixed(&[("plan", ColumnType::Text)]);
         let col = self.explain_lines().into_iter().map(Value::Text).collect();
-        Ok(Table::from_parts("explain".to_string(), schema, vec![col]))
+        Table::from_parts("explain".to_string(), schema, vec![col])
     }
 }

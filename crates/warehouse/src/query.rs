@@ -1,17 +1,23 @@
-//! Query operations over [`Table`]s: predicates, projection, windowed
-//! aggregation, joins, sorting, and grouping.
+//! Query operations over [`Table`]s: predicates, windowed aggregation,
+//! joins and sorting.
 //!
 //! This is the "advanced analysis" surface the paper attributes to mScopeDB
 //! (§III-C): after mScopeDataTransformer loads everything into one place,
 //! researchers slice disk utilization per tier, join event records by
 //! request ID, and correlate series.
+//!
+//! A verb lives here only if shipping code calls it or it is a `*_naive`
+//! reference oracle that tests compare against. Projection, grouping and
+//! time-range slicing are SQL ([`Database::query`](crate::Database::query)
+//! — `SELECT cols`, `GROUP BY`, `WHERE t >= a AND t < b`) or
+//! [`Table::filter`] with [`Predicate::Between`], which binary-searches a
+//! sorted column.
 
-use crate::engine::{self, CompiledPredicate};
+use crate::engine::CompiledPredicate;
 use crate::plan::Side;
 use crate::table::{Column, Schema, Table};
-use crate::value::{ColumnType, Value, ValueKey};
+use crate::value::{Value, ValueKey};
 use crate::DbError;
-use mscope_sim::parallel_map;
 use std::collections::{BTreeMap, HashMap};
 
 /// A filter predicate over a row.
@@ -90,7 +96,7 @@ impl Predicate {
     }
 }
 
-/// Aggregations for [`Table::window_agg`] and [`Table::group_by`].
+/// Aggregations for [`Table::window_agg`] and SQL aggregate projections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFn {
     /// Arithmetic mean.
@@ -132,17 +138,11 @@ fn fold(agg: AggFn, values: &[f64]) -> Option<f64> {
 impl Table {
     /// Rows matching `pred`, as a new table. Runs on the compiled engine
     /// ([`CompiledPredicate`]): names bound once, zone-map block skipping,
-    /// sorted-column binary search, automatic parallel scan on large
-    /// tables. Result-identical to [`Table::filter_naive`].
+    /// sorted-column binary search, automatic parallel scan above
+    /// [`PARALLEL_MIN_ROWS`](crate::PARALLEL_MIN_ROWS) candidate rows.
+    /// Result-identical to [`Table::filter_naive`].
     pub fn filter(&self, pred: &Predicate) -> Table {
-        self.filter_with(pred, 0)
-    }
-
-    /// [`Table::filter`] with an explicit scan worker count (`0` = auto:
-    /// serial below [`PARALLEL_MIN_ROWS`](crate::PARALLEL_MIN_ROWS)
-    /// candidate rows). Output is byte-identical for every worker count.
-    pub fn filter_with(&self, pred: &Predicate, workers: usize) -> Table {
-        let rows = CompiledPredicate::compile(self, pred).matching_rows_with(workers);
+        let rows = CompiledPredicate::compile(self, pred).matching_rows_with(0);
         self.gather(self.name(), &rows)
     }
 
@@ -152,79 +152,6 @@ impl Table {
         let rows: Vec<usize> = (0..self.row_count())
             .filter(|&i| pred.eval(self, i))
             .collect();
-        self.gather(self.name(), &rows)
-    }
-
-    /// Projects the named columns (in the given order) of rows matching
-    /// `pred`. The matching row set is computed once on the compiled
-    /// engine and only the projected columns are materialized.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchColumn`] if any projected column is missing;
-    /// [`DbError::DuplicateColumn`] if a column is projected twice.
-    pub fn select(&self, cols: &[&str], pred: &Predicate) -> Result<Table, DbError> {
-        let idxs: Vec<usize> = cols
-            .iter()
-            .map(|c| {
-                self.schema()
-                    .index_of(c)
-                    .ok_or_else(|| DbError::NoSuchColumn(c.to_string()))
-            })
-            .collect::<Result<_, _>>()?;
-        let schema = Schema::new(
-            idxs.iter()
-                .map(|&i| self.schema().columns()[i].clone())
-                .collect(),
-        )?;
-        let rows = CompiledPredicate::compile(self, pred).matching_rows_with(0);
-        let cols_data: Vec<Vec<Value>> = idxs
-            .iter()
-            .map(|&ci| rows.iter().map(|&r| self.col(ci)[r].clone()).collect())
-            .collect();
-        Ok(Table::from_parts(
-            self.name().to_string(),
-            schema,
-            cols_data,
-        ))
-    }
-
-    /// Shorthand: rows whose `time_col` lies in `[from, to)` (µs values,
-    /// works on Int or Timestamp columns). On a sorted Int/Timestamp
-    /// column this binary-searches the two boundaries instead of
-    /// scanning; otherwise it scans the typed column slice (still no
-    /// per-row name lookup).
-    pub fn time_range(&self, time_col: &str, from: i64, to: i64) -> Table {
-        let Some(ci) = self.schema().index_of(time_col) else {
-            return self.gather(self.name(), &[]);
-        };
-        let col = self.col(ci);
-        let ty = self.schema().columns()[ci].ty;
-        let sorted = self.table_index().col(ci).is_some_and(|c| c.sorted());
-        // The typed probes must match the column's value type: `as_i64`
-        // reads Int and Timestamp only, and `total_cmp` ranks Int below
-        // Timestamp, so a cross-typed probe would be wrong. Float columns
-        // (which may mix Int cells past `as_i64` with Float cells that
-        // never match) always take the scan path.
-        let probe: Option<fn(i64) -> Value> = match ty {
-            ColumnType::Int => Some(Value::Int),
-            ColumnType::Timestamp => Some(Value::Timestamp),
-            _ => None,
-        };
-        let rows: Vec<usize> = match probe {
-            Some(mk) if sorted => {
-                let lo =
-                    col.partition_point(|c| c.total_cmp(&mk(from)) == std::cmp::Ordering::Less);
-                let hi = col.partition_point(|c| c.total_cmp(&mk(to)) == std::cmp::Ordering::Less);
-                (lo..hi).collect()
-            }
-            _ => col
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.as_i64().map(|t| t >= from && t < to).unwrap_or(false))
-                .map(|(i, _)| i)
-                .collect(),
-        };
         self.gather(self.name(), &rows)
     }
 
@@ -244,51 +171,8 @@ impl Table {
         value_col: &str,
         agg: AggFn,
     ) -> Result<Vec<(i64, f64)>, DbError> {
-        if window_us <= 0 {
-            return Err(DbError::BadQuery("window must be positive".into()));
-        }
-        let tci = self
-            .schema()
-            .index_of(time_col)
-            .ok_or_else(|| DbError::NoSuchColumn(time_col.into()))?;
-        let vci = self
-            .schema()
-            .index_of(value_col)
-            .ok_or_else(|| DbError::NoSuchColumn(value_col.into()))?;
-        let (tcol, vcol) = (self.col(tci), self.col(vci));
-        let n = self.row_count();
-        let block_rows = self.table_index().block_rows();
-        let nblocks = n.div_ceil(block_rows);
-        // Per-block partial buckets merged in block order: each bucket's
-        // value vector ends up in exactly row order, so Mean/Sum addition
-        // order and Last semantics are identical for any worker count.
-        // BTreeMap (not HashMap) so bucket iteration order is the key
-        // order by construction — hash order must never reach output.
-        let partials = parallel_map(nblocks, engine::resolve_workers(0, n), |b| {
-            let (s, e) = (b * block_rows, ((b + 1) * block_rows).min(n));
-            let mut local: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-            for i in s..e {
-                let (Some(t), Some(v)) = (tcol[i].as_i64(), vcol[i].as_f64()) else {
-                    continue;
-                };
-                local
-                    .entry(t.div_euclid(window_us) * window_us)
-                    .or_default()
-                    .push(v);
-            }
-            local
-        });
-        let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        for p in partials {
-            for (k, mut vs) in p {
-                buckets.entry(k).or_default().append(&mut vs);
-            }
-        }
-        // BTreeMap iteration is already bucket-key order — no final sort.
-        Ok(buckets
-            .into_iter()
-            .filter_map(|(k, vs)| fold(agg, &vs).map(|v| (k, v)))
-            .collect())
+        self.window_agg_where(&Predicate::True, time_col, window_us, value_col, agg)
+            .map(|(_, series)| series)
     }
 
     /// Fused filter + fixed-window aggregation: equivalent to
@@ -300,7 +184,7 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// Same as [`Table::window_agg`].
+    /// Same as [`Table::window_agg`], which is this with [`Predicate::True`].
     pub fn window_agg_where(
         &self,
         pred: &Predicate,
@@ -322,7 +206,9 @@ impl Table {
             .ok_or_else(|| DbError::NoSuchColumn(value_col.into()))?;
         let (tcol, vcol) = (self.col(tci), self.col(vci));
         let rows = CompiledPredicate::compile(self, pred).matching_rows_with(0);
-        // BTreeMap so bucket emission is key-ordered by construction.
+        // BTreeMap (not HashMap) so bucket emission is key-ordered by
+        // construction — hash order must never reach output. Values land
+        // in row order, which fixes Mean/Sum addition order and Last.
         let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
         for &i in &rows {
             let (Some(t), Some(v)) = (tcol[i].as_i64(), vcol[i].as_f64()) else {
@@ -491,45 +377,6 @@ impl Table {
         Ok(self.gather(self.name(), &order))
     }
 
-    /// Groups rows by `key_col` and aggregates `value_col` per group;
-    /// returns a two-column table `(key, value)` sorted by key.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchColumn`] for missing columns.
-    pub fn group_by(&self, key_col: &str, value_col: &str, agg: AggFn) -> Result<Table, DbError> {
-        let kci = self
-            .schema()
-            .index_of(key_col)
-            .ok_or_else(|| DbError::NoSuchColumn(key_col.into()))?;
-        let vci = self
-            .schema()
-            .index_of(value_col)
-            .ok_or_else(|| DbError::NoSuchColumn(value_col.into()))?;
-        // Tolerate key_col == value_col (e.g. COUNT over the key itself) by
-        // renaming the key column.
-        let key_name = if key_col == value_col {
-            format!("{key_col}_key")
-        } else {
-            key_col.to_string()
-        };
-        let schema = Schema::new(vec![
-            Column::new(key_name, ColumnType::Text),
-            Column::new(value_col, ColumnType::Float),
-        ])?;
-        // One pass through the vectorized batch aggregator: borrowed
-        // keys, streaming accumulators, deterministic key-sorted output.
-        let rows: Vec<usize> = (0..self.row_count()).collect();
-        Ok(crate::vector::aggregate(
-            &[self.col(kci)],
-            &[(agg, Some(self.col(vci)))],
-            &rows,
-            false,
-            &format!("{}_by_{key_col}", self.name()),
-            &schema,
-        ))
-    }
-
     /// Borrowed numeric view of a column: lazily yields each value
     /// [`Value::as_f64`] accepts, skipping nulls/non-numerics, without
     /// materializing an intermediate `Vec`. A missing column yields
@@ -552,6 +399,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::ColumnType;
 
     fn sample_table() -> Table {
         let schema = Schema::new(vec![
@@ -586,15 +434,6 @@ mod tests {
         assert_eq!(db.row_count(), 3);
         let high = t.filter(&Predicate::Gt("util".into(), Value::Float(50.0)));
         assert_eq!(high.row_count(), 2);
-        let proj = t
-            .select(
-                &["util", "t"],
-                &Predicate::Eq("node".into(), Value::Text("web".into())),
-            )
-            .unwrap();
-        assert_eq!(proj.schema().columns()[0].name, "util");
-        assert_eq!(proj.row_count(), 3);
-        assert!(t.select(&["missing"], &Predicate::True).is_err());
     }
 
     #[test]
@@ -621,13 +460,6 @@ mod tests {
                 .row_count(),
             0
         );
-    }
-
-    #[test]
-    fn time_range_half_open() {
-        let t = sample_table();
-        assert_eq!(t.time_range("t", 0, 100).row_count(), 4);
-        assert_eq!(t.time_range("t", 50, 101).row_count(), 4);
     }
 
     #[test]
@@ -700,18 +532,6 @@ mod tests {
         let desc = t.order_by("util", false).unwrap();
         assert_eq!(desc.cell(0, "util"), Some(&Value::Float(99.0)));
         assert!(t.order_by("zzz", true).is_err());
-    }
-
-    #[test]
-    fn group_by_aggregates() {
-        let t = sample_table();
-        let g = t.group_by("node", "util", AggFn::Max).unwrap();
-        assert_eq!(g.row_count(), 2);
-        // Sorted by key: db before web.
-        assert_eq!(g.cell(0, "node"), Some(&Value::Text("db".into())));
-        assert_eq!(g.cell(0, "util"), Some(&Value::Float(99.0)));
-        assert_eq!(g.cell(1, "util"), Some(&Value::Float(6.0)));
-        assert!(t.group_by("zzz", "util", AggFn::Max).is_err());
     }
 
     #[test]

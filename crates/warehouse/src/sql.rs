@@ -22,6 +22,9 @@
 //! comparison := = != <> < <= > >=
 //! ```
 //!
+//! Parentheses and `NOT` nest at most 64 levels; a deeper predicate is a
+//! [`DbError::BadQuery`], not a stack overflow.
+//!
 //! Identifiers and keywords are case-insensitive except quoted strings.
 //! After a JOIN, columns are referred to by their *source-relation* names:
 //! all of the left table's columns, then the right table's, with a
@@ -192,9 +195,30 @@ fn lex(input: &str) -> Result<Vec<Tok>, DbError> {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Deepest parenthesis / `NOT` nesting a predicate may have. The parser
+/// and every consumer of its tree (`check_with`, the planner's conjunct
+/// split, `CompiledPredicate::compile`, `PairPredicate::compile`, the
+/// tree's own `Drop`) recurse once per level, so unbounded nesting in a
+/// query string is a stack overflow — an abort no caller can catch.
+/// Hand-written and generated queries nest a handful of levels.
+const MAX_PREDICATE_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Open parentheses and `NOT`s around the predicate being parsed.
+    depth: usize,
+}
+
+/// Lexes and parses one query.
+fn parse(sql: &str) -> Result<ParsedQuery, DbError> {
+    let toks = lex(sql)?;
+    Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    }
+    .parse()
 }
 
 impl Parser {
@@ -433,19 +457,27 @@ impl Parser {
     }
 
     fn unary_expr(&mut self) -> Result<Predicate, DbError> {
-        if self.peek_kw("not") {
-            self.next();
-            return Ok(Predicate::Not(Box::new(self.unary_expr()?)));
+        let not = self.peek_kw("not");
+        if !not && !matches!(self.peek(), Some(Tok::LParen)) {
+            return self.comparison();
         }
-        if matches!(self.peek(), Some(Tok::LParen)) {
-            self.next();
-            let inner = self.or_expr()?;
-            match self.next() {
-                Some(Tok::RParen) => return Ok(inner),
-                other => return Err(DbError::BadQuery(format!("expected `)`, got {other:?}"))),
-            }
+        self.next();
+        if self.depth == MAX_PREDICATE_DEPTH {
+            return Err(DbError::BadQuery(format!(
+                "predicate nests deeper than {MAX_PREDICATE_DEPTH} levels"
+            )));
         }
-        self.comparison()
+        self.depth += 1;
+        let inner = if not {
+            self.unary_expr().map(|p| Predicate::Not(Box::new(p)))
+        } else {
+            self.or_expr().and_then(|p| match self.next() {
+                Some(Tok::RParen) => Ok(p),
+                other => Err(DbError::BadQuery(format!("expected `)`, got {other:?}"))),
+            })
+        };
+        self.depth -= 1;
+        inner
     }
 
     fn comparison(&mut self) -> Result<Predicate, DbError> {
@@ -512,9 +544,11 @@ pub struct QueryOptions {
     /// [`PARALLEL_MIN_ROWS`](crate::PARALLEL_MIN_ROWS) rows). Results are
     /// byte-identical at every worker count.
     pub workers: usize,
-    /// Run the statistics-driven planner (predicate/projection pushdown,
-    /// join build-side selection, sort elision). `false` executes the
-    /// same query clause-by-clause in the pre-planner shape — results
+    /// Let the planner make its statistics-driven choices (predicate and
+    /// projection pushdown, join build side, sort elision). `false` pins
+    /// each choice to the shape the query was written in — whole WHERE
+    /// after the join, hash index on the right input, no elision — and
+    /// runs that plan on the same executor; `EXPLAIN` shows it. Results
     /// are byte-identical either way; only the work differs.
     pub optimize: bool,
 }
@@ -573,11 +607,10 @@ impl Database {
     ///
     /// See [`Database::query`].
     pub fn query_opts(&self, sql: &str, opts: QueryOptions) -> Result<Table, DbError> {
-        let toks = lex(sql)?;
-        let q = Parser { toks, pos: 0 }.parse()?;
+        let q = parse(sql)?;
         let plan = crate::plan::plan(self, &q, opts.optimize)?;
         if q.explain {
-            return plan.explain_table();
+            return Ok(plan.explain_table());
         }
         crate::vector::run(&plan, opts.workers)
     }
@@ -613,8 +646,7 @@ pub fn check_with<F>(sql: &str, schema_of: F) -> Result<(), DbError>
 where
     F: Fn(&str) -> Option<Schema>,
 {
-    let toks = lex(sql)?;
-    let q = Parser { toks, pos: 0 }.parse()?;
+    let q = parse(sql)?;
     let left = schema_of(&q.table).ok_or_else(|| DbError::NoSuchTable(q.table.clone()))?;
     let right = match &q.join {
         Some(j) => {
@@ -898,6 +930,44 @@ mod tests {
             db.query("SELECT ghost FROM disk"),
             Err(DbError::NoSuchColumn(_))
         ));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_bad_query() {
+        let db = db();
+        let nest = |open: &str, close: &str, n: usize| {
+            format!(
+                "SELECT node FROM disk WHERE {}util > 90{} AND (tier = 3)",
+                open.repeat(n),
+                close.repeat(n)
+            )
+        };
+        let off = QueryOptions {
+            workers: 0,
+            optimize: false,
+        };
+        for (open, close) in [("(", ")"), ("NOT ", "")] {
+            // At the cap the predicate still parses (an even NOT chain is
+            // the identity), and the counter is back at zero for the
+            // parenthesis that follows.
+            let at = nest(open, close, MAX_PREDICATE_DEPTH);
+            assert_eq!(db.query(&at).unwrap().row_count(), 2, "{open}");
+            check_against(&db, &at).unwrap();
+            // 20 000 levels overflowed the stack before the cap existed.
+            for n in [MAX_PREDICATE_DEPTH + 1, 20_000] {
+                let sql = nest(open, close, n);
+                for got in [
+                    db.query(&sql).map(drop),
+                    db.query_opts(&sql, off).map(drop),
+                    check_against(&db, &sql),
+                ] {
+                    assert!(
+                        matches!(&got, Err(DbError::BadQuery(m)) if m.contains("nests deeper")),
+                        "{open}×{n}: {got:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

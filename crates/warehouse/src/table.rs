@@ -47,6 +47,19 @@ impl Schema {
         Ok(Schema { columns })
     }
 
+    /// A schema written out in this crate's source (the static metadata
+    /// tables, `describe`, `EXPLAIN`): the names are distinct by
+    /// inspection, so construction cannot fail.
+    pub(crate) fn fixed(columns: &[(&str, ColumnType)]) -> Schema {
+        debug_assert!(columns
+            .iter()
+            .enumerate()
+            .all(|(i, c)| columns[..i].iter().all(|p| p.0 != c.0)));
+        Schema {
+            columns: columns.iter().map(|&(n, ty)| Column::new(n, ty)).collect(),
+        }
+    }
+
     /// The columns in order.
     pub fn columns(&self) -> &[Column] {
         &self.columns
@@ -361,7 +374,7 @@ impl Table {
 
     /// Iterates over materialized rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        (0..self.row_count()).map(|i| self.row(i).expect("index in range"))
+        (0..self.row_count()).map(|i| self.cols.iter().map(|c| c[i].clone()).collect())
     }
 
     /// Builds a new table with the same schema containing the given row
@@ -397,13 +410,6 @@ impl Table {
     /// Column `ci` by index (query engine's typed-slice access).
     pub(crate) fn col(&self, ci: usize) -> &[Value] {
         &self.cols[ci]
-    }
-
-    /// Decomposes the table into its owned parts — the inverse of
-    /// [`Table::from_parts`], letting same-crate callers rebuild a
-    /// reshaped table without copying any cell data.
-    pub(crate) fn into_parts(self) -> (String, Schema, Vec<Vec<Value>>) {
-        (self.name, self.schema, self.cols)
     }
 
     /// The table's block metadata (zone maps + sorted flags).
@@ -541,13 +547,7 @@ impl Table {
             self.row_count().min(max_rows)
         };
         let rendered: Vec<Vec<String>> = (0..shown)
-            .map(|i| {
-                self.row(i)
-                    .expect("row in range")
-                    .iter()
-                    .map(|v| v.render())
-                    .collect()
-            })
+            .map(|i| self.cols.iter().map(|c| c[i].render()).collect())
             .collect();
         let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
         for row in &rendered {
@@ -616,20 +616,18 @@ impl Table {
     /// numeric columns) min/max/mean — the first thing a researcher asks of
     /// an unfamiliar monitor table.
     pub fn describe(&self) -> Table {
-        let schema = Schema::new(vec![
-            Column::new("column", ColumnType::Text),
-            Column::new("type", ColumnType::Text),
-            Column::new("rows", ColumnType::Int),
-            Column::new("nulls", ColumnType::Int),
-            Column::new("distinct", ColumnType::Int),
-            Column::new("min", ColumnType::Float),
-            Column::new("max", ColumnType::Float),
-            Column::new("mean", ColumnType::Float),
-        ])
-        .expect("static schema is valid");
-        let mut out = Table::new(format!("{}_describe", self.name), schema);
-        for col in self.schema.columns() {
-            let values = self.column(&col.name).expect("column listed in schema");
+        let schema = Schema::fixed(&[
+            ("column", ColumnType::Text),
+            ("type", ColumnType::Text),
+            ("rows", ColumnType::Int),
+            ("nulls", ColumnType::Int),
+            ("distinct", ColumnType::Int),
+            ("min", ColumnType::Float),
+            ("max", ColumnType::Float),
+            ("mean", ColumnType::Float),
+        ]);
+        let mut out: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
+        for (col, values) in self.schema.columns().iter().zip(&self.cols) {
             let nulls = values.iter().filter(|v| v.is_null()).count();
             let distinct = {
                 let mut keys: Vec<crate::value::ValueKey> = values.iter().map(Value::key).collect();
@@ -659,9 +657,9 @@ impl Table {
                     Value::Float(sum / n as f64),
                 )
             };
-            // perf: describe emits one owned row per column — bounded by
-            // schema width, never by row count.
-            out.push_row(vec![
+            // perf: describe emits one owned row of cells per column —
+            // bounded by schema width, never by row count.
+            let cells = [
                 Value::Text(col.name.clone()),
                 Value::Text(col.ty.to_string()),
                 Value::Int(values.len() as i64),
@@ -670,10 +668,12 @@ impl Table {
                 min,
                 max,
                 mean,
-            ])
-            .expect("describe rows match the static schema");
+            ];
+            for (o, cell) in out.iter_mut().zip(cells) {
+                o.push(cell);
+            }
         }
-        out
+        Table::from_parts(format!("{}_describe", self.name), schema, out)
     }
 }
 

@@ -15,17 +15,20 @@
 //!   input the statistics estimate smaller, and the output pair list is
 //!   restored to left-major order either way;
 //! * [`aggregate`] folds COUNT/SUM/MIN/MAX/AVG accumulators in one pass
-//!   over the typed slices, bit-identical to the legacy `fold` (same
+//!   over the typed slices, bit-identical to `query.rs`'s window `fold` (same
 //!   float operations in the same row order).
 //!
-//! Everything here is result-identical to the clause-by-clause
-//! `optimize = false` path ([`run`] dispatches on the flag) and to the
-//! `*_naive` oracles, which the property suites keep as identity gates.
+//! [`run`] is the one plan entry point: there is no second interpreter
+//! behind `QueryOptions::optimize = false`, only a [`Plan`] whose
+//! statistics-driven choices the planner pinned to the syntactic shape.
+//! Results are identical to the `*_naive` oracles and to the tree-walking
+//! interpreter in `tests/sql_prop.rs`, which the property suites keep as
+//! identity gates for both planner legs.
 
 use crate::engine::{self, CmpOp, CompiledPredicate, KeyRef};
 use crate::plan::{Plan, Resolved, Side};
 use crate::query::AggFn;
-use crate::table::{Column, Schema, Table};
+use crate::table::{Schema, Table};
 use crate::value::Value;
 use crate::{DbError, Predicate};
 use mscope_sim::parallel_map;
@@ -273,8 +276,8 @@ impl Acc {
         last: 0.0,
     };
 
-    /// Folds one numeric value. Operations and order match the legacy
-    /// per-group `fold` exactly (left-fold sum from 0.0, `f64::min`/`max`
+    /// Folds one numeric value. Operations and order match the window
+    /// `fold` in `query.rs` exactly (left-fold sum from 0.0, `f64::min`/`max`
     /// from the infinities), so results are bit-identical.
     fn push(&mut self, v: f64) {
         self.n += 1;
@@ -331,7 +334,7 @@ fn finish(agg: AggFn, a: Acc, whole_table: bool) -> Option<f64> {
 /// first-seen order for cross-type numeric ties, so output is
 /// deterministic regardless of hash-map internals. Rows with any null
 /// key are skipped; a group whose every aggregate finishes `None` is
-/// dropped (matching the legacy per-group fold); key cells render as
+/// dropped (the naive interpreter's rule); key cells render as
 /// `Text`, aggregates as `Float`.
 pub(crate) fn aggregate(
     keys: &[&[Value]],
@@ -416,7 +419,7 @@ pub(crate) fn aggregate(
         }
         for (k, col) in keys.iter().zip(cols.iter_mut()) {
             // Keys are stored in rendered text form so mixed-type key
-            // columns stay queryable (legacy group_by contract).
+            // columns stay queryable (the GROUP BY result contract).
             col.push(Value::Text(k[*first].render()));
         }
         for (v, col) in vals.iter().zip(cols[nkeys..].iter_mut()) {
@@ -429,18 +432,6 @@ pub(crate) fn aggregate(
 // ---------------------------------------------------------------------
 // Plan execution
 // ---------------------------------------------------------------------
-
-/// Runs a plan: the optimized selection-vector pipeline when
-/// `plan.optimize`, otherwise the clause-by-clause materializing shape
-/// `Database::query` had before the planner (the ablation baseline).
-/// Both produce byte-identical tables.
-pub(crate) fn run(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
-    if plan.optimize {
-        run_optimized(plan, workers)
-    } else {
-        run_unoptimized(plan, workers)
-    }
-}
 
 /// Side-tagged slice for a resolved source column. The planner only
 /// resolves `Side::Right` columns when a join table exists; the empty
@@ -459,7 +450,12 @@ fn side_slice<'t>(
     (s.side, col)
 }
 
-fn run_optimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
+/// Runs a plan — the only way a SQL query executes. Scans produce
+/// selection vectors, the join exchanges row pairs, and output columns are
+/// gathered once at the end. A planner-off plan takes the same pipeline
+/// with its choices pinned ([`plan`](crate::plan::plan)): an all-`True`
+/// scan pair, the whole WHERE as the pair residual, build side right.
+pub(crate) fn run(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
     let res = &plan.res;
     let left = plan.left;
     let mut lsel = CompiledPredicate::compile(left, &plan.left_pred).matching_rows_with(workers);
@@ -640,112 +636,4 @@ fn finish_aggregate(plan: &Plan<'_>, mut t: Table, workers: usize) -> Result<Tab
         }
     }
     Ok(t)
-}
-
-/// The pre-planner execution shape: join the full tables (hash always on
-/// the right side), filter the materialized result, aggregate, then sort
-/// and limit — materializing a table between every clause. Kept as the
-/// planner-off ablation baseline; byte-identical to [`run_optimized`].
-fn run_unoptimized(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
-    let res = &plan.res;
-    let identity_projection = res.projection.len() == res.source.len()
-        && res.projection.iter().enumerate().all(|(i, &si)| i == si);
-
-    let mut cur: Table;
-    if let (Some(right), Some((lci, rci))) = (plan.right, res.join_keys) {
-        cur = join_unoptimized(plan.left, right, lci, rci, res)?;
-        cur = cur.filter_with(&plan.residual, workers);
-        if res.aggregate.is_none() && !identity_projection {
-            let names: Vec<&str> = res
-                .projection
-                .iter()
-                .map(|&si| res.source[si].name.as_str())
-                .collect();
-            cur = cur.select(&names, &Predicate::True)?;
-        }
-    } else if res.aggregate.is_none() && !identity_projection {
-        // The legacy fused SELECT: projected columns gathered straight off
-        // the matching rows.
-        let names: Vec<&str> = res
-            .projection
-            .iter()
-            .map(|&si| res.source[si].name.as_str())
-            .collect();
-        cur = plan.left.select(&names, &plan.left_pred)?;
-    } else {
-        cur = plan.left.filter_with(&plan.left_pred, workers);
-    }
-
-    if let Some(aggn) = &res.aggregate {
-        let keys: Vec<&[Value]> = aggn.keys.iter().map(|&si| cur.col(si)).collect();
-        let aggs: Vec<(AggFn, Option<&[Value]>)> = aggn
-            .aggs
-            .iter()
-            .map(|a| (a.agg, a.src.map(|si| cur.col(si))))
-            .collect();
-        let ident: Vec<usize> = (0..cur.row_count()).collect();
-        let t = aggregate(
-            &keys,
-            &aggs,
-            &ident,
-            aggn.whole_table,
-            &res.result_name,
-            &res.result,
-        );
-        return finish_aggregate(plan, t, workers);
-    }
-
-    let mut t = cur;
-    if let Some((oc, asc)) = &plan.order_by {
-        t = t.order_by(oc, *asc)?;
-    }
-    if let Some(n) = plan.limit {
-        if t.row_count() > n {
-            let keep: Vec<usize> = (0..n).collect();
-            t = t.gather(t.name(), &keep);
-        }
-    }
-    // The planner names the result; the clause-by-clause path must agree.
-    let (_, schema, cols) = t.into_parts();
-    Ok(Table::from_parts(res.result_name.clone(), schema, cols))
-}
-
-/// The legacy join: hash index always on the right input, output rows
-/// materialized cell-at-a-time in probe order.
-fn join_unoptimized(
-    left: &Table,
-    right: &Table,
-    lci: usize,
-    rci: usize,
-    res: &Resolved,
-) -> Result<Table, DbError> {
-    let columns: Vec<Column> = res
-        .source
-        .iter()
-        .map(|s| Column::new(s.name.clone(), s.ty))
-        .collect();
-    let schema = Schema::new(columns)?;
-    let rindex = engine::KeyIndex::build(right.col(rci));
-    let left_width = left.schema().len();
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
-    for (li, lv) in left.col(lci).iter().enumerate() {
-        for &ri in rindex.rows(lv) {
-            for (ci, out) in cols.iter_mut().enumerate() {
-                let cell = if ci < left_width {
-                    &left.col(ci)[li]
-                } else {
-                    &right.col(ci - left_width)[ri]
-                };
-                // perf: pre-planner baseline — row-at-a-time
-                // materialization is the shape the planner is measured
-                // against.
-                out.push(cell.clone());
-            }
-        }
-    }
-    Ok(Table::from_parts(
-        format!("{}_x_{}", left.name(), right.name()),
-        schema,
-        cols,
-    ))
 }

@@ -4,7 +4,7 @@
 //! timestamp column is *not* sorted, where the binary-search narrowing
 //! must conservatively stand down.
 
-use mscope_db::{AggFn, Column, ColumnType, Predicate, Schema, Table, Value};
+use mscope_db::{AggFn, Column, ColumnType, CompiledPredicate, Predicate, Schema, Table, Value};
 use mscope_sim::prop::{forall, Gen};
 
 /// Generates an event-shaped table with a timestamp column (sorted with
@@ -117,11 +117,15 @@ fn compiled_filter_matches_naive_oracle() {
         let t = arb_table(g, "events");
         let pred = arb_pred(g, 3);
         let expected = t.filter_naive(&pred);
+        if t.filter(&pred) != expected {
+            return Err(format!("filter diverged, pred {pred:?}"));
+        }
         for workers in [0usize, 1, 2, 3, 8] {
-            let got = t.filter_with(&pred, workers);
+            let rows = CompiledPredicate::compile(&t, &pred).matching_rows_with(workers);
+            let got = t.select_rows(&rows);
             if got != expected {
                 return Err(format!(
-                    "filter_with(workers={workers}) diverged on {} rows, \
+                    "matching_rows_with(workers={workers}) diverged on {} rows, \
                      pred {pred:?}: {} vs {} rows out",
                     t.row_count(),
                     got.row_count(),
@@ -185,32 +189,6 @@ fn fused_window_agg_matches_filter_then_agg() {
                 "series diverged: fused {} vs staged {} points",
                 fused.len(),
                 staged.len()
-            ));
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn time_range_matches_predicate_filter() {
-    forall("time_range ≡ filter(Between)", 128, |g| {
-        let t = arb_table(g, "events");
-        let mut a = g.i64(-100_000..=100_000);
-        let mut b = g.i64(-100_000..=100_000);
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        let got = t.time_range("ts", a, b);
-        let expected = t.filter_naive(&Predicate::Between(
-            "ts".into(),
-            Value::Timestamp(a),
-            Value::Timestamp(b),
-        ));
-        if got != expected {
-            return Err(format!(
-                "time_range [{a}, {b}) gave {} rows, oracle {}",
-                got.row_count(),
-                expected.row_count()
             ));
         }
         Ok(())

@@ -6,6 +6,10 @@
 //! Every parallel/optimized leg must additionally be **byte-identical**
 //! (serialized JSON) to the first leg, and every generated query must
 //! pass the static checker.
+//!
+//! A second, hostile family — token soup and mutated valid queries — must
+//! come back from both planner legs and the checker as `Ok` or a typed
+//! [`DbError`], never a panic or a stack overflow.
 
 use mscope_db::{
     sql, AggFn, Column, ColumnType, Database, DbError, Predicate, QueryOptions, Schema, Table,
@@ -611,6 +615,30 @@ fn naive_aggregate(cur: &Table, q: &Spec, name: &str) -> Result<Table, DbError> 
     Ok(t)
 }
 
+/// The oracle's own projection — row at a time through the public
+/// accessors, so the interpreter shares no code with the engine it checks.
+fn project(t: &Table, cols: &[String]) -> Result<Table, DbError> {
+    let columns = cols
+        .iter()
+        .map(|c| {
+            let ci = t
+                .schema()
+                .index_of(c)
+                .ok_or_else(|| DbError::NoSuchColumn(c.clone()))?;
+            Ok(t.schema().columns()[ci].clone())
+        })
+        .collect::<Result<Vec<Column>, DbError>>()?;
+    let mut out = Table::new(t.name(), Schema::new(columns)?);
+    for i in 0..t.row_count() {
+        let row = cols
+            .iter()
+            .map(|c| t.cell(i, c).cloned().expect("projected column resolved"))
+            .collect();
+        out.push_row(row)?;
+    }
+    Ok(out)
+}
+
 /// Clause-by-clause evaluation with the naive reference verbs; the
 /// oracle the planner legs must match byte for byte.
 fn naive_eval(db: &Database, q: &Spec) -> Result<Table, DbError> {
@@ -639,10 +667,7 @@ fn naive_eval(db: &Database, q: &Spec) -> Result<Table, DbError> {
     } else {
         match &q.cols {
             None => cur,
-            Some(cs) => {
-                let refs: Vec<&str> = cs.iter().map(String::as_str).collect();
-                cur.select(&refs, &Predicate::True)?
-            }
+            Some(cs) => project(&cur, cs)?,
         }
     };
     if let Some(h) = &q.having {
@@ -747,5 +772,241 @@ fn explain_never_errors_and_is_stable() {
             }
         }
         Ok(())
+    });
+}
+
+/// Planner-off is a plan: `EXPLAIN` under `optimize: false` shows the
+/// pinned choices that then execute, and differs from the planner's own
+/// plan for the same query exactly where statistics would have decided.
+#[test]
+fn explain_planner_off_shows_the_pinned_plan() {
+    let mut db = Database::new();
+    let ev_schema = Schema::new(vec![
+        Column::new("ts", ColumnType::Timestamp),
+        Column::new("num", ColumnType::Int),
+        Column::new("tag", ColumnType::Text),
+    ])
+    .expect("static schema is valid");
+    let mut ev = Table::new("ev", ev_schema);
+    for (ts, num, tag) in [(10, 1, "a"), (20, 2, "b")] {
+        ev.push_row(vec![Value::Timestamp(ts), Value::Int(num), tag.into()])
+            .expect("row fits schema");
+    }
+    let dim_schema = Schema::new(vec![
+        Column::new("tag", ColumnType::Text),
+        Column::new("w", ColumnType::Int),
+    ])
+    .expect("static schema is valid");
+    let mut dim = Table::new("dim", dim_schema);
+    for w in 0..12 {
+        dim.push_row(vec![["a", "b", "c"][w % 3].into(), Value::Int(w as i64)])
+            .expect("row fits schema");
+    }
+    db.replace_table(ev).expect("ev is not static");
+    db.replace_table(dim).expect("dim is not static");
+
+    let explain = |sql: &str, optimize: bool| -> Vec<String> {
+        let opts = QueryOptions {
+            workers: 0,
+            optimize,
+        };
+        let plan = db
+            .query_opts(&format!("EXPLAIN {sql}"), opts)
+            .expect("explain runs");
+        let lines = plan.column("plan").expect("plan column");
+        lines.iter().map(Value::render).collect()
+    };
+
+    let join = "SELECT num, w FROM ev JOIN dim ON tag = tag WHERE num > 0 AND w < 5";
+    let off = explain(join, false);
+    assert!(off[0].starts_with("Scan ev rows=2 pred=true "), "{off:?}");
+    assert!(off[0].ends_with("cols=[ts, num, tag]"), "{off:?}");
+    assert!(off[1].starts_with("Scan dim rows=12 pred=true "), "{off:?}");
+    assert!(
+        off[2].starts_with("HashJoin ev.tag = dim.tag build=right"),
+        "{off:?}"
+    );
+    assert_eq!(off[3], "Filter (num > 0 AND w < 5)", "{off:?}");
+    assert_eq!(off.len(), 4, "{off:?}");
+    // The planner pushes both conjuncts below the join, hashes the smaller
+    // input and prunes the scans to the projected columns.
+    let on = explain(join, true);
+    assert!(on[0].starts_with("Scan ev rows=2 pred=num > 0 "), "{on:?}");
+    assert!(on[0].ends_with("cols=[num]"), "{on:?}");
+    assert!(on[1].starts_with("Scan dim rows=12 pred=w < 5 "), "{on:?}");
+    assert!(
+        on[2].starts_with("HashJoin ev.tag = dim.tag build=left"),
+        "{on:?}"
+    );
+    assert_eq!(on.len(), 3, "{on:?}");
+
+    // `ts` is stored ascending: only the planner elides the sort.
+    let sorted = "SELECT ts FROM ev ORDER BY ts";
+    assert_eq!(
+        explain(sorted, false).last().map(String::as_str),
+        Some("Sort ts asc")
+    );
+    assert!(explain(sorted, true).concat().contains("elided"));
+    // What EXPLAIN shows is what runs: both plans give the same rows.
+    for sql in [join, sorted] {
+        let opts = QueryOptions {
+            workers: 0,
+            optimize: false,
+        };
+        assert_eq!(
+            db.query_opts(sql, opts).expect("query runs"),
+            db.query(sql).expect("query runs"),
+            "{sql}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile input: token soup and mutated valid queries
+// ---------------------------------------------------------------------
+
+/// Splits generated SQL into mutation units: words, quoted literals and
+/// single punctuation characters (generated literals hold no spaces).
+fn tokens(sql: &str) -> Vec<String> {
+    let spaced = sql
+        .replace('(', " ( ")
+        .replace(')', " ) ")
+        .replace(',', " , ");
+    spaced.split_whitespace().map(str::to_string).collect()
+}
+
+/// Nesting depths around the parser's cap (64) and far past it: 20 000
+/// levels overflowed the stack before the cap existed.
+const NESTINGS: [usize; 7] = [1, 8, 63, 64, 65, 200, 20_000];
+
+const VOCAB: [&str; 44] = [
+    "SELECT", "EXPLAIN", "FROM", "JOIN", "ON", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
+    "AND", "OR", "NOT", "ASC", "DESC", "COUNT", "SUM", "AVG", "MIN", "MAX", "time", "NULL", "TRUE",
+    "ev", "dim", "ts", "num", "tag", "dim_tag", "w", "ghost", "*", ",", ".", "(", ")", "=", "!=",
+    "<", "<=", ">", ">=", "<>",
+];
+
+fn arb_hostile_literal(g: &mut Gen) -> String {
+    match g.usize(0..=9) {
+        0 => "99999999999999999999999999".to_string(),
+        1 => "-9223372036854775808".to_string(),
+        2 => "9223372036854775808".to_string(),
+        3 => "1e999".to_string(),
+        4 => "--5".to_string(),
+        5 => "1.2.3e+-4".to_string(),
+        6 => "'unterminated".to_string(),
+        7 => format!("'{}'", g.string(0..=6).replace('\'', "''")),
+        // Bare non-ASCII and stray punctuation: lexer errors.
+        8 => g.string(1..=4),
+        _ => g.i64(-1_000_000..=1_000_000).to_string(),
+    }
+}
+
+/// Token soup, or a valid generated query with a few token-level edits
+/// and optionally its WHERE wrapped in deep nesting.
+fn arb_hostile_sql(g: &mut Gen) -> String {
+    if g.usize(0..=3) == 0 {
+        let n = g.usize(0..=40);
+        let soup: Vec<String> = (0..n)
+            .map(|_| {
+                if g.usize(0..=5) == 0 {
+                    arb_hostile_literal(g)
+                } else {
+                    g.choose(&VOCAB).to_string()
+                }
+            })
+            .collect();
+        return soup.join(" ");
+    }
+    let mut spec = arb_spec(g);
+    if matches!(spec.pred, P::True) {
+        spec.pred = P::Cmp("num".to_string(), Cmp::Gt, Value::Int(0));
+    }
+    let base = spec.sql();
+    let sql = if g.bool() {
+        // Nest the WHERE predicate `depth` levels in parentheses or NOTs.
+        let depth = g.choose(&NESTINGS);
+        let inner = spec.pred.sql();
+        let nested = if g.bool() {
+            format!("{}{inner}{}", "(".repeat(depth), ")".repeat(depth))
+        } else {
+            format!("{}{inner}", "NOT ".repeat(depth))
+        };
+        base.replacen(&inner, &nested, 1)
+    } else {
+        base
+    };
+    let mut toks = tokens(&sql);
+    if g.usize(0..=3) == 0 {
+        toks.insert(0, "EXPLAIN".to_string());
+    }
+    for _ in 0..g.usize(0..=2) {
+        if toks.is_empty() {
+            break;
+        }
+        let at = g.usize(0..=toks.len() - 1);
+        match g.usize(0..=5) {
+            0 => {
+                toks.remove(at);
+            }
+            1 => toks.insert(at, toks[at].clone()),
+            2 => {
+                let other = g.usize(0..=toks.len() - 1);
+                toks.swap(at, other);
+            }
+            3 => toks[at] = arb_hostile_literal(g),
+            4 => toks[at] = g.choose(&VOCAB).to_string(),
+            _ => toks.insert(at, g.choose(&VOCAB).to_string()),
+        }
+    }
+    toks.join(" ")
+}
+
+/// Fixed seed (the property name) and case count: a failure names its
+/// case seed and reproduces with `forall_seeded`. Inputs are bounded
+/// (≤ 40 soup tokens, ≤ 20 000 nesting levels, ≤ 120-row tables), so the
+/// run is too.
+#[test]
+fn hostile_sql_never_panics() {
+    forall("hostile sql is Ok or a typed error", 1024, |g| {
+        let db = arb_db(g);
+        let sql_text = arb_hostile_sql(g);
+        let shown: String = sql_text.chars().take(200).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            let leg = |optimize| {
+                let opts = QueryOptions {
+                    workers: 0,
+                    optimize,
+                };
+                db.query_opts(&sql_text, opts)
+            };
+            (leg(true), leg(false), sql::check_against(&db, &sql_text))
+        });
+        let Ok((on, off, checked)) = outcome else {
+            return Err(format!("panicked on `{shown}`"));
+        };
+        // The planner legs accept and reject the same queries, with the
+        // same answer; EXPLAIN output is the one place they may differ.
+        match (&on, &off) {
+            (Ok(a), Ok(b)) if a == b || a.name() == "explain" => {}
+            (Err(a), Err(b)) if a == b => {}
+            _ => {
+                return Err(format!(
+                    "planner legs disagree on `{shown}`: {on:?} vs {off:?}"
+                ))
+            }
+        }
+        // The checker resolves through the same pass as the planner, then
+        // adds what execution tolerates: a WHERE/HAVING column that does
+        // not exist (execution reads it as false) and impossible types.
+        // It never accepts what execution rejects.
+        match (&checked, &on) {
+            (Ok(()), Ok(_)) => Ok(()),
+            (Err(DbError::TypeMismatch { .. } | DbError::NoSuchColumn(_)), Ok(_)) => Ok(()),
+            (Err(c), Err(e)) if c == e => Ok(()),
+            _ => Err(format!(
+                "checker and executor disagree on `{shown}`: {checked:?} vs {on:?}"
+            )),
+        }
     });
 }
