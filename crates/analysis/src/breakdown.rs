@@ -63,15 +63,16 @@ pub fn interaction_breakdown(table: &Table) -> Result<Vec<InteractionStats>, Str
     }
     let mut out: Vec<InteractionStats> = groups
         .into_iter()
-        .map(|(interaction, rts)| {
-            let s = Summary::of(&rts).expect("group is non-empty");
-            InteractionStats {
+        // A group exists only once a row landed in it, so both are `Some`.
+        .filter_map(|(interaction, rts)| {
+            let s = Summary::of(&rts)?;
+            Some(InteractionStats {
                 interaction,
                 count: s.count as u64,
                 mean_ms: s.mean,
-                p99_ms: percentile(&rts, 99.0).expect("group is non-empty"),
+                p99_ms: percentile(&rts, 99.0)?,
                 max_ms: s.max,
-            }
+            })
         })
         .collect();
     out.sort_by_key(|s| std::cmp::Reverse(s.count));

@@ -166,12 +166,13 @@ pub fn detect_pushback(queues: &[WindowSeries], multiplier: f64) -> Vec<Pushback
                 (v > thresholds[ti]).then_some(ti)
             })
             .collect();
-        if elevated.is_empty() {
+        // `elevated` is in ascending tier order, so its last is the deepest.
+        let Some(&deepest) = elevated.last() else {
             if let Some(ep) = current.take() {
                 episodes.push(ep);
             }
             continue;
-        }
+        };
         let window = window_width(&queues[0]);
         match &mut current {
             Some(ep) => {
@@ -184,7 +185,6 @@ pub fn detect_pushback(queues: &[WindowSeries], multiplier: f64) -> Vec<Pushback
                 }
             }
             None => {
-                let deepest = *elevated.iter().max().expect("non-empty");
                 current = Some(PushbackEpisode {
                     start_us: t,
                     end_us: t + window,

@@ -47,7 +47,7 @@ pub use detect::{detect_pushback, detect_vsb, PushbackEpisode, VsbEpisode};
 pub use flow::{reconstruct_flows, CausalViolation, FlowError, FlowHop, RequestFlow};
 pub use pit::{PitPoint, PitSeries};
 pub use queue::{
-    intervals_from_event_table, mean_queue, queue_from_event_table, queue_series,
-    queue_series_checked, Intervals,
+    intervals_from_event_table, queue_from_event_table, queue_series, queue_series_checked,
+    Intervals,
 };
 pub use slo::{Slo, SloReport};

@@ -48,24 +48,22 @@ impl PitSeries {
     /// Panics if `window_us` is not positive.
     pub fn from_completions(completions: &[(i64, f64)], window_us: i64) -> PitSeries {
         assert!(window_us > 0, "window must be positive");
-        let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+        // (max, sum, count) per window, folded in completion order: the
+        // sum adds left to right from 0.0, as the warehouse's window fold does.
+        let mut buckets: BTreeMap<i64, (f64, f64, u64)> = BTreeMap::new();
         for &(t, rt) in completions {
-            buckets
+            let b = buckets
                 .entry(t.div_euclid(window_us) * window_us)
-                .or_default()
-                .push(rt);
+                .or_insert((f64::NEG_INFINITY, 0.0, 0));
+            *b = (b.0.max(rt), b.1 + rt, b.2 + 1);
         }
         let points = buckets
             .into_iter()
-            .map(|(start_us, rts)| {
-                let max = rts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let mean = rts.iter().sum::<f64>() / rts.len() as f64;
-                PitPoint {
-                    start_us,
-                    max_ms: max,
-                    mean_ms: mean,
-                    count: rts.len() as u64,
-                }
+            .map(|(start_us, (max_ms, sum, count))| PitPoint {
+                start_us,
+                max_ms,
+                mean_ms: sum / count as f64,
+                count,
             })
             .collect();
         PitSeries { window_us, points }

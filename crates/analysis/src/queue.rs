@@ -9,7 +9,7 @@
 //! contrasts with sampling tracers.
 
 use mscope_db::Table;
-use mscope_sim::{SimDuration, SimTime, StepSeries, TimeSeries};
+use mscope_sim::{SimDuration, SimTime};
 
 /// Residence intervals `(arrival_us, departure_us)`; `None` departure means
 /// the request was still resident when observation ended.
@@ -46,25 +46,11 @@ fn interval_is_valid(a: i64, d: Option<i64>) -> bool {
     a >= 0 && d.is_none_or(|d| d >= a)
 }
 
-fn steps_of(intervals: &Intervals) -> (StepSeries, usize) {
-    let mut steps = StepSeries::new();
-    let mut dropped = 0usize;
-    for &(a, d) in intervals {
-        if !interval_is_valid(a, d) {
-            dropped += 1;
-            continue;
-        }
-        steps.delta(SimTime::from_micros(a as u64), 1);
-        if let Some(d) = d {
-            steps.delta(SimTime::from_micros(d as u64), -1);
-        }
-    }
-    (steps, dropped)
-}
-
-/// Folds intervals into the queue-length series sampled at the end of each
-/// `window` over `[start, end)`. Corrupt intervals are dropped (see
-/// [`queue_series_checked`] for the dropped count).
+/// Folds intervals into the queue-length series over `[start, end)`: one
+/// `(window_start_us, length)` point per `window`, the length sampled at
+/// the window's *end* (deltas at exactly that instant included) — the
+/// "instantaneous queue length per interval" of Figs. 6/8b/9. Corrupt
+/// intervals are dropped (see [`queue_series_checked`] for the count).
 ///
 /// # Panics
 ///
@@ -74,7 +60,7 @@ pub fn queue_series(
     start: SimTime,
     end: SimTime,
     window: SimDuration,
-) -> TimeSeries {
+) -> Vec<(i64, f64)> {
     queue_series_checked(intervals, start, end, window).0
 }
 
@@ -89,9 +75,40 @@ pub fn queue_series_checked(
     start: SimTime,
     end: SimTime,
     window: SimDuration,
-) -> (TimeSeries, usize) {
-    let (mut steps, dropped) = steps_of(intervals);
-    (steps.sample_windows(start, end, window), dropped)
+) -> (Vec<(i64, f64)>, usize) {
+    assert!(!window.is_zero(), "window must be non-zero");
+    // +1 at each arrival, −1 at each departure, sorted once. Only the
+    // running sum at window ends is read, and every delta at one instant
+    // lands on the same side of each end, so their relative order is
+    // immaterial.
+    let mut deltas: Vec<(i64, i64)> = Vec::with_capacity(2 * intervals.len());
+    let mut dropped = 0usize;
+    for &(a, d) in intervals {
+        if !interval_is_valid(a, d) {
+            dropped += 1;
+            continue;
+        }
+        deltas.push((a, 1));
+        if let Some(d) = d {
+            deltas.push((d, -1));
+        }
+    }
+    deltas.sort_unstable();
+
+    let (end, window) = (end.as_micros() as i64, window.as_micros() as i64);
+    let mut w = start.as_micros() as i64;
+    let mut points = Vec::new();
+    let (mut idx, mut len) = (0usize, 0i64);
+    while w < end {
+        let wend = w + window;
+        while idx < deltas.len() && deltas[idx].0 <= wend {
+            len += deltas[idx].1;
+            idx += 1;
+        }
+        points.push((w, len as f64));
+        w = wend;
+    }
+    (points, dropped)
 }
 
 /// Convenience: queue series straight from an event table.
@@ -104,23 +121,13 @@ pub fn queue_from_event_table(
     start: SimTime,
     end: SimTime,
     window: SimDuration,
-) -> Result<TimeSeries, String> {
+) -> Result<Vec<(i64, f64)>, String> {
     Ok(queue_series(
         &intervals_from_event_table(table)?,
         start,
         end,
         window,
     ))
-}
-
-/// Time-weighted mean queue length over `[start, end)`. Corrupt intervals
-/// are dropped, as in [`queue_series`].
-pub fn mean_queue(intervals: &Intervals, start: SimTime, end: SimTime) -> f64 {
-    let (mut steps, _) = steps_of(intervals);
-    if steps.is_empty() || end <= start {
-        return 0.0;
-    }
-    steps.time_weighted_mean(start, end)
 }
 
 #[cfg(test)]
@@ -130,6 +137,10 @@ mod tests {
 
     fn ms(x: u64) -> SimTime {
         SimTime::from_millis(x)
+    }
+
+    fn values(points: &[(i64, f64)]) -> Vec<f64> {
+        points.iter().map(|&(_, v)| v).collect()
     }
 
     #[test]
@@ -142,22 +153,14 @@ mod tests {
         let s = queue_series(&intervals, ms(0), ms(50), SimDuration::from_millis(10));
         // Window ends at 10,20,30,40,50 ms → values 2,3,2,1,0... careful:
         // deltas at exactly the window end are included.
-        assert_eq!(s.values(), &[2.0, 3.0, 1.0, 0.0, 0.0]);
+        assert_eq!(values(&s), &[2.0, 3.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]
     fn open_interval_never_departs() {
         let intervals: Intervals = vec![(0, None)];
         let s = queue_series(&intervals, ms(0), ms(30), SimDuration::from_millis(10));
-        assert!(s.values().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn mean_queue_time_weighted() {
-        let intervals: Intervals = vec![(0, Some(50_000))];
-        let m = mean_queue(&intervals, ms(0), ms(100));
-        assert!((m - 0.5).abs() < 1e-9);
-        assert_eq!(mean_queue(&Vec::new(), ms(0), ms(100)), 0.0);
+        assert!(values(&s).iter().all(|&v| v == 1.0));
     }
 
     #[test]
@@ -168,16 +171,12 @@ mod tests {
         let (s, dropped) =
             queue_series_checked(&intervals, ms(0), ms(50), SimDuration::from_millis(10));
         assert_eq!(dropped, 1);
-        assert_eq!(s.values(), &[1.0, 1.0, 1.0, 0.0, 0.0]);
+        assert_eq!(values(&s), &[1.0, 1.0, 1.0, 0.0, 0.0]);
         // The undamaged interval alone gives the same series.
         let clean: Intervals = vec![(10_000, Some(40_000))];
         assert_eq!(
             queue_series(&clean, ms(0), ms(50), SimDuration::from_millis(10)),
             s
-        );
-        assert_eq!(
-            mean_queue(&intervals, ms(0), ms(100)),
-            mean_queue(&clean, ms(0), ms(100))
         );
     }
 
@@ -190,13 +189,13 @@ mod tests {
         let (s, dropped) =
             queue_series_checked(&intervals, ms(0), ms(50), SimDuration::from_millis(10));
         assert_eq!(dropped, 1);
-        assert_eq!(s.values(), &[1.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(values(&s), &[1.0, 0.0, 0.0, 0.0, 0.0]);
         // A negative departure on an open-ended-looking row is also corrupt.
         let neg_dep: Intervals = vec![(0, Some(-1))];
         let (s2, dropped2) =
             queue_series_checked(&neg_dep, ms(0), ms(20), SimDuration::from_millis(10));
         assert_eq!(dropped2, 1);
-        assert!(s2.values().iter().all(|&v| v == 0.0));
+        assert!(values(&s2).iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -227,6 +226,6 @@ mod tests {
         t.push_row(vec![Value::Timestamp(1_000), Value::Timestamp(9_000)])
             .unwrap();
         let s = queue_from_event_table(&t, ms(0), ms(20), SimDuration::from_millis(5)).unwrap();
-        assert_eq!(s.values(), &[1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(values(&s), &[1.0, 0.0, 0.0, 0.0]);
     }
 }

@@ -144,7 +144,8 @@ impl MilliScope {
     ///
     /// # Errors
     ///
-    /// Missing event tables (monitors disabled) or resource tables.
+    /// Missing event tables (monitors disabled) or resource tables, or a
+    /// zero `pit_window`.
     pub fn diagnose(&self, opts: &DiagnoseOptions) -> Result<DiagnosisReport, CoreError> {
         let pit = self.pit(opts.pit_window)?;
         let episodes = detect_vsb(&pit, opts.vlrt_factor);

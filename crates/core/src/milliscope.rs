@@ -217,10 +217,10 @@ impl MilliScope {
     ///
     /// # Errors
     ///
-    /// Missing event table or columns.
+    /// Missing event table or columns, or a zero `window`.
     pub fn pit(&self, window: SimDuration) -> Result<PitSeries, CoreError> {
         let table = self.event_table(0)?;
-        let full = PitSeries::from_event_table(table, window.as_micros() as i64)
+        let full = PitSeries::from_event_table(table, positive(window)?.as_micros() as i64)
             .map_err(CoreError::Analysis)?;
         // Warm-up is excluded, matching every other measured-window metric.
         let (start, end) = self.measured_range();
@@ -232,20 +232,14 @@ impl MilliScope {
     ///
     /// # Errors
     ///
-    /// Missing event table or columns.
+    /// Missing event table or columns, or a zero `window`.
     pub fn queue(&self, tier: usize, window: SimDuration) -> Result<WindowSeries, CoreError> {
         let table = self.event_table(tier)?;
         let (start, end) = self.measured_range();
-        let series =
-            queue_from_event_table(table, start, end, window).map_err(CoreError::Analysis)?;
+        let points = queue_from_event_table(table, start, end, positive(window)?)
+            .map_err(CoreError::Analysis)?;
         let kind = self.config.tiers[tier].kind;
-        Ok(WindowSeries::new(
-            format!("{kind} queue"),
-            series
-                .iter()
-                .map(|(t, v)| (t.as_micros() as i64, v))
-                .collect(),
-        ))
+        Ok(WindowSeries::new(format!("{kind} queue"), points))
     }
 
     /// Queue series for every tier, pipeline order.
@@ -260,22 +254,21 @@ impl MilliScope {
     }
 
     /// The same queue series computed from the *SysViz* trace instead of
-    /// the event monitors — the accuracy comparison of Fig. 9.
+    /// the event monitors — the accuracy comparison of Fig. 9. `None`
+    /// without the SysViz tap, or for a zero `window`.
     pub fn sysviz_queue(&self, tier: usize, window: SimDuration) -> Option<WindowSeries> {
         let trace = self.sysviz.as_ref()?;
+        let window = positive(window).ok()?;
         let (start, end) = self.measured_range();
         let intervals: Vec<(i64, Option<i64>)> = trace
             .tier_intervals(TierId(tier))
             .into_iter()
             .map(|(a, d)| (a.as_micros() as i64, d.map(|d| d.as_micros() as i64)))
             .collect();
-        let series = mscope_analysis::queue_series(&intervals, start, end, window);
+        let points = mscope_analysis::queue_series(&intervals, start, end, window);
         Some(WindowSeries::new(
             format!("sysviz tier{tier} queue"),
-            series
-                .iter()
-                .map(|(t, v)| (t.as_micros() as i64, v))
-                .collect(),
+            points,
         ))
     }
 
@@ -310,7 +303,9 @@ impl MilliScope {
         Ok(WindowSeries::new(format!("{node} {metric}"), points))
     }
 
-    /// CPU busy (user+sys) series for a node, a common convenience.
+    /// CPU busy (user+sys) series for a node, a common convenience. The
+    /// two metrics pair on window start: a window has a point only when it
+    /// holds a non-null sample, and a window either metric lacks is dropped.
     ///
     /// # Errors
     ///
@@ -318,11 +313,14 @@ impl MilliScope {
     pub fn cpu_busy(&self, node: &str, window: SimDuration) -> Result<WindowSeries, CoreError> {
         let user = self.resource(node, "cpu_user", window, AggFn::Mean)?;
         let sys = self.resource(node, "cpu_sys", window, AggFn::Mean)?;
+        // `resource` points ascend strictly in window start.
         let points = user
             .points
             .iter()
-            .zip(&sys.points)
-            .map(|(&(t, u), &(_, s))| (t, u + s))
+            .filter_map(|&(t, u)| {
+                let i = sys.points.binary_search_by_key(&t, |&(ts, _)| ts).ok()?;
+                Some((t, u + sys.points[i].1))
+            })
             .collect();
         Ok(WindowSeries::new(format!("{node} cpu_busy"), points))
     }
@@ -352,6 +350,17 @@ impl MilliScope {
             .collect::<Result<_, _>>()?;
         reconstruct_flows(&tables).map_err(|e| CoreError::Analysis(e.to_string()))
     }
+}
+
+/// The zero-window guard for the analyses that bucket on `window`
+/// themselves (`resource` gets the same refusal from the warehouse).
+/// `DiagnoseOptions` deserializes from JSON, so a zero can arrive from
+/// outside the program and must be an error, not the folds' `assert!`.
+fn positive(window: SimDuration) -> Result<SimDuration, CoreError> {
+    if window.is_zero() {
+        return Err(CoreError::Analysis("window must be positive".into()));
+    }
+    Ok(window)
 }
 
 /// Seeds a fresh warehouse with the static experiment/node rows every
@@ -552,6 +561,75 @@ mod tests {
         assert!(ms
             .resource("tier3-0", "no_such_metric", w, AggFn::Max)
             .is_err());
+    }
+
+    #[test]
+    fn zero_window_is_an_error_not_a_panic() {
+        let ms = ingested(30);
+        let zero = SimDuration::ZERO;
+        assert!(matches!(ms.pit(zero), Err(CoreError::Analysis(_))));
+        assert!(matches!(ms.queue(0, zero), Err(CoreError::Analysis(_))));
+        assert!(matches!(ms.all_queues(zero), Err(CoreError::Analysis(_))));
+        assert!(ms.sysviz().is_some());
+        assert_eq!(ms.sysviz_queue(0, zero), None);
+        let opts = crate::DiagnoseOptions {
+            pit_window: zero,
+            ..Default::default()
+        };
+        assert!(matches!(ms.diagnose(&opts), Err(CoreError::Analysis(_))));
+        // The warehouse refuses the same window for `resource`.
+        assert!(matches!(
+            ms.resource("tier0-0", "cpu_user", zero, AggFn::Mean),
+            Err(CoreError::Db(mscope_db::DbError::BadQuery(_)))
+        ));
+    }
+
+    #[test]
+    fn cpu_busy_pairs_on_window_start_across_a_null_window() {
+        // Four 100 ms windows on one node; the second window's only
+        // `cpu_sys` cell is Null (what `normalize_cell` makes of `-`), so
+        // the `cpu_sys` series has no point there.
+        use mscope_db::{Column, ColumnType, Schema};
+        let schema = Schema::new(vec![
+            Column::new("time", ColumnType::Timestamp),
+            Column::new("node", ColumnType::Text),
+            Column::new("cpu_user", ColumnType::Float),
+            Column::new("cpu_sys", ColumnType::Float),
+        ])
+        .unwrap();
+        let mut db = Database::new();
+        db.create_table("collectl", schema).unwrap();
+        for (t, user, sys) in [
+            (0, 10.0, Some(1.0)),
+            (100_000, 20.0, None),
+            (200_000, 30.0, Some(3.0)),
+            (300_000, 40.0, Some(4.0)),
+        ] {
+            let row = vec![
+                Value::Timestamp(t),
+                Value::Text("tier0-0".into()),
+                Value::Float(user),
+                sys.map_or(Value::Null, Value::Float),
+            ];
+            db.insert("collectl", row).unwrap();
+        }
+        let config = SystemConfig::rubbos_baseline(10);
+        let ms = MilliScope {
+            db,
+            end_time: config.end_time(),
+            config,
+            sysviz: None,
+            report: TransformReport::default(),
+        };
+        let busy = ms
+            .cpu_busy("tier0-0", SimDuration::from_millis(100))
+            .unwrap();
+        // Positional zipping gave (100_000, 23.0), (200_000, 34.0) and lost
+        // the last window.
+        assert_eq!(
+            busy.points,
+            vec![(0, 11.0), (200_000, 33.0), (300_000, 44.0)]
+        );
     }
 
     #[test]

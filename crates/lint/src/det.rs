@@ -46,10 +46,11 @@
 //!   anywhere a record is built.
 
 use crate::source::{
-    brace_span_end, comment_evidence, crate_dirs, enclosing_fn, find_word, fn_spans, is_ident,
-    line_of, mask_tests, paren_span_end, rel_path, rust_files_under, scrub, word_start,
+    brace_span_end, comment_evidence, crate_dirs, enclosing_fn, find_word, finding_at, fn_spans,
+    is_ident, is_loop_subject, mask_tests, paren_span_end, rel_path, rust_files_under, scrub,
+    trailing_ident, word_start,
 };
-use crate::{Finding, Severity};
+use crate::Finding;
 use std::fs;
 use std::io;
 use std::ops::Range;
@@ -146,20 +147,7 @@ struct FileCtx<'a> {
 
 impl FileCtx<'_> {
     fn push(&self, findings: &mut Vec<Finding>, rule: &str, at: usize, what: &str) {
-        let line = line_of(self.text, at);
-        let line_text = self
-            .text
-            .lines()
-            .nth(line as usize - 1)
-            .unwrap_or_default()
-            .trim();
-        findings.push(Finding {
-            rule: rule.to_string(),
-            severity: Severity::Deny,
-            file: self.rel.to_string(),
-            line,
-            message: format!("{what}: `{line_text}`"),
-        });
+        findings.push(finding_at(self.rel, self.text, rule, at, what));
     }
 }
 
@@ -244,37 +232,6 @@ fn hash_bindings(masked: &str, fns: &[Range<usize>]) -> Vec<HashBinding> {
         }
     }
     out
-}
-
-/// The trailing identifier of `s`, or `""`.
-fn trailing_ident(s: &str) -> &str {
-    let t = s.trim_end();
-    let b = t.as_bytes();
-    let mut i = t.len();
-    while i > 0 && is_ident(b[i - 1]) {
-        i -= 1;
-    }
-    &t[i..]
-}
-
-/// `true` when the word at `at` is the subject of a `for … in` loop
-/// (allowing `&`/`&mut` in front).
-fn is_loop_subject(masked: &str, at: usize) -> bool {
-    let mut pre = masked[..at].trim_end();
-    loop {
-        if let Some(s) = pre.strip_suffix('&') {
-            pre = s.trim_end();
-        } else if let Some(s) = pre.strip_suffix("mut") {
-            if word_start(s, s.len()) || s.is_empty() {
-                pre = s.trim_end();
-            } else {
-                break;
-            }
-        } else {
-            break;
-        }
-    }
-    pre.ends_with("in") && word_start(pre, pre.len() - 2)
 }
 
 fn dt001(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {

@@ -54,11 +54,11 @@
 //! same way the determinism front accepts documented merge orders.
 
 use crate::source::{
-    comment_evidence, crate_dirs, enclosing_fn, enclosing_loop, find_word, fn_spans, is_ident,
-    line_of, loop_spans, mask_tests, paren_span_end, rel_path, rust_files_under, scrub, word_start,
-    LoopSpan,
+    comment_evidence, crate_dirs, enclosing_fn, enclosing_loop, find_word, finding_at, fn_spans,
+    is_ident, is_loop_subject, loop_spans, mask_tests, paren_span_end, rel_path, rust_files_under,
+    scrub, trailing_ident, word_start, LoopSpan,
 };
-use crate::{Finding, Severity};
+use crate::Finding;
 use std::fs;
 use std::io;
 use std::ops::Range;
@@ -143,20 +143,7 @@ struct FileCtx<'a> {
 
 impl FileCtx<'_> {
     fn push(&self, findings: &mut Vec<Finding>, rule: &str, at: usize, what: &str) {
-        let line = line_of(self.text, at);
-        let line_text = self
-            .text
-            .lines()
-            .nth(line as usize - 1)
-            .unwrap_or_default()
-            .trim();
-        findings.push(Finding {
-            rule: rule.to_string(),
-            severity: Severity::Deny,
-            file: self.rel.to_string(),
-            line,
-            message: format!("{what}: `{line_text}`"),
-        });
+        findings.push(finding_at(self.rel, self.text, rule, at, what));
     }
 
     fn justified(&self, at: usize) -> bool {
@@ -191,17 +178,6 @@ fn cold_spans(masked: &str) -> Vec<Range<usize>> {
     out
 }
 
-/// The trailing identifier of `s`, or `""`.
-fn trailing_ident(s: &str) -> &str {
-    let t = s.trim_end();
-    let b = t.as_bytes();
-    let mut i = t.len();
-    while i > 0 && is_ident(b[i - 1]) {
-        i -= 1;
-    }
-    &t[i..]
-}
-
 /// `true` when the statement containing `at` is a `return` or `break`
 /// expression. A terminal statement executes at most once per enclosing
 /// loop *execution* (it ends the final iteration), so an allocation
@@ -214,26 +190,6 @@ fn terminal_statement(masked: &str, at: usize) -> bool {
         stmt.strip_prefix(kw)
             .is_some_and(|rest| rest.is_empty() || !is_ident(rest.as_bytes()[0]))
     })
-}
-
-/// `true` when the word at `at` is the subject of a `for … in` loop
-/// (allowing `&`/`&mut` in front).
-fn is_loop_subject(masked: &str, at: usize) -> bool {
-    let mut pre = masked[..at].trim_end();
-    loop {
-        if let Some(s) = pre.strip_suffix('&') {
-            pre = s.trim_end();
-        } else if let Some(s) = pre.strip_suffix("mut") {
-            if word_start(s, s.len()) || s.is_empty() {
-                pre = s.trim_end();
-            } else {
-                break;
-            }
-        } else {
-            break;
-        }
-    }
-    pre.ends_with("in") && word_start(pre, pre.len() - 2)
 }
 
 // ---------------------------------------------------------------------

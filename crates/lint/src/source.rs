@@ -426,6 +426,56 @@ pub(crate) fn find_word(text: &str, needle: &str) -> Vec<usize> {
     out
 }
 
+/// The trailing identifier of `s`, or `""`.
+pub(crate) fn trailing_ident(s: &str) -> &str {
+    let t = s.trim_end();
+    let b = t.as_bytes();
+    let mut i = t.len();
+    while i > 0 && is_ident(b[i - 1]) {
+        i -= 1;
+    }
+    &t[i..]
+}
+
+/// `true` when the word at `at` is the subject of a `for … in` loop
+/// (allowing `&`/`&mut` in front).
+pub(crate) fn is_loop_subject(masked: &str, at: usize) -> bool {
+    let mut pre = masked[..at].trim_end();
+    loop {
+        if let Some(s) = pre.strip_suffix('&') {
+            pre = s.trim_end();
+        } else if let Some(s) = pre.strip_suffix("mut") {
+            if word_start(s, s.len()) || s.is_empty() {
+                pre = s.trim_end();
+            } else {
+                break;
+            }
+        } else {
+            break;
+        }
+    }
+    pre.ends_with("in") && word_start(pre, pre.len() - 2)
+}
+
+/// The deny finding the determinism and performance fronts report for
+/// the hit at byte `at` of `text`: `what`, then the hit's trimmed source
+/// line. `lint.allow` anchors match on this message text.
+pub(crate) fn finding_at(rel: &str, text: &str, rule: &str, at: usize, what: &str) -> Finding {
+    let line = line_of(text, at);
+    let line_text = text
+        .lines()
+        .nth(line as usize - 1)
+        .unwrap_or_default()
+        .trim();
+    Finding {
+        rule: rule.to_string(),
+        severity: Severity::Deny,
+        file: rel.to_string(),
+        line,
+        message: format!("{what}: `{line_text}`"),
+    }
+}
+
 /// `true` when a `//` comment containing any of `tokens` appears on the
 /// hit's line or within `window` raw source lines above it. This is how a
 /// rule accepts *documented* discipline: the comment is the evidence.

@@ -16,8 +16,7 @@
 //! * [`SimRng`] — seeded RNG with the distributions workload models need;
 //!   [`LogNormal`] / [`WeightedIndex`] are the same samplers with their
 //!   parameters prepared once, for draws repeated in a hot loop.
-//! * [`TimeSeries`] / [`StepSeries`] — sampled and event-driven series.
-//! * [`Histogram`], [`Summary`], [`pearson`], [`percentile`], [`rmse`] —
+//! * [`Summary`], [`pearson`], [`percentile`], [`rmse`] —
 //!   statistics used by the analysis layer and the figure benches.
 //! * [`WorkQueue`] / [`parallel_map`] — atomic job dispenser and the
 //!   job-ordered parallel fan-out built on it, shared by every parallel
@@ -62,7 +61,6 @@ mod par;
 pub mod prop;
 mod queue;
 mod rng;
-mod series;
 mod stats;
 mod stream;
 mod time;
@@ -72,7 +70,6 @@ pub use event::EventQueue;
 pub use par::parallel_map;
 pub use queue::WorkQueue;
 pub use rng::{LogNormal, SimRng, WeightedIndex};
-pub use series::{Agg, StepSeries, TimeSeries};
-pub use stats::{pearson, percentile, rmse, Histogram, Summary};
+pub use stats::{pearson, percentile, rmse, Summary};
 pub use stream::{run_piped, RecordReceiver, RecordSender, RecordStream};
 pub use time::{parse_wallclock, wallclock, SimDuration, SimTime};

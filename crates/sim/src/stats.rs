@@ -1,5 +1,5 @@
 //! Small statistics toolkit: descriptive stats, percentiles, Pearson
-//! correlation, and a latency histogram.
+//! correlation, and RMSE.
 //!
 //! Implemented in-repo (rather than pulling a stats crate) because the
 //! analysis layer's correctness — e.g. the correlation behind the paper's
@@ -136,155 +136,6 @@ pub fn rmse(x: &[f64], y: &[f64]) -> Option<f64> {
     Some((ss / x.len() as f64).sqrt())
 }
 
-/// A fixed-boundary latency histogram with logarithmically spaced buckets,
-/// suitable for millisecond-to-second response times.
-///
-/// # Examples
-///
-/// ```
-/// use mscope_sim::Histogram;
-/// let mut h = Histogram::latency_default();
-/// h.record(3.0);
-/// h.record(250.0);
-/// assert_eq!(h.count(), 2);
-/// assert!(h.mean() > 100.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper bounds of each bucket (last bucket is unbounded).
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    sum: f64,
-    min: f64,
-    max: f64,
-    count: u64,
-}
-mscope_serdes::json_struct!(Histogram {
-    bounds,
-    counts,
-    sum,
-    min,
-    max,
-    count
-});
-
-impl Histogram {
-    /// Creates a histogram with the given ascending bucket upper bounds; an
-    /// implicit overflow bucket catches everything above the last bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let n = bounds.len();
-        Histogram {
-            bounds,
-            counts: vec![0; n + 1],
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            count: 0,
-        }
-    }
-
-    /// Log-spaced bounds from 0.1 ms to ~100 s: the default for response
-    /// times in milliseconds.
-    pub fn latency_default() -> Self {
-        let mut bounds = Vec::new();
-        let mut b = 0.1;
-        while b <= 100_000.0 {
-            bounds.push(b);
-            b *= 1.5;
-        }
-        Histogram::with_bounds(bounds)
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: f64) {
-        let idx = match self.bounds.iter().position(|&b| v <= b) {
-            Some(i) => i,
-            None => self.bounds.len(),
-        };
-        self.counts[idx] += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.count += 1;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) from bucket boundaries: returns
-    /// the upper bound of the bucket containing the quantile rank. `None` if
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max
-                });
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Merges another histogram with identical bounds into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds differ");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,55 +187,5 @@ mod tests {
         assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), Some(0.0));
         assert_eq!(rmse(&[0.0, 0.0], &[3.0, 4.0]), Some((12.5f64).sqrt()));
         assert_eq!(rmse(&[1.0], &[]), None);
-    }
-
-    #[test]
-    fn histogram_records_and_quantiles() {
-        let mut h = Histogram::with_bounds(vec![1.0, 10.0, 100.0]);
-        for _ in 0..90 {
-            h.record(0.5);
-        }
-        for _ in 0..10 {
-            h.record(50.0);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile(0.5), Some(1.0));
-        assert_eq!(h.quantile(0.95), Some(100.0));
-        assert_eq!(h.min(), Some(0.5));
-        assert_eq!(h.max(), Some(50.0));
-    }
-
-    #[test]
-    fn histogram_overflow_bucket() {
-        let mut h = Histogram::with_bounds(vec![1.0]);
-        h.record(1000.0);
-        assert_eq!(h.quantile(1.0), Some(1000.0));
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::with_bounds(vec![1.0, 10.0]);
-        let mut b = Histogram::with_bounds(vec![1.0, 10.0]);
-        a.record(0.5);
-        b.record(5.0);
-        b.record(20.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), Some(20.0));
-        assert_eq!(a.min(), Some(0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds must be strictly ascending")]
-    fn histogram_bad_bounds_panics() {
-        Histogram::with_bounds(vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn latency_default_covers_range() {
-        let mut h = Histogram::latency_default();
-        h.record(0.05);
-        h.record(99_999.0);
-        assert_eq!(h.count(), 2);
     }
 }

@@ -12,6 +12,12 @@
 //! — `SELECT cols`, `GROUP BY`, `WHERE t >= a AND t < b`) or
 //! [`Table::filter`] with [`Predicate::Between`], which binary-searches a
 //! sorted column.
+//!
+//! Every aggregate in the warehouse — a window bucket of
+//! [`Table::window_agg_where`], a SQL group or whole-table aggregate in
+//! `vector.rs` — folds into the one accumulator defined here beside
+//! [`AggFn`], so a windowed fold and a SQL aggregate over the same rows
+//! agree to the bit.
 
 use crate::engine::CompiledPredicate;
 use crate::plan::Side;
@@ -121,18 +127,56 @@ mscope_serdes::json_enum!(AggFn {
     Last
 });
 
-fn fold(agg: AggFn, values: &[f64]) -> Option<f64> {
-    if agg == AggFn::Count {
-        return Some(values.len() as f64);
+/// The one accumulator behind every aggregate. Fixed size, one pass: it
+/// holds every statistic any [`AggFn`] finishes from, so no caller keeps a
+/// per-bucket value vector. Values fold in encounter order: a left-fold
+/// sum from `0.0` (so a bucket of only `-0.0` sums to `0.0`) and
+/// `f64::min`/`max` from the infinities.
+#[derive(Clone, Copy)]
+pub(crate) struct Acc {
+    n: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
+    last: f64,
+}
+
+impl Acc {
+    pub(crate) const NEW: Acc = Acc {
+        n: 0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        last: 0.0,
+    };
+
+    /// Folds one numeric value.
+    pub(crate) fn push(&mut self, v: f64) {
+        self.n += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.last = v;
     }
-    let last = *values.last()?;
-    Some(match agg {
-        AggFn::Mean => values.iter().sum::<f64>() / values.len() as f64,
-        AggFn::Max => values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        AggFn::Min => values.iter().cloned().fold(f64::INFINITY, f64::min),
-        AggFn::Sum => values.iter().sum(),
-        AggFn::Count | AggFn::Last => last,
-    })
+
+    /// Counts an entry that carries no numeric value (SQL `COUNT(*)`, or
+    /// `COUNT(col)` over a non-null text cell).
+    pub(crate) fn count(&mut self) {
+        self.n += 1;
+    }
+
+    /// The aggregate, or `None` when nothing was folded (`Count` is `0`).
+    pub(crate) fn finish(self, agg: AggFn) -> Option<f64> {
+        match agg {
+            AggFn::Count => Some(self.n as f64),
+            _ if self.n == 0 => None,
+            AggFn::Mean => Some(self.sum / self.n as f64),
+            AggFn::Max => Some(self.max),
+            AggFn::Min => Some(self.min),
+            AggFn::Sum => Some(self.sum),
+            AggFn::Last => Some(self.last),
+        }
+    }
 }
 
 impl Table {
@@ -207,21 +251,23 @@ impl Table {
         let (tcol, vcol) = (self.col(tci), self.col(vci));
         let rows = CompiledPredicate::compile(self, pred).matching_rows_with(0);
         // BTreeMap (not HashMap) so bucket emission is key-ordered by
-        // construction — hash order must never reach output. Values land
-        // in row order, which fixes Mean/Sum addition order and Last.
-        let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+        // construction — hash order must never reach output. Values fold
+        // in row order, which fixes Mean/Sum addition order and Last. A
+        // bucket exists only once a value landed in it, so every emitted
+        // window holds at least one non-null sample.
+        let mut buckets: BTreeMap<i64, Acc> = BTreeMap::new();
         for &i in &rows {
             let (Some(t), Some(v)) = (tcol[i].as_i64(), vcol[i].as_f64()) else {
                 continue;
             };
             buckets
                 .entry(t.div_euclid(window_us) * window_us)
-                .or_default()
+                .or_insert(Acc::NEW)
                 .push(v);
         }
         let out: Vec<(i64, f64)> = buckets
             .into_iter()
-            .filter_map(|(k, vs)| fold(agg, &vs).map(|v| (k, v)))
+            .filter_map(|(k, acc)| acc.finish(agg).map(|v| (k, v)))
             .collect();
         Ok((rows.len(), out))
     }

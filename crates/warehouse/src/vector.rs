@@ -14,9 +14,10 @@
 //! * [`join_pairs`] is build-side aware: the planner hashes whichever
 //!   input the statistics estimate smaller, and the output pair list is
 //!   restored to left-major order either way;
-//! * [`aggregate`] folds COUNT/SUM/MIN/MAX/AVG accumulators in one pass
-//!   over the typed slices, bit-identical to `query.rs`'s window `fold` (same
-//!   float operations in the same row order).
+//! * [`aggregate`] folds COUNT/SUM/MIN/MAX/AVG in one pass over the typed
+//!   slices into `query.rs`'s `Acc`, the accumulator the window fold uses;
+//!   only SQL's own rules live here (what `COUNT` counts, whole-table `SUM`
+//!   of nothing).
 //!
 //! [`run`] is the one plan entry point: there is no second interpreter
 //! behind `QueryOptions::optimize = false`, only a [`Plan`] whose
@@ -27,7 +28,7 @@
 
 use crate::engine::{self, CmpOp, CompiledPredicate, KeyRef};
 use crate::plan::{Plan, Resolved, Side};
-use crate::query::AggFn;
+use crate::query::{Acc, AggFn};
 use crate::table::{Schema, Table};
 use crate::value::Value;
 use crate::{DbError, Predicate};
@@ -256,72 +257,18 @@ impl<'t> PNode<'t> {
 // Batch aggregation
 // ---------------------------------------------------------------------
 
-/// Streaming accumulator holding every statistic any [`AggFn`] finishes
-/// from. One pass, fixed size — no per-group value vector.
-#[derive(Clone, Copy)]
-struct Acc {
-    n: usize,
-    sum: f64,
-    min: f64,
-    max: f64,
-    last: f64,
-}
-
-impl Acc {
-    const NEW: Acc = Acc {
-        n: 0,
-        sum: 0.0,
-        min: f64::INFINITY,
-        max: f64::NEG_INFINITY,
-        last: 0.0,
-    };
-
-    /// Folds one numeric value. Operations and order match the window
-    /// `fold` in `query.rs` exactly (left-fold sum from 0.0, `f64::min`/`max`
-    /// from the infinities), so results are bit-identical.
-    fn push(&mut self, v: f64) {
-        self.n += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.last = v;
-    }
-}
-
 /// Feeds one row's cell into an accumulator. `COUNT(*)` passes no cell
 /// and counts the row; `COUNT(col)` counts non-null cells of any type
 /// (SQL semantics); every other aggregate folds numeric cells only.
 fn update(agg: AggFn, cell: Option<&Value>, acc: &mut Acc) {
     if agg == AggFn::Count {
         if cell.is_none_or(|c| !c.is_null()) {
-            acc.n += 1;
+            acc.count();
         }
         return;
     }
     if let Some(v) = cell.and_then(Value::as_f64) {
         acc.push(v);
-    }
-}
-
-/// Finishes an accumulator. `None` means "no value" — the row is dropped
-/// (grouped, all aggregates `None`) or rendered `Null`. Whole-table SUM
-/// over an empty input keeps its legacy `0.0`.
-fn finish(agg: AggFn, a: Acc, whole_table: bool) -> Option<f64> {
-    match agg {
-        AggFn::Count => Some(a.n as f64),
-        AggFn::Sum => {
-            if a.n > 0 {
-                Some(a.sum)
-            } else if whole_table {
-                Some(0.0)
-            } else {
-                None
-            }
-        }
-        AggFn::Mean => (a.n > 0).then(|| a.sum / a.n as f64),
-        AggFn::Min => (a.n > 0).then_some(a.min),
-        AggFn::Max => (a.n > 0).then_some(a.max),
-        AggFn::Last => (a.n > 0).then_some(a.last),
     }
 }
 
@@ -354,7 +301,12 @@ pub(crate) fn aggregate(
         let cols: Vec<Vec<Value>> = aggs
             .iter()
             .zip(&accs)
-            .map(|(&(agg, _), &acc)| vec![finish(agg, acc, true).map_or(Value::Null, Value::Float)])
+            .map(|(&(agg, _), &acc)| {
+                // SQL's own rule: a whole-table SUM over nothing is 0.0,
+                // where a window or a group of nothing has no value.
+                let v = acc.finish(agg).or((agg == AggFn::Sum).then_some(0.0));
+                vec![v.map_or(Value::Null, Value::Float)]
+            })
             .collect();
         return Table::from_parts(name.to_string(), schema.clone(), cols);
     }
@@ -412,7 +364,7 @@ pub(crate) fn aggregate(
         let vals: Vec<Option<f64>> = aggs
             .iter()
             .zip(accs)
-            .map(|(&(agg, _), &acc)| finish(agg, acc, false))
+            .map(|(&(agg, _), &acc)| acc.finish(agg))
             .collect();
         if vals.iter().all(Option::is_none) {
             continue;

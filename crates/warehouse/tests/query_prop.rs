@@ -6,6 +6,7 @@
 
 use mscope_db::{AggFn, Column, ColumnType, CompiledPredicate, Predicate, Schema, Table, Value};
 use mscope_sim::prop::{forall, Gen};
+use std::collections::BTreeMap;
 
 /// Generates an event-shaped table with a timestamp column (sorted with
 /// probability ½), an Int or Float metric column, and a short-alphabet
@@ -157,39 +158,71 @@ fn compiled_join_matches_naive_oracle() {
     });
 }
 
+/// Independent window-fold oracle: every bucket keeps its values and each
+/// aggregate is computed from the whole vector, sums adding left to right
+/// from an explicit `0.0`. Shares nothing with the engine's accumulator.
+fn window_agg_staged(t: &Table, window: i64, agg: AggFn) -> Vec<(i64, f64)> {
+    let ts = t.column("ts").expect("arb_table has ts");
+    let num = t.column("num").expect("arb_table has num");
+    let mut buckets: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+    for (t, v) in ts.iter().zip(num) {
+        if let (Some(t), Some(v)) = (t.as_i64(), v.as_f64()) {
+            buckets
+                .entry(t.div_euclid(window) * window)
+                .or_default()
+                .push(v);
+        }
+    }
+    buckets
+        .into_iter()
+        .map(|(start, vs)| {
+            let sum = vs.iter().fold(0.0, |s, v| s + v);
+            let v = match agg {
+                AggFn::Count => vs.len() as f64,
+                AggFn::Sum => sum,
+                AggFn::Mean => sum / vs.len() as f64,
+                AggFn::Min => vs.iter().copied().fold(f64::INFINITY, f64::min),
+                AggFn::Max => vs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                AggFn::Last => vs[vs.len() - 1],
+            };
+            (start, v)
+        })
+        .collect()
+}
+
 #[test]
 fn fused_window_agg_matches_filter_then_agg() {
-    forall("window_agg_where ≡ filter + window_agg", 128, |g| {
+    forall("window_agg_where ≡ filter + staged fold", 128, |g| {
         let t = arb_table(g, "events");
         let pred = arb_pred(g, 2);
         let window = g.i64(1..=50_000).max(1);
-        let agg = g.choose(&[
+        let filtered = t.filter_naive(&pred);
+        let bits = |s: &[(i64, f64)]| -> Vec<(i64, u64)> {
+            s.iter().map(|&(t, v)| (t, v.to_bits())).collect()
+        };
+        for agg in [
             AggFn::Count,
             AggFn::Sum,
             AggFn::Mean,
             AggFn::Min,
             AggFn::Max,
             AggFn::Last,
-        ]);
-        let (matched, fused) = t
-            .window_agg_where(&pred, "ts", window, "num", agg)
-            .map_err(|e| format!("fused path errored: {e:?}"))?;
-        let filtered = t.filter_naive(&pred);
-        if matched != filtered.row_count() {
-            return Err(format!(
-                "matched-row count {matched} ≠ filtered rows {}",
-                filtered.row_count()
-            ));
-        }
-        let staged = filtered
-            .window_agg("ts", window, "num", agg)
-            .map_err(|e| format!("staged path errored: {e:?}"))?;
-        if fused != staged {
-            return Err(format!(
-                "series diverged: fused {} vs staged {} points",
-                fused.len(),
-                staged.len()
-            ));
+        ] {
+            let (matched, fused) = t
+                .window_agg_where(&pred, "ts", window, "num", agg)
+                .map_err(|e| format!("fused path errored: {e:?}"))?;
+            if matched != filtered.row_count() {
+                return Err(format!(
+                    "matched-row count {matched} ≠ filtered rows {}",
+                    filtered.row_count()
+                ));
+            }
+            let staged = window_agg_staged(&filtered, window, agg);
+            if bits(&fused) != bits(&staged) {
+                return Err(format!(
+                    "{agg:?} diverged: fused {fused:?} vs staged {staged:?}"
+                ));
+            }
         }
         Ok(())
     });

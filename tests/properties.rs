@@ -182,14 +182,70 @@ fn queue_series_bounded() {
             SimTime::from_micros(horizon + 2_000_000),
             SimDuration::from_millis(100),
         );
-        for (_, v) in series.iter() {
+        for &(_, v) in &series {
             prop_ensure!((0.0..=n).contains(&v), "queue {v} out of [0, {n}]");
         }
-        let last = series.values().last().copied().expect("non-empty series");
+        let last = series.last().map(|&(_, v)| v).expect("non-empty series");
         prop_ensure!(
             last == 0.0,
             "queue must drain after all departures, got {last}"
         );
+        Ok(())
+    });
+}
+
+/// The delta walk equals a brute-force count at every window end: the
+/// well-formed intervals that have arrived by then and not departed by
+/// then. Inputs are unsorted and mix closed, open (never departs),
+/// same-instant arrive/depart and corrupt intervals (negative arrival,
+/// departure before arrival — counted in `dropped`, contributing nothing),
+/// with `start` drawn past the earliest arrivals.
+#[test]
+fn queue_series_matches_brute_force_count() {
+    forall("queue series = brute-force count", 128, |g| {
+        let ints = g.vec(0..=60, |g| {
+            let a = g.i64(0..=999_999);
+            match g.usize(0..=5) {
+                0 => (a, None),
+                1 => (a, Some(a)),
+                2 => (-1 - a, Some(a)),
+                3 => (a, Some(a - 1 - g.i64(0..=999))),
+                _ => (a, Some(a + g.i64(1..=400_000))),
+            }
+        });
+        let start = g.i64(0..=600_000);
+        let end = start + g.i64(0..=900_000);
+        let window = g.i64(1..=150_000);
+        let (series, dropped) = mscope_analysis::queue_series_checked(
+            &ints,
+            SimTime::from_micros(start as u64),
+            SimTime::from_micros(end as u64),
+            SimDuration::from_micros(window as u64),
+        );
+        let valid: Vec<(i64, Option<i64>)> = ints
+            .iter()
+            .copied()
+            .filter(|&(a, d)| a >= 0 && d.is_none_or(|d| d >= a))
+            .collect();
+        prop_ensure!(
+            dropped == ints.len() - valid.len(),
+            "dropped {dropped} of {} with {} valid",
+            ints.len(),
+            valid.len()
+        );
+        let want: Vec<(i64, f64)> = (0..)
+            .map(|k| start + k * window)
+            .take_while(|&w| w < end)
+            .map(|w| {
+                let at = w + window;
+                let resident = valid
+                    .iter()
+                    .filter(|&&(a, d)| a <= at && d.is_none_or(|d| d > at))
+                    .count();
+                (w, resident as f64)
+            })
+            .collect();
+        prop_ensure!(series == want, "walk {series:?} != count {want:?}");
         Ok(())
     });
 }
