@@ -279,13 +279,14 @@ pub fn reconstruct_flows(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowErro
         column: "request_id".into(),
     };
     // Index deeper tiers by request_id with the same borrowed hash index
-    // the warehouse join uses; `last_text` keeps the last occurrence of a
-    // duplicated ID, matching the old insert-overwrites map.
+    // the warehouse join builds; `last_text` keeps the last occurrence of
+    // a duplicated ID (latest record wins).
     let mut deep: Vec<(KeyIndex<'_>, HopReader<'_>)> = Vec::with_capacity(tables.len() - 1);
     for t in &tables[1..] {
         let ids = t.column("request_id").ok_or_else(|| missing_id(t))?;
         // perf: one KeyIndex per deeper-tier *table*, built once per
-        // reconstruction and probed per request — already fully hoisted.
+        // reconstruction (one hash per row into flat arrays, no allocation
+        // per request ID) and probed per request.
         deep.push((KeyIndex::build(ids), HopReader::new(t)));
     }
     let front = tables[0];
@@ -306,7 +307,8 @@ pub fn reconstruct_flows(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowErro
         let interaction = interactions
             .and_then(|col| col.get(row))
             .and_then(Value::as_str);
-        // perf: flows own their strings — two allocations per emitted flow.
+        // perf: flows own their strings (callers keep them past the table
+        // borrow) — two allocations per flow, one more per hop for its node.
         flows.push(RequestFlow {
             request_id: id.to_string(),
             interaction: interaction.unwrap_or("?").to_string(),

@@ -15,13 +15,10 @@ use mscope_sim::{SimDuration, SimTime};
 /// the request was still resident when observation ended.
 pub type Intervals = Vec<(i64, Option<i64>)>;
 
-/// Extracts residence intervals from an event table (needs `ua` and `ud`
-/// columns; rows with null `ua` are skipped, null `ud` → still resident).
-///
-/// # Errors
-///
-/// Returns an error string if the required columns are missing.
-pub fn intervals_from_event_table(table: &Table) -> Result<Intervals, String> {
+/// The `(arrival_us, departure_us)` pairs of an event table's `ua`/`ud`
+/// columns, read in place: rows with null `ua` are skipped, null `ud` →
+/// still resident.
+fn event_intervals(table: &Table) -> Result<impl Iterator<Item = (i64, Option<i64>)> + '_, String> {
     let ua = table
         .column("ua")
         .ok_or_else(|| format!("table `{}` has no `ua` column", table.name()))?;
@@ -31,8 +28,17 @@ pub fn intervals_from_event_table(table: &Table) -> Result<Intervals, String> {
     Ok(ua
         .iter()
         .zip(ud)
-        .filter_map(|(a, d)| Some((a.as_i64()?, d.as_i64())))
-        .collect())
+        .filter_map(|(a, d)| Some((a.as_i64()?, d.as_i64()))))
+}
+
+/// Extracts residence intervals from an event table (needs `ua` and `ud`
+/// columns; rows with null `ua` are skipped, null `ud` → still resident).
+///
+/// # Errors
+///
+/// Returns an error string if the required columns are missing.
+pub fn intervals_from_event_table(table: &Table) -> Result<Intervals, String> {
+    Ok(event_intervals(table)?.collect())
 }
 
 /// `true` when an interval is well-formed: a non-negative arrival and, if
@@ -76,42 +82,61 @@ pub fn queue_series_checked(
     end: SimTime,
     window: SimDuration,
 ) -> (Vec<(i64, f64)>, usize) {
+    fold(intervals.iter().copied(), start, end, window)
+}
+
+/// The step fold behind every queue series. Only the running sum at window
+/// ends is read, so a ±1 delta at instant `t` is counted into the first
+/// window whose end is `≥ t` and one prefix sum over the window slots gives
+/// every sample: one pass over the intervals, nothing ordered.
+fn fold(
+    intervals: impl Iterator<Item = (i64, Option<i64>)>,
+    start: SimTime,
+    end: SimTime,
+    window: SimDuration,
+) -> (Vec<(i64, f64)>, usize) {
     assert!(!window.is_zero(), "window must be non-zero");
-    // +1 at each arrival, −1 at each departure, sorted once. Only the
-    // running sum at window ends is read, and every delta at one instant
-    // lands on the same side of each end, so their relative order is
-    // immaterial.
-    let mut deltas: Vec<(i64, i64)> = Vec::with_capacity(2 * intervals.len());
+    // One window per started `window` of `[start, end)`; none if it is empty.
+    let windows =
+        (end.as_micros().saturating_sub(start.as_micros())).div_ceil(window.as_micros()) as usize;
+    let (start, window) = (start.as_micros() as i64, window.as_micros() as i64);
+    // Window `k` ends at `start + (k + 1)·window`; a delta later than the
+    // last end is never read.
+    let slot = |t: i64| {
+        if t <= start + window {
+            0
+        } else {
+            ((t - start - 1) / window) as usize
+        }
+    };
+    let mut net = vec![0i64; windows];
     let mut dropped = 0usize;
-    for &(a, d) in intervals {
+    for (a, d) in intervals {
         if !interval_is_valid(a, d) {
             dropped += 1;
             continue;
         }
-        deltas.push((a, 1));
-        if let Some(d) = d {
-            deltas.push((d, -1));
+        if let Some(n) = net.get_mut(slot(a)) {
+            *n += 1;
+        }
+        if let Some(n) = d.and_then(|d| net.get_mut(slot(d))) {
+            *n -= 1;
         }
     }
-    deltas.sort_unstable();
-
-    let (end, window) = (end.as_micros() as i64, window.as_micros() as i64);
-    let mut w = start.as_micros() as i64;
-    let mut points = Vec::new();
-    let (mut idx, mut len) = (0usize, 0i64);
-    while w < end {
-        let wend = w + window;
-        while idx < deltas.len() && deltas[idx].0 <= wend {
-            len += deltas[idx].1;
-            idx += 1;
-        }
-        points.push((w, len as f64));
-        w = wend;
-    }
+    let mut len = 0i64;
+    let points = net
+        .iter()
+        .zip(0i64..)
+        .map(|(&n, k)| {
+            len += n;
+            (start + k * window, len as f64)
+        })
+        .collect();
     (points, dropped)
 }
 
-/// Convenience: queue series straight from an event table.
+/// Convenience: queue series straight from an event table's `ua`/`ud`
+/// columns, with no interval list in between.
 ///
 /// # Errors
 ///
@@ -122,12 +147,7 @@ pub fn queue_from_event_table(
     end: SimTime,
     window: SimDuration,
 ) -> Result<Vec<(i64, f64)>, String> {
-    Ok(queue_series(
-        &intervals_from_event_table(table)?,
-        start,
-        end,
-        window,
-    ))
+    Ok(fold(event_intervals(table)?, start, end, window).0)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use mscope_analysis::{
 };
 use mscope_db::AggFn;
 use mscope_sim::SimDuration;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Tunables for the diagnosis pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,6 +140,25 @@ impl DiagnosisReport {
     }
 }
 
+/// The resource series `diagnose` interrogates, each under the aggregate
+/// the methodology reads it with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Metric {
+    /// `disk_util`, windowed `Max`.
+    DiskUtil,
+    /// `cpu_user + cpu_sys`, windowed `Mean` ([`MilliScope::cpu_busy`]).
+    CpuBusy,
+    /// `mem_dirty`, windowed `Last`.
+    MemDirty,
+    /// `cpu_iowait`, windowed `Mean`.
+    CpuIowait,
+}
+
+/// Whole-trial series by `(node, metric)` for one `diagnose` call: every
+/// episode slices the same few series, so each is scanned out of `collectl`
+/// on first use and kept until the call returns.
+type SeriesTable = BTreeMap<(String, Metric), WindowSeries>;
+
 impl MilliScope {
     /// Runs the full diagnosis pass.
     ///
@@ -152,6 +172,7 @@ impl MilliScope {
         let queues = self.all_queues(opts.pit_window)?;
         let pushbacks = detect_pushback(&queues, opts.pushback_multiplier);
 
+        let mut series = SeriesTable::new();
         let mut out = Vec::new();
         for ep in episodes {
             let pushback = pushbacks
@@ -161,7 +182,8 @@ impl MilliScope {
             let suspect_tier = pushback.as_ref().map_or(0, |p| p.deepest_tier);
             let from = ep.start_us - opts.context_pad.as_micros() as i64;
             let to = ep.end_us + opts.context_pad.as_micros() as i64;
-            let mut root_cause = self.infer_root_cause(suspect_tier, from, to, opts)?;
+            let mut root_cause =
+                self.infer_root_cause(&mut series, suspect_tier, from, to, opts)?;
             if root_cause == RootCause::Unknown {
                 // The queue signature can be ambiguous when episodes abut;
                 // fall back to scanning every tier's resources.
@@ -169,13 +191,13 @@ impl MilliScope {
                     if tier == suspect_tier {
                         continue;
                     }
-                    root_cause = self.infer_root_cause(tier, from, to, opts)?;
+                    root_cause = self.infer_root_cause(&mut series, tier, from, to, opts)?;
                     if root_cause != RootCause::Unknown {
                         break;
                     }
                 }
             }
-            let evidence = self.collect_evidence(&queues[0], from, to, opts)?;
+            let evidence = self.collect_evidence(&mut series, &queues[0], from, to, opts)?;
             out.push(EpisodeDiagnosis {
                 episode: ep,
                 pushback,
@@ -190,9 +212,33 @@ impl MilliScope {
         })
     }
 
+    /// `node`'s `metric` over `[from, to)` µs, cut from the whole-trial
+    /// series — which is scanned here if this call has not read it yet, so
+    /// a missing node or column is reported by the first episode that asks.
+    fn episode_series(
+        &self,
+        series: &mut SeriesTable,
+        node: &str,
+        metric: Metric,
+        (from, to): (i64, i64),
+        w: SimDuration,
+    ) -> Result<WindowSeries, CoreError> {
+        let whole = match series.entry((node.to_string(), metric)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(match metric {
+                Metric::DiskUtil => self.resource(node, "disk_util", w, AggFn::Max)?,
+                Metric::CpuBusy => self.cpu_busy(node, w)?,
+                Metric::MemDirty => self.resource(node, "mem_dirty", w, AggFn::Last)?,
+                Metric::CpuIowait => self.resource(node, "cpu_iowait", w, AggFn::Mean)?,
+            }),
+        };
+        Ok(whole.slice(from, to))
+    }
+
     /// Inspects the suspect tier's resources over `[from, to)` µs.
     fn infer_root_cause(
         &self,
+        series: &mut SeriesTable,
         tier: usize,
         from: i64,
         to: i64,
@@ -201,15 +247,12 @@ impl MilliScope {
         let w = opts.pit_window;
         let mut best = RootCause::Unknown;
         for node in self.tier_nodes(tier) {
-            let disk = self
-                .resource(&node, "disk_util", w, AggFn::Max)?
-                .slice(from, to);
+            let mut read = |metric| self.episode_series(series, &node, metric, (from, to), w);
+            let disk = read(Metric::DiskUtil)?;
             let peak_disk = disk.values().iter().cloned().fold(0.0, f64::max);
-            let cpu = self.cpu_busy(&node, w)?.slice(from, to);
+            let cpu = read(Metric::CpuBusy)?;
             let peak_cpu = cpu.values().iter().cloned().fold(0.0, f64::max);
-            let dirty = self
-                .resource(&node, "mem_dirty", w, AggFn::Last)?
-                .slice(from, to);
+            let dirty = read(Metric::MemDirty)?;
             let dirty_vals = dirty.values();
             let dirty_drop = dirty_vals
                 .windows(2)
@@ -246,25 +289,28 @@ impl MilliScope {
     /// front-tier queue over the episode window (Fig. 7's methodology).
     fn collect_evidence(
         &self,
+        series: &mut SeriesTable,
         front_queue: &WindowSeries,
         from: i64,
         to: i64,
         opts: &DiagnoseOptions,
     ) -> Result<Vec<CorrelationHit>, CoreError> {
         let w = opts.pit_window;
-        let target = front_queue.slice(from, to);
+        let mut target = front_queue.slice(from, to);
+        // Queue windows start at the measured range's start, resource
+        // buckets on multiples of the window, and `align` pairs on equal
+        // timestamps: put the queue on the resource grid (where it already
+        // is whenever the warm-up is a whole number of windows).
+        let grid = w.as_micros() as i64;
+        for (t, _) in &mut target.points {
+            *t = t.div_euclid(grid) * grid;
+        }
         let mut candidates = Vec::new();
         for tier in 0..self.config().tiers.len() {
             for node in self.tier_nodes(tier) {
-                candidates.push(
-                    self.resource(&node, "disk_util", w, AggFn::Max)?
-                        .slice(from, to),
-                );
-                candidates.push(self.cpu_busy(&node, w)?.slice(from, to));
-                candidates.push(
-                    self.resource(&node, "cpu_iowait", w, AggFn::Mean)?
-                        .slice(from, to),
-                );
+                for metric in [Metric::DiskUtil, Metric::CpuBusy, Metric::CpuIowait] {
+                    candidates.push(self.episode_series(series, &node, metric, (from, to), w)?);
+                }
             }
         }
         Ok(rank_correlations(&target, &candidates))
@@ -277,10 +323,39 @@ mod tests {
     use crate::experiment::Experiment;
     use mscope_ntier::SystemConfig;
 
+    /// Diagnoses a fresh trial, and holds the report to two oracles: every
+    /// episode's evidence equals a ranking over series built afresh through
+    /// the public accessors, and a second call on the same handle returns
+    /// the same report.
     fn diagnose(cfg: SystemConfig) -> DiagnosisReport {
         let out = Experiment::new(cfg).unwrap().run();
         let ms = MilliScope::ingest(&out).unwrap();
-        ms.diagnose(&DiagnoseOptions::default()).unwrap()
+        let opts = DiagnoseOptions::default();
+        let report = ms.diagnose(&opts).unwrap();
+
+        let w = opts.pit_window;
+        let pad = opts.context_pad.as_micros() as i64;
+        let front = ms.queue(0, w).unwrap();
+        let mut fresh = Vec::new();
+        for tier in 0..ms.config().tiers.len() {
+            for node in ms.tier_nodes(tier) {
+                fresh.push(ms.resource(&node, "disk_util", w, AggFn::Max).unwrap());
+                fresh.push(ms.cpu_busy(&node, w).unwrap());
+                fresh.push(ms.resource(&node, "cpu_iowait", w, AggFn::Mean).unwrap());
+            }
+        }
+        for ep in &report.episodes {
+            let (from, to) = (ep.episode.start_us - pad, ep.episode.end_us + pad);
+            let cut: Vec<WindowSeries> = fresh.iter().map(|s| s.slice(from, to)).collect();
+            assert_eq!(
+                ep.evidence,
+                rank_correlations(&front.slice(from, to), &cut),
+                "episode at {} µs",
+                ep.episode.start_us
+            );
+        }
+        assert_eq!(ms.diagnose(&opts).unwrap(), report);
+        report
     }
 
     fn scale_down(mut cfg: SystemConfig) -> SystemConfig {
@@ -341,6 +416,29 @@ mod tests {
                 .any(|c| matches!(c, RootCause::DirtyPageRecycling { .. })),
             "got {causes:?}"
         );
+    }
+
+    #[test]
+    fn evidence_pairs_when_warmup_is_off_the_window_grid() {
+        // Queue windows start at the end of warm-up and resource buckets on
+        // multiples of the window; with 3025 ms against 50 ms the two grids
+        // share no timestamp, and no episode used to get any evidence.
+        let mut cfg = crate::scenarios::shorten(
+            crate::scenarios::calibrated_db_io(300, 3.0, 250.0),
+            SimDuration::from_secs(15),
+        );
+        cfg.warmup = SimDuration::from_millis(3025);
+        let out = Experiment::new(cfg).unwrap().run();
+        let ms = MilliScope::ingest(&out).unwrap();
+        let report = ms.diagnose(&DiagnoseOptions::default()).unwrap();
+        assert!(report.has_anomalies());
+        for ep in &report.episodes {
+            assert!(
+                !ep.evidence.is_empty(),
+                "no evidence for the episode at {} µs",
+                ep.episode.start_us
+            );
+        }
     }
 
     #[test]

@@ -37,9 +37,9 @@
 //!   non-bench code: the naive evaluators exist as identity oracles for
 //!   property tests and benches, never as the production path.
 //! * `PF006` — per-row predicate or index construction:
-//!   `CompiledPredicate::compile`/`KeyIndex::build` inside a loop body —
-//!   compilation binds column slices once per *query* and must be
-//!   hoisted out of row/iteration loops.
+//!   `CompiledPredicate::compile`/`KeyIndex::build`/`KeyIndex::over`
+//!   inside a loop body — compilation binds column slices once per
+//!   *query* and must be hoisted out of row/iteration loops.
 //! * `PF007` — a nested-loop join: two nested loops whose headers both
 //!   iterate row-indexed data (`iter_rows`/`row_count`/`matching_rows`)
 //!   outside the engine files — O(n·m) over table-sized collections; use
@@ -104,7 +104,11 @@ const COLD_CALLS: &[&str] = &[
 ];
 
 /// Per-query construction that must be hoisted out of loops (PF006).
-const HOIST_CALLS: &[&str] = &["CompiledPredicate::compile(", "KeyIndex::build("];
+const HOIST_CALLS: &[&str] = &[
+    "CompiledPredicate::compile(",
+    "KeyIndex::build(",
+    "KeyIndex::over(",
+];
 
 /// Tokens marking a loop header as iterating row-indexed data (PF007).
 const ROW_TOKENS: &[&str] = &["iter_rows", "row_count", "matching_rows"];

@@ -221,6 +221,14 @@ fn pf006_fires_on_compilation_inside_a_loop() {
                  }\n\
                  n\n}\n";
     assert!(perf_rules("crates/analysis/src/fake.rs", dirty).contains(&"PF006".to_string()));
+    // The selection constructor builds the same index.
+    let over = "fn probe(col: &[Value], sels: &[Vec<usize>]) -> usize {\n\
+                let mut n = 0;\n\
+                for sel in sels {\n\
+                    n += KeyIndex::over(col, sel.iter().copied()).len();\n\
+                }\n\
+                n\n}\n";
+    assert_eq!(perf_rules("crates/warehouse/src/fake.rs", over), ["PF006"]);
 }
 
 #[test]

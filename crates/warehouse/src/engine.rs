@@ -651,12 +651,17 @@ impl<'a> KeyRef<'a> {
 }
 
 /// A hash index over one key column, built once from the typed column
-/// slice and probed per row — the join side of the compiled engine, also
-/// reused by the analysis layer's `reconstruct_flows`.
+/// slice and probed per row — the one index behind the compiled engine's
+/// joins and the analysis layer's `reconstruct_flows`.
 ///
 /// Key equality is exact-type (`Int(1)` and `Float(1.0)` are distinct,
 /// like [`ValueKey`](crate::ValueKey)); null keys are never indexed and
 /// never match.
+///
+/// The layout is flat: the map sends a key to a dense group id, and the
+/// group's rows are `rows[offsets[g]..offsets[g + 1]]` in input order. A
+/// build hashes each row once and allocates the map, the two arrays and
+/// one scratch list of `(group, row)` pairs — nothing per key.
 ///
 /// # Examples
 ///
@@ -670,46 +675,87 @@ impl<'a> KeyRef<'a> {
 /// assert_eq!(idx.rows(&Value::Null), &[] as &[usize]);
 /// ```
 pub struct KeyIndex<'a> {
-    map: HashMap<KeyRef<'a>, Vec<usize>>,
+    groups: HashMap<KeyRef<'a>, usize>,
+    offsets: Vec<usize>,
+    rows: Vec<usize>,
 }
 
 impl<'a> KeyIndex<'a> {
     /// Indexes every non-null value of `col` by row index.
     pub fn build(col: &'a [Value]) -> KeyIndex<'a> {
-        let mut map: HashMap<KeyRef<'a>, Vec<usize>> = HashMap::new();
-        for (i, v) in col.iter().enumerate() {
-            if let Some(k) = KeyRef::of(v) {
-                map.entry(k).or_default().push(i);
+        KeyIndex::over(col, 0..col.len())
+    }
+
+    /// Indexes the non-null values of `col` at the rows `sel` yields (each
+    /// a valid index into `col`); a key's rows keep `sel`'s order.
+    pub(crate) fn over(
+        col: &'a [Value],
+        sel: impl ExactSizeIterator<Item = usize>,
+    ) -> KeyIndex<'a> {
+        // The one pass that hashes: a group id per keyed row, and group
+        // `g`'s size counted into `offsets[g + 1]`.
+        let mut groups: HashMap<KeyRef<'a>, usize> = HashMap::with_capacity(sel.len());
+        let mut offsets = vec![0usize];
+        let mut keyed: Vec<(usize, usize)> = Vec::with_capacity(sel.len());
+        for i in sel {
+            let Some(k) = KeyRef::of(&col[i]) else {
+                continue;
+            };
+            let next = groups.len();
+            let g = *groups.entry(k).or_insert(next);
+            if g == next {
+                offsets.push(0);
             }
+            offsets[g + 1] += 1;
+            keyed.push((g, i));
         }
-        KeyIndex { map }
+        // Sizes become group *starts*, still one slot up; the stable
+        // scatter then advances `offsets[g + 1]` through group `g` and
+        // leaves it on the group's end, which is where group `g + 1` starts.
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            let size = *slot;
+            *slot = start;
+            start += size;
+        }
+        let mut rows = vec![0usize; keyed.len()];
+        for (g, i) in keyed {
+            rows[offsets[g + 1]] = i;
+            offsets[g + 1] += 1;
+        }
+        KeyIndex {
+            groups,
+            offsets,
+            rows,
+        }
+    }
+
+    fn group(&self, k: KeyRef<'a>) -> &[usize] {
+        self.groups.get(&k).map_or(&[][..], |&g| {
+            &self.rows[self.offsets[g]..self.offsets[g + 1]]
+        })
     }
 
     /// Row indices whose key equals `v`, ascending (empty for null or
     /// unseen keys).
     pub fn rows(&self, v: &'a Value) -> &[usize] {
-        KeyRef::of(v)
-            .and_then(|k| self.map.get(&k))
-            .map_or(&[][..], Vec::as_slice)
+        KeyRef::of(v).map_or(&[][..], |k| self.group(k))
     }
 
     /// The last row whose **text** key equals `s` — the "latest record
     /// wins" lookup `reconstruct_flows` uses for request IDs.
     pub fn last_text(&self, s: &'a str) -> Option<usize> {
-        self.map
-            .get(&KeyRef::Text(s))
-            .and_then(|r| r.last())
-            .copied()
+        self.group(KeyRef::Text(s)).last().copied()
     }
 
     /// Number of distinct non-null keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.groups.len()
     }
 
     /// `true` when no non-null key was indexed.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.groups.is_empty()
     }
 }
 

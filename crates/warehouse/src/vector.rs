@@ -26,7 +26,7 @@
 //! interpreter in `tests/sql_prop.rs`, which the property suites keep as
 //! identity gates for both planner legs.
 
-use crate::engine::{self, CmpOp, CompiledPredicate, KeyRef};
+use crate::engine::{self, CmpOp, CompiledPredicate, KeyIndex, KeyRef};
 use crate::plan::{Plan, Resolved, Side};
 use crate::query::{Acc, AggFn};
 use crate::table::{Schema, Table};
@@ -81,15 +81,15 @@ pub(crate) fn gather_pair_cols(
 // Build-side-aware hash join over selection vectors
 // ---------------------------------------------------------------------
 
-/// Joins two selections on their key columns, hashing whichever side the
-/// planner chose (`build_left`) with borrowed keys, and returns matching
-/// `(left_row, right_row)` pairs in **left-major** order (left selection
-/// order, then right selection order) regardless of build side. Null
-/// keys never match.
-pub(crate) fn join_pairs(
-    lcol: &[Value],
+/// Joins two selections on their key columns, indexing whichever side the
+/// planner chose (`build_left`) with the engine's [`KeyIndex`], and returns
+/// matching `(left_row, right_row)` pairs in **left-major** order (left
+/// selection order, then right selection order) regardless of build side.
+/// Null keys never match.
+pub(crate) fn join_pairs<'a>(
+    lcol: &'a [Value],
     lsel: &[usize],
-    rcol: &[Value],
+    rcol: &'a [Value],
     rsel: &[usize],
     build_left: bool,
 ) -> Vec<(usize, usize)> {
@@ -97,41 +97,17 @@ pub(crate) fn join_pairs(
     // near-unique — the common request_id-style join shape.
     let mut out = Vec::with_capacity(if build_left { rsel.len() } else { lsel.len() });
     if build_left {
-        let mut index: HashMap<KeyRef<'_>, Vec<usize>> = HashMap::new();
-        for &li in lsel {
-            if let Some(k) = KeyRef::of(&lcol[li]) {
-                index.entry(k).or_default().push(li);
-            }
-        }
+        let index = KeyIndex::over(lcol, lsel.iter().copied());
         for &ri in rsel {
-            let Some(k) = KeyRef::of(&rcol[ri]) else {
-                continue;
-            };
-            if let Some(ls) = index.get(&k) {
-                for &li in ls {
-                    out.push((li, ri));
-                }
-            }
+            out.extend(index.rows(&rcol[ri]).iter().map(|&li| (li, ri)));
         }
         // The probe ran right-major; the output contract is left-major.
         // Pairs are unique, so the unstable sort is deterministic.
         out.sort_unstable();
     } else {
-        let mut index: HashMap<KeyRef<'_>, Vec<usize>> = HashMap::new();
-        for &ri in rsel {
-            if let Some(k) = KeyRef::of(&rcol[ri]) {
-                index.entry(k).or_default().push(ri);
-            }
-        }
+        let index = KeyIndex::over(rcol, rsel.iter().copied());
         for &li in lsel {
-            let Some(k) = KeyRef::of(&lcol[li]) else {
-                continue;
-            };
-            if let Some(rs) = index.get(&k) {
-                for &ri in rs {
-                    out.push((li, ri));
-                }
-            }
+            out.extend(index.rows(&lcol[li]).iter().map(|&ri| (li, ri)));
         }
     }
     out

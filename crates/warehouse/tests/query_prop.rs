@@ -4,9 +4,11 @@
 //! timestamp column is *not* sorted, where the binary-search narrowing
 //! must conservatively stand down.
 
-use mscope_db::{AggFn, Column, ColumnType, CompiledPredicate, Predicate, Schema, Table, Value};
+use mscope_db::{
+    AggFn, Column, ColumnType, CompiledPredicate, KeyIndex, Predicate, Schema, Table, Value,
+};
 use mscope_sim::prop::{forall, Gen};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Generates an event-shaped table with a timestamp column (sorted with
 /// probability ½), an Int or Float metric column, and a short-alphabet
@@ -138,23 +140,86 @@ fn compiled_filter_matches_naive_oracle() {
     });
 }
 
+/// Each case joins both ways round, so whichever table is smaller is the
+/// hashed side once and the probed side once, and on both key shapes: the
+/// short-alphabet text tags, and the numeric column whose Float cells mix
+/// with Int ones (exact-type key equality, nulls never matching).
 #[test]
 fn compiled_join_matches_naive_oracle() {
     forall("inner_join ≡ inner_join_naive", 128, |g| {
         let left = arb_table(g, "left");
         let right = arb_table(g, "right");
-        let got = left.inner_join(&right, "tag", "tag");
-        let expected = left.inner_join_naive(&right, "tag", "tag");
-        match (got, expected) {
-            (Ok(a), Ok(b)) if a == b => Ok(()),
-            (Ok(a), Ok(b)) => Err(format!(
-                "join diverged: {} vs {} rows",
-                a.row_count(),
-                b.row_count()
-            )),
-            (Err(_), Err(_)) => Ok(()),
-            (a, b) => Err(format!("join error mismatch: {a:?} vs {b:?}")),
+        for key in ["tag", "num"] {
+            for (a, b) in [(&left, &right), (&right, &left)] {
+                match (a.inner_join(b, key, key), a.inner_join_naive(b, key, key)) {
+                    (Ok(got), Ok(want)) if got == want => {}
+                    (Ok(got), Ok(want)) => {
+                        return Err(format!(
+                            "{} ⋈ {} on {key} diverged: {} vs {} rows",
+                            a.name(),
+                            b.name(),
+                            got.row_count(),
+                            want.row_count()
+                        ))
+                    }
+                    (Err(_), Err(_)) => {}
+                    (got, want) => return Err(format!("join error mismatch: {got:?} vs {want:?}")),
+                }
+            }
         }
+        Ok(())
+    });
+}
+
+/// `KeyIndex` against a linear scan of the column: for every key present,
+/// one absent and null, `rows` is exactly the positions a filter finds, in
+/// column order. Columns mix `Int`, `Float` and `Text` cells over a small
+/// alphabet (so keys repeat, and `Int(1)` sits beside `Float(1.0)`) with
+/// nulls among them; the oracle compares through `ValueKey`, the naive
+/// join's key form.
+#[test]
+fn key_index_rows_match_linear_filter() {
+    forall("KeyIndex::rows ≡ linear filter", 256, |g| {
+        let col = g.vec(0..=120, |g| match g.usize(0..=4) {
+            0 => Value::Null,
+            1 => Value::Int(g.i64(0..=3)),
+            2 => Value::Float(g.i64(0..=3) as f64),
+            3 => Value::Float(g.f64(-1.0..1.0)),
+            _ => Value::Text(g.choose(&["a", "b", "c", ""]).to_string()),
+        });
+        let idx = KeyIndex::build(&col);
+        let mut probes = col.clone();
+        probes.extend([Value::Null, Value::Int(99), Value::Text("zz".into())]);
+        for probe in &probes {
+            let want: Vec<usize> = (0..col.len())
+                .filter(|&i| !probe.is_null() && !col[i].is_null() && col[i].key() == probe.key())
+                .collect();
+            if idx.rows(probe) != want {
+                return Err(format!(
+                    "rows({probe:?}) = {:?}, filter finds {want:?} in {col:?}",
+                    idx.rows(probe)
+                ));
+            }
+            if let Value::Text(s) = probe {
+                if idx.last_text(s) != want.last().copied() {
+                    return Err(format!("last_text({s:?}) ≠ last of {want:?}"));
+                }
+            }
+        }
+        let distinct: BTreeSet<_> = col
+            .iter()
+            .filter(|v| !v.is_null())
+            .map(Value::key)
+            .collect();
+        if idx.len() != distinct.len() || idx.is_empty() != distinct.is_empty() {
+            return Err(format!(
+                "len {} / is_empty {} over {} distinct keys",
+                idx.len(),
+                idx.is_empty(),
+                distinct.len()
+            ));
+        }
+        Ok(())
     });
 }
 

@@ -194,28 +194,40 @@ fn queue_series_bounded() {
     });
 }
 
-/// The delta walk equals a brute-force count at every window end: the
+/// The slot fold equals a brute-force count at every window end: the
 /// well-formed intervals that have arrived by then and not departed by
 /// then. Inputs are unsorted and mix closed, open (never departs),
 /// same-instant arrive/depart and corrupt intervals (negative arrival,
 /// departure before arrival — counted in `dropped`, contributing nothing),
-/// with `start` drawn past the earliest arrivals.
+/// with `start` drawn past the earliest arrivals. A quarter of the
+/// instants sit exactly on `start` or on a window end (the two edges of
+/// the slot rule), and `end − start` is by turns arbitrary, a whole number
+/// of windows, and zero or negative (an empty series).
 #[test]
 fn queue_series_matches_brute_force_count() {
     forall("queue series = brute-force count", 128, |g| {
+        let start = g.i64(0..=600_000);
+        let window = g.i64(1..=150_000);
+        let end = match g.usize(0..=5) {
+            0 => start - g.i64(0..=start.min(1_000)),
+            1 => start + window * g.i64(0..=8),
+            _ => start + g.i64(0..=900_000),
+        };
+        let instant = |g: &mut Gen| match g.usize(0..=3) {
+            0 => start + window * g.i64(0..=8),
+            _ => g.i64(0..=999_999),
+        };
         let ints = g.vec(0..=60, |g| {
-            let a = g.i64(0..=999_999);
-            match g.usize(0..=5) {
+            let a = instant(g);
+            match g.usize(0..=6) {
                 0 => (a, None),
                 1 => (a, Some(a)),
                 2 => (-1 - a, Some(a)),
                 3 => (a, Some(a - 1 - g.i64(0..=999))),
+                4 => (a, Some(a + window * g.i64(1..=4))),
                 _ => (a, Some(a + g.i64(1..=400_000))),
             }
         });
-        let start = g.i64(0..=600_000);
-        let end = start + g.i64(0..=900_000);
-        let window = g.i64(1..=150_000);
         let (series, dropped) = mscope_analysis::queue_series_checked(
             &ints,
             SimTime::from_micros(start as u64),
