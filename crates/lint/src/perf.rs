@@ -31,15 +31,16 @@
 //! * `PF004` — zone-map bypass: row-wise `Table` access (`iter_rows()`,
 //!   per-row `.cell(…)` in a loop) in warehouse/analysis non-test code
 //!   outside the engine files — scans must route through
-//!   `CompiledPredicate`/`scan_blocks`/`window_agg_where` so block
-//!   skipping and typed column slices apply.
+//!   `CompiledPredicate`/`window_agg_where` so block skipping and typed
+//!   column slices apply.
 //! * `PF005` — a `*_naive` oracle call reachable from non-test,
 //!   non-bench code: the naive evaluators exist as identity oracles for
 //!   property tests and benches, never as the production path.
 //! * `PF006` — per-row predicate or index construction:
-//!   `CompiledPredicate::compile`/`KeyIndex::build`/`KeyIndex::over`
-//!   inside a loop body — compilation binds column slices once per
-//!   *query* and must be hoisted out of row/iteration loops.
+//!   `CompiledPredicate::compile`/`Node::compile`/`KeyIndex::build`/
+//!   `KeyIndex::over` inside a loop body — compilation binds column
+//!   slices once per *query* and must be hoisted out of row/iteration
+//!   loops.
 //! * `PF007` — a nested-loop join: two nested loops whose headers both
 //!   iterate row-indexed data (`iter_rows`/`row_count`/`matching_rows`)
 //!   outside the engine files — O(n·m) over table-sized collections; use
@@ -106,6 +107,7 @@ const COLD_CALLS: &[&str] = &[
 /// Per-query construction that must be hoisted out of loops (PF006).
 const HOIST_CALLS: &[&str] = &[
     "CompiledPredicate::compile(",
+    "Node::compile(",
     "KeyIndex::build(",
     "KeyIndex::over(",
 ];
@@ -395,7 +397,7 @@ fn pf004(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     if !TABLE_CRATES.contains(&ctx.krate) || ENGINE_FILES.contains(&ctx.rel) {
         return;
     }
-    const WHAT: &str = "row-wise `Table` access bypasses the zone-map engine — route the scan through `CompiledPredicate`/`scan_blocks`/`window_agg_where` or justify with `// perf:`";
+    const WHAT: &str = "row-wise `Table` access bypasses the zone-map engine — route the scan through `CompiledPredicate`/`window_agg_where` or justify with `// perf:`";
     let mut from = 0;
     while let Some(p) = ctx.masked[from..].find(".iter_rows()") {
         let at = from + p;

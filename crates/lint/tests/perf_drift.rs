@@ -229,6 +229,16 @@ fn pf006_fires_on_compilation_inside_a_loop() {
                 }\n\
                 n\n}\n";
     assert_eq!(perf_rules("crates/warehouse/src/fake.rs", over), ["PF006"]);
+    // The pair-space entry (join residual, HAVING) binds slices the same way.
+    let pairs =
+        "fn residuals(preds: &[Predicate], resolve: &R, pairs: &[(usize, usize)]) -> usize {\n\
+                 let mut n = 0;\n\
+                 for p in preds {\n\
+                     let node = Node::compile(p, resolve);\n\
+                     n += pairs.iter().filter(|&&r| node.eval(r)).count();\n\
+                 }\n\
+                 n\n}\n";
+    assert_eq!(perf_rules("crates/warehouse/src/fake.rs", pairs), ["PF006"]);
 }
 
 #[test]

@@ -136,27 +136,6 @@ impl Database {
             .push_row(row)
     }
 
-    /// Bulk insert.
-    ///
-    /// # Errors
-    ///
-    /// As [`Database::insert`]; stops at the first bad row.
-    pub fn insert_rows<I>(&mut self, table: &str, rows: I) -> Result<usize, DbError>
-    where
-        I: IntoIterator<Item = Vec<Value>>,
-    {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        let mut n = 0;
-        for row in rows {
-            t.push_row(row)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Bulk insert with one table lookup and one validation pass for the
     /// whole batch ([`Table::push_batch`]): either every row lands or none
     /// does. Returns the number of rows inserted.
@@ -382,13 +361,8 @@ mod tests {
             db.create_table("nodes", schema.clone()),
             Err(DbError::TableExists(_))
         ));
-        let n = db
-            .insert_rows(
-                "m",
-                (0..5).map(|i| vec![Value::Int(i), Value::Float(i as f64)]),
-            )
-            .unwrap();
-        assert_eq!(n, 5);
+        let rows = (0..5).map(|i| vec![Value::Int(i), Value::Float(i as f64)]);
+        assert_eq!(db.insert_batch("m", rows.collect()), Ok(5));
         assert_eq!(db.require("m").unwrap().row_count(), 5);
         assert!(matches!(db.require("zzz"), Err(DbError::NoSuchTable(_))));
         assert_eq!(db.dynamic_table_names(), vec!["m"]);

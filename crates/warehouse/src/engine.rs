@@ -12,6 +12,9 @@
 //!   whole blocks and binary-search within the survivors;
 //! * [`KeyIndex`] is a borrowed-key hash index for joins, built once from
 //!   the typed column slice;
+//! * [`RowId`] is the row of whatever relation a query stage works on — a
+//!   table row or a join's `(left, right)` pair — and `Node`, [`gather`]
+//!   and [`sort_rows`] are each written once over it;
 //! * block scans fan out through [`parallel_map`], whose in-job-order
 //!   merge makes output byte-identical for any worker count.
 //!
@@ -297,7 +300,7 @@ pub(crate) enum CmpOp {
 }
 
 impl CmpOp {
-    pub(crate) fn ok(self, o: Ordering) -> bool {
+    fn ok(self, o: Ordering) -> bool {
         match self {
             CmpOp::Eq => o == Ordering::Equal,
             CmpOp::Ne => o != Ordering::Equal,
@@ -309,19 +312,96 @@ impl CmpOp {
     }
 }
 
-/// A compiled predicate node: column names already resolved to slices.
-enum Node<'t> {
+/// Which input of a query a column lives in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// The FROM table — and the only side of a one-table row space.
+    Left,
+    /// The JOIN table.
+    Right,
+}
+
+/// One row of a query's source relation: a row index for a FROM-only
+/// query, a `(left, right)` index pair below a join. Everything
+/// downstream of the scans — predicates, aggregation, ORDER BY, the
+/// gather — is written once over this trait and monomorphised per row
+/// space, so the one-table instance ignores `side` without a branch.
+pub(crate) trait RowId: Copy + Send + Sync {
+    /// The row's index into a column of `side`.
+    fn at(self, side: Side) -> usize;
+}
+
+impl RowId for usize {
+    #[inline]
+    fn at(self, _: Side) -> usize {
+        self
+    }
+}
+
+impl RowId for (usize, usize) {
+    #[inline]
+    fn at(self, side: Side) -> usize {
+        match side {
+            Side::Left => self.0,
+            Side::Right => self.1,
+        }
+    }
+}
+
+/// A column of a row space: the side whose row index reads it, and its
+/// cells.
+pub(crate) type SideCol<'t> = (Side, &'t [Value]);
+
+/// Gathers `rows` out of each column — one owned output column per input
+/// column, parallelized across columns (each column is an independent
+/// job; `parallel_map` merges in column order, so output is
+/// byte-identical for any worker count).
+pub(crate) fn gather<R: RowId>(
+    cols: &[SideCol<'_>],
+    rows: &[R],
+    workers: usize,
+) -> Vec<Vec<Value>> {
+    let cells = cols.len().saturating_mul(rows.len());
+    let workers = resolve_workers(workers, cells);
+    parallel_map(cols.len(), workers, |ci| {
+        let (side, src) = cols[ci];
+        rows.iter().map(|r| src[r.at(side)].clone()).collect()
+    })
+}
+
+/// Stable sort of `rows` by one key column: equal keys keep the order the
+/// rows arrived in (row order for a scan, left-major for join pairs,
+/// key-tuple order for aggregate output).
+pub(crate) fn sort_rows<R: RowId>(rows: &mut [R], (side, key): SideCol<'_>, ascending: bool) {
+    rows.sort_by(|&a, &b| {
+        let o = key[a.at(side)].total_cmp(&key[b.at(side)]);
+        if ascending {
+            o
+        } else {
+            o.reverse()
+        }
+    });
+}
+
+/// A compiled predicate node: column names already resolved to
+/// side-tagged slices. The one type that compiles a [`Predicate`] against
+/// column slices — a table scan ([`CompiledPredicate`]), a join residual
+/// over `(left, right)` pairs and HAVING over aggregate output all
+/// evaluate it, each through its own [`RowId`].
+pub(crate) enum Node<'t> {
     True,
     /// A leaf whose column does not exist — comparison is false for every
     /// row (matching the naive "filters are exploratory" semantics).
     False,
     Cmp {
+        side: Side,
         col: &'t [Value],
         idx: Option<&'t ColumnIndex>,
         op: CmpOp,
         v: Value,
     },
     Between {
+        side: Side,
         col: &'t [Value],
         idx: Option<&'t ColumnIndex>,
         lo: Value,
@@ -343,12 +423,21 @@ fn first_greater(col: &[Value], v: &Value) -> usize {
 }
 
 impl<'t> Node<'t> {
-    fn compile(table: &'t Table, pred: &Predicate) -> Node<'t> {
-        let leaf = |c: &str, op: CmpOp, v: &Value| match table.schema().index_of(c) {
+    /// Compiles `pred`, resolving each column name through `resolve` to
+    /// its side, its cells and — for a base-table scan — its zone maps. A
+    /// row space without block metadata (join pairs, aggregate output)
+    /// resolves with no index: `verdict` then reads `Mixed` and `bounds`
+    /// the full range, which only [`CompiledPredicate`] asks for anyway.
+    pub(crate) fn compile<F>(pred: &Predicate, resolve: &F) -> Node<'t>
+    where
+        F: Fn(&str) -> Option<(SideCol<'t>, Option<&'t ColumnIndex>)>,
+    {
+        let leaf = |c: &str, op: CmpOp, v: &Value| match resolve(c) {
             None => Node::False,
-            Some(ci) => Node::Cmp {
-                col: table.col(ci),
-                idx: table.table_index().col(ci),
+            Some(((side, col), idx)) => Node::Cmp {
+                side,
+                col,
+                idx,
                 op,
                 v: v.clone(),
             },
@@ -361,38 +450,44 @@ impl<'t> Node<'t> {
             Predicate::Le(c, v) => leaf(c, CmpOp::Le, v),
             Predicate::Gt(c, v) => leaf(c, CmpOp::Gt, v),
             Predicate::Ge(c, v) => leaf(c, CmpOp::Ge, v),
-            Predicate::Between(c, lo, hi) => match table.schema().index_of(c) {
+            Predicate::Between(c, lo, hi) => match resolve(c) {
                 None => Node::False,
-                Some(ci) => Node::Between {
-                    col: table.col(ci),
-                    idx: table.table_index().col(ci),
+                Some(((side, col), idx)) => Node::Between {
+                    side,
+                    col,
+                    idx,
                     lo: lo.clone(),
                     hi: hi.clone(),
                 },
             },
-            Predicate::And(ps) => Node::And(ps.iter().map(|p| Node::compile(table, p)).collect()),
-            Predicate::Or(ps) => Node::Or(ps.iter().map(|p| Node::compile(table, p)).collect()),
-            Predicate::Not(p) => Node::Not(Box::new(Node::compile(table, p))),
+            Predicate::And(ps) => Node::And(ps.iter().map(|p| Node::compile(p, resolve)).collect()),
+            Predicate::Or(ps) => Node::Or(ps.iter().map(|p| Node::compile(p, resolve)).collect()),
+            Predicate::Not(p) => Node::Not(Box::new(Node::compile(p, resolve))),
         }
     }
 
-    fn eval(&self, i: usize) -> bool {
+    /// Evaluates one row of the space the node was compiled against.
+    pub(crate) fn eval<R: RowId>(&self, r: R) -> bool {
         match self {
             Node::True => true,
             Node::False => false,
-            Node::Cmp { col, op, v, .. } => {
-                let c = &col[i];
+            Node::Cmp {
+                side, col, op, v, ..
+            } => {
+                let c = &col[r.at(*side)];
                 !c.is_null() && op.ok(c.total_cmp(v))
             }
-            Node::Between { col, lo, hi, .. } => {
-                let c = &col[i];
+            Node::Between {
+                side, col, lo, hi, ..
+            } => {
+                let c = &col[r.at(*side)];
                 !c.is_null()
                     && c.total_cmp(lo) != Ordering::Less
                     && c.total_cmp(hi) == Ordering::Less
             }
-            Node::And(ns) => ns.iter().all(|n| n.eval(i)),
-            Node::Or(ns) => ns.iter().any(|n| n.eval(i)),
-            Node::Not(n) => !n.eval(i),
+            Node::And(ns) => ns.iter().all(|n| n.eval(r)),
+            Node::Or(ns) => ns.iter().any(|n| n.eval(r)),
+            Node::Not(n) => !n.eval(r),
         }
     }
 
@@ -437,7 +532,9 @@ impl<'t> Node<'t> {
         match self {
             Node::True => (0, n),
             Node::False => (0, 0),
-            Node::Cmp { col, idx, op, v } => {
+            Node::Cmp {
+                col, idx, op, v, ..
+            } => {
                 if !idx.is_some_and(ColumnIndex::sorted) {
                     return (0, n);
                 }
@@ -450,7 +547,9 @@ impl<'t> Node<'t> {
                     CmpOp::Ne => (0, n),
                 }
             }
-            Node::Between { col, idx, lo, hi } => {
+            Node::Between {
+                col, idx, lo, hi, ..
+            } => {
                 if !idx.is_some_and(ColumnIndex::sorted) {
                     return (0, n);
                 }
@@ -507,7 +606,10 @@ impl<'t> CompiledPredicate<'t> {
         CompiledPredicate {
             nrows: table.row_count(),
             block_rows: table.table_index().block_rows(),
-            node: Node::compile(table, pred),
+            node: Node::compile(pred, &|c| {
+                let ci = table.schema().index_of(c)?;
+                Some(((Side::Left, table.col(ci)), table.table_index().col(ci)))
+            }),
         }
     }
 
@@ -762,7 +864,9 @@ impl<'a> KeyIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{JoinClause, ParsedQuery, SelectItem};
     use crate::table::Column;
+    use mscope_sim::prop::Gen;
 
     fn int_table(name: &str, vals: &[i64]) -> Table {
         let schema = Schema::new(vec![Column::new("t", ColumnType::Int)]).unwrap();
@@ -884,5 +988,132 @@ mod tests {
         assert_eq!(idx.rows(&Value::Null), &[] as &[usize]);
         assert_eq!(idx.len(), 2);
         assert!(!idx.is_empty());
+    }
+
+    /// A small cell of any type the pair-space tables hold; keys and
+    /// comparison values share the domain so matches and ties are common.
+    fn arb_value(g: &mut Gen) -> Value {
+        match g.usize(0..=5) {
+            0 => Value::Null,
+            1 | 2 => Value::Int(g.i64(0..=4)),
+            3 => Value::Float(g.i64(0..=8) as f64 / 2.0),
+            _ => Value::Text(format!("t{}", g.usize(0..=2))),
+        }
+    }
+
+    /// A random predicate over left-only (`a`), right-only (`b`), shared
+    /// (`k`, `s`), collision-prefixed (`r_k`, `r_s`) and unknown names.
+    fn arb_pred(g: &mut Gen, depth: usize) -> Predicate {
+        let col = |g: &mut Gen| {
+            g.choose(&["a", "b", "k", "s", "r_k", "r_s", "nope"])
+                .to_string()
+        };
+        let kind = g.usize(0..=if depth == 0 { 7 } else { 10 });
+        match kind {
+            0 => Predicate::True,
+            1 => Predicate::Eq(col(g), arb_value(g)),
+            2 => Predicate::Ne(col(g), arb_value(g)),
+            3 => Predicate::Lt(col(g), arb_value(g)),
+            4 => Predicate::Le(col(g), arb_value(g)),
+            5 => Predicate::Gt(col(g), arb_value(g)),
+            6 => Predicate::Ge(col(g), arb_value(g)),
+            7 => Predicate::Between(col(g), arb_value(g), arb_value(g)),
+            8 => Predicate::And(g.vec(0..=3, |g| arb_pred(g, depth - 1))),
+            9 => Predicate::Or(g.vec(0..=3, |g| arb_pred(g, depth - 1))),
+            _ => Predicate::Not(Box::new(arb_pred(g, depth - 1))),
+        }
+    }
+
+    /// `name(k Int, <own> Float, s Text)` with null keys and nulls anywhere.
+    fn arb_side(g: &mut Gen, name: &str, own: &str) -> Table {
+        let schema = Schema::new(vec![
+            Column::new("k", ColumnType::Int),
+            Column::new(own, ColumnType::Float),
+            Column::new("s", ColumnType::Text),
+        ])
+        .expect("distinct names");
+        let mut t = Table::new(name, schema);
+        let rows = g.vec(0..=10, |g| {
+            let cell = |g: &mut Gen, v: Value| if g.usize(0..=4) == 0 { Value::Null } else { v };
+            let (k, f, s) = (g.i64(0..=3), g.i64(0..=8), g.usize(0..=2));
+            vec![
+                cell(g, Value::Int(k)),
+                cell(g, Value::Float(f as f64 / 2.0)),
+                cell(g, Value::Text(format!("t{s}"))),
+            ]
+        });
+        t.push_batch(rows).expect("rows fit the schema");
+        t
+    }
+
+    #[test]
+    fn pair_space_node_and_gather_match_the_naive_join() {
+        mscope_sim::prop::forall("pair space vs inner_join_naive", 256, |g| {
+            let (l, r) = (arb_side(g, "l", "a"), arb_side(g, "r", "b"));
+            let pred = arb_pred(g, 3);
+            let joined = l
+                .inner_join_naive(&r, "k", "k")
+                .map_err(|e| e.to_string())?;
+
+            // The pair space exactly as the executor sets it up: names and
+            // sides through the planner's source relation, left-major pairs.
+            let mut db = crate::Database::new();
+            for t in [&l, &r] {
+                db.replace_table(t.clone()).map_err(|e| e.to_string())?;
+            }
+            let q = ParsedQuery {
+                explain: false,
+                items: vec![SelectItem::Star],
+                table: "l".into(),
+                join: Some(JoinClause {
+                    table: "r".into(),
+                    left_qual: None,
+                    left_col: "k".into(),
+                    right_qual: None,
+                    right_col: "k".into(),
+                }),
+                predicate: Predicate::True,
+                group_by: Vec::new(),
+                having: None,
+                order_by: None,
+                limit: None,
+            };
+            let plan = crate::plan::plan(&db, &q, g.bool()).map_err(|e| e.to_string())?;
+            let source = plan.source_cols().map_err(|e| e.to_string())?;
+            let (lt, rt) = (
+                plan.left,
+                plan.right.expect("a join plan has a right table"),
+            );
+            let (lsel, rsel): (Vec<usize>, Vec<usize>) =
+                ((0..lt.row_count()).collect(), (0..rt.row_count()).collect());
+            let pairs = crate::vector::join_pairs(lt.col(0), &lsel, rt.col(0), &rsel, g.bool());
+            mscope_sim::prop_ensure!(
+                pairs.len() == joined.row_count(),
+                "{} pairs vs {} joined rows",
+                pairs.len(),
+                joined.row_count()
+            );
+
+            let node = Node::compile(&pred, &|name| {
+                let si = plan.res.source.iter().position(|s| s.name == name)?;
+                Some((source[si], None))
+            });
+            for (row, &pair) in pairs.iter().enumerate() {
+                mscope_sim::prop_ensure!(
+                    node.eval(pair) == pred.eval(&joined, row),
+                    "{pred:?} differs on pair {pair:?} (joined row {row})"
+                );
+            }
+            for workers in [1, 3] {
+                let cols = gather(&source, &pairs, workers);
+                for (ci, col) in cols.iter().enumerate() {
+                    mscope_sim::prop_ensure!(
+                        col.as_slice() == joined.col(ci),
+                        "gathered column {ci} differs with {workers} workers"
+                    );
+                }
+            }
+            Ok(())
+        });
     }
 }

@@ -29,7 +29,7 @@
 //! on both legs.
 
 use crate::db::Database;
-use crate::engine::{CompiledPredicate, ScanEstimate};
+use crate::engine::{CompiledPredicate, ScanEstimate, Side, SideCol};
 use crate::query::{AggFn, Predicate};
 use crate::table::{Column, Schema, Table};
 use crate::value::{ColumnType, Value};
@@ -77,15 +77,6 @@ pub(crate) struct ParsedQuery {
 // ---------------------------------------------------------------------
 // Resolution (shared by planning and static checking)
 // ---------------------------------------------------------------------
-
-/// Which input a source column lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// The FROM table.
-    Left,
-    /// The JOIN table.
-    Right,
-}
 
 /// One column of the (possibly joined) source relation: its output name
 /// (right-side collisions prefixed `<right-table>_`) and where its cells
@@ -468,8 +459,10 @@ pub(crate) struct Plan<'a> {
     /// The sort is provably redundant and skipped.
     pub sort_elided: bool,
     pub limit: Option<usize>,
-    /// Source columns the executor must gather (projection pushdown),
-    /// ascending.
+    /// Source columns the output or an aggregate reads (projection
+    /// pushdown), ascending — what `EXPLAIN` lists per scan. The executor
+    /// reads their cells in place through the row space and materializes
+    /// only the result.
     pub needed: Vec<usize>,
     pub left_est: ScanEstimate,
     pub right_est: Option<ScanEstimate>,
@@ -551,7 +544,7 @@ pub(crate) fn plan<'a>(
         right_est = Some(re);
     }
 
-    // Projection pushdown: the columns the executor actually gathers.
+    // Projection pushdown: the columns the output or an aggregate reads.
     let needed: Vec<usize> = if !optimize {
         (0..res.source.len()).collect()
     } else if let Some(agg) = &res.aggregate {
@@ -645,7 +638,34 @@ pub(crate) fn render_pred(p: &Predicate) -> String {
     }
 }
 
-impl Plan<'_> {
+impl<'a> Plan<'a> {
+    /// The source relation's columns as the executor reads them: one
+    /// side-tagged slice per [`Resolved::source`] entry, so no later stage
+    /// looks a table up again.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::BadQuery`] naming the column when the source relation
+    /// lists a JOIN-side column and the plan holds no JOIN table —
+    /// [`plan`] never builds one.
+    pub(crate) fn source_cols(&self) -> Result<Vec<SideCol<'a>>, DbError> {
+        let mut cols = Vec::with_capacity(self.res.source.len());
+        for s in &self.res.source {
+            let table = match (s.side, self.right) {
+                (Side::Left, _) => self.left,
+                (Side::Right, Some(right)) => right,
+                (Side::Right, None) => {
+                    return Err(DbError::BadQuery(format!(
+                        "column `{}` belongs to a JOIN table the plan does not have",
+                        s.name
+                    )))
+                }
+            };
+            cols.push((s.side, table.col(s.ci)));
+        }
+        Ok(cols)
+    }
+
     /// One line per physical operator, in execution order.
     pub(crate) fn explain_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();

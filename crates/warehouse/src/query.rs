@@ -19,8 +19,7 @@
 //! [`AggFn`], so a windowed fold and a SQL aggregate over the same rows
 //! agree to the bit.
 
-use crate::engine::CompiledPredicate;
-use crate::plan::Side;
+use crate::engine::{self, CompiledPredicate, Side, SideCol};
 use crate::table::{Column, Schema, Table};
 use crate::value::{Value, ValueKey};
 use crate::DbError;
@@ -296,14 +295,9 @@ impl Table {
         let rsel: Vec<usize> = (0..other.row_count()).collect();
         let pairs =
             crate::vector::join_pairs(self.col(lci), &lsel, other.col(rci), &rsel, build_left);
-        let mut srcs: Vec<(Side, &[Value])> = Vec::with_capacity(schema.len());
-        for ci in 0..self.schema().len() {
-            srcs.push((Side::Left, self.col(ci)));
-        }
-        for ci in 0..other.schema().len() {
-            srcs.push((Side::Right, other.col(ci)));
-        }
-        let cols = crate::vector::gather_pair_cols(&srcs, &pairs, 0);
+        let mut srcs: Vec<SideCol<'_>> = self.side_cols(Side::Left);
+        srcs.extend(other.side_cols(Side::Right));
+        let cols = engine::gather(&srcs, &pairs, 0);
         Ok(Table::from_parts(
             format!("{}_x_{}", self.name(), other.name()),
             schema,
@@ -410,16 +404,8 @@ impl Table {
             .schema()
             .index_of(col)
             .ok_or_else(|| DbError::NoSuchColumn(col.into()))?;
-        let keys = self.col(ci);
         let mut order: Vec<usize> = (0..self.row_count()).collect();
-        order.sort_by(|&a, &b| {
-            let o = keys[a].total_cmp(&keys[b]);
-            if ascending {
-                o
-            } else {
-                o.reverse()
-            }
-        });
+        engine::sort_rows(&mut order, (Side::Left, self.col(ci)), ascending);
         Ok(self.gather(self.name(), &order))
     }
 
@@ -544,7 +530,7 @@ mod tests {
             .unwrap(),
         );
         names
-            .push_rows(vec![
+            .push_batch(vec![
                 vec![Value::Text("db".into()), Value::Int(3)],
                 vec![Value::Text("app".into()), Value::Int(1)],
             ])
@@ -561,10 +547,10 @@ mod tests {
     fn join_skips_null_keys() {
         let schema = Schema::new(vec![Column::new("k", ColumnType::Int)]).unwrap();
         let mut a = Table::new("a", schema.clone());
-        a.push_rows(vec![vec![Value::Null], vec![Value::Int(1)]])
+        a.push_batch(vec![vec![Value::Null], vec![Value::Int(1)]])
             .unwrap();
         let mut b = Table::new("b", schema);
-        b.push_rows(vec![vec![Value::Null], vec![Value::Int(1)]])
+        b.push_batch(vec![vec![Value::Null], vec![Value::Int(1)]])
             .unwrap();
         let j = a.inner_join(&b, "k", "k").unwrap();
         assert_eq!(j.row_count(), 1);

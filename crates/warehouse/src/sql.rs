@@ -197,7 +197,7 @@ fn lex(input: &str) -> Result<Vec<Tok>, DbError> {
 
 /// Deepest parenthesis / `NOT` nesting a predicate may have. The parser
 /// and every consumer of its tree (`check_with`, the planner's conjunct
-/// split, `CompiledPredicate::compile`, `PairPredicate::compile`, the
+/// split, `Node::compile` behind every scan, residual and HAVING, the
 /// tree's own `Drop`) recurse once per level, so unbounded nesting in a
 /// query string is a stack overflow — an abort no caller can catch.
 /// Hand-written and generated queries nest a handful of levels.
@@ -1274,5 +1274,30 @@ mod tests {
             .unwrap();
         let text = mscope_serdes::to_string(&grouped);
         assert!(text.contains("elided"), "{text}");
+    }
+
+    #[test]
+    fn executor_refuses_a_plan_that_names_columns_it_cannot_read() {
+        let db = db_with_owner();
+        let planned = |sql: &str| {
+            let q = parse(sql).unwrap();
+            crate::plan::plan(&db, &q, true).unwrap()
+        };
+        // `plan` never builds either of these; a hand-edited plan is
+        // refused by name instead of read out of bounds or run unsorted.
+        let mut no_right = planned("SELECT node, team FROM disk JOIN owner ON node = node");
+        no_right.right = None;
+        let err = crate::vector::run(&no_right, 1).unwrap_err();
+        assert!(
+            matches!(&err, DbError::BadQuery(m) if m.contains("`owner_node`")),
+            "{err}"
+        );
+        let mut bad_sort = planned("SELECT node, util FROM disk ORDER BY util");
+        bad_sort.order_by = Some(("tier".into(), true));
+        let err = crate::vector::run(&bad_sort, 1).unwrap_err();
+        assert!(
+            matches!(&err, DbError::BadQuery(m) if m.contains("`tier`")),
+            "{err}"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Schemas and columnar tables.
 
-use crate::engine::{TableIndex, DEFAULT_BLOCK_ROWS};
+use crate::engine::{self, Side, SideCol, TableIndex, DEFAULT_BLOCK_ROWS};
 use crate::value::{ColumnType, Value};
 use crate::DbError;
 use std::fmt;
@@ -257,21 +257,6 @@ impl Table {
         Ok(())
     }
 
-    /// Appends many rows; stops at the first error.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Table::push_row`] error.
-    pub fn push_rows<I>(&mut self, rows: I) -> Result<(), DbError>
-    where
-        I: IntoIterator<Item = Vec<Value>>,
-    {
-        for r in rows {
-            self.push_row(r)?;
-        }
-        Ok(())
-    }
-
     /// Appends a batch of rows all-or-nothing: every row is validated
     /// (arity and column types) *before* anything is appended, then the
     /// columns are extended in one pass with storage reserved up front.
@@ -380,11 +365,7 @@ impl Table {
     /// Builds a new table with the same schema containing the given row
     /// indices (used by the query layer).
     pub(crate) fn gather(&self, name: &str, rows: &[usize]) -> Table {
-        let cols: Vec<Vec<Value>> = self
-            .cols
-            .iter()
-            .map(|c| rows.iter().map(|&i| c[i].clone()).collect())
-            .collect();
+        let cols = engine::gather(&self.side_cols(Side::Left), rows, 1);
         let index = TableIndex::build(&self.schema, &cols, self.index.block_rows());
         Table {
             name: name.to_string(),
@@ -405,6 +386,12 @@ impl Table {
             cols,
             index,
         }
+    }
+
+    /// Every column, tagged as `side` of a row space (query engine's
+    /// gather input).
+    pub(crate) fn side_cols(&self, side: Side) -> Vec<SideCol<'_>> {
+        self.cols.iter().map(|c| (side, c.as_slice())).collect()
     }
 
     /// Column `ci` by index (query engine's typed-slice access).

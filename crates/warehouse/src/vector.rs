@@ -7,10 +7,11 @@
 //! * filtering produces **selection vectors** (row indices / join pairs),
 //!   never an intermediate [`Table`] — operators exchange indices and the
 //!   output columns are gathered exactly once, at the end;
-//! * [`gather_sel`]/[`gather_pair_cols`] materialize output columns
-//!   whole-column-at-a-time, parallelized across columns over the shared
-//!   [`parallel_map`] pool with the established
-//!   deterministic merge (each output column is an independent job);
+//! * a selection is a `Vec` of [`RowId`]s — `usize` below a FROM-only
+//!   query, `(usize, usize)` below a join — and every stage after the
+//!   scans ([`aggregate`], the residual and HAVING filters, ORDER BY,
+//!   LIMIT, the gather) is one generic function monomorphised per row
+//!   space, not a join copy and a single-table copy;
 //! * [`join_pairs`] is build-side aware: the planner hashes whichever
 //!   input the statistics estimate smaller, and the output pair list is
 //!   restored to left-major order either way;
@@ -26,56 +27,14 @@
 //! interpreter in `tests/sql_prop.rs`, which the property suites keep as
 //! identity gates for both planner legs.
 
-use crate::engine::{self, CmpOp, CompiledPredicate, KeyIndex, KeyRef};
-use crate::plan::{Plan, Resolved, Side};
+use crate::engine::{self, CompiledPredicate, KeyIndex, KeyRef, Node, RowId, Side, SideCol};
+use crate::plan::Plan;
 use crate::query::{Acc, AggFn};
-use crate::table::{Schema, Table};
+use crate::table::Table;
 use crate::value::Value;
 use crate::{DbError, Predicate};
-use mscope_sim::parallel_map;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-
-// ---------------------------------------------------------------------
-// Columnar gather
-// ---------------------------------------------------------------------
-
-/// Gathers `sel` out of each column slice — one owned output column per
-/// input slice, parallelized across columns (each column is an
-/// independent job; `parallel_map` merges in column order, so output is
-/// byte-identical for any worker count).
-pub(crate) fn gather_sel(cols: &[&[Value]], sel: &[usize], workers: usize) -> Vec<Vec<Value>> {
-    let cells = cols.len().saturating_mul(sel.len());
-    let workers = engine::resolve_workers(workers, cells);
-    parallel_map(cols.len(), workers, |ci| {
-        let src = cols[ci];
-        sel.iter().map(|&i| src[i].clone()).collect()
-    })
-}
-
-/// [`gather_sel`] over join pairs: each output column names the side its
-/// cells come from, and every pair contributes one cell per column.
-pub(crate) fn gather_pair_cols(
-    cols: &[(Side, &[Value])],
-    pairs: &[(usize, usize)],
-    workers: usize,
-) -> Vec<Vec<Value>> {
-    let cells = cols.len().saturating_mul(pairs.len());
-    let workers = engine::resolve_workers(workers, cells);
-    parallel_map(cols.len(), workers, |ci| {
-        let (side, src) = cols[ci];
-        pairs
-            .iter()
-            .map(|&(li, ri)| {
-                src[match side {
-                    Side::Left => li,
-                    Side::Right => ri,
-                }]
-                .clone()
-            })
-            .collect()
-    })
-}
 
 // ---------------------------------------------------------------------
 // Build-side-aware hash join over selection vectors
@@ -114,122 +73,6 @@ pub(crate) fn join_pairs<'a>(
 }
 
 // ---------------------------------------------------------------------
-// Residual predicates over join pairs
-// ---------------------------------------------------------------------
-
-/// A predicate leaf resolved to a side-tagged column slice.
-enum PNode<'t> {
-    True,
-    /// Unknown column — false for every pair (the exploratory-filter
-    /// semantics of [`CompiledPredicate`]).
-    False,
-    Cmp {
-        side: Side,
-        col: &'t [Value],
-        op: CmpOp,
-        v: Value,
-    },
-    Between {
-        side: Side,
-        col: &'t [Value],
-        lo: Value,
-        hi: Value,
-    },
-    And(Vec<PNode<'t>>),
-    Or(Vec<PNode<'t>>),
-    Not(Box<PNode<'t>>),
-}
-
-/// A predicate compiled against a join's *pair space*: columns resolved
-/// to `(side, slice)` so mixed-side conjuncts (the residual the planner
-/// could not push below the join) evaluate without materializing the
-/// joined table.
-pub(crate) struct PairPredicate<'t> {
-    node: PNode<'t>,
-}
-
-impl<'t> PairPredicate<'t> {
-    pub(crate) fn compile<F>(pred: &Predicate, resolve: &F) -> PairPredicate<'t>
-    where
-        F: Fn(&str) -> Option<(Side, &'t [Value])>,
-    {
-        PairPredicate {
-            node: PNode::compile(pred, resolve),
-        }
-    }
-
-    pub(crate) fn eval(&self, li: usize, ri: usize) -> bool {
-        self.node.eval(li, ri)
-    }
-}
-
-impl<'t> PNode<'t> {
-    fn compile<F>(pred: &Predicate, resolve: &F) -> PNode<'t>
-    where
-        F: Fn(&str) -> Option<(Side, &'t [Value])>,
-    {
-        let leaf = |c: &str, op: CmpOp, v: &Value| match resolve(c) {
-            None => PNode::False,
-            Some((side, col)) => PNode::Cmp {
-                side,
-                col,
-                op,
-                v: v.clone(),
-            },
-        };
-        match pred {
-            Predicate::True => PNode::True,
-            Predicate::Eq(c, v) => leaf(c, CmpOp::Eq, v),
-            Predicate::Ne(c, v) => leaf(c, CmpOp::Ne, v),
-            Predicate::Lt(c, v) => leaf(c, CmpOp::Lt, v),
-            Predicate::Le(c, v) => leaf(c, CmpOp::Le, v),
-            Predicate::Gt(c, v) => leaf(c, CmpOp::Gt, v),
-            Predicate::Ge(c, v) => leaf(c, CmpOp::Ge, v),
-            Predicate::Between(c, lo, hi) => match resolve(c) {
-                None => PNode::False,
-                Some((side, col)) => PNode::Between {
-                    side,
-                    col,
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                },
-            },
-            Predicate::And(ps) => {
-                PNode::And(ps.iter().map(|p| PNode::compile(p, resolve)).collect())
-            }
-            Predicate::Or(ps) => PNode::Or(ps.iter().map(|p| PNode::compile(p, resolve)).collect()),
-            Predicate::Not(p) => PNode::Not(Box::new(PNode::compile(p, resolve))),
-        }
-    }
-
-    fn eval(&self, li: usize, ri: usize) -> bool {
-        match self {
-            PNode::True => true,
-            PNode::False => false,
-            PNode::Cmp { side, col, op, v } => {
-                let c = &col[match side {
-                    Side::Left => li,
-                    Side::Right => ri,
-                }];
-                !c.is_null() && op.ok(c.total_cmp(v))
-            }
-            PNode::Between { side, col, lo, hi } => {
-                let c = &col[match side {
-                    Side::Left => li,
-                    Side::Right => ri,
-                }];
-                !c.is_null()
-                    && c.total_cmp(lo) != Ordering::Less
-                    && c.total_cmp(hi) == Ordering::Less
-            }
-            PNode::And(ns) => ns.iter().all(|n| n.eval(li, ri)),
-            PNode::Or(ns) => ns.iter().any(|n| n.eval(li, ri)),
-            PNode::Not(n) => !n.eval(li, ri),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Batch aggregation
 // ---------------------------------------------------------------------
 
@@ -248,33 +91,32 @@ fn update(agg: AggFn, cell: Option<&Value>, acc: &mut Acc) {
     }
 }
 
-/// Vectorized grouped/whole-table aggregation over a selection.
+/// Vectorized grouped/whole-table aggregation over a selection, returning
+/// the output columns: one per key, then one per aggregate.
 ///
-/// `keys` and the optional per-aggregate source slices are full columns;
-/// `rows` is the selection to aggregate. Groups form in first-seen row
-/// order (borrowed keys, no per-row clone), accumulate in one streaming
-/// pass, then sort by their original key tuples — the stable sort keeps
+/// `keys` and the optional per-aggregate sources are full columns of the
+/// row space `rows` selects from. Groups form in first-seen row order
+/// (borrowed keys, no per-row clone), accumulate in one streaming pass,
+/// then sort by their original key tuples — the stable sort keeps
 /// first-seen order for cross-type numeric ties, so output is
 /// deterministic regardless of hash-map internals. Rows with any null
 /// key are skipped; a group whose every aggregate finishes `None` is
 /// dropped (the naive interpreter's rule); key cells render as
 /// `Text`, aggregates as `Float`.
-pub(crate) fn aggregate(
-    keys: &[&[Value]],
-    aggs: &[(AggFn, Option<&[Value]>)],
-    rows: &[usize],
+pub(crate) fn aggregate<R: RowId>(
+    keys: &[SideCol<'_>],
+    aggs: &[(AggFn, Option<SideCol<'_>>)],
+    rows: &[R],
     whole_table: bool,
-    name: &str,
-    schema: &Schema,
-) -> Table {
+) -> Vec<Vec<Value>> {
     if whole_table {
         let mut accs = vec![Acc::NEW; aggs.len()];
-        for &i in rows {
+        for &r in rows {
             for ((agg, src), acc) in aggs.iter().zip(accs.iter_mut()) {
-                update(*agg, src.map(|s| &s[i]), acc);
+                update(*agg, src.map(|(side, s)| &s[r.at(side)]), acc);
             }
         }
-        let cols: Vec<Vec<Value>> = aggs
+        return aggs
             .iter()
             .zip(&accs)
             .map(|(&(agg, _), &acc)| {
@@ -284,36 +126,36 @@ pub(crate) fn aggregate(
                 vec![v.map_or(Value::Null, Value::Float)]
             })
             .collect();
-        return Table::from_parts(name.to_string(), schema.clone(), cols);
     }
 
     // Group discovery: borrowed key tuples index into `groups`, which
     // remembers each group's first row (for the owned key render and the
-    // deterministic tie-break) alongside its accumulators.
+    // deterministic tie-break) alongside its accumulators. `kr` is one
+    // scratch tuple refilled per row; a lookup borrows it as a slice.
     let mut ords: HashMap<Vec<KeyRef<'_>>, usize> = HashMap::new();
-    let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-    'rows: for &i in rows {
-        let mut kr = Vec::with_capacity(keys.len());
-        for k in keys {
-            match KeyRef::of(&k[i]) {
+    let mut groups: Vec<(R, Vec<Acc>)> = Vec::new();
+    let mut kr: Vec<KeyRef<'_>> = Vec::with_capacity(keys.len());
+    'rows: for &r in rows {
+        kr.clear();
+        for &(side, k) in keys {
+            match KeyRef::of(&k[r.at(side)]) {
                 Some(x) => kr.push(x),
                 // A null in any key column: the row never groups.
                 None => continue 'rows,
             }
         }
-        let ord = match ords.get(&kr) {
+        let ord = match ords.get(kr.as_slice()) {
             Some(&o) => o,
             None => {
-                // perf: one tiny accumulator vector per *distinct* group,
-                // not per row.
-                groups.push((i, vec![Acc::NEW; aggs.len()]));
-                ords.insert(kr, groups.len() - 1);
+                // perf: one key tuple and one tiny accumulator vector per
+                // *distinct* group, not per row.
+                groups.push((r, vec![Acc::NEW; aggs.len()]));
+                ords.insert(kr.clone(), groups.len() - 1);
                 groups.len() - 1
             }
         };
-        let accs = &mut groups[ord].1;
-        for ((agg, src), acc) in aggs.iter().zip(accs.iter_mut()) {
-            update(*agg, src.map(|s| &s[i]), acc);
+        for ((agg, src), acc) in aggs.iter().zip(groups[ord].1.iter_mut()) {
+            update(*agg, src.map(|(side, s)| &s[r.at(side)]), acc);
         }
     }
 
@@ -324,8 +166,8 @@ pub(crate) fn aggregate(
     order.sort_by(|&ga, &gb| {
         let (ra, rb) = (groups[ga].0, groups[gb].0);
         let mut o = Ordering::Equal;
-        for k in keys {
-            o = k[ra].total_cmp(&k[rb]);
+        for &(side, k) in keys {
+            o = k[ra.at(side)].total_cmp(&k[rb.at(side)]);
             if o != Ordering::Equal {
                 break;
             }
@@ -334,7 +176,7 @@ pub(crate) fn aggregate(
     });
 
     let nkeys = keys.len();
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); nkeys + aggs.len()];
     for &g in &order {
         let (first, accs) = &groups[g];
         let vals: Vec<Option<f64>> = aggs
@@ -345,223 +187,110 @@ pub(crate) fn aggregate(
         if vals.iter().all(Option::is_none) {
             continue;
         }
-        for (k, col) in keys.iter().zip(cols.iter_mut()) {
+        for (&(side, k), col) in keys.iter().zip(cols.iter_mut()) {
             // Keys are stored in rendered text form so mixed-type key
             // columns stay queryable (the GROUP BY result contract).
-            col.push(Value::Text(k[*first].render()));
+            col.push(Value::Text(k[first.at(side)].render()));
         }
         for (v, col) in vals.iter().zip(cols[nkeys..].iter_mut()) {
             col.push(v.map_or(Value::Null, Value::Float));
         }
     }
-    Table::from_parts(name.to_string(), schema.clone(), cols)
+    cols
 }
 
 // ---------------------------------------------------------------------
 // Plan execution
 // ---------------------------------------------------------------------
 
-/// Side-tagged slice for a resolved source column. The planner only
-/// resolves `Side::Right` columns when a join table exists; the empty
-/// slice is an unreachable defensive fallback.
-fn side_slice<'t>(
-    res: &Resolved,
-    left: &'t Table,
-    right: Option<&'t Table>,
-    si: usize,
-) -> (Side, &'t [Value]) {
-    let s = &res.source[si];
-    let col = match s.side {
-        Side::Left => left.col(s.ci),
-        Side::Right => right.map_or(&[] as &[Value], |t| t.col(s.ci)),
-    };
-    (s.side, col)
-}
-
-/// Runs a plan — the only way a SQL query executes. Scans produce
-/// selection vectors, the join exchanges row pairs, and output columns are
-/// gathered once at the end. A planner-off plan takes the same pipeline
-/// with its choices pinned ([`plan`](crate::plan::plan)): an all-`True`
-/// scan pair, the whole WHERE as the pair residual, build side right.
+/// Runs a plan — the only way a SQL query executes:
+///
+/// ```text
+/// scan → [join → residual] → [aggregate → HAVING] → order → limit → gather
+/// ```
+///
+/// The scans and the join are the only stages that know which row space
+/// they produce; [`downstream`] takes either. A planner-off plan takes
+/// the same pipeline with its choices pinned ([`plan`](crate::plan::plan)):
+/// an all-`True` scan pair, the whole WHERE as the pair residual, build
+/// side right.
 pub(crate) fn run(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
     let res = &plan.res;
-    let left = plan.left;
-    let mut lsel = CompiledPredicate::compile(left, &plan.left_pred).matching_rows_with(workers);
-
-    if let (Some(right), Some((lci, rci))) = (plan.right, res.join_keys) {
-        let rsel = CompiledPredicate::compile(right, &plan.right_pred).matching_rows_with(workers);
-        let mut pairs = join_pairs(left.col(lci), &lsel, right.col(rci), &rsel, plan.build_left);
-        if plan.residual != Predicate::True {
-            let resolve = |name: &str| {
-                res.source
-                    .iter()
-                    .position(|s| s.name == name)
-                    .map(|si| side_slice(res, left, Some(right), si))
-            };
-            let pp = PairPredicate::compile(&plan.residual, &resolve);
-            pairs.retain(|&(li, ri)| pp.eval(li, ri));
-        }
-
-        if let Some(aggn) = &res.aggregate {
-            // Projection pushdown: materialize only the key/aggregate
-            // inputs, once, then stream over the batch.
-            let cols: Vec<(Side, &[Value])> = plan
-                .needed
-                .iter()
-                .map(|&si| side_slice(res, left, Some(right), si))
-                .collect();
-            let mat = gather_pair_cols(&cols, &pairs, workers);
-            // The planner builds `needed` as the union of key and
-            // aggregate inputs, so the lookup always hits; the default
-            // is an unreachable defensive fallback.
-            let pos = |si: usize| {
-                plan.needed
-                    .iter()
-                    .position(|&x| x == si)
-                    .unwrap_or_default()
-            };
-            let keys: Vec<&[Value]> = aggn
-                .keys
-                .iter()
-                .map(|&si| mat[pos(si)].as_slice())
-                .collect();
-            let aggs: Vec<(AggFn, Option<&[Value]>)> = aggn
-                .aggs
-                .iter()
-                .map(|a| (a.agg, a.src.map(|si| mat[pos(si)].as_slice())))
-                .collect();
-            let ident: Vec<usize> = (0..pairs.len()).collect();
-            let t = aggregate(
-                &keys,
-                &aggs,
-                &ident,
-                aggn.whole_table,
-                &res.result_name,
-                &res.result,
-            );
-            return finish_aggregate(plan, t, workers);
-        }
-
-        if let Some((oc, asc)) = &plan.order_by {
-            // `resolve` already proved the ORDER BY column is in the
-            // projection, so the find always hits.
-            let found = res
-                .projection
-                .iter()
-                .copied()
-                .find(|&si| res.source[si].name == *oc);
-            if let (false, Some(si)) = (plan.sort_elided, found) {
-                let (side, key) = side_slice(res, left, Some(right), si);
-                // Stable sort over left-major pair order: equal keys keep
-                // their deterministic join order.
-                pairs.sort_by(|&(la, ra), &(lb, rb)| {
-                    let (ia, ib) = match side {
-                        Side::Left => (la, lb),
-                        Side::Right => (ra, rb),
-                    };
-                    let o = key[ia].total_cmp(&key[ib]);
-                    if *asc {
-                        o
-                    } else {
-                        o.reverse()
-                    }
-                });
-            }
-        }
-        if let Some(n) = plan.limit {
-            pairs.truncate(n);
-        }
-        let cols: Vec<(Side, &[Value])> = res
-            .projection
-            .iter()
-            .map(|&si| side_slice(res, left, Some(right), si))
-            .collect();
-        let data = gather_pair_cols(&cols, &pairs, workers);
-        return Ok(Table::from_parts(
-            res.result_name.clone(),
-            res.result.clone(),
-            data,
-        ));
+    let source = plan.source_cols()?;
+    let lsel = CompiledPredicate::compile(plan.left, &plan.left_pred).matching_rows_with(workers);
+    let Some((right, (lci, rci))) = plan.right.zip(res.join_keys) else {
+        return downstream(plan, &source, lsel, workers);
+    };
+    let rsel = CompiledPredicate::compile(right, &plan.right_pred).matching_rows_with(workers);
+    let (lkey, rkey) = (plan.left.col(lci), right.col(rci));
+    let mut pairs = join_pairs(lkey, &lsel, rkey, &rsel, plan.build_left);
+    if plan.residual != Predicate::True {
+        // Mixed-side conjuncts (and, planner off, the whole WHERE) name
+        // columns of the joined relation: no zone maps over pairs.
+        let node = Node::compile(&plan.residual, &|name| {
+            let si = res.source.iter().position(|s| s.name == name)?;
+            Some((source[si], None))
+        });
+        pairs.retain(|&p| node.eval(p));
     }
+    downstream(plan, &source, pairs, workers)
+}
 
-    // Single-table pipeline.
-    if let Some(aggn) = &res.aggregate {
-        let keys: Vec<&[Value]> = aggn
-            .keys
-            .iter()
-            .map(|&si| left.col(res.source[si].ci))
-            .collect();
-        let aggs: Vec<(AggFn, Option<&[Value]>)> = aggn
-            .aggs
-            .iter()
-            .map(|a| (a.agg, a.src.map(|si| left.col(res.source[si].ci))))
-            .collect();
-        let t = aggregate(
-            &keys,
-            &aggs,
-            &lsel,
-            aggn.whole_table,
-            &res.result_name,
-            &res.result,
-        );
-        return finish_aggregate(plan, t, workers);
+/// Everything after the scans, once for both row spaces: the projection
+/// (or the aggregate and HAVING, whose output table is a one-table row
+/// space over its own columns) and then the shared [`tail`].
+fn downstream<R: RowId>(
+    plan: &Plan<'_>,
+    source: &[SideCol<'_>],
+    rows: Vec<R>,
+    workers: usize,
+) -> Result<Table, DbError> {
+    let res = &plan.res;
+    let Some(aggn) = &res.aggregate else {
+        let out: Vec<SideCol<'_>> = res.projection.iter().map(|&si| source[si]).collect();
+        return tail(plan, &out, rows, workers);
+    };
+    let keys: Vec<SideCol<'_>> = aggn.keys.iter().map(|&si| source[si]).collect();
+    let aggs: Vec<(AggFn, Option<SideCol<'_>>)> = aggn
+        .aggs
+        .iter()
+        .map(|a| (a.agg, a.src.map(|si| source[si])))
+        .collect();
+    let grouped = aggregate(&keys, &aggs, &rows, aggn.whole_table);
+    let out: Vec<SideCol<'_>> = grouped.iter().map(|c| (Side::Left, c.as_slice())).collect();
+    let mut groups: Vec<usize> = (0..grouped.first().map_or(0, Vec::len)).collect();
+    if let Some(h) = &plan.having {
+        // HAVING names result columns, which `out` lists in result order.
+        let node = Node::compile(h, &|name| Some((out[res.result.index_of(name)?], None)));
+        groups.retain(|&g| node.eval(g));
     }
+    tail(plan, &out, groups, workers)
+}
 
-    if let Some((oc, asc)) = &plan.order_by {
-        // `resolve` already proved the ORDER BY column is in the
-        // projection, so the find always hits.
-        let found = res
-            .projection
-            .iter()
-            .copied()
-            .find(|&si| res.source[si].name == *oc);
-        if let (false, Some(si)) = (plan.sort_elided, found) {
-            let key = left.col(res.source[si].ci);
-            // Stable sort over the ascending selection: equal keys keep
-            // row order, matching the materializing path bit for bit.
-            lsel.sort_by(|&a, &b| {
-                let o = key[a].total_cmp(&key[b]);
-                if *asc {
-                    o
-                } else {
-                    o.reverse()
-                }
-            });
-        }
+/// ORDER BY → LIMIT → gather over `out`, the result's columns in result
+/// order — the one place a query's output is sorted, cut and materialized.
+fn tail<R: RowId>(
+    plan: &Plan<'_>,
+    out: &[SideCol<'_>],
+    mut rows: Vec<R>,
+    workers: usize,
+) -> Result<Table, DbError> {
+    let res = &plan.res;
+    if let (Some((oc, asc)), false) = (&plan.order_by, plan.sort_elided) {
+        // `resolve` checked the name against the result schema; a plan
+        // that names another column is refused, never run unsorted.
+        let ci = res.result.index_of(oc).ok_or_else(|| {
+            DbError::BadQuery(format!("ORDER BY column `{oc}` is not in the result"))
+        })?;
+        engine::sort_rows(&mut rows, out[ci], *asc);
     }
     if let Some(n) = plan.limit {
-        lsel.truncate(n);
+        rows.truncate(n);
     }
-    let cols: Vec<&[Value]> = res
-        .projection
-        .iter()
-        .map(|&si| left.col(res.source[si].ci))
-        .collect();
-    let data = gather_sel(&cols, &lsel, workers);
+    let data = engine::gather(out, &rows, workers);
     Ok(Table::from_parts(
         res.result_name.clone(),
         res.result.clone(),
         data,
     ))
-}
-
-/// HAVING → ORDER BY → LIMIT over a materialized aggregate table (always
-/// small: one row per group).
-fn finish_aggregate(plan: &Plan<'_>, mut t: Table, workers: usize) -> Result<Table, DbError> {
-    if let Some(h) = &plan.having {
-        let sel = CompiledPredicate::compile(&t, h).matching_rows_with(workers);
-        t = t.gather(t.name(), &sel);
-    }
-    if let Some((oc, asc)) = &plan.order_by {
-        if !plan.sort_elided {
-            t = t.order_by(oc, *asc)?;
-        }
-    }
-    if let Some(n) = plan.limit {
-        if t.row_count() > n {
-            let keep: Vec<usize> = (0..n).collect();
-            t = t.gather(t.name(), &keep);
-        }
-    }
-    Ok(t)
 }
