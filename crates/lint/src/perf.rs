@@ -14,7 +14,7 @@
 //! [`PERF_HOT_CRATES`]); every rule's escape hatch is precise and local:
 //!
 //! * `PF001` — an allocation (`clone()`, `to_string()`, `to_owned()`,
-//!   `format!`, `String::from`, `vec!`) inside a loop body. Error
+//!   `format!`, `String::from`, `vec!`, `wallclock(`) inside a loop body. Error
 //!   construction (`Err(…)`, `map_err(…)`, `ok_or_else(…)` spans) is cold
 //!   by definition and exempt, and so is a `return`/`break` statement —
 //!   a terminal statement runs at most once per loop *execution*, so its
@@ -84,7 +84,8 @@ pub const ENGINE_FILES: &[&str] = &[
 /// (PF004, PF007).
 const TABLE_CRATES: &[&str] = &["analysis", "warehouse"];
 
-/// Allocation needles for PF001.
+/// Allocation needles for PF001. `wallclock(` is the timestamp formatter
+/// that returns a fresh `String`; `push_wallclock` appends in place.
 const ALLOC_NEEDLES: &[&str] = &[
     ".clone()",
     ".to_string()",
@@ -92,6 +93,7 @@ const ALLOC_NEEDLES: &[&str] = &[
     "format!",
     "String::from(",
     "vec!",
+    "wallclock(",
 ];
 
 /// Call spans that are cold by definition: error construction never runs
@@ -204,11 +206,15 @@ fn terminal_statement(masked: &str, at: usize) -> bool {
 
 fn pf001(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     for needle in ALLOC_NEEDLES {
+        // A needle that starts a word must start one, so neither
+        // `push_wallclock(` nor `parse_wallclock(` is `wallclock(`.
+        let word = is_ident(needle.as_bytes()[0]);
         let mut from = 0;
         while let Some(p) = ctx.masked[from..].find(needle) {
             let at = from + p;
             from = at + needle.len();
-            if !ctx.in_loop(at)
+            if (word && !word_start(ctx.masked, at))
+                || !ctx.in_loop(at)
                 || ctx.in_cold_span(at)
                 || terminal_statement(ctx.masked, at)
                 || ctx.justified(at)

@@ -91,6 +91,26 @@ fn pf001_accepts_a_perf_justification_comment() {
     );
 }
 
+#[test]
+fn pf001_fires_on_a_fresh_wallclock_string_per_iteration() {
+    // `wallclock` returns a new `String`; `push_wallclock` appends in
+    // place, and `parse_wallclock` allocates nothing.
+    let dirty = "fn render(out: &mut String, samples: &[Sample]) {\n\
+                 for s in samples {\n\
+                     let _ = writeln!(out, \"{} {}\", mscope_sim::wallclock(s.time), s.value);\n\
+                 }\n}\n";
+    assert_eq!(perf_rules("crates/monitors/src/fake.rs", dirty), ["PF001"]);
+    let clean = "fn render(out: &mut String, lines: &[&str], samples: &[Sample]) {\n\
+                 for s in samples {\n\
+                     push_wallclock(out, s.time);\n\
+                     let _ = writeln!(out, \" {}\", s.value);\n\
+                 }\n\
+                 for l in lines {\n\
+                     let _ = mscope_sim::parse_wallclock(l);\n\
+                 }\n}\n";
+    assert_eq!(perf_rules("crates/monitors/src/fake.rs", clean), [""; 0]);
+}
+
 // ---------------------------------------------------------------------
 // PF002 — collect-then-reiterate churn
 // ---------------------------------------------------------------------

@@ -14,8 +14,9 @@
 
 use crate::logstore::LogStore;
 use mscope_ntier::{BoundaryKind, LifecycleEvent, NodeId, RequestId, TierKind};
-use mscope_sim::{wallclock, SimTime};
+use mscope_sim::{push_wallclock, SimTime};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// The four §IV-B timestamps gathered for one request at one node.
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,16 +29,20 @@ struct PendingRecord {
     status: u16,
 }
 
-/// Renders the timestamp suffix common to every format.
-fn ts_suffix(p: &PendingRecord) -> String {
-    let fmt = |o: Option<SimTime>| o.map_or_else(|| "-".to_string(), wallclock);
-    format!(
-        "ua={} ud={} ds={} dr={}",
-        fmt(p.ua),
-        fmt(p.ud),
-        fmt(p.ds),
-        fmt(p.dr)
-    )
+/// Appends the timestamp suffix common to every format.
+fn push_suffix(line: &mut String, p: &PendingRecord) {
+    for (key, t) in [
+        (" ua=", p.ua),
+        (" ud=", p.ud),
+        (" ds=", p.ds),
+        (" dr=", p.dr),
+    ] {
+        line.push_str(key);
+        match t {
+            Some(t) => push_wallclock(line, t),
+            None => line.push('-'),
+        }
+    }
 }
 
 /// An event mScopeMonitor attached to one node.
@@ -75,16 +80,28 @@ pub struct EventMonitor {
     /// hash ordering cannot reach the rendered logs (lint rule DT001).
     pending: HashMap<RequestId, PendingRecord>,
     lines_written: u64,
+    /// The native log file's path, computed once.
+    path: String,
+    /// The line being written, reused so a line allocates nothing.
+    line: String,
 }
 
 impl EventMonitor {
     /// Creates the monitor for one node.
     pub fn new(node: NodeId, kind: TierKind) -> EventMonitor {
+        let file = match kind {
+            TierKind::Apache => "access_log",
+            TierKind::Tomcat => "catalina.out",
+            TierKind::Cjdbc => "controller.log",
+            TierKind::Mysql => "general_query.log",
+        };
         EventMonitor {
             node,
             kind,
             pending: HashMap::new(),
             lines_written: 0,
+            path: format!("logs/{node}/{file}"),
+            line: String::new(),
         }
     }
 
@@ -95,13 +112,7 @@ impl EventMonitor {
 
     /// Path of the native log file this monitor appends to.
     pub fn log_path(&self) -> String {
-        let file = match self.kind {
-            TierKind::Apache => "access_log",
-            TierKind::Tomcat => "catalina.out",
-            TierKind::Cjdbc => "controller.log",
-            TierKind::Mysql => "general_query.log",
-        };
-        format!("logs/{}/{}", self.node, file)
+        self.path.clone()
     }
 
     /// Lines emitted so far.
@@ -131,53 +142,61 @@ impl EventMonitor {
             BoundaryKind::UpstreamDeparture => {
                 rec.ud = Some(ev.time);
                 let rec = self.pending.remove(&ev.request).expect("just inserted");
-                let line = self.format_line(ev.request, &rec);
-                store.append_line(&self.log_path(), &line);
+                self.write_line(ev.request, ev.time, &rec);
+                store.append_line(&self.path, &self.line);
                 self.lines_written += 1;
             }
         }
     }
 
-    fn format_line(&self, id: RequestId, p: &PendingRecord) -> String {
-        let ud = p.ud.expect("line only written at departure");
-        let suffix = ts_suffix(p);
-        match self.kind {
+    /// Writes the native-format line for a departed request into the
+    /// reused line buffer.
+    fn write_line(&mut self, id: RequestId, ud: SimTime, p: &PendingRecord) {
+        let line = &mut self.line;
+        line.clear();
+        // `write!` into a `String` cannot fail.
+        let _ = match self.kind {
             // Apache combined access-log, extended per Appendix A with the
             // connector timestamps.
-            TierKind::Apache => format!(
-                "127.0.0.1 - - [{}] \"GET /rubbos/{}?ID={} HTTP/1.1\" {} 1802 {}",
-                wallclock(ud),
-                p.interaction,
-                id,
-                p.status,
-                suffix
-            ),
+            TierKind::Apache => {
+                line.push_str("127.0.0.1 - - [");
+                push_wallclock(line, ud);
+                write!(
+                    line,
+                    "] \"GET /rubbos/{}?ID={id} HTTP/1.1\" {} 1802",
+                    p.interaction, p.status
+                )
+            }
             // Tomcat request-log valve line (the extra logging thread's
             // variable-width downstream record is folded into the suffix).
-            TierKind::Tomcat => format!(
-                "{} INFO [ajp-exec] RequestLog /servlet/{} ID={} {}",
-                wallclock(ud),
-                p.interaction,
-                id,
-                suffix
-            ),
+            TierKind::Tomcat => {
+                push_wallclock(line, ud);
+                write!(
+                    line,
+                    " INFO [ajp-exec] RequestLog /servlet/{} ID={id}",
+                    p.interaction
+                )
+            }
             // C-JDBC controller log.
-            TierKind::Cjdbc => format!(
-                "{} [rubbos-vdb] virtualdatabase request ID={} op={} {}",
-                wallclock(ud),
-                id,
-                p.interaction,
-                suffix
-            ),
+            TierKind::Cjdbc => {
+                push_wallclock(line, ud);
+                write!(
+                    line,
+                    " [rubbos-vdb] virtualdatabase request ID={id} op={}",
+                    p.interaction
+                )
+            }
             // MySQL general query log: the ID travels as a SQL comment.
-            TierKind::Mysql => format!(
-                "{}\t   42 Query\tSELECT * FROM stories /*ID={}*/ /*op={}*/ {}",
-                wallclock(ud),
-                id,
-                p.interaction,
-                suffix
-            ),
-        }
+            TierKind::Mysql => {
+                push_wallclock(line, ud);
+                write!(
+                    line,
+                    "\t   42 Query\tSELECT * FROM stories /*ID={id}*/ /*op={}*/",
+                    p.interaction
+                )
+            }
+        };
+        push_suffix(line, p);
     }
 }
 

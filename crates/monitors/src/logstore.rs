@@ -34,17 +34,28 @@ impl LogStore {
 
     /// Appends text to a file, creating it if needed.
     pub fn append(&mut self, path: &str, text: &str) {
-        self.files
-            .entry(path.to_string())
-            .or_default()
-            .push_str(text);
+        self.write(path, |buf| buf.push_str(text));
     }
 
     /// Appends one line (adds the trailing newline).
     pub fn append_line(&mut self, path: &str, line: &str) {
-        let buf = self.files.entry(path.to_string()).or_default();
-        buf.push_str(line);
-        buf.push('\n');
+        self.write(path, |buf| {
+            buf.push_str(line);
+            buf.push('\n');
+        });
+    }
+
+    /// Runs `write` on a file's buffer, creating the file if needed. The
+    /// path is looked up first, so only a new file allocates its key.
+    fn write(&mut self, path: &str, write: impl FnOnce(&mut String)) {
+        match self.files.get_mut(path) {
+            Some(buf) => write(buf),
+            None => {
+                let mut buf = String::new();
+                write(&mut buf);
+                self.files.insert(path.to_string(), buf);
+            }
+        }
     }
 
     /// Reads a file's full contents.

@@ -9,7 +9,7 @@
 
 use crate::logstore::LogStore;
 use mscope_ntier::{NodeId, ResourceSample, TierKind};
-use mscope_sim::{wallclock, SimDuration};
+use mscope_sim::{push_wallclock, SimDuration};
 use std::fmt::Write as _;
 
 /// Which external tool a resource monitor emulates, and in which of its
@@ -227,10 +227,10 @@ impl Tool {
     pub(crate) fn record_into(self, out: &mut String, idx: usize, s: &ResourceSample) {
         match self {
             Tool::CollectlCsv => {
+                push_wallclock(out, s.time);
                 let _ = writeln!(
                     out,
-                    "{} {:.2} {:.2} {:.2} {:.2} {} {} {:.1} {} {:.1} {:.1} {:.1}",
-                    wallclock(s.time),
+                    " {:.2} {:.2} {:.2} {:.2} {} {} {:.1} {} {:.1} {:.1} {:.1}",
                     s.cpu_user,
                     s.cpu_sys,
                     s.cpu_iowait,
@@ -245,7 +245,9 @@ impl Tool {
                 );
             }
             Tool::CollectlPlain => {
-                let _ = writeln!(out, "### RECORD {} ({}) ###", idx + 1, wallclock(s.time));
+                let _ = write!(out, "### RECORD {} (", idx + 1);
+                push_wallclock(out, s.time);
+                out.push_str(") ###\n");
                 out.push_str("# CPU SUMMARY\n");
                 out.push_str("User% Sys% Wait% Idle%\n");
                 let _ = writeln!(
@@ -272,14 +274,11 @@ impl Tool {
                         "timestamp            CPU      %user      %sys   %iowait     %idle\n",
                     );
                 }
+                push_wallclock(out, s.time);
                 let _ = writeln!(
                     out,
-                    "{}     all {:10.2} {:9.2} {:9.2} {:9.2}",
-                    wallclock(s.time),
-                    s.cpu_user,
-                    s.cpu_sys,
-                    s.cpu_iowait,
-                    s.cpu_idle
+                    "     all {:10.2} {:9.2} {:9.2} {:9.2}",
+                    s.cpu_user, s.cpu_sys, s.cpu_iowait, s.cpu_idle
                 );
             }
             Tool::SarMem => {
@@ -287,10 +286,10 @@ impl Tool {
                     out.push_str("timestamp             kbmemused    %memused     kbdirty\n");
                 }
                 let used_kb = s.mem_used_bytes / 1024;
+                push_wallclock(out, s.time);
                 let _ = writeln!(
                     out,
-                    "{} {:12} {:11.2} {:11}",
-                    wallclock(s.time),
+                    " {:12} {:11.2} {:11}",
                     used_kb,
                     // %memused needs a total; the emulated node reports
                     // used/4GiB when no better figure is available, like sar
@@ -303,30 +302,28 @@ impl Tool {
                 if idx.is_multiple_of(SAR_HEADER_EVERY) {
                     out.push_str("timestamp            IFACE      rxkB/s      txkB/s\n");
                 }
+                push_wallclock(out, s.time);
                 let _ = writeln!(
                     out,
-                    "{}     eth0 {:11.2} {:11.2}",
-                    wallclock(s.time),
+                    "     eth0 {:11.2} {:11.2}",
                     s.net_rx_bytes as f64 / 1024.0,
                     s.net_tx_bytes as f64 / 1024.0,
                 );
             }
             Tool::SarXml => {
+                out.push_str("   <timestamp time=\"");
+                push_wallclock(out, s.time);
                 let _ = write!(
                     out,
-                    "   <timestamp time=\"{}\">\n    <cpu-load>\n     <cpu number=\"all\" \
+                    "\">\n    <cpu-load>\n     <cpu number=\"all\" \
                      user=\"{:.2}\" system=\"{:.2}\" iowait=\"{:.2}\" idle=\"{:.2}\"/>\n    \
                      </cpu-load>\n   </timestamp>\n",
-                    wallclock(s.time),
-                    s.cpu_user,
-                    s.cpu_sys,
-                    s.cpu_iowait,
-                    s.cpu_idle
+                    s.cpu_user, s.cpu_sys, s.cpu_iowait, s.cpu_idle
                 );
             }
             Tool::Iostat => {
-                let _ = writeln!(out, "{}", wallclock(s.time));
-                out.push_str("Device:            wkB/s      w/s     %util\n");
+                push_wallclock(out, s.time);
+                out.push_str("\nDevice:            wkB/s      w/s     %util\n");
                 let _ = write!(
                     out,
                     "sda           {:10.2} {:8.2} {:9.2}\n\n",

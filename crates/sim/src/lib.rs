@@ -72,4 +72,4 @@ pub use queue::WorkQueue;
 pub use rng::{LogNormal, SimRng, WeightedIndex};
 pub use stats::{pearson, percentile, rmse, Summary};
 pub use stream::{run_piped, RecordReceiver, RecordSender, RecordStream};
-pub use time::{parse_wallclock, wallclock, SimDuration, SimTime};
+pub use time::{parse_wallclock, push_wallclock, wallclock, SimDuration, SimTime};

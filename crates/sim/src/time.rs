@@ -311,11 +311,45 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// Formats a `SimTime` like a wall-clock timestamp (`HH:MM:SS.mmmuuu`),
-/// used by the emulated monitor log formats which mimic real tools.
+/// Appends a `SimTime` as a wall-clock timestamp (`HH:MM:SS.mmmuuu`) to
+/// `out` — the one formatter behind every emulated monitor log format,
+/// which mimic real tools. Allocates nothing once `out` has room.
 ///
 /// The experiment is assumed to start at 00:00:00. Hours wrap at 24 like a
 /// real clock would across midnight.
+///
+/// # Examples
+///
+/// ```
+/// use mscope_sim::{push_wallclock, SimTime};
+/// let mut line = String::from("t=");
+/// push_wallclock(&mut line, SimTime::from_millis(61_234));
+/// assert_eq!(line, "t=00:01:01.234000");
+/// ```
+pub fn push_wallclock(out: &mut String, t: SimTime) {
+    let us = t.as_micros();
+    let total_secs = us / 1_000_000;
+    let fields = [
+        ((total_secs / 3600) % 24, 2),
+        ((total_secs / 60) % 60, 2),
+        (total_secs % 60, 2),
+        (us % 1_000_000, 6),
+    ];
+    let mut text = [b':'; 15];
+    text[8] = b'.';
+    let mut at = 0;
+    for (value, width) in fields {
+        let mut rest = value;
+        for slot in text[at..at + width].iter_mut().rev() {
+            *slot = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        at += width + 1;
+    }
+    out.extend(text.iter().map(|&b| char::from(b)));
+}
+
+/// [`push_wallclock`] into a fresh `String`.
 ///
 /// # Examples
 ///
@@ -324,13 +358,9 @@ impl fmt::Display for SimDuration {
 /// assert_eq!(wallclock(SimTime::from_millis(61_234)), "00:01:01.234000");
 /// ```
 pub fn wallclock(t: SimTime) -> String {
-    let us = t.as_micros();
-    let total_secs = us / 1_000_000;
-    let sub_us = us % 1_000_000;
-    let h = (total_secs / 3600) % 24;
-    let m = (total_secs / 60) % 60;
-    let s = total_secs % 60;
-    format!("{h:02}:{m:02}:{s:02}.{sub_us:06}")
+    let mut out = String::with_capacity(15);
+    push_wallclock(&mut out, t);
+    out
 }
 
 /// Parses a `HH:MM:SS.ffffff` timestamp produced by [`wallclock`] back into a
@@ -455,6 +485,26 @@ mod tests {
             wallclock(SimTime::from_secs(3661) + SimDuration::from_micros(42)),
             "01:01:01.000042"
         );
+    }
+
+    #[test]
+    fn push_wallclock_matches_the_format_rule() {
+        crate::prop::forall("push_wallclock format rule", 1024, |g| {
+            // Within a day, across many days, and near the top of `u64`.
+            let us = match g.usize(0..=2) {
+                0 => g.u64(0..=86_399_999_999),
+                1 => g.u64(0..=1_000 * 86_400_000_000),
+                _ => u64::MAX - g.u64(0..=u64::MAX / 2),
+            };
+            let (secs, sub_us) = (us / 1_000_000, us % 1_000_000);
+            let (h, m, s) = ((secs / 3600) % 24, (secs / 60) % 60, secs % 60);
+            let want = format!("{h:02}:{m:02}:{s:02}.{sub_us:06}");
+            let mut got = String::from("x");
+            push_wallclock(&mut got, SimTime::from_micros(us));
+            crate::prop_ensure!(got[1..] == want, "us={us}: {got:?} vs {want:?}");
+            crate::prop_ensure!(wallclock(SimTime::from_micros(us)) == want, "us={us}");
+            Ok(())
+        });
     }
 
     #[test]

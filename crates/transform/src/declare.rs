@@ -16,7 +16,7 @@
 //! with semantic child tags — an export artifact, not a step of the load.
 
 use crate::error::TransformError;
-use crate::pattern::{CaptureRanges, Pattern, Tok};
+use crate::pattern::{CaptureRanges, FailedStates, Pattern, Tok};
 use crate::xml::{self, XmlNode};
 use mscope_db::{ColumnType, Value};
 use std::ops::Range;
@@ -165,14 +165,16 @@ impl<'a> EntryFields<'a> {
 
 /// What the staged engine carries from one line to the next: the 1-based
 /// number of the last line seen, the sticky context, the open block
-/// (`(captures so far, next positional line)`), and the capture ranges of
-/// the line in hand (scratch, reused so a line allocates nothing).
+/// (`(captures so far, next positional line)`), and the matcher's scratch
+/// for the line in hand — its capture ranges and failed states, reused so a
+/// line allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StagedState {
     line_no: usize,
     ctx: Vec<Field>,
     block: Option<(Vec<Field>, usize)>,
     ranges: CaptureRanges,
+    failed: FailedStates,
 }
 
 /// Copies a borrowed pair that has to outlive its line: a block or context
@@ -280,7 +282,7 @@ impl ParsingDeclaration {
             return Ok(());
         }
         if let Some(bs) = &spec.blocks {
-            if bs.marker.match_ranges(line, &mut st.ranges) {
+            if bs.marker.match_ranges(line, &mut st.ranges, &mut st.failed) {
                 // A new block begins. Flushing an incomplete previous one
                 // would hide truncation, so it is dropped.
                 let held = bs.marker.captures(line, &st.ranges).map(own).collect();
@@ -290,7 +292,7 @@ impl ParsingDeclaration {
             if let Some((fields, idx)) = &mut st.block {
                 let slot = bs.lines.get(*idx).ok_or_else(|| unparsed(st.line_no))?;
                 if let Some(pat) = slot {
-                    if !pat.match_ranges(line, &mut st.ranges) {
+                    if !pat.match_ranges(line, &mut st.ranges, &mut st.failed) {
                         return Err(unparsed(st.line_no));
                     }
                     fields.extend(pat.captures(line, &st.ranges).map(own));
@@ -309,7 +311,7 @@ impl ParsingDeclaration {
             }
         }
         for pat in &spec.context {
-            if pat.match_ranges(line, &mut st.ranges) {
+            if pat.match_ranges(line, &mut st.ranges, &mut st.failed) {
                 for (k, v) in pat.captures(line, &st.ranges) {
                     st.ctx.retain(|(ck, _)| ck != k);
                     st.ctx.push(own((k, v)));
@@ -318,7 +320,7 @@ impl ParsingDeclaration {
             }
         }
         for pat in &spec.records {
-            if pat.match_ranges(line, &mut st.ranges) {
+            if pat.match_ranges(line, &mut st.ranges, &mut st.failed) {
                 return emit(EntryFields {
                     constants: &self.constants,
                     held: &st.ctx,

@@ -190,7 +190,7 @@ impl Pattern {
     /// pairs on success.
     pub fn match_line(&self, line: &str) -> Option<Vec<(String, String)>> {
         let mut ranges = Vec::with_capacity(self.toks.len());
-        if !self.match_ranges(line, &mut ranges) {
+        if !self.match_ranges(line, &mut ranges, &mut FailedStates::default()) {
             return None;
         }
         // perf: the owned form, for callers outside the pipeline — the
@@ -201,11 +201,17 @@ impl Pattern {
 
     /// Attempts to match the whole line, leaving in `ranges` where each
     /// capture lies in it — one range per capture token, in token order
-    /// (empty when the line does not match). Allocates nothing once
-    /// `ranges` has grown to the pattern's capture count.
-    pub(crate) fn match_ranges(&self, line: &str, ranges: &mut CaptureRanges) -> bool {
+    /// (empty when the line does not match). `failed` is scratch. Allocates
+    /// nothing once both have grown to the longest line's needs.
+    pub(crate) fn match_ranges(
+        &self,
+        line: &str,
+        ranges: &mut CaptureRanges,
+        failed: &mut FailedStates,
+    ) -> bool {
         ranges.clear();
-        Self::match_from(&self.toks, line, 0, ranges)
+        failed.reset(self.toks.len(), line.len());
+        self.match_from(0, line, 0, ranges, failed)
     }
 
     /// The `(name, value)` pairs of a successful [`Pattern::match_ranges`]
@@ -221,56 +227,140 @@ impl Pattern {
             .map(move |(name, r)| (name, &line[r.clone()]))
     }
 
-    /// Allocation-free backtracking core: `pos` is the byte offset into
-    /// `line`; a candidate capture is recorded as its byte range and
-    /// popped on backtrack, so failed attempts cost nothing. Every capture
-    /// token of a match holds exactly one range, so the ranges line up
-    /// with [`Pattern::names`].
-    fn match_from(toks: &[Tok], line: &str, pos: usize, caps: &mut CaptureRanges) -> bool {
-        let rest = &line[pos..];
-        let Some((tok, tail_toks)) = toks.split_first() else {
-            return rest.is_empty();
+    /// Allocation-free backtracking core: does `toks[i..]` match `line`
+    /// from byte offset `pos`? That answer depends on `(i, pos)` alone, so
+    /// a state that failed once is remembered in `failed` and never tried
+    /// again: a line costs at most `toks.len() × (line.len() + 1)` tries.
+    /// A candidate capture is recorded as its byte range and popped on
+    /// backtrack, so every capture token of a match holds exactly one
+    /// range, lined up with [`Pattern::names`].
+    fn match_from(
+        &self,
+        i: usize,
+        line: &str,
+        pos: usize,
+        caps: &mut CaptureRanges,
+        failed: &mut FailedStates,
+    ) -> bool {
+        let Some(tok) = self.toks.get(i) else {
+            return pos == line.len();
         };
-        match tok {
+        let state = i * failed.stride + pos;
+        if failed.contains(state) {
+            return false;
+        }
+        #[cfg(test)]
+        {
+            failed.steps += 1;
+        }
+        let rest = &line[pos..];
+        let matched = match tok {
             Tok::Lit(l) => {
                 rest.starts_with(l.as_str())
-                    && Self::match_from(tail_toks, line, pos + l.len(), caps)
+                    && self.match_from(i + 1, line, pos + l.len(), caps, failed)
             }
             Tok::Ws => {
                 let trimmed = rest.trim_start();
-                if trimmed.len() == rest.len() {
-                    return false; // needs at least one whitespace char
-                }
-                Self::match_from(tail_toks, line, pos + rest.len() - trimmed.len(), caps)
+                // Needs at least one whitespace char.
+                trimmed.len() < rest.len()
+                    && self.match_from(i + 1, line, pos + rest.len() - trimmed.len(), caps, failed)
             }
-            Tok::Cap(_) | Tok::Wall(_) => {
-                let is_wall = matches!(tok, Tok::Wall(_));
-                // Lazily extend the capture until the remaining tokens match.
-                // Candidate end positions: before each char boundary + EOL.
-                let mut end = 0usize;
-                loop {
-                    let candidate = &rest[..end];
-                    let viable =
-                        !candidate.is_empty() && (!is_wall || looks_like_wallclock(candidate));
-                    if viable {
-                        caps.push(pos..pos + end);
-                        if Self::match_from(tail_toks, line, pos + end, caps) {
-                            return true;
-                        }
-                        caps.pop();
-                    }
-                    if end >= rest.len() {
-                        return false;
-                    }
-                    // Advance one char.
-                    end += rest[end..].chars().next().map_or(1, char::len_utf8);
-                    // Plain captures never cross whitespace when the next
-                    // token is Ws — handled naturally by backtracking, but
-                    // bound capture growth for sanity: captures stop at
-                    // newline (lines never contain one anyway).
-                }
-            }
+            Tok::Cap(_) | Tok::Wall(_) => self.match_capture(i, line, pos, caps, failed),
+        };
+        if !matched {
+            failed.insert(state);
         }
+        matched
+    }
+
+    /// A capture token `toks[i]` at `pos`, extended lazily: its candidate
+    /// ends, shortest first, are only the offsets where the next token can
+    /// begin ([`next_end`]), and a `Wall` capture is shape-checked only
+    /// there. Captures are never empty.
+    fn match_capture(
+        &self,
+        i: usize,
+        line: &str,
+        pos: usize,
+        caps: &mut CaptureRanges,
+        failed: &mut FailedStates,
+    ) -> bool {
+        let rest = &line[pos..];
+        let is_wall = matches!(self.toks[i], Tok::Wall(_));
+        let next = self.toks.get(i + 1);
+        let Some(first) = rest.chars().next() else {
+            return false;
+        };
+        let mut from = first.len_utf8();
+        while let Some(offset) = next_end(next, &rest[from..]) {
+            let end = from + offset;
+            if !is_wall || looks_like_wallclock(&rest[..end]) {
+                caps.push(pos..pos + end);
+                if self.match_from(i + 1, line, pos + end, caps, failed) {
+                    return true;
+                }
+                caps.pop();
+            }
+            let Some(c) = rest[end..].chars().next() else {
+                return false;
+            };
+            from = end + c.len_utf8();
+        }
+        false
+    }
+}
+
+/// The offset in `s` of the first place the token after a capture can
+/// begin — the capture's next candidate end: the next occurrence of a
+/// literal, the next whitespace char, the end of the line when the capture
+/// is last. A following capture (only an unvalidated pattern has one) can
+/// begin anywhere, so every char boundary is a candidate.
+fn next_end(next: Option<&Tok>, s: &str) -> Option<usize> {
+    match next {
+        None => Some(s.len()),
+        Some(Tok::Lit(l)) => s.find(l.as_str()),
+        Some(Tok::Ws) => s.find(char::is_whitespace),
+        Some(Tok::Cap(_) | Tok::Wall(_)) => Some(0),
+    }
+}
+
+/// The `(token index, byte offset)` states of one line that are known not
+/// to match, as a bitset — scratch that [`Pattern::match_ranges`] resets
+/// per line and callers keep across lines.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FailedStates {
+    bits: Vec<u64>,
+    /// States per token: the line's length plus one.
+    stride: usize,
+    /// Words of `bits` that may hold a set bit; only these need clearing.
+    dirty: usize,
+    /// States tried since the last reset.
+    #[cfg(test)]
+    steps: usize,
+}
+
+impl FailedStates {
+    fn reset(&mut self, tokens: usize, line_len: usize) {
+        self.bits[..self.dirty].fill(0);
+        self.dirty = 0;
+        self.stride = line_len + 1;
+        let words = (tokens * self.stride).div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+        #[cfg(test)]
+        {
+            self.steps = 0;
+        }
+    }
+
+    fn contains(&self, state: usize) -> bool {
+        self.bits[state / 64] & (1 << (state % 64)) != 0
+    }
+
+    fn insert(&mut self, state: usize) {
+        self.bits[state / 64] |= 1 << (state % 64);
+        self.dirty = self.dirty.max(state / 64 + 1);
     }
 }
 
@@ -447,6 +537,144 @@ mod tests {
     fn duplicate_capture_rejected() {
         let p = Pattern::new(vec![Tok::cap("id"), Tok::Ws, Tok::cap("id")]);
         assert_eq!(p.issues()[0].0, "pattern-duplicate-capture");
+    }
+
+    /// The matcher as it was first written — extend a capture one char at a
+    /// time and re-run the whole tail at every end, no memo — kept as the
+    /// oracle for the anchored, memoised one.
+    fn match_bytewise(toks: &[Tok], line: &str, pos: usize, caps: &mut CaptureRanges) -> bool {
+        let rest = &line[pos..];
+        let Some((tok, tail_toks)) = toks.split_first() else {
+            return rest.is_empty();
+        };
+        match tok {
+            Tok::Lit(l) => {
+                rest.starts_with(l.as_str()) && match_bytewise(tail_toks, line, pos + l.len(), caps)
+            }
+            Tok::Ws => {
+                let trimmed = rest.trim_start();
+                if trimmed.len() == rest.len() {
+                    return false;
+                }
+                match_bytewise(tail_toks, line, pos + rest.len() - trimmed.len(), caps)
+            }
+            Tok::Cap(_) | Tok::Wall(_) => {
+                let is_wall = matches!(tok, Tok::Wall(_));
+                let mut end = 0usize;
+                loop {
+                    let candidate = &rest[..end];
+                    if !candidate.is_empty() && (!is_wall || looks_like_wallclock(candidate)) {
+                        caps.push(pos..pos + end);
+                        if match_bytewise(tail_toks, line, pos + end, caps) {
+                            return true;
+                        }
+                        caps.pop();
+                    }
+                    if end >= rest.len() {
+                        return false;
+                    }
+                    end += rest[end..].chars().next().map_or(1, char::len_utf8);
+                }
+            }
+        }
+    }
+
+    /// Pieces lines and literals are drawn from: pattern text, timestamps
+    /// whole and partial, non-ASCII and Unicode whitespace.
+    const PIECES: &[&str] = &[
+        "a",
+        "b",
+        "=",
+        "ID=",
+        "*/",
+        "ua=",
+        " ",
+        "  ",
+        "\t",
+        "\u{a0}",
+        "\u{3000}",
+        ":",
+        ".",
+        "1",
+        "42",
+        "00:00:01.500000",
+        "12:59:59",
+        "00:0",
+        "1:2:",
+        "00:00:07.",
+        "é",
+        "中",
+        "🦀",
+    ];
+
+    #[test]
+    fn anchored_matcher_agrees_with_the_bytewise_walk() {
+        mscope_sim::prop::forall("anchored matcher = bytewise walk", 2000, |g| {
+            // Unvalidated on purpose: adjacent captures, empty literals,
+            // doubled whitespace and repeated names all occur.
+            let toks = g.vec(0..=6, |g| match g.usize(0..=5) {
+                0 => Tok::Ws,
+                1 => Tok::cap("c"),
+                2 => Tok::wall("w"),
+                3 => Tok::lit(""),
+                _ => Tok::lit(g.choose(PIECES)),
+            });
+            let p = Pattern::new(toks);
+            let mut ranges = Vec::new();
+            let mut failed = FailedStates::default();
+            // One scratch across lines of different lengths, as the
+            // drivers keep it.
+            for _ in 0..4 {
+                let line: String = g.vec(0..=7, |g| g.choose(PIECES)).concat();
+                let got = p.match_ranges(&line, &mut ranges, &mut failed);
+                let mut want_ranges = Vec::new();
+                let want = match_bytewise(p.tokens(), &line, 0, &mut want_ranges);
+                mscope_sim::prop_ensure!(
+                    got == want && (!got || ranges == want_ranges),
+                    "{p:?} on {line:?}: {got} {ranges:?} vs {want} {want_ranges:?}"
+                );
+                let bound = p.tokens().len() * (line.len() + 1);
+                mscope_sim::prop_ensure!(failed.steps <= bound, "{} steps", failed.steps);
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn repeated_anchors_cost_each_state_at_most_once() {
+        // An Apache record line that ends in n `ud=` fields, then n `ds=`
+        // fields and no `dr=`: the per-char walk retries every split of the
+        // fields between the `ua`, `ud` and `ds` captures (cubic in n).
+        let spec = crate::parsers::apache_event_spec();
+        let p = &spec.records[0];
+        let n = 2_100;
+        let mut line = String::from(
+            "127.0.0.1 - - [00:00:00.020000] \"GET /rubbos/ViewStory?ID=000000000003 \
+             HTTP/1.1\" 200 1802 ua=00:00:00.010000",
+        );
+        line.push_str(&" ud=1".repeat(n));
+        line.push_str(&" ds=1".repeat(n));
+        line.push_str(" zz");
+        assert!(line.len() >= 20_000);
+        let mut ranges = Vec::new();
+        let mut failed = FailedStates::default();
+        assert!(!p.match_ranges(&line, &mut ranges, &mut failed));
+        assert!(ranges.is_empty());
+        let bound = p.tokens().len() * (line.len() + 1);
+        assert!(
+            failed.steps <= bound,
+            "{} steps, bound {bound}",
+            failed.steps
+        );
+        // The same line with its `dr=` still matches, lazily: `ud` and `ds`
+        // take the shortest values that let the rest match.
+        line.truncate(line.len() - " zz".len());
+        line.push_str(" dr=-");
+        assert!(p.match_ranges(&line, &mut ranges, &mut failed));
+        let caps: Vec<_> = p.captures(&line, &ranges).collect();
+        assert_eq!(caps[6], ("ua", "00:00:00.010000"));
+        assert_eq!(caps[7].1.len(), "1".len() + (n - 1) * " ud=1".len());
+        assert_eq!(caps[9], ("dr", "-"));
     }
 
     #[test]
