@@ -13,9 +13,10 @@
 //! finding anchors to, and `needle…` (the rest of the line) a substring
 //! that must appear in the finding's message. A finding is suppressed when
 //! all three match. Entries that suppress nothing are themselves reported
-//! as warn-level `stale-allow` findings so allowlists shrink over time
-//! instead of rotting.
+//! (by `mscope-lint all`) as deny-level `stale-allow` findings so
+//! allowlists shrink over time instead of rotting.
 
+use crate::source::rel_path;
 use crate::{Finding, Severity};
 use std::fs;
 use std::io;
@@ -101,22 +102,17 @@ impl Allowlist {
             .collect()
     }
 
-    /// Warn findings for entries that never fired.
+    /// Deny findings for entries that never fired, so grandfathered
+    /// suppressions cannot rot in place once the finding they covered is
+    /// gone.
     pub fn unused_findings(&self) -> Vec<Finding> {
-        self.unused_findings_at(Severity::Warn)
-    }
-
-    /// Findings for entries that never fired, at a caller-chosen severity
-    /// (`--strict` escalates stale entries to deny so they cannot
-    /// accumulate in CI).
-    pub fn unused_findings_at(&self, severity: Severity) -> Vec<Finding> {
         self.entries
             .iter()
             .zip(&self.used)
             .filter(|(_, used)| !**used)
             .map(|(e, _)| Finding {
                 rule: "stale-allow".to_string(),
-                severity,
+                severity: Severity::Deny,
                 file: e.source.clone(),
                 line: e.source_line,
                 message: format!(
@@ -125,16 +121,6 @@ impl Allowlist {
                 ),
             })
             .collect()
-    }
-
-    /// Number of entries loaded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no entries are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -163,13 +149,7 @@ pub fn load(root: &Path) -> io::Result<(Allowlist, Vec<Finding>)> {
         if !f.is_file() {
             continue;
         }
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let text = fs::read_to_string(&f)?;
-        let (e, bad) = parse(&rel, &text);
+        let (e, bad) = parse(&rel_path(root, &f), &fs::read_to_string(&f)?);
         entries.extend(e);
         findings.extend(bad);
     }
@@ -232,7 +212,7 @@ mod tests {
         let stale = allow.unused_findings();
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].rule, "stale-allow");
-        assert_eq!(stale[0].severity, Severity::Warn);
+        assert_eq!(stale[0].severity, Severity::Deny);
         assert!(stale[0].message.contains("ghost.rs"));
     }
 }

@@ -9,7 +9,9 @@
 //! statically, over the same scrubbed/test-masked source model as the
 //! source front, so a violation is a lint failure before anything runs.
 //!
-//! Rules (all deny-level, all scoped to the identity-gated crates):
+//! Rules (all deny-level, all scoped to the identity-gated crates;
+//! `DT003`, `DT004`, `DT005` and `DT008` are rows of
+//! `needle::NEEDLE_RULES`):
 //!
 //! * `DT001` — a `HashMap`/`HashSet` binding is iterated (`iter`, `keys`,
 //!   `values`, `drain`, `for … in`) with no `.sort*` and no `BTree`
@@ -45,16 +47,13 @@
 //!   pick the *plan*, never the *result*, so they must not be readable
 //!   anywhere a record is built.
 
+use crate::needle::{self, one_per_line};
 use crate::source::{
-    brace_span_end, comment_evidence, crate_dirs, enclosing_fn, find_word, finding_at, fn_spans,
-    is_ident, is_loop_subject, mask_tests, paren_span_end, rel_path, rust_files_under, scrub,
-    trailing_ident, word_start,
+    comment_evidence, enclosing_fn, find_word, is_ident, is_loop_subject, span_end, trailing_ident,
+    word_start, FileCtx,
 };
 use crate::Finding;
-use std::fs;
-use std::io;
 use std::ops::Range;
-use std::path::Path;
 
 /// Crates bound by the byte-identity contract: everything that produces,
 /// transforms, stores, or serializes records that land in digests, logs,
@@ -135,23 +134,6 @@ const KEYED_SORTS: &[&str] = &[
 const TIME_TOKENS: &[&str] = &["time", "client_send"];
 
 // ---------------------------------------------------------------------
-// Text helpers (shared with the perf front via `source`)
-// ---------------------------------------------------------------------
-
-struct FileCtx<'a> {
-    rel: &'a str,
-    text: &'a str,
-    masked: &'a str,
-    fns: &'a [Range<usize>],
-}
-
-impl FileCtx<'_> {
-    fn push(&self, findings: &mut Vec<Finding>, rule: &str, at: usize, what: &str) {
-        findings.push(finding_at(self.rel, self.text, rule, at, what));
-    }
-}
-
-// ---------------------------------------------------------------------
 // DT001 — hash iteration reaching output/merge paths
 // ---------------------------------------------------------------------
 
@@ -184,7 +166,7 @@ fn hash_bindings(masked: &str, fns: &[Range<usize>]) -> Vec<HashBinding> {
             if pre.ends_with("for") && word_start(pre, pre.len() - 3) {
                 if let Some(open_rel) = masked[at..].find('{') {
                     let open = at + open_rel;
-                    add("self", open..brace_span_end(masked, open));
+                    add("self", open..span_end(masked, open));
                 }
                 continue;
             }
@@ -234,21 +216,21 @@ fn hash_bindings(masked: &str, fns: &[Range<usize>]) -> Vec<HashBinding> {
     out
 }
 
-fn dt001(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for binding in hash_bindings(ctx.masked, ctx.fns) {
-        for at in find_word(ctx.masked, &binding.name) {
+fn dt001(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    for binding in hash_bindings(&ctx.masked, &ctx.fns) {
+        for at in find_word(&ctx.masked, &binding.name) {
             if !binding.scope.contains(&at) {
                 continue;
             }
             let after = &ctx.masked[at + binding.name.len()..];
             let consumed = HASH_CONSUMERS.iter().any(|c| after.starts_with(c))
-                || is_loop_subject(ctx.masked, at);
+                || is_loop_subject(&ctx.masked, at);
             if !consumed {
                 continue;
             }
             // Redeemed when the same function later sorts the result or
             // re-collects it into an ordered BTree collection.
-            let fn_end = enclosing_fn(ctx.fns, at).map_or(ctx.masked.len(), |s| s.end);
+            let fn_end = enclosing_fn(&ctx.fns, at).map_or(ctx.masked.len(), |s| s.end);
             let tail = &ctx.masked[at..fn_end.max(at)];
             if tail.contains(".sort") || tail.contains("BTree") {
                 continue;
@@ -270,21 +252,15 @@ fn dt001(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 // DT002 — float reductions inside worker closures
 // ---------------------------------------------------------------------
 
-fn dt002(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+fn dt002(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     for call in FAN_OUT_CALLS {
-        let mut from = 0;
-        while let Some(p) = ctx.masked[from..].find(call) {
-            let at = from + p;
+        for (at, _) in ctx.masked.match_indices(call) {
             let open = at + call.len() - 1; // the `(`
-            let end = paren_span_end(ctx.masked, open);
-            from = open + 1;
-            let span = &ctx.masked[open..end];
+            let span = &ctx.masked[open..span_end(&ctx.masked, open)];
             for red in F64_REDUCTIONS {
-                let mut f2 = 0;
-                while let Some(q) = span[f2..].find(red) {
-                    let hit = open + f2 + q;
-                    f2 += q + red.len();
-                    if comment_evidence(ctx.text, hit, 6, &["determin", "order", "merge"]) {
+                for (q, _) in span.match_indices(red) {
+                    let hit = open + q;
+                    if comment_evidence(&ctx.text, hit, 6, &["determin", "order", "merge"]) {
                         continue;
                     }
                     ctx.push(
@@ -303,97 +279,14 @@ fn dt002(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// DT003–DT006, DT008 — needle rules
+// DT006 — timestamp sorts without a tie-break
 // ---------------------------------------------------------------------
 
-fn dt003(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if SANCTIONED_POOL_FILES.contains(&ctx.rel) {
-        return;
-    }
-    for needle in ["thread::spawn", "thread::scope", "thread::Builder"] {
-        for at in needle_hits(ctx.masked, needle) {
-            ctx.push(
-                findings,
-                "DT003",
-                at,
-                &format!(
-                    "`{needle}` outside the sanctioned WorkQueue pools ({}) — ad-hoc threads have no job-order merge discipline",
-                    SANCTIONED_POOL_FILES.join(", ")
-                ),
-            );
-        }
-    }
-}
-
-fn dt004(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if SANCTIONED_RNG_FILES.contains(&ctx.rel) {
-        return;
-    }
-    for needle in ["SimRng::split(", "SimRng::seed_from("] {
-        for at in needle_hits(ctx.masked, needle) {
-            ctx.push(
-                findings,
-                "DT004",
-                at,
-                &format!(
-                    "`{}` outside the per-cell stream discipline ({}) — a cell must never draw from another cell's stream",
-                    needle.trim_end_matches('('),
-                    SANCTIONED_RNG_FILES.join(", ")
-                ),
-            );
-        }
-    }
-}
-
-fn dt005(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if SANCTIONED_POOL_FILES.contains(&ctx.rel) {
-        return;
-    }
-    for needle in [
-        "Mutex<",
-        "Mutex::new",
-        "RwLock<",
-        "RwLock::new",
-        "RefCell<",
-        "RefCell::new",
-        "Cell<",
-        "Cell::new",
-        "static mut",
-        "Ordering::Relaxed",
-    ] {
-        for at in ctx
-            .masked
-            .match_indices(needle)
-            .map(|(p, _)| p)
-            .collect::<Vec<_>>()
-        {
-            // `Cell<` also matches `RefCell<`/`UnsafeCell<`; only skip the
-            // double count for the Ref form, which has its own needle
-            // (UnsafeCell must still fire, as Cell).
-            if needle.starts_with("Cell") && ctx.masked[..at].ends_with("Ref") {
-                continue;
-            }
-            ctx.push(
-                findings,
-                "DT005",
-                at,
-                &format!(
-                    "shared interior mutability `{needle}` outside the sanctioned pool files — capturable mutable state lets worker interleaving leak into results"
-                ),
-            );
-        }
-    }
-}
-
-fn dt006(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+fn dt006(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     for call in KEYED_SORTS {
-        let mut from = 0;
-        while let Some(p) = ctx.masked[from..].find(call) {
-            let at = from + p;
+        for (at, _) in ctx.masked.match_indices(call) {
             let open = at + call.len() - 1;
-            let end = paren_span_end(ctx.masked, open);
-            from = open + 1;
-            let key = &ctx.masked[open..end];
+            let key = &ctx.masked[open..span_end(&ctx.masked, open)];
             if !TIME_TOKENS.iter().any(|t| key.contains(t)) {
                 continue;
             }
@@ -407,7 +300,7 @@ fn dt006(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
                 continue;
             }
             if comment_evidence(
-                ctx.text,
+                &ctx.text,
                 at,
                 14,
                 &["stable", "tie-break", "ties", "determin"],
@@ -424,85 +317,23 @@ fn dt006(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-fn dt008(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if SANCTIONED_PLAN_FILES.contains(&ctx.rel) {
-        return;
-    }
-    for needle in ["available_parallelism", "num_cpus"] {
-        for at in needle_hits(ctx.masked, needle) {
-            ctx.push(
-                findings,
-                "DT008",
-                at,
-                &format!(
-                    "`{needle}` outside the sanctioned plan selectors ({}) — worker counts may pick the plan, never the result",
-                    SANCTIONED_PLAN_FILES.join(", ")
-                ),
-            );
-        }
-    }
-}
-
-/// Plain substring hits (rule needles carry their own punctuation
-/// boundaries, e.g. a trailing `(` or `::`).
-fn needle_hits(masked: &str, needle: &str) -> Vec<usize> {
-    masked.match_indices(needle).map(|(p, _)| p).collect()
-}
-
 // ---------------------------------------------------------------------
-// Entry points
+// Entry point
 // ---------------------------------------------------------------------
 
-/// Lints one Rust source text as non-test code of `crate_name` against
-/// DT001–DT008. Crates outside [`IDENTITY_GATED_CRATES`] are exempt.
-/// `rel` is the workspace-relative path used both in findings and to
-/// recognize the sanctioned files. Exposed for fixture tests; [`scan`]
-/// drives it over the real workspace.
-pub fn lint_det_source(crate_name: &str, rel: &str, text: &str) -> Vec<Finding> {
-    if !IDENTITY_GATED_CRATES.contains(&crate_name) {
-        return Vec::new();
+/// Determinism-front findings for one file: DT001–DT008 (the needle rules
+/// from [`needle::NEEDLE_RULES`]), one per (rule, line). Crates outside
+/// [`IDENTITY_GATED_CRATES`] are exempt.
+pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
+    let mut out = Vec::new();
+    if IDENTITY_GATED_CRATES.contains(&file.krate.as_str()) {
+        dt001(file, &mut out);
+        dt002(file, &mut out);
+        dt006(file, &mut out);
+        out.extend(needle::findings(file, "det"));
+        one_per_line(&mut out);
     }
-    let (scrubbed, _lits) = scrub(text);
-    let (masked, _ranges) = mask_tests(&scrubbed);
-    let fns = fn_spans(&masked);
-    let ctx = FileCtx {
-        rel,
-        text,
-        masked: &masked,
-        fns: &fns,
-    };
-    let mut findings = Vec::new();
-    dt001(&ctx, &mut findings);
-    dt002(&ctx, &mut findings);
-    dt003(&ctx, &mut findings);
-    dt004(&ctx, &mut findings);
-    dt005(&ctx, &mut findings);
-    dt006(&ctx, &mut findings);
-    dt008(&ctx, &mut findings);
-    // One finding per (rule, line): overlapping needles (`Mutex<` in a
-    // `Mutex::new` line) must not double-report.
-    findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    findings.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
-    findings
-}
-
-/// Scans every identity-gated crate's `src/` for determinism findings.
-///
-/// # Errors
-///
-/// I/O errors walking or reading files.
-pub fn scan(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for (name, dir) in crate_dirs(root)? {
-        if !IDENTITY_GATED_CRATES.contains(&name.as_str()) {
-            continue;
-        }
-        for file in rust_files_under(&dir.join("src"))? {
-            let text = fs::read_to_string(&file)?;
-            findings.extend(lint_det_source(&name, &rel_path(root, &file), &text));
-        }
-    }
-    Ok(findings)
+    out
 }
 
 #[cfg(test)]
@@ -514,7 +345,7 @@ mod tests {
             .strip_prefix("crates/")
             .and_then(|r| r.split('/').next())
             .unwrap_or("warehouse");
-        lint_det_source(krate, rel, src)
+        findings(&FileCtx::new(rel, krate, src.to_string()))
             .into_iter()
             .map(|f| f.rule)
             .collect()
@@ -525,10 +356,8 @@ mod tests {
         let src = "struct S { pending: HashMap<u64, R> }\n\
                    fn f(m: &HashMap<u64, f64>) {\n    let mut seen = HashSet::new();\n}\n\
                    impl ToJson for HashMap<String, V> { fn to_json(&self) {} }\n";
-        let (scrubbed, _) = scrub(src);
-        let (masked, _) = mask_tests(&scrubbed);
-        let fns = fn_spans(&masked);
-        let names: Vec<String> = hash_bindings(&masked, &fns)
+        let ctx = FileCtx::new("x.rs", "", src.to_string());
+        let names: Vec<String> = hash_bindings(&ctx.masked, &ctx.fns)
             .into_iter()
             .map(|b| b.name)
             .collect();
@@ -572,10 +401,10 @@ mod tests {
     #[test]
     fn sanctioned_files_and_exempt_crates_stay_silent() {
         let src = "fn p() { std::thread::spawn(|| {}); let m = Mutex::new(0); }";
-        assert!(lint_det_source("sim", "crates/sim/src/par.rs", src).is_empty());
-        assert!(lint_det_source("bench", "crates/bench/src/x.rs", src).is_empty());
-        let f = lint_det_source("sim", "crates/sim/src/other.rs", src);
-        assert!(f.iter().any(|f| f.rule == "DT003"), "{f:?}");
-        assert!(f.iter().any(|f| f.rule == "DT005"), "{f:?}");
+        assert!(rules("crates/sim/src/par.rs", src).is_empty());
+        assert!(rules("crates/bench/src/x.rs", src).is_empty());
+        let f = rules("crates/sim/src/other.rs", src);
+        assert!(f.iter().any(|f| f == "DT003"), "{f:?}");
+        assert!(f.iter().any(|f| f == "DT005"), "{f:?}");
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::source::SqlLiteral;
 use crate::{Finding, Severity};
-use mscope_db::{Database, DbError, Schema};
+use mscope_db::{ColumnType, Database, DbError, Schema};
 use mscope_monitors::MonitorSuite;
 use mscope_ntier::{NodeId, SystemConfig, TierId, TierKind};
 use mscope_transform::declaration_for;
@@ -73,6 +73,20 @@ pub fn declaration_findings() -> Vec<Finding> {
 /// [`declare::declared_columns`]. Columns whose type is statically unknown
 /// stay [`ColumnType::Null`]; the SQL checker defers on those.
 pub fn predicted_schemas() -> Vec<(String, Schema)> {
+    fold_schemas(
+        standard_declarations()
+            .iter()
+            .map(|d| (d.table.clone(), declare::declared_columns(d))),
+    )
+}
+
+/// The static mScopeDB tables plus one schema per destination table, each
+/// `(table, columns)` feed folded in with [`Schema::accommodate`] — the
+/// fold both schema predictions (this front's and the trace front's
+/// [`crate::model::ScenarioModel::predicted_schemas`]) share.
+pub(crate) fn fold_schemas(
+    feeds: impl IntoIterator<Item = (String, Vec<(String, ColumnType)>)>,
+) -> Vec<(String, Schema)> {
     let db = Database::new();
     let mut out: Vec<(String, Schema)> = mscope_db::STATIC_TABLES
         .iter()
@@ -81,15 +95,15 @@ pub fn predicted_schemas() -> Vec<(String, Schema)> {
                 .map(|t| (name.to_string(), t.schema().clone()))
         })
         .collect();
-    for d in standard_declarations() {
-        let idx = match out.iter().position(|(t, _)| *t == d.table) {
+    for (table, columns) in feeds {
+        let idx = match out.iter().position(|(t, _)| *t == table) {
             Some(i) => i,
             None => {
-                out.push((d.table.clone(), Schema::default()));
+                out.push((table, Schema::default()));
                 out.len() - 1
             }
         };
-        for (name, ty) in declare::declared_columns(&d) {
+        for (name, ty) in columns {
             out[idx].1.accommodate(&name, ty);
         }
     }
@@ -140,7 +154,7 @@ pub fn sql_findings(literals: &[SqlLiteral]) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mscope_db::{Column, ColumnType};
+    use mscope_db::Column;
 
     #[test]
     fn standard_declarations_cover_every_parser_table() {

@@ -1,6 +1,6 @@
 //! # mscope-lint — static analysis for the milliScope workspace
 //!
-//! Four analysis fronts, all zero-dependency and fully offline:
+//! Five analysis fronts, all zero-dependency and fully offline:
 //!
 //! 1. **Domain checker** ([`domain`]) — validates the *real* parsing
 //!    declarations the standard monitor suite produces (via
@@ -12,7 +12,8 @@
 //!    never exist is reported here instead of failing deep inside a
 //!    pipeline run.
 //! 2. **Source scanner** ([`source`]) — a line/token level Rust scanner
-//!    (no rustc internals) enforcing workspace conventions: no
+//!    (no rustc internals), whose one walk and per-file source model every
+//!    file-level front shares, enforcing workspace conventions: no
 //!    `unwrap()`/`expect()`/`panic!` in non-test library code of the
 //!    hot-path crates, no non-path dependencies in any manifest, and no
 //!    wall-clock reads inside the deterministic simulation crate.
@@ -42,10 +43,13 @@
 //!    on production paths, and no per-row predicate compilation (rules
 //!    `PF001`–`PF008`).
 //!
-//! Findings carry a stable rule ID, a severity, and a `file:line` anchor.
+//! Ten rules that are a needle, a scope, an escape hatch and a message are
+//! rows of one table (`needle.rs`) evaluated by one function. Findings
+//! carry a stable rule ID, a severity, and a `file:line` anchor.
 //! Grandfathered sites are suppressed through per-crate `lint.allow` files
-//! ([`allow`]). The `mscope-lint` binary runs either front or both and
-//! exits non-zero when any deny-level finding survives the allowlists.
+//! ([`allow`]). [`run`] is the one entry point: the `mscope-lint` binary
+//! runs one front or `all` of them and exits non-zero when any deny-level
+//! finding survives the allowlists.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,6 +58,7 @@ pub mod allow;
 pub mod det;
 pub mod domain;
 pub mod model;
+mod needle;
 pub mod perf;
 pub mod source;
 pub mod trace;
@@ -63,10 +68,7 @@ use std::io;
 use std::path::Path;
 
 /// Every front the `mscope-lint` binary accepts, in documentation order;
-/// `all` runs the preceding fronts together. CI must invoke each front
-/// explicitly — `tests/ci_matrix.rs` fails when the workflow's lint
-/// invocations drift from this list, so a new front cannot be silently
-/// left out of enforcement.
+/// `all` runs the preceding fronts together, in this order.
 pub const FRONTS: &[&str] = &["declarations", "source", "trace", "det", "perf", "all"];
 
 /// How severe a finding is.
@@ -165,113 +167,71 @@ impl Report {
     }
 }
 
-/// Runs the domain front (declarations + SQL literals) over the workspace
-/// at `root`, applying its allowlists.
+/// Runs one front over the workspace at `root` — or, for `all`, every
+/// other front in [`FRONTS`] order — applying the `lint.allow` files.
+/// `scenario` narrows the trace front to one preset. The workspace is read
+/// once (`source::Workspace::load`) whatever the front. Malformed
+/// allowlist entries follow the fronts' findings; `all` then reports every
+/// entry that suppressed nothing as a deny-level `stale-allow` finding — a
+/// single front cannot tell whether an entry for another front still
+/// fires.
 ///
 /// # Errors
 ///
-/// I/O errors reading source files or allowlists.
-pub fn run_declarations(root: &Path) -> io::Result<Report> {
-    let (mut allow, mut bad_entries) = allow::load(root)?;
-    let mut findings = domain::declaration_findings();
-    let literals = source::sql_literals(root)?;
-    findings.extend(domain::sql_findings(&literals));
-    let mut findings = allow.filter(findings);
-    findings.append(&mut bad_entries);
-    Ok(Report { findings })
-}
-
-/// Runs the source front (workspace convention lints) over the workspace
-/// at `root`, applying its allowlists.
-///
-/// # Errors
-///
-/// I/O errors reading source files or allowlists.
-pub fn run_source(root: &Path) -> io::Result<Report> {
-    let (mut allow, mut bad_entries) = allow::load(root)?;
-    let mut findings = allow.filter(source::scan(root)?);
-    findings.append(&mut bad_entries);
-    Ok(Report { findings })
-}
-
-/// Runs the trace front over the shipped scenario presets (or one preset
-/// when `scenario` is given), applying the workspace allowlists.
-///
-/// # Errors
-///
-/// I/O errors reading allowlists, or `InvalidInput` for an unknown
-/// scenario name.
-pub fn run_trace(root: &Path, scenario: Option<&str>) -> io::Result<Report> {
-    let (mut allow, mut bad_entries) = allow::load(root)?;
-    let raw = trace::trace_findings_for(scenario)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let mut findings = allow.filter(raw);
-    findings.append(&mut bad_entries);
-    Ok(Report { findings })
-}
-
-/// Runs the determinism front (`DT001`–`DT008`) over the workspace at
-/// `root`, applying its allowlists.
-///
-/// # Errors
-///
-/// I/O errors reading source files or allowlists.
-pub fn run_det(root: &Path) -> io::Result<Report> {
-    let (mut allow, mut bad_entries) = allow::load(root)?;
-    let mut findings = allow.filter(det::scan(root)?);
-    findings.append(&mut bad_entries);
-    Ok(Report { findings })
-}
-
-/// Runs the performance front (`PF001`–`PF008`) over the workspace at
-/// `root`, applying its allowlists.
-///
-/// # Errors
-///
-/// I/O errors reading source files or allowlists.
-pub fn run_perf(root: &Path) -> io::Result<Report> {
-    let (mut allow, mut bad_entries) = allow::load(root)?;
-    let mut findings = allow.filter(perf::scan(root)?);
-    findings.append(&mut bad_entries);
-    Ok(Report { findings })
-}
-
-/// Runs all five fronts. This is the only mode that also reports stale
-/// allowlist entries (`stale-allow`) — a single front cannot tell whether
-/// an entry for another front still fires.
-///
-/// # Errors
-///
-/// I/O errors reading source files or allowlists.
-pub fn run_all(root: &Path) -> io::Result<Report> {
-    run_all_with(root, false)
-}
-
-/// [`run_all`] with an explicit strictness: when `strict`, stale allowlist
-/// entries are deny findings instead of warnings, so grandfathered
-/// suppressions cannot rot in place once the finding they covered is gone.
-///
-/// # Errors
-///
-/// I/O errors reading source files or allowlists.
-pub fn run_all_with(root: &Path, strict: bool) -> io::Result<Report> {
-    let (mut allow, mut bad_entries) = allow::load(root)?;
-    let mut findings = domain::declaration_findings();
-    let literals = source::sql_literals(root)?;
-    findings.extend(domain::sql_findings(&literals));
-    findings.extend(source::scan(root)?);
-    findings.extend(trace::trace_findings());
-    findings.extend(det::scan(root)?);
-    findings.extend(perf::scan(root)?);
-    let mut findings = allow.filter(findings);
-    findings.append(&mut bad_entries);
-    let stale_severity = if strict {
-        Severity::Deny
+/// I/O errors reading source files or allowlists; `InvalidInput` for an
+/// unknown front or scenario.
+pub fn run(root: &Path, front: &str, scenario: Option<&str>) -> io::Result<Report> {
+    let fronts = if front == "all" {
+        &FRONTS[..FRONTS.len() - 1]
     } else {
-        Severity::Warn
+        std::slice::from_ref(&front)
     };
-    findings.extend(allow.unused_findings_at(stale_severity));
+    let (mut allow, bad_entries) = allow::load(root)?;
+    let ws = source::Workspace::load(root)?;
+    let mut findings = Vec::new();
+    for &f in fronts {
+        let raw = match f {
+            "declarations" => {
+                let mut raw = domain::declaration_findings();
+                raw.extend(domain::sql_findings(&source::sql_literals(&ws.files)));
+                raw
+            }
+            "source" => {
+                let mut raw: Vec<Finding> = ws.files.iter().flat_map(source::findings).collect();
+                for (rel, text) in &ws.manifests {
+                    raw.extend(source::lint_manifest(rel, text));
+                }
+                raw
+            }
+            "trace" => trace::trace_findings_for(scenario)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
+            "det" => ws.files.iter().flat_map(det::findings).collect(),
+            "perf" => ws.files.iter().flat_map(perf::findings).collect(),
+            other => {
+                let msg = format!("unknown front `{other}`");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+            }
+        };
+        findings.extend(allow.filter(raw));
+    }
+    findings.extend(bad_entries);
+    if front == "all" {
+        findings.extend(allow.unused_findings());
+    }
     Ok(Report { findings })
+}
+
+/// Lints one Rust source text as non-test code of `crate_name`: the
+/// source, determinism and performance fronts' findings for it, in that
+/// order, exactly as a workspace run reports them. `rel` is the
+/// workspace-relative path used in findings and to recognise sanctioned
+/// files. Exposed for fixture tests.
+pub fn lint_file(crate_name: &str, rel: &str, text: &str) -> Vec<Finding> {
+    let file = source::FileCtx::new(rel, crate_name, text.to_string());
+    let mut out = source::findings(&file);
+    out.extend(det::findings(&file));
+    out.extend(perf::findings(&file));
+    out
 }
 
 #[cfg(test)]
@@ -321,5 +281,48 @@ mod tests {
         let text = mscope_serdes::to_string(&r);
         let back: Report = mscope_serdes::from_str(&text).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn all_is_every_front_in_order() {
+        // A workspace with findings on every file-level front: `all` must be
+        // exactly each front's own run, concatenated in `FRONTS` order.
+        let dir = std::env::temp_dir().join("mscope-lint-all-fronts");
+        let src = dir.join("crates/warehouse/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::create_dir_all(dir.join("examples")).unwrap();
+        std::fs::write(
+            dir.join("crates/warehouse/Cargo.toml"),
+            "[dependencies]\nrand = \"0.8\"\n",
+        )
+        .unwrap();
+        std::fs::write(
+            src.join("lib.rs"),
+            "fn f(rows: &[Row]) -> Vec<String> {\n\
+                 let n = std::thread::available_parallelism().unwrap();\n\
+                 let mut out = Vec::new();\n\
+                 for r in rows { out.push(r.name.clone()); }\n\
+                 out\n}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("examples/q.rs"),
+            "fn main() { run(\"SELECT ghost FROM collectl\"); }\n",
+        )
+        .unwrap();
+        let each: Vec<Vec<Finding>> = FRONTS[..FRONTS.len() - 1]
+            .iter()
+            .map(|front| run(&dir, front, None).unwrap().findings)
+            .collect();
+        let all = run(&dir, "all", None).unwrap().findings;
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(all, each.concat());
+        let rules = |i: usize| -> Vec<&str> { each[i].iter().map(|f| f.rule.as_str()).collect() };
+        assert_eq!(rules(0), ["sql-unknown-column"]);
+        assert_eq!(rules(1), ["no-unwrap", "hermetic-deps"]);
+        assert!(rules(2).is_empty(), "every preset proves clean");
+        assert_eq!(rules(3), ["DT008"]);
+        assert_eq!(rules(4), ["PF001", "PF003"]);
+        assert!(run(&dir, "ghost", None).is_err());
     }
 }

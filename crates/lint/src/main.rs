@@ -2,14 +2,15 @@
 //!
 //! ```text
 //! mscope-lint <declarations|source|trace|det|perf|all> [--format <text|json>]
-//!             [--root <path>] [--scenario <name>] [--strict]
+//!             [--root <path>] [--scenario <name>]
 //! ```
 //!
 //! `trace` runs the whole-pipeline flow analysis over every shipped
 //! scenario preset (or one, with `--scenario`); `det` checks the
 //! byte-identity parallel discipline (rules `DT001`–`DT008`); `perf`
 //! checks the hot-path performance discipline (rules `PF001`–`PF008`);
-//! `--strict` makes `all` treat stale allowlist entries as deny findings.
+//! `all` runs every front and reports stale allowlist entries as deny
+//! findings.
 //! `--format json` (alias: `--json`) emits the machine-readable report —
 //! each finding carries rule id, file, line, and severity — for CI
 //! annotations and downstream tooling.
@@ -21,13 +22,12 @@ use mscope_lint::Report;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: mscope-lint <declarations|source|trace|det|perf|all> [--format <text|json>] [--root <path>] [--scenario <name>] [--strict]";
+const USAGE: &str = "usage: mscope-lint <declarations|source|trace|det|perf|all> [--format <text|json>] [--root <path>] [--scenario <name>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command: Option<String> = None;
     let mut json = false;
-    let mut strict = false;
     let mut root: Option<PathBuf> = None;
     let mut scenario: Option<String> = None;
     let mut it = args.iter();
@@ -42,7 +42,6 @@ fn main() -> ExitCode {
                 }
                 None => return usage_error("--format needs `text` or `json`"),
             },
-            "--strict" => strict = true,
             "--root" => match it.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage_error("--root needs a path"),
@@ -76,16 +75,10 @@ fn main() -> ExitCode {
     if scenario.is_some() && command != "trace" {
         return usage_error("--scenario only applies to the `trace` command");
     }
-    let report = match command.as_str() {
-        "declarations" => mscope_lint::run_declarations(&root),
-        "source" => mscope_lint::run_source(&root),
-        "trace" => mscope_lint::run_trace(&root, scenario.as_deref()),
-        "det" => mscope_lint::run_det(&root),
-        "perf" => mscope_lint::run_perf(&root),
-        "all" => mscope_lint::run_all_with(&root, strict),
-        other => return usage_error(&format!("unknown command `{other}`")),
-    };
-    let report = match report {
+    if !mscope_lint::FRONTS.contains(&command.as_str()) {
+        return usage_error(&format!("unknown command `{command}`"));
+    }
+    let report = match mscope_lint::run(&root, &command, scenario.as_deref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mscope-lint: {e}");

@@ -13,7 +13,7 @@
 //! The trace front proves invariants over these domains; this module only
 //! builds them.
 
-use mscope_db::{ColumnType, Database, Schema};
+use mscope_db::{ColumnType, Schema};
 use mscope_monitors::{
     event_clock_domain, event_rendered_fields, resource_clock_domain, resource_rendered_fields,
     LogFileMeta, MonitorKind, MonitorSuite, Tool, ValueShape,
@@ -172,27 +172,11 @@ impl ScenarioModel {
     /// Unlike the domain front's prediction, renderer shapes type the
     /// plain captures, so analysis queries can be checked end to end.
     pub fn predicted_schemas(&self) -> Vec<(String, Schema)> {
-        let db = Database::new();
-        let mut out: Vec<(String, Schema)> = mscope_db::STATIC_TABLES
-            .iter()
-            .filter_map(|name| {
-                db.table(name)
-                    .map(|t| (name.to_string(), t.schema().clone()))
-            })
-            .collect();
-        for m in &self.monitors {
-            let idx = match out.iter().position(|(t, _)| *t == m.decl.table) {
-                Some(i) => i,
-                None => {
-                    out.push((m.decl.table.clone(), Schema::default()));
-                    out.len() - 1
-                }
-            };
-            for (name, ty) in m.refined_columns() {
-                out[idx].1.accommodate(&name, ty);
-            }
-        }
-        out
+        crate::domain::fold_schemas(
+            self.monitors
+                .iter()
+                .map(|m| (m.decl.table.clone(), m.refined_columns())),
+        )
     }
 
     /// Every phenomenon this configuration can produce, with its episode

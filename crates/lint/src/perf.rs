@@ -11,7 +11,8 @@
 //! failure before anything runs.
 //!
 //! Rules (all deny-level, scoped to the hot-path crates
-//! [`PERF_HOT_CRATES`]); every rule's escape hatch is precise and local:
+//! [`PERF_HOT_CRATES`]; `PF001`, `PF004`, `PF006` and `PF008` are rows of
+//! `needle::NEEDLE_RULES`); every rule's escape hatch is precise and local:
 //!
 //! * `PF001` — an allocation (`clone()`, `to_string()`, `to_owned()`,
 //!   `format!`, `String::from`, `vec!`, `wallclock(`) inside a loop body. Error
@@ -54,16 +55,13 @@
 //! or access pattern is right (bounded size, cold path, correctness), the
 //! same way the determinism front accepts documented merge orders.
 
+use crate::needle::{self, one_per_line};
 use crate::source::{
-    comment_evidence, crate_dirs, enclosing_fn, enclosing_loop, find_word, finding_at, fn_spans,
-    is_ident, is_loop_subject, loop_spans, mask_tests, paren_span_end, rel_path, rust_files_under,
-    scrub, trailing_ident, word_start, LoopSpan,
+    comment_evidence, enclosing_fn, enclosing_loop, find_word, is_ident, is_loop_subject, span_end,
+    trailing_ident, word_start, FileCtx, LoopSpan,
 };
 use crate::Finding;
-use std::fs;
-use std::io;
 use std::ops::Range;
-use std::path::Path;
 
 /// Crates on the measured hot paths: analysis queries, monitor rendering,
 /// the simulator support layer, the transform fan-out, and the warehouse
@@ -82,156 +80,20 @@ pub const ENGINE_FILES: &[&str] = &[
 
 /// Crates whose `Table` access must route through the compiled engine
 /// (PF004, PF007).
-const TABLE_CRATES: &[&str] = &["analysis", "warehouse"];
-
-/// Allocation needles for PF001. `wallclock(` is the timestamp formatter
-/// that returns a fresh `String`; `push_wallclock` appends in place.
-const ALLOC_NEEDLES: &[&str] = &[
-    ".clone()",
-    ".to_string()",
-    ".to_owned()",
-    "format!",
-    "String::from(",
-    "vec!",
-    "wallclock(",
-];
-
-/// Call spans that are cold by definition: error construction never runs
-/// on the measured path, so allocating inside it is free.
-const COLD_CALLS: &[&str] = &[
-    "Err(",
-    "map_err(",
-    "ok_or_else(",
-    "ok_or(",
-    "unwrap_or_else(",
-];
-
-/// Per-query construction that must be hoisted out of loops (PF006).
-const HOIST_CALLS: &[&str] = &[
-    "CompiledPredicate::compile(",
-    "Node::compile(",
-    "KeyIndex::build(",
-    "KeyIndex::over(",
-];
+pub(crate) const TABLE_CRATES: &[&str] = &["analysis", "warehouse"];
 
 /// Tokens marking a loop header as iterating row-indexed data (PF007).
 const ROW_TOKENS: &[&str] = &["iter_rows", "row_count", "matching_rows"];
 
-/// Sort needles for PF008.
-const SORT_NEEDLES: &[&str] = &[
-    ".sort()",
-    ".sort_by(",
-    ".sort_by_key(",
-    ".sort_by_cached_key(",
-    ".sort_unstable()",
-    ".sort_unstable_by(",
-    ".sort_unstable_by_key(",
-];
-
 /// The justification-comment token every hatch shares.
-const PERF_TOKEN: &[&str] = &["perf:"];
+pub(crate) const PERF_TOKEN: &[&str] = &["perf:"];
 
 /// Lines of raw source above a hit searched for the justification.
-const PERF_WINDOW: usize = 4;
+pub(crate) const PERF_WINDOW: usize = 4;
 
-// ---------------------------------------------------------------------
-// Per-file context
-// ---------------------------------------------------------------------
-
-struct FileCtx<'a> {
-    rel: &'a str,
-    krate: &'a str,
-    text: &'a str,
-    masked: &'a str,
-    fns: &'a [Range<usize>],
-    loops: &'a [LoopSpan],
-    /// Paren spans of [`COLD_CALLS`] — allocation inside them is exempt.
-    cold: &'a [Range<usize>],
-}
-
-impl FileCtx<'_> {
-    fn push(&self, findings: &mut Vec<Finding>, rule: &str, at: usize, what: &str) {
-        findings.push(finding_at(self.rel, self.text, rule, at, what));
-    }
-
-    fn justified(&self, at: usize) -> bool {
-        comment_evidence(self.text, at, PERF_WINDOW, PERF_TOKEN)
-    }
-
-    fn in_loop(&self, at: usize) -> bool {
-        enclosing_loop(self.loops, at).is_some()
-    }
-
-    fn in_cold_span(&self, at: usize) -> bool {
-        self.cold.iter().any(|r| r.contains(&at))
-    }
-}
-
-/// Paren spans following the cold-call needles (word-bounded where the
-/// needle starts with an identifier character).
-fn cold_spans(masked: &str) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    for call in COLD_CALLS {
-        let mut from = 0;
-        while let Some(p) = masked[from..].find(call) {
-            let at = from + p;
-            from = at + call.len();
-            if !word_start(masked, at) {
-                continue;
-            }
-            let open = at + call.len() - 1;
-            out.push(open..paren_span_end(masked, open));
-        }
-    }
-    out
-}
-
-/// `true` when the statement containing `at` is a `return` or `break`
-/// expression. A terminal statement executes at most once per enclosing
-/// loop *execution* (it ends the final iteration), so an allocation
-/// there is O(1) — the violation-detail `format!` in a `return
-/// Some(Violation { … })` never runs on the measured path.
-fn terminal_statement(masked: &str, at: usize) -> bool {
-    let stmt_start = masked[..at].rfind([';', '{', '}']).map_or(0, |p| p + 1);
-    let stmt = masked[stmt_start..at].trim_start();
-    ["return", "break"].iter().any(|kw| {
-        stmt.strip_prefix(kw)
-            .is_some_and(|rest| rest.is_empty() || !is_ident(rest.as_bytes()[0]))
-    })
-}
-
-// ---------------------------------------------------------------------
-// PF001 — allocation in hot loops
-// ---------------------------------------------------------------------
-
-fn pf001(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for needle in ALLOC_NEEDLES {
-        // A needle that starts a word must start one, so neither
-        // `push_wallclock(` nor `parse_wallclock(` is `wallclock(`.
-        let word = is_ident(needle.as_bytes()[0]);
-        let mut from = 0;
-        while let Some(p) = ctx.masked[from..].find(needle) {
-            let at = from + p;
-            from = at + needle.len();
-            if (word && !word_start(ctx.masked, at))
-                || !ctx.in_loop(at)
-                || ctx.in_cold_span(at)
-                || terminal_statement(ctx.masked, at)
-                || ctx.justified(at)
-            {
-                continue;
-            }
-            ctx.push(
-                findings,
-                "PF001",
-                at,
-                &format!(
-                    "allocation `{}` inside a hot-path loop with no `// perf:` justification — hoist it, borrow, or document why the allocation is right",
-                    needle.trim_end_matches('(')
-                ),
-            );
-        }
-    }
+/// `true` when a `// perf:` justification covers the hit at `at`.
+fn justified(ctx: &FileCtx, at: usize) -> bool {
+    comment_evidence(&ctx.text, at, PERF_WINDOW, PERF_TOKEN)
 }
 
 // ---------------------------------------------------------------------
@@ -247,10 +109,7 @@ struct VecCollect {
 
 fn vec_collects(masked: &str) -> Vec<VecCollect> {
     let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = masked[from..].find(".collect") {
-        let at = from + p;
-        from = at + ".collect".len();
+    for (at, _) in masked.match_indices(".collect") {
         let rest = &masked[at + ".collect".len()..];
         let turbo_vec = rest.starts_with("::<Vec");
         if !turbo_vec && !rest.starts_with('(') {
@@ -289,15 +148,15 @@ fn vec_collects(masked: &str) -> Vec<VecCollect> {
             };
         out.push(VecCollect {
             name: name.to_string(),
-            after: paren_span_end(masked, open),
+            after: span_end(masked, open),
         });
     }
     out
 }
 
-fn pf002(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for c in vec_collects(ctx.masked) {
-        let fn_end = enclosing_fn(ctx.fns, c.after).map_or(ctx.masked.len(), |s| s.end);
+fn pf002(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    for c in vec_collects(&ctx.masked) {
+        let fn_end = enclosing_fn(&ctx.fns, c.after).map_or(ctx.masked.len(), |s| s.end);
         let uses: Vec<usize> = find_word(&ctx.masked[..fn_end], &c.name)
             .into_iter()
             .filter(|&u| u >= c.after)
@@ -306,8 +165,8 @@ fn pf002(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
         let after_use = &ctx.masked[only + c.name.len()..];
         let reiterated = after_use.starts_with(".iter()")
             || after_use.starts_with(".into_iter()")
-            || is_loop_subject(ctx.masked, only);
-        if !reiterated || ctx.justified(only) {
+            || is_loop_subject(&ctx.masked, only);
+        if !reiterated || justified(ctx, only) {
             continue;
         }
         ctx.push(
@@ -348,15 +207,12 @@ fn fresh_empty_binding(masked: &str, span: &Range<usize>, name: &str) -> bool {
     })
 }
 
-fn pf003(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+fn pf003(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     for needle in [".push(", ".push_str("] {
-        let mut from = 0;
-        while let Some(p) = ctx.masked[from..].find(needle) {
-            let at = from + p;
-            from = at + needle.len();
+        for (at, _) in ctx.masked.match_indices(needle) {
             // Statically bounded iteration: the innermost enclosing loop
             // must be a `for`.
-            let Some(lp) = enclosing_loop(ctx.loops, at) else {
+            let Some(lp) = enclosing_loop(&ctx.loops, at) else {
                 continue;
             };
             if !ctx.masked[lp.header.clone()]
@@ -369,17 +225,17 @@ fn pf003(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
             if receiver.is_empty() {
                 continue;
             }
-            let Some(f) = enclosing_fn(ctx.fns, at) else {
+            let Some(f) = enclosing_fn(&ctx.fns, at) else {
                 continue;
             };
-            if !fresh_empty_binding(ctx.masked, &f, receiver) {
+            if !fresh_empty_binding(&ctx.masked, &f, receiver) {
                 continue; // a long-lived or pre-sized buffer, not growth churn
             }
             let body = &ctx.masked[f.clone()];
             if body.contains("with_capacity") || body.contains(".reserve(") {
                 continue;
             }
-            if ctx.justified(at) {
+            if justified(ctx, at) {
                 continue;
             }
             ctx.push(
@@ -396,44 +252,12 @@ fn pf003(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// PF004 — zone-map bypass (row-wise Table access)
-// ---------------------------------------------------------------------
-
-fn pf004(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !TABLE_CRATES.contains(&ctx.krate) || ENGINE_FILES.contains(&ctx.rel) {
-        return;
-    }
-    const WHAT: &str = "row-wise `Table` access bypasses the zone-map engine — route the scan through `CompiledPredicate`/`window_agg_where` or justify with `// perf:`";
-    let mut from = 0;
-    while let Some(p) = ctx.masked[from..].find(".iter_rows()") {
-        let at = from + p;
-        from = at + ".iter_rows()".len();
-        if ctx.justified(at) {
-            continue;
-        }
-        ctx.push(findings, "PF004", at, WHAT);
-    }
-    let mut from = 0;
-    while let Some(p) = ctx.masked[from..].find(".cell(") {
-        let at = from + p;
-        from = at + ".cell(".len();
-        if !ctx.in_loop(at) || ctx.justified(at) {
-            continue; // a single probe is not a scan
-        }
-        ctx.push(findings, "PF004", at, WHAT);
-    }
-}
-
-// ---------------------------------------------------------------------
 // PF005 — naive oracles on production paths
 // ---------------------------------------------------------------------
 
-fn pf005(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
+fn pf005(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     let bytes = ctx.masked.as_bytes();
-    let mut from = 0;
-    while let Some(p) = ctx.masked[from..].find("_naive(") {
-        let at = from + p;
-        from = at + "_naive(".len();
+    for (at, _) in ctx.masked.match_indices("_naive(") {
         // Walk back over the full identifier; skip definitions (`fn x_naive(`).
         let mut start = at;
         while start > 0 && is_ident(bytes[start - 1]) {
@@ -456,37 +280,11 @@ fn pf005(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// PF006 — per-row predicate/index construction
-// ---------------------------------------------------------------------
-
-fn pf006(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for call in HOIST_CALLS {
-        let mut from = 0;
-        while let Some(p) = ctx.masked[from..].find(call) {
-            let at = from + p;
-            from = at + call.len();
-            if !ctx.in_loop(at) || ctx.justified(at) {
-                continue;
-            }
-            ctx.push(
-                findings,
-                "PF006",
-                at,
-                &format!(
-                    "`{}` inside a loop — compilation binds column slices once per query; hoist it out of the iteration",
-                    call.trim_end_matches('(')
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // PF007 — nested-loop joins over row-indexed data
 // ---------------------------------------------------------------------
 
-fn pf007(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !TABLE_CRATES.contains(&ctx.krate) || ENGINE_FILES.contains(&ctx.rel) {
+fn pf007(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    if !TABLE_CRATES.contains(&ctx.krate.as_str()) || ENGINE_FILES.contains(&ctx.rel.as_str()) {
         return;
     }
     let row_header = |lp: &LoopSpan| {
@@ -502,7 +300,7 @@ fn pf007(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
             .iter()
             .filter(|o| o.body.contains(&inner.kw))
             .any(row_header);
-        if !outer_rows || ctx.justified(inner.kw) {
+        if !outer_rows || justified(ctx, inner.kw) {
             continue;
         }
         ctx.push(
@@ -515,91 +313,23 @@ fn pf007(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// PF008 — sorting inside a loop
+// Entry point
 // ---------------------------------------------------------------------
 
-fn pf008(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    for needle in SORT_NEEDLES {
-        let mut from = 0;
-        while let Some(p) = ctx.masked[from..].find(needle) {
-            let at = from + p;
-            from = at + needle.len();
-            if !ctx.in_loop(at) || ctx.justified(at) {
-                continue;
-            }
-            ctx.push(
-                findings,
-                "PF008",
-                at,
-                &format!(
-                    "`{}` inside a loop re-sorts every iteration — sort once after the loop or keep the data sorted by construction",
-                    needle.trim_end_matches('(')
-                ),
-            );
-        }
+/// Performance-front findings for one file: PF001–PF008 (PF001, PF004,
+/// PF006 and PF008 from [`needle::NEEDLE_RULES`]), one per (rule, line).
+/// Crates outside [`PERF_HOT_CRATES`] are exempt.
+pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
+    let mut out = Vec::new();
+    if PERF_HOT_CRATES.contains(&file.krate.as_str()) {
+        pf002(file, &mut out);
+        pf003(file, &mut out);
+        pf005(file, &mut out);
+        pf007(file, &mut out);
+        out.extend(needle::findings(file, "perf"));
+        one_per_line(&mut out);
     }
-}
-
-// ---------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------
-
-/// Lints one Rust source text as non-test code of `crate_name` against
-/// PF001–PF008. Crates outside [`PERF_HOT_CRATES`] are exempt. `rel` is
-/// the workspace-relative path used both in findings and to recognize
-/// [`ENGINE_FILES`]. Exposed for fixture tests; [`scan`] drives it over
-/// the real workspace.
-pub fn lint_perf_source(crate_name: &str, rel: &str, text: &str) -> Vec<Finding> {
-    if !PERF_HOT_CRATES.contains(&crate_name) {
-        return Vec::new();
-    }
-    let (scrubbed, _lits) = scrub(text);
-    let (masked, _ranges) = mask_tests(&scrubbed);
-    let fns = fn_spans(&masked);
-    let loops = loop_spans(&masked);
-    let cold = cold_spans(&masked);
-    let ctx = FileCtx {
-        rel,
-        krate: crate_name,
-        text,
-        masked: &masked,
-        fns: &fns,
-        loops: &loops,
-        cold: &cold,
-    };
-    let mut findings = Vec::new();
-    pf001(&ctx, &mut findings);
-    pf002(&ctx, &mut findings);
-    pf003(&ctx, &mut findings);
-    pf004(&ctx, &mut findings);
-    pf005(&ctx, &mut findings);
-    pf006(&ctx, &mut findings);
-    pf007(&ctx, &mut findings);
-    pf008(&ctx, &mut findings);
-    // One finding per (rule, line): overlapping needles must not
-    // double-report.
-    findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    findings.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
-    findings
-}
-
-/// Scans every hot-path crate's `src/` for performance findings.
-///
-/// # Errors
-///
-/// I/O errors walking or reading files.
-pub fn scan(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for (name, dir) in crate_dirs(root)? {
-        if !PERF_HOT_CRATES.contains(&name.as_str()) {
-            continue;
-        }
-        for file in rust_files_under(&dir.join("src"))? {
-            let text = fs::read_to_string(&file)?;
-            findings.extend(lint_perf_source(&name, &rel_path(root, &file), &text));
-        }
-    }
-    Ok(findings)
+    out
 }
 
 #[cfg(test)]
@@ -611,7 +341,7 @@ mod tests {
             .strip_prefix("crates/")
             .and_then(|r| r.split('/').next())
             .unwrap_or("warehouse");
-        lint_perf_source(krate, rel, src)
+        findings(&FileCtx::new(rel, krate, src.to_string()))
             .into_iter()
             .map(|f| f.rule)
             .collect()
@@ -771,9 +501,9 @@ mod tests {
                    let mut out = Vec::new();\n\
                    for x in xs { out.push(format!(\"{x}\")); }\n\
                    out\n}\n";
-        assert!(lint_perf_source("ntier", "crates/ntier/src/x.rs", src).is_empty());
-        assert!(lint_perf_source("bench", "crates/bench/src/x.rs", src).is_empty());
+        assert!(rules("crates/ntier/src/x.rs", src).is_empty());
+        assert!(rules("crates/bench/src/x.rs", src).is_empty());
         let test_only = format!("#[cfg(test)]\nmod tests {{\n{src}\n}}\n");
-        assert!(lint_perf_source("warehouse", "crates/warehouse/src/x.rs", &test_only).is_empty());
+        assert!(rules("crates/warehouse/src/x.rs", &test_only).is_empty());
     }
 }

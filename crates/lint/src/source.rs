@@ -1,4 +1,5 @@
-//! Front 2: the workspace source scanner.
+//! The shared source model, the workspace walk, and front 2 (the
+//! workspace source scanner).
 //!
 //! A line/token level Rust scanner — no rustc internals. Comments, string
 //! literals, and char literals are *scrubbed* (replaced by spaces,
@@ -8,7 +9,13 @@
 //! during scrubbing, which is also how the domain front finds `SELECT …`
 //! queries to type-check.
 //!
-//! Rules:
+//! `Workspace::load` is the one walk: it reads every `crates/*/src`
+//! file, the root `src/` and `examples/`, and every `crates/*/examples`
+//! (the last three for SQL literals only) and builds each file's
+//! `FileCtx` exactly once — raw text, masked text, non-test string
+//! literals, fn spans and loop spans — for every front to share.
+//!
+//! Rules (the first two are rows of `needle::NEEDLE_RULES`):
 //!
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` / `panic!` in non-test
 //!   library code of the hot-path crates (`ntier`, `transform`,
@@ -21,7 +28,7 @@
 //!   resolve in-tree (`path = …` or `workspace = true`), and the
 //!   historically banned registry crates must never reappear.
 
-use crate::{Finding, Severity};
+use crate::{needle, Finding, Severity};
 use std::fs;
 use std::io;
 use std::ops::Range;
@@ -241,10 +248,11 @@ fn find_subslice(hay: &[u8], needle: &[u8]) -> Option<usize> {
 // Test masking
 // ---------------------------------------------------------------------
 
-/// Byte ranges of `#[cfg(test)]` / `#[test]` items in scrubbed source,
-/// found by scanning to the first `{` after the attribute and tracking
-/// brace depth to its match.
-fn test_ranges(scrubbed: &str) -> Vec<Range<usize>> {
+/// Blanks `#[cfg(test)]` / `#[test]` items out of scrubbed source
+/// (newlines kept), found by scanning to the first `{` after the
+/// attribute and tracking brace depth to its match. Returns the masked
+/// text and the blanked byte ranges.
+pub(crate) fn mask_tests(scrubbed: &str) -> (String, Vec<Range<usize>>) {
     let mut ranges = Vec::new();
     for marker in ["#[cfg(test)]", "#[test]"] {
         let mut from = 0;
@@ -252,22 +260,7 @@ fn test_ranges(scrubbed: &str) -> Vec<Range<usize>> {
             let at = from + p;
             let after = at + marker.len();
             if let Some(open_rel) = scrubbed[after..].find('{') {
-                let open = after + open_rel;
-                let mut depth = 0usize;
-                let mut end = scrubbed.len();
-                for (k, c) in scrubbed[open..].char_indices() {
-                    match c {
-                        '{' => depth += 1,
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                end = open + k + 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+                let end = span_end(scrubbed, after + open_rel);
                 ranges.push(at..end);
                 from = end;
             } else {
@@ -275,16 +268,6 @@ fn test_ranges(scrubbed: &str) -> Vec<Range<usize>> {
             }
         }
     }
-    ranges
-}
-
-fn in_ranges(ranges: &[Range<usize>], offset: usize) -> bool {
-    ranges.iter().any(|r| r.contains(&offset))
-}
-
-/// Blanks the test ranges out of scrubbed source (newlines kept).
-pub(crate) fn mask_tests(scrubbed: &str) -> (String, Vec<Range<usize>>) {
-    let ranges = test_ranges(scrubbed);
     let mut out = scrubbed.as_bytes().to_vec();
     for r in &ranges {
         for i in r.clone() {
@@ -309,38 +292,24 @@ pub(crate) fn line_of(src: &str, offset: usize) -> u64 {
 // ---------------------------------------------------------------------
 
 /// End-exclusive offset of the `}` matching the `{` at `open` in scrubbed
-/// text (falls back to the end of the text when unbalanced).
-pub(crate) fn brace_span_end(scrubbed: &str, open: usize) -> usize {
+/// text, or of the `)` matching any other opener (falls back to the end of
+/// the text when unbalanced).
+pub(crate) fn span_end(scrubbed: &str, open: usize) -> usize {
+    let bytes = scrubbed.as_bytes();
+    let (o, c) = if bytes[open] == b'{' {
+        (b'{', b'}')
+    } else {
+        (b'(', b')')
+    };
     let mut depth = 0usize;
-    for (k, c) in scrubbed[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return open + k + 1;
-                }
+    for (k, &b) in bytes[open..].iter().enumerate() {
+        if b == o {
+            depth += 1;
+        } else if b == c {
+            depth -= 1;
+            if depth == 0 {
+                return open + k + 1;
             }
-            _ => {}
-        }
-    }
-    scrubbed.len()
-}
-
-/// End-exclusive offset of the `)` matching the `(` at `open` in scrubbed
-/// text (falls back to the end of the text when unbalanced).
-pub(crate) fn paren_span_end(scrubbed: &str, open: usize) -> usize {
-    let mut depth = 0usize;
-    for (k, c) in scrubbed[open..].char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return open + k + 1;
-                }
-            }
-            _ => {}
         }
     }
     scrubbed.len()
@@ -356,12 +325,9 @@ pub(crate) fn paren_span_end(scrubbed: &str, open: usize) -> usize {
 pub(crate) fn fn_spans(scrubbed: &str) -> Vec<Range<usize>> {
     let bytes = scrubbed.as_bytes();
     let mut spans = Vec::new();
-    let mut from = 0;
-    while let Some(p) = scrubbed[from..].find("fn ") {
-        let at = from + p;
-        from = at + 3;
+    for (at, _) in scrubbed.match_indices("fn ") {
         // `fn` must be its own word (`pub fn`, not `type DynFn `).
-        if at > 0 && (bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_') {
+        if !word_start(scrubbed, at) {
             continue;
         }
         // Walk to the body `{`, skipping `;` nested in brackets or parens
@@ -375,7 +341,7 @@ pub(crate) fn fn_spans(scrubbed: &str) -> Vec<Range<usize>> {
                 b'(' | b'[' => depth += 1,
                 b')' | b']' => depth -= 1,
                 b'{' if depth <= 0 => {
-                    spans.push(at..brace_span_end(scrubbed, k));
+                    spans.push(at..span_end(scrubbed, k));
                     break;
                 }
                 b';' if depth <= 0 => break, // bodyless declaration
@@ -414,16 +380,10 @@ pub(crate) fn word_end(text: &str, end: usize) -> bool {
 
 /// Offsets of word-bounded occurrences of `needle` in `text`.
 pub(crate) fn find_word(text: &str, needle: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = text[from..].find(needle) {
-        let at = from + p;
-        if word_start(text, at) && word_end(text, at + needle.len()) {
-            out.push(at);
-        }
-        from = at + needle.len();
-    }
-    out
+    text.match_indices(needle)
+        .map(|(at, _)| at)
+        .filter(|&at| word_start(text, at) && word_end(text, at + needle.len()))
+        .collect()
 }
 
 /// The trailing identifier of `s`, or `""`.
@@ -455,25 +415,6 @@ pub(crate) fn is_loop_subject(masked: &str, at: usize) -> bool {
         }
     }
     pre.ends_with("in") && word_start(pre, pre.len() - 2)
-}
-
-/// The deny finding the determinism and performance fronts report for
-/// the hit at byte `at` of `text`: `what`, then the hit's trimmed source
-/// line. `lint.allow` anchors match on this message text.
-pub(crate) fn finding_at(rel: &str, text: &str, rule: &str, at: usize, what: &str) -> Finding {
-    let line = line_of(text, at);
-    let line_text = text
-        .lines()
-        .nth(line as usize - 1)
-        .unwrap_or_default()
-        .trim();
-    Finding {
-        rule: rule.to_string(),
-        severity: Severity::Deny,
-        file: rel.to_string(),
-        line,
-        message: format!("{what}: `{line_text}`"),
-    }
 }
 
 /// `true` when a `//` comment containing any of `tokens` appears on the
@@ -564,7 +505,7 @@ pub(crate) fn loop_spans(masked: &str) -> Vec<LoopSpan> {
             spans.push(LoopSpan {
                 kw: at,
                 header: at..open,
-                body: open..brace_span_end(masked, open),
+                body: open..span_end(masked, open),
                 depth: 0,
             });
         }
@@ -594,114 +535,116 @@ pub(crate) fn enclosing_loop(spans: &[LoopSpan], offset: usize) -> Option<&LoopS
 }
 
 // ---------------------------------------------------------------------
-// Rules over one file
+// Source model: one file, one workspace
 // ---------------------------------------------------------------------
 
-/// Lints one Rust source text as non-test library code of `crate_name`.
-/// `rel` is the workspace-relative path used in findings. Exposed for
-/// fixture tests; [`scan`] drives it over the real workspace.
-pub fn lint_rust_source(crate_name: &str, rel: &str, text: &str) -> Vec<Finding> {
-    let (scrubbed, _lits) = scrub(text);
-    let (masked, _ranges) = mask_tests(&scrubbed);
-    let mut findings = Vec::new();
+/// One Rust source file, read and scrubbed once: everything the source,
+/// determinism, performance and SQL checks look at.
+pub(crate) struct FileCtx {
+    /// Workspace-relative path, used in findings and to recognise
+    /// sanctioned files.
+    pub(crate) rel: String,
+    /// The crate of a `crates/<name>/src` file; empty for the SQL-only
+    /// files (root `src/` and `examples/`, crate `examples/`), which no
+    /// crate-scoped rule applies to.
+    pub(crate) krate: String,
+    /// Raw text (comment hatches and quoted lines read it).
+    pub(crate) text: String,
+    /// Scrubbed and test-masked text (rule needles run over it).
+    pub(crate) masked: String,
+    /// String literals outside test code.
+    pub(crate) strings: Vec<StrLit>,
+    /// [`fn_spans`] of the masked text.
+    pub(crate) fns: Vec<Range<usize>>,
+    /// [`loop_spans`] of the masked text.
+    pub(crate) loops: Vec<LoopSpan>,
+}
 
-    let mut needle_findings = |needles: &[&str], rule: &str, what: &str| {
-        for needle in needles {
-            let mut from = 0;
-            while let Some(p) = masked[from..].find(needle) {
-                let at = from + p;
-                let line = line_of(text, at);
-                // Quote the offending source line so allowlist needles can
-                // pin to a specific call site (e.g. its expect message).
-                let line_text = text
-                    .lines()
-                    .nth(line as usize - 1)
-                    .unwrap_or_default()
-                    .trim();
-                findings.push(Finding {
-                    rule: rule.to_string(),
-                    severity: Severity::Deny,
-                    file: rel.to_string(),
-                    line,
-                    message: format!("`{needle}` {what}: `{line_text}`"),
-                });
-                from = at + needle.len();
+impl FileCtx {
+    pub(crate) fn new(rel: &str, krate: &str, text: String) -> FileCtx {
+        let (scrubbed, lits) = scrub(&text);
+        let (masked, tests) = mask_tests(&scrubbed);
+        let strings = lits
+            .into_iter()
+            .filter(|l| !tests.iter().any(|r| r.contains(&l.offset)))
+            .collect();
+        let fns = fn_spans(&masked);
+        let loops = loop_spans(&masked);
+        FileCtx {
+            rel: rel.to_string(),
+            krate: krate.to_string(),
+            text,
+            masked,
+            strings,
+            fns,
+            loops,
+        }
+    }
+
+    /// Pushes the deny finding for the hit at byte `at`: `what`, then the
+    /// hit's trimmed source line. `lint.allow` anchors match on this
+    /// message text.
+    pub(crate) fn push(&self, findings: &mut Vec<Finding>, rule: &str, at: usize, what: &str) {
+        let line = line_of(&self.text, at);
+        let line_text = self
+            .text
+            .lines()
+            .nth(line as usize - 1)
+            .unwrap_or_default()
+            .trim();
+        findings.push(Finding {
+            rule: rule.to_string(),
+            severity: Severity::Deny,
+            file: self.rel.clone(),
+            line,
+            message: format!("{what}: `{line_text}`"),
+        });
+    }
+}
+
+/// The workspace as every front sees it, read once.
+pub(crate) struct Workspace {
+    /// Rust files in walk order: the root `src/` and `examples/`, then per
+    /// crate (sorted) its `src/` and `examples/`, files sorted by path.
+    pub(crate) files: Vec<FileCtx>,
+    /// `(relative path, text)` of the root manifest and every crate's.
+    pub(crate) manifests: Vec<(String, String)>,
+}
+
+impl Workspace {
+    /// Walks the workspace at `root` once.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors walking or reading files.
+    pub(crate) fn load(root: &Path) -> io::Result<Workspace> {
+        let mut dirs = vec![
+            (root.join("src"), String::new()),
+            (root.join("examples"), String::new()),
+        ];
+        let mut manifests = vec![root.join("Cargo.toml")];
+        for (name, dir) in crate_dirs(root)? {
+            dirs.push((dir.join("src"), name));
+            dirs.push((dir.join("examples"), String::new()));
+            manifests.push(dir.join("Cargo.toml"));
+        }
+        let mut files = Vec::new();
+        for (dir, krate) in dirs {
+            for path in rust_files_under(&dir)? {
+                let text = fs::read_to_string(&path)?;
+                files.push(FileCtx::new(&rel_path(root, &path), &krate, text));
             }
         }
-    };
-
-    if HOT_PATH_CRATES.contains(&crate_name) {
-        needle_findings(
-            &[".unwrap()", ".expect(", "panic!"],
-            "no-unwrap",
-            "in non-test library code of a hot-path crate",
-        );
+        let manifests = manifests
+            .into_iter()
+            .filter(|m| m.is_file())
+            .map(|m| Ok((rel_path(root, &m), fs::read_to_string(&m)?)))
+            .collect::<io::Result<_>>()?;
+        Ok(Workspace { files, manifests })
     }
-    if WALLCLOCK_FREE_CRATES.contains(&crate_name) {
-        needle_findings(
-            &["Instant::now", "SystemTime::now"],
-            "no-wallclock",
-            "in a wallclock-free crate (sim uses simulated time; transform must stay reproducible — time it from the bench harness)",
-        );
-    }
-    findings
 }
 
-/// Lints one manifest text for non-hermetic or banned dependencies.
-/// Exposed for fixture tests.
-pub fn lint_manifest(rel: &str, text: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut in_dep_section = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.starts_with('[') {
-            let section = line.trim_matches(['[', ']']);
-            in_dep_section = DEP_SECTIONS
-                .iter()
-                .any(|s| section == *s || section.ends_with(&format!(".{s}")));
-            continue;
-        }
-        if !in_dep_section || line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let hermetic = line.contains("path =")
-            || line.contains("path=")
-            || line.contains("workspace = true")
-            || line.contains("workspace=true");
-        let name = line
-            .split(['=', '.'])
-            .next()
-            .map(str::trim)
-            .unwrap_or_default()
-            .trim_matches('"');
-        if BANNED_CRATES.contains(&name) {
-            findings.push(Finding {
-                rule: "hermetic-deps".to_string(),
-                severity: Severity::Deny,
-                file: rel.to_string(),
-                line: idx as u64 + 1,
-                message: format!("banned crate `{name}` declared (the workspace replaces it)"),
-            });
-        } else if !hermetic {
-            findings.push(Finding {
-                rule: "hermetic-deps".to_string(),
-                severity: Severity::Deny,
-                file: rel.to_string(),
-                line: idx as u64 + 1,
-                message: format!(
-                    "`{line}` is not a path/workspace dependency and needs a registry"
-                ),
-            });
-        }
-    }
-    findings
-}
-
-// ---------------------------------------------------------------------
-// Workspace walking
-// ---------------------------------------------------------------------
-
-pub(crate) fn rust_files_under(dir: &Path) -> io::Result<Vec<PathBuf>> {
+fn rust_files_under(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     if !dir.is_dir() {
         return Ok(out);
@@ -724,7 +667,7 @@ pub(crate) fn rust_files_under(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-pub(crate) fn crate_dirs(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+fn crate_dirs(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -751,88 +694,132 @@ pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Scans the workspace for source-front findings (`no-unwrap`,
-/// `no-wallclock`, `hermetic-deps`).
-///
-/// # Errors
-///
-/// I/O errors walking or reading files.
-pub fn scan(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for (name, dir) in crate_dirs(root)? {
-        for file in rust_files_under(&dir.join("src"))? {
-            let text = fs::read_to_string(&file)?;
-            findings.extend(lint_rust_source(&name, &rel_path(root, &file), &text));
-        }
-    }
-    // Manifests: the root plus every crate.
-    let mut manifests = vec![root.join("Cargo.toml")];
-    manifests.extend(
-        crate_dirs(root)?
-            .into_iter()
-            .map(|(_, d)| d.join("Cargo.toml")),
-    );
-    for m in manifests {
-        if m.is_file() {
-            let text = fs::read_to_string(&m)?;
-            findings.extend(lint_manifest(&rel_path(root, &m), &text));
-        }
-    }
-    Ok(findings)
+// ---------------------------------------------------------------------
+// Rules
+// ---------------------------------------------------------------------
+
+/// Source-front findings for one file (`no-unwrap`, `no-wallclock`).
+pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
+    needle::findings(file, "source")
 }
 
-/// Extracts `SELECT …` string literals from all *non-test* workspace
-/// source: every crate's `src/`, the root `src/`, and `examples/`. Test
-/// modules and `tests/` directories are exempt — they may query synthetic
-/// tables on purpose.
-///
-/// # Errors
-///
-/// I/O errors walking or reading files.
-pub fn sql_literals(root: &Path) -> io::Result<Vec<SqlLiteral>> {
-    let mut dirs: Vec<PathBuf> = vec![root.join("src"), root.join("examples")];
-    for (_, d) in crate_dirs(root)? {
-        dirs.push(d.join("src"));
-        dirs.push(d.join("examples"));
+/// Lints one manifest text for non-hermetic or banned dependencies: the
+/// entries of every dependency section, and every dotted dependency table
+/// (`[dependencies.<name>]`, `[target.'…'.dependencies.<name>]`), whose
+/// header names the crate and which needs a `path` or `workspace` key.
+/// Exposed for fixture tests and `tests/hermetic.rs`.
+pub fn lint_manifest(rel: &str, text: &str) -> Vec<Finding> {
+    let deny = |idx: usize, message: String| Finding {
+        rule: "hermetic-deps".to_string(),
+        severity: Severity::Deny,
+        file: rel.to_string(),
+        line: idx as u64 + 1,
+        message,
+    };
+    let banned = |name: &str| format!("banned crate `{name}` declared (the workspace replaces it)");
+    let registry =
+        |what: &str| format!("`{what}` is not a path/workspace dependency and needs a registry");
+    let dep_section = |section: &str| {
+        DEP_SECTIONS
+            .iter()
+            .any(|s| section == *s || section.ends_with(&format!(".{s}")))
+    };
+    let mut findings = Vec::new();
+    let mut in_dep_section = false;
+    // The open dotted table: header line index and text, and whether a
+    // `path`/`workspace` key has been seen in it yet.
+    let mut table: Option<(usize, &str, bool)> = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.starts_with('[') {
+            if let Some((at, header, false)) = table.take() {
+                findings.push(deny(at, registry(header)));
+            }
+            let section = line.trim_matches(['[', ']']);
+            in_dep_section = dep_section(section);
+            if let Some((_, name)) = section.rsplit_once('.').filter(|(p, _)| dep_section(p)) {
+                let name = name.trim_matches(['"', '\'']);
+                if BANNED_CRATES.contains(&name) {
+                    findings.push(deny(idx, banned(name)));
+                } else {
+                    table = Some((idx, line, false));
+                }
+            }
+            continue;
+        }
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let hermetic = line.contains("path =")
+            || line.contains("path=")
+            || line.contains("workspace = true")
+            || line.contains("workspace=true");
+        if let Some((_, _, seen)) = &mut table {
+            *seen |= hermetic;
+            continue;
+        }
+        if !in_dep_section {
+            continue;
+        }
+        let name = line
+            .split(['=', '.'])
+            .next()
+            .map(str::trim)
+            .unwrap_or_default()
+            .trim_matches('"');
+        if BANNED_CRATES.contains(&name) {
+            findings.push(deny(idx, banned(name)));
+        } else if !hermetic {
+            findings.push(deny(idx, registry(line)));
+        }
     }
+    if let Some((at, header, false)) = table {
+        findings.push(deny(at, registry(header)));
+    }
+    findings
+}
+
+/// The `SELECT …` / `EXPLAIN …` string literals of the walked files'
+/// non-test code. Test modules and `tests/` directories are exempt — they
+/// may query synthetic tables on purpose.
+pub(crate) fn sql_literals(files: &[FileCtx]) -> Vec<SqlLiteral> {
     let mut out = Vec::new();
-    for dir in dirs {
-        for file in rust_files_under(&dir)? {
-            let text = fs::read_to_string(&file)?;
-            let (scrubbed, lits) = scrub(&text);
-            let ranges = test_ranges(&scrubbed);
-            let rel = rel_path(root, &file);
-            for lit in lits {
-                if in_ranges(&ranges, lit.offset) {
-                    continue;
-                }
-                let trimmed = lit.content.trim_start();
-                // A bare `"SELECT "` / `"EXPLAIN "` prefix with nothing
-                // after it is a needle or fragment, not a checkable query;
-                // so is a `format!` template — braces never occur in the
-                // SQL dialect, only in placeholders awaiting interpolation.
-                let prefixed = |kw: &str| {
-                    trimmed.len() > kw.len()
-                        && trimmed
-                            .get(..kw.len())
-                            .is_some_and(|p| p.eq_ignore_ascii_case(kw))
-                };
-                if (prefixed("select ") || prefixed("explain ")) && !trimmed.contains(['{', '}']) {
-                    out.push(SqlLiteral {
-                        file: rel.clone(),
-                        line: line_of(&text, lit.offset),
-                        text: lit.content.clone(),
-                    });
-                }
+    for file in files {
+        for lit in &file.strings {
+            let trimmed = lit.content.trim_start();
+            // A bare `"SELECT "` / `"EXPLAIN "` prefix with nothing after
+            // it is a needle or fragment, not a checkable query; so is a
+            // `format!` template — braces never occur in the SQL dialect,
+            // only in placeholders awaiting interpolation.
+            let prefixed = |kw: &str| {
+                trimmed.len() > kw.len()
+                    && trimmed
+                        .get(..kw.len())
+                        .is_some_and(|p| p.eq_ignore_ascii_case(kw))
+            };
+            if (prefixed("select ") || prefixed("explain ")) && !trimmed.contains(['{', '}']) {
+                out.push(SqlLiteral {
+                    file: file.rel.clone(),
+                    line: line_of(&file.text, lit.offset),
+                    text: lit.content.clone(),
+                });
             }
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn source_findings(krate: &str, rel: &str, src: &str) -> Vec<Finding> {
+        findings(&FileCtx::new(rel, krate, src.to_string()))
+    }
+
+    fn sql_literals_under(dir: &Path) -> Vec<SqlLiteral> {
+        sql_literals(&Workspace::load(dir).unwrap().files)
+    }
 
     #[test]
     fn scrub_blanks_comments_and_strings() {
@@ -915,21 +902,27 @@ mod tests {
     #[test]
     fn no_unwrap_fires_only_for_hot_crates_outside_tests() {
         let src = "fn a() { x.unwrap(); }\n#[test]\nfn t() { y.unwrap(); }\n";
-        let f = lint_rust_source("warehouse", "crates/warehouse/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "no-unwrap");
-        assert_eq!(f[0].line, 1);
-        assert_eq!(f[0].severity, Severity::Deny);
+        let f = source_findings("warehouse", "crates/warehouse/src/x.rs", src);
+        assert_eq!(
+            f,
+            [Finding {
+                rule: "no-unwrap".into(),
+                severity: Severity::Deny,
+                file: "crates/warehouse/src/x.rs".into(),
+                line: 1,
+                message: "`.unwrap()` in non-test library code of a hot-path crate: `fn a() { x.unwrap(); }`".into(),
+            }]
+        );
         // Same text in a non-hot crate: clean.
-        assert!(lint_rust_source("serdes", "crates/serdes/src/x.rs", src).is_empty());
+        assert!(source_findings("serdes", "crates/serdes/src/x.rs", src).is_empty());
         // Clean text in a hot crate: clean.
-        assert!(lint_rust_source("ntier", "x.rs", "fn a() -> Option<u8> { None }").is_empty());
+        assert!(source_findings("ntier", "x.rs", "fn a() -> Option<u8> { None }").is_empty());
     }
 
     #[test]
     fn expect_and_panic_also_fire() {
         let src = "fn a() { b.expect(\"msg\"); panic!(\"boom\"); }";
-        let rules: Vec<String> = lint_rust_source("transform", "x.rs", src)
+        let rules: Vec<String> = source_findings("transform", "x.rs", src)
             .into_iter()
             .map(|f| f.rule)
             .collect();
@@ -941,12 +934,22 @@ mod tests {
         let src = "fn t() -> Instant { Instant::now() }";
         for krate in WALLCLOCK_FREE_CRATES {
             let path = format!("crates/{krate}/src/x.rs");
-            let f = lint_rust_source(krate, &path, src);
+            let f = source_findings(krate, &path, src);
             assert_eq!(f.len(), 1, "{krate}");
             assert_eq!(f[0].rule, "no-wallclock");
         }
+        assert_eq!(
+            source_findings("sim", "crates/sim/src/x.rs", src),
+            [Finding {
+                rule: "no-wallclock".into(),
+                severity: Severity::Deny,
+                file: "crates/sim/src/x.rs".into(),
+                line: 1,
+                message: "`Instant::now` in a wallclock-free crate (sim uses simulated time; transform must stay reproducible — time it from the bench harness): `fn t() -> Instant { Instant::now() }`".into(),
+            }]
+        );
         // The bench crate is where timing lives; it stays exempt.
-        assert!(lint_rust_source("bench", "crates/bench/src/x.rs", src).is_empty());
+        assert!(source_findings("bench", "crates/bench/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -968,6 +971,33 @@ mod tests {
     }
 
     #[test]
+    fn dotted_dependency_tables_are_checked() {
+        let f = lint_manifest("Cargo.toml", "[dependencies.serde]\nversion = \"1\"\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 1);
+        assert_eq!(
+            f[0].message,
+            "banned crate `serde` declared (the workspace replaces it)"
+        );
+        let f = lint_manifest("Cargo.toml", "[dependencies.foo]\nversion = \"1\"\n");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 1);
+        assert_eq!(
+            f[0].message,
+            "`[dependencies.foo]` is not a path/workspace dependency and needs a registry"
+        );
+        // A target-specific table with a `path` key is hermetic; the next
+        // table without one is not.
+        let text = "[target.'cfg(unix)'.dependencies.foo]\npath = \"../foo\"\n\n\
+                    [target.'cfg(unix)'.dependencies.bar]\nversion = \"1\"\n";
+        let lines: Vec<u64> = lint_manifest("Cargo.toml", text)
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [4]);
+    }
+
+    #[test]
     fn sql_literal_extraction_skips_tests_and_non_queries() {
         let dir = std::env::temp_dir().join("mscope-lint-sqlx");
         let src_dir = dir.join("src");
@@ -978,7 +1008,7 @@ mod tests {
              #[cfg(test)]\nmod tests { fn t() { run(\"SELECT b FROM fake\"); } }\n",
         )
         .unwrap();
-        let lits = sql_literals(&dir).unwrap();
+        let lits = sql_literals_under(&dir);
         assert_eq!(lits.len(), 1, "{lits:?}");
         assert_eq!(lits[0].text, "SELECT a FROM t");
         assert_eq!(lits[0].line, 1);
@@ -995,7 +1025,7 @@ mod tests {
             "fn q() { run(\"EXPLAIN SELECT a FROM t\"); probe(\"explain \"); }\n",
         )
         .unwrap();
-        let lits = sql_literals(&dir).unwrap();
+        let lits = sql_literals_under(&dir);
         assert_eq!(lits.len(), 1, "{lits:?}");
         assert_eq!(lits[0].text, "EXPLAIN SELECT a FROM t");
         fs::remove_dir_all(&dir).ok();

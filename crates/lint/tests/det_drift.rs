@@ -6,19 +6,38 @@
 //! The closing test proves the real workspace is 0-deny on this front at
 //! HEAD, so the fixtures are drills, not grandfathered reality.
 
+use mscope_lint::{Finding, Severity};
 use std::path::PathBuf;
 
-/// Rule IDs `lint_det_source` reports for a fixture at `rel` (the crate
-/// name is derived from the path, as [`mscope_lint::det::scan`] does).
-fn det_rules(rel: &str, src: &str) -> Vec<String> {
+/// The determinism-front findings [`mscope_lint::lint_file`] reports for a
+/// fixture at `rel` (the crate name is derived from the path, as the
+/// workspace walk does).
+fn det_findings(rel: &str, src: &str) -> Vec<Finding> {
     let krate = rel
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
         .expect("fixture paths are crate-relative");
-    mscope_lint::det::lint_det_source(krate, rel, src)
+    mscope_lint::lint_file(krate, rel, src)
         .into_iter()
-        .map(|f| f.rule)
+        .filter(|f| f.rule.starts_with("DT"))
         .collect()
+}
+
+/// Rule IDs of [`det_findings`].
+fn det_rules(rel: &str, src: &str) -> Vec<String> {
+    det_findings(rel, src).into_iter().map(|f| f.rule).collect()
+}
+
+/// The one deny finding a fixture must produce, message included —
+/// `lint.allow` needles match on message text.
+fn deny(rule: &str, file: &str, line: u64, message: &str) -> Vec<Finding> {
+    vec![Finding {
+        rule: rule.to_string(),
+        severity: Severity::Deny,
+        file: file.to_string(),
+        line,
+        message: message.to_string(),
+    }]
 }
 
 fn workspace_root() -> PathBuf {
@@ -110,7 +129,15 @@ fn dt002_accepts_a_documented_merge_order() {
 #[test]
 fn dt003_fires_on_ad_hoc_threads_and_respects_sanctioned_pools() {
     let dirty = "fn fan_out() {\n    std::thread::spawn(|| work());\n}\n";
-    assert_eq!(det_rules("crates/monitors/src/fake.rs", dirty), ["DT003"]);
+    assert_eq!(
+        det_findings("crates/monitors/src/fake.rs", dirty),
+        deny(
+            "DT003",
+            "crates/monitors/src/fake.rs",
+            2,
+            "`thread::spawn` outside the sanctioned WorkQueue pools (crates/sim/src/par.rs, crates/sim/src/queue.rs, crates/sim/src/stream.rs) — ad-hoc threads have no job-order merge discipline: `std::thread::spawn(|| work());`"
+        )
+    );
     let scoped = "fn fan_out() {\n    std::thread::scope(|s| { s.spawn(|| work()); });\n}\n";
     assert_eq!(det_rules("crates/analysis/src/fake.rs", scoped), ["DT003"]);
     // The same text inside a sanctioned pool file is the discipline.
@@ -126,7 +153,15 @@ fn dt004_fires_on_stray_stream_construction() {
     let dirty = "fn cell_rng(seed: u64, cell: u64) -> SimRng {\n\
                      SimRng::split(seed, cell + 1)\n\
                  }\n";
-    assert_eq!(det_rules("crates/sim/src/fake.rs", dirty), ["DT004"]);
+    assert_eq!(
+        det_findings("crates/sim/src/fake.rs", dirty),
+        deny(
+            "DT004",
+            "crates/sim/src/fake.rs",
+            2,
+            "`SimRng::split` outside the per-cell stream discipline (crates/ntier/src/engine.rs, crates/sim/src/prop.rs, crates/sim/src/rng.rs) — a cell must never draw from another cell's stream: `SimRng::split(seed, cell + 1)`"
+        )
+    );
     let seeded = "fn fresh(seed: u64) -> SimRng { SimRng::seed_from(seed) }\n";
     assert_eq!(det_rules("crates/ntier/src/fake.rs", seeded), ["DT004"]);
     // The engine's per-cell setup owns this construction.
@@ -146,8 +181,17 @@ fn dt005_fires_on_interior_mutability_outside_pools() {
         det_rules("crates/transform/src/fake.rs", relaxed),
         ["DT005"]
     );
+    // `Cell<` inside `RefCell<` reports once, as `RefCell<`.
     let refcell = "struct S { cache: RefCell<Vec<u64>> }\n";
-    assert_eq!(det_rules("crates/analysis/src/fake.rs", refcell), ["DT005"]);
+    assert_eq!(
+        det_findings("crates/analysis/src/fake.rs", refcell),
+        deny(
+            "DT005",
+            "crates/analysis/src/fake.rs",
+            1,
+            "shared interior mutability `RefCell<` outside the sanctioned pool files — capturable mutable state lets worker interleaving leak into results: `struct S { cache: RefCell<Vec<u64>> }`"
+        )
+    );
     // The pool slots are where interior mutability is the design — and
     // `parallel_map` is the only pool, so its callers get no exemption.
     assert_eq!(det_rules("crates/sim/src/par.rs", mutex), [""; 0]);
@@ -203,7 +247,15 @@ fn dt008_fires_on_worker_count_reads_outside_plan_selection() {
     let dirty = "fn emit_meta() -> usize {\n\
                      std::thread::available_parallelism().map_or(1, |n| n.get())\n\
                  }\n";
-    assert_eq!(det_rules("crates/monitors/src/fake.rs", dirty), ["DT008"]);
+    assert_eq!(
+        det_findings("crates/monitors/src/fake.rs", dirty),
+        deny(
+            "DT008",
+            "crates/monitors/src/fake.rs",
+            2,
+            "`available_parallelism` outside the sanctioned plan selectors (crates/transform/src/pipeline.rs, crates/warehouse/src/engine.rs) — worker counts may pick the plan, never the result: `std::thread::available_parallelism().map_or(1, |n| n.get())`"
+        )
+    );
     // The two plan selectors may read the machine.
     assert_eq!(det_rules("crates/warehouse/src/engine.rs", dirty), [""; 0]);
     assert_eq!(
@@ -220,7 +272,7 @@ fn dt008_fires_on_worker_count_reads_outside_plan_selection() {
 fn non_identity_gated_crates_are_exempt() {
     let src = "fn t() { std::thread::spawn(|| {}); unsafe { hot() } }\n";
     assert_eq!(
-        mscope_lint::det::lint_det_source("bench", "crates/bench/src/fake.rs", src),
+        mscope_lint::lint_file("bench", "crates/bench/src/fake.rs", src),
         vec![]
     );
 }
@@ -235,7 +287,7 @@ fn test_modules_are_exempt() {
 
 #[test]
 fn det_front_is_zero_deny_at_head() {
-    let report = mscope_lint::run_det(&workspace_root()).expect("det run succeeds");
+    let report = mscope_lint::run(&workspace_root(), "det", None).expect("det run succeeds");
     assert!(
         report.is_clean(),
         "the determinism front must hold at HEAD — fix the site or add a \

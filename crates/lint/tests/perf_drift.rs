@@ -8,19 +8,41 @@
 //! front at HEAD, so these fixtures are drills, not grandfathered
 //! reality.
 
+use mscope_lint::{Finding, Severity};
 use std::path::PathBuf;
 
-/// Rule IDs `lint_perf_source` reports for a fixture at `rel` (the crate
-/// name is derived from the path, as [`mscope_lint::perf::scan`] does).
-fn perf_rules(rel: &str, src: &str) -> Vec<String> {
+/// The performance-front findings [`mscope_lint::lint_file`] reports for
+/// a fixture at `rel` (the crate name is derived from the path, as the
+/// workspace walk does).
+fn perf_findings(rel: &str, src: &str) -> Vec<Finding> {
     let krate = rel
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
         .expect("fixture paths are crate-relative");
-    mscope_lint::perf::lint_perf_source(krate, rel, src)
+    mscope_lint::lint_file(krate, rel, src)
+        .into_iter()
+        .filter(|f| f.rule.starts_with("PF"))
+        .collect()
+}
+
+/// Rule IDs of [`perf_findings`].
+fn perf_rules(rel: &str, src: &str) -> Vec<String> {
+    perf_findings(rel, src)
         .into_iter()
         .map(|f| f.rule)
         .collect()
+}
+
+/// The one deny finding a fixture must produce, message included —
+/// `lint.allow` needles match on message text.
+fn deny(rule: &str, file: &str, line: u64, message: &str) -> Vec<Finding> {
+    vec![Finding {
+        rule: rule.to_string(),
+        severity: Severity::Deny,
+        file: file.to_string(),
+        line,
+        message: message.to_string(),
+    }]
 }
 
 fn workspace_root() -> PathBuf {
@@ -42,7 +64,15 @@ fn pf001_fires_on_per_iteration_allocation() {
                      out.push_str(&format!(\"{} {}\\n\", s.time, s.value));\n\
                  }\n\
                  out\n}\n";
-    assert_eq!(perf_rules("crates/monitors/src/fake.rs", dirty), ["PF001"]);
+    assert_eq!(
+        perf_findings("crates/monitors/src/fake.rs", dirty),
+        deny(
+            "PF001",
+            "crates/monitors/src/fake.rs",
+            4,
+            "allocation `format!` inside a hot-path loop with no `// perf:` justification — hoist it, borrow, or document why the allocation is right: `out.push_str(&format!(\"{} {}\\n\", s.time, s.value));`"
+        )
+    );
 }
 
 #[test]
@@ -190,14 +220,30 @@ fn pf004_fires_on_row_wise_scans_outside_the_engine() {
                 let mut n = 0;\n\
                 for row in t.iter_rows() { n += row.len(); }\n\
                 n\n}\n";
-    assert_eq!(perf_rules("crates/analysis/src/fake.rs", rows), ["PF004"]);
+    assert_eq!(
+        perf_findings("crates/analysis/src/fake.rs", rows),
+        deny(
+            "PF004",
+            "crates/analysis/src/fake.rs",
+            3,
+            "row-wise `Table` access bypasses the zone-map engine — route the scan through `CompiledPredicate`/`window_agg_where` or justify with `// perf:`: `for row in t.iter_rows() { n += row.len(); }`"
+        )
+    );
     let cells = "fn sum(t: &Table) -> i64 {\n\
                  let mut acc = 0;\n\
                  for i in 0..t.row_count() {\n\
                      acc += t.cell(i, \"v\").unwrap().as_i64().unwrap();\n\
                  }\n\
                  acc\n}\n";
-    assert!(perf_rules("crates/warehouse/src/fake.rs", cells).contains(&"PF004".to_string()));
+    assert_eq!(
+        perf_findings("crates/warehouse/src/fake.rs", cells),
+        deny(
+            "PF004",
+            "crates/warehouse/src/fake.rs",
+            4,
+            "row-wise `Table` access bypasses the zone-map engine — route the scan through `CompiledPredicate`/`window_agg_where` or justify with `// perf:`: `acc += t.cell(i, \"v\").unwrap().as_i64().unwrap();`"
+        )
+    );
 }
 
 #[test]
@@ -248,7 +294,15 @@ fn pf006_fires_on_compilation_inside_a_loop() {
                     n += KeyIndex::over(col, sel.iter().copied()).len();\n\
                 }\n\
                 n\n}\n";
-    assert_eq!(perf_rules("crates/warehouse/src/fake.rs", over), ["PF006"]);
+    assert_eq!(
+        perf_findings("crates/warehouse/src/fake.rs", over),
+        deny(
+            "PF006",
+            "crates/warehouse/src/fake.rs",
+            4,
+            "`KeyIndex::over` inside a loop — compilation binds column slices once per query; hoist it out of the iteration: `n += KeyIndex::over(col, sel.iter().copied()).len();`"
+        )
+    );
     // The pair-space entry (join residual, HAVING) binds slices the same way.
     let pairs =
         "fn residuals(preds: &[Predicate], resolve: &R, pairs: &[(usize, usize)]) -> usize {\n\
@@ -333,7 +387,15 @@ fn pf008_fires_on_per_iteration_sorts() {
     let dirty = "fn normalize(groups: &mut [Vec<u64>]) {\n\
                  for g in groups.iter_mut() { g.sort_unstable(); }\n\
                  }\n";
-    assert_eq!(perf_rules("crates/sim/src/fake.rs", dirty), ["PF008"]);
+    assert_eq!(
+        perf_findings("crates/sim/src/fake.rs", dirty),
+        deny(
+            "PF008",
+            "crates/sim/src/fake.rs",
+            2,
+            "`.sort_unstable()` inside a loop re-sorts every iteration — sort once after the loop or keep the data sorted by construction: `for g in groups.iter_mut() { g.sort_unstable(); }`"
+        )
+    );
 }
 
 #[test]
@@ -368,10 +430,8 @@ fn cold_crates_and_test_modules_are_exempt() {
                for x in xs { out.push(format!(\"{x}\")); }\n\
                out\n}\n";
     // `lint` and `bench` inspect and time the product; they are not it.
-    assert!(mscope_lint::perf::lint_perf_source("lint", "crates/lint/src/fake.rs", src).is_empty());
-    assert!(
-        mscope_lint::perf::lint_perf_source("bench", "crates/bench/src/fake.rs", src).is_empty()
-    );
+    assert!(mscope_lint::lint_file("lint", "crates/lint/src/fake.rs", src).is_empty());
+    assert!(mscope_lint::lint_file("bench", "crates/bench/src/fake.rs", src).is_empty());
     let test_only = format!("#[cfg(test)]\nmod tests {{\n{src}\n}}\n");
     assert_eq!(
         perf_rules("crates/warehouse/src/fake.rs", &test_only),
@@ -395,8 +455,7 @@ fn perf_front_reports_are_deny_severity_with_location() {
                  let mut out = Vec::new();\n\
                  for r in rows { out.push(r.id); }\n\
                  out\n}\n";
-    let findings =
-        mscope_lint::perf::lint_perf_source("monitors", "crates/monitors/src/fake.rs", dirty);
+    let findings = perf_findings("crates/monitors/src/fake.rs", dirty);
     assert_eq!(findings.len(), 1);
     let f = &findings[0];
     assert_eq!(f.rule, "PF003");
@@ -410,7 +469,7 @@ fn perf_front_reports_are_deny_severity_with_location() {
 fn run_perf_walks_the_real_workspace() {
     // The front runs end-to-end over the repository (the 0-deny gate
     // itself lives in workspace_clean.rs).
-    let report = mscope_lint::run_perf(&workspace_root()).expect("perf run succeeds");
+    let report = mscope_lint::run(&workspace_root(), "perf", None).expect("perf run succeeds");
     assert!(report
         .findings
         .iter()

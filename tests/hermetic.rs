@@ -5,18 +5,12 @@
 //! test can run. This test walks every `Cargo.toml` in the repository and
 //! fails if any dependency section names a crate that is not vendored
 //! in-tree, turning "someone added serde back" from a broken build into a
-//! readable test failure.
+//! readable test failure. The manifest parser is the one `mscope-lint
+//! source` runs (`hermetic-deps`), so the two guards cannot disagree.
 
+use mscope_lint::source::lint_manifest;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// All dependency-declaring TOML section headers.
-const DEP_SECTIONS: &[&str] = &[
-    "dependencies",
-    "dev-dependencies",
-    "build-dependencies",
-    "workspace.dependencies",
-];
 
 fn manifest_paths() -> Vec<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -37,53 +31,30 @@ fn manifest_paths() -> Vec<PathBuf> {
     out
 }
 
-/// Returns the dependency entries (line number, text) of every dependency
-/// section in one manifest.
-fn dependency_lines(text: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut in_dep_section = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.starts_with('[') {
-            let section = line.trim_matches(['[', ']']);
-            // `target.'cfg(..)'.dependencies` style also ends with a
-            // dependency section name.
-            in_dep_section = DEP_SECTIONS
-                .iter()
-                .any(|s| section == *s || section.ends_with(&format!(".{s}")));
-            continue;
-        }
-        if in_dep_section && !line.is_empty() && !line.starts_with('#') {
-            out.push((idx + 1, line.to_string()));
+/// Every manifest's `hermetic-deps` findings, rendered `file:line: …`,
+/// split into (banned crates, other non-hermetic entries).
+fn manifest_violations() -> (Vec<String>, Vec<String>) {
+    let (mut banned, mut registry) = (Vec::new(), Vec::new());
+    for manifest in manifest_paths() {
+        let text = fs::read_to_string(&manifest)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", manifest.display()));
+        for f in lint_manifest(&manifest.display().to_string(), &text) {
+            if f.message.starts_with("banned crate") {
+                banned.push(f.to_string());
+            } else {
+                registry.push(f.to_string());
+            }
         }
     }
-    out
+    (banned, registry)
 }
 
 /// A dependency entry is hermetic iff it resolves in-tree: a `path`
 /// dependency or a `workspace = true` reference (the workspace table is
 /// itself checked and contains only path entries).
-fn entry_is_hermetic(entry: &str) -> bool {
-    // Continuation lines of a multi-line inline table are rare in this
-    // repo; the workspace convention is one dependency per line.
-    entry.contains("path =")
-        || entry.contains("path=")
-        || entry.contains("workspace = true")
-        || entry.contains("workspace=true")
-}
-
 #[test]
 fn every_dependency_is_a_path_dependency() {
-    let mut violations = Vec::new();
-    for manifest in manifest_paths() {
-        let text = fs::read_to_string(&manifest)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", manifest.display()));
-        for (line_no, entry) in dependency_lines(&text) {
-            if !entry_is_hermetic(&entry) {
-                violations.push(format!("{}:{line_no}: {entry}", manifest.display()));
-            }
-        }
-    }
+    let (_, violations) = manifest_violations();
     assert!(
         violations.is_empty(),
         "non-path dependencies found — these need a registry and break the \
@@ -96,29 +67,7 @@ fn every_dependency_is_a_path_dependency() {
 /// path dependency to a vendored copy — the workspace replaces them).
 #[test]
 fn banned_crates_never_reappear() {
-    const BANNED: &[&str] = &[
-        "serde",
-        "serde_json",
-        "serde_derive",
-        "rand",
-        "proptest",
-        "criterion",
-    ];
-    let mut violations = Vec::new();
-    for manifest in manifest_paths() {
-        let text = fs::read_to_string(&manifest).expect("manifest readable");
-        for (line_no, entry) in dependency_lines(&text) {
-            let name = entry
-                .split(['=', '.'])
-                .next()
-                .map(str::trim)
-                .unwrap_or_default()
-                .trim_matches('"');
-            if BANNED.contains(&name) {
-                violations.push(format!("{}:{line_no}: {entry}", manifest.display()));
-            }
-        }
-    }
+    let (violations, _) = manifest_violations();
     assert!(
         violations.is_empty(),
         "banned crates declared:\n  {}",
