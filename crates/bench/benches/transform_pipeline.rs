@@ -1,20 +1,19 @@
 //! Transformer pipeline shoot-out: serial vs parallel convert stage, the
-//! paper's interchange formats vs the direct columnar load.
+//! paper's annotated-XML interchange vs the direct columnar load.
 //!
-//! The direct legs are [`DataTransformer::run_with`], which builds neither
-//! annotated XML nor CSV: entries go from the parsers into a columnar
-//! raw-cell sink and are loaded as typed columns. The CSV legs keep the
-//! paper's Fig. 3 interchange chain as the baseline the direct load is
-//! measured against, composed in this file from the public stage functions
-//! (`execute → convert_xml → to_csv → import_csv`): every file becomes an
-//! annotated XML tree, every table CSV text, and the importer re-parses it.
+//! The direct legs are [`DataTransformer::run_with`], which builds no
+//! annotated XML: entries go from the parsers into a columnar raw-cell sink
+//! and are loaded as typed columns. The XML leg keeps the paper's Fig. 3
+//! interchange chain as the baseline the direct load is measured against,
+//! composed in this file from the public stage functions (`execute →
+//! convert_xml → import_rows`): every file becomes an annotated XML tree,
+//! and every table typed rows converted from those trees.
 //!
 //! Beyond timing, every variant's tables are checked identical to the
-//! serial+CSV baseline's, so the speedup numbers are only ever reported
-//! for *equivalent* pipelines. Since the direct legs stopped composing
-//! `execute → convert_xml` themselves, that check is also the XML ≡ direct
-//! gate: the one place a bench holds the export chain and the load path to
-//! the same tables at bench scale (the unit-scale property is
+//! serial XML baseline's, so the speedup numbers are only ever reported
+//! for *equivalent* pipelines. That check is also the XML ≡ direct gate:
+//! the one place a bench holds the export chain and the load path to the
+//! same tables at bench scale (the unit-scale property is
 //! `run_with_is_the_public_composition` in `mscope-transform`).
 //!
 //! ```text
@@ -22,7 +21,7 @@
 //! ```
 //!
 //! Writes a `BENCH_transform.json` summary (per-variant best-of-N seconds,
-//! speedups relative to the serial+CSV baseline) for CI artifact upload.
+//! speedups relative to the serial XML baseline) for CI artifact upload.
 
 use mscope_db::Database;
 use mscope_monitors::{LogStore, MonitorSuite, MonitoringArtifacts};
@@ -30,7 +29,7 @@ use mscope_ntier::{Simulator, SystemConfig};
 use mscope_serdes::Json;
 use mscope_sim::{parallel_map, SimDuration};
 use mscope_transform::{
-    convert_xml, import_csv, DataTransformer, ParsingDeclaration, RunOptions, TransformReport,
+    convert_xml, import_rows, DataTransformer, ParsingDeclaration, RunOptions, TransformReport,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -38,11 +37,11 @@ use std::time::Instant;
 struct Variant {
     name: &'static str,
     workers: usize,
-    csv: bool,
+    xml: bool,
 }
 
 /// The bench matrix. `workers: 0` means *auto* (serial below the
-/// work-size threshold), so the parallel variants pin an explicit worker
+/// work-size threshold), so the parallel variant pins an explicit worker
 /// count and `auto_direct` exercises the heuristic itself — the bench
 /// asserts auto is never the slowest variant, which is exactly the
 /// regression the old always-parallel default had on small inputs.
@@ -50,21 +49,21 @@ fn variants() -> Vec<Variant> {
     let p = std::thread::available_parallelism()
         .map(usize::from)
         .unwrap_or(4);
-    let v = |name, workers, csv| Variant { name, workers, csv };
+    let v = |name, workers, xml| Variant { name, workers, xml };
     vec![
-        v("serial_csv", 1, true),
+        v("serial_xml", 1, true),
         v("serial_direct", 1, false),
-        v("parallel_csv", p, true),
         v("parallel_direct", p, false),
         v("auto_direct", 0, false),
     ]
 }
 
-/// The CSV leg: the same per-table parse → convert fan-out `run_with`
-/// uses, but every converted table is serialized to CSV text and re-parsed
-/// on load. The metadata tables are not registered — they are a few dozen
-/// rows and not part of what this leg measures.
-fn run_csv(
+/// The XML leg: the same per-table parse → convert fan-out `run_with`
+/// uses, but every file is rendered as an annotated XML tree and every
+/// table converted from those trees into rows. The metadata tables are not
+/// registered — they are a few dozen rows and not part of what this leg
+/// measures.
+fn run_xml(
     tr: &DataTransformer,
     store: &LogStore,
     db: &mut Database,
@@ -90,15 +89,15 @@ fn run_csv(
     for ((table, decls), conv) in groups.iter().zip(converted) {
         report.files += decls.len();
         report.entries += conv.row_count();
-        let loaded = import_csv(db, table, &conv.schema, &conv.to_csv()).expect("loads");
+        let loaded = import_rows(db, table, &conv.schema, conv.rows).expect("loads");
         report.tables.push((table.to_string(), loaded));
     }
     report
 }
 
 fn run(v: &Variant, tr: &DataTransformer, store: &LogStore, db: &mut Database) -> TransformReport {
-    if v.csv {
-        run_csv(tr, store, db, v.workers)
+    if v.xml {
+        run_xml(tr, store, db, v.workers)
     } else {
         let opts = RunOptions { workers: v.workers };
         tr.run_with(store, db, opts).expect("pipeline runs")
@@ -122,17 +121,6 @@ fn artifacts(smoke: bool) -> MonitoringArtifacts {
     MonitorSuite::standard(&out.config).render(&out)
 }
 
-fn best_of<F: FnMut() -> usize>(samples: usize, mut f: F) -> (f64, usize) {
-    let mut best = f64::MAX;
-    let mut entries = 0;
-    for _ in 0..samples {
-        let start = Instant::now();
-        entries = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, entries)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -146,7 +134,7 @@ fn main() {
             concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transform.json").to_string()
         });
     // cargo bench passes --bench through to the binary; ignore it.
-    let samples = if smoke { 3 } else { 5 };
+    let samples = if smoke { 9 } else { 5 };
 
     eprintln!(
         "## transform_pipeline ({})",
@@ -181,19 +169,22 @@ fn main() {
     }
     eprintln!("  all {} variants byte-identical", variants.len());
 
-    let mut timings: Vec<(&str, f64, usize)> = Vec::new();
-    for v in &variants {
-        let (secs, entries) = best_of(samples, || {
-            let mut db = Database::new();
-            run(v, &tr, &art.store, &mut db).entries
-        });
+    // Best of `samples` rounds, each timing every variant once: a stall of
+    // the host lands on one sample of each variant, not on all of one's.
+    let mut timings: Vec<(&str, f64, usize)> =
+        variants.iter().map(|v| (v.name, f64::MAX, 0)).collect();
+    for _ in 0..samples {
+        for (v, (_, best, entries)) in variants.iter().zip(&mut timings) {
+            let start = Instant::now();
+            *entries = run(v, &tr, &art.store, &mut Database::new()).entries;
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    for (name, secs, _) in &timings {
         eprintln!(
-            "  {}: best {:.3}s ({:.1} MiB/s)",
-            v.name,
-            secs,
+            "  {name}: best {secs:.3}s ({:.1} MiB/s)",
             log_bytes as f64 / secs / (1 << 20) as f64
         );
-        timings.push((v.name, secs, entries));
     }
 
     let baseline = timings[0].1;
@@ -220,7 +211,7 @@ fn main() {
                 ("variant", Json::Str(name.to_string())),
                 ("best_seconds", Json::Float(*secs)),
                 ("entries", Json::Int(*entries as i128)),
-                ("speedup_vs_serial_csv", Json::Float(baseline / secs)),
+                ("speedup_vs_serial_xml", Json::Float(baseline / secs)),
             ])
         })
         .collect();
@@ -240,14 +231,14 @@ fn main() {
         ("byte_identical", Json::Bool(true)),
         ("results", Json::Arr(results)),
         (
-            "speedup_parallel_direct_vs_serial_csv",
+            "speedup_parallel_direct_vs_serial_xml",
             Json::Float(baseline / parallel_direct),
         ),
     ]);
     let text = mscope_serdes::to_string_pretty(&doc);
     std::fs::write(&out_path, &text).expect("write bench output");
     eprintln!(
-        "  speedup parallel_direct vs serial_csv: {:.2}x -> {out_path}",
+        "  speedup parallel_direct vs serial_xml: {:.2}x -> {out_path}",
         baseline / parallel_direct
     );
 }

@@ -36,7 +36,7 @@ const TRACKED: &[(&str, &[&str])] = &[
     ),
     (
         "transform_pipeline",
-        &["speedup_parallel_direct_vs_serial_csv"],
+        &["speedup_parallel_direct_vs_serial_xml"],
     ),
     ("sim_scale", &["best_speedup", "shard_overhead"]),
     ("stream_ingest", &["throughput_vs_batch"]),

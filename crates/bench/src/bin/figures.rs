@@ -78,7 +78,10 @@ fn main() {
             println!();
         }
         if which == "fig2" || which == "all" {
-            show(&fig2(&ms), chart);
+            let t = fig2(&ms);
+            show(&t, chart);
+            let peak = t.max_of("max_rt_ms").unwrap_or(f64::NAN);
+            println!("peak max_rt_ms = {peak:.1}");
             println!();
         }
         if which == "fig4" || which == "all" {
@@ -123,6 +126,8 @@ fn main() {
         let ms = run_scenario_b(scale);
         let d = fig8(&ms);
         show(&d.pit, chart);
+        let peak = d.pit.max_of("max_rt_ms").unwrap_or(f64::NAN);
+        println!("peak max_rt_ms = {peak:.1}");
         println!();
         show(&d.queues, chart);
         println!();

@@ -845,7 +845,7 @@ pub fn fig1(ms: &MilliScope) -> String {
 pub fn fig3(ms: &MilliScope) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
-        "# Fig 3: mScopeDataTransformer flow (declarations → parsers → XML → CSV → mScopeDB)\n\n",
+        "# Fig 3: mScopeDataTransformer flow (declarations → parsers → typed columns → mScopeDB)\n\n",
     );
     let log_files = ms.db().require("log_files").expect("static table");
     let monitors = ms.db().require("monitors").expect("static table");

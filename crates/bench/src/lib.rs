@@ -14,9 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod harness;
-
-pub use harness::{black_box, BenchGroup, Bencher, BenchmarkId, Criterion, Throughput};
 
 pub use figures::{
     fig1, fig10, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, overhead_sweep,

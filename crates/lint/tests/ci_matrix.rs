@@ -9,7 +9,8 @@
 //! and fail the workspace whenever it no longer matches
 //! [`SystemConfig::presets`] exactly, in either direction, or stops
 //! running `all`. The bench-smoke job's bench-delta guard is held to
-//! the same standard: every committed smoke baseline must be compared.
+//! the same standard: every committed smoke baseline must be compared, and
+//! every bench target must run there and have a baseline.
 //! So is the step that builds and tests `benchmark/`, the one consumer of
 //! the crates' public API that lives outside the workspace.
 
@@ -53,6 +54,33 @@ fn ci_matrix_scenarios(yml: &str) -> Vec<String> {
         in_block = false;
     }
     out
+}
+
+/// The `name` of every `[[bench]]` table of a Cargo manifest.
+fn bench_targets(manifest: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut in_bench = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_bench = line == "[[bench]]";
+        } else if let Some(value) = line.strip_prefix("name").filter(|_| in_bench) {
+            let value = value.trim_start().strip_prefix('=').unwrap_or(value);
+            out.push(value.trim().trim_matches('"').to_string());
+        }
+    }
+    out
+}
+
+/// The lines of one job of the workflow, from its `  <name>:` key up to the
+/// next job key.
+fn job_lines<'a>(yml: &'a str, name: &str) -> Vec<&'a str> {
+    let key = format!("  {name}:");
+    let is_job_key = |l: &&str| l.starts_with("  ") && !l[2..].starts_with([' ', '#']);
+    yml.lines()
+        .skip_while(|l| *l != key)
+        .skip(1)
+        .take_while(|l| !is_job_key(l))
+        .collect()
 }
 
 /// The front named by each `mscope-lint -- <front> …` invocation in the
@@ -138,6 +166,37 @@ fn bench_delta_guard_covers_every_smoke_baseline() {
 }
 
 #[test]
+fn every_bench_target_is_run_and_guarded() {
+    // A bench no CI job runs, or whose headline no baseline holds, reports
+    // numbers that cannot regress: each `[[bench]]` target of the bench
+    // crate is a `cargo bench … --bench <name>` step of the bench-smoke job
+    // and has a committed smoke baseline for the bench_delta guard.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let manifest = std::fs::read_to_string(format!("{root}/crates/bench/Cargo.toml"))
+        .expect("bench crate manifest exists");
+    let targets = bench_targets(&manifest);
+    assert!(!targets.is_empty(), "found no [[bench]] in crates/bench");
+    let yml = ci_yml();
+    let smoke = job_lines(&yml, "bench-smoke");
+    let unguarded: Vec<&str> = targets
+        .iter()
+        .map(String::as_str)
+        .filter(|name| {
+            let run = smoke.iter().any(|l| {
+                let words: Vec<&str> = l.split_whitespace().collect();
+                l.contains("cargo bench") && words.windows(2).any(|w| w == ["--bench", name])
+            });
+            let baseline = format!("{root}/crates/bench/baselines/{name}.smoke.json");
+            !(run && std::path::Path::new(&baseline).is_file())
+        })
+        .collect();
+    assert!(
+        unguarded.is_empty(),
+        "bench targets with no bench-smoke step in ci.yml or no smoke baseline: {unguarded:?}"
+    );
+}
+
+#[test]
 fn end_to_end_benchmark_is_built_and_tested() {
     // `benchmark/` is outside the workspace, so `--workspace` steps never
     // compile it; without this step a public-API break against it stays
@@ -186,6 +245,37 @@ fn front_extractor_reads_invocation_lines() {
       - run: cargo run --release -p mscope-lint -- det
 ";
     assert_eq!(ci_lint_fronts(yml), vec!["all", "det", "trace"]);
+}
+
+#[test]
+fn bench_and_job_extractors_read_their_blocks() {
+    let manifest = "
+[dependencies]
+name = \"not-a-bench\"
+
+[[bench]]
+name = \"a\"
+harness = false
+
+[[bench]]
+harness = false
+name=\"b\"
+";
+    assert_eq!(bench_targets(manifest), vec!["a", "b"]);
+    let yml = "
+jobs:
+  one:
+    steps:
+      - run: x
+  # about two
+  two:
+    steps:
+      - run: y
+";
+    assert_eq!(
+        job_lines(yml, "one"),
+        vec!["    steps:", "      - run: x", "  # about two"]
+    );
 }
 
 #[test]

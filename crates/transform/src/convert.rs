@@ -7,20 +7,20 @@
 //! order), and each column's type is the **narrowest** type in the lattice
 //! that admits every observed value.
 //!
-//! The paper's converter reads annotated XML and writes CSV text. Here both
-//! are on-demand *export* artifacts
-//! ([`ParsingDeclaration::execute`](crate::ParsingDeclaration::execute),
-//! [`ConvertedTable::to_csv`]) and the load path touches neither: entries
-//! collect, as borrowed `(field, raw value)` pairs, in one columnar
-//! raw-cell sink ([`RawColumns`]) that folds the schema as they arrive
-//! ([`SchemaFold`]) and then types each column whole ([`parse_cell`]). The
-//! batch driver feeds the sink from the parsing ladder and loads its
-//! columns as they are; [`convert_xml`] feeds it `<entry>` children and
-//! transposes the columns into rows; the streaming driver feeds it chunk by
-//! chunk and takes the new rows typed under the schema so far — one
-//! inference, one typing.
+//! The paper's converter reads annotated XML and writes CSV text. Here it
+//! writes typed rows ([`ConvertedTable`]) and no CSV; the XML is an
+//! on-demand *export* artifact
+//! ([`ParsingDeclaration::execute`](crate::ParsingDeclaration::execute)),
+//! and the load path builds no XML either: entries collect, as borrowed
+//! `(field, raw value)` pairs, in one columnar raw-cell sink
+//! ([`RawColumns`]) that folds the schema as they arrive ([`SchemaFold`])
+//! and then types each column whole ([`parse_cell`]). The batch driver
+//! feeds the sink from the parsing ladder and loads its columns as they
+//! are; [`convert_xml`] feeds it `<entry>` children and transposes the
+//! columns into rows; the streaming driver feeds it chunk by chunk and
+//! takes the new rows typed under the schema so far — one inference, one
+//! typing.
 
-use crate::csv::write_csv;
 use crate::error::TransformError;
 use crate::import::{normalize_cell, parse_cell};
 use crate::xml::XmlNode;
@@ -42,25 +42,6 @@ impl ConvertedTable {
     /// Number of data rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Renders the table as CSV text (header row + one line per row) —
-    /// the on-demand export artifact. Loading this text back with
-    /// [`import_csv`](crate::import_csv) against the same schema
-    /// reproduces the typed rows exactly.
-    pub fn to_csv(&self) -> String {
-        let mut grid: Vec<Vec<String>> = Vec::with_capacity(self.rows.len() + 1);
-        grid.push(
-            self.schema
-                .columns()
-                .iter()
-                .map(|c| c.name.clone())
-                .collect(),
-        );
-        for row in &self.rows {
-            grid.push(row.iter().map(Value::render).collect());
-        }
-        write_csv(&grid)
     }
 }
 
@@ -477,9 +458,11 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["a", "b", "c"]);
         assert_eq!(out.row_count(), 2);
-        // Missing cells are typed nulls, rendered empty in the CSV export.
-        assert_eq!(out.rows[1][1], Value::Null);
-        assert!(out.to_csv().contains("2,,3.5"));
+        // Missing cells are typed nulls.
+        assert_eq!(
+            out.rows[1],
+            vec![Value::Int(2), Value::Null, Value::Float(3.5)]
+        );
     }
 
     #[test]
@@ -529,9 +512,9 @@ mod tests {
         let out = convert_xml(&[d]).unwrap();
         assert_eq!(out.rows[0][0], Value::Text(" padded ".into()));
         assert_eq!(out.rows[1][0], Value::Text("-".into()));
-        // The CSV export round-trips them losslessly too.
+        // The importer loads them verbatim too.
         let mut db = mscope_db::Database::new();
-        crate::import::import_csv(&mut db, "t", &out.schema, &out.to_csv()).unwrap();
+        crate::import_rows(&mut db, "t", &out.schema, out.rows.clone()).unwrap();
         let t = db.require("t").unwrap();
         assert_eq!(t.cell(0, "s"), Some(&Value::Text(" padded ".into())));
         assert_eq!(t.cell(1, "s"), Some(&Value::Text("-".into())));
@@ -679,9 +662,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_quotes_commas_in_text() {
+    fn commas_in_text_survive_verbatim() {
         let d = doc(vec![entry(&[("sql", "SELECT a,b FROM t ")])]);
         let out = convert_xml(&[d]).unwrap();
-        assert!(out.to_csv().contains("\"SELECT a,b FROM t \""));
+        assert_eq!(
+            out.rows,
+            vec![vec![Value::Text("SELECT a,b FROM t ".into())]]
+        );
     }
 }

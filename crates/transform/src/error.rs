@@ -1,6 +1,5 @@
 //! Error type for the transformation pipeline.
 
-use crate::csv::CsvError;
 use crate::xml::XmlError;
 use mscope_db::{ColumnType, DbError};
 use std::error::Error;
@@ -43,19 +42,8 @@ pub enum TransformError {
     MissingFile(String),
     /// XML stage failure.
     Xml(XmlError),
-    /// CSV stage failure.
-    Csv(CsvError),
     /// Schema inference failure (ambiguous annotation).
     SchemaInference(String),
-    /// CSV header does not match the inferred schema.
-    HeaderMismatch {
-        /// Destination table.
-        table: String,
-        /// Expected header.
-        expected: String,
-        /// Actual header.
-        got: String,
-    },
     /// A cell could not be read as its column's type.
     BadCell {
         /// Destination table.
@@ -97,18 +85,7 @@ impl fmt::Display for TransformError {
             }
             TransformError::MissingFile(p) => write!(f, "declared log file `{p}` not found"),
             TransformError::Xml(e) => write!(f, "{e}"),
-            TransformError::Csv(e) => write!(f, "{e}"),
             TransformError::SchemaInference(m) => write!(f, "schema inference failed: {m}"),
-            TransformError::HeaderMismatch {
-                table,
-                expected,
-                got,
-            } => {
-                write!(
-                    f,
-                    "csv header mismatch loading `{table}`: expected [{expected}], got [{got}]"
-                )
-            }
             TransformError::BadCell {
                 table,
                 column,
@@ -127,7 +104,6 @@ impl Error for TransformError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             TransformError::Xml(e) => Some(e),
-            TransformError::Csv(e) => Some(e),
             TransformError::Db(e) => Some(e),
             _ => None,
         }
@@ -137,12 +113,6 @@ impl Error for TransformError {
 impl From<XmlError> for TransformError {
     fn from(e: XmlError) -> Self {
         TransformError::Xml(e)
-    }
-}
-
-impl From<CsvError> for TransformError {
-    fn from(e: CsvError) -> Self {
-        TransformError::Csv(e)
     }
 }
 

@@ -5,12 +5,9 @@
 //! batch driver hands the sink's typed columns to
 //! [`Database::insert_columns`] as they are; [`import_rows`] is the same
 //! load for the row-major output of [`convert_xml`](crate::convert_xml)
-//! ([`Database::insert_batch`]). [`import_csv`] remains for loading
-//! exported CSV artifacts and foreign CSV files; it funnels through the
-//! same [`parse_cell`] rules the sink types its columns with, so every
-//! path loads identical values.
+//! ([`Database::insert_batch`]), whose cells the same [`parse_cell`] rules
+//! typed, so both paths load identical values.
 
-use crate::csv::parse_csv;
 use crate::error::TransformError;
 use mscope_db::{ColumnType, Database, Schema, Value};
 
@@ -37,8 +34,8 @@ pub fn normalize_cell(raw: &str) -> Option<&str> {
 /// For numeric / timestamp / bool columns the cell is first routed through
 /// [`normalize_cell`]: whitespace is trimmed and empty / `-` loads as
 /// [`Value::Null`], matching the SAR and IOstat "no sample" conventions.
-/// **Text columns load verbatim** — only a fully empty cell (the CSV
-/// rendering of a missing field) becomes Null; `-`, padding, and interior
+/// **Text columns load verbatim** — only a fully empty cell (how the sink
+/// holds a missing field) becomes Null; `-`, padding, and interior
 /// whitespace are all real data and are preserved exactly.
 ///
 /// # Errors
@@ -103,56 +100,6 @@ pub fn import_rows(
     db.insert_batch(table, rows).map_err(TransformError::Db)
 }
 
-/// Creates (or verifies) the destination table and loads CSV rows — the
-/// export / foreign-file path. Cells are typed with the same [`parse_cell`]
-/// rules the direct path uses, then batch-loaded. Returns the number of
-/// rows loaded.
-///
-/// # Errors
-///
-/// CSV parse errors, header/schema mismatches, cell parse failures, and
-/// warehouse errors (schema conflicts with an existing table).
-pub fn import_csv(
-    db: &mut Database,
-    table: &str,
-    schema: &Schema,
-    csv: &str,
-) -> Result<usize, TransformError> {
-    let rows = parse_csv(csv).map_err(TransformError::Csv)?;
-    let Some((header, data)) = rows.split_first() else {
-        // Nothing to load; still materialize the (possibly empty) table.
-        db.ensure_table(table, schema.clone())
-            .map_err(TransformError::Db)?;
-        return Ok(0);
-    };
-    let expected: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
-    let got: Vec<&str> = header.iter().map(String::as_str).collect();
-    if expected != got {
-        return Err(TransformError::HeaderMismatch {
-            table: table.to_string(),
-            expected: expected.join(","),
-            got: got.join(","),
-        });
-    }
-    let mut typed = Vec::with_capacity(data.len());
-    for row in data {
-        if row.len() != schema.len() {
-            return Err(TransformError::HeaderMismatch {
-                table: table.to_string(),
-                expected: format!("{} columns", schema.len()),
-                got: format!("{} columns", row.len()),
-            });
-        }
-        let values: Vec<Value> = row
-            .iter()
-            .zip(schema.columns())
-            .map(|(raw, col)| parse_cell(table, &col.name, col.ty, raw))
-            .collect::<Result<_, _>>()?;
-        typed.push(values);
-    }
-    import_rows(db, table, schema, typed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,11 +114,30 @@ mod tests {
         .unwrap()
     }
 
+    /// Types raw `(t, v, n)` cells with [`parse_cell`] under [`schema`] and
+    /// loads them with [`import_rows`], as the sink and `convert_xml` do.
+    fn load(db: &mut Database, cells: &[[&str; 3]]) -> Result<usize, TransformError> {
+        let schema = schema();
+        let mut rows = Vec::with_capacity(cells.len());
+        for row in cells {
+            let typed = row
+                .iter()
+                .zip(schema.columns())
+                .map(|(raw, col)| parse_cell("m", &col.name, col.ty, raw))
+                .collect::<Result<_, _>>()?;
+            rows.push(typed);
+        }
+        import_rows(db, "m", &schema, rows)
+    }
+
     #[test]
     fn loads_typed_rows() {
         let mut db = Database::new();
-        let csv = "t,v,n\n00:00:01.000000,12.5,apache0\n00:00:02.000000,13.0,apache0\n";
-        let n = import_csv(&mut db, "m", &schema(), csv).unwrap();
+        let cells = [
+            ["00:00:01.000000", "12.5", "apache0"],
+            ["00:00:02.000000", "13.0", "apache0"],
+        ];
+        let n = load(&mut db, &cells).unwrap();
         assert_eq!(n, 2);
         let t = db.require("m").unwrap();
         assert_eq!(t.cell(0, "t"), Some(&Value::Timestamp(1_000_000)));
@@ -181,8 +147,7 @@ mod tests {
     #[test]
     fn numeric_nulls_load_as_null() {
         let mut db = Database::new();
-        let csv = "t,v,n\n00:00:01.000000,,x\n-, - ,y\n";
-        import_csv(&mut db, "m", &schema(), csv).unwrap();
+        load(&mut db, &[["00:00:01.000000", "", "x"], ["-", " - ", "y"]]).unwrap();
         let t = db.require("m").unwrap();
         assert_eq!(t.cell(0, "v"), Some(&Value::Null));
         assert_eq!(t.cell(1, "t"), Some(&Value::Null));
@@ -194,9 +159,12 @@ mod tests {
         let mut db = Database::new();
         // `-` and padded strings are legitimate text values; only a fully
         // empty cell (a missing field) is null.
-        let csv =
-            "t,v,n\n00:00:01.000000,1.0,-\n00:00:02.000000,2.0,\" x \"\n00:00:03.000000,3.0,\n";
-        import_csv(&mut db, "m", &schema(), csv).unwrap();
+        let cells = [
+            ["00:00:01.000000", "1.0", "-"],
+            ["00:00:02.000000", "2.0", " x "],
+            ["00:00:03.000000", "3.0", ""],
+        ];
+        load(&mut db, &cells).unwrap();
         let t = db.require("m").unwrap();
         assert_eq!(t.cell(0, "n"), Some(&Value::Text("-".into())));
         assert_eq!(t.cell(1, "n"), Some(&Value::Text(" x ".into())));
@@ -233,39 +201,20 @@ mod tests {
     }
 
     #[test]
-    fn header_mismatch_rejected() {
-        let mut db = Database::new();
-        let csv = "wrong,header,row\n1,2,3\n";
-        assert!(matches!(
-            import_csv(&mut db, "m", &schema(), csv),
-            Err(TransformError::HeaderMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn bad_cell_rejected() {
         let mut db = Database::new();
-        let csv = "t,v,n\nnot-a-time,1.0,x\n";
         assert!(matches!(
-            import_csv(&mut db, "m", &schema(), csv),
+            load(&mut db, &[["not-a-time", "1.0", "x"]]),
             Err(TransformError::BadCell { .. })
         ));
     }
 
     #[test]
-    fn empty_csv_creates_empty_table() {
-        let mut db = Database::new();
-        let n = import_csv(&mut db, "m", &schema(), "").unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(db.require("m").unwrap().row_count(), 0);
-    }
-
-    #[test]
     fn second_load_appends_when_schema_matches() {
         let mut db = Database::new();
-        let csv = "t,v,n\n00:00:01.000000,1.0,x\n";
-        import_csv(&mut db, "m", &schema(), csv).unwrap();
-        import_csv(&mut db, "m", &schema(), csv).unwrap();
+        let cells = [["00:00:01.000000", "1.0", "x"]];
+        load(&mut db, &cells).unwrap();
+        load(&mut db, &cells).unwrap();
         assert_eq!(db.require("m").unwrap().row_count(), 2);
     }
 

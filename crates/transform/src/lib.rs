@@ -13,19 +13,20 @@
 //!    [`ParsingDeclaration::execute`] renders a file's entries as the
 //!    paper's annotated XML ([`XmlNode`]: one `<entry>` per line, one child
 //!    tag per field).
-//! 3. **XMLtoCSV conversion** — bottom-up schema inference: column set =
-//!    union of all tags, column type = narrowest lattice type admitting
-//!    every value; produces typed cells directly. [`convert_xml`] is that
-//!    stage over annotated XML ([`ConvertedTable`]), with CSV as a second
-//!    on-demand export ([`ConvertedTable::to_csv`]).
-//! 4. **Data import** ([`import_rows`], [`import_csv`]) — creates mScopeDB
-//!    tables on the fly and batch-loads the tuples, registering monitor /
-//!    log-file metadata in the static tables.
+//! 3. **XML → typed rows** (the paper's XMLtoCSV converter) — bottom-up
+//!    schema inference: column set = union of all tags, column type =
+//!    narrowest lattice type admitting every value; produces typed cells
+//!    directly. [`convert_xml`] is that stage over annotated XML
+//!    ([`ConvertedTable`]). The paper's CSV text is not reproduced: it was
+//!    an export no caller used.
+//! 4. **Data import** ([`import_rows`]) — creates mScopeDB tables on the
+//!    fly and batch-loads the tuples, registering monitor / log-file
+//!    metadata in the static tables.
 //!
-//! The paper's two interchange formats between those stages, annotated XML
-//! and CSV, are **export artifacts** here: the public stage functions
-//! above still produce and consume them (and load the same warehouse
-//! through them), but neither driver builds either on its load path.
+//! Annotated XML is an **export artifact** here: the public stage
+//! functions above still produce and consume it, and loading through them
+//! is the oracle the drivers' warehouse is held to, but neither driver
+//! builds it on its load path.
 //!
 //! Two drivers run the stages, and neither owns a rule:
 //!
@@ -74,7 +75,6 @@
 #![warn(missing_docs)]
 
 mod convert;
-mod csv;
 pub mod declare;
 mod error;
 mod import;
@@ -85,10 +85,9 @@ mod stream;
 mod xml;
 
 pub use convert::{convert_xml, ConvertedTable};
-pub use csv::{parse_csv, quote_field, write_csv, CsvError};
 pub use declare::{BlockSpec, LineMatcher, ParserKind, ParserSpec, ParsingDeclaration, XmlMapping};
 pub use error::TransformError;
-pub use import::{import_csv, import_rows, normalize_cell, parse_cell};
+pub use import::{import_rows, normalize_cell, parse_cell};
 pub use parsers::{
     apache_event_spec, cjdbc_event_spec, collectl_brief_spec, collectl_csv_spec, declaration_for,
     generic_kv_spec, iostat_spec, mysql_event_spec, sar_mem_spec, sar_net_spec, sar_text_spec,

@@ -1,9 +1,9 @@
 //! The end-to-end mScopeDataTransformer pipeline (paper Fig. 3):
 //! parsing declarations → mScopeParsers → schema inference → Data
-//! Importer → mScopeDB. The paper's two interchange formats between those
-//! stages — annotated XML and CSV — are export artifacts here
-//! ([`ParsingDeclaration::execute`], `ConvertedTable::to_csv`); the load
-//! path builds neither.
+//! Importer → mScopeDB. Of the paper's two interchange formats between
+//! those stages, annotated XML is an export artifact here
+//! ([`ParsingDeclaration::execute`]) and CSV is not written at all; the
+//! load path builds neither.
 //!
 //! The CPU-heavy front of the pipeline — log read → parse → raw columns →
 //! typed columns — is embarrassingly parallel across destination tables,
@@ -170,9 +170,9 @@ impl DataTransformer {
     /// in one columnar sink (so schema inference unions across replicas)
     /// and are typed column by column; the typed columns are loaded as they
     /// are; and the static metadata tables (`monitors`, `log_files`) are
-    /// populated. No annotated XML or CSV is built on the way; the public
+    /// populated. No annotated XML is built on the way; the public
     /// composition `execute` → `convert_xml` → `import_rows` loads the same
-    /// warehouse through them.
+    /// warehouse through it.
     ///
     /// The convert stage fans out across `opts.workers` threads (one
     /// table group per job); the load stage is serial and iterates

@@ -945,6 +945,62 @@ r 3 777 00:00:03.000000 -\n";
         ));
     }
 
+    /// One SAR-XML monitor whose file nests `<a>` 200 000 deep, inside its
+    /// one entry or between entries. Without the XML parser's depth cap
+    /// such a file overflows the stack and aborts the process.
+    fn deep_sar_xml(in_entry: bool) -> (DataTransformer, LogStore) {
+        use mscope_monitors::MonitorKind;
+        use mscope_ntier::{NodeId, TierId, TierKind};
+        let meta = LogFileMeta {
+            path: "logs/tier3-0/sar-xml.xml".into(),
+            node: NodeId {
+                tier: TierId(3),
+                replica: 0,
+            },
+            tier_kind: TierKind::Mysql,
+            monitor_id: "sar-xml-tier3-0".into(),
+            tool: "sar-xml".into(),
+            format: "xml".into(),
+            kind: MonitorKind::Resource,
+            period_ms: 50,
+        };
+        let mut body = "<a>".repeat(200_000) + &"</a>".repeat(200_000);
+        if in_entry {
+            body = format!("<timestamp time=\"00:00:00.050000\">{body}</timestamp>");
+        }
+        let mut store = LogStore::new();
+        store.append(
+            &meta.path,
+            &format!("<sysstat><host><statistics>{body}</statistics></host></sysstat>"),
+        );
+        (DataTransformer::from_manifest(&[meta]), store)
+    }
+
+    #[test]
+    fn deep_sar_xml_fails_the_batch_run() {
+        for in_entry in [false, true] {
+            let (tr, store) = deep_sar_xml(in_entry);
+            let got = tr.run(&store, &mut Database::new());
+            assert!(matches!(got, Err(TransformError::Xml(_))), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn deep_sar_xml_fails_the_stream() {
+        // Inside an entry: the poll that extracts the entry fails.
+        let (tr, store) = deep_sar_xml(true);
+        let got = tr.stream().unwrap().poll(&store, &mut Database::new());
+        assert!(matches!(got, Err(TransformError::Xml(_))), "{got:?}");
+        // Between entries: no entry span holds it, so the poll passes it
+        // by and the whole-document check at finish fails.
+        let (tr, store) = deep_sar_xml(false);
+        let mut st = tr.stream().unwrap();
+        let mut db = Database::new();
+        st.poll(&store, &mut db).unwrap();
+        let got = st.finish(&store, &mut db);
+        assert!(matches!(got, Err(TransformError::Xml(_))), "{got:?}");
+    }
+
     #[test]
     fn missing_file_is_fine_until_finish() {
         let decl = kv_decl("late.log", "kv");

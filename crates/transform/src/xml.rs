@@ -9,6 +9,11 @@
 
 use std::fmt;
 
+/// Deepest element nesting [`parse`] accepts. The parser recurses once per
+/// open element, so a hostile document must not pick the stack depth; the
+/// shipped SAR XML nests 6 levels.
+const MAX_DEPTH: usize = 128;
+
 /// An XML element tree node.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct XmlNode {
@@ -189,14 +194,15 @@ impl std::error::Error for XmlError {}
 /// # Errors
 ///
 /// [`XmlError`] on malformed input (unclosed tags, bad entities, trailing
-/// content, mismatched close tags).
+/// content, mismatched close tags) and on elements nested deeper than 128
+/// levels.
 pub fn parse(input: &str) -> Result<XmlNode, XmlError> {
     let mut p = Parser {
         s: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws_and_prolog()?;
-    let node = p.element()?;
+    let node = p.element(1)?;
     p.skip_ws();
     if p.pos != p.s.len() {
         return Err(XmlError::new("trailing content after root element"));
@@ -262,7 +268,13 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.s[start..self.pos]).into_owned())
     }
 
-    fn element(&mut self) -> Result<XmlNode, XmlError> {
+    /// Parses the element at the cursor, the `depth`-th open one.
+    fn element(&mut self, depth: usize) -> Result<XmlNode, XmlError> {
+        if depth > MAX_DEPTH {
+            return Err(XmlError::new(format!(
+                "elements nested deeper than {MAX_DEPTH} levels"
+            )));
+        }
         if self.peek() != Some(b'<') {
             return Err(XmlError::new("expected `<`"));
         }
@@ -329,7 +341,7 @@ impl<'a> Parser<'a> {
                 let end = self.find("-->")?;
                 self.pos = end + 3;
             } else if self.peek() == Some(b'<') {
-                node.children.push(self.element()?);
+                node.children.push(self.element(depth + 1)?);
             } else {
                 let start = self.pos;
                 while let Some(c) = self.peek() {
@@ -413,6 +425,16 @@ mod tests {
         assert!(parse("<a/><b/>").is_err());
         assert!(parse("plain text").is_err());
         assert!(parse("<a x=1></a>").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let nested = |n: usize| "<a>".repeat(n) + &"</a>".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 200_000] {
+            let err = parse(&nested(n)).unwrap_err();
+            assert!(err.to_string().contains("deeper than 128"), "{err}");
+        }
     }
 
     #[test]

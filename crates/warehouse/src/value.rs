@@ -260,7 +260,8 @@ impl Value {
         }
     }
 
-    /// Renders the value the way the CSV stage writes it.
+    /// Renders the value as cell text, as `Display`, SQL group keys and
+    /// printed tables show it.
     pub fn render(&self) -> String {
         match self {
             Value::Null => String::new(),

@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         output.artifacts.store.total_bytes() as f64 / 1024.0
     );
 
-    // Ingest: parsing declarations → mScopeParsers → annotated XML →
-    // schema inference → CSV → mScopeDB.
+    // Ingest: parsing declarations → mScopeParsers → schema inference →
+    // typed columns → mScopeDB.
     let ms = MilliScope::ingest(&output)?;
     let report = ms.transform_report();
     println!(

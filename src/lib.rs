@@ -13,7 +13,7 @@
 //! | [`sim`] | discrete-event kernel (time, events, RNG, statistics) |
 //! | [`ntier`] | the simulated 4-tier RUBBoS testbed + VSB scenarios |
 //! | [`monitors`] | event & resource mScopeMonitors, SysViz tap |
-//! | [`transform`] | mScopeDataTransformer (parsers → XML → CSV → load) |
+//! | [`transform`] | mScopeDataTransformer (parsers → typed columns → load) |
 //! | [`db`] | mScopeDB dynamic data warehouse |
 //! | [`analysis`] | PIT response time, queues, causal paths, detectors |
 //! | [`core`] | `Experiment` → `MilliScope` → `diagnose` end to end |

@@ -10,7 +10,8 @@
 use milliscope::ntier::{
     Interaction, NodeId, RequestId, RequestRecord, SessionId, SystemConfig, TierId, TierSpan,
 };
-use milliscope::sim::SimTime;
+use milliscope::sim::prop::{forall, Gen};
+use milliscope::sim::{prop_ensure, SimTime};
 use mscope_db::Value;
 use mscope_serdes::{from_str, to_string, to_string_pretty, Json};
 
@@ -217,4 +218,80 @@ fn malformed_documents_are_rejected_with_position() {
             "error for {bad:?} lacks a position: {msg}"
         );
     }
+}
+
+// ------------------------------------------------------------------
+// Hostile input
+// ------------------------------------------------------------------
+
+/// Nesting depths around and far past the parser's cap of 128.
+const NESTINGS: [usize; 7] = [1, 6, 127, 128, 129, 1_000, 200_000];
+
+const JSON_SOUP: [&str; 26] = [
+    "{", "}", "[", "]", ",", ":", "\"", "\"k\"", "\\", "\\u", "\\uD800", "\\u00e9", "null", "nul",
+    "true", "false", "-", "0", "01", "1e", "1.5e308", "1e999", " ", "\n", "é", "\u{1}",
+];
+
+/// Token soup; a serialized preset config with a few character edits; or
+/// arrays or objects nested to one of [`NESTINGS`].
+fn arb_hostile_json(g: &mut Gen) -> String {
+    match g.usize(0..=3) {
+        0 => (0..g.usize(0..=40)).map(|_| g.choose(&JSON_SOUP)).collect(),
+        1 => {
+            let depth = g.choose(&NESTINGS);
+            if g.bool() {
+                "[".repeat(depth) + &"]".repeat(depth)
+            } else {
+                "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth)
+            }
+        }
+        _ => {
+            let presets = SystemConfig::presets();
+            let (_, cfg) = &presets[g.usize(0..=presets.len() - 1)];
+            let mut doc: Vec<char> = to_string(cfg).chars().collect();
+            for _ in 0..g.usize(1..=3) {
+                if doc.is_empty() {
+                    break;
+                }
+                let at = g.usize(0..=doc.len() - 1);
+                match g.usize(0..=4) {
+                    0 => doc.truncate(at),
+                    1 => {
+                        doc.remove(at);
+                    }
+                    2 => doc.insert(at, doc[at]),
+                    3 => {
+                        let other = g.usize(0..=doc.len() - 1);
+                        doc.swap(at, other);
+                    }
+                    _ => {
+                        doc.splice(at..at, g.choose(&JSON_SOUP).chars());
+                    }
+                }
+            }
+            doc.into_iter().collect()
+        }
+    }
+}
+
+/// Fixed seed (the property name) and case count, as for SQL and XML:
+/// every case parses, or fails with a positioned [`JsonError`]; decoding a
+/// config from it never panics either.
+///
+/// [`JsonError`]: mscope_serdes::JsonError
+#[test]
+fn hostile_json_never_panics() {
+    forall("hostile json is Ok or a typed error", 1024, |g| {
+        let text = arb_hostile_json(g);
+        let shown: String = text.chars().take(200).collect();
+        let outcome =
+            std::panic::catch_unwind(|| (Json::parse(&text), from_str::<SystemConfig>(&text)));
+        let Ok((parsed, _decoded)) = outcome else {
+            return Err(format!("panicked on `{shown}`"));
+        };
+        if let Err(e) = parsed {
+            prop_ensure!(e.offset.is_some(), "unpositioned error on `{shown}`: {e}");
+        }
+        Ok(())
+    });
 }
