@@ -367,7 +367,13 @@ pub fn wallclock(t: SimTime) -> String {
 /// [`SimTime`]. Fractional digits beyond microseconds are truncated; missing
 /// fractional part is treated as zero.
 ///
-/// Returns `None` on malformed input.
+/// Each of the three fields is what `u64::from_str` reads (an optional `+`,
+/// then digits); minutes and seconds are below 60. The fraction may be
+/// empty; its first six bytes must be digits and the rest is not read.
+/// One pass over the bytes.
+///
+/// Returns `None` on malformed input, and on a time past `i64::MAX`
+/// microseconds (the widest a warehouse timestamp holds).
 ///
 /// # Examples
 ///
@@ -375,17 +381,33 @@ pub fn wallclock(t: SimTime) -> String {
 /// use mscope_sim::{SimTime, wallclock, parse_wallclock};
 /// let t = SimTime::from_micros(3_725_000_123);
 /// assert_eq!(parse_wallclock(&wallclock(t)), Some(t));
+/// assert_eq!(parse_wallclock("6000000000:00:00"), None);
 /// ```
 pub fn parse_wallclock(s: &str) -> Option<SimTime> {
-    let (hms, frac) = match s.split_once('.') {
-        Some((a, b)) => (a, b),
-        None => (s, ""),
-    };
-    let mut parts = hms.split(':');
-    let h: u64 = parts.next()?.parse().ok()?;
-    let m: u64 = parts.next()?.parse().ok()?;
-    let sec: u64 = parts.next()?.parse().ok()?;
-    if parts.next().is_some() || m >= 60 || sec >= 60 {
+    let bytes = s.as_bytes();
+    let mut at = 0;
+    let mut hms = [0u64; 3];
+    for (i, field) in hms.iter_mut().enumerate() {
+        at += usize::from(bytes.get(at) == Some(&b'+'));
+        let start = at;
+        while let Some(&b) = bytes.get(at).filter(|b| b.is_ascii_digit()) {
+            *field = field.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            at += 1;
+        }
+        // A field ends at its separator: `:` after the first two, `.` or
+        // the end of the text after the last.
+        let ends = match bytes.get(at) {
+            Some(b':') => i < 2,
+            Some(b'.') | None => i == 2,
+            Some(_) => false,
+        };
+        if at == start || !ends {
+            return None;
+        }
+        at += 1;
+    }
+    let [h, m, sec] = hms;
+    if m >= 60 || sec >= 60 {
         return None;
     }
     // The first six fractional places are the microseconds; whatever
@@ -394,17 +416,20 @@ pub fn parse_wallclock(s: &str) -> Option<SimTime> {
     // characters would.
     let mut us = 0u64;
     let mut scale = 1_000_000u64;
-    for b in frac.bytes().take(6) {
+    // Past the end of the text when there is no dot: no fraction.
+    for &b in bytes.get(at..).unwrap_or_default().iter().take(6) {
         if !b.is_ascii_digit() {
             return None;
         }
         us = us * 10 + u64::from(b - b'0');
         scale /= 10;
     }
-    us *= scale;
-    Some(SimTime::from_micros(
-        (h * 3600 + m * 60 + sec) * 1_000_000 + us,
-    ))
+    let total = h
+        .checked_mul(3600)?
+        .checked_add(m * 60 + sec)?
+        .checked_mul(1_000_000)?
+        .checked_add(us * scale)?;
+    (total <= i64::MAX as u64).then_some(SimTime::from_micros(total))
 }
 
 #[cfg(test)]
@@ -576,6 +601,90 @@ mod tests {
         assert_eq!(parse_wallclock("00:00:01."), Some(SimTime::from_secs(1)));
         assert_eq!(parse_wallclock("1:2:3"), Some(SimTime::from_secs(3_723)));
         assert_eq!(parse_wallclock("00:00:60"), None);
+    }
+
+    #[test]
+    fn wallclock_parse_rejects_times_past_the_widest_timestamp() {
+        // i64::MAX µs is 2562047788 h 0 min 54.775807 s.
+        assert_eq!(
+            parse_wallclock("2562047788:00:54.775807"),
+            Some(SimTime::from_micros(i64::MAX as u64))
+        );
+        for s in [
+            "2562047788:00:54.775808",
+            "6000000000:00:00",
+            "18446744073709551615:00:00",
+            "18446744073709551615:59:59.999999",
+        ] {
+            assert_eq!(parse_wallclock(s), None, "{s:?}");
+        }
+    }
+
+    /// The split-based parser the byte pass replaced, with its arithmetic
+    /// checked: the oracle for the language [`parse_wallclock`] reads.
+    fn parse_wallclock_by_splitting(s: &str) -> Option<SimTime> {
+        let (hms, frac) = s.split_once('.').unwrap_or((s, ""));
+        let mut parts = hms.split(':');
+        let h: u64 = parts.next()?.parse().ok()?;
+        let m: u64 = parts.next()?.parse().ok()?;
+        let sec: u64 = parts.next()?.parse().ok()?;
+        if parts.next().is_some() || m >= 60 || sec >= 60 {
+            return None;
+        }
+        let us = fraction_by_collecting(frac)?;
+        let total = h
+            .checked_mul(3600)?
+            .checked_add(m * 60 + sec)?
+            .checked_mul(1_000_000)?
+            .checked_add(us)?;
+        i64::try_from(total).ok()?;
+        Some(SimTime::from_micros(total))
+    }
+
+    #[test]
+    fn wallclock_byte_pass_matches_the_split_parser() {
+        const FIELDS: &[&str] = &[
+            "0",
+            "00",
+            "7",
+            "54",
+            "59",
+            "60",
+            "+1",
+            "++1",
+            "-0",
+            "+",
+            "",
+            "é",
+            "1é",
+            "2562047788",
+            "6000000000",
+            "18446744073709551615",
+            "18446744073709551616",
+        ];
+        const ALPHABET: &[char] = &['0', '1', '5', '9', '+', '-', ':', '.', 'é'];
+        crate::prop::forall("wallclock byte pass", 100_000, |g| {
+            let s: String = if g.bool() {
+                // Fields joined as the format joins them, most of them
+                // three, then maybe a dot and a fraction.
+                let n = g.choose(&[1, 2, 3, 3, 3, 4]);
+                let mut s = g.vec(n..=n, |g| g.choose(FIELDS)).join(":");
+                if g.usize(0..=3) > 0 {
+                    s.push('.');
+                    match g.usize(0..=3) {
+                        0 => s.push_str(&format!("{:07}", g.u64(0..=9_999_999))),
+                        1 => s.push_str(g.choose(&["", "775807", "775808", "12é", "1.2", ":"])),
+                        _ => s.extend(g.vec(0..=7, |g| g.choose(ALPHABET))),
+                    }
+                }
+                s
+            } else {
+                g.vec(0..=16, |g| g.choose(ALPHABET)).into_iter().collect()
+            };
+            let (got, want) = (parse_wallclock(&s), parse_wallclock_by_splitting(&s));
+            crate::prop_ensure!(got == want, "{s:?}: {got:?} vs {want:?}");
+            Ok(())
+        });
     }
 
     /// The fraction rule as it was first written — collect six characters,

@@ -12,17 +12,18 @@
 //! on-demand *export* artifact
 //! ([`ParsingDeclaration::execute`](crate::ParsingDeclaration::execute)),
 //! and the load path builds no XML either: entries collect, as borrowed
-//! `(field, raw value)` pairs, in one columnar raw-cell sink
-//! ([`RawColumns`]) that folds the schema as they arrive ([`SchemaFold`])
-//! and then types each column whole ([`parse_cell`]). The batch driver
-//! feeds the sink from the parsing ladder and loads its columns as they
-//! are; [`convert_xml`] feeds it `<entry>` children and transposes the
-//! columns into rows; the streaming driver feeds it chunk by chunk and
-//! takes the new rows typed under the schema so far — one inference, one
-//! typing.
+//! `(field, raw value)` pairs, in one columnar sink ([`RawColumns`]) that
+//! folds the schema as they arrive ([`SchemaFold`]) and reads each cell
+//! once, under its column's type so far: the value is kept for the load,
+//! and a column whose type widens reads its kept cells again under the
+//! wider type. The batch driver feeds the sink from the parsing ladder
+//! and loads its columns as they are; [`convert_xml`] feeds it `<entry>`
+//! children and transposes the columns into rows; the streaming driver
+//! feeds it chunk by chunk and takes the new rows typed under the schema
+//! so far — one inference, one typing.
 
 use crate::error::TransformError;
-use crate::import::{normalize_cell, parse_cell};
+use crate::import::{normalize_cell, parse_cell, read_scalar, text_cell};
 use crate::xml::XmlNode;
 use mscope_db::{Column, ColumnType, Schema, Value};
 use std::ops::Range;
@@ -85,11 +86,33 @@ impl FoldColumn {
     }
 }
 
-/// The type a raw cell contributes to its column's join, under the same
-/// trim/null rules the importer applies: a cell the importer would load as
-/// Null must not widen the column.
-fn cell_type(raw: &str) -> ColumnType {
-    normalize_cell(raw).map_or(ColumnType::Null, Value::infer_type)
+/// Reads one raw cell of a column whose join is `join`: the join the
+/// column has after it, and the cell's value under that join — what
+/// [`parse_cell`] makes of it under that type. The cell is read with the
+/// one parser `join` names; only the first non-null cell and a cell that
+/// parser misses climb the inference ladder, and then the join widens. A
+/// Float must be finite: `inf` reads as `f64` but infers as Text.
+fn read_cell(join: ColumnType, raw: &str) -> (ColumnType, Value) {
+    if join == ColumnType::Text {
+        return (join, text_cell(raw));
+    }
+    // The same trim/null rule the importer applies: a cell it loads as
+    // Null does not widen the column.
+    let Some(t) = normalize_cell(raw) else {
+        return (join, Value::Null);
+    };
+    let hit = read_scalar(join, t).filter(|v| !matches!(v, Value::Float(f) if !f.is_finite()));
+    if let Some(v) = hit {
+        return (join, v);
+    }
+    let v = Value::infer(t);
+    // Below Text the widened join is the cell's own type: a join that
+    // misses a cell is Null or lies under it (an i64 always reads as a
+    // finite f64, so an Int cell never misses a Float column).
+    match join.unify(v.column_type()) {
+        ColumnType::Text => (ColumnType::Text, text_cell(raw)),
+        ty => (ty, v),
+    }
 }
 
 impl SchemaFold {
@@ -100,15 +123,21 @@ impl SchemaFold {
         self.entries - 1
     }
 
-    /// Folds one `(field, raw value)` pair of the open entry in and returns
-    /// the index of the field's column; `owner` names the entry's origin in
-    /// the error.
+    /// Folds one `(field, raw value)` pair of the open entry in: returns
+    /// the index of the field's column, the column's join before the cell
+    /// and the cell's value under the join after it ([`read_cell`]).
+    /// `owner` names the entry's origin in the error.
     ///
     /// # Errors
     ///
     /// [`TransformError::SchemaInference`] if the field repeats within the
     /// entry (ambiguous annotation).
-    fn field(&mut self, owner: &str, name: &str, raw: &str) -> Result<usize, TransformError> {
+    fn field(
+        &mut self,
+        owner: &str,
+        name: &str,
+        raw: &str,
+    ) -> Result<(usize, ColumnType, Value), TransformError> {
         let expected = self.cols.get(self.next).is_some_and(|c| c.name == name);
         let ci = if expected {
             self.next
@@ -117,45 +146,51 @@ impl SchemaFold {
             found.unwrap_or(self.cols.len())
         };
         self.next = ci + 1;
-        match self.cols.get_mut(ci) {
+        let col = match self.cols.get_mut(ci) {
             Some(c) if c.last_entry == self.entries => {
                 return Err(TransformError::SchemaInference(format!(
                     "duplicate field `{name}` within one entry of `{owner}`"
                 )));
             }
-            Some(c) => {
-                c.last_entry = self.entries;
-                // Text is the top of the lattice: no cell can move it, so
-                // none is classified.
-                if c.join != ColumnType::Text {
-                    c.join = c.join.unify(cell_type(raw));
-                }
+            Some(c) => c,
+            None => {
+                // perf: one owned name per *distinct* column, not per field.
+                self.cols.push(FoldColumn {
+                    name: name.to_string(),
+                    join: ColumnType::Null,
+                    last_entry: 0,
+                });
+                &mut self.cols[ci]
             }
-            // perf: one owned name per *distinct* column, not per field.
-            None => self.cols.push(FoldColumn {
-                name: name.to_string(),
-                join: cell_type(raw),
-                last_entry: self.entries,
-            }),
-        }
-        Ok(ci)
+        };
+        col.last_entry = self.entries;
+        let was = col.join;
+        let (join, value) = read_cell(was, raw);
+        col.join = join;
+        Ok((ci, was, value))
     }
 
     /// Folds in one column of a fold that saw later entries, all its cells
-    /// at once, and returns its index here: a new name joins the union, a
-    /// known one widens by the other's join.
-    fn absorb(&mut self, theirs: FoldColumn) -> usize {
+    /// at once: a new name joins the union, a known one widens by the
+    /// other's join. Returns its index here and the join it had before.
+    fn absorb(&mut self, theirs: FoldColumn) -> (usize, ColumnType) {
         let found = self.cols.iter().position(|c| c.name == theirs.name);
         let ci = found.unwrap_or(self.cols.len());
         match self.cols.get_mut(ci) {
-            Some(c) => c.join = c.join.unify(theirs.join),
+            Some(c) => {
+                let was = c.join;
+                c.join = was.unify(theirs.join);
+                (ci, was)
+            }
             // Entry ordinals start at 1: stamp 0 is no open entry's.
-            None => self.cols.push(FoldColumn {
-                last_entry: 0,
-                ..theirs
-            }),
+            None => {
+                self.cols.push(FoldColumn {
+                    last_entry: 0,
+                    ..theirs
+                });
+                (ci, ColumnType::Null)
+            }
         }
-        ci
     }
 
     /// The schema the entries folded so far load under.
@@ -175,14 +210,12 @@ impl SchemaFold {
     }
 }
 
-/// The columnar raw-cell sink: one destination table's entries, kept as
-/// raw text column by column while the schema folds, then typed a column at
-/// a time — the one place in the crate an untyped cell waits for its type,
-/// as one string and one offset vector per column: no node, vector or
-/// string per field. Batch inference
-/// ([`DataTransformer::run_with`](crate::DataTransformer::run_with),
-/// [`convert_xml`]) sees every value before it types any: it fills the sink
-/// and calls [`finish`](RawColumns::finish). Streaming cannot wait: it
+/// The columnar sink: one destination table's entries, each cell read once
+/// under its column's type so far and kept as a value until it is handed
+/// out — the one place in the crate an untyped cell gets its type. Batch
+/// inference ([`DataTransformer::run_with`](crate::DataTransformer::run_with),
+/// [`convert_xml`]) sees every value before it loads any: it fills the
+/// sink and calls [`finish`](RawColumns::finish). Streaming cannot wait: it
 /// takes each chunk's rows typed under the schema so far
 /// ([`take_new`](RawColumns::take_new)) and, when a later cell widens a
 /// column, has the committed ones typed again from the text kept here
@@ -199,22 +232,30 @@ pub(crate) struct RawColumns {
 /// One column of a [`RawColumns`] sink.
 #[derive(Debug, Default)]
 struct RawColumn {
-    /// The raw text of the column's cells, concatenated in row order.
+    /// The cells of the rows not yet handed out — `values[i]` is row
+    /// `committed + i` — each under the column's join as it stands (under a
+    /// `Null` join every cell is `Null`). Rows since the column's last cell
+    /// lacked the field and are filled in as `Null`, the value of a missing
+    /// field under every type, when its next one (or a hand-out) arrives.
+    values: Vec<Value>,
+    /// The raw text of the column's cells, concatenated in row order: the
+    /// cells a widening reads again, and the committed ones a
+    /// [`retype`](RawColumns::retype) reads. A column at `Text` — the top
+    /// of the lattice: its cells are final — adds none, and keeps only
+    /// what committed rows had until the next hand-out lets it go.
     text: String,
     /// Where each row's cell ends in `text`; it starts where the previous
     /// row's ends. A row that lacks the field holds a zero-length cell:
     /// [`parse_cell`] loads an empty cell as `Null` under every type, as a
-    /// missing field loads. Rows since the column's last cell are filled in
-    /// when its next one (or a typing) arrives. `ends[i]` is row
-    /// `released + i`.
+    /// missing field loads. `ends[i]` is row `released + i`.
     ends: Vec<usize>,
     /// Leading rows whose text was let go once they were committed.
     released: usize,
 }
 
 impl RawColumn {
-    /// Gives every row before `row` a cell: one the column has not heard
-    /// from lacked the field.
+    /// Gives every row before `row` a cell in `text`: one the column has
+    /// not heard from lacked the field.
     fn fill(&mut self, row: usize) {
         let kept = row - self.released;
         if self.ends.len() < kept {
@@ -222,30 +263,68 @@ impl RawColumn {
         }
     }
 
-    /// Types the cells of `rows` under `col`'s type as it stands, one
-    /// [`parse_cell`] per cell; rows that start in released text are an
-    /// error, never an index out of range.
-    fn typed(
+    /// The raw text of row `row`, which must be kept.
+    fn raw(&self, row: usize) -> &str {
+        let i = row - self.released;
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[i]]
+    }
+
+    /// Takes in the cell of row `committed + values.len()` or later,
+    /// `value` typed under `join`, the column's join with it.
+    fn push(&mut self, row: usize, committed: usize, join: ColumnType, value: Value, raw: &str) {
+        self.values.resize(row - committed, Value::Null);
+        self.values.push(value);
+        if join != ColumnType::Text {
+            self.fill(row);
+            self.text.push_str(raw);
+            self.ends.push(self.text.len());
+        }
+    }
+
+    /// Reads the held cells again under `to` from their kept text.
+    fn reread(&mut self, to: ColumnType, committed: usize) {
+        self.fill(committed + self.values.len());
+        let values = (0..self.values.len()).map(|i| read_cell(to, self.raw(committed + i)).1);
+        self.values = values.collect();
+    }
+
+    /// Moves the column's join `from` → `to`: the held cells are read again
+    /// under the wider type, and at `Text` their text is let go — only a
+    /// committed row's can still be asked for again.
+    fn widen(&mut self, from: ColumnType, to: ColumnType, committed: usize) {
+        if from == to {
+            return;
+        }
+        self.reread(to, committed);
+        if to == ColumnType::Text {
+            self.fill(committed);
+            let kept = committed - self.released;
+            self.text
+                .truncate(kept.checked_sub(1).map_or(0, |prev| self.ends[prev]));
+            self.ends.truncate(kept);
+        }
+    }
+
+    /// Types the committed cells of `rows` under `col`'s type as it
+    /// stands, one [`parse_cell`] per cell; rows that start in released
+    /// text are an error, never an index out of range.
+    fn retyped(
         &mut self,
         table: &str,
         col: &FoldColumn,
         rows: Range<usize>,
     ) -> Result<Vec<Value>, TransformError> {
-        let Some(first) = rows.start.checked_sub(self.released) else {
+        if rows.start < self.released {
             return Err(TransformError::SchemaInference(format!(
                 "typing `{table}` from row {} needs raw text column `{}` released up to row {}",
                 rows.start, col.name, self.released
             )));
-        };
+        }
         self.fill(rows.end);
         let ty = col.ty();
-        let mut values = Vec::with_capacity(rows.len());
-        let mut start = first.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        for &end in &self.ends[first..rows.end - self.released] {
-            values.push(parse_cell(table, &col.name, ty, &self.text[start..end])?);
-            start = end;
-        }
-        Ok(values)
+        rows.map(|row| parse_cell(table, &col.name, ty, self.raw(row)))
+            .collect()
     }
 }
 
@@ -259,9 +338,9 @@ pub(crate) struct TypedColumns {
 }
 
 impl RawColumns {
-    /// Takes one entry in: folds its fields into the schema and appends
-    /// their raw text to their columns. `owner` names the entry's origin
-    /// in the error.
+    /// Takes one entry in: folds its fields into the schema and keeps their
+    /// values (and, below `Text`, their raw text) in their columns. `owner`
+    /// names the entry's origin in the error.
     ///
     /// # Errors
     ///
@@ -274,11 +353,12 @@ impl RawColumns {
     ) -> Result<(), TransformError> {
         let row = self.fold.begin_entry();
         for (name, raw) in fields {
-            let ci = self.fold.field(owner, name, raw)?;
+            let (ci, was, value) = self.fold.field(owner, name, raw)?;
+            let join = self.fold.cols[ci].join;
+            let committed = self.committed;
             let col = self.column(ci);
-            col.fill(row);
-            col.text.push_str(raw);
-            col.ends.push(col.text.len());
+            col.widen(was, join, committed);
+            col.push(row, committed, join, value, raw);
         }
         Ok(())
     }
@@ -297,14 +377,22 @@ impl RawColumns {
     /// file's new lines into a sink of its own, on any worker, and appends
     /// those to their table's in declaration order.
     pub(crate) fn append(&mut self, chunk: RawColumns) {
-        let rows = self.fold.entries;
-        for (theirs, cells) in chunk.fold.cols.into_iter().zip(chunk.cols) {
-            let ci = self.fold.absorb(theirs);
+        let (rows, committed) = (self.fold.entries, self.committed);
+        for (theirs, mut cells) in chunk.fold.cols.into_iter().zip(chunk.cols) {
+            let their_join = theirs.join;
+            let (ci, was) = self.fold.absorb(theirs);
+            let join = self.fold.cols[ci].join;
+            cells.widen(their_join, join, 0);
             let col = self.column(ci);
-            col.fill(rows);
-            let base = col.text.len();
-            col.text.push_str(&cells.text);
-            col.ends.extend(cells.ends.iter().map(|end| base + end));
+            col.widen(was, join, committed);
+            col.values.resize(rows - committed, Value::Null);
+            col.values.append(&mut cells.values);
+            if join != ColumnType::Text {
+                col.fill(rows);
+                let base = col.text.len();
+                col.text.push_str(&cells.text);
+                col.ends.extend(cells.ends.iter().map(|end| base + end));
+            }
         }
         self.fold.entries += chunk.fold.entries;
     }
@@ -325,21 +413,22 @@ impl RawColumns {
         self.fold.schema()
     }
 
-    /// Types the rows that came in since the last call, column by column
-    /// under the schema as it stands, and counts them committed. A column
-    /// at `Text` — the top of the lattice: no later cell can re-type it —
-    /// lets the text of every committed row go; any other column keeps it
-    /// for [`retype`](RawColumns::retype).
-    ///
-    /// # Errors
-    ///
-    /// [`TransformError::BadCell`] if a cell fails to load as the type
-    /// inferred for its column.
-    pub(crate) fn take_new(&mut self, table: &str) -> Result<Vec<Vec<Value>>, TransformError> {
-        let rows = self.fold.entries;
+    /// Hands out the rows that came in since the last call, column by
+    /// column under the schema as it stands, and counts them committed. A
+    /// column at `Text` — the top of the lattice: no later cell can re-type
+    /// it — lets the text of every committed row go; any other column keeps
+    /// it for [`retype`](RawColumns::retype).
+    pub(crate) fn take_new(&mut self) -> Vec<Vec<Value>> {
+        let (rows, committed) = (self.fold.entries, self.committed);
         let mut columns = Vec::with_capacity(self.cols.len());
         for (col, raw) in self.fold.cols.iter().zip(&mut self.cols) {
-            columns.push(raw.typed(table, col, self.committed..rows)?);
+            // A column with no non-null cell yet loads as Text: its cells
+            // verbatim, `-` and padding included.
+            if col.join == ColumnType::Null {
+                raw.reread(ColumnType::Text, committed);
+            }
+            raw.values.resize(rows - committed, Value::Null);
+            columns.push(std::mem::take(&mut raw.values));
             if col.join == ColumnType::Text {
                 raw.text.clear();
                 raw.ends.clear();
@@ -347,34 +436,33 @@ impl RawColumns {
             }
         }
         self.committed = rows;
-        Ok(columns)
+        columns
     }
 
     /// Types the committed rows of column `ci` again, under its type as it
     /// stands now: what a table that loaded them under a narrower type — or
-    /// before the column existed, all absent — migrates to. Errors as
-    /// [`take_new`](RawColumns::take_new), and with
-    /// [`TransformError::SchemaInference`] if the column let that text go.
+    /// before the column existed, all absent — migrates to.
+    ///
+    /// # Errors
+    ///
+    /// [`TransformError::BadCell`] if a cell fails to load as the type
+    /// inferred for its column; [`TransformError::SchemaInference`] if the
+    /// column let that text go.
     pub(crate) fn retype(&mut self, table: &str, ci: usize) -> Result<Vec<Value>, TransformError> {
-        self.cols[ci].typed(table, &self.fold.cols[ci], 0..self.committed)
+        self.cols[ci].retyped(table, &self.fold.cols[ci], 0..self.committed)
     }
 
-    /// Types every column under its final lattice type; a column's raw
-    /// text is freed as soon as it is typed. `table` names the destination
-    /// in the error.
+    /// Hands out every row not yet handed out — for a sink that was only
+    /// ever filled, every row — with the schema they load under.
     ///
     /// # Errors
     ///
     /// [`TransformError::SchemaInference`] if the warehouse rejects the
-    /// column set; [`TransformError::BadCell`] if a cell fails to load as
-    /// the type inferred for its column.
-    pub(crate) fn finish(self, table: &str) -> Result<TypedColumns, TransformError> {
+    /// column set.
+    pub(crate) fn finish(mut self) -> Result<TypedColumns, TransformError> {
         let schema = self.fold.schema()?;
-        let rows = self.fold.entries;
-        let mut columns = Vec::with_capacity(self.cols.len());
-        for (col, mut raw) in self.fold.cols.iter().zip(self.cols) {
-            columns.push(raw.typed(table, col, 0..rows)?);
-        }
+        let rows = self.fold.entries - self.committed;
+        let columns = self.take_new();
         Ok(TypedColumns {
             schema,
             columns,
@@ -394,10 +482,7 @@ impl RawColumns {
 /// # Errors
 ///
 /// [`TransformError::SchemaInference`] if an entry carries duplicate field
-/// names (ambiguous annotation); [`TransformError::BadCell`] if a cell
-/// fails to load as the type inferred for its column (internally
-/// inconsistent pipeline — cannot happen while inference and loading share
-/// [`normalize_cell`], but never loads silently-wrong data).
+/// names (ambiguous annotation).
 pub fn convert_xml(docs: &[XmlNode]) -> Result<ConvertedTable, TransformError> {
     let mut sink = RawColumns::default();
     for doc in docs {
@@ -407,8 +492,7 @@ pub fn convert_xml(docs: &[XmlNode]) -> Result<ConvertedTable, TransformError> {
             sink.entry(source, fields.map(|f| (f.name.as_str(), f.text.as_str())))?;
         }
     }
-    let table = docs.first().and_then(|d| d.get_attr("table"));
-    let typed = sink.finish(table.unwrap_or("?"))?;
+    let typed = sink.finish()?;
     // Transpose: every column is `rows` long, so each row draws one cell
     // from each.
     let mut columns: Vec<_> = typed.columns.into_iter().map(Vec::into_iter).collect();
@@ -545,20 +629,131 @@ mod tests {
         assert!(out.schema.is_empty());
     }
 
+    #[test]
+    fn overflowing_wallclock_cell_loads_as_text() {
+        let d = doc(vec![
+            entry(&[("t", "00:00:01.000000")]),
+            entry(&[("t", "6000000000:00:00")]),
+        ]);
+        let out = convert_xml(&[d]).unwrap();
+        assert_eq!(out.schema.columns()[0].ty, ColumnType::Text);
+        assert_eq!(out.rows[1][0], Value::Text("6000000000:00:00".into()));
+    }
+
+    /// Cells at and beside the edges of each parser and of the lattice.
+    const HOSTILE: &[&str] = &[
+        "+5",
+        "-0",
+        " 42 ",
+        "9007199254740991",
+        "9007199254740993",
+        "9223372036854775807",
+        "-9223372036854775807",
+        "-9223372036854775808",
+        "9223372036854775808",
+        "1e999",
+        "inf",
+        "NaN",
+        "2.5",
+        "00:61:00",
+        "12",
+        "6000000000:00:00",
+        "TRUE",
+    ];
+
     /// One raw cell of a column whose cells are mostly of `kind`.
     fn raw_cell(g: &mut mscope_sim::prop::Gen, kind: usize) -> String {
         let kind = match g.usize(0..=9) {
             0 => return "-".into(),
             1 => return String::new(),
-            2 => g.usize(0..=3),
+            2 => return g.choose(HOSTILE).into(),
+            3 => g.usize(0..=4),
             _ => kind,
         };
         match kind {
             0 => format!(" {} ", g.i64(-50..=5000)),
             1 => format!("{:.3}", g.f64(0.0..90.0)),
             2 => format!("00:00:{:02}.{:06}", g.u64(0..=59), g.u64(0..=999_999)),
+            // A request ID: decimal until the first hex letter.
+            3 => format!("{:08x}", g.u64(0..=0xffff)),
             _ => format!("tx {}", g.ident(3)),
         }
+    }
+
+    const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+    /// Entries over [`NAMES`], each column mostly of one kind, each field
+    /// present seven times in ten.
+    fn arb_entries(g: &mut mscope_sim::prop::Gen) -> Vec<Vec<(&'static str, String)>> {
+        let kinds: Vec<usize> = NAMES.iter().map(|_| g.usize(0..=4)).collect();
+        g.vec(1..=40, |g| {
+            let mut fields = Vec::new();
+            for (name, &kind) in NAMES.iter().zip(&kinds) {
+                if g.usize(0..=9) < 7 {
+                    fields.push((*name, raw_cell(g, kind)));
+                }
+            }
+            fields
+        })
+    }
+
+    fn feed(sink: &mut RawColumns, e: &[(&str, String)]) -> Result<(), String> {
+        sink.entry("t.log", e.iter().map(|(k, v)| (*k, v.as_str())))
+            .map_err(|e| e.to_string())
+    }
+
+    /// The fold the sink replaced: every cell's ladder type joined into its
+    /// column's, then every cell typed under the final join by
+    /// [`parse_cell`] — the oracle for reading each cell once.
+    fn ladder_then_parse_cell(
+        entries: &[Vec<(&str, String)>],
+    ) -> Result<(Vec<Column>, Vec<Vec<Value>>), TransformError> {
+        let mut cols: Vec<Column> = Vec::new();
+        for e in entries {
+            for (name, raw) in e {
+                let ty = normalize_cell(raw).map_or(ColumnType::Null, Value::infer_type);
+                match cols.iter_mut().find(|c| c.name == *name) {
+                    Some(c) => c.ty = c.ty.unify(ty),
+                    None => cols.push(Column::new(*name, ty)),
+                }
+            }
+        }
+        let mut columns = Vec::with_capacity(cols.len());
+        for col in &mut cols {
+            if col.ty == ColumnType::Null {
+                col.ty = ColumnType::Text;
+            }
+            let cell = |e: &Vec<(&str, String)>| {
+                let raw = e
+                    .iter()
+                    .find(|(k, _)| *k == col.name)
+                    .map_or("", |(_, v)| v);
+                parse_cell("t", &col.name, col.ty, raw)
+            };
+            columns.push(entries.iter().map(cell).collect::<Result<_, _>>()?);
+        }
+        Ok((cols, columns))
+    }
+
+    #[test]
+    fn one_read_sink_is_ladder_then_parse_cell() {
+        mscope_sim::prop::forall("one-read sink is ladder then parse_cell", 1000, |g| {
+            let entries = arb_entries(g);
+            let mut sink = RawColumns::default();
+            for e in &entries {
+                feed(&mut sink, e)?;
+            }
+            let got = sink.finish().map_err(|e| e.to_string())?;
+            let (cols, want) = ladder_then_parse_cell(&entries).map_err(|e| e.to_string())?;
+            mscope_sim::prop_ensure!(got.schema.columns() == cols, "{}", got.schema);
+            // Debug text: `-0.0` and `0.0` are equal floats.
+            mscope_sim::prop_ensure!(
+                format!("{:?}", got.columns) == format!("{want:?}"),
+                "{:?} vs {want:?}",
+                got.columns
+            );
+            Ok(())
+        });
     }
 
     /// Drives a sink the way the streaming driver does — chunk-local sinks
@@ -568,31 +763,26 @@ mod tests {
     #[test]
     fn incremental_typing_is_one_shot_finish() {
         use std::cell::Cell;
-        const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
-        // (a) a released column took more rows, (b) a new column arrived
-        // after a release, (c) a committed column widened.
-        let reached = [Cell::new(0), Cell::new(0), Cell::new(0)];
+        // (0) a released column took more rows, (1) a new column arrived
+        // after a release, (2) a committed column widened, (3) from Int to
+        // Float, (4) from Int to Text, (5) a Float column met a cell that
+        // reads as a non-finite f64.
+        let reached: [Cell<usize>; 6] = Default::default();
         let hit = |case: usize| reached[case].set(reached[case].get() + 1);
         mscope_sim::prop::forall("incremental typing is one-shot finish", 300, |g| {
-            let kinds: Vec<usize> = NAMES.iter().map(|_| g.usize(0..=3)).collect();
-            let entries = g.vec(1..=40, |g| {
-                let mut fields = Vec::new();
-                for (name, &kind) in NAMES.iter().zip(&kinds) {
-                    if g.usize(0..=9) < 7 {
-                        fields.push((*name, raw_cell(g, kind)));
-                    }
-                }
-                fields
-            });
-            let feed = |sink: &mut RawColumns, e: &[(&str, String)]| {
-                sink.entry("t.log", e.iter().map(|(k, v)| (*k, v.as_str())))
-                    .map_err(|e| e.to_string())
-            };
+            let entries = arb_entries(g);
             let mut whole = RawColumns::default();
             for e in &entries {
+                for (name, raw) in e {
+                    let join = whole.fold.cols.iter().find(|c| c.name == *name);
+                    let non_finite = raw.trim().parse::<f64>().is_ok_and(|f| !f.is_finite());
+                    if non_finite && join.is_some_and(|c| c.join == ColumnType::Float) {
+                        hit(5);
+                    }
+                }
                 feed(&mut whole, e)?;
             }
-            let want = whole.finish("t").map_err(|e| e.to_string())?;
+            let want = whole.finish().map_err(|e| e.to_string())?;
 
             let mut sink = RawColumns::default();
             let mut chunk = RawColumns::default();
@@ -621,7 +811,14 @@ mod tests {
                         Some(cells) => std::mem::take(cells),
                         None => {
                             match old {
-                                Some(_) if sink.committed() > 0 => hit(2),
+                                Some(oi) if sink.committed() > 0 => {
+                                    hit(2);
+                                    match (was.columns()[oi].ty, col.ty) {
+                                        (ColumnType::Int, ColumnType::Float) => hit(3),
+                                        (ColumnType::Int, ColumnType::Text) => hit(4),
+                                        _ => {}
+                                    }
+                                }
                                 None if released.contains(&true) => hit(1),
                                 _ => {}
                             }
@@ -640,15 +837,15 @@ mod tests {
                         "released column {ci} re-typed"
                     );
                 }
-                let new = sink.take_new("t").map_err(|e| e.to_string())?;
-                for (cells, new) in cols.iter_mut().zip(new) {
+                for (cells, new) in cols.iter_mut().zip(sink.take_new()) {
                     cells.extend(new);
                 }
             }
             let (schema, cols) = table.ok_or("no flush")?;
             mscope_sim::prop_ensure!(schema == want.schema, "{schema} vs {}", want.schema);
             mscope_sim::prop_ensure!(sink.committed() == want.rows, "rows");
-            // Debug text: a NaN cell is not equal to itself.
+            // Debug text: a NaN cell is not equal to itself, and `-0.0`
+            // equals `0.0`.
             mscope_sim::prop_ensure!(
                 format!("{cols:?}") == format!("{:?}", want.columns),
                 "{cols:?} vs {:?}",

@@ -51,33 +51,46 @@ pub fn parse_cell(
     raw: &str,
 ) -> Result<Value, TransformError> {
     if let ColumnType::Null | ColumnType::Text = ty {
-        return Ok(if raw.is_empty() {
-            Value::Null
-        } else {
-            Value::Text(raw.to_string())
-        });
+        return Ok(text_cell(raw));
     }
     let Some(t) = normalize_cell(raw) else {
         return Ok(Value::Null);
     };
-    let bad = || TransformError::BadCell {
+    read_scalar(ty, t).ok_or_else(|| TransformError::BadCell {
         table: table.to_string(),
         column: column.to_string(),
         value: raw.to_string(),
         expected: ty,
-    };
+    })
+}
+
+/// A raw cell loaded into a text column: verbatim, and Null only when it
+/// is empty (how the sink holds a missing field).
+pub(crate) fn text_cell(raw: &str) -> Value {
+    if raw.is_empty() {
+        Value::Null
+    } else {
+        Value::Text(raw.to_string())
+    }
+}
+
+/// A normalized cell read as a value of the scalar type `ty` — the one
+/// parser each type names, shared by [`parse_cell`] and the converter's
+/// sink. `None` if `t` does not read as `ty`, or `ty` is not a scalar
+/// type.
+pub(crate) fn read_scalar(ty: ColumnType, t: &str) -> Option<Value> {
     match ty {
-        ColumnType::Null | ColumnType::Text => Ok(Value::Text(raw.to_string())),
+        ColumnType::Null | ColumnType::Text => None,
         ColumnType::Bool => match t {
-            "true" | "TRUE" | "True" => Ok(Value::Bool(true)),
-            "false" | "FALSE" | "False" => Ok(Value::Bool(false)),
-            _ => Err(bad()),
+            "true" | "TRUE" | "True" => Some(Value::Bool(true)),
+            "false" | "FALSE" | "False" => Some(Value::Bool(false)),
+            _ => None,
         },
-        ColumnType::Int => t.parse::<i64>().map(Value::Int).map_err(|_| bad()),
-        ColumnType::Float => t.parse::<f64>().map(Value::Float).map_err(|_| bad()),
-        ColumnType::Timestamp => mscope_sim::parse_wallclock(t)
-            .map(|ts| Value::Timestamp(ts.as_micros() as i64))
-            .ok_or_else(bad),
+        ColumnType::Int => t.parse().ok().map(Value::Int),
+        ColumnType::Float => t.parse().ok().map(Value::Float),
+        ColumnType::Timestamp => {
+            mscope_sim::parse_wallclock(t).map(|ts| Value::Timestamp(ts.as_micros() as i64))
+        }
     }
 }
 

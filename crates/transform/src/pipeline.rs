@@ -64,9 +64,8 @@ impl RunOptions {
 
 /// Runs the parse→convert front for one table group: every entry of every
 /// file, in file order, goes from the parsing ladder straight into one
-/// columnar sink, which types its columns once the last entry is in.
+/// columnar sink, which types each cell as it arrives.
 fn convert_group(
-    table: &str,
     decls: &[&ParsingDeclaration],
     store: &LogStore,
 ) -> Result<TypedColumns, TransformError> {
@@ -77,7 +76,7 @@ fn convert_group(
             .ok_or_else(|| TransformError::MissingFile(d.path.clone()))?;
         d.for_each_entry(content, &mut |fields| sink.entry(&d.path, fields.iter()))?;
     }
-    sink.finish(table)
+    sink.finish()
 }
 
 /// Populates the static metadata tables (`monitors`, `log_files`) from the
@@ -217,7 +216,7 @@ impl DataTransformer {
         // error surfaced below is the first in table order for any worker
         // count.
         let results = parallel_map(groups.len(), workers, |i| {
-            convert_group(groups[i].0, &groups[i].1, store)
+            convert_group(&groups[i].1, store)
         });
 
         // Load stage: serial, in table order — this is what makes reports
@@ -589,7 +588,7 @@ mod tests {
             mscope_sim::prop_ensure!(got.starts_with("Err(BadDeclaration"), "{got}");
             let d = &dup.declarations[di];
             let content = art.store.read(&d.path).expect("rendered");
-            let direct = convert_group(&d.table, &[d], &art.store).map(|t| t.rows);
+            let direct = convert_group(&[d], &art.store).map(|t| t.rows);
             let via_xml = d
                 .execute(content)
                 .and_then(|doc| crate::convert_xml(&[doc]))

@@ -305,7 +305,7 @@ impl TableSink {
         {
             self.migrate(db, schema)?;
         }
-        let columns = self.raw.take_new(&self.table)?;
+        let columns = self.raw.take_new();
         db.insert_columns(&self.table, columns)
             .map_err(TransformError::Db)?;
         Ok(())

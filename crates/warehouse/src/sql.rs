@@ -915,6 +915,8 @@ mod tests {
             "SELECT node, MAX(util) FROM disk", // keyed agg without GROUP BY
             "SELECT node FROM disk GROUP BY node", // GROUP BY without agg
             "SELECT * FROM disk WHERE node = 'unterminated",
+            // Past the widest timestamp: rejected, not overflowed.
+            "SELECT * FROM disk WHERE time > time '6000000000:00:00'",
         ] {
             assert!(
                 matches!(db.query(bad), Err(DbError::BadQuery(_))),

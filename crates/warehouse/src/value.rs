@@ -430,6 +430,7 @@ mod tests {
             "00:00:01.5",
             "12:59:59.123456789",
             "00:61:00",
+            "6000000000:00:00",
             ":",
             " ",
             "  ",
@@ -457,6 +458,7 @@ mod tests {
             ("tRue", ColumnType::Text),
             (" 00:00:01.5 ", ColumnType::Timestamp),
             ("00:61:00", ColumnType::Text),
+            ("6000000000:00:00", ColumnType::Text),
             ("0000a3f1", ColumnType::Text),
         ] {
             assert_eq!(Value::infer_type(cell), ty, "{cell:?}");

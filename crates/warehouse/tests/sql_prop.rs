@@ -887,7 +887,7 @@ const VOCAB: [&str; 44] = [
 ];
 
 fn arb_hostile_literal(g: &mut Gen) -> String {
-    match g.usize(0..=9) {
+    match g.usize(0..=10) {
         0 => "99999999999999999999999999".to_string(),
         1 => "-9223372036854775808".to_string(),
         2 => "9223372036854775808".to_string(),
@@ -898,6 +898,8 @@ fn arb_hostile_literal(g: &mut Gen) -> String {
         7 => format!("'{}'", g.string(0..=6).replace('\'', "''")),
         // Bare non-ASCII and stray punctuation: lexer errors.
         8 => g.string(1..=4),
+        // An hour field whose microseconds overflow `i64`.
+        9 => "time '6000000000:00:00'".to_string(),
         _ => g.i64(-1_000_000..=1_000_000).to_string(),
     }
 }
