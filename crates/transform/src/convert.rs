@@ -86,32 +86,34 @@ impl FoldColumn {
     }
 }
 
-/// Reads one raw cell of a column whose join is `join`: the join the
-/// column has after it, and the cell's value under that join — what
-/// [`parse_cell`] makes of it under that type. The cell is read with the
-/// one parser `join` names; only the first non-null cell and a cell that
-/// parser misses climb the inference ladder, and then the join widens. A
-/// Float must be finite: `inf` reads as `f64` but infers as Text.
-fn read_cell(join: ColumnType, raw: &str) -> (ColumnType, Value) {
+/// Reads one raw cell of a column whose join is `join`: the cell's value
+/// under the join the column has after it — what [`parse_cell`] makes of
+/// it under that type. That join is the value's type, or `join` for a
+/// `Null` value. The cell is read with the one parser `join` names; only
+/// the first non-null cell and a cell that parser misses climb the
+/// inference ladder, and then the join widens. A Float must be finite:
+/// `inf` reads as `f64` but infers as Text.
+fn read_cell(join: ColumnType, raw: &str) -> Value {
     if join == ColumnType::Text {
-        return (join, text_cell(raw));
+        return text_cell(raw);
     }
     // The same trim/null rule the importer applies: a cell it loads as
     // Null does not widen the column.
     let Some(t) = normalize_cell(raw) else {
-        return (join, Value::Null);
+        return Value::Null;
     };
-    let hit = read_scalar(join, t).filter(|v| !matches!(v, Value::Float(f) if !f.is_finite()));
-    if let Some(v) = hit {
-        return (join, v);
+    match read_scalar(join, t) {
+        Some(Value::Float(f)) if !f.is_finite() => {}
+        Some(v) => return v,
+        None => {}
     }
-    let v = Value::infer(t);
     // Below Text the widened join is the cell's own type: a join that
     // misses a cell is Null or lies under it (an i64 always reads as a
     // finite f64, so an Int cell never misses a Float column).
+    let v = Value::infer(t);
     match join.unify(v.column_type()) {
-        ColumnType::Text => (ColumnType::Text, text_cell(raw)),
-        ty => (ty, v),
+        ColumnType::Text => text_cell(raw),
+        _ => v,
     }
 }
 
@@ -123,21 +125,16 @@ impl SchemaFold {
         self.entries - 1
     }
 
-    /// Folds one `(field, raw value)` pair of the open entry in: returns
-    /// the index of the field's column, the column's join before the cell
-    /// and the cell's value under the join after it ([`read_cell`]).
-    /// `owner` names the entry's origin in the error.
+    /// Folds one field of the open entry into the column union and
+    /// returns the index of its column; `owner` names the entry's origin
+    /// in the error. The caller folds the cell's type in
+    /// ([`RawColumn::push`]).
     ///
     /// # Errors
     ///
     /// [`TransformError::SchemaInference`] if the field repeats within the
     /// entry (ambiguous annotation).
-    fn field(
-        &mut self,
-        owner: &str,
-        name: &str,
-        raw: &str,
-    ) -> Result<(usize, ColumnType, Value), TransformError> {
+    fn field(&mut self, owner: &str, name: &str) -> Result<usize, TransformError> {
         let expected = self.cols.get(self.next).is_some_and(|c| c.name == name);
         let ci = if expected {
             self.next
@@ -146,28 +143,21 @@ impl SchemaFold {
             found.unwrap_or(self.cols.len())
         };
         self.next = ci + 1;
-        let col = match self.cols.get_mut(ci) {
+        match self.cols.get_mut(ci) {
             Some(c) if c.last_entry == self.entries => {
                 return Err(TransformError::SchemaInference(format!(
                     "duplicate field `{name}` within one entry of `{owner}`"
                 )));
             }
-            Some(c) => c,
-            None => {
-                // perf: one owned name per *distinct* column, not per field.
-                self.cols.push(FoldColumn {
-                    name: name.to_string(),
-                    join: ColumnType::Null,
-                    last_entry: 0,
-                });
-                &mut self.cols[ci]
-            }
-        };
-        col.last_entry = self.entries;
-        let was = col.join;
-        let (join, value) = read_cell(was, raw);
-        col.join = join;
-        Ok((ci, was, value))
+            Some(c) => c.last_entry = self.entries,
+            // perf: one owned name per *distinct* column, not per field.
+            None => self.cols.push(FoldColumn {
+                name: name.to_string(),
+                join: ColumnType::Null,
+                last_entry: self.entries,
+            }),
+        }
+        Ok(ci)
     }
 
     /// Folds in one column of a fold that saw later entries, all its cells
@@ -270,22 +260,32 @@ impl RawColumn {
         &self.text[start..self.ends[i]]
     }
 
-    /// Takes in the cell of row `committed + values.len()` or later,
-    /// `value` typed under `join`, the column's join with it.
-    fn push(&mut self, row: usize, committed: usize, join: ColumnType, value: Value, raw: &str) {
-        self.values.resize(row - committed, Value::Null);
+    /// Takes in the raw cell of row `committed + values.len()` or later,
+    /// read under `join`, the column's join so far ([`read_cell`]), and
+    /// returns the column's join with it.
+    fn push(&mut self, row: usize, committed: usize, join: ColumnType, raw: &str) -> ColumnType {
+        let value = read_cell(join, raw);
+        let to = match &value {
+            Value::Null => join,
+            v => v.column_type(),
+        };
+        self.widen(join, to, committed);
+        if self.values.len() < row - committed {
+            self.values.resize(row - committed, Value::Null);
+        }
         self.values.push(value);
-        if join != ColumnType::Text {
+        if to != ColumnType::Text {
             self.fill(row);
             self.text.push_str(raw);
             self.ends.push(self.text.len());
         }
+        to
     }
 
     /// Reads the held cells again under `to` from their kept text.
     fn reread(&mut self, to: ColumnType, committed: usize) {
         self.fill(committed + self.values.len());
-        let values = (0..self.values.len()).map(|i| read_cell(to, self.raw(committed + i)).1);
+        let values = (0..self.values.len()).map(|i| read_cell(to, self.raw(committed + i)));
         self.values = values.collect();
     }
 
@@ -353,12 +353,12 @@ impl RawColumns {
     ) -> Result<(), TransformError> {
         let row = self.fold.begin_entry();
         for (name, raw) in fields {
-            let (ci, was, value) = self.fold.field(owner, name, raw)?;
-            let join = self.fold.cols[ci].join;
-            let committed = self.committed;
-            let col = self.column(ci);
-            col.widen(was, join, committed);
-            col.push(row, committed, join, value, raw);
+            let ci = self.fold.field(owner, name)?;
+            if ci == self.cols.len() {
+                self.cols.push(RawColumn::default());
+            }
+            let join = &mut self.fold.cols[ci].join;
+            *join = self.cols[ci].push(row, self.committed, *join, raw);
         }
         Ok(())
     }

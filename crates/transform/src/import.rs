@@ -12,7 +12,7 @@ use crate::error::TransformError;
 use mscope_db::{ColumnType, Database, Schema, Value};
 
 /// The one shared cell-normalization rule for *typed* (non-text) columns:
-/// trims ASCII whitespace and maps an empty or `-` cell to `None` (the
+/// trims whitespace and maps an empty or `-` cell to `None` (the
 /// SAR/IOstat "no sample" marker). Schema inference and cell loading both
 /// route through this function, so the types inferred from a cell are
 /// provably the types its loaded value carries.
@@ -21,7 +21,15 @@ use mscope_db::{ColumnType, Database, Schema, Value};
 /// legitimate `-` or padded string in a text column must load verbatim
 /// (see [`parse_cell`]).
 pub fn normalize_cell(raw: &str) -> Option<&str> {
-    let t = raw.trim();
+    // A cell that starts and ends in a visible ASCII character has no
+    // whitespace to trim: the common case skips the char-wise scan.
+    let visible = |b: Option<&u8>| b.is_some_and(u8::is_ascii_graphic);
+    let bytes = raw.as_bytes();
+    let t = if visible(bytes.first()) && visible(bytes.last()) {
+        raw
+    } else {
+        raw.trim()
+    };
     if t.is_empty() || t == "-" {
         None
     } else {
@@ -240,6 +248,10 @@ mod tests {
         assert_eq!(normalize_cell("-"), None);
         assert_eq!(normalize_cell(" - "), None);
         assert_eq!(normalize_cell("-1"), Some("-1"), "negative number kept");
+        // Whitespace beyond ASCII's visible range is trimmed too.
+        assert_eq!(normalize_cell("\u{a0}42\u{2003}"), Some("42"));
+        assert_eq!(normalize_cell("42\x0b"), Some("42"));
+        assert_eq!(normalize_cell("\x0b-\t"), None);
     }
 
     #[test]

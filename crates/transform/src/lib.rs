@@ -32,9 +32,9 @@
 //!
 //! * [`DataTransformer`] is the batch driver: over a monitor manifest's
 //!   finished files it feeds every entry of a destination table, as the
-//!   parsers emit it, into one columnar raw-cell sink, types the sink's
-//!   columns once the table's last entry is in, and loads the typed
-//!   columns whole. The CPU-bound front fans out per table with
+//!   parsers emit it, into one columnar sink, which types each cell as it
+//!   arrives under its column's type so far, and loads the typed columns
+//!   whole once the table's last entry is in. The CPU-bound front fans out per table with
 //!   `mscope_sim::parallel_map` ([`RunOptions`] is the worker count); the
 //!   warehouse loads stay serial and deterministic.
 //! * [`StreamingTransformer`] is the incremental driver: it tails the

@@ -11,8 +11,9 @@
 //! What a line or an entry element *means* is not decided here. The staged
 //! ladder and the XML entry mapper are
 //! [`ParsingDeclaration::staged_line`] / [`ParsingDeclaration::xml_entry`],
-//! schema inference, the raw cells waiting for their type and the typing
-//! itself are the columnar sink batch fills too ([`RawColumns`]), and the
+//! schema inference, the one read of each cell under its column's type so
+//! far and the raw text a wider type reads again are the columnar sink
+//! batch fills too ([`RawColumns`]), and the
 //! `monitors` / `log_files` registration is [`register_metadata`]. This
 //! module owns only what batch has no counterpart for:
 //!
@@ -35,9 +36,11 @@
 //!   introduces a column), the committed prefix is rebuilt under the new
 //!   schema — unchanged columns copied, changed and new ones re-typed by
 //!   the sink from the text it kept — and swapped in with
-//!   [`Database::replace_table`]. Batch types each cell once with the
-//!   final type; streaming types the same raw text again with the same
-//!   final type, in the same loop, so the values are byte-identical.
+//!   [`Database::replace_table`]. Both drivers hold each cell as what
+//!   [`parse_cell`](crate::parse_cell) makes of its text under the
+//!   column's type as it stands; a committed cell whose column widened is
+//!   typed again from the same text under the final type, so the values
+//!   are byte-identical.
 //!
 //! ## Convergence with batch
 //!
