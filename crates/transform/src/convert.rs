@@ -14,13 +14,14 @@
 //! and the load path builds no XML either: entries collect, as borrowed
 //! `(field, raw value)` pairs, in one columnar sink ([`RawColumns`]) that
 //! folds the schema as they arrive ([`SchemaFold`]) and reads each cell
-//! once, under its column's type so far: the value is kept for the load,
-//! and a column whose type widens reads its kept cells again under the
-//! wider type. The batch driver feeds the sink from the parsing ladder
-//! and loads its columns as they are; [`convert_xml`] feeds it `<entry>`
-//! children and transposes the columns into rows; the streaming driver
-//! feeds it chunk by chunk and takes the new rows typed under the schema
-//! so far — one inference, one typing.
+//! once, under its column's type so far. A cell of a scalar column is kept
+//! as its value for the load, a Text cell as its text until the column is
+//! handed out, and a column whose type widens reads its kept text again
+//! under the wider type. The batch driver feeds the sink from the parsing
+//! ladder and loads its columns as they are; [`convert_xml`] feeds it
+//! `<entry>` children and transposes the columns into rows; the streaming
+//! driver feeds it chunk by chunk and takes the new rows typed under the
+//! schema so far — one inference, one typing.
 
 use crate::error::TransformError;
 use crate::import::{normalize_cell, parse_cell, read_scalar, text_cell};
@@ -94,9 +95,6 @@ impl FoldColumn {
 /// inference ladder, and then the join widens. A Float must be finite:
 /// `inf` reads as `f64` but infers as Text.
 fn read_cell(join: ColumnType, raw: &str) -> Value {
-    if join == ColumnType::Text {
-        return text_cell(raw);
-    }
     // The same trim/null rule the importer applies: a cell it loads as
     // Null does not widen the column.
     let Some(t) = normalize_cell(raw) else {
@@ -201,9 +199,10 @@ impl SchemaFold {
 }
 
 /// The columnar sink: one destination table's entries, each cell read once
-/// under its column's type so far and kept as a value until it is handed
-/// out — the one place in the crate an untyped cell gets its type. Batch
-/// inference ([`DataTransformer::run_with`](crate::DataTransformer::run_with),
+/// under its column's type so far and, in a column of a scalar type, kept
+/// as a value until it is handed out — the one place in the crate an
+/// untyped cell gets its type. Batch inference
+/// ([`DataTransformer::run_with`](crate::DataTransformer::run_with),
 /// [`convert_xml`]) sees every value before it loads any: it fills the
 /// sink and calls [`finish`](RawColumns::finish). Streaming cannot wait: it
 /// takes each chunk's rows typed under the schema so far
@@ -222,17 +221,17 @@ pub(crate) struct RawColumns {
 /// One column of a [`RawColumns`] sink.
 #[derive(Debug, Default)]
 struct RawColumn {
-    /// The cells of the rows not yet handed out — `values[i]` is row
-    /// `committed + i` — each under the column's join as it stands (under a
-    /// `Null` join every cell is `Null`). Rows since the column's last cell
-    /// lacked the field and are filled in as `Null`, the value of a missing
-    /// field under every type, when its next one (or a hand-out) arrives.
+    /// While the column's join is a scalar type ([`holds_values`]): the
+    /// cells of the rows not yet handed out, each under that join —
+    /// `values[i]` is row `committed + i`. Rows since the column's last
+    /// cell lacked the field and are filled in as `Null`, the value of a
+    /// missing field under every type, when its next one (or a hand-out)
+    /// arrives. Empty under `Null` and `Text`: those cells load verbatim
+    /// from `text` at the hand-out, column by column.
     values: Vec<Value>,
-    /// The raw text of the column's cells, concatenated in row order: the
-    /// cells a widening reads again, and the committed ones a
-    /// [`retype`](RawColumns::retype) reads. A column at `Text` — the top
-    /// of the lattice: its cells are final — adds none, and keeps only
-    /// what committed rows had until the next hand-out lets it go.
+    /// The raw text of the column's cells, concatenated in row order: what
+    /// a `Null` or `Text` column hands out, what a widening reads again,
+    /// and the committed cells a [`retype`](RawColumns::retype) reads.
     text: String,
     /// Where each row's cell ends in `text`; it starts where the previous
     /// row's ends. A row that lacks the field holds a zero-length cell:
@@ -241,6 +240,12 @@ struct RawColumn {
     ends: Vec<usize>,
     /// Leading rows whose text was let go once they were committed.
     released: usize,
+}
+
+/// Whether a column whose join is `join` keeps its cells as values: a
+/// scalar type does; under `Null` and `Text` a cell's value is its text.
+fn holds_values(join: ColumnType) -> bool {
+    !matches!(join, ColumnType::Null | ColumnType::Text)
 }
 
 impl RawColumn {
@@ -260,50 +265,49 @@ impl RawColumn {
         &self.text[start..self.ends[i]]
     }
 
-    /// Takes in the raw cell of row `committed + values.len()` or later,
+    /// Takes in the raw cell of row `row`, past every row the column holds,
     /// read under `join`, the column's join so far ([`read_cell`]), and
     /// returns the column's join with it.
     fn push(&mut self, row: usize, committed: usize, join: ColumnType, raw: &str) -> ColumnType {
-        let value = read_cell(join, raw);
-        let to = match &value {
-            Value::Null => join,
-            v => v.column_type(),
-        };
-        self.widen(join, to, committed);
-        if self.values.len() < row - committed {
-            self.values.resize(row - committed, Value::Null);
+        let mut to = join;
+        if join != ColumnType::Text {
+            let value = read_cell(join, raw);
+            if !matches!(value, Value::Null) {
+                to = value.column_type();
+            }
+            self.widen(join, to, committed);
+            if holds_values(to) {
+                if self.values.len() < row - committed {
+                    self.values.resize(row - committed, Value::Null);
+                }
+                self.values.push(value);
+            }
         }
-        self.values.push(value);
-        if to != ColumnType::Text {
-            self.fill(row);
-            self.text.push_str(raw);
-            self.ends.push(self.text.len());
-        }
+        self.fill(row);
+        self.text.push_str(raw);
+        self.ends.push(self.text.len());
         to
     }
 
-    /// Reads the held cells again under `to` from their kept text.
-    fn reread(&mut self, to: ColumnType, committed: usize) {
-        self.fill(committed + self.values.len());
-        let values = (0..self.values.len()).map(|i| read_cell(to, self.raw(committed + i)));
-        self.values = values.collect();
-    }
-
-    /// Moves the column's join `from` → `to`: the held cells are read again
-    /// under the wider type, and at `Text` their text is let go — only a
-    /// committed row's can still be asked for again.
+    /// Moves the column's join `from` → `to`: under a scalar type the
+    /// cells since `committed` are read again from their text, and under
+    /// `Text` no value is held.
     fn widen(&mut self, from: ColumnType, to: ColumnType, committed: usize) {
         if from == to {
             return;
         }
-        self.reread(to, committed);
-        if to == ColumnType::Text {
-            self.fill(committed);
-            let kept = committed - self.released;
-            self.text
-                .truncate(kept.checked_sub(1).map_or(0, |prev| self.ends[prev]));
-            self.ends.truncate(kept);
+        if holds_values(to) {
+            let held = committed..self.released + self.ends.len();
+            self.values = held.map(|row| read_cell(to, self.raw(row))).collect();
+        } else {
+            self.values = Vec::new();
         }
+    }
+
+    /// The cells of `rows` as a text column loads them, verbatim.
+    fn text_cells(&mut self, rows: Range<usize>) -> Vec<Value> {
+        self.fill(rows.end);
+        rows.map(|row| text_cell(self.raw(row))).collect()
     }
 
     /// Types the committed cells of `rows` under `col`'s type as it
@@ -338,9 +342,9 @@ pub(crate) struct TypedColumns {
 }
 
 impl RawColumns {
-    /// Takes one entry in: folds its fields into the schema and keeps their
-    /// values (and, below `Text`, their raw text) in their columns. `owner`
-    /// names the entry's origin in the error.
+    /// Takes one entry in: folds its fields into the schema and keeps them
+    /// in their columns, as text and, under a scalar type, as values.
+    /// `owner` names the entry's origin in the error.
     ///
     /// # Errors
     ///
@@ -385,14 +389,14 @@ impl RawColumns {
             cells.widen(their_join, join, 0);
             let col = self.column(ci);
             col.widen(was, join, committed);
-            col.values.resize(rows - committed, Value::Null);
-            col.values.append(&mut cells.values);
-            if join != ColumnType::Text {
-                col.fill(rows);
-                let base = col.text.len();
-                col.text.push_str(&cells.text);
-                col.ends.extend(cells.ends.iter().map(|end| base + end));
+            if holds_values(join) {
+                col.values.resize(rows - committed, Value::Null);
+                col.values.append(&mut cells.values);
             }
+            col.fill(rows);
+            let base = col.text.len();
+            col.text.push_str(&cells.text);
+            col.ends.extend(cells.ends.iter().map(|end| base + end));
         }
         self.fold.entries += chunk.fold.entries;
     }
@@ -424,11 +428,12 @@ impl RawColumns {
         for (col, raw) in self.fold.cols.iter().zip(&mut self.cols) {
             // A column with no non-null cell yet loads as Text: its cells
             // verbatim, `-` and padding included.
-            if col.join == ColumnType::Null {
-                raw.reread(ColumnType::Text, committed);
-            }
-            raw.values.resize(rows - committed, Value::Null);
-            columns.push(std::mem::take(&mut raw.values));
+            columns.push(if holds_values(col.join) {
+                raw.values.resize(rows - committed, Value::Null);
+                std::mem::take(&mut raw.values)
+            } else {
+                raw.text_cells(committed..rows)
+            });
             if col.join == ColumnType::Text {
                 raw.text.clear();
                 raw.ends.clear();
