@@ -358,11 +358,8 @@ impl RawColumns {
         let row = self.fold.begin_entry();
         for (name, raw) in fields {
             let ci = self.fold.field(owner, name)?;
-            if ci == self.cols.len() {
-                self.cols.push(RawColumn::default());
-            }
-            let join = &mut self.fold.cols[ci].join;
-            *join = self.cols[ci].push(row, self.committed, *join, raw);
+            let (join, committed) = (self.fold.cols[ci].join, self.committed);
+            self.fold.cols[ci].join = self.column(ci).push(row, committed, join, raw);
         }
         Ok(())
     }
