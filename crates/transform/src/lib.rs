@@ -34,9 +34,9 @@
 //!   finished files it feeds every entry of a destination table, as the
 //!   parsers emit it, into one columnar sink, which types each cell as it
 //!   arrives under its column's type so far, and loads the typed columns
-//!   whole once the table's last entry is in. The CPU-bound front fans out per table with
-//!   `mscope_sim::parallel_map` ([`RunOptions`] is the worker count); the
-//!   warehouse loads stay serial and deterministic.
+//!   whole once the table's last entry is in. The CPU-bound front fans
+//!   out per table with `mscope_sim::parallel_map` ([`RunOptions`] is the
+//!   worker count); the warehouse loads stay serial and deterministic.
 //! * [`StreamingTransformer`] is the incremental driver: it tails the
 //!   same files while they grow and converges on the same warehouse.
 //!
