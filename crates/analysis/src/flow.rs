@@ -278,16 +278,15 @@ pub fn reconstruct_flows(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowErro
         table: t.name().to_string(),
         column: "request_id".into(),
     };
-    // Index deeper tiers by request_id with the same borrowed hash index
-    // the warehouse join builds; `last_text` keeps the last occurrence of
-    // a duplicated ID (latest record wins).
-    let mut deep: Vec<(KeyIndex<'_>, HopReader<'_>)> = Vec::with_capacity(tables.len() - 1);
+    // Probe each deeper tier through the `request_id` index its table
+    // keeps for joins: built by the first reconstruction or join after the
+    // table was last written, not by every call. `last_text` keeps the last
+    // occurrence of a duplicated ID (latest record wins).
+    let mut deep: Vec<(&[Value], &KeyIndex, HopReader<'_>)> = Vec::with_capacity(tables.len() - 1);
     for t in &tables[1..] {
         let ids = t.column("request_id").ok_or_else(|| missing_id(t))?;
-        // perf: one KeyIndex per deeper-tier *table*, built once per
-        // reconstruction (one hash per row into flat arrays, no allocation
-        // per request ID) and probed per request.
-        deep.push((KeyIndex::build(ids), HopReader::new(t)));
+        let index = t.key_index("request_id").ok_or_else(|| missing_id(t))?;
+        deep.push((ids, index, HopReader::new(t)));
     }
     let front = tables[0];
     let ids = front
@@ -300,8 +299,10 @@ pub fn reconstruct_flows(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowErro
         let Some(id) = id.as_str() else { continue };
         let mut hops = Vec::new();
         hops.push(front_reader.read(row, 0)?);
-        for (depth, (index, reader)) in deep.iter().enumerate() {
-            let Some(r) = index.last_text(id) else { break };
+        for (depth, (deep_ids, index, reader)) in deep.iter().enumerate() {
+            let Some(r) = index.last_text(deep_ids, id) else {
+                break;
+            };
             hops.push(reader.read(r, depth + 1)?);
         }
         let interaction = interactions
@@ -643,6 +644,33 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(reconstruct_flows(&[]).unwrap().is_empty());
+    }
+
+    /// The first reconstruction keeps each deeper tier's `request_id`
+    /// index on its table; an append drops it, so the second call sees the
+    /// late Tomcat record and stitches the path it completes.
+    #[test]
+    fn a_deeper_tier_row_appended_between_calls_is_seen() {
+        let apache = event_table("event_apache", vec![("AAA", 0, 100, Some(10), Some(90))]);
+        let mut tomcat = event_table("event_tomcat", vec![("ZZZ", 1, 2, None, None)]);
+        let mysql = event_table("event_mysql", vec![("AAA", 22, 78, None, None)]);
+        let first = reconstruct_flows(&[&apache, &tomcat, &mysql]).unwrap();
+        assert_eq!(first[0].hops.len(), 1);
+        tomcat
+            .push_row(vec![
+                Value::Text("AAA".into()),
+                Value::Text("ViewStory".into()),
+                Value::Text("event_tomcat-node".into()),
+                Value::Timestamp(12),
+                Value::Timestamp(88),
+                Value::Timestamp(20),
+                Value::Timestamp(80),
+            ])
+            .unwrap();
+        let second = reconstruct_flows(&[&apache, &tomcat, &mysql]).unwrap();
+        assert_eq!(second[0].hops.len(), 3);
+        assert!(second[0].is_causally_ordered());
+        assert_eq!(second[0].hops[1].node, "event_tomcat-node");
     }
 }
 

@@ -589,19 +589,18 @@ impl SystemConfig {
     /// through every tier.
     pub fn scenario_db_io(users: u32) -> Self {
         let mut cfg = Self::rubbos_baseline(users);
-        let db = cfg
-            .tiers
-            .iter_mut()
-            .find(|t| t.kind == TierKind::Mysql)
-            .expect("baseline always has a MySQL tier");
-        db.log_flush = Some(LogFlushConfig {
-            // ~1.4 MB/s of commit traffic at 8000 users → flush every ~3.5 s.
-            buffer_threshold: 5 << 20,
-            // Sync-heavy log flush: ~16 MB/s effective → ~320 ms stall.
-            flush_rate: 16e6,
-            stall_writes: true,
-            stall_reads: true,
-        });
+        // The baseline's one MySQL tier; a filter, not a lookup that
+        // could miss, like the other scenarios' per-kind edits.
+        for db in cfg.tiers.iter_mut().filter(|t| t.kind == TierKind::Mysql) {
+            db.log_flush = Some(LogFlushConfig {
+                // ~1.4 MB/s of commit traffic at 8000 users → flush every ~3.5 s.
+                buffer_threshold: 5 << 20,
+                // Sync-heavy log flush: ~16 MB/s effective → ~320 ms stall.
+                flush_rate: 16e6,
+                stall_writes: true,
+                stall_reads: true,
+            });
+        }
         cfg
     }
 

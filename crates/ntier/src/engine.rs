@@ -191,13 +191,19 @@ struct InFlight {
     depth: usize,
     /// Node (flat index) serving each visited tier.
     nodes: Vec<usize>,
+    /// One span per tier the request has arrived at, in tier order.
     spans: Vec<SpanBuild>,
+    /// The upstream departure of each tier the request has left, deepest
+    /// first — the order its reply climbs the pipeline. Reversed, it pairs
+    /// with `spans` tier by tier once the reply has reached the client.
+    departures: Vec<SimTime>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// A tier span as it is opened at its upstream arrival; its upstream
+/// departure is pushed to [`InFlight::departures`] when it closes.
+#[derive(Debug, Clone, Copy)]
 struct SpanBuild {
-    ua: Option<SimTime>,
-    ud: Option<SimTime>,
+    ua: SimTime,
     ds: Option<SimTime>,
     dr: Option<SimTime>,
 }
@@ -808,23 +814,28 @@ impl CellSim {
         let front = self.pick_node(0);
         let id = RequestId((u64::from(self.cell) << REQ_CELL_SHIFT) | self.issued);
         self.issued += 1;
-        // A recycled slot (digest retention) hands its two vectors on to
+        // A recycled slot (digest retention) hands its three vectors on to
         // the next request, so a steady-state request allocates nothing.
         let slot = self.free_slots.pop();
-        let (mut nodes, mut spans) = match slot {
+        let (mut nodes, mut spans, mut departures) = match slot {
             Some(slot) => {
                 let old = &mut self.inflight[slot];
                 (
                     std::mem::take(&mut old.nodes),
                     std::mem::take(&mut old.spans),
+                    std::mem::take(&mut old.departures),
                 )
             }
-            None => (Vec::with_capacity(depth), Vec::with_capacity(depth)),
+            None => (
+                Vec::with_capacity(depth),
+                Vec::with_capacity(depth),
+                Vec::with_capacity(depth),
+            ),
         };
         nodes.clear();
         nodes.push(front);
         spans.clear();
-        spans.push(SpanBuild::default());
+        departures.clear();
         let record = InFlight {
             id,
             session,
@@ -835,6 +846,7 @@ impl CellSim {
             depth,
             nodes,
             spans,
+            departures,
         };
         let req = match slot {
             Some(slot) => {
@@ -962,7 +974,7 @@ impl CellSim {
                 }
             }
         }
-        self.inflight[req].spans[tier].ua = Some(now);
+        self.open_span(now, req, tier);
         self.boundary(now, ni, req, BoundaryKind::UpstreamArrival);
         let node = &mut self.nodes[ni];
         node.in_node += 1;
@@ -979,8 +991,8 @@ impl CellSim {
     /// travels back up the normal reply path.
     fn reject(&mut self, now: SimTime, ni: usize, req: usize, tier: usize) {
         self.inflight[req].status = 503;
-        self.inflight[req].spans[tier].ua = Some(now);
-        self.inflight[req].spans[tier].ud = Some(now);
+        self.open_span(now, req, tier);
+        self.close_span(now, req, tier);
         self.boundary(now, ni, req, BoundaryKind::UpstreamArrival);
         self.boundary(now, ni, req, BoundaryKind::UpstreamDeparture);
         let tcfg = &self.cfg.tiers[tier];
@@ -1110,35 +1122,34 @@ impl CellSim {
     }
 
     fn burst_done(&mut self, now: SimTime, ni: usize, kind: TaskKind, c: usize) {
-        self.nodes[ni].cpu.finish(now);
         match self.nodes[ni].discipline {
             QueueDiscipline::Cfcfs => {
                 // cFCFS: hand the freed core to the next queued task
                 // (priority first) from the shared queues.
-                let next = {
-                    let node = &mut self.nodes[ni];
-                    node.cpu_q_front
-                        .pop_front()
-                        .or_else(|| node.cpu_q.pop_front())
-                };
-                if let Some(task) = next {
-                    let done = self.nodes[ni]
-                        .cpu
-                        .try_start(now, task.demand)
-                        .expect("core was just freed");
-                    self.queue.schedule(
-                        done,
-                        Ev::BurstDone {
-                            node: ni as u32,
-                            kind: task.kind,
-                            core: 0,
-                        },
-                    );
+                let node = &mut self.nodes[ni];
+                let next = node
+                    .cpu_q_front
+                    .pop_front()
+                    .or_else(|| node.cpu_q.pop_front());
+                match next {
+                    Some(task) => {
+                        let done = node.cpu.hand_over(now, task.demand);
+                        self.queue.schedule(
+                            done,
+                            Ev::BurstDone {
+                                node: ni as u32,
+                                kind: task.kind,
+                                core: 0,
+                            },
+                        );
+                    }
+                    None => node.cpu.finish(now),
                 }
             }
             QueueDiscipline::Dfcfs => {
                 // dFCFS: only this core's own queue may refill it.
                 let node = &mut self.nodes[ni];
+                node.cpu.finish(now);
                 node.core_busy[c] = false;
                 let next = node.core_q_front[c]
                     .pop_front()
@@ -1187,7 +1198,6 @@ impl CellSim {
             let next_node = self.pick_node(tier + 1);
             let r = &mut self.inflight[req];
             r.nodes.push(next_node);
-            r.spans.push(SpanBuild::default());
             r.spans[tier].ds = Some(now);
             self.boundary(now, ni, req, BoundaryKind::DownstreamSending);
             let hop = self.cfg.network.hop_latency;
@@ -1285,12 +1295,36 @@ impl CellSim {
         }
     }
 
+    /// Opens the request's span at `tier` on its upstream arrival. Tiers
+    /// are entered in order, so the span lands at index `tier`.
+    fn open_span(&mut self, now: SimTime, req: usize, tier: usize) {
+        let spans = &mut self.inflight[req].spans;
+        debug_assert_eq!(spans.len(), tier, "tiers are entered in order");
+        spans.push(SpanBuild {
+            ua: now,
+            ds: None,
+            dr: None,
+        });
+    }
+
+    /// Closes the request's span at `tier` on its upstream departure. The
+    /// reply climbs the pipeline, so every deeper tier has closed first.
+    fn close_span(&mut self, now: SimTime, req: usize, tier: usize) {
+        let f = &mut self.inflight[req];
+        debug_assert_eq!(
+            f.departures.len() + tier + 1,
+            f.spans.len(),
+            "deepest tier closes first"
+        );
+        f.departures.push(now);
+    }
+
     /// Completes a request's residence at a tier: records UD, writes the log
     /// record, frees the worker, admits the next queued request, and sends
     /// the reply upstream.
     fn complete_tier(&mut self, now: SimTime, ni: usize, req: usize) {
         let tier = self.nodes[ni].tier_cfg;
-        self.inflight[req].spans[tier].ud = Some(now);
+        self.close_span(now, req, tier);
         self.boundary(now, ni, req, BoundaryKind::UpstreamDeparture);
 
         // Native log write (+ monitor record when instrumented).
@@ -1546,25 +1580,27 @@ fn fold_endpoint(d: &mut Fnv64, e: Endpoint) {
     }
 }
 
-/// The [`TierSpan`]s of a request slot, served by `nodes`: one per tier
-/// visited once the reply reached the client, none before that (a pending
-/// request's record has empty spans).
+/// The [`TierSpan`]s of a request slot, served by `nodes`, in tier order:
+/// one per tier visited once the reply reached the client — every visited
+/// tier has departed by then, so each span pairs with its departure — and
+/// none before that (a pending request's record has empty spans).
 fn tier_spans<'a>(
     f: &'a InFlight,
     nodes: &'a [NodeState],
 ) -> impl ExactSizeIterator<Item = TierSpan> + 'a {
-    let visited = if f.client_recv.is_some() {
-        f.spans.len()
+    let departed: &[SimTime] = if f.client_recv.is_some() {
+        &f.departures
     } else {
-        0
+        &[]
     };
-    f.spans[..visited]
+    f.spans
         .iter()
+        .zip(departed.iter().rev())
         .zip(&f.nodes)
-        .map(|(s, &ni)| TierSpan {
+        .map(|((s, &ud), &ni)| TierSpan {
             node: nodes[ni].id,
-            upstream_arrival: s.ua.expect("complete request has UA"),
-            upstream_departure: s.ud.expect("complete request has UD"),
+            upstream_arrival: s.ua,
+            upstream_departure: ud,
             downstream_sending: s.ds,
             downstream_receiving: s.dr,
         })

@@ -110,6 +110,21 @@ impl CpuModel {
         Some(now + self.scaled(demand))
     }
 
+    /// Finishes a running burst and starts the next one on the core it
+    /// freed, in one step — [`CpuModel::finish`] then
+    /// [`CpuModel::try_start`], except that nothing can take the core in
+    /// between, so the start cannot be refused. Returns the new burst's
+    /// completion time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no burst is running.
+    pub fn hand_over(&mut self, now: SimTime, demand: SimDuration) -> SimTime {
+        self.accumulate(now);
+        assert!(self.running > 0, "cpu hand-over with no running burst");
+        now + self.scaled(demand)
+    }
+
     /// Scales a demand by the current speed.
     pub fn scaled(&self, demand: SimDuration) -> SimDuration {
         demand.mul_f64(1.0 / self.speed)

@@ -10,8 +10,9 @@
 //!   [`DEFAULT_BLOCK_ROWS`]-row block) over numeric and timestamp columns,
 //!   plus a sorted flag maintained on append, so window predicates skip
 //!   whole blocks and binary-search within the survivors;
-//! * [`KeyIndex`] is a borrowed-key hash index for joins, built once from
-//!   the typed column slice;
+//! * [`KeyIndex`] is the hash index over one key column behind every
+//!   join: a [`Table`] keeps one per column it has been joined on, and a
+//!   join of two filtered selections builds a transient one;
 //! * [`RowId`] is the row of whatever relation a query stage works on — a
 //!   table row or a join's `(left, right)` pair — and `Node`, [`gather`]
 //!   and [`sort_rows`] are each written once over it;
@@ -27,7 +28,9 @@ use crate::value::{ColumnType, Value};
 use crate::Predicate;
 use mscope_sim::parallel_map;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Rows per zone-map block. Small enough that a skipped block saves little
 /// waste on the boundary, large enough that per-block metadata stays tiny
@@ -739,6 +742,22 @@ pub(crate) enum KeyRef<'a> {
 }
 
 impl<'a> KeyRef<'a> {
+    /// The key's hash under `s`, written in one call: text as its bytes,
+    /// everything else as one word. Keys of different types may share a
+    /// hash (`Int(1)` and `Timestamp(1)`); [`KeyIndex`] compares keys, so
+    /// that costs a comparison, never a match.
+    #[inline]
+    fn hash_with(self, s: &impl BuildHasher) -> u64 {
+        let mut h = s.build_hasher();
+        match self {
+            KeyRef::Text(t) => h.write(t.as_bytes()),
+            KeyRef::Int(i) | KeyRef::Timestamp(i) => h.write_i64(i),
+            KeyRef::Float(bits) => h.write_u64(bits),
+            KeyRef::Bool(b) => h.write_u8(u8::from(b)),
+        }
+        h.finish()
+    }
+
     /// `None` for null — null keys never join or group.
     pub(crate) fn of(v: &'a Value) -> Option<KeyRef<'a>> {
         match v {
@@ -752,18 +771,28 @@ impl<'a> KeyRef<'a> {
     }
 }
 
-/// A hash index over one key column, built once from the typed column
-/// slice and probed per row — the one index behind the compiled engine's
-/// joins and the analysis layer's `reconstruct_flows`.
+/// A hash index over one key column — the one index behind the compiled
+/// engine's joins and the analysis layer's `reconstruct_flows`.
+///
+/// The index owns no key: it maps each key's hash to a dense group id,
+/// and a probe checks key equality against the column it was built from,
+/// which every lookup takes as its first argument. Owning nothing of the
+/// column is what lets a [`Table`] keep one per column it has been joined
+/// on ([`Table::key_index`]) and lets a join build a transient one over a
+/// filtered selection, with the same type and the same probe.
 ///
 /// Key equality is exact-type (`Int(1)` and `Float(1.0)` are distinct,
 /// like [`ValueKey`](crate::ValueKey)); null keys are never indexed and
 /// never match.
 ///
-/// The layout is flat: the map sends a key to a dense group id, and the
-/// group's rows are `rows[offsets[g]..offsets[g + 1]]` in input order. A
-/// build hashes each row once and allocates the map, the two arrays and
-/// one scratch list of `(group, row)` pairs — nothing per key.
+/// The layout is flat: the map sends a key hash to a dense group id, and
+/// the group's rows are `rows[offsets[g]..offsets[g + 1]]` in input
+/// order, so a group's first row is its key's representative. The hash
+/// is keyed per process ([`RandomState`]) because request IDs come from
+/// log files; two distinct keys that share a 64-bit hash are chained, so
+/// a collision costs a second comparison and never a wrong match. A build
+/// hashes each row once and allocates the map, the two arrays and two
+/// scratch lists — nothing per key.
 ///
 /// # Examples
 ///
@@ -772,48 +801,127 @@ impl<'a> KeyRef<'a> {
 ///
 /// let col = vec![Value::Text("r1".into()), Value::Null, Value::Text("r1".into())];
 /// let idx = KeyIndex::build(&col);
-/// assert_eq!(idx.rows(&Value::Text("r1".into())), &[0, 2]);
-/// assert_eq!(idx.last_text("r1"), Some(2));
-/// assert_eq!(idx.rows(&Value::Null), &[] as &[usize]);
+/// assert_eq!(idx.rows(&col, &Value::Text("r1".into())), &[0, 2]);
+/// assert_eq!(idx.last_text(&col, "r1"), Some(2));
+/// assert_eq!(idx.rows(&col, &Value::Null), &[] as &[usize]);
 /// ```
-pub struct KeyIndex<'a> {
-    groups: HashMap<KeyRef<'a>, usize>,
+#[derive(Clone)]
+pub struct KeyIndex<S = RandomState> {
+    hasher: S,
+    /// Key hash → the first group whose key has that hash.
+    heads: HashMap<u64, usize, BuildHasherDefault<PreHashed>>,
+    /// Group → the next group whose distinct key shares its hash. Empty
+    /// unless two keys of the column collide in 64 bits.
+    chain: HashMap<usize, usize>,
     offsets: Vec<usize>,
     rows: Vec<usize>,
 }
 
-impl<'a> KeyIndex<'a> {
+/// The identity hasher for keys that already are [`RandomState`] hashes:
+/// the map must not hash a key's hash a second time.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl<S> fmt::Debug for KeyIndex<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyIndex")
+            .field("keys", &(self.offsets.len() - 1))
+            .field("rows", &self.rows.len())
+            .finish()
+    }
+}
+
+impl KeyIndex {
     /// Indexes every non-null value of `col` by row index.
-    pub fn build(col: &'a [Value]) -> KeyIndex<'a> {
+    pub fn build(col: &[Value]) -> KeyIndex {
         KeyIndex::over(col, 0..col.len())
     }
 
     /// Indexes the non-null values of `col` at the rows `sel` yields (each
     /// a valid index into `col`); a key's rows keep `sel`'s order.
-    pub(crate) fn over(
-        col: &'a [Value],
+    pub(crate) fn over(col: &[Value], sel: impl ExactSizeIterator<Item = usize>) -> KeyIndex {
+        KeyIndex::over_with(col, sel, RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> KeyIndex<S> {
+    /// [`KeyIndex::over`] with the key hash `hasher` (tests pass a
+    /// degenerate one to force collisions).
+    fn over_with(
+        col: &[Value],
         sel: impl ExactSizeIterator<Item = usize>,
-    ) -> KeyIndex<'a> {
-        // The one pass that hashes: a group id per keyed row, and group
-        // `g`'s size counted into `offsets[g + 1]`.
-        let mut groups: HashMap<KeyRef<'a>, usize> = HashMap::with_capacity(sel.len());
-        let mut offsets = vec![0usize];
+        hasher: S,
+    ) -> KeyIndex<S> {
+        // The one pass that hashes: a group id per keyed row, and each
+        // group's first row, which the chain walk compares against. Every
+        // buffer is sized once, so a build's heap peak is the map plus
+        // four row-sized arrays, whatever the key distribution. The map
+        // holds twice the selection, so it is at most half full and a
+        // probe that misses — most probes of a small kept index — stops at
+        // its first group of slots.
+        let mut heads: HashMap<u64, usize, BuildHasherDefault<PreHashed>> =
+            HashMap::with_capacity_and_hasher(2 * sel.len(), BuildHasherDefault::default());
+        let mut chain: HashMap<usize, usize> = HashMap::new();
+        let mut first: Vec<usize> = Vec::with_capacity(sel.len());
         let mut keyed: Vec<(usize, usize)> = Vec::with_capacity(sel.len());
         for i in sel {
             let Some(k) = KeyRef::of(&col[i]) else {
                 continue;
             };
-            let next = groups.len();
-            let g = *groups.entry(k).or_insert(next);
+            let next = first.len();
+            let g = match heads.entry(k.hash_with(&hasher)) {
+                Entry::Vacant(e) => *e.insert(next),
+                Entry::Occupied(e) => {
+                    // Walk the hash's chain for this key; a key not on it
+                    // is a new group linked to the chain's tail.
+                    let mut g = *e.get();
+                    loop {
+                        if KeyRef::of(&col[first[g]]) == Some(k) {
+                            break g;
+                        }
+                        match chain.get(&g) {
+                            Some(&n) => g = n,
+                            None => {
+                                chain.insert(g, next);
+                                break next;
+                            }
+                        }
+                    }
+                }
+            };
             if g == next {
-                offsets.push(0);
+                first.push(i);
             }
-            offsets[g + 1] += 1;
             keyed.push((g, i));
         }
-        // Sizes become group *starts*, still one slot up; the stable
+        // Group `g`'s size counted into `offsets[g + 1]`, then the sizes
+        // become group *starts*, still one slot up; the stable
         // scatter then advances `offsets[g + 1]` through group `g` and
         // leaves it on the group's end, which is where group `g + 1` starts.
+        let mut offsets = vec![0usize; first.len() + 1];
+        drop(first);
+        for &(g, _) in &keyed {
+            offsets[g + 1] += 1;
+        }
         let mut start = 0;
         for slot in &mut offsets[1..] {
             let size = *slot;
@@ -826,38 +934,52 @@ impl<'a> KeyIndex<'a> {
             offsets[g + 1] += 1;
         }
         KeyIndex {
-            groups,
+            hasher,
+            heads,
+            chain,
             offsets,
             rows,
         }
     }
 
-    fn group(&self, k: KeyRef<'a>) -> &[usize] {
-        self.groups.get(&k).map_or(&[][..], |&g| {
-            &self.rows[self.offsets[g]..self.offsets[g + 1]]
-        })
+    /// The rows of key `k`, whose equality is checked against `col`, the
+    /// column this index was built from.
+    #[inline]
+    fn group(&self, col: &[Value], k: KeyRef<'_>) -> &[usize] {
+        let mut next = self.heads.get(&k.hash_with(&self.hasher)).copied();
+        while let Some(g) = next {
+            let rows = &self.rows[self.offsets[g]..self.offsets[g + 1]];
+            if KeyRef::of(&col[rows[0]]) == Some(k) {
+                return rows;
+            }
+            next = self.chain.get(&g).copied();
+        }
+        &[]
     }
 
     /// Row indices whose key equals `v`, ascending (empty for null or
-    /// unseen keys).
-    pub fn rows(&self, v: &'a Value) -> &[usize] {
-        KeyRef::of(v).map_or(&[][..], |k| self.group(k))
+    /// unseen keys). `col` is the column the index was built from.
+    #[inline]
+    pub fn rows(&self, col: &[Value], v: &Value) -> &[usize] {
+        KeyRef::of(v).map_or(&[][..], |k| self.group(col, k))
     }
 
     /// The last row whose **text** key equals `s` — the "latest record
-    /// wins" lookup `reconstruct_flows` uses for request IDs.
-    pub fn last_text(&self, s: &'a str) -> Option<usize> {
-        self.group(KeyRef::Text(s)).last().copied()
+    /// wins" lookup `reconstruct_flows` uses for request IDs. `col` is
+    /// the column the index was built from.
+    #[inline]
+    pub fn last_text(&self, col: &[Value], s: &str) -> Option<usize> {
+        self.group(col, KeyRef::Text(s)).last().copied()
     }
 
     /// Number of distinct non-null keys.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.offsets.len() - 1
     }
 
     /// `true` when no non-null key was indexed.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.len() == 0
     }
 }
 
@@ -983,11 +1105,45 @@ mod tests {
     fn key_index_groups_rows_and_skips_nulls() {
         let col = vec![Value::Int(1), Value::Float(1.0), Value::Null, Value::Int(1)];
         let idx = KeyIndex::build(&col);
-        assert_eq!(idx.rows(&Value::Int(1)), &[0, 3]);
-        assert_eq!(idx.rows(&Value::Float(1.0)), &[1], "exact-type equality");
-        assert_eq!(idx.rows(&Value::Null), &[] as &[usize]);
+        assert_eq!(idx.rows(&col, &Value::Int(1)), &[0, 3]);
+        assert_eq!(
+            idx.rows(&col, &Value::Float(1.0)),
+            &[1],
+            "exact-type equality"
+        );
+        assert_eq!(idx.rows(&col, &Value::Null), &[] as &[usize]);
         assert_eq!(idx.len(), 2);
         assert!(!idx.is_empty());
+    }
+
+    /// Hashes every key to one value, so every distinct key collides.
+    #[derive(Default)]
+    struct Collide;
+
+    impl Hasher for Collide {
+        fn write(&mut self, _: &[u8]) {}
+
+        fn finish(&self) -> u64 {
+            7
+        }
+    }
+
+    #[test]
+    fn key_index_chains_keys_whose_hashes_collide() {
+        let col: Vec<Value> = ["a", "b", "a", "c", "b"]
+            .iter()
+            .map(|&s| Value::Text(s.into()))
+            .chain([Value::Int(1), Value::Null, Value::Float(1.0)])
+            .collect();
+        let idx = KeyIndex::over_with(&col, 0..col.len(), BuildHasherDefault::<Collide>::default());
+        assert_eq!(idx.len(), 5);
+        assert_eq!(idx.rows(&col, &Value::Text("a".into())), &[0, 2]);
+        assert_eq!(idx.rows(&col, &Value::Text("b".into())), &[1, 4]);
+        assert_eq!(idx.rows(&col, &Value::Text("c".into())), &[3]);
+        assert_eq!(idx.rows(&col, &Value::Int(1)), &[5]);
+        assert_eq!(idx.rows(&col, &Value::Float(1.0)), &[7]);
+        assert_eq!(idx.rows(&col, &Value::Text("d".into())), &[] as &[usize]);
+        assert_eq!(idx.last_text(&col, "b"), Some(4));
     }
 
     /// A small cell of any type the pair-space tables hold; keys and
@@ -1084,9 +1240,20 @@ mod tests {
                 plan.left,
                 plan.right.expect("a join plan has a right table"),
             );
-            let (lsel, rsel): (Vec<usize>, Vec<usize>) =
-                ((0..lt.row_count()).collect(), (0..rt.row_count()).collect());
-            let pairs = crate::vector::join_pairs(lt.col(0), &lsel, rt.col(0), &rsel, g.bool());
+            // Either side built, from the table's kept index or for this
+            // join alone: the pairs must not depend on either choice.
+            let build_left = g.bool();
+            let (build, probe) = if build_left { (lt, rt) } else { (rt, lt) };
+            let transient;
+            let index = if g.bool() {
+                build.key_index_at(0)
+            } else {
+                transient = KeyIndex::build(build.col(0));
+                &transient
+            };
+            let probe_rows = 0..probe.row_count();
+            let pairs =
+                crate::vector::join_pairs(lt.col(0), rt.col(0), build_left, index, probe_rows);
             mscope_sim::prop_ensure!(
                 pairs.len() == joined.row_count(),
                 "{} pairs vs {} joined rows",

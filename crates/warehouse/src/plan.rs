@@ -11,9 +11,12 @@
 //! * **predicate pushdown** — the WHERE tree splits into per-side
 //!   conjuncts fused into each scan ([`CompiledPredicate`] zone-map block
 //!   skipping); only mixed-side conjuncts survive as a join residual;
-//! * **join build side** — [`CompiledPredicate::estimate`] (sorted-column
-//!   bounds + per-block zone-map verdicts) estimates each input's
-//!   cardinality and the hash index is built on the smaller one;
+//! * **join build side** — a side whose scan is unfiltered is probed
+//!   through its table's kept key index ([`Table::key_index`]), built
+//!   once per table write instead of once per query; otherwise
+//!   [`CompiledPredicate::estimate`] (sorted-column bounds + per-block
+//!   zone-map verdicts) estimates each input's cardinality and the
+//!   smaller one is hashed for this query alone;
 //! * **projection pushdown** — only columns the output (or an aggregate)
 //!   references are ever gathered;
 //! * **sort elision** — `ORDER BY <col> ASC` is dropped when the
@@ -23,10 +26,10 @@
 //! `EXPLAIN` renders the chosen physical plan ([`Plan::explain_table`]).
 //! "Planner off" (`optimize = false`) is a plan, not a second executor:
 //! [`plan`] pins each of those choices to the syntactic shape — whole
-//! WHERE as the post-join residual, build side right, every source column
-//! needed, no sort elision — and [`vector::run`](crate::vector::run) runs
-//! the result like any other plan, so `EXPLAIN` describes what executes
-//! on both legs.
+//! WHERE as the post-join residual, build side right and built for the
+//! query, every source column needed, no sort elision — and
+//! [`vector::run`](crate::vector::run) runs the result like any other
+//! plan, so `EXPLAIN` describes what executes on both legs.
 
 use crate::db::Database;
 use crate::engine::{CompiledPredicate, ScanEstimate, Side, SideCol};
@@ -452,8 +455,12 @@ pub(crate) struct Plan<'a> {
     pub right_pred: Predicate,
     /// Mixed-side conjuncts evaluated over join pairs.
     pub residual: Predicate,
-    /// Hash the left input (statistics say it is smaller).
+    /// Hash the left input (statistics say it is smaller, or it is the
+    /// one unfiltered side).
     pub build_left: bool,
+    /// The build side's scan is unfiltered, so its table's kept key index
+    /// serves the join instead of an index built for this query.
+    pub kept: bool,
     pub having: Option<Predicate>,
     pub order_by: Option<(String, bool)>,
     /// The sort is provably redundant and skipped.
@@ -470,8 +477,15 @@ pub(crate) struct Plan<'a> {
 
 /// Plans a parsed query against live tables. With `optimize = false`
 /// every statistics-driven choice is pinned to the syntactic shape —
-/// whole WHERE after the join, build side always right, no projection
-/// pushdown, no sort elision — and the plan executes like any other.
+/// whole WHERE after the join, build side always right and never a kept
+/// index, no projection pushdown, no sort elision — and the plan executes
+/// like any other.
+///
+/// With the planner on, the join's build side follows from the plan
+/// alone, never from whether an index happens to be built yet: exactly
+/// one unfiltered scan builds on that side's kept index; two unfiltered
+/// scans build on the smaller side's kept index; two filtered scans hash
+/// the smaller selection for this query.
 ///
 /// # Errors
 ///
@@ -536,11 +550,18 @@ pub(crate) fn plan<'a>(
     let (left_pred, right_pred, residual) = (pack(lp), pack(rp), pack(residual));
 
     let left_est = CompiledPredicate::compile(left, &left_pred).estimate();
-    let mut build_left = false;
+    let (mut build_left, mut kept) = (false, false);
     let mut right_est = None;
     if let Some(rt) = right {
         let re = CompiledPredicate::compile(rt, &right_pred).estimate();
-        build_left = optimize && left_est.rows < re.rows;
+        if optimize {
+            let whole = |p: &Predicate| *p == Predicate::True;
+            (build_left, kept) = match (whole(&left_pred), whole(&right_pred)) {
+                (true, false) => (true, true),
+                (false, true) => (false, true),
+                (both, _) => (left_est.rows < re.rows, both),
+            };
+        }
         right_est = Some(re);
     }
 
@@ -591,6 +612,7 @@ pub(crate) fn plan<'a>(
         right_pred,
         residual,
         build_left,
+        kept,
         having: q.having.clone(),
         order_by: q.order_by.clone(),
         sort_elided,
@@ -700,12 +722,13 @@ impl<'a> Plan<'a> {
         {
             lines.push(scan_line(rt, &self.right_pred, est, Side::Right));
             lines.push(format!(
-                "HashJoin {}.{} = {}.{} build={} (est {} vs {} rows)",
+                "HashJoin {}.{} = {}.{} build={}{} (est {} vs {} rows)",
                 self.left.name(),
                 self.left.schema().columns()[lci].name,
                 rt.name(),
                 rt.schema().columns()[rci].name,
                 if self.build_left { "left" } else { "right" },
+                if self.kept { " kept" } else { "" },
                 self.left_est.rows,
                 est.rows,
             ));

@@ -274,7 +274,9 @@ impl Table {
     /// Hash inner join on `self.left_col == other.right_col`. Output columns
     /// are all of `self`'s followed by all of `other`'s; a name collision on
     /// the right side is prefixed with `<other-table>_`. Null keys never
-    /// match.
+    /// match. The smaller table's kept key index ([`Table::key_index`])
+    /// serves the join, so repeating it over unchanged tables hashes
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -286,15 +288,20 @@ impl Table {
         right_col: &str,
     ) -> Result<Table, DbError> {
         let (lci, rci, schema) = self.join_parts(other, left_col, right_col)?;
-        // Stats-driven build side: hash the smaller input, probe the
-        // larger ([`crate::vector::join_pairs`] restores left-major
-        // output order either way), then materialize the output with one
-        // typed per-column gather instead of a row-at-a-time cell walk.
-        let build_left = self.row_count() < other.row_count();
-        let lsel: Vec<usize> = (0..self.row_count()).collect();
-        let rsel: Vec<usize> = (0..other.row_count()).collect();
-        let pairs =
-            crate::vector::join_pairs(self.col(lci), &lsel, other.col(rci), &rsel, build_left);
+        // Both sides are whole tables, so the planner's rule for two
+        // unfiltered scans applies: probe the smaller side's kept index
+        // with every row of the larger ([`crate::vector::join_pairs`]
+        // restores left-major output order either way), then materialize
+        // the output with one typed per-column gather instead of a
+        // row-at-a-time cell walk.
+        let (lkey, rkey) = (self.col(lci), other.col(rci));
+        let pairs = if self.row_count() < other.row_count() {
+            let index = self.key_index_at(lci);
+            crate::vector::join_pairs(lkey, rkey, true, index, 0..other.row_count())
+        } else {
+            let index = other.key_index_at(rci);
+            crate::vector::join_pairs(lkey, rkey, false, index, 0..self.row_count())
+        };
         let mut srcs: Vec<SideCol<'_>> = self.side_cols(Side::Left);
         srcs.extend(other.side_cols(Side::Right));
         let cols = engine::gather(&srcs, &pairs, 0);

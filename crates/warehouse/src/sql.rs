@@ -1202,7 +1202,8 @@ mod tests {
                 "Limit 2",
             ]
         );
-        // The join plan names its build side, chosen from row estimates.
+        // The join plan names its build side, chosen from row estimates;
+        // with both scans unfiltered it probes that side's kept index.
         let db = db_with_owner();
         let join = db
             .query("EXPLAIN SELECT team FROM disk JOIN owner ON node = node")
@@ -1215,7 +1216,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(
-            text.contains("HashJoin disk.node = owner.node build=right"),
+            text.contains("HashJoin disk.node = owner.node build=right kept"),
             "{text}"
         );
     }

@@ -2,8 +2,9 @@
 
 use crate::engine::{self, Side, SideCol, TableIndex, DEFAULT_BLOCK_ROWS};
 use crate::value::{ColumnType, Value};
-use crate::DbError;
+use crate::{DbError, KeyIndex};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,6 +136,13 @@ pub struct Table {
     /// Zone maps + sorted flags, maintained incrementally on append.
     /// Derived from `cols` — excluded from equality and serialization.
     index: TableIndex,
+    /// One kept [`KeyIndex`] slot per column, filled by the first join or
+    /// flow reconstruction that probes the column and emptied by every
+    /// writer. Writers take `&mut self`, so no reader can hold an index
+    /// across a write. The slots themselves are made on first use, so a
+    /// table no join reads — a query result — allocates none. Derived like
+    /// `index`.
+    keys: OnceLock<Vec<OnceLock<KeyIndex>>>,
 }
 
 impl PartialEq for Table {
@@ -173,6 +181,7 @@ impl mscope_serdes::FromJson for Table {
         let index = TableIndex::build(&schema, &cols, DEFAULT_BLOCK_ROWS);
         Ok(Table {
             name,
+            keys: OnceLock::new(),
             schema,
             cols,
             index,
@@ -187,6 +196,7 @@ impl Table {
         let index = TableIndex::new(&schema, DEFAULT_BLOCK_ROWS);
         Table {
             name: name.into(),
+            keys: OnceLock::new(),
             schema,
             cols,
             index,
@@ -250,6 +260,7 @@ impl Table {
     /// type.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), DbError> {
         self.check_row(&row)?;
+        self.drop_key_indexes();
         for (ci, (col, v)) in self.cols.iter_mut().zip(row).enumerate() {
             self.index.note(ci, col.last(), &v);
             col.push(v);
@@ -275,6 +286,7 @@ impl Table {
             self.check_row(row)?;
         }
         let n = rows.len();
+        self.drop_key_indexes();
         for col in &mut self.cols {
             col.reserve(n);
         }
@@ -323,6 +335,7 @@ impl Table {
                 return Err(self.mismatch(c, v));
             }
         }
+        self.drop_key_indexes();
         for (ci, (stored, col)) in self.cols.iter_mut().zip(cols).enumerate() {
             let mut prev = stored.last();
             for v in &col {
@@ -369,6 +382,7 @@ impl Table {
         let index = TableIndex::build(&self.schema, &cols, self.index.block_rows());
         Table {
             name: name.to_string(),
+            keys: OnceLock::new(),
             schema: self.schema.clone(),
             cols,
             index,
@@ -382,6 +396,7 @@ impl Table {
         let index = TableIndex::build(&schema, &cols, DEFAULT_BLOCK_ROWS);
         Table {
             name,
+            keys: OnceLock::new(),
             schema,
             cols,
             index,
@@ -404,11 +419,37 @@ impl Table {
         &self.index
     }
 
+    /// The kept [`KeyIndex`] over column `ci`, built on the first call
+    /// after the table was created or last written.
+    pub(crate) fn key_index_at(&self, ci: usize) -> &KeyIndex {
+        let slots = self.keys.get_or_init(|| {
+            std::iter::repeat_with(OnceLock::new)
+                .take(self.cols.len())
+                .collect()
+        });
+        slots[ci].get_or_init(|| KeyIndex::build(&self.cols[ci]))
+    }
+
+    /// The kept [`KeyIndex`] over column `col` (`None` if the column is
+    /// missing), probed with that column ([`Table::column`]). It is built
+    /// on the first call and kept until the table is next written, so
+    /// repeated joins and flow reconstructions over an unchanged table
+    /// hash it once.
+    pub fn key_index(&self, col: &str) -> Option<&KeyIndex> {
+        self.schema.index_of(col).map(|ci| self.key_index_at(ci))
+    }
+
+    /// Drops every kept key index — the first step of each writer.
+    fn drop_key_indexes(&mut self) {
+        self.keys.take();
+    }
+
     /// Rebuilds the block metadata with `block_rows` rows per zone-map
     /// block (clamped to ≥ 1). Queries are result-identical for any block
     /// size; this is a tuning/testing knob — the default is
     /// [`DEFAULT_BLOCK_ROWS`](crate::DEFAULT_BLOCK_ROWS).
     pub fn reindex(&mut self, block_rows: usize) {
+        self.drop_key_indexes();
         self.index = TableIndex::build(&self.schema, &self.cols, block_rows);
     }
 }

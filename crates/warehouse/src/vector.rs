@@ -12,9 +12,13 @@
 //!   scans ([`aggregate`], the residual and HAVING filters, ORDER BY,
 //!   LIMIT, the gather) is one generic function monomorphised per row
 //!   space, not a join copy and a single-table copy;
-//! * [`join_pairs`] is build-side aware: the planner hashes whichever
-//!   input the statistics estimate smaller, and the output pair list is
-//!   restored to left-major order either way;
+//! * [`join_pairs`] is build-side aware and probes one [`KeyIndex`] over
+//!   the build side's key column: the table's kept index when the build
+//!   side is unfiltered ([`Table::key_index`], hashed once per table
+//!   write, so a repeated request-ID join probes only its filtered side),
+//!   else one built over the smaller selection for this query. The output
+//!   pair list is left-major, right rows ascending, whichever side was
+//!   built and however its index was made;
 //! * [`aggregate`] folds COUNT/SUM/MIN/MAX/AVG in one pass over the typed
 //!   slices into `query.rs`'s `Acc`, the accumulator the window fold uses;
 //!   only SQL's own rules live here (what `COUNT` counts, whole-table `SUM`
@@ -40,33 +44,31 @@ use std::collections::HashMap;
 // Build-side-aware hash join over selection vectors
 // ---------------------------------------------------------------------
 
-/// Joins two selections on their key columns, indexing whichever side the
-/// planner chose (`build_left`) with the engine's [`KeyIndex`], and returns
-/// matching `(left_row, right_row)` pairs in **left-major** order (left
-/// selection order, then right selection order) regardless of build side.
-/// Null keys never match.
-pub(crate) fn join_pairs<'a>(
-    lcol: &'a [Value],
-    lsel: &[usize],
-    rcol: &'a [Value],
-    rsel: &[usize],
+/// Joins the key columns `lcol` and `rcol` by probing `index`, built over
+/// the build side's column (left when `build_left`), with the probe side's
+/// rows `probe`, ascending. Returns matching `(left_row, right_row)` pairs
+/// in **left-major** order, right rows ascending, regardless of build
+/// side. Null keys never match.
+pub(crate) fn join_pairs(
+    lcol: &[Value],
+    rcol: &[Value],
     build_left: bool,
+    index: &KeyIndex,
+    probe: impl ExactSizeIterator<Item = usize>,
 ) -> Vec<(usize, usize)> {
-    // Probe-side length is the lower bound on the output when keys are
-    // near-unique — the common request_id-style join shape.
-    let mut out = Vec::with_capacity(if build_left { rsel.len() } else { lsel.len() });
+    // The output's size when keys are unique on both sides — the
+    // request_id-style join shape.
+    let mut out = Vec::with_capacity(probe.len().min(index.len()));
     if build_left {
-        let index = KeyIndex::over(lcol, lsel.iter().copied());
-        for &ri in rsel {
-            out.extend(index.rows(&rcol[ri]).iter().map(|&li| (li, ri)));
+        for ri in probe {
+            out.extend(index.rows(lcol, &rcol[ri]).iter().map(|&li| (li, ri)));
         }
         // The probe ran right-major; the output contract is left-major.
         // Pairs are unique, so the unstable sort is deterministic.
         out.sort_unstable();
     } else {
-        let index = KeyIndex::over(rcol, rsel.iter().copied());
-        for &li in lsel {
-            out.extend(index.rows(&lcol[li]).iter().map(|&ri| (li, ri)));
+        for li in probe {
+            out.extend(index.rows(rcol, &lcol[li]).iter().map(|&ri| (li, ri)));
         }
     }
     out
@@ -213,17 +215,33 @@ pub(crate) fn aggregate<R: RowId>(
 /// they produce; [`downstream`] takes either. A planner-off plan takes
 /// the same pipeline with its choices pinned ([`plan`](crate::plan::plan)):
 /// an all-`True` scan pair, the whole WHERE as the pair residual, build
-/// side right.
+/// side right, hashed for this query.
 pub(crate) fn run(plan: &Plan<'_>, workers: usize) -> Result<Table, DbError> {
     let res = &plan.res;
     let source = plan.source_cols()?;
-    let lsel = CompiledPredicate::compile(plan.left, &plan.left_pred).matching_rows_with(workers);
-    let Some((right, (lci, rci))) = plan.right.zip(res.join_keys) else {
-        return downstream(plan, &source, lsel, workers);
+    let scan = |t: &Table, pred: &Predicate| {
+        CompiledPredicate::compile(t, pred).matching_rows_with(workers)
     };
-    let rsel = CompiledPredicate::compile(right, &plan.right_pred).matching_rows_with(workers);
+    let Some((right, (lci, rci))) = plan.right.zip(res.join_keys) else {
+        return downstream(plan, &source, scan(plan.left, &plan.left_pred), workers);
+    };
+    let ((build, bci, bpred), (probe, ppred)) = if plan.build_left {
+        ((plan.left, lci, &plan.left_pred), (right, &plan.right_pred))
+    } else {
+        ((right, rci, &plan.right_pred), (plan.left, &plan.left_pred))
+    };
+    // A kept index covers the whole column, which is the unfiltered build
+    // side's selection, so that side is not scanned.
+    let transient;
+    let index = if plan.kept {
+        build.key_index_at(bci)
+    } else {
+        transient = KeyIndex::over(build.col(bci), scan(build, bpred).into_iter());
+        &transient
+    };
     let (lkey, rkey) = (plan.left.col(lci), right.col(rci));
-    let mut pairs = join_pairs(lkey, &lsel, rkey, &rsel, plan.build_left);
+    let probe_rows = scan(probe, ppred).into_iter();
+    let mut pairs = join_pairs(lkey, rkey, plan.build_left, index, probe_rows);
     if plan.residual != Predicate::True {
         // Mixed-side conjuncts (and, planner off, the whole WHERE) name
         // columns of the joined relation: no zone maps over pairs.

@@ -194,14 +194,14 @@ fn key_index_rows_match_linear_filter() {
             let want: Vec<usize> = (0..col.len())
                 .filter(|&i| !probe.is_null() && !col[i].is_null() && col[i].key() == probe.key())
                 .collect();
-            if idx.rows(probe) != want {
+            if idx.rows(&col, probe) != want {
                 return Err(format!(
                     "rows({probe:?}) = {:?}, filter finds {want:?} in {col:?}",
-                    idx.rows(probe)
+                    idx.rows(&col, probe)
                 ));
             }
             if let Value::Text(s) = probe {
-                if idx.last_text(s) != want.last().copied() {
+                if idx.last_text(&col, s) != want.last().copied() {
                     return Err(format!("last_text({s:?}) ≠ last of {want:?}"));
                 }
             }

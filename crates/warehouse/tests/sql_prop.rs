@@ -15,7 +15,7 @@ use mscope_db::{
     sql, AggFn, Column, ColumnType, Database, DbError, Predicate, QueryOptions, Schema, Table,
     Value, ValueKey,
 };
-use mscope_serdes::ToJson;
+use mscope_serdes::{FromJson, ToJson};
 use mscope_sim::prop::{forall, Gen};
 use std::collections::HashMap;
 
@@ -858,6 +858,277 @@ fn explain_planner_off_shows_the_pinned_plan() {
             db.query(sql).expect("query runs"),
             "{sql}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Kept key indexes: identity across filters, repeats and writes
+// ---------------------------------------------------------------------
+
+/// A join key of any type the warehouse stores, from a domain small
+/// enough that duplicates and cross-type near-misses (`Int(1)`,
+/// `Float(1.0)`, `Timestamp(1)`, `'1'`) are common, or null.
+fn arb_key(g: &mut Gen) -> Value {
+    let n = g.i64(0..=3);
+    match g.usize(0..=5) {
+        0 => Value::Null,
+        1 | 2 => Value::Int(n),
+        3 => Value::Float(n as f64),
+        4 => Value::Timestamp(n),
+        _ => Value::Text(n.to_string()),
+    }
+}
+
+/// One row of `side(k, <val>)`: a mixed-type key and an Int the side's
+/// filter reads.
+fn arb_key_row(g: &mut Gen) -> Vec<Value> {
+    vec![arb_key(g), Value::Int(g.i64(0..=9))]
+}
+
+/// `side(k text, <val> int)` with up to `max` random rows.
+fn arb_key_table(g: &mut Gen, name: &str, val: &str, max: usize) -> Table {
+    let schema = Schema::new(vec![
+        Column::new("k", ColumnType::Text),
+        Column::new(val, ColumnType::Int),
+    ])
+    .expect("static schema is valid");
+    let mut t = Table::new(name, schema);
+    let rows = g.vec(0..=max, arb_key_row);
+    t.push_batch(rows).expect("rows fit the schema");
+    t
+}
+
+/// `SELECT * FROM l JOIN r ON k = k` with each side filtered or not,
+/// and the naive oracle: `inner_join_naive`, then the same filter.
+fn kept_join_case(l_cut: Option<i64>, r_cut: Option<i64>) -> (String, Predicate) {
+    let mut conds = Vec::new();
+    let mut preds = Vec::new();
+    if let Some(c) = l_cut {
+        conds.push(format!("a < {c}"));
+        preds.push(Predicate::Lt("a".into(), Value::Int(c)));
+    }
+    if let Some(c) = r_cut {
+        conds.push(format!("b < {c}"));
+        preds.push(Predicate::Lt("b".into(), Value::Int(c)));
+    }
+    let mut sql = "SELECT * FROM l JOIN r ON k = k".to_string();
+    if !conds.is_empty() {
+        sql = format!("{sql} WHERE {}", conds.join(" AND "));
+    }
+    let pred = match preds.len() {
+        0 => Predicate::True,
+        _ => Predicate::And(preds),
+    };
+    (sql, pred)
+}
+
+/// Every join leg over `db`'s current `l` and `r` against the naive join
+/// of the same tables: planner on (twice, so the second call probes what
+/// the first kept), planner off, and `Table::inner_join` for the
+/// unfiltered case. `EXPLAIN` names a kept index exactly when the planner
+/// is on and a side is unfiltered.
+fn check_kept_joins(db: &Database, g: &mut Gen) -> Result<(), String> {
+    let (l, r) = (
+        db.require("l").map_err(|e| e.to_string())?,
+        db.require("r").map_err(|e| e.to_string())?,
+    );
+    let naive = l.inner_join_naive(r, "k", "k").map_err(|e| e.to_string())?;
+    let whole = l.inner_join(r, "k", "k").map_err(|e| e.to_string())?;
+    if whole != naive {
+        return Err(format!(
+            "inner_join differs from the naive join:\n{}\nvs\n{}",
+            whole.render_text(12),
+            naive.render_text(12)
+        ));
+    }
+    let cut = |g: &mut Gen| g.bool().then(|| g.i64(0..=10));
+    let (l_cut, r_cut) = (cut(g), cut(g));
+    let (sql_text, pred) = kept_join_case(l_cut, r_cut);
+    let expected = naive.filter_naive(&pred);
+    for (optimize, round) in [(true, 0), (false, 0), (true, 1)] {
+        let opts = QueryOptions {
+            workers: 0,
+            optimize,
+        };
+        let got = db
+            .query_opts(&sql_text, opts)
+            .map_err(|e| format!("`{sql_text}` errored: {e}"))?;
+        if got != expected {
+            return Err(format!(
+                "`{sql_text}` (opt={optimize}, round {round}): {} rows vs naive {}\ngot:\n{}\nexpected:\n{}",
+                got.row_count(),
+                expected.row_count(),
+                got.render_text(12),
+                expected.render_text(12)
+            ));
+        }
+        let plan = db
+            .query_opts(&format!("EXPLAIN {sql_text}"), opts)
+            .map_err(|e| e.to_string())?;
+        let join_line = plan
+            .column("plan")
+            .and_then(|c| {
+                c.iter()
+                    .find_map(|v| v.as_str().filter(|s| s.starts_with("HashJoin")))
+            })
+            .unwrap_or_default()
+            .to_string();
+        let want_kept = optimize && (l_cut.is_none() || r_cut.is_none());
+        if join_line.contains(" kept ") != want_kept {
+            return Err(format!("`{sql_text}` (opt={optimize}): {join_line}"));
+        }
+    }
+    Ok(())
+}
+
+/// Writes to `l` or `r` through one of the warehouse's writers, picked at
+/// random, so the next join must see rows no kept index was built over.
+fn arb_write(db: &mut Database, g: &mut Gen) -> Result<(), String> {
+    let (name, val) = g.choose(&[("l", "a"), ("r", "b")]);
+    let result = match g.usize(0..=3) {
+        0 => db.insert(name, arb_key_row(g)).map(|_| ()),
+        1 => {
+            let rows = g.vec(0..=4, arb_key_row);
+            db.insert_batch(name, rows).map(|_| ())
+        }
+        2 => {
+            let rows = g.vec(0..=4, arb_key_row);
+            let mut cols = vec![Vec::new(), Vec::new()];
+            for row in rows {
+                for (col, v) in cols.iter_mut().zip(row) {
+                    col.push(v);
+                }
+            }
+            db.insert_columns(name, cols).map(|_| ())
+        }
+        _ => db.replace_table(arb_key_table(g, name, val, 12)),
+    };
+    result.map_err(|e| e.to_string())
+}
+
+/// A kept index is reused across joins and dropped by every write: over
+/// random mixed-type keys with duplicates and nulls, each of the four
+/// filtered/unfiltered side combinations gives the naive join's rows with
+/// the planner on, off and on again, before and after random writes.
+#[test]
+fn kept_key_indexes_match_the_naive_join_across_writes() {
+    forall("kept key index ≡ naive join across writes", 192, |g| {
+        let mut db = Database::new();
+        for (name, val) in [("l", "a"), ("r", "b")] {
+            db.replace_table(arb_key_table(g, name, val, 12))
+                .map_err(|e| e.to_string())?;
+        }
+        check_kept_joins(&db, g)?;
+        for _ in 0..g.usize(1..=3) {
+            arb_write(&mut db, g)?;
+            check_kept_joins(&db, g)?;
+        }
+        Ok(())
+    });
+}
+
+/// The writer-by-writer cases: join (keeping `r`'s index), write, join
+/// again, and match a table built fresh with the same rows. The new row's
+/// key `'9'` is in no kept index, so a stale one loses the match.
+fn join_write_join(write: impl FnOnce(&mut Database)) {
+    let key_table = |name: &str, val: &str, keys: &[&str]| {
+        let schema = Schema::new(vec![
+            Column::new("k", ColumnType::Text),
+            Column::new(val, ColumnType::Int),
+        ])
+        .expect("static schema is valid");
+        let mut t = Table::new(name, schema);
+        for (i, k) in keys.iter().enumerate() {
+            t.push_row(vec![Value::Text((*k).into()), Value::Int(i as i64)])
+                .expect("row fits schema");
+        }
+        t
+    };
+    let mut db = Database::new();
+    db.replace_table(key_table("l", "a", &["1", "9", "2"]))
+        .expect("l installs");
+    db.replace_table(key_table("r", "b", &["1", "2", "2"]))
+        .expect("r installs");
+    // The left side is filtered, so the planner probes `r`'s kept index.
+    let sql_text = "SELECT * FROM l JOIN r ON k = k WHERE a < 5";
+    let before = db.query(sql_text).expect("join runs");
+    assert_eq!(before.row_count(), 3, "{}", before.render_text(0));
+    write(&mut db);
+    let after = db.query(sql_text).expect("join runs");
+    let mut fresh = Database::new();
+    for name in ["l", "r"] {
+        let t = db.require(name).expect("table exists");
+        let copy = Table::from_json(&t.to_json()).expect("table round-trips");
+        fresh.replace_table(copy).expect("table installs");
+    }
+    assert_eq!(after, fresh.query(sql_text).expect("join runs"));
+    assert_eq!(after.row_count(), 4, "{}", after.render_text(0));
+}
+
+#[test]
+fn insert_drops_the_kept_index() {
+    join_write_join(|db| {
+        db.insert("r", vec!["9".into(), Value::Int(3)])
+            .expect("row fits schema");
+    });
+}
+
+#[test]
+fn insert_batch_drops_the_kept_index() {
+    join_write_join(|db| {
+        db.insert_batch("r", vec![vec!["9".into(), Value::Int(3)]])
+            .expect("rows fit schema");
+    });
+}
+
+#[test]
+fn insert_columns_drops_the_kept_index() {
+    join_write_join(|db| {
+        db.insert_columns("r", vec![vec!["9".into()], vec![Value::Int(3)]])
+            .expect("columns fit schema");
+    });
+}
+
+#[test]
+fn replace_table_installs_a_table_with_no_kept_index() {
+    join_write_join(|db| {
+        let old = db.require("r").expect("r exists");
+        let mut rows: Vec<Vec<Value>> = old.iter_rows().collect();
+        rows.push(vec!["9".into(), Value::Int(3)]);
+        let mut r = Table::new("r", old.schema().clone());
+        r.push_batch(rows).expect("rows fit schema");
+        db.replace_table(r).expect("r installs");
+    });
+}
+
+/// `reindex` rebuilds the zone maps and, like every `&mut` writer, drops
+/// the kept key indexes; `push_row` is the writer underneath `insert`.
+/// The join runs through `Table::inner_join`, whose smaller side (`r`)
+/// is probed through its kept index.
+#[test]
+fn reindex_and_push_row_drop_the_kept_index() {
+    let schema =
+        || Schema::new(vec![Column::new("k", ColumnType::Text)]).expect("static schema is valid");
+    let mut l = Table::new("l", schema());
+    let mut r = Table::new("r", schema());
+    for k in ["1", "9", "2", "2"] {
+        l.push_row(vec![k.into()]).expect("row fits schema");
+    }
+    for k in ["2", "1"] {
+        r.push_row(vec![k.into()]).expect("row fits schema");
+    }
+    let join = |l: &Table, r: &Table| l.inner_join(r, "k", "k").expect("join runs");
+    assert_eq!(join(&l, &r).row_count(), 3);
+    for (nines, block_rows) in [(1, 1), (2, 3)] {
+        r.reindex(block_rows);
+        assert_eq!(
+            join(&l, &r),
+            l.inner_join_naive(&r, "k", "k").expect("join runs")
+        );
+        r.push_row(vec!["9".into()]).expect("row fits schema");
+        let got = join(&l, &r);
+        assert_eq!(got, l.inner_join_naive(&r, "k", "k").expect("join runs"));
+        assert_eq!(got.row_count(), 3 + nines, "{}", got.render_text(0));
     }
 }
 
