@@ -5,8 +5,21 @@
 //! in the event mScopeMonitor log files, milliScope is able to reconstruct
 //! the execution path explicitly … without making any assumptions about the
 //! interactions among servers."
+//!
+//! The join writes its result into a [`FlowTable`]: one row per hop, the
+//! hops of a flow contiguous, timestamps in plain columns, request IDs in
+//! one text buffer and node and interaction names interned. Owned
+//! [`RequestFlow`]s are copied out of it, so a caller that keeps the table
+//! (`MilliScope` does) joins once and pays only the copy on every later
+//! call. [`reconstruct_flows`] is the build followed by the copy.
+//!
+//! A timestamp cell is read as a timestamp, as "no value" (null, or text
+//! that is empty or `-`, how the monitors mark a missing boundary), or is
+//! a [`FlowError::NotTimestamp`]: text in a timestamp column means a cell
+//! the loader could not parse turned the whole column into text.
 
 use mscope_db::{KeyIndex, Table, Value};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -36,6 +49,17 @@ pub enum FlowError {
         /// The null column.
         column: String,
     },
+    /// A row's `ua`/`ud`/`ds`/`dr` cell holds a value that is neither null
+    /// nor a timestamp — typically text, because one unparseable cell
+    /// turns a whole column into `Text` at load time.
+    NotTimestamp {
+        /// Event table at fault.
+        table: String,
+        /// 0-based row index.
+        row: usize,
+        /// The column whose cell is not a timestamp.
+        column: String,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -46,6 +70,12 @@ impl fmt::Display for FlowError {
             }
             FlowError::NullTimestamp { table, row, column } => {
                 write!(f, "row {row} of `{table}` has null {column}")
+            }
+            FlowError::NotTimestamp { table, row, column } => {
+                write!(
+                    f,
+                    "row {row} of `{table}` has a {column} that is not a timestamp"
+                )
             }
         }
     }
@@ -260,7 +290,8 @@ impl RequestFlow {
 }
 
 /// Reconstructs all flows by joining event tables (given in pipeline order,
-/// tier 0 first) on `request_id`.
+/// tier 0 first) on `request_id`: [`FlowTable::build`], then
+/// [`FlowTable::flows`].
 ///
 /// Requests missing from the front table are skipped (they never completed
 /// tier 0); deeper hops are optional — a depth-1 static request legally has
@@ -269,62 +300,195 @@ impl RequestFlow {
 /// # Errors
 ///
 /// Returns a [`FlowError`] if a table lacks the required columns or a
-/// mandatory timestamp is null.
+/// timestamp cell is null where one is mandatory or not a timestamp.
 pub fn reconstruct_flows(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowError> {
-    if tables.is_empty() {
-        return Ok(Vec::new());
-    }
-    let missing_id = |t: &Table| FlowError::MissingColumn {
-        table: t.name().to_string(),
-        column: "request_id".into(),
-    };
-    // Probe each deeper tier through the `request_id` index its table
-    // keeps for joins: built by the first reconstruction or join after the
-    // table was last written, not by every call. `last_text` keeps the last
-    // occurrence of a duplicated ID (latest record wins).
-    let mut deep: Vec<(&[Value], &KeyIndex, HopReader<'_>)> = Vec::with_capacity(tables.len() - 1);
-    for t in &tables[1..] {
-        let ids = t.column("request_id").ok_or_else(|| missing_id(t))?;
-        let index = t.key_index("request_id").ok_or_else(|| missing_id(t))?;
-        deep.push((ids, index, HopReader::new(t)));
-    }
-    let front = tables[0];
-    let ids = front
-        .column("request_id")
-        .ok_or_else(|| missing_id(front))?;
-    let front_reader = HopReader::new(front);
-    let interactions = front.column("interaction");
-    let mut flows = Vec::with_capacity(ids.len());
-    for (row, id) in ids.iter().enumerate() {
-        let Some(id) = id.as_str() else { continue };
-        let mut hops = Vec::new();
-        hops.push(front_reader.read(row, 0)?);
-        for (depth, (deep_ids, index, reader)) in deep.iter().enumerate() {
-            let Some(r) = index.last_text(deep_ids, id) else {
-                break;
-            };
-            hops.push(reader.read(r, depth + 1)?);
-        }
-        let interaction = interactions
-            .and_then(|col| col.get(row))
-            .and_then(Value::as_str);
-        // perf: flows own their strings (callers keep them past the table
-        // borrow) — two allocations per flow, one more per hop for its node.
-        flows.push(RequestFlow {
-            request_id: id.to_string(),
-            interaction: interaction.unwrap_or("?").to_string(),
-            hops,
-        });
-    }
-    Ok(flows)
+    FlowTable::build(tables).map(|t| t.flows())
 }
 
-/// Per-table hop extractor with the column lookups hoisted out of the row
-/// loop: each name resolves to a column slice once, and `read` only
-/// indexes. Column absence stays a *lazy, per-row* error in the original
-/// order (`ua` missing → `ua` null → `ud` → `ds` → `dr`) so a table is
-/// only faulted for a column a visited row actually needed.
-struct HopReader<'t> {
+/// The result of the request-ID join, column-wise: one row per hop, the
+/// hops of a flow contiguous and in pipeline order, so a hop's tier is its
+/// position in the flow.
+///
+/// Every string is stored once: request IDs back to back in one text
+/// buffer, node and interaction names interned. The table holds no borrow
+/// of the event tables it was built from, so copying flows out of it can
+/// never read a table it was not built from.
+#[derive(Debug, Default)]
+pub struct FlowTable {
+    /// Interned node and interaction names.
+    names: Vec<String>,
+    /// Request IDs back to back; flow `f`'s ends at `id_ends[f]`.
+    ids: String,
+    /// Per flow: end offset of its request ID in `ids`.
+    id_ends: Vec<usize>,
+    /// Per flow: its interaction, an index into `names`.
+    interaction: Vec<u32>,
+    /// Per flow: end offset of its hops (CSR).
+    ends: Vec<usize>,
+    /// Per hop: upstream arrival (µs).
+    ua: Vec<i64>,
+    /// Per hop: upstream departure (µs).
+    ud: Vec<i64>,
+    /// Per hop: downstream sending (µs), where `windows` marks one.
+    ds: Vec<i64>,
+    /// Per hop: downstream receiving (µs), where `windows` marks one.
+    dr: Vec<i64>,
+    /// Two bits per hop, 32 hops a word: hop `h` has a `ds` if bit `2h`
+    /// is set and a `dr` if bit `2h + 1` is.
+    windows: Vec<u64>,
+    /// Per hop: its node, an index into `names`.
+    node: Vec<u32>,
+}
+
+impl FlowTable {
+    /// Joins event tables (given in pipeline order, tier 0 first) on
+    /// `request_id` into one flow per front-tier row whose ID is text.
+    ///
+    /// Each deeper tier is probed through the `request_id` index its table
+    /// keeps for joins: built by the first reconstruction or join after
+    /// the table was last written, not by every call. A duplicated ID
+    /// resolves to its last occurrence (the latest record wins), and a
+    /// flow ends at the first tier that has no record of its ID.
+    ///
+    /// # Errors
+    ///
+    /// A [`FlowError`] for a table that lacks `request_id`, or for the
+    /// first visited row (in join order) whose timestamps cannot be read.
+    /// Columns other than `request_id` are only required of the rows a
+    /// flow visits.
+    pub fn build(tables: &[&Table]) -> Result<FlowTable, FlowError> {
+        let mut out = FlowTable::default();
+        let Some((&front, deeper)) = tables.split_first() else {
+            return Ok(out);
+        };
+        let missing_id = |t: &Table| FlowError::MissingColumn {
+            table: t.name().to_string(),
+            column: "request_id".into(),
+        };
+        let mut deep: Vec<(&[Value], &KeyIndex, HopColumns<'_>)> = Vec::with_capacity(deeper.len());
+        for t in deeper {
+            let ids = t.column("request_id").ok_or_else(|| missing_id(t))?;
+            let index = t.key_index("request_id").ok_or_else(|| missing_id(t))?;
+            deep.push((ids, index, HopColumns::new(t)));
+        }
+        let ids = front
+            .column("request_id")
+            .ok_or_else(|| missing_id(front))?;
+        let front_cols = HopColumns::new(front);
+        let interactions = front.column("interaction");
+        let mut names = Interner::default();
+        out.reserve(ids.len());
+        for (row, id) in ids.iter().enumerate() {
+            let Some(id) = id.as_str() else { continue };
+            out.push_hop(&front_cols, row, &mut names)?;
+            for (deep_ids, index, cols) in &deep {
+                let Some(r) = index.last_text(deep_ids, id) else {
+                    break;
+                };
+                out.push_hop(cols, r, &mut names)?;
+            }
+            let interaction = interactions
+                .and_then(|col| col.get(row))
+                .and_then(Value::as_str)
+                .unwrap_or("?");
+            out.interaction.push(names.id(interaction));
+            out.ids.push_str(id);
+            out.id_ends.push(out.ids.len());
+            out.ends.push(out.ua.len());
+        }
+        out.names = names.into_names();
+        Ok(out)
+    }
+
+    /// Copies every flow out, in front-table row order.
+    pub fn flows(&self) -> Vec<RequestFlow> {
+        let mut flows = Vec::with_capacity(self.ends.len());
+        let (mut lo, mut id_lo) = (0, 0);
+        for ((&hi, &id_hi), &interaction) in
+            self.ends.iter().zip(&self.id_ends).zip(&self.interaction)
+        {
+            // At least four hops' room, as pushing onto an empty `Vec`
+            // leaves: one allocation size for every flow of up to four
+            // hops, which `query_mix`'s latencies measured better than
+            // exact lengths (EXPERIMENTS.md, kept flow tables).
+            let mut hops = Vec::with_capacity((hi - lo).max(4));
+            hops.extend((lo..hi).map(|h| self.hop(h, h - lo)));
+            // perf: flows own their strings (callers keep them past the
+            // table) — two allocations per flow, one more per hop for its node.
+            flows.push(RequestFlow {
+                request_id: self.ids[id_lo..id_hi].to_string(),
+                interaction: self.names[interaction as usize].clone(),
+                hops,
+            });
+            (lo, id_lo) = (hi, id_hi);
+        }
+        flows
+    }
+
+    /// Hop `h` as an owned [`FlowHop`] at position `tier` of its flow.
+    fn hop(&self, h: usize, tier: usize) -> FlowHop {
+        let bits = self.windows[h / 32] >> (2 * (h % 32));
+        FlowHop {
+            tier,
+            node: self.names[self.node[h] as usize].clone(),
+            ua: self.ua[h],
+            ud: self.ud[h],
+            ds: (bits & 1 != 0).then_some(self.ds[h]),
+            dr: (bits & 2 != 0).then_some(self.dr[h]),
+        }
+    }
+
+    /// Room for `flows` flows of one hop each; deeper hops grow the hop
+    /// columns as they are found.
+    fn reserve(&mut self, flows: usize) {
+        self.id_ends.reserve(flows);
+        self.interaction.reserve(flows);
+        self.ends.reserve(flows);
+        self.ua.reserve(flows);
+        self.ud.reserve(flows);
+        self.ds.reserve(flows);
+        self.dr.reserve(flows);
+        self.node.reserve(flows);
+    }
+
+    /// Appends row `row` of `cols`'s table as the next hop. The cells are
+    /// read in the order `ua`, `ud`, `ds`, `dr`, so a row with several bad
+    /// cells is reported for the first of them.
+    fn push_hop<'t>(
+        &mut self,
+        cols: &HopColumns<'t>,
+        row: usize,
+        names: &mut Interner<'t>,
+    ) -> Result<(), FlowError> {
+        let ua = cols.mandatory(cols.ua, "ua", row)?;
+        let ud = cols.mandatory(cols.ud, "ud", row)?;
+        let ds = cols.get(cols.ds, "ds", row)?;
+        let dr = cols.get(cols.dr, "dr", row)?;
+        let node = cols
+            .node
+            .and_then(|col| col.get(row))
+            .and_then(Value::as_str)
+            .unwrap_or("?");
+        self.ua.push(ua);
+        self.ud.push(ud);
+        let h = self.ds.len();
+        if h.is_multiple_of(32) {
+            self.windows.push(0);
+        }
+        if let Some(word) = self.windows.last_mut() {
+            *word |= (u64::from(ds.is_some()) | u64::from(dr.is_some()) << 1) << (2 * (h % 32));
+        }
+        self.ds.push(ds.unwrap_or(0));
+        self.dr.push(dr.unwrap_or(0));
+        self.node.push(names.id(node));
+        Ok(())
+    }
+}
+
+/// One event table's hop columns, each name resolved to a column slice
+/// once per build. Column absence is a *lazy, per-row* error, so a table
+/// is only faulted for a column a visited row actually needed.
+struct HopColumns<'t> {
     table: &'t str,
     node: Option<&'t [Value]>,
     ua: Option<&'t [Value]>,
@@ -333,9 +497,9 @@ struct HopReader<'t> {
     dr: Option<&'t [Value]>,
 }
 
-impl<'t> HopReader<'t> {
-    fn new(table: &'t Table) -> HopReader<'t> {
-        HopReader {
+impl<'t> HopColumns<'t> {
+    fn new(table: &'t Table) -> HopColumns<'t> {
+        HopColumns {
             table: table.name(),
             node: table.column("node"),
             ua: table.column("ua"),
@@ -345,41 +509,64 @@ impl<'t> HopReader<'t> {
         }
     }
 
-    fn get(
-        &self,
-        col: Option<&'t [Value]>,
-        name: &str,
-        row: usize,
-    ) -> Result<Option<i64>, FlowError> {
-        Ok(col.ok_or_else(|| FlowError::MissingColumn {
+    /// The timestamp at `row` of `col`, `None` for no value: a null cell,
+    /// or a text cell that is empty or `-` once trimmed — the monitors'
+    /// "no value" mark, which loads verbatim when every cell of a column
+    /// is one (a leaf tier's `ds`/`dr`). Any other cell that is not a
+    /// timestamp is an error.
+    fn get(&self, col: Option<&[Value]>, name: &str, row: usize) -> Result<Option<i64>, FlowError> {
+        let col = col.ok_or_else(|| FlowError::MissingColumn {
             table: self.table.to_string(),
             column: name.to_string(),
-        })?[row]
-            .as_i64())
+        })?;
+        match &col[row] {
+            Value::Null => Ok(None),
+            Value::Text(s) if matches!(s.trim(), "" | "-") => Ok(None),
+            cell => cell
+                .as_i64()
+                .map(Some)
+                .ok_or_else(|| FlowError::NotTimestamp {
+                    table: self.table.to_string(),
+                    row,
+                    column: name.to_string(),
+                }),
+        }
     }
 
-    fn read(&self, row: usize, tier: usize) -> Result<FlowHop, FlowError> {
-        let null_ts = |col: &str| FlowError::NullTimestamp {
-            table: self.table.to_string(),
-            row,
-            column: col.to_string(),
-        };
-        let ua = self.get(self.ua, "ua", row)?.ok_or_else(|| null_ts("ua"))?;
-        let ud = self.get(self.ud, "ud", row)?.ok_or_else(|| null_ts("ud"))?;
-        let node = self
-            .node
-            .and_then(|col| col.get(row))
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        Ok(FlowHop {
-            tier,
-            node,
-            ua,
-            ud,
-            ds: self.get(self.ds, "ds", row)?,
-            dr: self.get(self.dr, "dr", row)?,
-        })
+    /// [`get`](HopColumns::get) for a column whose cells may not be null.
+    fn mandatory(&self, col: Option<&[Value]>, name: &str, row: usize) -> Result<i64, FlowError> {
+        self.get(col, name, row)?
+            .ok_or_else(|| FlowError::NullTimestamp {
+                table: self.table.to_string(),
+                row,
+                column: name.to_string(),
+            })
+    }
+}
+
+/// Names seen during one build, each given the index of its first
+/// sighting. Keys borrow from the event tables; [`into_names`] makes the
+/// owned copies once per distinct name.
+///
+/// [`into_names`]: Interner::into_names
+#[derive(Default)]
+struct Interner<'t> {
+    seen: HashMap<&'t str, u32>,
+    names: Vec<&'t str>,
+}
+
+impl<'t> Interner<'t> {
+    fn id(&mut self, name: &'t str) -> u32 {
+        let next = self.names.len() as u32;
+        let id = *self.seen.entry(name).or_insert(next);
+        if id == next {
+            self.names.push(name);
+        }
+        id
+    }
+
+    fn into_names(self) -> Vec<String> {
+        self.names.into_iter().map(str::to_string).collect()
     }
 }
 
@@ -629,6 +816,50 @@ mod tests {
                 column: "ua".into(),
             }
         );
+    }
+
+    /// A leaf tier's `ds`/`dr` of nothing but `-` loads as text: the mark
+    /// reads as no window. Any other text is a typed error, in the order
+    /// the cells are read.
+    #[test]
+    fn text_timestamp_cells_are_marks_or_typed_errors() {
+        let schema = Schema::new(vec![
+            Column::new("request_id", ColumnType::Text),
+            Column::new("ua", ColumnType::Timestamp),
+            Column::new("ud", ColumnType::Timestamp),
+            Column::new("ds", ColumnType::Text),
+            Column::new("dr", ColumnType::Text),
+        ])
+        .unwrap();
+        let table = |ds: &str, dr: &str| {
+            let mut t = Table::new("event_mysql", schema.clone());
+            t.push_row(vec![
+                Value::Text("AAA".into()),
+                Value::Timestamp(1),
+                Value::Timestamp(2),
+                Value::Text(ds.into()),
+                Value::Text(dr.into()),
+            ])
+            .unwrap();
+            t
+        };
+        let marks = reconstruct_flows(&[&table("-", " ")]).unwrap();
+        assert_eq!((marks[0].hops[0].ds, marks[0].hops[0].dr), (None, None));
+        let err = reconstruct_flows(&[&table("-", "00:00:01.000000")]).unwrap_err();
+        assert_eq!(
+            err,
+            FlowError::NotTimestamp {
+                table: "event_mysql".into(),
+                row: 0,
+                column: "dr".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "row 0 of `event_mysql` has a dr that is not a timestamp"
+        );
+        let err = reconstruct_flows(&[&table("x", "y")]).unwrap_err();
+        assert!(matches!(err, FlowError::NotTimestamp { column, .. } if column == "ds"));
     }
 
     #[test]

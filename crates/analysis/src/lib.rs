@@ -44,7 +44,7 @@ mod slo;
 pub use breakdown::{error_rate, interaction_breakdown, tier_contribution, InteractionStats};
 pub use correlate::{align, correlate, rank_correlations, CorrelationHit, WindowSeries};
 pub use detect::{detect_pushback, detect_vsb, PushbackEpisode, VsbEpisode};
-pub use flow::{reconstruct_flows, CausalViolation, FlowError, FlowHop, RequestFlow};
+pub use flow::{reconstruct_flows, CausalViolation, FlowError, FlowHop, FlowTable, RequestFlow};
 pub use pit::{PitPoint, PitSeries};
 pub use queue::{
     intervals_from_event_table, queue_from_event_table, queue_series, queue_series_checked,

@@ -3,13 +3,14 @@
 use crate::error::CoreError;
 use crate::experiment::ExperimentOutput;
 use mscope_analysis::{
-    queue_from_event_table, reconstruct_flows, PitSeries, RequestFlow, WindowSeries,
+    queue_from_event_table, FlowError, FlowTable, PitSeries, RequestFlow, WindowSeries,
 };
 use mscope_db::{AggFn, Database, Predicate, Table, Value};
 use mscope_monitors::{merge_records, MonitorSuite, SysVizTrace};
 use mscope_ntier::{RunOutput, SystemConfig, TierId, TierKind};
 use mscope_sim::{run_piped, SimDuration, SimTime};
 use mscope_transform::{DataTransformer, RunOptions, TransformReport};
+use std::sync::OnceLock;
 
 /// A fully ingested experiment: native logs transformed, loaded into
 /// mScopeDB, and exposed through the analysis vocabulary of the paper.
@@ -37,6 +38,12 @@ pub struct MilliScope {
     sysviz: Option<SysVizTrace>,
     report: TransformReport,
     end_time: SimTime,
+    /// The request-ID join of the event tables, built by the first
+    /// [`flows`](MilliScope::flows) call and kept — a failed build too.
+    /// Nothing invalidates it because no method takes `&mut self`: the
+    /// event tables never change after construction. A future writer must
+    /// take `&mut self` and reset this slot.
+    flow_table: OnceLock<Result<FlowTable, FlowError>>,
 }
 
 impl MilliScope {
@@ -111,6 +118,7 @@ impl MilliScope {
             sysviz,
             report,
             end_time,
+            flow_table: OnceLock::new(),
         })
     }
 
@@ -339,16 +347,26 @@ impl MilliScope {
     }
 
     /// Full causal-path reconstruction by joining the event tables on the
-    /// propagated request ID (§IV-B).
+    /// propagated request ID (§IV-B). The first call joins the tables into
+    /// a [`FlowTable`] and keeps it; every call copies the flows out of it.
     ///
     /// # Errors
     ///
-    /// Missing event tables or columns.
+    /// Missing event tables or columns, or timestamps the join cannot
+    /// read; a join that failed once fails the same way every time.
     pub fn flows(&self) -> Result<Vec<RequestFlow>, CoreError> {
-        let tables: Vec<&Table> = (0..self.config.tiers.len())
-            .map(|t| self.event_table(t))
-            .collect::<Result<_, _>>()?;
-        reconstruct_flows(&tables).map_err(|e| CoreError::Analysis(e.to_string()))
+        let kept = match self.flow_table.get() {
+            Some(kept) => kept,
+            None => {
+                let tables: Vec<&Table> = (0..self.config.tiers.len())
+                    .map(|t| self.event_table(t))
+                    .collect::<Result<_, _>>()?;
+                self.flow_table.get_or_init(|| FlowTable::build(&tables))
+            }
+        };
+        kept.as_ref()
+            .map(FlowTable::flows)
+            .map_err(|e| CoreError::Analysis(e.to_string()))
     }
 }
 
@@ -470,6 +488,7 @@ impl MilliScope {
             sysviz: artifacts.sysviz,
             report,
             end_time,
+            flow_table: OnceLock::new(),
         })
     }
 }
@@ -620,6 +639,7 @@ mod tests {
             config,
             sysviz: None,
             report: TransformReport::default(),
+            flow_table: OnceLock::new(),
         };
         let busy = ms
             .cpu_busy("tier0-0", SimDuration::from_millis(100))
@@ -966,5 +986,275 @@ mod slo_tests {
             )
             .unwrap();
         assert!(loose.is_met());
+    }
+}
+
+#[cfg(test)]
+mod flow_table_tests {
+    use super::*;
+    use mscope_analysis::{reconstruct_flows, FlowHop};
+    use mscope_db::{Column, ColumnType, Schema};
+    use mscope_sim::prop::{forall, Gen};
+
+    /// The per-row join the kept table replaces, as the oracle: every hop
+    /// read cell by cell from its event table, and every deeper record
+    /// found by a linear scan for the last row carrying the ID.
+    fn flows_per_row(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowError> {
+        let Some((front, deeper)) = tables.split_first() else {
+            return Ok(Vec::new());
+        };
+        let ids = |t: &Table| {
+            t.column("request_id")
+                .ok_or_else(|| FlowError::MissingColumn {
+                    table: t.name().to_string(),
+                    column: "request_id".into(),
+                })
+                .map(<[Value]>::to_vec)
+        };
+        let deep_ids = deeper
+            .iter()
+            .map(|t| ids(t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut flows = Vec::new();
+        for (row, id) in ids(front)?.iter().enumerate() {
+            let Some(id) = id.as_str() else { continue };
+            let mut hops = vec![hop_per_row(front, row, 0)?];
+            for (depth, (t, ids)) in deeper.iter().zip(&deep_ids).enumerate() {
+                let Some(r) = ids.iter().rposition(|v| v.as_str() == Some(id)) else {
+                    break;
+                };
+                hops.push(hop_per_row(t, r, depth + 1)?);
+            }
+            let interaction = front.cell(row, "interaction").and_then(Value::as_str);
+            flows.push(RequestFlow {
+                request_id: id.to_string(),
+                interaction: interaction.unwrap_or("?").to_string(),
+                hops,
+            });
+        }
+        Ok(flows)
+    }
+
+    fn hop_per_row(t: &Table, row: usize, tier: usize) -> Result<FlowHop, FlowError> {
+        let fault = |column: &str| (t.name().to_string(), row, column.to_string());
+        let ts = |column: &str| -> Result<Option<i64>, FlowError> {
+            let cell = t
+                .cell(row, column)
+                .ok_or_else(|| FlowError::MissingColumn {
+                    table: t.name().to_string(),
+                    column: column.to_string(),
+                })?;
+            match cell {
+                Value::Null => Ok(None),
+                Value::Text(s) if s.trim().is_empty() || s.trim() == "-" => Ok(None),
+                Value::Int(v) | Value::Timestamp(v) => Ok(Some(*v)),
+                _ => {
+                    let (table, row, column) = fault(column);
+                    Err(FlowError::NotTimestamp { table, row, column })
+                }
+            }
+        };
+        let mandatory = |column: &str| {
+            ts(column)?.ok_or_else(|| {
+                let (table, row, column) = fault(column);
+                FlowError::NullTimestamp { table, row, column }
+            })
+        };
+        let (ua, ud) = (mandatory("ua")?, mandatory("ud")?);
+        let (ds, dr) = (ts("ds")?, ts("dr")?);
+        let node = t.cell(row, "node").and_then(Value::as_str);
+        Ok(FlowHop {
+            tier,
+            node: node.unwrap_or("?").to_string(),
+            ua,
+            ud,
+            ds,
+            dr,
+        })
+    }
+
+    /// A request ID: mostly text from a small pool, so IDs repeat within a
+    /// tier and go missing from deeper ones; sometimes not text at all.
+    fn id_cell(g: &mut Gen, _dirty: bool) -> Value {
+        match g.usize(0..=9) {
+            0 => Value::Null,
+            1 => Value::Int(g.i64(0..=3)),
+            _ => Value::Text(g.choose(&["A", "B", "C", "D", "E"]).to_string()),
+        }
+    }
+
+    /// A timestamp cell: a timestamp or an integer, and in a dirty table
+    /// sometimes null, a "no value" mark, another type, or text that is
+    /// not a timestamp.
+    fn ts_cell(g: &mut Gen, dirty: bool) -> Value {
+        match g.usize(0..=79) {
+            0 if dirty => Value::Null,
+            1 if dirty => Value::Text(g.choose(&["-", "", " - "]).to_string()),
+            2 if dirty => Value::Text("00:00:01.000000".into()),
+            3 if dirty => Value::Float(1.5),
+            4 if dirty => Value::Bool(true),
+            0..=5 => Value::Int(g.i64(-5..=5)),
+            _ => Value::Timestamp(g.i64(-1_000..=1_000_000)),
+        }
+    }
+
+    /// A name cell (`node`, `interaction`): a few distinct texts, or not
+    /// text.
+    fn name_cell(g: &mut Gen, _dirty: bool) -> Value {
+        match g.usize(0..=9) {
+            0 => Value::Null,
+            1 => Value::Int(7),
+            _ => Value::Text(g.choose(&["n0", "n1", "n2", "ViewStory"]).to_string()),
+        }
+    }
+
+    /// An event table of up to 12 rows with some columns left out, one in
+    /// three of them dirty. Every column is typed `Text`, which admits a
+    /// cell of any type.
+    fn event_table(g: &mut Gen, name: &str) -> Table {
+        type Cell = fn(&mut Gen, bool) -> Value;
+        let all: [(&str, Cell, usize); 7] = [
+            ("request_id", id_cell, 60),
+            ("interaction", name_cell, 5),
+            ("node", name_cell, 5),
+            ("ua", ts_cell, 40),
+            ("ud", ts_cell, 40),
+            ("ds", ts_cell, 40),
+            ("dr", ts_cell, 40),
+        ];
+        // Each column is left out with chance 1 in `keep`.
+        let cols: Vec<(&str, Cell)> = all
+            .into_iter()
+            .filter(|&(_, _, keep)| g.usize(1..=keep) != 1)
+            .map(|(name, cell, _)| (name, cell))
+            .collect();
+        let schema = Schema::new(
+            cols.iter()
+                .map(|(name, _)| Column::new(*name, ColumnType::Text))
+                .collect(),
+        )
+        .unwrap();
+        let mut t = Table::new(name, schema);
+        let dirty = g.usize(0..=2) == 0;
+        let rows = match g.usize(0..=4) {
+            0 => 0,
+            _ => g.usize(1..=12),
+        };
+        for _ in 0..rows {
+            t.push_row(cols.iter().map(|(_, cell)| cell(g, dirty)).collect())
+                .unwrap();
+        }
+        t
+    }
+
+    /// A handle over `tables` as the event tables of the first
+    /// `tables.len()` tiers of the RUBBoS pipeline.
+    fn handle(tables: Vec<Table>) -> MilliScope {
+        let mut config = SystemConfig::rubbos_baseline(10);
+        config.tiers.truncate(tables.len());
+        let mut db = Database::new();
+        for t in tables {
+            db.replace_table(t).unwrap();
+        }
+        MilliScope {
+            db,
+            end_time: config.end_time(),
+            config,
+            sysviz: None,
+            report: TransformReport::default(),
+            flow_table: OnceLock::new(),
+        }
+    }
+
+    /// One wallclock cell too large to parse turns its whole column into
+    /// text at load time. The join then names the first row it reads as
+    /// not a timestamp, instead of calling the cell null (`ua`) or
+    /// dropping every hop's downstream window (`ds`).
+    #[test]
+    fn a_timestamp_column_loaded_as_text_is_a_typed_error() {
+        let mut cfg = SystemConfig::rubbos_baseline(50);
+        cfg.duration = SimDuration::from_secs(3);
+        cfg.warmup = SimDuration::from_secs(1);
+        let out = crate::experiment::Experiment::new(cfg).unwrap().run();
+        let path = "logs/tier0-0/access_log";
+        for column in ["ua", "ds"] {
+            let mut store = out.artifacts.store.clone();
+            let log = store.remove(path).unwrap();
+            let key = format!(" {column}=");
+            let mut lines: Vec<String> = log.lines().map(str::to_string).collect();
+            let line = lines.iter_mut().skip(2).find(|l| l.contains(&key)).unwrap();
+            let at = line.find(&key).unwrap() + key.len();
+            let end = line[at..].find(' ').map_or(line.len(), |e| at + e);
+            line.replace_range(at..end, "6000000000:00:00");
+            store.append(path, &(lines.join("\n") + "\n"));
+            let ms = MilliScope::from_parts(
+                out.run.config.clone(),
+                &store,
+                &out.artifacts.manifest,
+                None,
+            )
+            .unwrap();
+            let front = ms.event_table(0).unwrap();
+            assert!(matches!(front.cell(0, column), Some(Value::Text(_))));
+            let want = FlowError::NotTimestamp {
+                table: "event_apache".into(),
+                row: 0,
+                column: column.into(),
+            };
+            match ms.flows() {
+                Err(CoreError::Analysis(got)) => assert_eq!(got, want.to_string()),
+                other => panic!("{column}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn kept_table_matches_the_per_row_join_on_hostile_tables() {
+        // (joins that succeeded with a multi-hop flow, joins that failed)
+        let outcomes = std::cell::Cell::new((0, 0));
+        forall("kept flow table = per-row join", 1024, |g| {
+            let tiers = g.usize(1..=4);
+            let names = ["event_apache", "event_tomcat", "event_cjdbc", "event_mysql"];
+            let tables = names[..tiers]
+                .iter()
+                .map(|name| event_table(g, name))
+                .collect();
+            let ms = handle(tables);
+            let refs: Vec<&Table> = (0..tiers).map(|t| ms.event_table(t).unwrap()).collect();
+            let want = flows_per_row(&refs);
+            let joined = reconstruct_flows(&refs);
+            let built = FlowTable::build(&refs).map(|t| t.flows());
+            if joined != want || built != want {
+                return Err(format!(
+                    "want {want:?}\nreconstruct_flows {joined:?}\nFlowTable {built:?}"
+                ));
+            }
+            let (deep, failed) = outcomes.get();
+            outcomes.set(match &want {
+                Ok(flows) => (
+                    deep + usize::from(flows.iter().any(|f| f.hops.len() > 1)),
+                    failed,
+                ),
+                Err(_) => (deep, failed + 1),
+            });
+            let want = want.map_err(|e| e.to_string());
+            for call in ["first", "second"] {
+                let got = ms.flows().map_err(|e| match e {
+                    CoreError::Analysis(s) => s,
+                    other => other.to_string(),
+                });
+                if got != want {
+                    return Err(format!("{call} MilliScope::flows: {got:?}, want {want:?}"));
+                }
+            }
+            Ok(())
+        });
+        // The generator reaches both outcomes often enough to matter: 185
+        // joins with a multi-hop flow and 356 failed ones of the 1024.
+        let (deep, failed) = outcomes.get();
+        assert!(
+            deep >= 120 && failed >= 120,
+            "{deep} multi-hop joins, {failed} failed"
+        );
     }
 }

@@ -11,6 +11,15 @@
 //! narrowing, and that every monitor shares one clock domain and samples
 //! finely enough for the scenario's phenomena.
 //!
+//! "Structurally" is the boundary of what this front proves: a missing
+//! column. What a column *holds* depends on the log bytes, so the
+//! per-row `FlowError`s stay runtime errors — `NullTimestamp` for an
+//! absent `ua`/`ud`, and `NotTimestamp` when a boundary column loaded as
+//! text, which one unparseable wallclock cell is enough to cause
+//! (`convert.rs::overflowing_wallclock_cell_loads_as_text`). A column of
+//! nothing but the `-` mark (a leaf tier's `ds`/`dr`) also loads as text
+//! and reads as "no window", not as an error.
+//!
 //! | rule  | invariant family        | fires when |
 //! |-------|-------------------------|------------|
 //! | TR001 | ID injection            | first tier cannot inject/record the request ID (warn when event monitors are disabled wholesale) |

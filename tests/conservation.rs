@@ -3,7 +3,10 @@
 
 use milliscope::core::scenarios::{calibrated_db_io, calibrated_dirty_page, shorten};
 use milliscope::core::{Experiment, MilliScope};
-use milliscope::ntier::{BoundaryKind, MsgKind, Simulator, SystemConfig, TierId};
+use milliscope::ntier::{
+    ArrivalProcess, BoundaryKind, MsgKind, QueueDiscipline, Simulator, SystemConfig, TierId,
+    TierKind,
+};
 use milliscope::sim::SimDuration;
 use std::collections::HashMap;
 
@@ -353,5 +356,43 @@ fn littles_law_holds_per_tier() {
                 gap * 100.0
             );
         }
+    }
+}
+
+/// Pooling: at equal load, one queue feeding every core (cFCFS) never
+/// answers slower than a private queue per core (dFCFS), which leaves a
+/// burst waiting behind its own core while a sibling sits idle.
+///
+/// Open loop at a fixed rate, so both disciplines see the same arrivals;
+/// Tomcat is made the bottleneck — four cores at about 80 % utilisation —
+/// and every tier runs the discipline under test. Over the six seeds
+/// dFCFS's mean response time measured 1.70–2.07× cFCFS's and its p99
+/// 1.05–2.72× (seed 1 is the narrow one: 66.2 against 63.3 ms).
+#[test]
+fn cfcfs_dominates_dfcfs_at_equal_load() {
+    let trial = |discipline, seed| {
+        let mut cfg = shorten(SystemConfig::rubbos_baseline(1), SimDuration::from_secs(10));
+        cfg.seed = seed;
+        cfg.workload.arrival = ArrivalProcess::OpenLoop { rate_rps: 1_200.0 };
+        for t in &mut cfg.tiers {
+            t.discipline = discipline;
+            if t.kind == TierKind::Tomcat {
+                t.cores = 4;
+                t.base_demand = SimDuration::from_micros(2_500);
+            }
+        }
+        Simulator::new(cfg).expect("valid").run().stats
+    };
+    for seed in [1, 2, 3, 4, 5, 6] {
+        let c = trial(QueueDiscipline::Cfcfs, seed);
+        let d = trial(QueueDiscipline::Dfcfs, seed);
+        assert!(
+            c.mean_rt_ms <= d.mean_rt_ms && c.p99_rt_ms <= d.p99_rt_ms,
+            "seed {seed}: cFCFS mean {:.2} / p99 {:.2} ms, dFCFS {:.2} / {:.2} ms",
+            c.mean_rt_ms,
+            c.p99_rt_ms,
+            d.mean_rt_ms,
+            d.p99_rt_ms
+        );
     }
 }
