@@ -410,7 +410,7 @@ impl FlowTable {
             // At least four hops' room, as pushing onto an empty `Vec`
             // leaves: one allocation size for every flow of up to four
             // hops, which `query_mix`'s latencies measured better than
-            // exact lengths (EXPERIMENTS.md, kept flow tables).
+            // exact lengths (EXPERIMENTS.md, §Flows kept per trial).
             let mut hops = Vec::with_capacity((hi - lo).max(4));
             hops.extend((lo..hi).map(|h| self.hop(h, h - lo)));
             // perf: flows own their strings (callers keep them past the
