@@ -18,7 +18,7 @@
 //! same machine — a dimensionless ratio robust to runner speed (absolute
 //! events/sec is recorded alongside for context, not tracked).
 
-use mscope_core::MilliScope;
+use mscope_core::{MilliScope, RunOptions};
 use mscope_monitors::MonitorSuite;
 use mscope_ntier::{RunOutput, Simulator, SystemConfig};
 use mscope_serdes::Json;
@@ -37,8 +37,14 @@ fn sim_run(users: u32, secs: u64) -> RunOutput {
 /// render every log to completion, then transform the finished files.
 fn batch_ingest(run: &RunOutput) -> MilliScope {
     let art = MonitorSuite::standard(&run.config).render(run);
-    MilliScope::from_parts(run.config.clone(), &art.store, &art.manifest, art.sysviz)
-        .expect("batch ingest")
+    MilliScope::from_parts_with(
+        run.config.clone(),
+        &art.store,
+        &art.manifest,
+        art.sysviz,
+        RunOptions::default(),
+    )
+    .expect("batch ingest")
 }
 
 fn best_of<F: FnMut() -> MilliScope>(samples: usize, mut f: F) -> f64 {

@@ -1,9 +1,11 @@
-//! Transformer pipeline shoot-out: serial vs parallel convert stage, the
+//! Transformer pipeline shoot-out: serial vs parallel parse stage, the
 //! paper's annotated-XML interchange vs the direct columnar load.
 //!
-//! The direct legs are [`DataTransformer::run_with`], which builds no
-//! annotated XML: entries go from the parsers into a columnar raw-cell sink
-//! and are loaded as typed columns. The XML leg keeps the paper's Fig. 3
+//! The direct legs are [`DataTransformer::run_with`] — one at-end drain of
+//! the streaming transformer over the finished logs — which builds no
+//! annotated XML: each declaration's entries go from its parser into a
+//! columnar raw-cell sink, fanned out per declaration, and each table is
+//! loaded as typed columns. The XML leg keeps the paper's Fig. 3
 //! interchange chain as the baseline the direct load is measured against,
 //! composed in this file from the public stage functions (`execute →
 //! convert_xml → import_rows`): every file becomes an annotated XML tree,
@@ -58,9 +60,9 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
-/// The XML leg: the same per-table parse → convert fan-out `run_with`
-/// uses, but every file is rendered as an annotated XML tree and every
-/// table converted from those trees into rows. The metadata tables are not
+/// The XML leg: a per-table parse → convert fan-out (`run_with` fans out
+/// per declaration), in which every file is rendered as an annotated XML
+/// tree and every table converted from those trees into rows. The metadata tables are not
 /// registered — they are a few dozen rows and not part of what this leg
 /// measures.
 fn run_xml(

@@ -7,6 +7,7 @@
 use crate::error::CoreError;
 use crate::experiment::ExperimentOutput;
 use crate::milliscope::MilliScope;
+use crate::RunOptions;
 use mscope_monitors::{LogFileMeta, LogStore};
 use mscope_ntier::SystemConfig;
 use std::path::Path;
@@ -61,7 +62,7 @@ pub fn ingest_bundle(dir: &Path) -> Result<MilliScope, CoreError> {
     // The metadata files are not monitor logs.
     store.remove(MANIFEST_FILE);
     store.remove(CONFIG_FILE);
-    MilliScope::from_parts(config, &store, &manifest, None)
+    MilliScope::from_parts_with(config, &store, &manifest, None, RunOptions::default())
 }
 
 #[cfg(test)]

@@ -54,48 +54,20 @@ impl MilliScope {
     ///
     /// Any transformation or load error.
     pub fn ingest(output: &ExperimentOutput) -> Result<MilliScope, CoreError> {
-        Self::ingest_with(output, RunOptions::default())
-    }
-
-    /// [`ingest`](MilliScope::ingest) with explicit pipeline options —
-    /// worker fan-out and load path ([`RunOptions`]). The resulting
-    /// warehouse is identical for every option combination; only the
-    /// wall-clock cost differs.
-    ///
-    /// # Errors
-    ///
-    /// Any transformation or load error.
-    pub fn ingest_with(
-        output: &ExperimentOutput,
-        opts: RunOptions,
-    ) -> Result<MilliScope, CoreError> {
         Self::from_parts_with(
             output.run.config.clone(),
             &output.artifacts.store,
             &output.artifacts.manifest,
             output.artifacts.sysviz.clone(),
-            opts,
+            RunOptions::default(),
         )
     }
 
     /// Builds a milliScope handle from raw parts — the offline-bundle path
     /// (see [`ingest_bundle`](crate::ingest_bundle)) and the live path both
-    /// funnel through here.
-    ///
-    /// # Errors
-    ///
-    /// Any transformation or load error.
-    pub fn from_parts(
-        cfg: SystemConfig,
-        store: &mscope_monitors::LogStore,
-        manifest: &[mscope_monitors::LogFileMeta],
-        sysviz: Option<SysVizTrace>,
-    ) -> Result<MilliScope, CoreError> {
-        Self::from_parts_with(cfg, store, manifest, sysviz, RunOptions::default())
-    }
-
-    /// [`from_parts`](MilliScope::from_parts) with explicit pipeline
-    /// options.
+    /// funnel through here. `opts` sets the pipeline's worker fan-out
+    /// ([`RunOptions`]); the resulting warehouse is identical for every
+    /// choice, only the wall-clock cost differs.
     ///
     /// # Errors
     ///
@@ -1187,11 +1159,12 @@ mod flow_table_tests {
             let end = line[at..].find(' ').map_or(line.len(), |e| at + e);
             line.replace_range(at..end, "6000000000:00:00");
             store.append(path, &(lines.join("\n") + "\n"));
-            let ms = MilliScope::from_parts(
+            let ms = MilliScope::from_parts_with(
                 out.run.config.clone(),
                 &store,
                 &out.artifacts.manifest,
                 None,
+                RunOptions::default(),
             )
             .unwrap();
             let front = ms.event_table(0).unwrap();

@@ -21,7 +21,7 @@ pub const CLOCK_DOMAIN: &str = "sim-us";
 
 /// The narrowest warehouse type a rendered field's text infers to, as the
 /// renderer guarantees it (a static mirror of `Value::infer` over the
-/// format strings in [`event`](crate::event) / [`resource`](crate::resource)).
+/// format strings in the `event` / `resource` modules).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueShape {
     /// Always a `HH:MM:SS.ffffff` wall-clock string (infers `Timestamp`).
@@ -95,7 +95,7 @@ pub fn propagates_request_id(kind: TierKind) -> bool {
 
 /// The fields a resource monitor renders per record, with guaranteed
 /// shapes — a static mirror of the format strings in
-/// [`resource`](crate::resource) (`{:.2}` → `Float`, `{}` over an integer
+/// the `resource` module (`{:.2}` → `Float`, `{}` over an integer
 /// counter → `Int`, `wallclock(..)` → `Wall`).
 pub fn resource_rendered_fields(tool: Tool) -> Vec<(&'static str, ValueShape)> {
     use ValueShape::*;

@@ -17,11 +17,11 @@
 //! once, under its column's type so far. A cell of a scalar column is kept
 //! as its value for the load, a Text cell as its text until the column is
 //! handed out, and a column whose type widens reads its kept text again
-//! under the wider type. The batch driver feeds the sink from the parsing
-//! ladder and loads its columns as they are; [`convert_xml`] feeds it
-//! `<entry>` children and transposes the columns into rows; the streaming
-//! driver feeds it chunk by chunk and takes the new rows typed under the
-//! schema so far — one inference, one typing.
+//! under the wider type. The driver feeds it chunk by chunk from the
+//! parsing ladder and takes the new rows typed under the schema so far (a
+//! run over finished logs in one chunk per file); [`convert_xml`] feeds it
+//! `<entry>` children and transposes the columns into rows — one
+//! inference, one typing.
 
 use crate::error::TransformError;
 use crate::import::{normalize_cell, parse_cell, read_scalar, text_cell};
@@ -48,11 +48,11 @@ impl ConvertedTable {
 }
 
 /// Running schema inference for one destination table — the one definition
-/// of the fold both drivers apply to every entry: a field may appear once
-/// per entry, the column set is the union of all fields in first-appearance
-/// order, and a column's type is the lattice join of every observed
-/// (normalized) value type. Batch folds all entries, then reads the schema
-/// once; streaming reads it after every chunk.
+/// of the fold the driver and [`convert_xml`] apply to every entry: a field
+/// may appear once per entry, the column set is the union of all fields in
+/// first-appearance order, and a column's type is the lattice join of every
+/// observed (normalized) value type. [`convert_xml`] folds all entries,
+/// then reads the schema once; the driver reads it after every chunk.
 #[derive(Debug, Default)]
 struct SchemaFold {
     cols: Vec<FoldColumn>,
@@ -201,14 +201,15 @@ impl SchemaFold {
 /// The columnar sink: one destination table's entries, each cell read once
 /// under its column's type so far and, in a column of a scalar type, kept
 /// as a value until it is handed out — the one place in the crate an
-/// untyped cell gets its type. Batch inference
-/// ([`DataTransformer::run_with`](crate::DataTransformer::run_with),
-/// [`convert_xml`]) sees every value before it loads any: it fills the
-/// sink and calls [`finish`](RawColumns::finish). Streaming cannot wait: it
-/// takes each chunk's rows typed under the schema so far
-/// ([`take_new`](RawColumns::take_new)) and, when a later cell widens a
-/// column, has the committed ones typed again from the text kept here
-/// ([`retype`](RawColumns::retype)).
+/// untyped cell gets its type. [`convert_xml`], the oracle's converter,
+/// sees every value before it loads any: it fills the sink and calls
+/// [`finish`](RawColumns::finish). The driver
+/// ([`StreamingTransformer`](crate::StreamingTransformer), which
+/// [`DataTransformer::run_with`](crate::DataTransformer::run_with) drains
+/// once) does not wait: it takes each chunk's rows typed under the schema
+/// so far ([`take_new`](RawColumns::take_new)) and, when a later cell
+/// widens a column, has the committed ones typed again from the text kept
+/// here ([`retype`](RawColumns::retype)).
 #[derive(Debug, Default)]
 pub(crate) struct RawColumns {
     fold: SchemaFold,
@@ -374,7 +375,7 @@ impl RawColumns {
 
     /// Takes in, after this sink's entries, those of `chunk` — a sink that
     /// was only ever filled — as handing each of them to
-    /// [`entry`](RawColumns::entry) here would have. Streaming parses every
+    /// [`entry`](RawColumns::entry) here would have. The driver parses every
     /// file's new lines into a sink of its own, on any worker, and appends
     /// those to their table's in declaration order.
     pub(crate) fn append(&mut self, chunk: RawColumns) {
@@ -475,7 +476,7 @@ impl RawColumns {
 
 /// Converts one or more annotated `<log>` documents (all destined for the
 /// same table) into an inferred schema and typed rows — the row-major,
-/// from-XML face of the sink the batch driver feeds directly.
+/// from-XML face of the sink the driver feeds directly.
 ///
 /// Converting the documents together is what makes the column-set union and
 /// type join span *all* inputs — two Apache replicas' logs cannot produce

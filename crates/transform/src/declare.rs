@@ -8,12 +8,14 @@
 //!
 //! A [`ParsingDeclaration`] is that mapping entry: a file, a parser
 //! ([`ParserKind`]), a destination table, and constant fields to inject
-//! (node name, tier, …). Running a declaration over a file
-//! (`for_each_entry`) yields its entries one at a time as borrowed
-//! `(field, raw value)` pairs (`EntryFields`); that is what the drivers
-//! load from. [`ParsingDeclaration::execute`] renders the same entries as
-//! the annotated XML of §III-B2 — every log line wrapped in an `<entry>`
-//! with semantic child tags — an export artifact, not a step of the load.
+//! (node name, tier, …). Running a declaration over a file yields its
+//! entries one at a time as borrowed `(field, raw value)` pairs
+//! (`EntryFields`): line by line or entry element by entry element as the
+//! driver tails the file (`staged_line`, `xml_entry`), or over a whole
+//! finished file (`for_each_entry`). [`ParsingDeclaration::execute`]
+//! renders the same entries as the annotated XML of §III-B2 — every log
+//! line wrapped in an `<entry>` with semantic child tags — an export
+//! artifact, not a step of the load.
 
 use crate::error::TransformError;
 use crate::pattern::{CaptureRanges, FailedStates, Pattern, Tok};
@@ -226,8 +228,10 @@ impl ParsingDeclaration {
     }
 
     /// Every entry of a finished file, in file order, through `emit` —
-    /// what the batch driver feeds its sink and what `execute` wraps in
-    /// XML. The first error, from the ladder or from `emit`, ends the walk.
+    /// what `execute` wraps in XML. It shares the ladder with the driver
+    /// but not the tailing, so the `execute` → `convert_xml` oracle walks
+    /// a file independently of it. The first error, from the ladder or
+    /// from `emit`, ends the walk.
     ///
     /// # Errors
     ///
@@ -258,8 +262,8 @@ impl ParsingDeclaration {
 
     /// One line through the staged ladder — filters → block → context →
     /// records → unparsed — calling `emit` for the entry the line
-    /// completes, if it completes one. Batch feeds it `str::lines`;
-    /// streaming feeds it each complete line as it arrives.
+    /// completes, if it completes one. `for_each_entry` feeds it
+    /// `str::lines`; the driver feeds it each complete line as it arrives.
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@
 //! tables from inferred schemas and loads the tuples.
 //!
 //! Every load is **typed**: no path re-reads text it already typed. The
-//! batch driver hands the sink's typed columns to
+//! driver hands the sink's typed columns to
 //! [`Database::insert_columns`] as they are; [`import_rows`] is the same
 //! load for the row-major output of [`convert_xml`](crate::convert_xml)
 //! ([`Database::insert_batch`]), whose cells the same [`parse_cell`] rules

@@ -25,29 +25,27 @@
 //!
 //! Annotated XML is an **export artifact** here: the public stage
 //! functions above still produce and consume it, and loading through them
-//! is the oracle the drivers' warehouse is held to, but neither driver
-//! builds it on its load path.
+//! is the oracle the driver's warehouse is held to, but the driver builds
+//! none of it on its load path.
 //!
-//! Two drivers run the stages, and neither owns a rule:
-//!
-//! * [`DataTransformer`] is the batch driver: over a monitor manifest's
-//!   finished files it feeds every entry of a destination table, as the
-//!   parsers emit it, into one columnar sink, which types each cell as it
-//!   arrives under its column's type so far, and loads the typed columns
-//!   whole once the table's last entry is in. The CPU-bound front fans
-//!   out per table with `mscope_sim::parallel_map` ([`RunOptions`] is the
-//!   worker count); the warehouse loads stay serial and deterministic.
-//! * [`StreamingTransformer`] is the incremental driver: it tails the
-//!   same files while they grow and converges on the same warehouse.
+//! One driver runs the stages, and it owns no rule.
+//! [`StreamingTransformer`] tails a monitor manifest's files while they
+//! grow: each poll feeds every file's new entries, as the parsers emit
+//! them, into a columnar sink of its own, which types each cell as it
+//! arrives under its column's type so far, and appends the typed rows to
+//! their tables. The CPU-bound parse fans out per declaration over
+//! `mscope_sim`'s worker pool; the warehouse loads stay serial and in
+//! table order. [`DataTransformer`] holds the declarations, and its
+//! [`run_with`](DataTransformer::run_with) is the batch ingest: one
+//! at-end drain of that driver over finished files ([`RunOptions`] is the
+//! worker count).
 //!
 //! What a line means (the staged ladder, the XML entry mapper, the order
 //! of an entry's fields) is defined once in [`declare`]; what a table's
 //! schema is (the inference fold) and how its cells are typed (the sink)
-//! once beside [`convert_xml`]; the `monitors` / `log_files` registration
-//! once beside [`DataTransformer`]. The shared core hands each entry to an
-//! `emit` callback as borrowed pairs — batch and streaming append them to
-//! a sink, `execute` wraps them in an `<entry>` — and each driver keeps
-//! only what the other has no counterpart for.
+//! once beside [`convert_xml`]. The shared core hands each entry to an
+//! `emit` callback as borrowed pairs — the driver appends them to a sink,
+//! `execute` wraps them in an `<entry>`.
 //!
 //! ## Example
 //!

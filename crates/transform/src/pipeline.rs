@@ -5,21 +5,20 @@
 //! ([`ParsingDeclaration::execute`]) and CSV is not written at all; the
 //! load path builds neither.
 //!
-//! The CPU-heavy front of the pipeline — log read → parse → raw columns →
-//! typed columns — is embarrassingly parallel across destination tables,
-//! so [`DataTransformer::run`] fans the table groups out with
-//! [`parallel_map`], then loads the typed columns into the warehouse
-//! serially in deterministic table order. The report and the warehouse
-//! contents are byte-identical whether the run used one worker or many.
+//! There is one driver of those stages, [`StreamingTransformer`]. A batch
+//! run is that driver run once over complete input:
+//! [`DataTransformer::run_with`] validates the declarations, sizes the
+//! worker pool and drains a fresh streaming transformer over the finished
+//! store. The parse front fans out per declaration; the tables load
+//! serially in table order, so the report and the warehouse contents are
+//! byte-identical whether the run used one worker or many.
 
-use crate::convert::{RawColumns, TypedColumns};
 use crate::declare::{self, ParsingDeclaration};
 use crate::error::TransformError;
 use crate::parsers::declaration_for;
+use crate::stream::StreamingTransformer;
 use mscope_db::Database;
-use mscope_monitors::{LogFileMeta, LogStore, MonitorKind};
-use mscope_sim::parallel_map;
-use std::collections::BTreeMap;
+use mscope_monitors::{LogFileMeta, LogStore};
 
 /// What one pipeline run produced.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -38,20 +37,20 @@ mscope_serdes::json_struct!(TransformReport {
 });
 
 /// Below this much declared log input, `workers: 0` (auto) runs the
-/// convert stage serially: thread spawn and lock traffic cost more than
+/// parse stage serially: thread spawn and lock traffic cost more than
 /// they save on small runs (the bench history shows parallel at ~1 MiB
 /// *slower* than serial; the crossover is comfortably above that).
 const AUTO_PARALLEL_MIN_BYTES: u64 = 4 << 20;
 
 /// How a pipeline run executes. The default (`workers: 0`) sizes the
 /// fan-out to the work: the machine's parallelism for large runs, serial
-/// below [`AUTO_PARALLEL_MIN_BYTES`] of declared input.
+/// below 4 MiB of declared input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunOptions {
-    /// Worker threads for the convert stage; `0` picks automatically —
-    /// the machine's available parallelism (capped at the number of table
-    /// groups), falling back to serial when the declared input is too
-    /// small for the fan-out to pay for itself.
+    /// Worker threads for the parse stage, one declaration per job; `0`
+    /// picks automatically — the machine's available parallelism (capped
+    /// at the number of declarations), falling back to serial when the
+    /// declared input is too small for the fan-out to pay for itself.
     pub workers: usize,
 }
 
@@ -60,51 +59,6 @@ impl RunOptions {
     pub fn serial() -> RunOptions {
         RunOptions { workers: 1 }
     }
-}
-
-/// Runs the parse→convert front for one table group: every entry of every
-/// file, in file order, goes from the parsing ladder straight into one
-/// columnar sink, which types each cell as it arrives.
-fn convert_group(
-    decls: &[&ParsingDeclaration],
-    store: &LogStore,
-) -> Result<TypedColumns, TransformError> {
-    let mut sink = RawColumns::default();
-    for d in decls {
-        let content = store
-            .read(&d.path)
-            .ok_or_else(|| TransformError::MissingFile(d.path.clone()))?;
-        d.for_each_entry(content, &mut |fields| sink.entry(&d.path, fields.iter()))?;
-    }
-    sink.finish()
-}
-
-/// Populates the static metadata tables (`monitors`, `log_files`) from the
-/// manifest, in manifest order — the last step of a run, batch or
-/// streaming. A file that was declared but is absent from the store is an
-/// error, not a healthy zero-byte log.
-pub(crate) fn register_metadata(
-    manifest: &[LogFileMeta],
-    store: &LogStore,
-    db: &mut Database,
-) -> Result<(), TransformError> {
-    for m in manifest {
-        let kind = match m.kind {
-            MonitorKind::Event => "event",
-            MonitorKind::Resource => "resource",
-        };
-        // perf: one rendered node name per manifest entry, shared by
-        // both registrations below.
-        let node = m.node.to_string();
-        db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
-            .map_err(TransformError::Db)?;
-        let bytes = store
-            .size(&m.path)
-            .ok_or_else(|| TransformError::MissingFile(m.path.clone()))? as i64;
-        db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
-            .map_err(TransformError::Db)?;
-    }
-    Ok(())
 }
 
 /// The transformer: a set of parsing declarations derived from the monitor
@@ -164,30 +118,31 @@ impl DataTransformer {
         self.run_with(store, db, RunOptions::default())
     }
 
-    /// Runs the full pipeline: every declared file goes through its
-    /// parser; the entries of all files destined for the same table collect
-    /// in one columnar sink (so schema inference unions across replicas)
-    /// and are typed column by column; the typed columns are loaded as they
-    /// are; and the static metadata tables (`monitors`, `log_files`) are
-    /// populated. No annotated XML is built on the way; the public
-    /// composition `execute` → `convert_xml` → `import_rows` loads the same
-    /// warehouse through it.
+    /// Runs the full pipeline over finished logs: every declared file goes
+    /// through its parser; the entries of all files destined for the same
+    /// table collect in one columnar sink (so schema inference unions
+    /// across replicas) and are typed column by column; the typed columns
+    /// are loaded as they are; and the static metadata tables (`monitors`,
+    /// `log_files`) are populated. No annotated XML is built on the way;
+    /// the public composition `execute` → `convert_xml` → `import_rows`
+    /// loads the same warehouse through it.
     ///
-    /// The convert stage fans out across `opts.workers` threads (one
-    /// table group per job); the load stage is serial and iterates
-    /// groups in table order, so the warehouse contents and the report are
+    /// This is one at-end drain of a [`StreamingTransformer`] over `store`.
+    /// The parse stage fans out across `opts.workers` threads (one
+    /// declaration per job); the load stage is serial and iterates tables
+    /// in table order, so the warehouse contents and the report are
     /// identical for any worker count.
     ///
     /// # Errors
     ///
     /// The first error from any stage, in deterministic table order;
     /// nothing is half-loaded on error for the failing table, but
-    /// previously completed tables remain. Within one table group the
-    /// order is file order (the manifest's), then line order: a file
-    /// missing from the store ([`TransformError::MissingFile`]) or a line
-    /// no instruction matches ([`TransformError::UnparsedLine`]) in an
-    /// earlier file comes before anything in a later one, and every such
-    /// error comes before the group's schema or load errors.
+    /// previously completed tables remain. Within one table the order is
+    /// file order (the manifest's), then line order: a file missing from
+    /// the store ([`TransformError::MissingFile`]) or a line no instruction
+    /// matches ([`TransformError::UnparsedLine`]) in an earlier file comes
+    /// before anything in a later one, and every such error comes before
+    /// the table's schema or load errors.
     pub fn run_with(
         &self,
         store: &LogStore,
@@ -197,57 +152,22 @@ impl DataTransformer {
         // Pre-validate: a malformed declaration fails here, with a rule ID
         // and reason, instead of deep inside a parse or import stage.
         self.validate()?;
-        // Group declarations by destination table, in deterministic order.
-        let mut by_table: BTreeMap<&str, Vec<&ParsingDeclaration>> = BTreeMap::new();
-        for d in &self.declarations {
-            by_table.entry(&d.table).or_default().push(d);
-        }
-        let groups: Vec<(&str, Vec<&ParsingDeclaration>)> = by_table.into_iter().collect();
-
-        // Convert stage: fan the groups out, or run inline for one worker.
         let declared_bytes: u64 = self
             .declarations
             .iter()
             .filter_map(|d| store.size(&d.path))
             .map(|b| b as u64)
             .sum();
-        let workers = self.worker_count(opts, groups.len(), declared_bytes);
-        // Every group is converted even behind a failing one, so the
-        // error surfaced below is the first in table order for any worker
-        // count.
-        let results = parallel_map(groups.len(), workers, |i| {
-            convert_group(&groups[i].1, store)
-        });
-
-        // Load stage: serial, in table order — this is what makes reports
-        // and warehouse state deterministic despite the parallel front.
-        let mut report = TransformReport::default();
-        for ((table, decls), typed) in groups.iter().zip(results) {
-            let TypedColumns {
-                schema,
-                columns,
-                rows,
-            } = typed?;
-            report.files += decls.len();
-            report.entries += rows;
-            db.ensure_table(table, schema).map_err(TransformError::Db)?;
-            let loaded = db
-                .insert_columns(table, columns)
-                .map_err(TransformError::Db)?;
-            // perf: one owned table name per loaded table — bounded by the
-            // manifest's table groups, never by row count.
-            report.tables.push((table.to_string(), loaded));
-        }
-
-        register_metadata(&self.manifest, store, db)?;
-        Ok(report)
+        let workers = self.worker_count(opts, declared_bytes);
+        StreamingTransformer::from_parts(self.declarations.clone(), self.manifest.clone())
+            .drain(store, db, workers)
     }
 
     /// Resolves the effective worker count: explicit, or — in auto mode —
     /// the machine's available parallelism for large inputs and serial
-    /// below [`AUTO_PARALLEL_MIN_BYTES`], capped by the number of table
-    /// groups either way.
-    fn worker_count(&self, opts: RunOptions, groups: usize, declared_bytes: u64) -> usize {
+    /// below [`AUTO_PARALLEL_MIN_BYTES`], capped by the number of
+    /// declarations either way.
+    fn worker_count(&self, opts: RunOptions, declared_bytes: u64) -> usize {
         let requested = if opts.workers == 0 {
             if declared_bytes < AUTO_PARALLEL_MIN_BYTES {
                 1
@@ -259,7 +179,7 @@ impl DataTransformer {
         } else {
             opts.workers
         };
-        requested.min(groups).max(1)
+        requested.min(self.declarations.len()).max(1)
     }
 }
 
@@ -269,6 +189,7 @@ mod tests {
     use mscope_monitors::MonitorSuite;
     use mscope_ntier::{Simulator, SystemConfig};
     use mscope_sim::SimDuration;
+    use std::collections::BTreeMap;
 
     fn artifacts() -> (
         mscope_ntier::RunOutput,
@@ -484,7 +405,8 @@ mod tests {
             let loaded = import_rows(db, table, &schema, rows)?;
             report.tables.push((table.to_string(), loaded));
         }
-        register_metadata(tr.manifest_entries(), store, db)?;
+        StreamingTransformer::from_parts(Vec::new(), tr.manifest_entries().to_vec())
+            .finish(store, db)?;
         Ok(report)
     }
 
@@ -588,7 +510,9 @@ mod tests {
             mscope_sim::prop_ensure!(got.starts_with("Err(BadDeclaration"), "{got}");
             let d = &dup.declarations[di];
             let content = art.store.read(&d.path).expect("rendered");
-            let direct = convert_group(&[d], &art.store).map(|t| t.rows);
+            let direct = StreamingTransformer::from_parts(vec![d.clone()], Vec::new())
+                .finish(&art.store, &mut Database::new())
+                .map(|r| r.entries);
             let via_xml = d
                 .execute(content)
                 .and_then(|doc| crate::convert_xml(&[doc]))

@@ -1,31 +1,36 @@
-//! Streaming ingestion — the transformer's half of the spine.
+//! The transformer's one driver — the ingest half of the streaming spine.
 //!
-//! The batch pipeline ([`DataTransformer::run`]) needs every log file
-//! complete before it starts. [`StreamingTransformer`] is the incremental
-//! driver of the *same rules*: it tails the declared files of a growing
+//! [`StreamingTransformer`] tails the declared files of a growing
 //! [`LogStore`], pushes exactly the complete new lines / XML entries
 //! through the shared core each [`poll`](StreamingTransformer::poll), and
 //! appends typed columns to the warehouse via [`Database::insert_columns`]
-//! as they arrive, so the warehouse is queryable mid-run.
+//! as they arrive, so the warehouse is queryable mid-run. A batch run
+//! ([`DataTransformer::run_with`]) is the same driver's at-end drain run
+//! once over finished files: the offline case is the online path run over
+//! complete input.
 //!
 //! What a line or an entry element *means* is not decided here. The staged
 //! ladder and the XML entry mapper are
 //! [`ParsingDeclaration::staged_line`] / [`ParsingDeclaration::xml_entry`],
-//! schema inference, the one read of each cell under its column's type so
-//! far and the raw text a wider type reads again are the columnar sink
-//! batch fills too ([`RawColumns`]), and the
-//! `monitors` / `log_files` registration is [`register_metadata`]. This
-//! module owns only what batch has no counterpart for:
+//! and schema inference, the one read of each cell under its column's type
+//! so far and the raw text a wider type reads again are the columnar sink
+//! [`RawColumns`]. This module owns the driving:
 //!
 //! * **Tailing.** A consumed-byte offset per declaration; a staged file
 //!   advances by complete lines, an XML-direct file by complete
 //!   `<entry…>…</entry>` spans extracted from the unconsumed suffix and
-//!   parsed as standalone fragments. Each poll parses a file's new entries
-//!   into a sink of its own and appends that to its table's, in
-//!   declaration order at any worker count.
-//! * **Raw retention.** Batch inference sees all values before choosing
-//!   column types; streaming commits rows under the *running* join and may
-//!   later learn it was too narrow (a column of all-digit hex request IDs
+//!   parsed as standalone fragments. Each ingest parses a file's new
+//!   entries into a sink of its own, on any worker, and appends that to
+//!   its table's in declaration order. At the end the trailing
+//!   newline-less line is taken too, and each XML-direct document is
+//!   parsed whole once: a malformed document fails there, and its entry
+//!   count proves the span extraction saw every entry.
+//! * **Load order.** Tables flush in table order. A table with a failed
+//!   file stops the ingest before it flushes, with that table's first
+//!   error in declaration order: earlier tables stay loaded and the
+//!   failing one is not half-loaded, at any worker count.
+//! * **Raw retention.** Rows are committed under the *running* join, which
+//!   may later prove too narrow (a column of all-digit hex request IDs
 //!   infers `Int` until the first ID with a letter arrives). So the
 //!   table's sink is not dropped at a flush: a column below `Text` keeps
 //!   the raw text of its committed rows (the digits of a number and an
@@ -36,35 +41,35 @@
 //!   introduces a column), the committed prefix is rebuilt under the new
 //!   schema — unchanged columns copied, changed and new ones re-typed by
 //!   the sink from the text it kept — and swapped in with
-//!   [`Database::replace_table`]. Both drivers hold each cell as what
+//!   [`Database::replace_table`]. Each cell is what
 //!   [`parse_cell`](crate::parse_cell) makes of its text under the
 //!   column's type as it stands; a committed cell whose column widened is
 //!   typed again from the same text under the final type, so the values
-//!   are byte-identical.
+//!   are byte-identical to a single flush at the end.
 //!
-//! ## Convergence with batch
+//! ## Convergence
 //!
 //! At [`finish`](StreamingTransformer::finish) the warehouse holds, table
-//! for table, **exactly** the schema and cell values the batch pipeline
-//! infers from the finished files. `finish` also re-parses each XML-direct
-//! document whole, to surface the malformed-XML errors batch would have
-//! raised and to verify the span extraction saw every entry.
+//! for table, **exactly** the schema and cell values a run over the
+//! finished files infers, whatever the polls in between saw: the public
+//! composition `execute` → `convert_xml` → `import_rows` is the oracle
+//! both are held to.
 //!
-//! Row *order* is the one place streaming is allowed to differ: a table
-//! fed by several files (one resource monitor per node) receives rows in
-//! arrival-interleaved order rather than batch's file-concatenated order.
-//! Tables fed by a single file — every event table — come out
-//! byte-identical, rows included.
+//! Row *order* is the one place the poll schedule shows: a table fed by
+//! several files (one resource monitor per node) receives rows in
+//! arrival-interleaved order, where one drain over finished files gives
+//! them file-concatenated. Tables fed by a single file — every event
+//! table — come out byte-identical, rows included.
 
 use crate::convert::RawColumns;
 use crate::declare::{
     EntryFields, ParserKind, ParserSpec, ParsingDeclaration, StagedState, XmlMapping,
 };
 use crate::error::TransformError;
-use crate::pipeline::{register_metadata, DataTransformer, TransformReport};
+use crate::pipeline::{DataTransformer, TransformReport};
 use crate::xml;
 use mscope_db::{Database, DbError, Schema, Table};
-use mscope_monitors::{LogFileMeta, LogStore};
+use mscope_monitors::{LogFileMeta, LogStore, MonitorKind};
 use mscope_sim::parallel_map;
 
 // ---------------------------------------------------------------------------
@@ -83,7 +88,8 @@ struct DeclState {
 
 /// Consumes the unconsumed suffix of `content`, handing `sink` the entry of
 /// every complete unit (line or XML entry span). With `at_end` the trailing
-/// newline-less line is processed too (batch `str::lines` semantics).
+/// newline-less line is processed too (`str::lines` semantics, as the
+/// whole-file walk reads a finished file).
 fn advance(
     decl: &ParsingDeclaration,
     tags: &EntryTags,
@@ -110,7 +116,7 @@ fn advance_staged(
     let mut pos = st.consumed;
     while let Some(nl) = content[pos..].find('\n') {
         // A complete line: strip the newline and an optional \r, exactly
-        // as `str::lines` does for the batch parser.
+        // as `str::lines` does for the whole-file walk.
         let line = content[pos..pos + nl]
             .strip_suffix('\r')
             .unwrap_or(&content[pos..pos + nl]);
@@ -125,6 +131,45 @@ fn advance_staged(
         st.consumed = content.len();
     }
     Ok(())
+}
+
+/// One declaration's share of an ingest: the unconsumed suffix of its file
+/// parsed into a sink of its own. A file that does not exist yet has no
+/// data; at the end it is an error. At the end an XML-direct document is
+/// also parsed whole, before its last spans: a malformed document fails
+/// as the whole-document walk fails it, ahead of any entry, and the entry
+/// count proves the span extraction saw every entry.
+fn parse_new(
+    decl: &ParsingDeclaration,
+    tags: &EntryTags,
+    st: &mut DeclState,
+    store: &LogStore,
+    at_end: bool,
+) -> Result<RawColumns, TransformError> {
+    let mut chunk = RawColumns::default();
+    let Some(content) = store.read(&decl.path) else {
+        return if at_end {
+            Err(TransformError::MissingFile(decl.path.clone()))
+        } else {
+            Ok(chunk)
+        };
+    };
+    let in_doc = match &decl.parser {
+        ParserKind::XmlDirect(map) if at_end => {
+            let doc = xml::parse(content).map_err(TransformError::Xml)?;
+            Some(doc.find_all(&map.entry_element).len())
+        }
+        _ => None,
+    };
+    advance(decl, tags, st, content, at_end, &mut chunk)?;
+    st.entries += chunk.rows();
+    match in_doc {
+        Some(n) if n != st.entries => Err(TransformError::SchemaInference(format!(
+            "streaming extraction of `{}` saw {} entries but the document holds {n}",
+            decl.path, st.entries
+        ))),
+        _ => Ok(chunk),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -317,14 +362,14 @@ impl TableSink {
     /// Rebuilds the committed prefix under a new schema and swaps it in.
     /// Unchanged columns are copied; a column whose type moved, or that is
     /// new, is typed again from the raw text the sink kept — producing the
-    /// cells batch would have produced typing the same text under the
-    /// final type in the first place.
+    /// cells one flush at the end would have produced, typing the same text
+    /// under the final type in the first place.
     fn migrate(&mut self, db: &mut Database, new_schema: Schema) -> Result<(), TransformError> {
         let old = db.require(&self.table).map_err(TransformError::Db)?;
         if old.row_count() != self.raw.committed() {
             // Rows we did not ingest (a pre-existing table) cannot be
-            // migrated — the same situation batch reports as a schema
-            // mismatch between the inferred and the existing schema.
+            // migrated — the schema mismatch the first flush reports
+            // between the inferred and the existing schema.
             return Err(TransformError::Db(DbError::SchemaMismatch {
                 table: self.table.clone(),
                 existing: old.schema().to_string(),
@@ -350,14 +395,43 @@ impl TableSink {
     }
 }
 
+/// Populates the static metadata tables (`monitors`, `log_files`) from the
+/// manifest, in manifest order — the last step of a run. A file that was
+/// declared but is absent from the store is an error, not a healthy
+/// zero-byte log.
+fn register_metadata(
+    manifest: &[LogFileMeta],
+    store: &LogStore,
+    db: &mut Database,
+) -> Result<(), TransformError> {
+    for m in manifest {
+        let kind = match m.kind {
+            MonitorKind::Event => "event",
+            MonitorKind::Resource => "resource",
+        };
+        // perf: one rendered node name per manifest entry, shared by
+        // both registrations below.
+        let node = m.node.to_string();
+        db.register_monitor(&m.monitor_id, &node, &m.tool, kind, m.period_ms as i64)
+            .map_err(TransformError::Db)?;
+        let bytes = store
+            .size(&m.path)
+            .ok_or_else(|| TransformError::MissingFile(m.path.clone()))? as i64;
+        db.register_log_file(&m.path, &node, &m.monitor_id, &m.format, bytes)
+            .map_err(TransformError::Db)?;
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // The streaming transformer
 // ---------------------------------------------------------------------------
 
-/// The incremental counterpart of [`DataTransformer::run`]: obtain one
-/// from [`DataTransformer::stream`], call [`poll`](StreamingTransformer::poll) whenever the log store
-/// has grown, and [`finish`](StreamingTransformer::finish) when the run
-/// ends. See the module docs for the convergence guarantees.
+/// The transformer's driver, and what [`DataTransformer::run`] drains once
+/// over finished logs: obtain one from [`DataTransformer::stream`], call
+/// [`poll`](StreamingTransformer::poll) whenever the log store has grown,
+/// and [`finish`](StreamingTransformer::finish) when the run ends. See the
+/// module docs for the load order and the convergence guarantees.
 #[derive(Debug)]
 pub struct StreamingTransformer {
     declarations: Vec<ParsingDeclaration>,
@@ -373,9 +447,9 @@ impl StreamingTransformer {
         declarations: Vec<ParsingDeclaration>,
         manifest: Vec<LogFileMeta>,
     ) -> StreamingTransformer {
-        // Sinks in sorted table order — the order batch groups by table
-        // (BTreeMap) and therefore the order the report lists: one sink per
-        // run of equal table names, its index given to that run's files.
+        // Sinks in sorted table order — the order tables load, fail and
+        // are reported in: one sink per run of equal table names, its index
+        // given to that run's files.
         let mut by_table: Vec<usize> = (0..declarations.len()).collect();
         by_table.sort_by_key(|&di| &declarations[di].table);
         let mut sink_of = vec![0; declarations.len()];
@@ -404,10 +478,12 @@ impl StreamingTransformer {
     }
 
     /// Parses every declaration's unconsumed suffix into a sink of its
-    /// own, appends those to their tables' sinks and flushes each table.
-    /// The sinks (and the advanced states) come back in declaration order
-    /// regardless of worker count, which is what makes the parallel path
-    /// byte-identical to the serial one.
+    /// own, appends those to their tables' sinks in declaration order and
+    /// flushes the tables in table order. A table with a failed file ends
+    /// the walk before it is flushed, with its first error in declaration
+    /// order: the tables before it stay loaded and it is not half-loaded,
+    /// at any worker count. At the end a table no entry reached is created
+    /// empty in the same walk.
     fn ingest(
         &mut self,
         store: &LogStore,
@@ -418,34 +494,31 @@ impl StreamingTransformer {
         let (decls, tags, states) = (&self.declarations, &self.tags, &self.states);
         let results: Vec<(DeclState, Result<RawColumns, TransformError>)> =
             parallel_map(decls.len(), workers.max(1), |di| {
-                let decl = &decls[di];
                 let mut st = states[di].clone();
-                let mut chunk = RawColumns::default();
-                let r = match store.read(&decl.path) {
-                    // A file that does not exist yet simply has no data;
-                    // it is only an error if still absent at the end.
-                    None if !at_end => Ok(()),
-                    None => Err(TransformError::MissingFile(decl.path.clone())),
-                    Some(content) => advance(decl, &tags[di], &mut st, content, at_end, &mut chunk),
-                };
-                st.entries += chunk.rows();
-                (st, r.map(|()| chunk))
+                let r = parse_new(&decls[di], &tags[di], &mut st, store, at_end);
+                (st, r)
             });
-        let mut first_err = None;
+        let mut failed: Vec<Option<TransformError>> = self.sinks.iter().map(|_| None).collect();
         for (di, (st, r)) in results.into_iter().enumerate() {
             self.states[di] = st;
+            let si = self.sink_of[di];
             match r {
-                Ok(chunk) => self.sinks[self.sink_of[di]].raw.append(chunk),
+                Ok(chunk) => self.sinks[si].raw.append(chunk),
                 Err(e) => {
-                    first_err.get_or_insert(e);
+                    failed[si].get_or_insert(e);
                 }
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        for sink in &mut self.sinks {
+        for (sink, err) in self.sinks.iter_mut().zip(failed) {
+            if let Some(e) = err {
+                return Err(e);
+            }
             sink.flush(db)?;
+            if at_end && !sink.created {
+                db.ensure_table(&sink.table, sink.raw.schema()?)
+                    .map_err(TransformError::Db)?;
+                sink.created = true;
+            }
         }
         Ok(())
     }
@@ -479,59 +552,43 @@ impl StreamingTransformer {
         self.ingest(store, db, workers, false)
     }
 
-    /// Drains the final partial lines, validates the XML-direct documents,
-    /// creates tables for zero-entry declarations, registers the monitor /
-    /// log-file metadata (manifest order, as batch), and returns the same
-    /// [`TransformReport`] the batch pipeline computes. Incomplete trailing
-    /// blocks are dropped, mirroring batch end-of-file behaviour.
+    /// Drains the final partial lines, checks each XML-direct document
+    /// whole, creates the tables of zero-entry declarations, registers the
+    /// monitor / log-file metadata (manifest order) and returns the run's
+    /// [`TransformReport`]. Incomplete trailing blocks are dropped, as at
+    /// the end of a file a tool was killed writing.
     ///
     /// # Errors
     ///
     /// [`TransformError::MissingFile`] for declared files absent from the
-    /// store; parse/XML errors from the final drain; warehouse errors.
+    /// store; parse/XML errors from the final drain; warehouse errors. The
+    /// first error in table order, as
+    /// [`DataTransformer::run_with`](crate::DataTransformer::run_with).
     pub fn finish(
-        mut self,
+        self,
         store: &LogStore,
         db: &mut Database,
     ) -> Result<TransformReport, TransformError> {
-        self.ingest(store, db, 1, true)?;
+        self.drain(store, db, 1)
+    }
 
-        // The span extractor only ever sees complete entries; re-parse each
-        // XML document once to surface malformed-XML errors exactly as
-        // batch would, and to prove the extraction missed nothing.
-        for (di, decl) in self.declarations.iter().enumerate() {
-            if let ParserKind::XmlDirect(map) = &decl.parser {
-                let content = store
-                    .read(&decl.path)
-                    .ok_or_else(|| TransformError::MissingFile(decl.path.clone()))?;
-                let doc = xml::parse(content).map_err(TransformError::Xml)?;
-                let in_doc = doc.find_all(&map.entry_element).len();
-                if in_doc != self.states[di].entries {
-                    return Err(TransformError::SchemaInference(format!(
-                        "streaming extraction of `{}` saw {} entries but the document holds {}",
-                        decl.path, self.states[di].entries, in_doc
-                    )));
-                }
-            }
-        }
-
-        // Zero-entry tables still materialize (batch converts an empty
-        // document set into an empty schema and ensures the table).
-        for sink in &mut self.sinks {
-            if !sink.created {
-                db.ensure_table(&sink.table, sink.raw.schema()?)
-                    .map_err(TransformError::Db)?;
-                sink.created = true;
-            }
-        }
-
+    /// The at-end ingest over `workers` threads, then the metadata and the
+    /// report: what [`finish`](StreamingTransformer::finish) runs serially
+    /// and what [`DataTransformer::run_with`] runs, once, over a finished
+    /// store.
+    pub(crate) fn drain(
+        mut self,
+        store: &LogStore,
+        db: &mut Database,
+        workers: usize,
+    ) -> Result<TransformReport, TransformError> {
+        self.ingest(store, db, workers, true)?;
         register_metadata(&self.manifest, store, db)?;
-
         let mut report = TransformReport::default();
         for sink in &self.sinks {
             report.files += sink.files;
             report.entries += sink.raw.committed();
-            // perf: one owned table name per loaded table, once at finish.
+            // perf: one owned table name per loaded table, once at the end.
             report
                 .tables
                 .push((sink.table.clone(), sink.raw.committed()));
@@ -886,6 +943,34 @@ r 3 777 00:00:03.000000 -\n";
                 assert_eq!((bf, bn, bl), (sf, sn, sl));
             }
             other => panic!("unexpected error pair {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_poll_fails_at_the_first_table_in_table_order_with_earlier_tables_loaded() {
+        // Declared `c`, `b`, `a`: declaration order runs against table
+        // order. `a` is clean, `b` and `c` are corrupt; the poll reports
+        // `b`'s line, as a batch run does, and leaves `a` loaded.
+        let decls = vec![
+            kv_decl("c.log", "c"),
+            kv_decl("b.log", "b"),
+            kv_decl("a.log", "a"),
+        ];
+        let mut store = LogStore::new();
+        store.append("a.log", "k=1\nk=2\n");
+        store.append("b.log", "k=1\nNOT B\n");
+        store.append("c.log", "NOT C\n");
+        for workers in [1, 2, 8] {
+            let mut st = StreamingTransformer::from_parts(decls.clone(), Vec::new());
+            let mut db = Database::new();
+            let err = st.poll_with(&store, &mut db, workers).unwrap_err();
+            assert!(
+                matches!(err, TransformError::UnparsedLine { ref file, line_no: 2, .. } if file == "b.log"),
+                "workers={workers}: {err}"
+            );
+            assert_eq!(db.require("a").unwrap().row_count(), 2, "workers={workers}");
+            assert!(db.table("b").is_none(), "workers={workers}: b half-loaded");
+            assert!(db.table("c").is_none(), "workers={workers}: c loaded");
         }
     }
 

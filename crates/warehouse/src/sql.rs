@@ -33,10 +33,10 @@
 //! `ORDER BY` see the *result* schema (group keys render as text,
 //! aggregates as floats).
 //!
-//! Parsing produces a [`ParsedQuery`](crate::plan) which the
-//! stats-driven planner ([`crate::plan`]) lowers to a physical plan and
-//! the vectorized executor ([`crate::vector`]) runs; `EXPLAIN` returns
-//! the plan itself as a one-column table. The same resolution pass backs
+//! Parsing produces a `ParsedQuery` which the stats-driven planner
+//! (module `plan`) lowers to a physical plan and the vectorized executor
+//! (module `vector`) runs; `EXPLAIN` returns the plan itself as a
+//! one-column table. The same resolution pass backs
 //! [`check_with`], so the static checker and the executor agree by
 //! construction.
 
@@ -567,8 +567,8 @@ impl Database {
     /// fresh [`Table`].
     ///
     /// The query is lowered through the stats-driven planner
-    /// ([`crate::plan`]) and run on the vectorized columnar executor
-    /// ([`crate::vector`]). Prefixing the query with `EXPLAIN` returns
+    /// (module `plan`) and run on the vectorized columnar executor
+    /// (module `vector`). Prefixing the query with `EXPLAIN` returns
     /// the chosen physical plan as a one-column `plan` table instead of
     /// executing it.
     ///
