@@ -5,10 +5,11 @@
 //! the monitors *write* from it — every native event log line and every
 //! resource report, byte for byte. A change to a log format, a timestamp
 //! formatter or the order lines land in must show up here as a deliberate
-//! diff. Batch rendering and the streaming spine at three chunk sizes are
-//! held to the same words.
+//! diff. The SysViz tap's reconstructed trace is pinned beside the logs, as
+//! the FNV digest of its JSON. Batch rendering and the streaming spine at
+//! three chunk sizes are held to the same words.
 
-use mscope_monitors::{merge_records, LogStore, MonitorSuite};
+use mscope_monitors::{merge_records, LogStore, MonitorSuite, MonitoringArtifacts};
 use mscope_ntier::{RunOutput, Simulator, SystemConfig};
 use mscope_sim::{Fnv64, SimDuration};
 
@@ -31,6 +32,14 @@ fn store_digest(store: &LogStore) -> (u64, usize) {
         fold_bytes(&mut h, store.read(path).unwrap_or_default().as_bytes());
     }
     (h.value(), store.total_bytes())
+}
+
+/// `(digest, JSON length)` of the tap's trace.
+fn sysviz_digest(art: &MonitoringArtifacts) -> (u64, usize) {
+    let json = mscope_serdes::to_string(art.sysviz.as_ref().expect("the standard suite taps"));
+    let mut h = Fnv64::new();
+    fold_bytes(&mut h, json.as_bytes());
+    (h.value(), json.len())
 }
 
 /// The healthy RUBBoS deployment, shortened.
@@ -63,19 +72,30 @@ fn run(cfg: SystemConfig) -> RunOutput {
     Simulator::new(cfg).expect("golden config is valid").run()
 }
 
-fn assert_pinned(name: &str, cfg: SystemConfig, want: (u64, usize)) {
+fn assert_pinned(name: &str, cfg: SystemConfig, want: (u64, usize), sysviz: (u64, usize)) {
     let out = run(cfg);
     let suite = MonitorSuite::standard(&out.config);
-    let batch = store_digest(&suite.render(&out).store);
-    assert_eq!(batch, want, "{name} batch render: got {:#018x?}", batch);
+    let art = suite.render(&out);
+    let batch = (store_digest(&art.store), sysviz_digest(&art));
+    assert_eq!(
+        batch,
+        (want, sysviz),
+        "{name} batch render: got {:#018x?}",
+        batch
+    );
     let merged = merge_records(&out);
     for chunk_size in [1usize, 64, 4096] {
         let mut stream = suite.stream(&out.config);
         for chunk in merged.chunks(chunk_size) {
             stream.observe_chunk(chunk);
         }
-        let streamed = store_digest(&stream.finish().store);
-        assert_eq!(streamed, want, "{name} streamed at chunk size {chunk_size}");
+        let art = stream.finish();
+        let streamed = (store_digest(&art.store), sysviz_digest(&art));
+        assert_eq!(
+            streamed,
+            (want, sysviz),
+            "{name} streamed at chunk size {chunk_size}"
+        );
     }
 }
 
@@ -85,10 +105,16 @@ fn rubbos_baseline_logs_are_pinned() {
         "rubbos_baseline",
         rubbos_baseline(),
         (0xa8d5_ea3a_8f3d_6a28, 293_694),
+        (0xfeca_4ef9_544d_cfba, 230_066),
     );
 }
 
 #[test]
 fn db_io_logs_are_pinned() {
-    assert_pinned("db_io", db_io(), (0x38c6_5ee9_5210_6fef, 431_266));
+    assert_pinned(
+        "db_io",
+        db_io(),
+        (0x38c6_5ee9_5210_6fef, 431_266),
+        (0x8eaa_d287_27ab_1901, 364_706),
+    );
 }
