@@ -18,8 +18,8 @@
 //! Rules (the first two are rows of `needle::NEEDLE_RULES`):
 //!
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` / `panic!` in non-test
-//!   library code of the hot-path crates (`ntier`, `transform`,
-//!   `warehouse`, `analysis`);
+//!   library code of the hot-path crates (`ntier`, `monitors`,
+//!   `transform`, `warehouse`, `analysis`);
 //! * `no-wallclock` — no `Instant::now` / `SystemTime::now` inside the
 //!   wallclock-free crates (`sim` uses simulated time only; `transform`'s
 //!   parallel pipeline must stay reproducible, so timing lives in the
@@ -35,7 +35,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Crates whose library code must stay free of `unwrap`/`expect`/`panic!`.
-pub const HOT_PATH_CRATES: &[&str] = &["ntier", "transform", "warehouse", "analysis"];
+pub const HOT_PATH_CRATES: &[&str] = &["ntier", "monitors", "transform", "warehouse", "analysis"];
 
 /// Crates where wall-clock reads are banned: the deterministic `sim` crate
 /// (simulated time only), the `transform` crate, whose worker threads

@@ -15,7 +15,7 @@
 use crate::logstore::LogStore;
 use mscope_ntier::{BoundaryKind, LifecycleEvent, NodeId, RequestId, TierKind};
 use mscope_sim::{push_wallclock, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The four §IV-B timestamps gathered for one request at one node.
@@ -141,7 +141,8 @@ impl EventMonitor {
             BoundaryKind::DownstreamReceiving => rec.dr = Some(ev.time),
             BoundaryKind::UpstreamDeparture => {
                 rec.ud = Some(ev.time);
-                let rec = self.pending.remove(&ev.request).expect("just inserted");
+                let rec = *rec;
+                self.pending.remove(&ev.request);
                 self.write_line(ev.request, ev.time, &rec);
                 store.append_line(&self.path, &self.line);
                 self.lines_written += 1;
@@ -198,33 +199,6 @@ impl EventMonitor {
         };
         push_suffix(line, p);
     }
-}
-
-/// Builds one [`EventMonitor`] per node in the topology and replays the
-/// whole lifecycle stream through them, producing all native event logs.
-///
-/// Returns the monitors (for pending/line statistics).
-pub fn render_event_logs(
-    nodes: &[(NodeId, TierKind)],
-    lifecycle: &[LifecycleEvent],
-    store: &mut LogStore,
-) -> Vec<EventMonitor> {
-    let mut monitors: Vec<EventMonitor> = nodes
-        .iter()
-        .map(|&(n, k)| EventMonitor::new(n, k))
-        .collect();
-    // BTreeMap: lookup-only today, but an ordered map keeps any future
-    // iteration over it deterministic by construction (lint rule DT001).
-    let mut by_node: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for (i, m) in monitors.iter().enumerate() {
-        by_node.insert(m.node(), i);
-    }
-    for ev in lifecycle {
-        if let Some(&i) = by_node.get(&ev.node) {
-            monitors[i].observe(ev, store);
-        }
-    }
-    monitors
 }
 
 #[cfg(test)]
@@ -358,7 +332,14 @@ mod tests {
 
     #[test]
     fn render_event_logs_covers_all_nodes() {
-        let nodes = vec![(node(0), TierKind::Apache), (node(1), TierKind::Tomcat)];
+        // A two-tier topology: Apache on tier0-0, Tomcat on tier1-0.
+        let mut cfg = mscope_ntier::SystemConfig::rubbos_baseline(10);
+        cfg.tiers.truncate(2);
+        let suite = crate::MonitorSuite {
+            resource_monitors: Vec::new(),
+            event_monitors: true,
+            sysviz: false,
+        };
         let stream = vec![
             ev(
                 node(0),
@@ -389,9 +370,13 @@ mod tests {
                 4,
             ),
         ];
-        let mut store = LogStore::new();
-        let mons = render_event_logs(&nodes, &stream, &mut store);
-        assert_eq!(mons.len(), 2);
+        let mut monitors = suite.stream(&cfg);
+        for e in &stream {
+            monitors.observe(&crate::Record::Lifecycle(*e));
+        }
+        let art = monitors.finish();
+        let store = art.store;
+        assert_eq!(art.manifest.len(), 2, "one event monitor per node");
         assert_eq!(store.len(), 2);
         assert!(store.read("logs/tier0-0/access_log").is_some());
         assert!(store.read("logs/tier1-0/catalina.out").is_some());

@@ -12,14 +12,15 @@
 //!   idiosyncratic text / CSV / XML logs.
 //! * [`SysVizTap`] — the passive network-tap reconstructor standing in for
 //!   Fujitsu SysViz, used as independent ground truth for accuracy
-//!   validation (Fig. 9).
-//! * [`MonitorSuite`] — the deployment plan; rendering a run through it
-//!   yields a [`LogStore`] of native logs plus the manifest that seeds the
-//!   transformer's parsing declarations.
-//! * [`MonitorStream`] — the streaming counterpart: feed it [`Record`]s
+//!   validation (Fig. 9). It folds each wire message into its transaction
+//!   as the message arrives.
+//! * [`MonitorStream`] — the one driver of all three: feed it [`Record`]s
 //!   as they arrive (e.g. off a bounded
-//!   [`RecordStream`](mscope_sim::RecordStream)) and finish into
-//!   artifacts byte-identical to batch rendering.
+//!   [`RecordStream`](mscope_sim::RecordStream)) and finish into a
+//!   [`LogStore`] of native logs, the manifest that seeds the
+//!   transformer's parsing declarations, and the tap's trace.
+//! * [`MonitorSuite`] — the deployment plan. [`MonitorSuite::render`]
+//!   runs a finished run's records through one [`MonitorStream`].
 //! * [`OverheadReport`] — the enabled-vs-disabled overhead comparison
 //!   behind Figs. 10–11.
 //!
@@ -51,7 +52,7 @@ mod stream;
 mod suite;
 mod sysviz;
 
-pub use event::{render_event_logs, EventMonitor};
+pub use event::EventMonitor;
 pub use logstore::LogStore;
 pub use overhead::{NodeOverhead, OverheadReport};
 pub use resource::{ResourceMonitor, Tool};

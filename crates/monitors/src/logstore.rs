@@ -169,7 +169,8 @@ impl LogStore {
     ///
     /// # Errors
     ///
-    /// Any I/O error; non-UTF-8 file contents are rejected.
+    /// Any I/O error; non-UTF-8 file contents are rejected, and so is an
+    /// entry the directory listing places outside `dir`.
     pub fn load_from_dir(dir: &Path) -> io::Result<LogStore> {
         fn walk(base: &Path, dir: &Path, store: &mut LogStore) -> io::Result<()> {
             for entry in std::fs::read_dir(dir)? {
@@ -180,7 +181,7 @@ impl LogStore {
                 } else {
                     let rel = path
                         .strip_prefix(base)
-                        .expect("walk stays under base")
+                        .map_err(io::Error::other)?
                         .to_string_lossy()
                         .replace('\\', "/");
                     let content = std::fs::read_to_string(&path)?;

@@ -7,7 +7,6 @@
 //! are — repeated headers, block structure, per-device rows — because
 //! coping with that variability is mScopeDataTransformer's whole job.
 
-use crate::logstore::LogStore;
 use mscope_ntier::{NodeId, ResourceSample, TierKind};
 use mscope_sim::{push_wallclock, SimDuration};
 use std::fmt::Write as _;
@@ -111,66 +110,25 @@ impl ResourceMonitor {
             self.tool.extension()
         )
     }
-
-    /// Renders this monitor's log from the full base-sample stream (samples
-    /// for other nodes are skipped). Returns the number of records written.
-    ///
-    /// Batch rendering is *defined* as header + per-record pieces + footer —
-    /// the same pieces [`ResourceMonitorState`](crate::ResourceMonitorState)
-    /// appends incrementally — so the streaming spine is byte-identical to
-    /// this by construction.
-    pub fn render(&self, samples: &[ResourceSample], store: &mut LogStore) -> usize {
-        let mine: Vec<&ResourceSample> = samples.iter().filter(|s| s.node == self.node).collect();
-        let merged = aggregate(&mine, self.period);
-        // perf: one output buffer per monitor render, sized by record count.
-        let mut text = String::with_capacity(140 + merged.len() * 160);
-        self.tool.header_into(&mut text, &self.node);
-        for (i, s) in merged.iter().enumerate() {
-            self.tool.record_into(&mut text, i, s);
-        }
-        text.push_str(self.tool.footer());
-        store.append(&self.log_path(), &text);
-        merged.len()
-    }
 }
 
 /// The period-grid bucket a sample belongs to. Buckets are aligned using
 /// each sample's *interval end* timestamp: a sample at exactly t belongs to
-/// the bucket ending at t. Shared by batch [`aggregate`] and the streaming
-/// per-monitor state so the two seal buckets on identical boundaries.
+/// the bucket ending at t. A sample landing in a new bucket seals the
+/// previous one in [`ResourceMonitorState`](crate::ResourceMonitorState),
+/// the one driver of every resource monitor.
 pub(crate) fn bucket_of(s: &ResourceSample, period: SimDuration) -> u64 {
     s.time.as_micros().div_ceil(period.as_micros().max(1))
 }
 
-/// Aggregates consecutive base samples into monitor-period records: percents
-/// average, byte/op totals sum, gauges take the last value.
-fn aggregate(samples: &[&ResourceSample], period: SimDuration) -> Vec<ResourceSample> {
-    let mut out: Vec<ResourceSample> = Vec::new();
-    if samples.is_empty() {
-        return out;
-    }
-    let mut bucket: Vec<&ResourceSample> = Vec::new();
-    let mut current = bucket_of(samples[0], period);
-    for s in samples {
-        let b = bucket_of(s, period);
-        if b != current && !bucket.is_empty() {
-            out.push(merge(&bucket));
-            bucket.clear();
-            current = b;
-        }
-        bucket.push(s);
-    }
-    if !bucket.is_empty() {
-        out.push(merge(&bucket));
-    }
-    out
-}
-
-pub(crate) fn merge(bucket: &[&ResourceSample]) -> ResourceSample {
+/// Aggregates one period bucket of base samples into a monitor-period
+/// record: percents average, byte/op totals sum, gauges take the last
+/// value. `None` for an empty bucket.
+pub(crate) fn merge(bucket: &[ResourceSample]) -> Option<ResourceSample> {
     let n = bucket.len() as f64;
-    let last = bucket.last().expect("bucket non-empty");
-    let mean = |f: fn(&ResourceSample) -> f64| bucket.iter().map(|s| f(s)).sum::<f64>() / n;
-    ResourceSample {
+    let last = bucket.last()?;
+    let mean = |f: fn(&ResourceSample) -> f64| bucket.iter().map(f).sum::<f64>() / n;
+    Some(ResourceSample {
         time: last.time,
         node: last.node,
         kind: last.kind,
@@ -188,7 +146,7 @@ pub(crate) fn merge(bucket: &[&ResourceSample]) -> ResourceSample {
         queue_len: last.queue_len,
         active_workers: last.active_workers,
         log_bytes: bucket.iter().map(|s| s.log_bytes).sum(),
-    }
+    })
 }
 
 /// SAR repeats its column header; real deployments see this every screenful.
@@ -347,8 +305,52 @@ impl Tool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logstore::LogStore;
+    use crate::stream::ResourceMonitorState;
     use mscope_ntier::TierId;
     use mscope_sim::SimTime;
+
+    /// Drives `samples` through one monitor's streaming state; returns the
+    /// number of records written.
+    fn render(mon: &ResourceMonitor, samples: &[ResourceSample], store: &mut LogStore) -> usize {
+        let mut state = ResourceMonitorState::new(mon.clone(), store);
+        for s in samples {
+            state.observe(s, store);
+        }
+        state.finish(store)
+    }
+
+    /// Columns of a Collectl CSV row after its time stamp.
+    const CPU_USER: usize = 0;
+    const DIRTY: usize = 4;
+    const WRITE_KB: usize = 6;
+
+    /// The records a Collectl CSV monitor at `period` writes for `samples`,
+    /// one row of numeric columns each (the time stamp dropped).
+    fn aggregate(samples: &[ResourceSample], period: SimDuration) -> Vec<Vec<f64>> {
+        let mon = ResourceMonitor {
+            node: node(),
+            kind: TierKind::Mysql,
+            tool: Tool::CollectlCsv,
+            period,
+        };
+        let mut store = LogStore::new();
+        let n = render(&mon, samples, &mut store);
+        let rows: Vec<Vec<f64>> = store
+            .read(&mon.log_path())
+            .unwrap()
+            .lines()
+            .skip(1)
+            .map(|line| {
+                line.split_whitespace()
+                    .skip(1)
+                    .map(|f| f.parse().unwrap())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(rows.len(), n);
+        rows
+    }
 
     fn node() -> NodeId {
         NodeId {
@@ -383,10 +385,9 @@ mod tests {
     fn aggregate_same_period_passthrough() {
         let s1 = sample(50, 10.0, 50.0, 5);
         let s2 = sample(100, 20.0, 70.0, 7);
-        let refs = vec![&s1, &s2];
-        let merged = aggregate(&refs, SimDuration::from_millis(50));
+        let merged = aggregate(&[s1, s2], SimDuration::from_millis(50));
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].cpu_user, 10.0);
+        assert_eq!(merged[0][CPU_USER], 10.0);
     }
 
     #[test]
@@ -394,17 +395,16 @@ mod tests {
         let s: Vec<ResourceSample> = (1..=4)
             .map(|i| sample(i * 50, i as f64 * 10.0, 50.0, i))
             .collect();
-        let refs: Vec<&ResourceSample> = s.iter().collect();
-        let merged = aggregate(&refs, SimDuration::from_millis(100));
+        let merged = aggregate(&s, SimDuration::from_millis(100));
         assert_eq!(merged.len(), 2);
         // Means of (10,20) and (30,40).
-        assert_eq!(merged[0].cpu_user, 15.0);
-        assert_eq!(merged[1].cpu_user, 35.0);
+        assert_eq!(merged[0][CPU_USER], 15.0);
+        assert_eq!(merged[1][CPU_USER], 35.0);
         // Sums of bytes.
-        assert_eq!(merged[0].disk_write_bytes, 2048);
+        assert_eq!(merged[0][WRITE_KB] * 1024.0, 2048.0);
         // Gauge takes last.
-        assert_eq!(merged[0].dirty_pages, 2);
-        assert_eq!(merged[1].dirty_pages, 4);
+        assert_eq!(merged[0][DIRTY], 2.0);
+        assert_eq!(merged[1][DIRTY], 4.0);
     }
 
     #[test]
@@ -417,7 +417,7 @@ mod tests {
         };
         let samples = vec![sample(50, 12.0, 97.0, 42)];
         let mut store = LogStore::new();
-        let n = mon.render(&samples, &mut store);
+        let n = render(&mon, &samples, &mut store);
         assert_eq!(n, 1);
         let text = store.read("logs/tier3-0/collectl.csv").unwrap();
         assert!(text.starts_with("#Time [CPU]User%"));
@@ -436,7 +436,7 @@ mod tests {
         let samples: Vec<ResourceSample> =
             (1..=45).map(|i| sample(i * 50, 10.0, 10.0, 1)).collect();
         let mut store = LogStore::new();
-        mon.render(&samples, &mut store);
+        render(&mon, &samples, &mut store);
         let text = store.read("logs/tier3-0/sar.log").unwrap();
         let headers = text.matches("%user").count();
         assert_eq!(headers, 3, "45 rows / 20 per header = 3 headers");
@@ -453,7 +453,7 @@ mod tests {
         };
         let samples = vec![sample(50, 12.5, 1.0, 0), sample(100, 14.0, 1.0, 0)];
         let mut store = LogStore::new();
-        mon.render(&samples, &mut store);
+        render(&mon, &samples, &mut store);
         let text = store.read("logs/tier3-0/sar-xml.xml").unwrap();
         assert_eq!(text.matches("<timestamp").count(), 2);
         assert_eq!(text.matches("</timestamp>").count(), 2);
@@ -471,7 +471,7 @@ mod tests {
         };
         let samples = vec![sample(100, 5.0, 88.5, 0)];
         let mut store = LogStore::new();
-        mon.render(&samples, &mut store);
+        render(&mon, &samples, &mut store);
         let text = store.read("logs/tier3-0/iostat.log").unwrap();
         assert!(text.contains("Device:"));
         assert!(text.contains("sda"));
@@ -488,7 +488,7 @@ mod tests {
         };
         let samples = vec![sample(50, 1.0, 1.0, 9), sample(100, 2.0, 1.0, 9)];
         let mut store = LogStore::new();
-        mon.render(&samples, &mut store);
+        render(&mon, &samples, &mut store);
         let text = store.read("logs/tier3-0/collectl-brief.log").unwrap();
         assert_eq!(text.matches("### RECORD").count(), 2);
         assert_eq!(text.matches("# CPU SUMMARY").count(), 2);
@@ -507,7 +507,7 @@ mod tests {
         };
         let samples = vec![sample(50, 1.0, 1.0, 0)]; // tier3 sample
         let mut store = LogStore::new();
-        let n = mon.render(&samples, &mut store);
+        let n = render(&mon, &samples, &mut store);
         assert_eq!(n, 0);
         // Header still written (tool started but recorded nothing).
         assert!(store

@@ -1,25 +1,26 @@
-//! Streaming monitor rendering — the monitors' half of the streaming
-//! ingestion spine.
+//! Monitor rendering — the monitors' one driver, and their half of the
+//! streaming ingestion spine.
 //!
-//! Batch rendering ([`MonitorSuite::render`]) replays a finished run's
-//! record vectors through the monitors in one pass. [`MonitorStream`] is
-//! the incremental counterpart: feed it [`Record`]s one at a time (or in
-//! chunks pulled off a [`RecordStream`](mscope_sim::RecordStream)) and it
-//! appends to the same [`LogStore`] the batch path would have produced —
-//! *byte-identical*, because both paths are built from the same
-//! header/record/footer pieces and the same bucket-sealing rule.
+//! [`MonitorStream`] is the only renderer. Feed it [`Record`]s one at a
+//! time (or in chunks pulled off a [`RecordStream`](mscope_sim::RecordStream))
+//! and it appends each monitor's output to a growing [`LogStore`] as the
+//! records arrive. Batch rendering ([`MonitorSuite::render`]) is this same
+//! stream fed a finished run's three record vectors, each in its own order:
+//! every consumer sees only its own subsequence, which is all the merged
+//! stream gives it too (see [`merge_records`]), so the two give the same
+//! bytes.
 //!
-//! The only buffering the stream keeps is inherently required by the
-//! formats themselves: event monitors hold per-request pending timestamps
-//! until the departure line can be written (exactly as batch does), each
-//! resource monitor holds the one period-bucket currently being filled,
-//! and the SysViz tap keeps the captured messages until the capture ends
-//! (its reconstruction is defined over the whole wire trace).
+//! The only state the stream keeps is inherently required by the formats
+//! themselves: event monitors hold per-request pending timestamps until
+//! the departure line can be written, each resource monitor holds the one
+//! period-bucket currently being filled, and the SysViz tap holds one
+//! transaction per request seen, folding each message into it as the
+//! message arrives.
 
 use crate::event::EventMonitor;
 use crate::logstore::LogStore;
 use crate::resource::{bucket_of, merge, ResourceMonitor};
-use crate::suite::{topology_nodes, MonitorSuite, MonitoringArtifacts};
+use crate::suite::{topology_nodes, LogFileMeta, MonitorSuite, MonitoringArtifacts};
 use crate::sysviz::SysVizTap;
 use mscope_ntier::{LifecycleEvent, MessageEvent, NodeId, ResourceSample, RunOutput, SystemConfig};
 use mscope_sim::SimTime;
@@ -122,33 +123,35 @@ impl ResourceMonitorState {
 
     /// Consumes one base sample; samples for other nodes are ignored. A
     /// sample landing in a new period bucket seals and renders the
-    /// previous one — the same boundary rule batch aggregation uses.
+    /// previous one.
     pub fn observe(&mut self, s: &ResourceSample, store: &mut LogStore) {
         if s.node != self.monitor.node {
             return;
         }
         let b = bucket_of(s, self.monitor.period);
-        if self.current.is_some_and(|cur| cur != b) && !self.bucket.is_empty() {
+        if self.current.is_some_and(|cur| cur != b) {
             self.flush(store);
         }
         self.current = Some(b);
         self.bucket.push(*s);
     }
 
-    /// Seals the trailing bucket and writes the file epilogue.
+    /// Seals the trailing bucket and writes the file epilogue; returns the
+    /// number of records written.
     pub fn finish(mut self, store: &mut LogStore) -> usize {
-        if !self.bucket.is_empty() {
-            self.flush(store);
-        }
+        self.flush(store);
         store.append(&self.monitor.log_path(), self.monitor.tool.footer());
         self.emitted
     }
 
+    /// Renders the filled bucket as one record; an empty bucket writes
+    /// nothing.
     fn flush(&mut self, store: &mut LogStore) {
-        // perf: one refs vector + one text buffer per sealed period bucket
-        // (tens of ms of samples), not per sample.
-        let refs: Vec<&ResourceSample> = self.bucket.iter().collect();
-        let rec = merge(&refs);
+        let Some(rec) = merge(&self.bucket) else {
+            return;
+        };
+        // perf: one text buffer per sealed period bucket (tens of ms of
+        // samples), not per sample.
         let mut text = String::new();
         self.monitor.tool.record_into(&mut text, self.emitted, &rec);
         store.append(&self.monitor.log_path(), &text);
@@ -157,24 +160,21 @@ impl ResourceMonitorState {
     }
 }
 
-/// The streaming counterpart of [`MonitorSuite::render`]: observes
-/// [`Record`]s as they arrive and produces, at [`MonitorStream::finish`],
-/// the exact [`MonitoringArtifacts`] the batch path yields for the same
-/// records.
+/// The monitors' one driver: observes [`Record`]s as they arrive, appends
+/// each monitor's output to its [`LogStore`], and at
+/// [`MonitorStream::finish`] seals them into [`MonitoringArtifacts`].
 #[derive(Debug)]
 pub struct MonitorStream {
-    suite: MonitorSuite,
-    config: SystemConfig,
+    manifest: Vec<LogFileMeta>,
     store: LogStore,
     event: Vec<EventMonitor>,
     by_node: BTreeMap<NodeId, usize>,
     resources: Vec<ResourceMonitorState>,
-    messages: Vec<MessageEvent>,
-    records_seen: u64,
+    tap: Option<SysVizTap>,
 }
 
 impl MonitorStream {
-    /// Deploys the suite's monitors in streaming mode.
+    /// Deploys the suite's monitors.
     pub fn new(suite: &MonitorSuite, config: &SystemConfig) -> MonitorStream {
         let mut store = LogStore::new();
         let event: Vec<EventMonitor> = if suite.event_monitors {
@@ -196,36 +196,42 @@ impl MonitorStream {
             .map(|rm| ResourceMonitorState::new(rm.clone(), &mut store))
             .collect();
         MonitorStream {
-            suite: suite.clone(),
-            config: config.clone(),
+            manifest: suite.manifest(config),
             store,
             event,
             by_node,
             resources,
-            messages: Vec::new(),
-            records_seen: 0,
+            tap: suite.sysviz.then(SysVizTap::default),
         }
     }
 
     /// Consumes one record.
     pub fn observe(&mut self, rec: &Record) {
-        self.records_seen += 1;
         match rec {
-            Record::Lifecycle(ev) => {
-                if let Some(&i) = self.by_node.get(&ev.node) {
-                    self.event[i].observe(ev, &mut self.store);
-                }
-            }
-            Record::Message(m) => {
-                if self.suite.sysviz {
-                    self.messages.push(*m);
-                }
-            }
-            Record::Sample(s) => {
-                for state in &mut self.resources {
-                    state.observe(s, &mut self.store);
-                }
-            }
+            Record::Lifecycle(ev) => self.observe_lifecycle(ev),
+            Record::Message(m) => self.observe_message(m),
+            Record::Sample(s) => self.observe_sample(s),
+        }
+    }
+
+    /// Feeds an execution-boundary event to its node's event monitor.
+    pub(crate) fn observe_lifecycle(&mut self, ev: &LifecycleEvent) {
+        if let Some(&i) = self.by_node.get(&ev.node) {
+            self.event[i].observe(ev, &mut self.store);
+        }
+    }
+
+    /// Feeds a wire message to the SysViz tap, when it captures.
+    pub(crate) fn observe_message(&mut self, m: &MessageEvent) {
+        if let Some(tap) = &mut self.tap {
+            tap.observe(m);
+        }
+    }
+
+    /// Feeds a base resource sample to every resource monitor.
+    pub(crate) fn observe_sample(&mut self, s: &ResourceSample) {
+        for state in &mut self.resources {
+            state.observe(s, &mut self.store);
         }
     }
 
@@ -236,11 +242,6 @@ impl MonitorStream {
         }
     }
 
-    /// Records consumed so far.
-    pub fn records_seen(&self) -> u64 {
-        self.records_seen
-    }
-
     /// The growing log store — the surface a streaming ingester tails
     /// between [`observe`](MonitorStream::observe) calls.
     pub fn store(&self) -> &LogStore {
@@ -248,34 +249,30 @@ impl MonitorStream {
     }
 
     /// Seals every monitor (trailing resource buckets, format epilogues),
-    /// reconstructs the SysViz trace from the captured messages, and hands
-    /// back the finished artifacts — byte-identical to batch rendering of
-    /// the same record stream.
+    /// ends the SysViz capture, and hands back the finished artifacts.
     pub fn finish(self) -> MonitoringArtifacts {
         let MonitorStream {
-            suite,
-            config,
+            manifest,
             mut store,
             resources,
-            messages,
+            tap,
             ..
         } = self;
         for state in resources {
             state.finish(&mut store);
         }
-        let sysviz = suite.sysviz.then(|| SysVizTap::reconstruct(&messages));
         MonitoringArtifacts {
             store,
-            manifest: suite.manifest(&config),
-            sysviz,
+            manifest,
+            sysviz: tap.map(SysVizTap::finish),
         }
     }
 }
 
 impl MonitorSuite {
-    /// Deploys this suite in streaming mode; the returned [`MonitorStream`]
-    /// accepts records incrementally and finishes into the same artifacts
-    /// [`MonitorSuite::render`] produces.
+    /// Deploys this suite; the returned [`MonitorStream`] accepts records
+    /// incrementally and finishes into the same artifacts
+    /// [`MonitorSuite::render`] produces for a finished run.
     pub fn stream(&self, config: &SystemConfig) -> MonitorStream {
         MonitorStream::new(self, config)
     }
@@ -284,6 +281,7 @@ impl MonitorSuite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sysviz::SysVizTrace;
     use mscope_ntier::Simulator;
     use mscope_sim::SimDuration;
 
@@ -367,5 +365,14 @@ mod tests {
         // Every resource log exists (possibly just its preamble), no event
         // logs exist — the same shape batch gives an empty run.
         assert_eq!(art.store.len(), suite.resource_monitors.len());
+        // The tap captured nothing: an empty trace, not a missing one.
+        assert!(suite.sysviz);
+        assert_eq!(art.sysviz, Some(SysVizTrace::default()));
+        // A suite without the tap finishes with no trace at all.
+        let untapped = MonitorSuite {
+            sysviz: false,
+            ..suite
+        };
+        assert_eq!(untapped.stream(&cfg).finish().sysviz, None);
     }
 }

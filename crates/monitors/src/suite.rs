@@ -7,10 +7,9 @@
 //! file-to-monitor mapping that seeds mScopeDataTransformer's parsing
 //! declarations (paper §III-B1).
 
-use crate::event::render_event_logs;
 use crate::logstore::LogStore;
 use crate::resource::{ResourceMonitor, Tool};
-use crate::sysviz::{SysVizTap, SysVizTrace};
+use crate::sysviz::SysVizTrace;
 use mscope_ntier::{NodeId, RunOutput, SystemConfig, TierId, TierKind};
 use mscope_sim::SimDuration;
 
@@ -194,24 +193,24 @@ impl MonitorSuite {
         manifest
     }
 
-    /// Renders every monitor's log from a finished run.
+    /// Renders every monitor's log from a finished run: one pass of the
+    /// [`MonitorStream`](crate::MonitorStream) driver, fed the run's
+    /// lifecycle events, resource samples and wire messages, each vector in
+    /// its own order. Every monitor sees its own subsequence exactly as a
+    /// live stream would deliver it, so this returns what the stream returns
+    /// for the time-merged records ([`merge_records`](crate::merge_records)).
     pub fn render(&self, out: &RunOutput) -> MonitoringArtifacts {
-        let mut store = LogStore::new();
-
-        if self.event_monitors {
-            let nodes: Vec<(NodeId, TierKind)> = topology_nodes(&out.config);
-            render_event_logs(&nodes, &out.lifecycle, &mut store);
+        let mut stream = self.stream(&out.config);
+        for ev in &out.lifecycle {
+            stream.observe_lifecycle(ev);
         }
-        for rm in &self.resource_monitors {
-            rm.render(&out.samples, &mut store);
+        for s in &out.samples {
+            stream.observe_sample(s);
         }
-
-        let sysviz = self.sysviz.then(|| SysVizTap::reconstruct(&out.messages));
-        MonitoringArtifacts {
-            store,
-            manifest: self.manifest(&out.config),
-            sysviz,
+        for m in &out.messages {
+            stream.observe_message(m);
         }
+        stream.finish()
     }
 }
 

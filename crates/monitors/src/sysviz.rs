@@ -3,10 +3,11 @@
 //!
 //! The paper validates its event mScopeMonitors against Fujitsu SysViz
 //! (§VI-A, Fig. 9), a commercial appliance that reconstructs every
-//! transaction from messages captured at network taps. Our tap records every
-//! wire message in the simulator; this module rebuilds per-request,
-//! per-tier residence intervals from those messages *alone* — completely
-//! independent of the event monitors' logs — so the two can be compared.
+//! transaction from messages captured at network taps. Our tap sees every
+//! wire message in the simulator and folds each one, as it arrives, into
+//! per-request, per-tier residence intervals built from those messages
+//! *alone* — completely independent of the event monitors' logs — so the
+//! two can be compared.
 //!
 //! Note the tap's view is shifted from the servers' own view by the wire
 //! latency (it sees a request enter a tier when the packet arrives, not
@@ -112,60 +113,78 @@ impl SysVizTrace {
     }
 }
 
-/// The passive tap reconstructor.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SysVizTap;
+/// The passive tap reconstructor: a fold over the wire messages in
+/// capture order. [`observe`](SysVizTap::observe) folds each message into
+/// its transaction as it arrives, so the tap keeps one entry per request,
+/// never the message trace; [`finish`](SysVizTap::finish) hands back the
+/// transactions in first-observation order.
+#[derive(Debug, Clone, Default)]
+pub struct SysVizTap {
+    /// Keyed lookups only — output order is `transactions`' push order,
+    /// never this map's iteration order (lint rule DT001).
+    index: HashMap<RequestId, usize>,
+    transactions: Vec<SysVizTransaction>,
+}
 
 impl SysVizTap {
-    /// Rebuilds transactions from the captured message stream.
+    /// Rebuilds transactions from a captured message stream: the fold run
+    /// over the whole capture.
     pub fn reconstruct(messages: &[MessageEvent]) -> SysVizTrace {
-        let mut order: Vec<RequestId> = Vec::new();
-        let mut txs: HashMap<RequestId, SysVizTransaction> = HashMap::new();
+        let mut tap = SysVizTap::default();
         for m in messages {
-            let tx = txs.entry(m.request).or_insert_with(|| {
-                order.push(m.request);
-                SysVizTransaction {
-                    request: m.request,
-                    interaction: m.interaction,
-                    client_send: None,
-                    client_recv: None,
-                    spans: BTreeMap::new(),
-                }
+            tap.observe(m);
+        }
+        tap.finish()
+    }
+
+    /// Folds one captured message into its transaction.
+    pub fn observe(&mut self, m: &MessageEvent) {
+        let txs = &mut self.transactions;
+        let i = *self.index.entry(m.request).or_insert_with(|| {
+            txs.push(SysVizTransaction {
+                request: m.request,
+                interaction: m.interaction,
+                client_send: None,
+                client_recv: None,
+                spans: BTreeMap::new(),
             });
-            match m.kind {
-                MsgKind::RequestDown => {
-                    if let Endpoint::Client = m.src {
-                        tx.client_send = Some(m.send_time);
-                    }
-                    if let Endpoint::Node(n) = m.src {
-                        let s = span_entry(&mut tx.spans, n);
-                        s.downstream_sending = Some(m.send_time);
-                    }
-                    if let Endpoint::Node(n) = m.dst {
-                        let s = span_entry(&mut tx.spans, n);
-                        s.arrival = Some(m.recv_time);
-                    }
+            txs.len() - 1
+        });
+        let tx = &mut txs[i];
+        match m.kind {
+            MsgKind::RequestDown => {
+                if let Endpoint::Client = m.src {
+                    tx.client_send = Some(m.send_time);
                 }
-                MsgKind::ReplyUp => {
-                    if let Endpoint::Node(n) = m.src {
+                if let Endpoint::Node(n) = m.src {
+                    let s = span_entry(&mut tx.spans, n);
+                    s.downstream_sending = Some(m.send_time);
+                }
+                if let Endpoint::Node(n) = m.dst {
+                    let s = span_entry(&mut tx.spans, n);
+                    s.arrival = Some(m.recv_time);
+                }
+            }
+            MsgKind::ReplyUp => {
+                if let Endpoint::Node(n) = m.src {
+                    let s = span_entry(&mut tx.spans, n);
+                    s.departure = Some(m.send_time);
+                }
+                match m.dst {
+                    Endpoint::Client => tx.client_recv = Some(m.recv_time),
+                    Endpoint::Node(n) => {
                         let s = span_entry(&mut tx.spans, n);
-                        s.departure = Some(m.send_time);
-                    }
-                    match m.dst {
-                        Endpoint::Client => tx.client_recv = Some(m.recv_time),
-                        Endpoint::Node(n) => {
-                            let s = span_entry(&mut tx.spans, n);
-                            s.downstream_receiving = Some(m.recv_time);
-                        }
+                        s.downstream_receiving = Some(m.recv_time);
                     }
                 }
             }
         }
+    }
+
+    /// Ends the capture: the transactions in first-observation order.
+    pub fn finish(self) -> SysVizTrace {
         SysVizTrace {
-            transactions: order
-                .into_iter()
-                .map(|id| txs.remove(&id).expect("inserted above"))
-                .collect(),
+            transactions: self.transactions,
         }
     }
 }

@@ -97,7 +97,7 @@ fn sar_xml_monitor() -> (ResourceMonitor, mscope_monitors::LogFileMeta) {
 fn sar_xml_doc(g: &mut Gen) -> String {
     let (monitor, meta) = sar_xml_monitor();
     let mut store = LogStore::new();
-    monitor.render(&gen_sample_stream(g, 6), &mut store);
+    render(&monitor, &gen_sample_stream(g, 6), &mut store);
     store.read(&meta.path).unwrap_or_default().to_string()
 }
 
@@ -498,8 +498,18 @@ fn apache_pattern_inverts_rendering() {
 // Monitor-format round-trips: render → parse → identical values
 // ------------------------------------------------------------------
 
-use mscope_monitors::{LogStore, ResourceMonitor, Tool};
+use mscope_monitors::{LogStore, ResourceMonitor, ResourceMonitorState, Tool};
 use mscope_ntier::{NodeId, ResourceSample, TierId, TierKind};
+
+/// Renders `samples` through one resource monitor's streaming state, the
+/// way `MonitorStream` drives every resource monitor.
+fn render(monitor: &ResourceMonitor, samples: &[ResourceSample], store: &mut LogStore) {
+    let mut state = ResourceMonitorState::new(monitor.clone(), store);
+    for s in samples {
+        state.observe(s, store);
+    }
+    state.finish(store);
+}
 
 fn gen_sample(g: &mut Gen) -> ResourceSample {
     let user = g.f64(0.0..60.0);
@@ -555,7 +565,7 @@ fn collectl_roundtrip_through_pipeline() {
             period: mscope_sim::SimDuration::from_millis(1), // pass-through
         };
         let mut store = LogStore::new();
-        monitor.render(&samples, &mut store);
+        render(&monitor, &samples, &mut store);
 
         let meta = mscope_monitors::LogFileMeta {
             path: monitor.log_path(),
@@ -617,7 +627,7 @@ fn all_tools_parse_their_own_output() {
                 period: mscope_sim::SimDuration::from_millis(1),
             };
             let mut store = LogStore::new();
-            monitor.render(&samples, &mut store);
+            render(&monitor, &samples, &mut store);
             let meta = mscope_monitors::LogFileMeta {
                 path: monitor.log_path(),
                 node: monitor.node,
@@ -721,7 +731,7 @@ fn parallel_pipeline_matches_serial() {
                 tool,
                 period: mscope_sim::SimDuration::from_millis(1),
             };
-            monitor.render(&samples, &mut store);
+            render(&monitor, &samples, &mut store);
             manifest.push(mscope_monitors::LogFileMeta {
                 path: monitor.log_path(),
                 node: monitor.node,
