@@ -331,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn render_event_logs_covers_all_nodes() {
+    fn event_monitors_cover_all_nodes() {
         // A two-tier topology: Apache on tier0-0, Tomcat on tier1-0.
         let mut cfg = mscope_ntier::SystemConfig::rubbos_baseline(10);
         cfg.tiers.truncate(2);

@@ -327,7 +327,7 @@ mod tests {
 
     /// The records a Collectl CSV monitor at `period` writes for `samples`,
     /// one row of numeric columns each (the time stamp dropped).
-    fn aggregate(samples: &[ResourceSample], period: SimDuration) -> Vec<Vec<f64>> {
+    fn records(samples: &[ResourceSample], period: SimDuration) -> Vec<Vec<f64>> {
         let mon = ResourceMonitor {
             node: node(),
             kind: TierKind::Mysql,
@@ -382,20 +382,20 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_same_period_passthrough() {
+    fn same_period_buckets_pass_through() {
         let s1 = sample(50, 10.0, 50.0, 5);
         let s2 = sample(100, 20.0, 70.0, 7);
-        let merged = aggregate(&[s1, s2], SimDuration::from_millis(50));
+        let merged = records(&[s1, s2], SimDuration::from_millis(50));
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0][CPU_USER], 10.0);
     }
 
     #[test]
-    fn aggregate_combines_buckets() {
+    fn longer_period_combines_buckets() {
         let s: Vec<ResourceSample> = (1..=4)
             .map(|i| sample(i * 50, i as f64 * 10.0, 50.0, i))
             .collect();
-        let merged = aggregate(&s, SimDuration::from_millis(100));
+        let merged = records(&s, SimDuration::from_millis(100));
         assert_eq!(merged.len(), 2);
         // Means of (10,20) and (30,40).
         assert_eq!(merged[0][CPU_USER], 15.0);
