@@ -1,7 +1,7 @@
-//! Streaming ingestion spine bench: sustained events/sec through
-//! monitors → bounded `RecordStream` → incremental transformer →
-//! mScopeDB, against the batch render-then-transform path over the same
-//! records.
+//! Streaming ingestion spine bench: sustained events/sec through the
+//! one-thread loop of `MilliScope::run_streaming` — the run's records
+//! replayed in place → monitors → incremental transformer → mScopeDB —
+//! against the batch render-then-transform path over the same records.
 //!
 //! Before any number is reported, an identity stage runs: a small trial
 //! is streamed at chunk sizes {64, 4096} × worker counts {1, p} and each

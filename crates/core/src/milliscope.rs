@@ -6,9 +6,9 @@ use mscope_analysis::{
     queue_from_event_table, FlowError, FlowTable, PitSeries, RequestFlow, WindowSeries,
 };
 use mscope_db::{AggFn, Database, Predicate, Table, Value};
-use mscope_monitors::{merge_records, MonitorSuite, SysVizTrace};
+use mscope_monitors::{merged_records, MonitorSuite, SysVizTrace};
 use mscope_ntier::{RunOutput, SystemConfig, TierId, TierKind};
-use mscope_sim::{run_piped, SimDuration, SimTime};
+use mscope_sim::{SimDuration, SimTime};
 use mscope_transform::{DataTransformer, RunOptions, TransformReport};
 use std::sync::OnceLock;
 
@@ -342,13 +342,16 @@ impl MilliScope {
     }
 }
 
-/// The zero-window guard for the analyses that bucket on `window`
-/// themselves (`resource` gets the same refusal from the warehouse).
-/// `DiagnoseOptions` deserializes from JSON, so a zero can arrive from
-/// outside the program and must be an error, not the folds' `assert!`.
+/// The window guard for the analyses that bucket on `window` themselves
+/// (`resource` gets the same refusal from the warehouse): zero, or wider
+/// than the `i64` microseconds the event tables are keyed on.
+/// `DiagnoseOptions` deserializes from JSON, so such a window can arrive
+/// from outside the program and must be an error, not the folds' `assert!`.
 fn positive(window: SimDuration) -> Result<SimDuration, CoreError> {
-    if window.is_zero() {
-        return Err(CoreError::Analysis("window must be positive".into()));
+    if window.is_zero() || i64::try_from(window.as_micros()).is_err() {
+        return Err(CoreError::Analysis(
+            "window must be positive and fit in i64 microseconds".into(),
+        ));
     }
     Ok(window)
 }
@@ -383,19 +386,21 @@ fn register_run(db: &mut Database, cfg: &SystemConfig) -> Result<(), CoreError> 
 
 /// Streaming ingestion — the live path of the spine. Instead of rendering
 /// every log to completion and then transforming the finished files
-/// ([`MilliScope::ingest`]), the monitors emit records continuously
-/// through a bounded channel and the transformer tails the growing log
-/// store, so the warehouse fills *while the run plays*.
+/// ([`MilliScope::ingest`]), the monitors append to their logs record by
+/// record and the transformer tails the growing log store, so the
+/// warehouse fills *while the run plays*. One loop on the calling thread
+/// does both, reading the run's records in place.
 impl MilliScope {
     /// Replays a run's records through the full streaming spine:
-    /// monitors → bounded [`RecordStream`](mscope_sim::RecordStream) →
-    /// incremental transformer → warehouse. Records flow in time order in
-    /// chunks of `chunk`; after each chunk the transformer's parse stage
-    /// fans out over `workers` threads. The resulting handle is equivalent
-    /// to [`ingest`](MilliScope::ingest)ing the same run: identical
-    /// transform report, schemas, and row multisets (tables fed by a
-    /// single log file are byte-identical; tables fed by several files
-    /// may interleave their appends differently).
+    /// [`merged_records`] → monitors → incremental transformer →
+    /// warehouse, under the suite the run's `monitoring` config deploys.
+    /// Records are read in place in time order; after every `chunk` of
+    /// them, and after the last, the transformer's parse stage fans out
+    /// over `workers` threads. The resulting handle is equivalent to
+    /// [`ingest`](MilliScope::ingest)ing the same run: identical transform
+    /// report, schemas, and row multisets (tables fed by a single log file
+    /// are byte-identical; tables fed by several files may interleave
+    /// their appends differently).
     ///
     /// # Errors
     ///
@@ -405,54 +410,23 @@ impl MilliScope {
         chunk: usize,
         workers: usize,
     ) -> Result<MilliScope, CoreError> {
-        let suite = MonitorSuite::standard(&run.config);
-        Self::run_streaming_with(run, suite, chunk, workers)
-    }
-
-    /// [`run_streaming`](MilliScope::run_streaming) under a custom monitor
-    /// suite (e.g. event monitors disabled or the SysViz tap removed).
-    ///
-    /// # Errors
-    ///
-    /// Any transformation or load error.
-    pub fn run_streaming_with(
-        run: &RunOutput,
-        suite: MonitorSuite,
-        chunk: usize,
-        workers: usize,
-    ) -> Result<MilliScope, CoreError> {
         let cfg = run.config.clone();
+        let suite = MonitorSuite::standard(&cfg);
         let mut db = Database::new();
         register_run(&mut db, &cfg)?;
-        let manifest = suite.manifest(&cfg);
-        let mut ingester = DataTransformer::from_manifest(&manifest).stream()?;
-
-        let records = merge_records(run);
+        let mut ingester = DataTransformer::from_manifest(&suite.manifest(&cfg)).stream()?;
+        let mut monitors = suite.stream(&cfg);
         let chunk = chunk.max(1);
-        // The producer side stands in for the live monitor emitters; the
-        // bounded channel gives it backpressure against a slow consumer.
-        // The consumer renders each chunk into the log store and lets the
-        // transformer drain whatever became parseable.
-        let (artifacts, report) = run_piped(
-            8,
-            |tx| {
-                for c in records.chunks(chunk) {
-                    if tx.send(c.to_vec()).is_err() {
-                        break;
-                    }
-                }
-            },
-            |rx| -> Result<_, CoreError> {
-                let mut monitors = suite.stream(&cfg);
-                while let Some(c) = rx.recv() {
-                    monitors.observe_chunk(&c);
-                    ingester.poll_with(monitors.store(), &mut db, workers)?;
-                }
-                let artifacts = monitors.finish();
-                let report = ingester.finish(&artifacts.store, &mut db)?;
-                Ok((artifacts, report))
-            },
-        )?;
+        let total = run.lifecycle.len() + run.messages.len() + run.samples.len();
+        for (i, rec) in merged_records(run).enumerate() {
+            monitors.observe(&rec);
+            let seen = i + 1;
+            if seen % chunk == 0 || seen == total {
+                ingester.poll_with(monitors.store(), &mut db, workers)?;
+            }
+        }
+        let artifacts = monitors.finish();
+        let report = ingester.finish(&artifacts.store, &mut db)?;
         let end_time = cfg.end_time();
         Ok(MilliScope {
             db,
@@ -557,22 +531,40 @@ mod tests {
     #[test]
     fn zero_window_is_an_error_not_a_panic() {
         let ms = ingested(30);
-        let zero = SimDuration::ZERO;
-        assert!(matches!(ms.pit(zero), Err(CoreError::Analysis(_))));
-        assert!(matches!(ms.queue(0, zero), Err(CoreError::Analysis(_))));
-        assert!(matches!(ms.all_queues(zero), Err(CoreError::Analysis(_))));
         assert!(ms.sysviz().is_some());
-        assert_eq!(ms.sysviz_queue(0, zero), None);
-        let opts = crate::DiagnoseOptions {
-            pit_window: zero,
-            ..Default::default()
-        };
-        assert!(matches!(ms.diagnose(&opts), Err(CoreError::Analysis(_))));
-        // The warehouse refuses the same window for `resource`.
-        assert!(matches!(
-            ms.resource("tier0-0", "cpu_user", zero, AggFn::Mean),
-            Err(CoreError::Db(mscope_db::DbError::BadQuery(_)))
-        ));
+        // Zero, and a window whose µs do not fit the tables' i64 keys.
+        for window in [SimDuration::ZERO, SimDuration::from_micros(u64::MAX)] {
+            let tag = format!("{window:?}");
+            assert!(
+                matches!(ms.pit(window), Err(CoreError::Analysis(_))),
+                "{tag}"
+            );
+            assert!(
+                matches!(ms.queue(0, window), Err(CoreError::Analysis(_))),
+                "{tag}"
+            );
+            assert!(
+                matches!(ms.all_queues(window), Err(CoreError::Analysis(_))),
+                "{tag}"
+            );
+            assert_eq!(ms.sysviz_queue(0, window), None, "{tag}");
+            let opts = crate::DiagnoseOptions {
+                pit_window: window,
+                ..Default::default()
+            };
+            assert!(
+                matches!(ms.diagnose(&opts), Err(CoreError::Analysis(_))),
+                "{tag}"
+            );
+            // The warehouse refuses the same window for `resource`.
+            assert!(
+                matches!(
+                    ms.resource("tier0-0", "cpu_user", window, AggFn::Mean),
+                    Err(CoreError::Db(mscope_db::DbError::BadQuery(_)))
+                ),
+                "{tag}"
+            );
+        }
     }
 
     #[test]
@@ -851,7 +843,15 @@ mod streaming_tests {
         // worker count; collect one serialization per chunk size and
         // compare the rest against it.
         let mut by_chunk: BTreeMap<usize, String> = BTreeMap::new();
-        for &(chunk, workers) in &[(1, 1), (1, 4), (64, 1), (64, 4), (4096, 1), (4096, 4)] {
+        for &(chunk, workers) in &[
+            (1, 1),
+            (1, 4),
+            (64, 1),
+            (64, 4),
+            (4096, 1),
+            (4096, 4),
+            (usize::MAX, 1),
+        ] {
             let ms = MilliScope::run_streaming(&out.run, chunk, workers).unwrap();
             let tag = format!("chunk={chunk} workers={workers}");
             assert_eq!(ms.transform_report(), batch.transform_report(), "{tag}");
@@ -909,15 +909,15 @@ mod streaming_tests {
         let mut cfg = SystemConfig::rubbos_baseline(20);
         cfg.duration = SimDuration::from_secs(3);
         cfg.warmup = SimDuration::from_secs(1);
+        cfg.monitoring.sysviz_tap = false;
         let out = Experiment::new(cfg.clone()).unwrap().run();
-        let mut suite = MonitorSuite::standard(&cfg);
-        suite.sysviz = false;
-        let ms = MilliScope::run_streaming_with(&out.run, suite, 512, 1).unwrap();
+        let ms = MilliScope::run_streaming(&out.run, 512, 1).unwrap();
         assert!(ms.sysviz().is_none());
         assert!(ms.pit(SimDuration::from_millis(50)).is_ok());
-        let mut suite = MonitorSuite::standard(&cfg);
-        suite.event_monitors = false;
-        let ms = MilliScope::run_streaming_with(&out.run, suite, 512, 1).unwrap();
+        cfg.monitoring.sysviz_tap = true;
+        cfg.monitoring.event_monitors = false;
+        let out = Experiment::new(cfg).unwrap().run();
+        let ms = MilliScope::run_streaming(&out.run, 512, 1).unwrap();
         assert!(ms.event_table(0).is_err());
     }
 }

@@ -70,16 +70,11 @@ pub const IDENTITY_GATED_CRATES: &[&str] = &[
     "warehouse",
 ];
 
-/// The sanctioned worker-pool implementations: the `WorkQueue`, the
+/// The sanctioned worker-pool implementations: the `WorkQueue` and the
 /// `parallel_map` built on it — the one fan-out every parallel stage
-/// calls — and the bounded `RecordStream` channel. Only these may spawn
-/// threads or hold the shared slots/atomics that make job-order merging
-/// work (DT003, DT005).
-pub const SANCTIONED_POOL_FILES: &[&str] = &[
-    "crates/sim/src/par.rs",
-    "crates/sim/src/queue.rs",
-    "crates/sim/src/stream.rs",
-];
+/// calls. Only these may spawn threads or hold the shared slots/atomics
+/// that make job-order merging work (DT003, DT005).
+pub const SANCTIONED_POOL_FILES: &[&str] = &["crates/sim/src/par.rs", "crates/sim/src/queue.rs"];
 
 /// Where `SimRng` streams may be constructed: the RNG itself, the
 /// property-test harness that seeds trials, and the n-tier engine's

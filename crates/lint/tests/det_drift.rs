@@ -135,7 +135,7 @@ fn dt003_fires_on_ad_hoc_threads_and_respects_sanctioned_pools() {
             "DT003",
             "crates/monitors/src/fake.rs",
             2,
-            "`thread::spawn` outside the sanctioned WorkQueue pools (crates/sim/src/par.rs, crates/sim/src/queue.rs, crates/sim/src/stream.rs) — ad-hoc threads have no job-order merge discipline: `std::thread::spawn(|| work());`"
+            "`thread::spawn` outside the sanctioned WorkQueue pools (crates/sim/src/par.rs, crates/sim/src/queue.rs) — ad-hoc threads have no job-order merge discipline: `std::thread::spawn(|| work());`"
         )
     );
     let scoped = "fn fan_out() {\n    std::thread::scope(|s| { s.spawn(|| work()); });\n}\n";

@@ -15,10 +15,10 @@
 //!   validation (Fig. 9). It folds each wire message into its transaction
 //!   as the message arrives.
 //! * [`MonitorStream`] — the one driver of all three: feed it [`Record`]s
-//!   as they arrive (e.g. off a bounded
-//!   [`RecordStream`](mscope_sim::RecordStream)) and finish into a
-//!   [`LogStore`] of native logs, the manifest that seeds the
-//!   transformer's parsing declarations, and the tap's trace.
+//!   as they arrive (e.g. a finished run replayed in place by
+//!   [`merged_records`]) and finish into a [`LogStore`] of native logs,
+//!   the manifest that seeds the transformer's parsing declarations, and
+//!   the tap's trace.
 //! * [`MonitorSuite`] — the deployment plan. [`MonitorSuite::render`]
 //!   runs a finished run's records through one [`MonitorStream`].
 //! * [`OverheadReport`] — the enabled-vs-disabled overhead comparison
@@ -60,6 +60,6 @@ pub use shape::{
     event_clock_domain, event_rendered_fields, propagates_request_id, resource_clock_domain,
     resource_rendered_fields, ValueShape, CLOCK_DOMAIN,
 };
-pub use stream::{merge_records, MonitorStream, Record, ResourceMonitorState};
+pub use stream::{merge_records, merged_records, MonitorStream, Record, ResourceMonitorState};
 pub use suite::{topology_nodes, LogFileMeta, MonitorKind, MonitorSuite, MonitoringArtifacts};
 pub use sysviz::{SysVizSpan, SysVizTap, SysVizTrace, SysVizTransaction};

@@ -2,12 +2,14 @@
 //! streaming ingestion spine.
 //!
 //! [`MonitorStream`] is the only renderer. Feed it [`Record`]s one at a
-//! time (or in chunks pulled off a [`RecordStream`](mscope_sim::RecordStream))
-//! and it appends each monitor's output to a growing [`LogStore`] as the
-//! records arrive. Batch rendering ([`MonitorSuite::render`]) is this same
-//! stream fed a finished run's three record vectors, each in its own order:
-//! every consumer sees only its own subsequence, which is all the merged
-//! stream gives it too (see [`merge_records`]), so the two give the same
+//! time (or in chunks) and it appends each monitor's output to a growing
+//! [`LogStore`] as the records arrive. A finished run is replayed in place
+//! by [`merged_records`], which interleaves its three record vectors in
+//! time order without copying them; the streaming spine feeds that
+//! iterator straight into the stream. Batch rendering
+//! ([`MonitorSuite::render`]) is this same stream fed the three vectors
+//! each in its own order: every consumer sees only its own subsequence,
+//! which is all the merged stream gives it too, so the two give the same
 //! bytes.
 //!
 //! The only state the stream keeps is inherently required by the formats
@@ -49,50 +51,44 @@ impl Record {
     }
 }
 
-/// Interleaves a finished run's three record vectors into the single
-/// time-ordered stream a live deployment would emit. Each source vector's
-/// internal order is preserved exactly (the merge only interleaves), which
-/// is the property streaming≡batch identity rests on: every consumer sees
-/// its own source subsequence unchanged. Ties sort lifecycle < message <
-/// sample.
+/// Interleaves a finished run's three record vectors, read in place, into
+/// the single time-ordered stream a live deployment would emit. Each
+/// source vector's internal order is preserved exactly (the merge only
+/// interleaves), which is the property streaming≡batch identity rests on:
+/// every consumer sees its own source subsequence unchanged. Ties sort
+/// lifecycle < message < sample.
+pub fn merged_records(out: &RunOutput) -> impl Iterator<Item = Record> + '_ {
+    let (mut li, mut mi, mut si) = (0usize, 0usize, 0usize);
+    std::iter::from_fn(move || {
+        let (l, m, s) = (
+            out.lifecycle.get(li),
+            out.messages.get(mi),
+            out.samples.get(si),
+        );
+        // An exhausted source sorts after every record.
+        let lt = l.map_or(SimTime::MAX, |e| e.time);
+        let mt = m.map_or(SimTime::MAX, |m| m.send_time);
+        let st = s.map_or(SimTime::MAX, |s| s.time);
+        if let Some(ev) = l.filter(|_| lt <= mt && lt <= st) {
+            li += 1;
+            return Some(Record::Lifecycle(*ev));
+        }
+        if let Some(msg) = m.filter(|_| mt <= st) {
+            mi += 1;
+            return Some(Record::Message(*msg));
+        }
+        let sample = s?;
+        si += 1;
+        Some(Record::Sample(*sample))
+    })
+}
+
+/// [`merged_records`] collected: the whole replay in one vector.
 pub fn merge_records(out: &RunOutput) -> Vec<Record> {
     // perf: one output vector for the whole replay, sized exactly.
     let mut merged =
         Vec::with_capacity(out.lifecycle.len() + out.messages.len() + out.samples.len());
-    let (mut li, mut mi, mut si) = (0usize, 0usize, 0usize);
-    loop {
-        let lt = out.lifecycle.get(li).map(|e| e.time);
-        let mt = out.messages.get(mi).map(|m| m.send_time);
-        let st = out.samples.get(si).map(|s| s.time);
-        let next = match (lt, mt, st) {
-            (None, None, None) => break,
-            _ => {
-                let inf = SimTime::from_micros(u64::MAX);
-                let (l, m, s) = (lt.unwrap_or(inf), mt.unwrap_or(inf), st.unwrap_or(inf));
-                if l <= m && l <= s {
-                    0
-                } else if m <= s {
-                    1
-                } else {
-                    2
-                }
-            }
-        };
-        match next {
-            0 => {
-                merged.push(Record::Lifecycle(out.lifecycle[li]));
-                li += 1;
-            }
-            1 => {
-                merged.push(Record::Message(out.messages[mi]));
-                mi += 1;
-            }
-            _ => {
-                merged.push(Record::Sample(out.samples[si]));
-                si += 1;
-            }
-        }
-    }
+    merged.extend(merged_records(out));
     merged
 }
 
@@ -329,32 +325,6 @@ mod tests {
             assert_eq!(streamed.manifest, batch.manifest);
             assert_eq!(streamed.sysviz, batch.sysviz);
         }
-    }
-
-    #[test]
-    fn streaming_through_record_stream_channel() {
-        let out = small_run();
-        let suite = MonitorSuite::standard(&out.config);
-        let batch = suite.render(&out);
-        let merged = merge_records(&out);
-        let streamed = mscope_sim::run_piped(
-            8,
-            move |tx| {
-                for chunk in merged.chunks(128) {
-                    if tx.send(chunk.to_vec()).is_err() {
-                        break;
-                    }
-                }
-            },
-            |rx| {
-                let mut stream = suite.stream(&out.config);
-                while let Some(chunk) = rx.recv() {
-                    stream.observe_chunk(&chunk);
-                }
-                stream.finish()
-            },
-        );
-        assert_eq!(streamed.store, batch.store);
     }
 
     #[test]

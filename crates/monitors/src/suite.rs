@@ -198,7 +198,7 @@ impl MonitorSuite {
     /// lifecycle events, resource samples and wire messages, each vector in
     /// its own order. Every monitor sees its own subsequence exactly as a
     /// live stream would deliver it, so this returns what the stream returns
-    /// for the time-merged records ([`merge_records`](crate::merge_records)).
+    /// for the time-merged records ([`merged_records`](crate::merged_records)).
     pub fn render(&self, out: &RunOutput) -> MonitoringArtifacts {
         let mut stream = self.stream(&out.config);
         for ev in &out.lifecycle {

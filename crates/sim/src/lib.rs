@@ -21,9 +21,8 @@
 //! * [`WorkQueue`] / [`parallel_map`] — atomic job dispenser and the
 //!   job-ordered parallel fan-out built on it, shared by every parallel
 //!   stage in the workspace (transformer convert, warehouse scan, and the
-//!   sharded n-tier simulator).
-//! * [`RecordStream`] / [`run_piped`] — bounded SPSC channel and the
-//!   producer/consumer scaffold behind the streaming ingestion spine.
+//!   sharded n-tier simulator). The streaming spine needs no channel: it
+//!   replays a finished run in place, on the calling thread.
 //! * [`Fnv64`] — order-sensitive stream digest used to prove two event
 //!   streams identical without retaining them.
 //! * [`prop`] — the in-tree property-testing harness (seeded generation,
@@ -62,7 +61,6 @@ pub mod prop;
 mod queue;
 mod rng;
 mod stats;
-mod stream;
 mod time;
 
 pub use digest::Fnv64;
@@ -71,5 +69,4 @@ pub use par::parallel_map;
 pub use queue::WorkQueue;
 pub use rng::{LogNormal, SimRng, WeightedIndex};
 pub use stats::{pearson, percentile, rmse, Summary};
-pub use stream::{run_piped, RecordReceiver, RecordSender, RecordStream};
 pub use time::{parse_wallclock, push_wallclock, wallclock, SimDuration, SimTime};
