@@ -938,6 +938,10 @@ impl RequestFlow {
         };
         let (t0, t1) = (first.ua, first.ud.max(first.ua + 1));
         let span = (t1 - t0) as f64;
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "clamped to 0..=width - 1 before the cast"
+        )]
         let col = |t: i64| -> usize {
             (((t - t0) as f64 / span) * (width - 1) as f64)
                 .round()

@@ -60,7 +60,8 @@ fn interval_is_valid(a: i64, d: Option<i64>) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if `window` is zero.
+/// Panics if `window` is zero, or if `start`, `end` or `window` does not
+/// fit in `i64` microseconds (the event tables' key type).
 pub fn queue_series(
     intervals: &Intervals,
     start: SimTime,
@@ -75,7 +76,7 @@ pub fn queue_series(
 ///
 /// # Panics
 ///
-/// Panics if `window` is zero.
+/// As [`queue_series`].
 pub fn queue_series_checked(
     intervals: &Intervals,
     start: SimTime,
@@ -96,9 +97,18 @@ fn fold(
     window: SimDuration,
 ) -> (Vec<(i64, f64)>, usize) {
     assert!(!window.is_zero(), "window must be non-zero");
+    let widest = start
+        .as_micros()
+        .max(end.as_micros())
+        .max(window.as_micros());
+    assert!(
+        i64::try_from(widest).is_ok(),
+        "start, end and window must fit in i64 microseconds"
+    );
     // One window per started `window` of `[start, end)`; none if it is empty.
     let windows =
         (end.as_micros().saturating_sub(start.as_micros())).div_ceil(window.as_micros()) as usize;
+    #[expect(clippy::cast_possible_wrap, reason = "asserted above: both fit in i64")]
     let (start, window) = (start.as_micros() as i64, window.as_micros() as i64);
     // Window `k` ends at `start + (k + 1)·window`; a delta later than the
     // last end is never read.
@@ -106,7 +116,12 @@ fn fold(
         if t <= start + window {
             0
         } else {
-            ((t - start - 1) / window) as usize
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "t > start + window here, so the quotient is positive"
+            )]
+            let k = ((t - start - 1) / window) as usize;
+            k
         }
     };
     let mut net = vec![0i64; windows];
@@ -141,6 +156,10 @@ fn fold(
 /// # Errors
 ///
 /// As [`intervals_from_event_table`].
+///
+/// # Panics
+///
+/// As [`queue_series`].
 pub fn queue_from_event_table(
     table: &Table,
     start: SimTime,

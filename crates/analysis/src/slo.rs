@@ -101,7 +101,12 @@ impl Slo {
             } else {
                 let frac = ((p.max_ms - self.threshold_ms) / (p.max_ms - p.mean_ms).max(1e-9))
                     .clamp(0.0, 1.0);
-                ((p.count as f64 * frac).ceil() as u64).max(1).min(p.count)
+                #[expect(
+                    clippy::cast_sign_loss,
+                    reason = "count ≥ 0 and frac is clamped to 0..=1"
+                )]
+                let est = (p.count as f64 * frac).ceil() as u64;
+                est.max(1).min(p.count)
             };
             violating += est;
             violation_windows.push((p.start_us, est));

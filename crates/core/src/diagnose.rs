@@ -168,6 +168,8 @@ impl MilliScope {
     /// zero `pit_window`.
     pub fn diagnose(&self, opts: &DiagnoseOptions) -> Result<DiagnosisReport, CoreError> {
         let pit = self.pit(opts.pit_window)?;
+        let pad = i64::try_from(opts.context_pad.as_micros())
+            .map_err(|_| CoreError::Analysis("context_pad must fit in i64 microseconds".into()))?;
         let episodes = detect_vsb(&pit, opts.vlrt_factor);
         let queues = self.all_queues(opts.pit_window)?;
         let pushbacks = detect_pushback(&queues, opts.pushback_multiplier);
@@ -180,8 +182,8 @@ impl MilliScope {
                 .find(|p| p.start_us < ep.end_us + 200_000 && ep.start_us < p.end_us + 200_000)
                 .cloned();
             let suspect_tier = pushback.as_ref().map_or(0, |p| p.deepest_tier);
-            let from = ep.start_us - opts.context_pad.as_micros() as i64;
-            let to = ep.end_us + opts.context_pad.as_micros() as i64;
+            let from = ep.start_us.saturating_sub(pad);
+            let to = ep.end_us.saturating_add(pad);
             let mut root_cause =
                 self.infer_root_cause(&mut series, suspect_tier, from, to, opts)?;
             if root_cause == RootCause::Unknown {
@@ -301,7 +303,7 @@ impl MilliScope {
         // buckets on multiples of the window, and `align` pairs on equal
         // timestamps: put the queue on the resource grid (where it already
         // is whenever the warm-up is a whole number of windows).
-        let grid = w.as_micros() as i64;
+        let grid = crate::milliscope::window_us(w)?;
         for (t, _) in &mut target.points {
             *t = t.div_euclid(grid) * grid;
         }

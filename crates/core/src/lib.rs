@@ -38,6 +38,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(test, allow(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
 #![warn(missing_docs)]
 
 mod bundle;

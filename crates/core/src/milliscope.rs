@@ -200,11 +200,16 @@ impl MilliScope {
     /// Missing event table or columns, or a zero `window`.
     pub fn pit(&self, window: SimDuration) -> Result<PitSeries, CoreError> {
         let table = self.event_table(0)?;
-        let full = PitSeries::from_event_table(table, positive(window)?.as_micros() as i64)
-            .map_err(CoreError::Analysis)?;
+        let full =
+            PitSeries::from_event_table(table, window_us(window)?).map_err(CoreError::Analysis)?;
         // Warm-up is excluded, matching every other measured-window metric.
         let (start, end) = self.measured_range();
-        Ok(full.slice(start.as_micros() as i64, end.as_micros() as i64))
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "register_run admitted only a run whose end fits in i64 µs"
+        )]
+        let (start, end) = (start.as_micros() as i64, end.as_micros() as i64);
+        Ok(full.slice(start, end))
     }
 
     /// Queue-length series for one tier over the measured window
@@ -216,8 +221,9 @@ impl MilliScope {
     pub fn queue(&self, tier: usize, window: SimDuration) -> Result<WindowSeries, CoreError> {
         let table = self.event_table(tier)?;
         let (start, end) = self.measured_range();
-        let points = queue_from_event_table(table, start, end, positive(window)?)
-            .map_err(CoreError::Analysis)?;
+        window_us(window)?;
+        let points =
+            queue_from_event_table(table, start, end, window).map_err(CoreError::Analysis)?;
         let kind = self.config.tiers[tier].kind;
         Ok(WindowSeries::new(format!("{kind} queue"), points))
     }
@@ -238,8 +244,12 @@ impl MilliScope {
     /// without the SysViz tap, or for a zero `window`.
     pub fn sysviz_queue(&self, tier: usize, window: SimDuration) -> Option<WindowSeries> {
         let trace = self.sysviz.as_ref()?;
-        let window = positive(window).ok()?;
+        window_us(window).ok()?;
         let (start, end) = self.measured_range();
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "simulated instants of the run, before its end, which fits in i64 µs"
+        )]
         let intervals: Vec<(i64, Option<i64>)> = trace
             .tier_intervals(TierId(tier))
             .into_iter()
@@ -273,8 +283,10 @@ impl MilliScope {
         // Fused filter + aggregate: the compiled predicate prunes blocks
         // and no intermediate per-node table is materialized.
         let pred = Predicate::Eq("node".into(), Value::Text(node.into()));
-        let (matched, points) =
-            table.window_agg_where(&pred, "time", window.as_micros() as i64, metric, agg)?;
+        let window_us = i64::try_from(window.as_micros()).map_err(|_| {
+            mscope_db::DbError::BadQuery(format!("window {window:?} does not fit in i64 µs"))
+        })?;
+        let (matched, points) = table.window_agg_where(&pred, "time", window_us, metric, agg)?;
         if matched == 0 {
             return Err(CoreError::Analysis(format!(
                 "no collectl rows for node `{node}`"
@@ -343,28 +355,45 @@ impl MilliScope {
 }
 
 /// The window guard for the analyses that bucket on `window` themselves
-/// (`resource` gets the same refusal from the warehouse): zero, or wider
-/// than the `i64` microseconds the event tables are keyed on.
-/// `DiagnoseOptions` deserializes from JSON, so such a window can arrive
-/// from outside the program and must be an error, not the folds' `assert!`.
-fn positive(window: SimDuration) -> Result<SimDuration, CoreError> {
-    if window.is_zero() || i64::try_from(window.as_micros()).is_err() {
-        return Err(CoreError::Analysis(
-            "window must be positive and fit in i64 microseconds".into(),
-        ));
-    }
-    Ok(window)
+/// (`resource` gets the same refusal from the warehouse): `window` in the
+/// `i64` microseconds the event tables are keyed on, refused when zero or
+/// wider. `DiagnoseOptions` deserializes from JSON, so such a window can
+/// arrive from outside the program and must be an error, not the folds'
+/// `assert!`.
+pub(crate) fn window_us(window: SimDuration) -> Result<i64, CoreError> {
+    i64::try_from(window.as_micros())
+        .ok()
+        .filter(|&us| us > 0)
+        .ok_or_else(|| {
+            CoreError::Analysis("window must be positive and fit in i64 microseconds".into())
+        })
 }
 
 /// Seeds a fresh warehouse with the static experiment/node rows every
 /// ingestion path (batch or streaming) registers before any log rows land.
+/// A bundle's config arrives from outside the program, so the run's end
+/// must fit the `i64` microseconds the tables are keyed on, and each
+/// tier's pool size the `i64` its row stores.
 fn register_run(db: &mut Database, cfg: &SystemConfig) -> Result<(), CoreError> {
+    cfg.warmup
+        .as_micros()
+        .checked_add(cfg.duration.as_micros())
+        .and_then(|end| i64::try_from(end).ok())
+        .ok_or_else(|| {
+            CoreError::Config("warmup + duration must fit in i64 microseconds".into())
+        })?;
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "as_millis is at most u64::MAX / 1000"
+    )]
+    let duration_ms = cfg.duration.as_millis() as i64;
+    // The seed is stored bit for bit: any u64 is a valid seed.
     db.register_experiment(
         1,
         "milliscope-run",
         cfg.workload.users as i64,
-        cfg.duration.as_millis() as i64,
-        cfg.seed as i64,
+        duration_ms,
+        cfg.seed.cast_signed(),
     )?;
     for (ti, t) in cfg.tiers.iter().enumerate() {
         for replica in 0..t.replicas {
@@ -372,12 +401,19 @@ fn register_run(db: &mut Database, cfg: &SystemConfig) -> Result<(), CoreError> 
                 tier: TierId(ti),
                 replica,
             };
+            let workers = i64::try_from(t.workers)
+                .map_err(|_| CoreError::Config(format!("tier {ti} workers must fit in i64")))?;
+            #[expect(
+                clippy::cast_possible_wrap,
+                reason = "a Vec index is at most isize::MAX"
+            )]
+            let tier = ti as i64;
             db.register_node(
                 &node.to_string(),
-                ti as i64,
+                tier,
                 t.kind.name(),
                 t.cores as i64,
-                t.workers as i64,
+                workers,
             )?;
         }
     }
@@ -565,6 +601,36 @@ mod tests {
                 "{tag}"
             );
         }
+    }
+
+    #[test]
+    fn wide_context_pad_is_an_error_not_a_wrap() {
+        // `context_pad` deserializes from JSON; past i64::MAX µs it used to
+        // wrap to a negative pad and diagnose a shifted evidence window.
+        let ms = ingested(30);
+        let opts = crate::DiagnoseOptions {
+            context_pad: SimDuration::from_micros(u64::MAX),
+            ..Default::default()
+        };
+        assert!(matches!(ms.diagnose(&opts), Err(CoreError::Analysis(_))));
+    }
+
+    #[test]
+    fn register_run_refuses_what_the_tables_cannot_key() {
+        // A bundle's config arrives from outside the program: a run end or
+        // a pool size past i64 used to wrap into the warehouse rows.
+        let base = SystemConfig::rubbos_baseline(10);
+        let register = |cfg: &SystemConfig| register_run(&mut Database::new(), cfg);
+        let mut wide = base.clone();
+        wide.tiers[0].workers = usize::MAX;
+        assert!(matches!(register(&wide), Err(CoreError::Config(_))));
+        let mut late = base.clone();
+        late.warmup = SimDuration::from_micros(u64::MAX);
+        assert!(matches!(register(&late), Err(CoreError::Config(_))));
+        // Any u64 is a valid seed; it is stored bit for bit.
+        let mut seeded = base;
+        seeded.seed = u64::MAX;
+        assert!(register(&seeded).is_ok());
     }
 
     #[test]

@@ -43,7 +43,12 @@ pub fn calibrated_db_io(users: u32, period_secs: f64, stall_ms: f64) -> SystemCo
         .log_flush
         .as_mut()
         .expect("scenario A always has a flush config");
-    lf.buffer_threshold = ((commit_rate * period_secs) as u64).max(8192);
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "a rate times a period asserted positive"
+    )]
+    let threshold = (commit_rate * period_secs) as u64;
+    lf.buffer_threshold = threshold.max(8192);
     lf.flush_rate = (lf.buffer_threshold as f64 / (stall_ms / 1000.0)).max(1.0);
     cfg
 }
@@ -76,6 +81,10 @@ pub fn calibrated_dirty_page(
             _ => continue,
         };
         let dirty_rate = rps * (t.base_log_bytes + monitor_bytes) as f64;
+        #[expect(
+            clippy::cast_sign_loss,
+            reason = "a rate times a period asserted positive"
+        )]
         let high = ((dirty_rate * period) as u64).max(64 << 10);
         t.memory.dirty_high_bytes = high;
         t.memory.dirty_low_bytes = high / 20;
@@ -87,6 +96,10 @@ pub fn calibrated_dirty_page(
 
 /// Shortens a config's run to `measured` seconds with proportionate warm-up
 /// and ramp — the common adjustment for tests and quick figure runs.
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "both second counts are clamped to positive ranges"
+)]
 pub fn shorten(mut cfg: SystemConfig, measured: SimDuration) -> SystemConfig {
     cfg.duration = measured;
     cfg.warmup = SimDuration::from_secs((measured.as_secs_f64() * 0.2).clamp(2.0, 15.0) as u64);

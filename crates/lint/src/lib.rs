@@ -13,10 +13,8 @@
 //!    pipeline run.
 //! 2. **Source scanner** ([`source`]) — a line/token level Rust scanner
 //!    (no rustc internals), whose one walk and per-file source model every
-//!    file-level front shares, enforcing workspace conventions: no
-//!    `unwrap()`/`expect()`/`panic!` in non-test library code of the
-//!    hot-path crates, no non-path dependencies in any manifest, and no
-//!    wall-clock reads inside the deterministic simulation crate.
+//!    file-level front shares. Its own rule, `hermetic-deps`, refuses
+//!    non-path dependencies in any manifest.
 //! 3. **Trace front** ([`trace`], over the abstract domains of [`model`])
 //!    — whole-pipeline flow analysis: for every shipped scenario preset it
 //!    proves, before anything runs, that the request ID injected at the
@@ -30,10 +28,9 @@
 //!    byte-identity parallel discipline the runtime property suites gate
 //!    dynamically: no hash-ordered iteration reaching output paths, no
 //!    float reductions in worker closures without a documented merge
-//!    order, no threads or interior mutability outside the sanctioned
-//!    `WorkQueue` pools, per-cell RNG stream hygiene, tie-broken
-//!    timestamp sorts, and no worker-count reads outside the plan
-//!    selectors (rules `DT001`–`DT008`; `DT007` is retired).
+//!    order, no `static mut` or relaxed atomics outside the sanctioned
+//!    `WorkQueue` pools, and tie-broken timestamp sorts (rules `DT001`,
+//!    `DT002`, `DT005`, `DT006`; `DT007` is retired).
 //! 5. **Performance front** ([`perf`]) — statically proves the hot paths
 //!    stay hot before the BENCH gates ever run: no allocation or
 //!    re-sorting inside hot-path loops without a `// perf:`
@@ -43,18 +40,21 @@
 //!    on production paths, and no per-row predicate compilation (rules
 //!    `PF001`–`PF008`).
 //!
-//! Ten rules that are a needle, a scope, an escape hatch and a message are
-//! rows of one table (`needle.rs`) evaluated by one function. Findings
-//! carry a stable rule ID, a severity, and a `file:line` anchor.
-//! Grandfathered sites are suppressed through per-crate `lint.allow` files
-//! ([`allow`]). [`run`] is the one entry point: the `mscope-lint` binary
-//! runs one front or `all` of them and exits non-zero when any deny-level
-//! finding survives the allowlists.
+//! Five rules that are a needle, a scope, an escape hatch and a message
+//! are rows of one table (`needle.rs`) evaluated by one function. Findings
+//! carry a stable rule ID, a severity, and a `file:line` anchor. A rule
+//! that needs a path resolved is not here but in the compiler, which
+//! resolves it: `no-unwrap` (`#![deny(clippy::unwrap_used, …)]` in the
+//! hot-path crates), and `no-wallclock`, `DT003`, `DT004`, `DT008` and
+//! `DT005`'s types (`disallowed-methods`/`disallowed-types` in
+//! `crates/clippy.toml` and its copies), all run by CI's `cargo clippy
+//! --workspace --all-targets -- -D warnings`. [`run`] is the one entry
+//! point: the `mscope-lint` binary runs one front or `all` of them and
+//! exits non-zero on any deny-level finding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allow;
 pub mod det;
 pub mod domain;
 pub mod model;
@@ -168,68 +168,56 @@ impl Report {
 }
 
 /// Runs one front over the workspace at `root` — or, for `all`, every
-/// other front in [`FRONTS`] order — applying the `lint.allow` files.
-/// `scenario` narrows the trace front to one preset. The workspace is read
-/// once (`source::Workspace::load`) whatever the front. Malformed
-/// allowlist entries follow the fronts' findings; `all` then reports every
-/// entry that suppressed nothing as a deny-level `stale-allow` finding — a
-/// single front cannot tell whether an entry for another front still
-/// fires.
+/// other front in [`FRONTS`] order. `scenario` narrows the trace front to
+/// one preset. The workspace is read once (`source::Workspace::load`)
+/// whatever the front.
 ///
 /// # Errors
 ///
-/// I/O errors reading source files or allowlists; `InvalidInput` for an
-/// unknown front or scenario.
+/// I/O errors reading source files; `InvalidInput` for an unknown front
+/// or scenario.
 pub fn run(root: &Path, front: &str, scenario: Option<&str>) -> io::Result<Report> {
     let fronts = if front == "all" {
         &FRONTS[..FRONTS.len() - 1]
     } else {
         std::slice::from_ref(&front)
     };
-    let (mut allow, bad_entries) = allow::load(root)?;
     let ws = source::Workspace::load(root)?;
     let mut findings = Vec::new();
     for &f in fronts {
-        let raw = match f {
+        match f {
             "declarations" => {
-                let mut raw = domain::declaration_findings();
-                raw.extend(domain::sql_findings(&source::sql_literals(&ws.files)));
-                raw
+                findings.extend(domain::declaration_findings());
+                findings.extend(domain::sql_findings(&source::sql_literals(&ws.files)));
             }
             "source" => {
-                let mut raw: Vec<Finding> = ws.files.iter().flat_map(source::findings).collect();
                 for (rel, text) in &ws.manifests {
-                    raw.extend(source::lint_manifest(rel, text));
+                    findings.extend(source::lint_manifest(rel, text));
                 }
-                raw
             }
-            "trace" => trace::trace_findings_for(scenario)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
-            "det" => ws.files.iter().flat_map(det::findings).collect(),
-            "perf" => ws.files.iter().flat_map(perf::findings).collect(),
+            "trace" => findings.extend(
+                trace::trace_findings_for(scenario)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
+            ),
+            "det" => findings.extend(ws.files.iter().flat_map(det::findings)),
+            "perf" => findings.extend(ws.files.iter().flat_map(perf::findings)),
             other => {
                 let msg = format!("unknown front `{other}`");
                 return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
             }
-        };
-        findings.extend(allow.filter(raw));
-    }
-    findings.extend(bad_entries);
-    if front == "all" {
-        findings.extend(allow.unused_findings());
+        }
     }
     Ok(Report { findings })
 }
 
 /// Lints one Rust source text as non-test code of `crate_name`: the
-/// source, determinism and performance fronts' findings for it, in that
-/// order, exactly as a workspace run reports them. `rel` is the
+/// determinism and performance fronts' findings for it, in that order,
+/// exactly as a workspace run reports them. `rel` is the
 /// workspace-relative path used in findings and to recognise sanctioned
 /// files. Exposed for fixture tests.
 pub fn lint_file(crate_name: &str, rel: &str, text: &str) -> Vec<Finding> {
     let file = source::FileCtx::new(rel, crate_name, text.to_string());
-    let mut out = source::findings(&file);
-    out.extend(det::findings(&file));
+    let mut out = det::findings(&file);
     out.extend(perf::findings(&file));
     out
 }
@@ -298,8 +286,8 @@ mod tests {
         .unwrap();
         std::fs::write(
             src.join("lib.rs"),
-            "fn f(rows: &[Row]) -> Vec<String> {\n\
-                 let n = std::thread::available_parallelism().unwrap();\n\
+            "fn f(rows: &[Row], hits: &AtomicU64) -> Vec<String> {\n\
+                 hits.fetch_add(1, Ordering::Relaxed);\n\
                  let mut out = Vec::new();\n\
                  for r in rows { out.push(r.name.clone()); }\n\
                  out\n}\n",
@@ -319,9 +307,9 @@ mod tests {
         assert_eq!(all, each.concat());
         let rules = |i: usize| -> Vec<&str> { each[i].iter().map(|f| f.rule.as_str()).collect() };
         assert_eq!(rules(0), ["sql-unknown-column"]);
-        assert_eq!(rules(1), ["no-unwrap", "hermetic-deps"]);
+        assert_eq!(rules(1), ["hermetic-deps"]);
         assert!(rules(2).is_empty(), "every preset proves clean");
-        assert_eq!(rules(3), ["DT008"]);
+        assert_eq!(rules(3), ["DT005"]);
         assert_eq!(rules(4), ["PF001", "PF003"]);
         assert!(run(&dir, "ghost", None).is_err());
     }

@@ -7,16 +7,16 @@
 //!
 //! `trace` runs the whole-pipeline flow analysis over every shipped
 //! scenario preset (or one, with `--scenario`); `det` checks the
-//! byte-identity parallel discipline (rules `DT001`–`DT008`); `perf`
-//! checks the hot-path performance discipline (rules `PF001`–`PF008`);
-//! `all` runs every front and reports stale allowlist entries as deny
-//! findings.
+//! byte-identity parallel discipline (rules `DT001`, `DT002`, `DT005`,
+//! `DT006`; clippy holds the rest); `perf` checks the hot-path
+//! performance discipline (rules `PF001`–`PF008`); `all` runs every
+//! front.
 //! `--format json` (alias: `--json`) emits the machine-readable report —
 //! each finding carries rule id, file, line, and severity — for CI
 //! annotations and downstream tooling.
 //!
-//! Exit status: 0 when no deny-level finding survives the allowlists,
-//! 1 when at least one does, 2 on usage or I/O errors.
+//! Exit status: 0 when there is no deny-level finding, 1 when there is
+//! at least one, 2 on usage or I/O errors.
 
 use mscope_lint::Report;
 use std::path::{Path, PathBuf};

@@ -1,23 +1,19 @@
 //! The needle rules, as one table.
 //!
-//! Ten rules share one shape: a needle, a scope, an escape hatch and a
+//! Five rules share one shape: a needle, a scope, an escape hatch and a
 //! message. Each is a row of [`NEEDLE_RULES`], and [`findings`] evaluates
 //! a front's rows over the shared source model ([`FileCtx`]). Rules with
 //! real structure — `DT001`, `DT002`, `DT006`, `PF002`, `PF003`, `PF005`,
-//! `PF007` and `hermetic-deps` — stay functions in their fronts.
+//! `PF007` and `hermetic-deps` — stay functions in their fronts. Rules a
+//! path resolves (`no-unwrap`, `no-wallclock`, `DT003`, `DT004`, `DT008`
+//! and `DT005`'s types) are clippy's: see `crates/clippy.toml`.
 //!
 //! The determinism and performance fronts keep one finding per (rule,
-//! line), so overlapping needles report once: `Cell<` inside `RefCell<`
-//! collapses into the `RefCell<` finding, which comes first in the row.
+//! line), so overlapping needles report once.
 
-use crate::det::{
-    IDENTITY_GATED_CRATES, SANCTIONED_PLAN_FILES, SANCTIONED_POOL_FILES, SANCTIONED_RNG_FILES,
-};
+use crate::det::{IDENTITY_GATED_CRATES, SANCTIONED_POOL_FILES};
 use crate::perf::{ENGINE_FILES, PERF_HOT_CRATES, PERF_TOKEN, PERF_WINDOW, TABLE_CRATES};
-use crate::source::{
-    comment_evidence, enclosing_loop, is_ident, span_end, word_start, FileCtx, HOT_PATH_CRATES,
-    WALLCLOCK_FREE_CRATES,
-};
+use crate::source::{comment_evidence, enclosing_loop, is_ident, span_end, word_start, FileCtx};
 use crate::Finding;
 use std::ops::Range;
 
@@ -48,8 +44,7 @@ struct NeedleRule {
     /// `return`/`break` statements are exempt.
     cold_exempt: bool,
     /// The finding's message, before the quoted source line: `{needle}` is
-    /// the needle, `{call}` the needle without its trailing `(`, and
-    /// `{exempt}` the exempt files.
+    /// the needle and `{call}` the needle without its trailing `(`.
     message: &'static str,
 }
 
@@ -72,67 +67,15 @@ const ROW_WISE: &str = "row-wise `Table` access bypasses the zone-map engine —
 
 /// Every needle rule. Rows of one front report in table order.
 const NEEDLE_RULES: &[NeedleRule] = &[
-    NeedleRule {
-        rule: "no-unwrap",
-        front: "source",
-        crates: HOT_PATH_CRATES,
-        needles: &[".unwrap()", ".expect(", "panic!"],
-        message: "`{needle}` in non-test library code of a hot-path crate",
-        ..ROW
-    },
-    NeedleRule {
-        rule: "no-wallclock",
-        front: "source",
-        crates: WALLCLOCK_FREE_CRATES,
-        needles: &["Instant::now", "SystemTime::now"],
-        message: "`{needle}` in a wallclock-free crate (sim uses simulated time; transform must stay reproducible — time it from the bench harness)",
-        ..ROW
-    },
-    NeedleRule {
-        rule: "DT003",
-        front: "det",
-        crates: IDENTITY_GATED_CRATES,
-        exempt: SANCTIONED_POOL_FILES,
-        needles: &["thread::spawn", "thread::scope", "thread::Builder"],
-        message: "`{needle}` outside the sanctioned WorkQueue pools ({exempt}) — ad-hoc threads have no job-order merge discipline",
-        ..ROW
-    },
-    NeedleRule {
-        rule: "DT004",
-        front: "det",
-        crates: IDENTITY_GATED_CRATES,
-        exempt: SANCTIONED_RNG_FILES,
-        needles: &["SimRng::split(", "SimRng::seed_from("],
-        message: "`{call}` outside the per-cell stream discipline ({exempt}) — a cell must never draw from another cell's stream",
-        ..ROW
-    },
+    // `DT005`'s lock and cell types are clippy's `disallowed-types`;
+    // these two have no type to name.
     NeedleRule {
         rule: "DT005",
         front: "det",
         crates: IDENTITY_GATED_CRATES,
         exempt: SANCTIONED_POOL_FILES,
-        needles: &[
-            "Mutex<",
-            "Mutex::new",
-            "RwLock<",
-            "RwLock::new",
-            "RefCell<",
-            "RefCell::new",
-            "Cell<",
-            "Cell::new",
-            "static mut",
-            "Ordering::Relaxed",
-        ],
+        needles: &["static mut", "Ordering::Relaxed"],
         message: "shared interior mutability `{needle}` outside the sanctioned pool files — capturable mutable state lets worker interleaving leak into results",
-        ..ROW
-    },
-    NeedleRule {
-        rule: "DT008",
-        front: "det",
-        crates: IDENTITY_GATED_CRATES,
-        exempt: SANCTIONED_PLAN_FILES,
-        needles: &["available_parallelism", "num_cpus"],
-        message: "`{needle}` outside the sanctioned plan selectors ({exempt}) — worker counts may pick the plan, never the result",
         ..ROW
     },
     NeedleRule {
@@ -260,8 +203,7 @@ pub(crate) fn findings(file: &FileCtx, front: &str) -> Vec<Finding> {
                 let what = row
                     .message
                     .replace("{needle}", needle)
-                    .replace("{call}", needle.trim_end_matches('('))
-                    .replace("{exempt}", &row.exempt.join(", "));
+                    .replace("{call}", needle.trim_end_matches('('));
                 file.push(&mut out, row.rule, at, &what);
             }
         }

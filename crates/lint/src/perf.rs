@@ -20,7 +20,7 @@
 //!   by definition and exempt, and so is a `return`/`break` statement —
 //!   a terminal statement runs at most once per loop *execution*, so its
 //!   allocation is O(1), not O(n). Anything else needs a word-start
-//!   `// perf:` justification comment or a `lint.allow` anchor.
+//!   `// perf:` justification comment.
 //! * `PF002` — collect-then-reiterate churn: a `let` binding built with
 //!   `.collect::<Vec<…>>()` (or an annotated `: Vec<…> = ….collect()`)
 //!   whose only later use is a single re-iteration — the iterator could

@@ -15,34 +15,19 @@
 //! `FileCtx` exactly once — raw text, masked text, non-test string
 //! literals, fn spans and loop spans — for every front to share.
 //!
-//! Rules (the first two are rows of `needle::NEEDLE_RULES`):
-//!
-//! * `no-unwrap` — no `.unwrap()` / `.expect(` / `panic!` in non-test
-//!   library code of the hot-path crates (`ntier`, `monitors`,
-//!   `transform`, `warehouse`, `analysis`);
-//! * `no-wallclock` — no `Instant::now` / `SystemTime::now` inside the
-//!   wallclock-free crates (`sim` uses simulated time only; `transform`'s
-//!   parallel pipeline must stay reproducible, so timing lives in the
-//!   bench harness);
-//! * `hermetic-deps` — every dependency entry in every manifest must
-//!   resolve in-tree (`path = …` or `workspace = true`), and the
-//!   historically banned registry crates must never reappear.
+//! The front's one rule is `hermetic-deps`: every dependency entry in
+//! every manifest must resolve in-tree (`path = …` or `workspace = true`),
+//! and the historically banned registry crates must never reappear. Its
+//! former `no-unwrap` and `no-wallclock` rules resolve paths, so clippy
+//! enforces them: `#![deny(clippy::{unwrap_used, expect_used, panic})]`
+//! in the hot-path crates' roots and `disallowed-methods` in the
+//! wall-clock-free crates' `clippy.toml`.
 
-use crate::{needle, Finding, Severity};
+use crate::{Finding, Severity};
 use std::fs;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-
-/// Crates whose library code must stay free of `unwrap`/`expect`/`panic!`.
-pub const HOT_PATH_CRATES: &[&str] = &["ntier", "monitors", "transform", "warehouse", "analysis"];
-
-/// Crates where wall-clock reads are banned: the deterministic `sim` crate
-/// (simulated time only), the `transform` crate, whose worker threads
-/// must stay reproducible, and the `warehouse` crate, whose compiled
-/// query engine must never self-time — timing belongs to the bench
-/// harness, not the pipeline or the query path.
-pub const WALLCLOCK_FREE_CRATES: &[&str] = &["sim", "transform", "warehouse"];
 
 /// Registry crates that must never reappear in any manifest, even as path
 /// dependencies to vendored copies (the workspace replaces them).
@@ -582,8 +567,7 @@ impl FileCtx {
     }
 
     /// Pushes the deny finding for the hit at byte `at`: `what`, then the
-    /// hit's trimmed source line. `lint.allow` anchors match on this
-    /// message text.
+    /// hit's trimmed source line.
     pub(crate) fn push(&self, findings: &mut Vec<Finding>, rule: &str, at: usize, what: &str) {
         let line = line_of(&self.text, at);
         let line_text = self
@@ -687,7 +671,7 @@ fn crate_dirs(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
-pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
+fn rel_path(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .to_string_lossy()
@@ -697,11 +681,6 @@ pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
 // ---------------------------------------------------------------------
 // Rules
 // ---------------------------------------------------------------------
-
-/// Source-front findings for one file (`no-unwrap`, `no-wallclock`).
-pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
-    needle::findings(file, "source")
-}
 
 /// Lints one manifest text for non-hermetic or banned dependencies: the
 /// entries of every dependency section, and every dotted dependency table
@@ -813,10 +792,6 @@ pub(crate) fn sql_literals(files: &[FileCtx]) -> Vec<SqlLiteral> {
 mod tests {
     use super::*;
 
-    fn source_findings(krate: &str, rel: &str, src: &str) -> Vec<Finding> {
-        findings(&FileCtx::new(rel, krate, src.to_string()))
-    }
-
     fn sql_literals_under(dir: &Path) -> Vec<SqlLiteral> {
         sql_literals(&Workspace::load(dir).unwrap().files)
     }
@@ -897,59 +872,6 @@ mod tests {
         let spans = loop_spans(src);
         assert_eq!(spans.len(), 1);
         assert!(src[spans[0].body.clone()].contains("use_it"));
-    }
-
-    #[test]
-    fn no_unwrap_fires_only_for_hot_crates_outside_tests() {
-        let src = "fn a() { x.unwrap(); }\n#[test]\nfn t() { y.unwrap(); }\n";
-        let f = source_findings("warehouse", "crates/warehouse/src/x.rs", src);
-        assert_eq!(
-            f,
-            [Finding {
-                rule: "no-unwrap".into(),
-                severity: Severity::Deny,
-                file: "crates/warehouse/src/x.rs".into(),
-                line: 1,
-                message: "`.unwrap()` in non-test library code of a hot-path crate: `fn a() { x.unwrap(); }`".into(),
-            }]
-        );
-        // Same text in a non-hot crate: clean.
-        assert!(source_findings("serdes", "crates/serdes/src/x.rs", src).is_empty());
-        // Clean text in a hot crate: clean.
-        assert!(source_findings("ntier", "x.rs", "fn a() -> Option<u8> { None }").is_empty());
-    }
-
-    #[test]
-    fn expect_and_panic_also_fire() {
-        let src = "fn a() { b.expect(\"msg\"); panic!(\"boom\"); }";
-        let rules: Vec<String> = source_findings("transform", "x.rs", src)
-            .into_iter()
-            .map(|f| f.rule)
-            .collect();
-        assert_eq!(rules, vec!["no-unwrap", "no-unwrap"]);
-    }
-
-    #[test]
-    fn wallclock_fires_only_in_wallclock_free_crates() {
-        let src = "fn t() -> Instant { Instant::now() }";
-        for krate in WALLCLOCK_FREE_CRATES {
-            let path = format!("crates/{krate}/src/x.rs");
-            let f = source_findings(krate, &path, src);
-            assert_eq!(f.len(), 1, "{krate}");
-            assert_eq!(f[0].rule, "no-wallclock");
-        }
-        assert_eq!(
-            source_findings("sim", "crates/sim/src/x.rs", src),
-            [Finding {
-                rule: "no-wallclock".into(),
-                severity: Severity::Deny,
-                file: "crates/sim/src/x.rs".into(),
-                line: 1,
-                message: "`Instant::now` in a wallclock-free crate (sim uses simulated time; transform must stay reproducible — time it from the bench harness): `fn t() -> Instant { Instant::now() }`".into(),
-            }]
-        );
-        // The bench crate is where timing lives; it stays exempt.
-        assert!(source_findings("bench", "crates/bench/src/x.rs", src).is_empty());
     }
 
     #[test]

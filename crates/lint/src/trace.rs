@@ -57,8 +57,8 @@ pub struct TraceFinding {
 
 impl TraceFinding {
     /// Adapts to the common [`Finding`] shape: the scenario becomes the
-    /// `file` anchor (`scenario/<name>`), so `lint.allow` entries can
-    /// target trace findings like any others.
+    /// `file` anchor (`scenario/<name>`), so a trace finding reads like
+    /// any other.
     pub fn into_finding(self) -> Finding {
         Finding {
             rule: self.rule.to_string(),

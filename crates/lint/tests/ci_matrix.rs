@@ -12,7 +12,8 @@
 //! the same standard: every committed smoke baseline must be compared, and
 //! every bench target must run there and have a baseline.
 //! So is the step that builds and tests `benchmark/`, the one consumer of
-//! the crates' public API that lives outside the workspace.
+//! the crates' public API that lives outside the workspace, and the
+//! Clippy step, which enforces the rules `mscope-lint` handed to clippy.
 
 use mscope_ntier::SystemConfig;
 
@@ -208,6 +209,26 @@ fn end_to_end_benchmark_is_built_and_tested() {
             && l.contains("--release")
             && l.contains("--manifest-path benchmark/Cargo.toml")),
         "ci.yml must run `cargo test --release --offline --manifest-path benchmark/Cargo.toml`"
+    );
+}
+
+#[test]
+fn clippy_step_keeps_the_flags_the_moved_rules_need() {
+    // `no-unwrap`, `no-wallclock`, DT003, DT004, DT008 and DT005's types
+    // are clippy lints now: without `--workspace` a crate goes unchecked,
+    // without `--all-targets` the `#[expect]` sites of test builds go
+    // unchecked, and without `-D warnings` every `disallowed_*` hit and
+    // every stale `#[expect]` is only a warning.
+    let yml = ci_yml();
+    let lines: Vec<&str> = yml.lines().collect();
+    let step = lines
+        .iter()
+        .position(|l| l.trim() == "- name: Clippy")
+        .expect("ci.yml has a `Clippy` step");
+    let run = lines[step + 1].trim();
+    assert_eq!(
+        run, "run: cargo clippy --workspace --all-targets -- -D warnings",
+        "the Clippy step must keep `--workspace --all-targets -- -D warnings`"
     );
 }
 

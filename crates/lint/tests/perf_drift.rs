@@ -33,8 +33,7 @@ fn perf_rules(rel: &str, src: &str) -> Vec<String> {
         .collect()
 }
 
-/// The one deny finding a fixture must produce, message included —
-/// `lint.allow` needles match on message text.
+/// The one deny finding a fixture must produce, message included.
 fn deny(rule: &str, file: &str, line: u64, message: &str) -> Vec<Finding> {
     vec![Finding {
         rule: rule.to_string(),
@@ -470,8 +469,5 @@ fn run_perf_walks_the_real_workspace() {
     // The front runs end-to-end over the repository (the 0-deny gate
     // itself lives in workspace_clean.rs).
     let report = mscope_lint::run(&workspace_root(), "perf", None).expect("perf run succeeds");
-    assert!(report
-        .findings
-        .iter()
-        .all(|f| f.rule.starts_with("PF") || f.rule == "stale-allow"));
+    assert!(report.findings.iter().all(|f| f.rule.starts_with("PF")));
 }

@@ -540,8 +540,16 @@ impl CellSim {
     /// Builds the event loop for one cell of an already-validated config.
     fn new(global: &SystemConfig, cell: u32, retention: Retention) -> CellSim {
         let cfg = cell_config(global, cell);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each cell owns the stream split from the trial seed (DT004)"
+        )]
         let mut root_rng = SimRng::split(cfg.seed, u64::from(cell));
         let workload = Workload::new(cfg.workload.clone(), root_rng.fork(1));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the phase stream is split from the trial seed, apart from every cell's (DT004)"
+        )]
         let phase_rng = SimRng::split(cfg.seed, PHASE_STREAM);
         let session_base = session_base(global.workload.users, global.partitions.max(1), cell);
 

@@ -52,6 +52,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 mod digest;

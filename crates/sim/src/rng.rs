@@ -75,6 +75,10 @@ impl SimRng {
     /// let mut s1 = SimRng::split(7, 1);
     /// assert_ne!(s0.next_u64(), s1.next_u64()); // streams are unrelated
     /// ```
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the RNG defines its streams (DT004)"
+    )]
     pub fn split(seed: u64, stream: u64) -> SimRng {
         if stream == 0 {
             return SimRng::seed_from(seed);
@@ -87,6 +91,10 @@ impl SimRng {
     /// Derives an independent child generator; used to give each subsystem
     /// (workload, each injector, …) its own stream so adding draws in one
     /// subsystem does not perturb another.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the RNG defines its streams (DT004)"
+    )]
     pub fn fork(&mut self, label: u64) -> SimRng {
         // Mix the label in so forks with different labels diverge even when
         // taken at the same point of the parent stream.

@@ -167,6 +167,10 @@ impl DataTransformer {
     /// the machine's available parallelism for large inputs and serial
     /// below [`AUTO_PARALLEL_MIN_BYTES`], capped by the number of
     /// declarations either way.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a plan selector: the merge order is worker-count-invariant (DT008)"
+    )]
     fn worker_count(&self, opts: RunOptions, declared_bytes: u64) -> usize {
         let requested = if opts.workers == 0 {
             if declared_bytes < AUTO_PARALLEL_MIN_BYTES {

@@ -716,6 +716,10 @@ pub(crate) struct ScanEstimate {
 
 /// Resolves a requested scan worker count: `0` = auto (serial under
 /// [`PARALLEL_MIN_ROWS`] rows, else the machine's parallelism).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a plan selector: the merge order is worker-count-invariant (DT008)"
+)]
 pub(crate) fn resolve_workers(requested: usize, rows: usize) -> usize {
     if requested != 0 {
         return requested;

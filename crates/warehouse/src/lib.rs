@@ -48,6 +48,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 mod db;

@@ -4,6 +4,8 @@
 //! timestamp column is *not* sorted, where the binary-search narrowing
 //! must conservatively stand down.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use mscope_db::{
     AggFn, Column, ColumnType, CompiledPredicate, KeyIndex, Predicate, Schema, Table, Value,
 };

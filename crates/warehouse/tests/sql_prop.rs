@@ -11,6 +11,8 @@
 //! come back from both planner legs and the checker as `Ok` or a typed
 //! [`DbError`], never a panic or a stack overflow.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use mscope_db::{
     sql, AggFn, Column, ColumnType, Database, DbError, Predicate, QueryOptions, Schema, Table,
     Value, ValueKey,
