@@ -84,15 +84,25 @@ fn event_table(rows: usize, rng: &mut SimRng) -> Table {
     t
 }
 
-fn best_of<F: FnMut() -> usize>(samples: usize, mut f: F) -> (f64, usize) {
-    let mut best = f64::MAX;
-    let mut out = 0;
-    for _ in 0..samples {
+/// Best-of-`samples` seconds and last output of each of two legs, timed
+/// in interleaved rounds (`a` then `b`, `samples` times): a stall of the
+/// host lands on one sample of each leg, not on all of one leg's.
+fn best_pair<A, B>(samples: usize, mut a: A, mut b: B) -> ((f64, usize), (f64, usize))
+where
+    A: FnMut() -> usize,
+    B: FnMut() -> usize,
+{
+    let time = |f: &mut dyn FnMut() -> usize, best: &mut (f64, usize)| {
         let start = Instant::now();
-        out = f();
-        best = best.min(start.elapsed().as_secs_f64());
+        let out = f();
+        *best = (best.0.min(start.elapsed().as_secs_f64()), out);
+    };
+    let (mut best_a, mut best_b) = ((f64::MAX, 0), (f64::MAX, 0));
+    for _ in 0..samples {
+        time(&mut a, &mut best_a);
+        time(&mut b, &mut best_b);
     }
-    (best, out)
+    (best_a, best_b)
 }
 
 fn main() {
@@ -150,8 +160,11 @@ fn main() {
         expected.row_count()
     );
 
-    let (naive_select, n_naive) = best_of(samples, || table.filter_naive(&window_pred).row_count());
-    let (compiled_select, n_compiled) = best_of(samples, || table.filter(&window_pred).row_count());
+    let ((naive_select, n_naive), (compiled_select, n_compiled)) = best_pair(
+        samples,
+        || table.filter_naive(&window_pred).row_count(),
+        || table.filter(&window_pred).row_count(),
+    );
     assert_eq!(n_naive, n_compiled);
     let speedup_select = naive_select / compiled_select;
     eprintln!(
@@ -186,19 +199,22 @@ fn main() {
     }
     eprintln!("  request-ID join identical for {probes} probe IDs");
 
-    let (naive_join, _) = best_of(samples, || {
-        ids.iter()
-            .map(|id| {
-                let pred = Predicate::Eq("request_id".into(), id.clone());
-                table.filter_naive(&pred).row_count()
-            })
-            .sum()
-    });
-    let (compiled_join, _) = best_of(samples, || {
-        let col = table.column("request_id").expect("request_id column");
-        let index = KeyIndex::build(col);
-        ids.iter().map(|id| index.rows(col, id).len()).sum()
-    });
+    let ((naive_join, _), (compiled_join, _)) = best_pair(
+        samples,
+        || {
+            ids.iter()
+                .map(|id| {
+                    let pred = Predicate::Eq("request_id".into(), id.clone());
+                    table.filter_naive(&pred).row_count()
+                })
+                .sum()
+        },
+        || {
+            let col = table.column("request_id").expect("request_id column");
+            let index = KeyIndex::build(col);
+            ids.iter().map(|id| index.rows(col, id).len()).sum()
+        },
+    );
     let speedup_join = naive_join / compiled_join;
     eprintln!(
         "  request-ID join: naive {:.4}s, compiled {:.4}s ({speedup_join:.1}x)",
@@ -217,18 +233,21 @@ fn main() {
         .inner_join_naive(&table, "request_id", "request_id")
         .expect("join runs");
     assert_eq!(joined, joined_naive, "inner_join drift");
-    let (hash_join, _) = best_of(samples, || {
-        front
-            .inner_join(&table, "request_id", "request_id")
-            .expect("join runs")
-            .row_count()
-    });
-    let (hash_join_naive, _) = best_of(samples, || {
-        front
-            .inner_join_naive(&table, "request_id", "request_id")
-            .expect("join runs")
-            .row_count()
-    });
+    let ((hash_join_naive, _), (hash_join, _)) = best_pair(
+        samples,
+        || {
+            front
+                .inner_join_naive(&table, "request_id", "request_id")
+                .expect("join runs")
+                .row_count()
+        },
+        || {
+            front
+                .inner_join(&table, "request_id", "request_id")
+                .expect("join runs")
+                .row_count()
+        },
+    );
     let speedup_hash_join = hash_join_naive / hash_join;
     eprintln!(
         "  hash join (materialized): naive {:.4}s, typed gather {:.4}s ({speedup_hash_join:.1}x)",
@@ -293,22 +312,25 @@ fn main() {
         on
     };
     let sql_pair = |sql: &str, samples: usize| -> (f64, f64) {
-        let (off_secs, n_off) = best_of(samples, || {
-            db.query_opts(
-                sql,
-                QueryOptions {
-                    workers: 0,
-                    optimize: false,
-                },
-            )
-            .expect("query runs")
-            .row_count()
-        });
-        let (on_secs, n_on) = best_of(samples, || {
-            db.query_opts(sql, QueryOptions::default())
+        let ((off_secs, n_off), (on_secs, n_on)) = best_pair(
+            samples,
+            || {
+                db.query_opts(
+                    sql,
+                    QueryOptions {
+                        workers: 0,
+                        optimize: false,
+                    },
+                )
                 .expect("query runs")
                 .row_count()
-        });
+            },
+            || {
+                db.query_opts(sql, QueryOptions::default())
+                    .expect("query runs")
+                    .row_count()
+            },
+        );
         assert_eq!(n_off, n_on);
         (off_secs, on_secs)
     };
