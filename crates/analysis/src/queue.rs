@@ -112,16 +112,15 @@ fn fold(
     let (start, window) = (start.as_micros() as i64, window.as_micros() as i64);
     // Window `k` ends at `start + (k + 1)·window`; a delta later than the
     // last end is never read.
+    #[expect(
+        clippy::cast_sign_loss,
+        reason = "t > start + window where it is cast, so the quotient is positive"
+    )]
     let slot = |t: i64| {
         if t <= start + window {
             0
         } else {
-            #[expect(
-                clippy::cast_sign_loss,
-                reason = "t > start + window here, so the quotient is positive"
-            )]
-            let k = ((t - start - 1) / window) as usize;
-            k
+            ((t - start - 1) / window) as usize
         }
     };
     let mut net = vec![0i64; windows];

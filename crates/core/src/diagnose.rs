@@ -164,8 +164,8 @@ impl MilliScope {
     ///
     /// # Errors
     ///
-    /// Missing event tables (monitors disabled) or resource tables, or a
-    /// zero `pit_window`.
+    /// Missing event tables (monitors disabled) or resource tables, a
+    /// zero `pit_window`, or a `context_pad` past `i64::MAX` µs.
     pub fn diagnose(&self, opts: &DiagnoseOptions) -> Result<DiagnosisReport, CoreError> {
         let pit = self.pit(opts.pit_window)?;
         let pad = i64::try_from(opts.context_pad.as_micros())

@@ -71,7 +71,8 @@ impl MilliScope {
     ///
     /// # Errors
     ///
-    /// Any transformation or load error.
+    /// [`CoreError::Config`] when the run's end or a tier's pool size does
+    /// not fit `i64`; any transformation or load error.
     pub fn from_parts_with(
         cfg: SystemConfig,
         store: &mscope_monitors::LogStore,
@@ -440,7 +441,8 @@ impl MilliScope {
     ///
     /// # Errors
     ///
-    /// Any transformation or load error.
+    /// [`CoreError::Config`] when the run's end or a tier's pool size does
+    /// not fit `i64`; any transformation or load error.
     pub fn run_streaming(
         run: &RunOutput,
         chunk: usize,
@@ -605,8 +607,8 @@ mod tests {
 
     #[test]
     fn wide_context_pad_is_an_error_not_a_wrap() {
-        // `context_pad` deserializes from JSON; past i64::MAX µs it used to
-        // wrap to a negative pad and diagnose a shifted evidence window.
+        // `context_pad` deserializes from JSON; past i64::MAX µs a cast
+        // would wrap it to a negative pad and shift the evidence window.
         let ms = ingested(30);
         let opts = crate::DiagnoseOptions {
             context_pad: SimDuration::from_micros(u64::MAX),
@@ -618,7 +620,7 @@ mod tests {
     #[test]
     fn register_run_refuses_what_the_tables_cannot_key() {
         // A bundle's config arrives from outside the program: a run end or
-        // a pool size past i64 used to wrap into the warehouse rows.
+        // a pool size past i64 must not wrap into the warehouse rows.
         let base = SystemConfig::rubbos_baseline(10);
         let register = |cfg: &SystemConfig| register_run(&mut Database::new(), cfg);
         let mut wide = base.clone();

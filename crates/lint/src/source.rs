@@ -17,11 +17,11 @@
 //!
 //! The front's one rule is `hermetic-deps`: every dependency entry in
 //! every manifest must resolve in-tree (`path = …` or `workspace = true`),
-//! and the historically banned registry crates must never reappear. Its
-//! former `no-unwrap` and `no-wallclock` rules resolve paths, so clippy
-//! enforces them: `#![deny(clippy::{unwrap_used, expect_used, panic})]`
-//! in the hot-path crates' roots and `disallowed-methods` in the
-//! wall-clock-free crates' `clippy.toml`.
+//! and the historically banned registry crates must never reappear.
+//! `no-unwrap` and `no-wallclock` need a path resolved, so clippy enforces
+//! them: `#![deny(clippy::{unwrap_used, expect_used, panic})]` in the
+//! hot-path crates' roots and `disallowed-methods` in the wall-clock-free
+//! crates' `clippy.toml`.
 
 use crate::{Finding, Severity};
 use std::fs;
