@@ -1,9 +1,11 @@
 //! mScopeDB query-engine shoot-out: the compiled, indexed paths against
 //! the naive row-at-a-time oracles on paper-shaped workloads — a windowed
-//! select over a time-sorted event table (the PiT/VLRT slice query), a
-//! request-ID join (the §IV-B flow-reconstruction access pattern), and
-//! the SQL planner's statistics-driven join build side against the same
-//! query planned with its choices pinned — at ≥100k rows.
+//! select over a time-sorted event table (the PiT/VLRT slice query), an
+//! equality select over an unsorted text column (one interaction's
+//! requests), a request-ID join (the §IV-B flow-reconstruction access
+//! pattern), and the SQL planner's statistics-driven join build side
+//! against the same query planned with its choices pinned — at ≥100k
+//! rows.
 //!
 //! Before any number is reported, every compiled result is checked
 //! identical to its naive oracle, the planner result is checked identical
@@ -31,6 +33,7 @@
 //!
 //! Writes a `BENCH_query.json` summary for CI artifact upload and asserts
 //! the windowed select and request-ID join are ≥3x over the naive scan,
+//! the equality select ≥1.5x,
 //! the materializing hash join is ≥2x over its naive oracle, and the
 //! planner's join-reorder win is ≥1.5x over the planner-off plan.
 
@@ -38,14 +41,15 @@ use mscope_db::{
     Column, ColumnType, CompiledPredicate, Database, KeyIndex, Predicate, QueryOptions, Schema,
     Table, Value,
 };
+use mscope_ntier::INTERACTIONS;
 use mscope_serdes::Json;
 use mscope_sim::SimRng;
 use std::time::Instant;
 
 /// Builds a front-tier event table shaped like the transformer's output:
 /// `ua`-sorted (event logs are written in time order), fixed-width hex
-/// request IDs, and a sprinkle of depth-1 static requests with null
-/// `ds`/`dr`.
+/// request IDs, the 24 RUBBoS interactions in turn, and a sprinkle of
+/// depth-1 static requests with null `ds`/`dr`.
 fn event_table(rows: usize, rng: &mut SimRng) -> Table {
     let schema = Schema::new(vec![
         Column::new("request_id", ColumnType::Text),
@@ -58,7 +62,6 @@ fn event_table(rows: usize, rng: &mut SimRng) -> Table {
     ])
     .expect("static schema is valid");
     let mut t = Table::new("event_apache", schema);
-    let interactions = ["ViewStory", "StoriesOfTheDay", "PostComment"];
     let mut ua = 0i64;
     for i in 0..rows {
         ua += rng.uniform_u64(0, 400) as i64;
@@ -72,7 +75,7 @@ fn event_table(rows: usize, rng: &mut SimRng) -> Table {
         };
         t.push_row(vec![
             Value::Text(format!("{i:012x}")),
-            Value::Text(interactions[i % interactions.len()].to_string()),
+            Value::Text(INTERACTIONS[i % INTERACTIONS.len()].name.to_string()),
             Value::Text("tier0-0".into()),
             Value::Timestamp(ua),
             Value::Timestamp(ua + rt),
@@ -170,6 +173,48 @@ fn main() {
     eprintln!(
         "  windowed select: naive {:.4}s, compiled {:.4}s ({speedup_select:.1}x)",
         naive_select, compiled_select
+    );
+
+    // ---- Equality select: one interaction's rows, `interaction = 'X'`
+    // over an unsorted text column. Naive compares every row's string;
+    // the compiled scan probes the table's kept key index over the
+    // column, which the identity gate below builds, so the timed legs
+    // compare scan against probe. The one-off build is timed on its own.
+    let eq_pred = Predicate::Eq("interaction".into(), Value::Text("ViewStory".into()));
+    let expected = table.filter_naive(&eq_pred);
+    let expected_json = mscope_serdes::to_string(&expected);
+    for workers in [0usize, 1, 2, 4, 8] {
+        let rows = CompiledPredicate::compile(&table, &eq_pred).matching_rows_with(workers);
+        assert_eq!(
+            mscope_serdes::to_string(&table.select_rows(&rows)),
+            expected_json,
+            "equality select drift at workers={workers}"
+        );
+    }
+    eprintln!(
+        "  equality select identical across worker counts ({} rows match)",
+        expected.row_count()
+    );
+    let ((naive_eq, n_naive_eq), (compiled_eq, n_compiled_eq)) = best_pair(
+        samples,
+        || table.filter_naive(&eq_pred).row_count(),
+        || table.filter(&eq_pred).row_count(),
+    );
+    assert_eq!(n_naive_eq, n_compiled_eq);
+    let speedup_eq = naive_eq / compiled_eq;
+    let interaction = table.column("interaction").expect("interaction column");
+    let eq_index_build = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            let index = KeyIndex::build(interaction);
+            let secs = start.elapsed().as_secs_f64();
+            assert_eq!(index.len(), INTERACTIONS.len());
+            secs
+        })
+        .fold(f64::MAX, f64::min);
+    eprintln!(
+        "  equality select: naive {naive_eq:.4}s, probed {compiled_eq:.4}s \
+         ({speedup_eq:.1}x); index build {eq_index_build:.4}s"
     );
 
     // ---- Request-ID join: resolve `probes` request IDs against the
@@ -365,6 +410,10 @@ fn main() {
         "windowed select speedup {speedup_select:.2}x < 3x"
     );
     assert!(
+        speedup_eq >= 1.5,
+        "equality select speedup {speedup_eq:.2}x < 1.5x"
+    );
+    assert!(
         speedup_join >= 3.0,
         "request-ID join speedup {speedup_join:.2}x < 3x"
     );
@@ -401,6 +450,7 @@ fn main() {
             "results",
             Json::Arr(vec![
                 result("window_select", naive_select, compiled_select, n_compiled),
+                result("eq_select", naive_eq, compiled_eq, n_compiled_eq),
                 result("request_id_join", naive_join, compiled_join, probes),
                 result(
                     "hash_join_materialized",
@@ -412,6 +462,8 @@ fn main() {
             ]),
         ),
         ("speedup_window_select", Json::Float(speedup_select)),
+        ("speedup_eq_select", Json::Float(speedup_eq)),
+        ("eq_index_build_seconds", Json::Float(eq_index_build)),
         ("speedup_request_id_join", Json::Float(speedup_join)),
         (
             "speedup_hash_join_materialized",

@@ -29,6 +29,7 @@ const TRACKED: &[(&str, &[&str])] = &[
         "query_engine",
         &[
             "speedup_window_select",
+            "speedup_eq_select",
             "speedup_request_id_join",
             "speedup_hash_join_materialized",
             "speedup_join_reorder",
@@ -233,6 +234,7 @@ mod tests {
             mode,
             &[
                 ("speedup_window_select", select),
+                ("speedup_eq_select", v),
                 ("speedup_request_id_join", v),
                 ("speedup_hash_join_materialized", v),
                 ("speedup_join_reorder", v),
@@ -245,7 +247,7 @@ mod tests {
         let base = query_summary("full", 8.0, 7.0);
         let fresh = query_summary("full", 7.2, 8.5);
         let deltas = compare(&base, &fresh, 0.15).unwrap();
-        assert_eq!(deltas.len(), 4);
+        assert_eq!(deltas.len(), 5);
         assert!(deltas.iter().all(|d| !d.regressed), "{deltas:?}");
     }
 
@@ -275,7 +277,7 @@ mod tests {
             .contains("bench mismatch"));
         let incomplete = summary("query_engine", "full", &[("speedup_window_select", 8.0)]);
         let err = compare(&incomplete, &incomplete, 0.15).unwrap_err();
-        assert!(err.contains("speedup_request_id_join"), "{err}");
+        assert!(err.contains("speedup_eq_select"), "{err}");
     }
 
     #[test]

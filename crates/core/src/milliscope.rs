@@ -376,13 +376,7 @@ pub(crate) fn window_us(window: SimDuration) -> Result<i64, CoreError> {
 /// must fit the `i64` microseconds the tables are keyed on, and each
 /// tier's pool size the `i64` its row stores.
 fn register_run(db: &mut Database, cfg: &SystemConfig) -> Result<(), CoreError> {
-    cfg.warmup
-        .as_micros()
-        .checked_add(cfg.duration.as_micros())
-        .and_then(|end| i64::try_from(end).ok())
-        .ok_or_else(|| {
-            CoreError::Config("warmup + duration must fit in i64 microseconds".into())
-        })?;
+    cfg.end_micros().map_err(CoreError::Config)?;
     #[expect(
         clippy::cast_possible_wrap,
         reason = "as_millis is at most u64::MAX / 1000"

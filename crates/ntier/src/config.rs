@@ -681,9 +681,27 @@ impl SystemConfig {
         self.tiers.iter().map(|t| t.replicas).sum()
     }
 
-    /// End of the measured portion (`warmup + duration`).
+    /// End of the measured portion (`warmup + duration`). Call it on a
+    /// config [`SystemConfig::validate`] passed: on another the sum may
+    /// overflow.
     pub fn end_time(&self) -> SimTime {
         SimTime::ZERO + self.warmup + self.duration
+    }
+
+    /// The run's end (`warmup + duration`) in microseconds, checked to fit
+    /// the `i64` the warehouse keys times on — the one bound on the two
+    /// fields, which [`SystemConfig::validate`] applies and a bundle's
+    /// registration in the warehouse checks.
+    ///
+    /// # Errors
+    ///
+    /// Returns `Err` when the sum does not fit in `i64` microseconds.
+    pub fn end_micros(&self) -> Result<i64, String> {
+        self.warmup
+            .as_micros()
+            .checked_add(self.duration.as_micros())
+            .and_then(|end| i64::try_from(end).ok())
+            .ok_or_else(|| "warmup + duration must fit in i64 microseconds".into())
     }
 
     /// Validates internal consistency; returns a human-readable description
@@ -693,13 +711,15 @@ impl SystemConfig {
     ///
     /// Returns `Err` when the topology is empty, any tier has zero
     /// replicas/workers/cores, a demand CV is negative, an injector
-    /// references a missing tier, the sample period is zero, or the
-    /// partition count is out of range (1–64, and no larger than any
-    /// tier's core or worker count).
+    /// references a missing tier, the sample period is zero, the run's end
+    /// does not fit [`SystemConfig::end_micros`], or the partition count
+    /// is out of range (1–64, and no larger than any tier's core or worker
+    /// count).
     pub fn validate(&self) -> Result<(), String> {
         if self.tiers.is_empty() {
             return Err("topology has no tiers".into());
         }
+        self.end_micros()?;
         for (i, t) in self.tiers.iter().enumerate() {
             if t.replicas == 0 {
                 return Err(format!("tier {i} ({}) has zero replicas", t.kind));
@@ -816,6 +836,25 @@ mod tests {
         assert_eq!(cfg.tiers.len(), 4);
         assert_eq!(cfg.node_count(), 4);
         assert_eq!(cfg.end_time(), SimTime::ZERO + SimDuration::from_secs(435));
+    }
+
+    #[test]
+    fn validate_bounds_the_runs_end() {
+        // Past u64 the sum would overflow in `end_time`; past i64 it would
+        // wrap in the warehouse's timestamp keys.
+        let base = SystemConfig::rubbos_baseline(10);
+        let mut late = base.clone();
+        late.warmup = SimDuration::from_micros(u64::MAX);
+        assert!(late.validate().is_err());
+        let i64_max = i64::MAX.cast_unsigned();
+        let mut edge = base.clone();
+        edge.warmup = SimDuration::from_micros(i64_max - edge.duration.as_micros());
+        assert_eq!(edge.validate(), Ok(()));
+        assert_eq!(edge.end_micros(), Ok(i64::MAX));
+        let mut past = edge;
+        past.duration = SimDuration::from_micros(past.duration.as_micros() + 1);
+        assert!(past.validate().is_err());
+        assert_eq!(base.end_micros(), Ok(435_000_000));
     }
 
     #[test]

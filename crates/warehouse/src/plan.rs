@@ -9,16 +9,16 @@
 //! the engine already maintains:
 //!
 //! * **predicate pushdown** — the WHERE tree splits into per-side
-//!   conjuncts fused into each scan ([`CompiledPredicate`] zone-map block
-//!   skipping); only mixed-side conjuncts survive as a join residual;
+//!   conjuncts fused into each scan ([`CompiledPredicate`]: an equality
+//!   probe of the kept key index, or zone-map block skipping); only
+//!   mixed-side conjuncts survive as a join residual;
 //! * **join build side** — a side whose scan is unfiltered is probed
 //!   through its table's kept key index ([`Table::key_index`]), built
 //!   once per table write instead of once per query; otherwise
-//!   [`CompiledPredicate::estimate`] (sorted-column bounds + per-block
-//!   zone-map verdicts) estimates each input's cardinality and the
-//!   smaller one is hashed for this query alone;
-//! * **projection pushdown** — only columns the output (or an aggregate)
-//!   references are ever gathered;
+//!   [`CompiledPredicate::estimate`] (an equality probe's exact group
+//!   size, or sorted-column bounds + per-block zone-map verdicts)
+//!   estimates each input's cardinality and the smaller one is hashed
+//!   for this query alone;
 //! * **sort elision** — `ORDER BY <col> ASC` is dropped when the
 //!   sorted-on-append flag already proves the scan order, or when the
 //!   aggregate's own key order subsumes it.
@@ -27,9 +27,9 @@
 //! "Planner off" (`optimize = false`) is a plan, not a second executor:
 //! [`plan`] pins each of those choices to the syntactic shape — whole
 //! WHERE as the post-join residual, build side right and built for the
-//! query, every source column needed, no sort elision — and
-//! [`vector::run`](crate::vector::run) runs the result like any other
-//! plan, so `EXPLAIN` describes what executes on both legs.
+//! query, no sort elision — and [`vector::run`](crate::vector::run) runs
+//! the result like any other plan, so `EXPLAIN` describes what executes
+//! on both legs.
 
 use crate::db::Database;
 use crate::engine::{CompiledPredicate, ScanEstimate, Side, SideCol};
@@ -466,11 +466,6 @@ pub(crate) struct Plan<'a> {
     /// The sort is provably redundant and skipped.
     pub sort_elided: bool,
     pub limit: Option<usize>,
-    /// Source columns the output or an aggregate reads (projection
-    /// pushdown), ascending — what `EXPLAIN` lists per scan. The executor
-    /// reads their cells in place through the row space and materializes
-    /// only the result.
-    pub needed: Vec<usize>,
     pub left_est: ScanEstimate,
     pub right_est: Option<ScanEstimate>,
 }
@@ -478,8 +473,7 @@ pub(crate) struct Plan<'a> {
 /// Plans a parsed query against live tables. With `optimize = false`
 /// every statistics-driven choice is pinned to the syntactic shape —
 /// whole WHERE after the join, build side always right and never a kept
-/// index, no projection pushdown, no sort elision — and the plan executes
-/// like any other.
+/// index, no sort elision — and the plan executes like any other.
 ///
 /// With the planner on, the join's build side follows from the plan
 /// alone, never from whether an index happens to be built yet: exactly
@@ -565,19 +559,6 @@ pub(crate) fn plan<'a>(
         right_est = Some(re);
     }
 
-    // Projection pushdown: the columns the output or an aggregate reads.
-    let needed: Vec<usize> = if !optimize {
-        (0..res.source.len()).collect()
-    } else if let Some(agg) = &res.aggregate {
-        let mut v: Vec<usize> = agg.keys.clone();
-        v.extend(agg.aggs.iter().filter_map(|a| a.src));
-        v.sort_unstable();
-        v.dedup();
-        v
-    } else {
-        res.projection.clone()
-    };
-
     // Sort elision: ORDER BY ASC is redundant when order is already
     // proven. Never elide DESC.
     let mut sort_elided = false;
@@ -617,7 +598,6 @@ pub(crate) fn plan<'a>(
         order_by: q.order_by.clone(),
         sort_elided,
         limit: q.limit,
-        needed,
         left_est,
         right_est,
     })
@@ -691,16 +671,12 @@ impl<'a> Plan<'a> {
     /// One line per physical operator, in execution order.
     pub(crate) fn explain_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
-        let scan_line = |t: &Table, pred: &Predicate, est: &ScanEstimate, side: Side| {
-            let cols: Vec<&str> = self
-                .needed
-                .iter()
-                .map(|&si| &self.res.source[si])
-                .filter(|s| s.side == side)
-                .map(|s| s.name.as_str())
-                .collect();
+        let scan_line = |t: &Table, pred: &Predicate, est: &ScanEstimate| {
+            let index = est.index.map_or(String::new(), |ci| {
+                format!(" index={}", t.schema().columns()[ci].name)
+            });
             format!(
-                "Scan {} rows={} pred={} est={} blocks[skip={} take={} eval={}] cols=[{}]",
+                "Scan {} rows={} pred={}{index} est={} blocks[skip={} take={} eval={}]",
                 t.name(),
                 t.row_count(),
                 render_pred(pred),
@@ -708,19 +684,13 @@ impl<'a> Plan<'a> {
                 est.skipped,
                 est.taken,
                 est.evaluated,
-                cols.join(", ")
             )
         };
-        lines.push(scan_line(
-            self.left,
-            &self.left_pred,
-            &self.left_est,
-            Side::Left,
-        ));
+        lines.push(scan_line(self.left, &self.left_pred, &self.left_est));
         if let (Some(rt), Some(est), Some((lci, rci))) =
             (self.right, self.right_est.as_ref(), self.res.join_keys)
         {
-            lines.push(scan_line(rt, &self.right_pred, est, Side::Right));
+            lines.push(scan_line(rt, &self.right_pred, est));
             lines.push(format!(
                 "HashJoin {}.{} = {}.{} build={}{} (est {} vs {} rows)",
                 self.left.name(),

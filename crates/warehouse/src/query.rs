@@ -180,10 +180,11 @@ impl Acc {
 
 impl Table {
     /// Rows matching `pred`, as a new table. Runs on the compiled engine
-    /// ([`CompiledPredicate`]): names bound once, zone-map block skipping,
-    /// sorted-column binary search, automatic parallel scan above
-    /// [`PARALLEL_MIN_ROWS`](crate::PARALLEL_MIN_ROWS) candidate rows.
-    /// Result-identical to [`Table::filter_naive`].
+    /// ([`CompiledPredicate`]): names bound once, an equality conjunct
+    /// answered from the column's kept key index, else zone-map block
+    /// skipping and sorted-column binary search, automatic parallel scan
+    /// above [`PARALLEL_MIN_ROWS`](crate::PARALLEL_MIN_ROWS) candidate
+    /// rows. Result-identical to [`Table::filter_naive`].
     pub fn filter(&self, pred: &Predicate) -> Table {
         let rows = CompiledPredicate::compile(self, pred).matching_rows_with(0);
         self.gather(self.name(), &rows)

@@ -544,12 +544,12 @@ pub struct QueryOptions {
     /// [`PARALLEL_MIN_ROWS`](crate::PARALLEL_MIN_ROWS) rows). Results are
     /// byte-identical at every worker count.
     pub workers: usize,
-    /// Let the planner make its statistics-driven choices (predicate and
-    /// projection pushdown, join build side, sort elision). `false` pins
-    /// each choice to the shape the query was written in — whole WHERE
-    /// after the join, hash index on the right input, no elision — and
-    /// runs that plan on the same executor; `EXPLAIN` shows it. Results
-    /// are byte-identical either way; only the work differs.
+    /// Let the planner make its statistics-driven choices (predicate
+    /// pushdown, join build side, sort elision). `false` pins each choice
+    /// to the shape the query was written in — whole WHERE after the
+    /// join, hash index on the right input, no elision — and runs that
+    /// plan on the same executor; `EXPLAIN` shows it. Results are
+    /// byte-identical either way; only the work differs.
     pub optimize: bool,
 }
 
@@ -1196,11 +1196,27 @@ mod tests {
         assert_eq!(
             lines,
             [
-                "Scan disk rows=5 pred=util > 90 est=3 blocks[skip=0 take=0 eval=1] \
-                 cols=[node, util]",
+                "Scan disk rows=5 pred=util > 90 est=3 blocks[skip=0 take=0 eval=1]",
                 "Sort util desc",
                 "Limit 2",
             ]
+        );
+        // An equality on an unsorted text column probes the kept key
+        // index: the scan names it, and its estimate is the group's size.
+        let first_line = |sql: &str| db.query(sql).unwrap().column("plan").unwrap()[0].render();
+        assert_eq!(
+            first_line("EXPLAIN SELECT util FROM disk WHERE node = 'mysql0'"),
+            "Scan disk rows=5 pred=node = 'mysql0' index=node est=3 blocks[skip=0 take=1 eval=0]"
+        );
+        assert_eq!(
+            first_line("EXPLAIN SELECT util FROM disk WHERE node = 'mysql0' AND util > 50"),
+            "Scan disk rows=5 pred=(node = 'mysql0' AND util > 50) index=node est=2 \
+             blocks[skip=0 take=0 eval=1]"
+        );
+        // A sorted timestamp column keeps its binary search.
+        assert_eq!(
+            first_line("EXPLAIN SELECT util FROM disk WHERE time = time '00:00:00.100000'"),
+            "Scan disk rows=5 pred=time = 00:00:00.100000 est=1 blocks[skip=0 take=0 eval=1]"
         );
         // The join plan names its build side, chosen from row estimates;
         // with both scans unfiltered it probes that side's kept index.

@@ -136,12 +136,12 @@ pub struct Table {
     /// Zone maps + sorted flags, maintained incrementally on append.
     /// Derived from `cols` — excluded from equality and serialization.
     index: TableIndex,
-    /// One kept [`KeyIndex`] slot per column, filled by the first join or
-    /// flow reconstruction that probes the column and emptied by every
-    /// writer. Writers take `&mut self`, so no reader can hold an index
-    /// across a write. The slots themselves are made on first use, so a
-    /// table no join reads — a query result — allocates none. Derived like
-    /// `index`.
+    /// One kept [`KeyIndex`] slot per column, filled by the first join,
+    /// equality filter or flow reconstruction that probes the column and
+    /// emptied by every writer. Writers take `&mut self`, so no reader can
+    /// hold an index across a write. The slots themselves are made on
+    /// first use, so a table nothing probes — a query result — allocates
+    /// none. Derived like `index`.
     keys: OnceLock<Vec<OnceLock<KeyIndex>>>,
 }
 
@@ -433,8 +433,8 @@ impl Table {
     /// The kept [`KeyIndex`] over column `col` (`None` if the column is
     /// missing), probed with that column ([`Table::column`]). It is built
     /// on the first call and kept until the table is next written, so
-    /// repeated joins and flow reconstructions over an unchanged table
-    /// hash it once.
+    /// repeated joins, equality filters and flow reconstructions over an
+    /// unchanged table hash it once.
     pub fn key_index(&self, col: &str) -> Option<&KeyIndex> {
         self.schema.index_of(col).map(|ci| self.key_index_at(ci))
     }
