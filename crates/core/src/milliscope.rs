@@ -50,6 +50,13 @@ impl MilliScope {
     /// Runs the full mScopeDataTransformer pipeline over an experiment's
     /// logs and loads everything into a fresh warehouse.
     ///
+    /// This is [`from_parts_with`](MilliScope::from_parts_with) over an
+    /// [`ExperimentOutput`] with default [`RunOptions`]. It stays because
+    /// that is the form its callers use: the CLI, the examples, the tests
+    /// and the figures all hold a whole experiment and want the default
+    /// fan-out, and spelling out its four parts at each would repeat this
+    /// body there.
+    ///
     /// # Errors
     ///
     /// Any transformation or load error.

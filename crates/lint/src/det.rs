@@ -10,12 +10,11 @@
 //! source front, so a violation is a lint failure before anything runs.
 //!
 //! Rules (all deny-level, all scoped to the identity-gated crates).
-//! `DT003`, `DT004`, `DT008` and `DT005`'s lock and cell types resolve
-//! paths, so clippy enforces them through `disallowed-methods` and
-//! `disallowed-types` in the crates' `clippy.toml`; each sanctioned site
-//! carries an `#[expect(…, reason = "…")]`, which fails clippy once it
-//! no longer fires. `DT005`'s `static mut` and `Ordering::Relaxed` are a
-//! row of `needle::NEEDLE_RULES`.
+//! `DT003`, `DT004`, `DT005` and `DT008` resolve paths, so clippy enforces
+//! them through `disallowed-methods` and `disallowed-types` in the crates'
+//! `clippy.toml`; each sanctioned site carries an
+//! `#[expect(…, reason = "…")]`, which fails clippy once it no longer
+//! fires. This front keeps the three rules that read a function's shape.
 //!
 //! * `DT001` — a `HashMap`/`HashSet` binding is iterated (`iter`, `keys`,
 //!   `values`, `drain`, `for … in`) with no `.sort*` and no `BTree`
@@ -35,11 +34,12 @@
 //!   setup, `sim/src/{prop,rng}.rs`): every cell draws from exactly one
 //!   stream split from the trial seed; a stray construction can alias
 //!   another cell's stream.
-//! * `DT005` — shared interior mutability (`Mutex`, `RwLock`, the `std`
-//!   cells — clippy — and `static mut`, `Ordering::Relaxed` atomics — the
-//!   needle) outside the sanctioned pool files
-//!   ([`SANCTIONED_POOL_FILES`]): capturable mutable state is how worker
-//!   interleaving leaks into results.
+//! * `DT005` (clippy) — shared interior mutability (`Mutex`, `RwLock`,
+//!   the `std` cells and atomics) outside the sanctioned pool
+//!   (`sim/src/{par,queue}.rs`): capturable mutable state is how worker
+//!   interleaving leaks into results. A `static mut` cannot be read or
+//!   written without `unsafe`, which `#![forbid(unsafe_code)]` refuses in
+//!   every identity-gated crate.
 //! * `DT006` — a `sort_by`/`sort_by_key` whose key involves a timestamp
 //!   but has no tie-break (no composite key, no `.then*`) and no nearby
 //!   `stable`/`tie`/`determin…` comment: concurrent records share
@@ -54,7 +54,7 @@
 //!   not be readable anywhere a record is built. `num_cpus` is a registry
 //!   crate, which `hermetic-deps` refuses.
 
-use crate::needle::{self, one_per_line};
+use crate::needle::one_per_line;
 use crate::source::{
     comment_evidence, enclosing_fn, find_word, is_ident, is_loop_subject, span_end, trailing_ident,
     word_start, FileCtx,
@@ -76,12 +76,6 @@ pub const IDENTITY_GATED_CRATES: &[&str] = &[
     "transform",
     "warehouse",
 ];
-
-/// The sanctioned worker-pool implementations: the `WorkQueue` and the
-/// `parallel_map` built on it — the one fan-out every parallel stage
-/// calls. Only these may hold the shared atomics that make job-order
-/// merging work (DT005's needle row).
-pub const SANCTIONED_POOL_FILES: &[&str] = &["crates/sim/src/par.rs", "crates/sim/src/queue.rs"];
 
 /// Method suffixes that consume a hash collection in arbitrary order.
 const HASH_CONSUMERS: &[&str] = &[
@@ -306,16 +300,14 @@ fn dt006(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 // Entry point
 // ---------------------------------------------------------------------
 
-/// Determinism-front findings for one file: DT001, DT002, DT006 and
-/// DT005's needle row from [`needle::NEEDLE_RULES`], one per (rule, line).
-/// Crates outside [`IDENTITY_GATED_CRATES`] are exempt.
+/// Determinism-front findings for one file: DT001, DT002 and DT006, one
+/// per (rule, line). Crates outside [`IDENTITY_GATED_CRATES`] are exempt.
 pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     if IDENTITY_GATED_CRATES.contains(&file.krate.as_str()) {
         dt001(file, &mut out);
         dt002(file, &mut out);
         dt006(file, &mut out);
-        out.extend(needle::findings(file, "det"));
         one_per_line(&mut out);
     }
     out
@@ -381,13 +373,5 @@ mod tests {
         let test_only = "#[cfg(test)]\nmod tests {\n\
                          fn g(set: &HashSet<u32>) { for v in set { use_it(v); } }\n}\n";
         assert!(rules("crates/monitors/src/x.rs", test_only).is_empty());
-    }
-
-    #[test]
-    fn sanctioned_files_and_exempt_crates_stay_silent() {
-        let src = "fn p(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }";
-        assert!(rules("crates/sim/src/par.rs", src).is_empty());
-        assert!(rules("crates/bench/src/x.rs", src).is_empty());
-        assert_eq!(rules("crates/sim/src/other.rs", src), ["DT005"]);
     }
 }

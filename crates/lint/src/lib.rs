@@ -28,29 +28,30 @@
 //!    byte-identity parallel discipline the runtime property suites gate
 //!    dynamically: no hash-ordered iteration reaching output paths, no
 //!    float reductions in worker closures without a documented merge
-//!    order, no `static mut` or relaxed atomics outside the sanctioned
-//!    `WorkQueue` pools, and tie-broken timestamp sorts (rules `DT001`,
-//!    `DT002`, `DT005`, `DT006`; `DT007` is retired).
+//!    order, and tie-broken timestamp sorts (rules `DT001`, `DT002`,
+//!    `DT006`; `DT007` is retired).
 //! 5. **Performance front** ([`perf`]) — statically proves the hot paths
 //!    stay hot before the BENCH gates ever run: no allocation or
 //!    re-sorting inside hot-path loops without a `// perf:`
 //!    justification, no collect-then-reiterate churn, pre-sized growth in
 //!    bounded loops, no row-wise `Table` access or nested-loop joins
-//!    bypassing the compiled zone-map engine, no `*_naive` oracle calls
-//!    on production paths, and no per-row predicate compilation (rules
-//!    `PF001`–`PF008`).
+//!    bypassing the compiled zone-map engine, and no per-row predicate
+//!    compilation (rules `PF001`–`PF004`, `PF006`–`PF008`).
 //!
-//! Five rules that are a needle, a scope, an escape hatch and a message
+//! Four rules that are a needle, a scope, an escape hatch and a message
 //! are rows of one table (`needle.rs`) evaluated by one function. Findings
 //! carry a stable rule ID, a severity, and a `file:line` anchor. A rule
 //! that needs a path resolved is not here but in the compiler, which
 //! resolves it: `no-unwrap` (`#![deny(clippy::unwrap_used, …)]` in the
-//! hot-path crates), and `no-wallclock`, `DT003`, `DT004`, `DT008` and
-//! `DT005`'s types (`disallowed-methods`/`disallowed-types` in
+//! hot-path crates), and `no-wallclock`, `DT003`, `DT004`, `DT005`,
+//! `DT008` and `PF005` (`disallowed-methods`/`disallowed-types` in
 //! `crates/clippy.toml` and its copies), all run by CI's `cargo clippy
-//! --workspace --all-targets -- -D warnings`. [`run`] is the one entry
-//! point: the `mscope-lint` binary runs one front or `all` of them and
-//! exits non-zero on any deny-level finding.
+//! --workspace --all-targets -- -D warnings`. `DT005`'s `static mut` is
+//! refused by the `#![forbid(unsafe_code)]` of every identity-gated
+//! crate, since neither a read nor a write of one compiles without
+//! `unsafe`. [`run`] is the one entry point: the `mscope-lint` binary
+//! runs one front or `all` of them and exits non-zero on any deny-level
+//! finding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -286,8 +287,8 @@ mod tests {
         .unwrap();
         std::fs::write(
             src.join("lib.rs"),
-            "fn f(rows: &[Row], hits: &AtomicU64) -> Vec<String> {\n\
-                 hits.fetch_add(1, Ordering::Relaxed);\n\
+            "fn f(rows: &mut [Row]) -> Vec<String> {\n\
+                 rows.sort_by_key(|r| r.time);\n\
                  let mut out = Vec::new();\n\
                  for r in rows { out.push(r.name.clone()); }\n\
                  out\n}\n",
@@ -309,7 +310,7 @@ mod tests {
         assert_eq!(rules(0), ["sql-unknown-column"]);
         assert_eq!(rules(1), ["hermetic-deps"]);
         assert!(rules(2).is_empty(), "every preset proves clean");
-        assert_eq!(rules(3), ["DT005"]);
+        assert_eq!(rules(3), ["DT006"]);
         assert_eq!(rules(4), ["PF001", "PF003"]);
         assert!(run(&dir, "ghost", None).is_err());
     }

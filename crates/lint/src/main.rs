@@ -7,10 +7,10 @@
 //!
 //! `trace` runs the whole-pipeline flow analysis over every shipped
 //! scenario preset (or one, with `--scenario`); `det` checks the
-//! byte-identity parallel discipline (rules `DT001`, `DT002`, `DT005`,
-//! `DT006`; clippy holds the rest); `perf` checks the hot-path
-//! performance discipline (rules `PF001`–`PF008`); `all` runs every
-//! front.
+//! byte-identity parallel discipline (rules `DT001`, `DT002`, `DT006`;
+//! clippy holds the rest); `perf` checks the hot-path performance
+//! discipline (rules `PF001`–`PF004`, `PF006`–`PF008`; clippy holds
+//! `PF005`); `all` runs every front.
 //! `--format json` (alias: `--json`) emits the machine-readable report —
 //! each finding carries rule id, file, line, and severity — for CI
 //! annotations and downstream tooling.

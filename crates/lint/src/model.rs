@@ -33,21 +33,6 @@ pub struct MonitorModel {
     pub decl: ParsingDeclaration,
 }
 
-/// Resolves a manifest tool name back to the emulated [`Tool`], or `None`
-/// for user-supplied tools the shape model knows nothing about.
-pub fn tool_from_name(name: &str) -> Option<Tool> {
-    match name {
-        "collectl" => Some(Tool::CollectlCsv),
-        "collectl-brief" => Some(Tool::CollectlPlain),
-        "sar" => Some(Tool::SarText),
-        "sar-mem" => Some(Tool::SarMem),
-        "sar-net" => Some(Tool::SarNet),
-        "sar-xml" => Some(Tool::SarXml),
-        "iostat" => Some(Tool::Iostat),
-        _ => None,
-    }
-}
-
 /// The warehouse type a renderer-guaranteed [`ValueShape`] infers to.
 pub fn shape_type(shape: ValueShape) -> ColumnType {
     match shape {
@@ -64,7 +49,7 @@ impl MonitorModel {
     pub fn rendered_fields(&self) -> Option<Vec<(&'static str, ValueShape)>> {
         match self.meta.kind {
             MonitorKind::Event => Some(event_rendered_fields(self.meta.tier_kind)),
-            MonitorKind::Resource => tool_from_name(&self.meta.tool).map(resource_rendered_fields),
+            MonitorKind::Resource => Tool::from_name(&self.meta.tool).map(resource_rendered_fields),
         }
     }
 
@@ -72,7 +57,7 @@ impl MonitorModel {
     pub fn clock_domain(&self) -> Option<&'static str> {
         match self.meta.kind {
             MonitorKind::Event => Some(event_clock_domain(self.meta.tier_kind)),
-            MonitorKind::Resource => tool_from_name(&self.meta.tool).map(resource_clock_domain),
+            MonitorKind::Resource => Tool::from_name(&self.meta.tool).map(resource_clock_domain),
         }
     }
 

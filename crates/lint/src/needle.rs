@@ -1,17 +1,17 @@
 //! The needle rules, as one table.
 //!
-//! Five rules share one shape: a needle, a scope, an escape hatch and a
-//! message. Each is a row of [`NEEDLE_RULES`], and [`findings`] evaluates
-//! a front's rows over the shared source model ([`FileCtx`]). Rules with
-//! real structure — `DT001`, `DT002`, `DT006`, `PF002`, `PF003`, `PF005`,
-//! `PF007` and `hermetic-deps` — stay functions in their fronts. Rules a
-//! path resolves (`no-unwrap`, `no-wallclock`, `DT003`, `DT004`, `DT008`
-//! and `DT005`'s types) are clippy's: see `crates/clippy.toml`.
+//! Four performance rules share one shape: a needle, a scope, an escape
+//! hatch and a message. Each is a row of [`NEEDLE_RULES`], and
+//! [`findings`] evaluates the rows over the shared source model
+//! ([`FileCtx`]). Rules with real structure — `DT001`, `DT002`, `DT006`,
+//! `PF002`, `PF003`, `PF007` and `hermetic-deps` — stay functions in their
+//! fronts. Rules a path resolves (`no-unwrap`, `no-wallclock`, `DT003`,
+//! `DT004`, `DT005`, `DT008` and `PF005`) are clippy's: see
+//! `crates/clippy.toml`.
 //!
 //! The determinism and performance fronts keep one finding per (rule,
 //! line), so overlapping needles report once.
 
-use crate::det::{IDENTITY_GATED_CRATES, SANCTIONED_POOL_FILES};
 use crate::perf::{ENGINE_FILES, PERF_HOT_CRATES, PERF_TOKEN, PERF_WINDOW, TABLE_CRATES};
 use crate::source::{comment_evidence, enclosing_loop, is_ident, span_end, word_start, FileCtx};
 use crate::Finding;
@@ -21,8 +21,6 @@ use std::ops::Range;
 struct NeedleRule {
     /// Rule ID.
     rule: &'static str,
-    /// The front that reports it: `source`, `det` or `perf`.
-    front: &'static str,
     /// Crates it applies to.
     crates: &'static [&'static str],
     /// Workspace-relative files exempt from it.
@@ -51,7 +49,6 @@ struct NeedleRule {
 /// The defaults a row overrides: every file, anywhere, no hatch.
 const ROW: NeedleRule = NeedleRule {
     rule: "",
-    front: "",
     crates: &[],
     exempt: &[],
     needles: &[],
@@ -65,22 +62,10 @@ const ROW: NeedleRule = NeedleRule {
 
 const ROW_WISE: &str = "row-wise `Table` access bypasses the zone-map engine — route the scan through `CompiledPredicate`/`window_agg_where` or justify with `// perf:`";
 
-/// Every needle rule. Rows of one front report in table order.
+/// Every needle rule, in report order.
 const NEEDLE_RULES: &[NeedleRule] = &[
-    // `DT005`'s lock and cell types are clippy's `disallowed-types`;
-    // these two have no type to name.
-    NeedleRule {
-        rule: "DT005",
-        front: "det",
-        crates: IDENTITY_GATED_CRATES,
-        exempt: SANCTIONED_POOL_FILES,
-        needles: &["static mut", "Ordering::Relaxed"],
-        message: "shared interior mutability `{needle}` outside the sanctioned pool files — capturable mutable state lets worker interleaving leak into results",
-        ..ROW
-    },
     NeedleRule {
         rule: "PF001",
-        front: "perf",
         crates: PERF_HOT_CRATES,
         // `wallclock(` is the timestamp formatter that returns a fresh
         // `String`; `push_wallclock` appends in place.
@@ -103,7 +88,6 @@ const NEEDLE_RULES: &[NeedleRule] = &[
     },
     NeedleRule {
         rule: "PF004",
-        front: "perf",
         crates: TABLE_CRATES,
         exempt: ENGINE_FILES,
         needles: &[".iter_rows()"],
@@ -115,7 +99,6 @@ const NEEDLE_RULES: &[NeedleRule] = &[
     // A single `.cell(` probe is not a scan; one in a loop is.
     NeedleRule {
         rule: "PF004",
-        front: "perf",
         crates: TABLE_CRATES,
         exempt: ENGINE_FILES,
         needles: &[".cell("],
@@ -127,7 +110,6 @@ const NEEDLE_RULES: &[NeedleRule] = &[
     },
     NeedleRule {
         rule: "PF006",
-        front: "perf",
         crates: PERF_HOT_CRATES,
         needles: &[
             "CompiledPredicate::compile(",
@@ -143,7 +125,6 @@ const NEEDLE_RULES: &[NeedleRule] = &[
     },
     NeedleRule {
         rule: "PF008",
-        front: "perf",
         crates: PERF_HOT_CRATES,
         needles: &[
             ".sort()",
@@ -172,14 +153,12 @@ const COLD_CALLS: &[&str] = &[
     "unwrap_or_else(",
 ];
 
-/// Findings of `front`'s rows for one file, row by row, needle by needle,
-/// hit by hit.
-pub(crate) fn findings(file: &FileCtx, front: &str) -> Vec<Finding> {
+/// Findings of every row for one file, row by row, needle by needle, hit
+/// by hit.
+pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     let rows = NEEDLE_RULES.iter().filter(|r| {
-        r.front == front
-            && r.crates.contains(&file.krate.as_str())
-            && !r.exempt.contains(&file.rel.as_str())
+        r.crates.contains(&file.krate.as_str()) && !r.exempt.contains(&file.rel.as_str())
     });
     for row in rows {
         let cold = if row.cold_exempt {

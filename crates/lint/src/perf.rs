@@ -34,9 +34,10 @@
 //!   outside the engine files — scans must route through
 //!   `CompiledPredicate`/`window_agg_where` so block skipping and typed
 //!   column slices apply.
-//! * `PF005` — a `*_naive` oracle call reachable from non-test,
-//!   non-bench code: the naive evaluators exist as identity oracles for
-//!   property tests and benches, never as the production path.
+//! * `PF005` (clippy) — a call of the `Table::{filter_naive,
+//!   inner_join_naive}` oracles outside tests: a `disallowed-methods`
+//!   entry in the identity-gated crates' `clippy.toml`, since the oracles
+//!   exist for property tests and benches, never as the production path.
 //! * `PF006` — per-row predicate or index construction:
 //!   `CompiledPredicate::compile`/`Node::compile`/`KeyIndex::build`/
 //!   `KeyIndex::over` inside a loop body — compilation binds column
@@ -57,8 +58,8 @@
 
 use crate::needle::{self, one_per_line};
 use crate::source::{
-    comment_evidence, enclosing_fn, enclosing_loop, find_word, is_ident, is_loop_subject, span_end,
-    trailing_ident, word_start, FileCtx, LoopSpan,
+    comment_evidence, enclosing_fn, enclosing_loop, find_word, is_loop_subject, span_end,
+    trailing_ident, FileCtx, LoopSpan,
 };
 use crate::Finding;
 use std::ops::Range;
@@ -252,34 +253,6 @@ fn pf003(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// PF005 — naive oracles on production paths
-// ---------------------------------------------------------------------
-
-fn pf005(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    let bytes = ctx.masked.as_bytes();
-    for (at, _) in ctx.masked.match_indices("_naive(") {
-        // Walk back over the full identifier; skip definitions (`fn x_naive(`).
-        let mut start = at;
-        while start > 0 && is_ident(bytes[start - 1]) {
-            start -= 1;
-        }
-        let pre = ctx.masked[..start].trim_end();
-        if pre.ends_with("fn") && word_start(pre, pre.len() - 2) {
-            continue;
-        }
-        let name = &ctx.masked[start..at + "_naive".len()];
-        ctx.push(
-            findings,
-            "PF005",
-            start,
-            &format!(
-                "`{name}` is an identity oracle for property tests and benches, not a production path — call the compiled equivalent"
-            ),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
 // PF007 — nested-loop joins over row-indexed data
 // ---------------------------------------------------------------------
 
@@ -316,17 +289,17 @@ fn pf007(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 // Entry point
 // ---------------------------------------------------------------------
 
-/// Performance-front findings for one file: PF001–PF008 (PF001, PF004,
-/// PF006 and PF008 from [`needle::NEEDLE_RULES`]), one per (rule, line).
+/// Performance-front findings for one file: PF001–PF004 and PF006–PF008
+/// (PF001, PF004, PF006 and PF008 from [`needle::NEEDLE_RULES`]), one per
+/// (rule, line).
 /// Crates outside [`PERF_HOT_CRATES`] are exempt.
 pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     if PERF_HOT_CRATES.contains(&file.krate.as_str()) {
         pf002(file, &mut out);
         pf003(file, &mut out);
-        pf005(file, &mut out);
         pf007(file, &mut out);
-        out.extend(needle::findings(file, "perf"));
+        out.extend(needle::findings(file));
         one_per_line(&mut out);
     }
     out
@@ -432,14 +405,6 @@ mod tests {
         assert_eq!(rules("crates/sim/src/x.rs", dirty), [""; 0]);
         let probe = "fn probe(t: &Table) -> Option<&Value> { t.cell(0, \"x\") }\n";
         assert_eq!(rules("crates/analysis/src/x.rs", probe), [""; 0]);
-    }
-
-    #[test]
-    fn pf005_flags_calls_not_definitions() {
-        let call = "fn f(t: &Table, p: &Predicate) -> Table { t.filter_naive(p) }\n";
-        assert_eq!(rules("crates/warehouse/src/x.rs", call), ["PF005"]);
-        let def = "pub fn filter_naive(t: &Table) -> Table { t.clone() }\n";
-        assert_eq!(rules("crates/warehouse/src/x.rs", def), [""; 0]);
     }
 
     #[test]

@@ -11,6 +11,7 @@ pub mod dt005;
 pub mod dt008;
 pub mod no_unwrap;
 pub mod no_wallclock;
+pub mod pf005;
 
 /// Stands in for a worker's job.
 pub fn work() {}

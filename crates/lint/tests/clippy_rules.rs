@@ -2,8 +2,8 @@
 //! their violating fixtures, and their scope has not drifted.
 //!
 //! `no-unwrap` is `#![deny(clippy::{unwrap_used, expect_used, panic})]`
-//! in the hot-path crates' roots; `no-wallclock`, DT003, DT004, DT008 and
-//! DT005's types are `disallowed-methods`/`disallowed-types` in
+//! in the hot-path crates' roots; `no-wallclock`, DT003, DT004, DT005,
+//! DT008 and PF005 are `disallowed-methods`/`disallowed-types` in
 //! `crates/clippy.toml` and in the wall-clock-free crates' copies; test
 //! code is exempt through one `cfg_attr(test, allow(…))` per crate root
 //! and `allow-*-in-tests`. The fixture crate (`clippy_fixture/`, outside
@@ -26,6 +26,7 @@ const NO_UNWRAP: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clipp
 const TEST_EXEMPT: &str =
     "#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]";
 const NO_WRAP: &str = "#![deny(clippy::cast_possible_wrap, clippy::cast_sign_loss)]";
+const FORBID_UNSAFE: &str = "#![forbid(unsafe_code)]";
 
 fn crates_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -218,4 +219,12 @@ fn crate_roots_carry_the_fixture_attributes() {
         ]
     );
     assert_eq!(with(NO_WRAP), ["analysis", "core"]);
+    // DT005's `static mut`: neither a read nor a write compiles without
+    // `unsafe`.
+    let gated = with(TEST_EXEMPT);
+    let no_unsafe = with(FORBID_UNSAFE);
+    assert!(
+        gated.iter().all(|c| no_unsafe.contains(c)),
+        "every identity-gated crate root forbids unsafe code"
+    );
 }

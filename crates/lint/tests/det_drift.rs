@@ -2,43 +2,27 @@
 //! on a deliberately-violating snippet and stay silent on its disciplined
 //! counterpart. Mirrors `trace_drift.rs` — if a refactor of `det.rs`
 //! weakens a rule, the exact rule ID names what broke. The rules clippy
-//! enforces (DT003, DT004, DT008, DT005's types) have their fixtures in
+//! enforces (DT003, DT004, DT005, DT008) have their fixtures in
 //! `clippy_rules.rs`.
 //!
 //! The closing test proves the real workspace is 0-deny on this front at
 //! HEAD, so the fixtures are drills, not grandfathered reality.
 
-use mscope_lint::{Finding, Severity};
 use std::path::PathBuf;
 
-/// The determinism-front findings [`mscope_lint::lint_file`] reports for a
-/// fixture at `rel` (the crate name is derived from the path, as the
-/// workspace walk does).
-fn det_findings(rel: &str, src: &str) -> Vec<Finding> {
+/// Rule IDs of the determinism-front findings [`mscope_lint::lint_file`]
+/// reports for a fixture at `rel` (the crate name is derived from the
+/// path, as the workspace walk does).
+fn det_rules(rel: &str, src: &str) -> Vec<String> {
     let krate = rel
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
         .expect("fixture paths are crate-relative");
     mscope_lint::lint_file(krate, rel, src)
         .into_iter()
-        .filter(|f| f.rule.starts_with("DT"))
+        .map(|f| f.rule)
+        .filter(|r| r.starts_with("DT"))
         .collect()
-}
-
-/// Rule IDs of [`det_findings`].
-fn det_rules(rel: &str, src: &str) -> Vec<String> {
-    det_findings(rel, src).into_iter().map(|f| f.rule).collect()
-}
-
-/// The one deny finding a fixture must produce, message included.
-fn deny(rule: &str, file: &str, line: u64, message: &str) -> Vec<Finding> {
-    vec![Finding {
-        rule: rule.to_string(),
-        severity: Severity::Deny,
-        file: file.to_string(),
-        line,
-        message: message.to_string(),
-    }]
 }
 
 fn workspace_root() -> PathBuf {
@@ -124,33 +108,6 @@ fn dt002_accepts_a_documented_merge_order() {
 }
 
 // ---------------------------------------------------------------------
-// DT005 — shared interior mutability on identity-gated paths
-// ---------------------------------------------------------------------
-
-#[test]
-fn dt005_fires_on_relaxed_atomics_and_static_mut_outside_pools() {
-    let relaxed = "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-    assert_eq!(
-        det_findings("crates/transform/src/fake.rs", relaxed),
-        deny(
-            "DT005",
-            "crates/transform/src/fake.rs",
-            1,
-            "shared interior mutability `Ordering::Relaxed` outside the sanctioned pool files — capturable mutable state lets worker interleaving leak into results: `fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }`"
-        )
-    );
-    let global = "static mut HITS: u64 = 0;\n";
-    assert_eq!(det_rules("crates/analysis/src/fake.rs", global), ["DT005"]);
-    // The pool's job counter is where a relaxed atomic is the design — and
-    // `parallel_map` is the only pool, so its callers get no exemption.
-    assert_eq!(det_rules("crates/sim/src/queue.rs", relaxed), [""; 0]);
-    assert_eq!(
-        det_rules("crates/warehouse/src/engine.rs", relaxed),
-        ["DT005"]
-    );
-}
-
-// ---------------------------------------------------------------------
 // DT006 — timestamp sorts without a tie-break
 // ---------------------------------------------------------------------
 
@@ -193,7 +150,8 @@ fn dt006_accepts_composite_keys_then_chains_and_documented_stability() {
 
 #[test]
 fn non_identity_gated_crates_are_exempt() {
-    let src = "fn t(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); unsafe { hot() } }\n";
+    let src = "fn t(m: &HashMap<u64, u64>) -> Vec<u64> { m.keys().copied().collect() }\n";
+    assert_eq!(det_rules("crates/warehouse/src/fake.rs", src), ["DT001"]);
     assert_eq!(
         mscope_lint::lint_file("bench", "crates/bench/src/fake.rs", src),
         vec![]

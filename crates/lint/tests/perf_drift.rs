@@ -261,18 +261,6 @@ fn pf004_exempts_the_engine_probes_and_foreign_crates() {
 }
 
 // ---------------------------------------------------------------------
-// PF005 — naive oracles on production paths
-// ---------------------------------------------------------------------
-
-#[test]
-fn pf005_fires_on_oracle_calls_but_not_their_definitions() {
-    let call = "fn run(t: &Table, p: &Predicate) -> Table { t.filter_naive(p) }\n";
-    assert_eq!(perf_rules("crates/warehouse/src/fake.rs", call), ["PF005"]);
-    let def = "pub fn inner_join_naive(a: &Table, b: &Table) -> Table { todo(a, b) }\n";
-    assert_eq!(perf_rules("crates/warehouse/src/fake.rs", def), [""; 0]);
-}
-
-// ---------------------------------------------------------------------
 // PF006 — per-row predicate/index construction
 // ---------------------------------------------------------------------
 

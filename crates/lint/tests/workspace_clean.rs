@@ -3,9 +3,10 @@
 //! This is the same gate CI runs — every deny-level rule (pattern/decl
 //! validity, schema conflicts, SQL-vs-schema, hermetic-deps, the trace
 //! front's TR001–TR008 scenario proofs, the determinism front's
-//! DT001/DT002/DT005/DT006 discipline checks, and the performance front's
-//! PF001–PF008 hot-path checks) must hold at HEAD. The rules clippy
-//! enforces are CI's Clippy step; `clippy_rules.rs` holds their fixtures.
+//! DT001/DT002/DT006 discipline checks, and the performance front's
+//! PF001–PF004 and PF006–PF008 hot-path checks) must hold at HEAD. The
+//! rules clippy enforces are CI's Clippy step; `clippy_rules.rs` holds
+//! their fixtures.
 
 use std::path::PathBuf;
 

@@ -41,6 +41,23 @@ mscope_serdes::json_enum!(Tool {
 });
 
 impl Tool {
+    /// Every emulated tool.
+    const ALL: [Tool; 7] = [
+        Tool::CollectlCsv,
+        Tool::CollectlPlain,
+        Tool::SarText,
+        Tool::SarMem,
+        Tool::SarNet,
+        Tool::SarXml,
+        Tool::Iostat,
+    ];
+
+    /// The tool whose [`Tool::name`] is `name`, or `None` for a tool this
+    /// suite does not emulate (a user-supplied monitor).
+    pub fn from_name(name: &str) -> Option<Tool> {
+        Tool::ALL.into_iter().find(|t| t.name() == name)
+    }
+
     /// Lowercase tool name for paths and metadata.
     pub fn name(self) -> &'static str {
         match self {
@@ -514,5 +531,13 @@ mod tests {
             .read("logs/tier0-0/collectl.csv")
             .unwrap()
             .starts_with("#Time"));
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for tool in Tool::ALL {
+            assert_eq!(Tool::from_name(tool.name()), Some(tool));
+        }
+        assert_eq!(Tool::from_name("gc-log"), None);
     }
 }

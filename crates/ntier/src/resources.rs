@@ -75,11 +75,6 @@ impl CpuModel {
         self.running
     }
 
-    /// `true` if a new burst can start immediately.
-    pub fn has_free_core(&self) -> bool {
-        self.running < self.cores
-    }
-
     /// Integrates utilization counters up to `now`. Idempotent for equal
     /// `now`; must be called before every state change.
     pub fn accumulate(&mut self, now: SimTime) {

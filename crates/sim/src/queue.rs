@@ -5,6 +5,11 @@
 //! worker always finishes a job it claimed, so every job `0..total` runs
 //! exactly once whatever the worker count.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the pool's job counter: it hands out indices, and results merge in job order (DT005)"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An atomic index dispenser over `total` jobs.

@@ -10,7 +10,7 @@ use crate::declare::{
     BlockSpec, LineMatcher, ParserKind, ParserSpec, ParsingDeclaration, XmlMapping,
 };
 use crate::pattern::{timestamp_suffix_tokens, Pattern, Tok};
-use mscope_monitors::{LogFileMeta, MonitorKind};
+use mscope_monitors::{LogFileMeta, MonitorKind, Tool};
 use mscope_ntier::TierKind;
 
 fn pat(toks: Vec<Tok>) -> Pattern {
@@ -339,30 +339,21 @@ pub fn declaration_for(meta: &LogFileMeta) -> ParsingDeclaration {
                 format!("event_{}", meta.tier_kind.name()),
             )
         }
-        MonitorKind::Resource => match meta.tool.as_str() {
-            "collectl" => (
-                ParserKind::Staged(collectl_csv_spec()),
-                "collectl".to_string(),
-            ),
-            "collectl-brief" => (
-                ParserKind::Staged(collectl_brief_spec()),
-                "collectl_brief".to_string(),
-            ),
-            "sar" => (ParserKind::Staged(sar_text_spec()), "sar".to_string()),
-            "sar-mem" => (ParserKind::Staged(sar_mem_spec()), "sar_mem".to_string()),
-            "sar-net" => (ParserKind::Staged(sar_net_spec()), "sar_net".to_string()),
-            "sar-xml" => (
-                ParserKind::XmlDirect(sar_xml_mapping()),
-                "sar_xml".to_string(),
-            ),
-            "iostat" => (ParserKind::Staged(iostat_spec()), "iostat".to_string()),
-            other => (
+        MonitorKind::Resource => {
+            let parser = match Tool::from_name(&meta.tool) {
+                Some(Tool::CollectlCsv) => ParserKind::Staged(collectl_csv_spec()),
+                Some(Tool::CollectlPlain) => ParserKind::Staged(collectl_brief_spec()),
+                Some(Tool::SarText) => ParserKind::Staged(sar_text_spec()),
+                Some(Tool::SarMem) => ParserKind::Staged(sar_mem_spec()),
+                Some(Tool::SarNet) => ParserKind::Staged(sar_net_spec()),
+                Some(Tool::SarXml) => ParserKind::XmlDirect(sar_xml_mapping()),
+                Some(Tool::Iostat) => ParserKind::Staged(iostat_spec()),
                 // Unknown tools fall back to a permissive key=value parser so
                 // user-supplied monitors can join the pipeline.
-                ParserKind::Staged(generic_kv_spec()),
-                table_name(other),
-            ),
-        },
+                None => ParserKind::Staged(generic_kv_spec()),
+            };
+            (parser, table_name(&meta.tool))
+        }
     };
     ParsingDeclaration {
         path: meta.path.clone(),

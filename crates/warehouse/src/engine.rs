@@ -993,9 +993,10 @@ impl<S: BuildHasher> KeyIndex<S> {
         // group's first row, which the chain walk compares against. Every
         // buffer is sized once, so a build's heap peak is the map plus
         // four row-sized arrays, whatever the key distribution. The map
-        // holds twice the selection, so it is at most half full and a
-        // probe that misses — most probes of a small kept index — stops at
-        // its first group of slots.
+        // holds twice the selection while it fills and twice its group
+        // count after, so it is at most half full and a probe that misses
+        // — most probes of a small kept index — stops at its first group
+        // of slots.
         let mut heads: HashMap<u64, usize, BuildHasherDefault<PreHashed>> =
             HashMap::with_capacity_and_hasher(2 * sel.len(), BuildHasherDefault::default());
         let mut chain: HashMap<usize, usize> = HashMap::new();
@@ -1031,6 +1032,10 @@ impl<S: BuildHasher> KeyIndex<S> {
             }
             keyed.push((g, i));
         }
+        // A kept index lives until the next write: give back the slots a
+        // low-cardinality column never filled. A unique-key build already
+        // has this capacity, so it keeps its table with no rehash.
+        heads.shrink_to(2 * heads.len());
         // Group `g`'s size counted into `offsets[g + 1]`, then the sizes
         // become group *starts*, still one slot up; the stable
         // scatter then advances `offsets[g + 1]` through group `g` and
@@ -1262,6 +1267,25 @@ mod tests {
         assert_eq!(idx.rows(&col, &Value::Float(1.0)), &[7]);
         assert_eq!(idx.rows(&col, &Value::Text("d".into())), &[] as &[usize]);
         assert_eq!(idx.last_text(&col, "b"), Some(4));
+    }
+
+    #[test]
+    fn key_index_map_keeps_twice_its_groups() {
+        // The shape of `event_apache.interaction`: 43,130 rows, 24 keys.
+        let col: Vec<Value> = (0..43_130)
+            .map(|i| Value::Text(format!("k{}", i % 24)))
+            .collect();
+        let idx = KeyIndex::build(&col);
+        assert_eq!(idx.len(), 24);
+        let slots = idx.heads.capacity();
+        assert!((48..=96).contains(&slots), "{slots} slots for 24 keys");
+        // Unique keys: the map keeps the capacity it was built with.
+        let col: Vec<Value> = (0..5_000).map(Value::Int).collect();
+        let idx = KeyIndex::build(&col);
+        let built: HashMap<u64, usize, BuildHasherDefault<PreHashed>> =
+            HashMap::with_capacity_and_hasher(2 * col.len(), BuildHasherDefault::default());
+        assert_eq!(idx.heads.capacity(), built.capacity());
+        assert_eq!(idx.rows(&col, &Value::Int(4_321)), &[4_321]);
     }
 
     /// A small cell of any type the pair-space tables hold; keys and
