@@ -2,7 +2,7 @@
 //! per-tier latency contribution — the "profile execution performance"
 //! half of the paper's abstract.
 
-use crate::flow::RequestFlow;
+use crate::flow::FlowTable;
 use mscope_db::Table;
 use mscope_sim::{percentile, Summary};
 use std::collections::BTreeMap;
@@ -79,17 +79,16 @@ pub fn interaction_breakdown(table: &Table) -> Result<Vec<InteractionStats>, Str
     Ok(out)
 }
 
-/// Mean local-latency contribution of each tier across a set of flows
-/// (ms), indexed by tier. Tiers a flow never reached contribute nothing.
-pub fn tier_contribution(flows: &[RequestFlow], tiers: usize) -> Vec<f64> {
+/// Mean local-latency contribution of each tier across a flow table's
+/// flows (ms), indexed by tier: one pass over its hop columns. Tiers a
+/// flow never reached contribute nothing.
+pub fn tier_contribution(flows: &FlowTable, tiers: usize) -> Vec<f64> {
     let mut sums = vec![0.0f64; tiers];
     let mut counts = vec![0u64; tiers];
-    for f in flows {
-        for h in &f.hops {
-            if h.tier < tiers {
-                sums[h.tier] += h.local_ms();
-                counts[h.tier] += 1;
-            }
+    for h in flows.all_hops() {
+        if h.tier < tiers {
+            sums[h.tier] += h.local_ms();
+            counts[h.tier] += 1;
         }
     }
     sums.iter()
@@ -101,7 +100,6 @@ pub fn tier_contribution(flows: &[RequestFlow], tiers: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowHop;
     use mscope_db::{Column, ColumnType, Schema, Value};
 
     fn table_with(rows: &[(&str, i64, i64)]) -> Table {
@@ -170,42 +168,16 @@ mod tests {
 
     #[test]
     fn tier_contribution_averages_locals() {
-        let flows = vec![
-            RequestFlow {
-                request_id: "A".into(),
-                interaction: "X".into(),
-                hops: vec![
-                    FlowHop {
-                        tier: 0,
-                        node: "a".into(),
-                        ua: 0,
-                        ud: 10_000,
-                        ds: Some(1_000),
-                        dr: Some(9_000),
-                    },
-                    FlowHop {
-                        tier: 1,
-                        node: "b".into(),
-                        ua: 1_000,
-                        ud: 9_000,
-                        ds: None,
-                        dr: None,
-                    },
-                ],
-            },
-            RequestFlow {
-                request_id: "B".into(),
-                interaction: "X".into(),
-                hops: vec![FlowHop {
-                    tier: 0,
-                    node: "a".into(),
-                    ua: 0,
-                    ud: 4_000,
-                    ds: None,
-                    dr: None,
-                }],
-            },
-        ];
+        let mut flows = FlowTable::default();
+        flows.push_flow(
+            "A",
+            "X",
+            [
+                ("a", 0, 10_000, Some(1_000), Some(9_000)),
+                ("b", 1_000, 9_000, None, None),
+            ],
+        );
+        flows.push_flow("B", "X", [("a", 0, 4_000, None, None)]);
         let c = tier_contribution(&flows, 2);
         // Tier 0 locals: (10−8)=2 ms and 4 ms → mean 3 ms; tier 1: 8 ms.
         assert!((c[0] - 3.0).abs() < 1e-9, "{c:?}");

@@ -8,10 +8,12 @@
 //!
 //! The join writes its result into a [`FlowTable`]: one row per hop, the
 //! hops of a flow contiguous, timestamps in plain columns, request IDs in
-//! one text buffer and node and interaction names interned. Owned
-//! [`RequestFlow`]s are copied out of it, so a caller that keeps the table
-//! (`MilliScope` does) joins once and pays only the copy on every later
-//! call. [`reconstruct_flows`] is the build followed by the copy.
+//! one text buffer and node and interaction names interned. A
+//! [`RequestFlow`] is a handle on one flow of a shared table: its accessors
+//! read the table's columns, and handing out every flow builds no string
+//! and no hop list. So a caller that keeps the table (`MilliScope` does)
+//! joins once, and every later call costs one handle per flow.
+//! [`reconstruct_flows`] is the build followed by the hand-out.
 //!
 //! A timestamp cell is read as a timestamp, as "no value" (null, or text
 //! that is empty or `-`, how the monitors mark a missing boundary), or is
@@ -19,9 +21,12 @@
 //! the loader could not parse turned the whole column into text.
 
 use mscope_db::{KeyIndex, Table, Value};
+use mscope_serdes::{Json, ToJson};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Why [`reconstruct_flows`] cannot join a set of event tables.
 ///
@@ -110,13 +115,14 @@ impl fmt::Display for CausalViolation {
     }
 }
 
-/// One tier visit as read from an event table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowHop {
+/// One tier visit, read from a [`FlowTable`]'s columns; `node` borrows
+/// the table's interned name.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlowHop<'t> {
     /// Tier index (pipeline position).
     pub tier: usize,
     /// Node name (from the injected `node` constant).
-    pub node: String,
+    pub node: &'t str,
     /// Upstream arrival (µs).
     pub ua: i64,
     /// Upstream departure (µs).
@@ -126,16 +132,21 @@ pub struct FlowHop {
     /// Downstream receiving (µs).
     pub dr: Option<i64>,
 }
-mscope_serdes::json_struct!(FlowHop {
-    tier,
-    node,
-    ua,
-    ud,
-    ds,
-    dr
-});
 
-impl FlowHop {
+impl ToJson for FlowHop<'_> {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("tier", self.tier.to_json()),
+            ("node", self.node.to_json()),
+            ("ua", self.ua.to_json()),
+            ("ud", self.ud.to_json()),
+            ("ds", self.ds.to_json()),
+            ("dr", self.dr.to_json()),
+        ])
+    }
+}
+
+impl FlowHop<'_> {
     /// Residence time at this tier (ms).
     pub fn residence_ms(&self) -> f64 {
         (self.ud - self.ua) as f64 / 1000.0
@@ -157,26 +168,50 @@ impl FlowHop {
     }
 }
 
-/// A request's reconstructed causal path across the tiers it touched.
-#[derive(Debug, Clone, PartialEq)]
+/// A request's reconstructed causal path across the tiers it touched: a
+/// handle on one flow of a shared [`FlowTable`].
+///
+/// The handle owns a reference count on the table, so it outlives
+/// whatever built the table (a `MilliScope` included). Two handles are
+/// equal when their flows are: same request ID, interaction and hops,
+/// whichever tables they point into.
+#[derive(Clone)]
 pub struct RequestFlow {
-    /// The propagated request ID (fixed-width hex).
-    pub request_id: String,
-    /// Interaction name.
-    pub interaction: String,
-    /// Hops in pipeline order (tier 0 first).
-    pub hops: Vec<FlowHop>,
+    table: Arc<FlowTable>,
+    flow: u32,
 }
-mscope_serdes::json_struct!(RequestFlow {
-    request_id,
-    interaction,
-    hops
-});
 
 impl RequestFlow {
+    /// The propagated request ID (fixed-width hex).
+    pub fn request_id(&self) -> &str {
+        &self.table.ids[self.table.id_range(self.flow())]
+    }
+
+    /// Interaction name.
+    pub fn interaction(&self) -> &str {
+        &self.table.names[self.table.interaction[self.flow()] as usize]
+    }
+
+    /// Hops in pipeline order (tier 0 first).
+    pub fn hops(&self) -> impl ExactSizeIterator<Item = FlowHop<'_>> + DoubleEndedIterator + '_ {
+        let table = &*self.table;
+        let hops = table.hop_range(self.flow());
+        let lo = hops.start;
+        hops.map(move |h| table.hop(h, h - lo))
+    }
+
+    /// The table this flow is a row of.
+    pub fn table(&self) -> &Arc<FlowTable> {
+        &self.table
+    }
+
+    fn flow(&self) -> usize {
+        self.flow as usize
+    }
+
     /// End-to-end response time as seen at the front tier (ms).
     pub fn response_time_ms(&self) -> Option<f64> {
-        self.hops.first().map(FlowHop::residence_ms)
+        self.hops().next().map(|h| h.residence_ms())
     }
 
     /// Checks happens-before across the whole path: each hop internally
@@ -206,9 +241,9 @@ impl RequestFlow {
         // and i run before hop i's own intra-hop check, so a child whose
         // timestamps escape its parent's window is attributed to the
         // adjacent-tier edge that broke, not to the child in isolation.
-        for (i, h) in self.hops.iter().enumerate() {
-            if i > 0 {
-                let outer = &self.hops[i - 1];
+        let mut parent: Option<FlowHop<'_>> = None;
+        for (i, h) in self.hops().enumerate() {
+            if let Some(outer) = parent {
                 let (Some(s), Some(r)) = (outer.ds, outer.dr) else {
                     return at(
                         i - 1,
@@ -271,13 +306,14 @@ impl RequestFlow {
                     );
                 }
             }
+            parent = Some(h);
         }
         None
     }
 
     /// Per-tier latency contributions `(tier, local_ms)`.
     pub fn contributions(&self) -> Vec<(usize, f64)> {
-        self.hops.iter().map(|h| (h.tier, h.local_ms())).collect()
+        self.hops().map(|h| (h.tier, h.local_ms())).collect()
     }
 
     /// The tier contributing the most latency, if any hops exist.
@@ -286,6 +322,37 @@ impl RequestFlow {
             .into_iter()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(t, _)| t)
+    }
+}
+
+impl PartialEq for RequestFlow {
+    fn eq(&self, other: &RequestFlow) -> bool {
+        self.request_id() == other.request_id()
+            && self.interaction() == other.interaction()
+            && self.hops().eq(other.hops())
+    }
+}
+
+impl fmt::Debug for RequestFlow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RequestFlow")
+            .field("request_id", &self.request_id())
+            .field("interaction", &self.interaction())
+            .field("hops", &self.hops().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl ToJson for RequestFlow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("request_id", self.request_id().to_json()),
+            ("interaction", self.interaction().to_json()),
+            (
+                "hops",
+                Json::Arr(self.hops().map(|h| h.to_json()).collect()),
+            ),
+        ])
     }
 }
 
@@ -302,7 +369,7 @@ impl RequestFlow {
 /// Returns a [`FlowError`] if a table lacks the required columns or a
 /// timestamp cell is null where one is mandatory or not a timestamp.
 pub fn reconstruct_flows(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowError> {
-    FlowTable::build(tables).map(|t| t.flows())
+    FlowTable::build(tables).map(|t| Arc::new(t).flows())
 }
 
 /// The result of the request-ID join, column-wise: one row per hop, the
@@ -311,8 +378,31 @@ pub fn reconstruct_flows(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowErro
 ///
 /// Every string is stored once: request IDs back to back in one text
 /// buffer, node and interaction names interned. The table holds no borrow
-/// of the event tables it was built from, so copying flows out of it can
-/// never read a table it was not built from.
+/// of the event tables it was built from, so its flows can never read a
+/// table it was not built from.
+///
+/// [`build`](FlowTable::build) is the join; [`push_flow`](FlowTable::push_flow)
+/// writes a flow given by hand. Either way the flows are read through the
+/// [`RequestFlow`] handles [`flows`](FlowTable::flows) hands out.
+///
+/// # Examples
+///
+/// ```
+/// use mscope_analysis::FlowTable;
+/// use std::sync::Arc;
+///
+/// let mut table = FlowTable::default();
+/// table.push_flow(
+///     "0000000000AB",
+///     "ViewStory",
+///     [("tier0-0", 0, 10_000, Some(2_000), Some(8_000)), ("tier1-0", 2_500, 7_500, None, None)],
+/// );
+/// let flows = Arc::new(table).flows();
+/// assert_eq!(flows[0].request_id(), "0000000000AB");
+/// assert_eq!(flows[0].hops().len(), 2);
+/// assert_eq!(flows[0].response_time_ms(), Some(10.0));
+/// assert!(flows[0].is_causally_ordered());
+/// ```
 #[derive(Debug, Default)]
 pub struct FlowTable {
     /// Interned node and interaction names.
@@ -380,57 +470,81 @@ impl FlowTable {
         out.reserve(ids.len());
         for (row, id) in ids.iter().enumerate() {
             let Some(id) = id.as_str() else { continue };
-            out.push_hop(&front_cols, row, &mut names)?;
+            out.push_row(&front_cols, row, &mut names)?;
             for (deep_ids, index, cols) in &deep {
                 let Some(r) = index.last_text(deep_ids, id) else {
                     break;
                 };
-                out.push_hop(cols, r, &mut names)?;
+                out.push_row(cols, r, &mut names)?;
             }
             let interaction = interactions
                 .and_then(|col| col.get(row))
                 .and_then(Value::as_str)
                 .unwrap_or("?");
-            out.interaction.push(names.id(interaction));
-            out.ids.push_str(id);
-            out.id_ends.push(out.ids.len());
-            out.ends.push(out.ua.len());
+            out.end_flow(id, names.id(interaction));
         }
         out.names = names.into_names();
         Ok(out)
     }
 
-    /// Copies every flow out, in front-table row order.
-    pub fn flows(&self) -> Vec<RequestFlow> {
-        let mut flows = Vec::with_capacity(self.ends.len());
-        let (mut lo, mut id_lo) = (0, 0);
-        for ((&hi, &id_hi), &interaction) in
-            self.ends.iter().zip(&self.id_ends).zip(&self.interaction)
-        {
-            // At least four hops' room, as pushing onto an empty `Vec`
-            // leaves: one allocation size for every flow of up to four
-            // hops, which `query_mix`'s latencies measured better than
-            // exact lengths (EXPERIMENTS.md, §Flows kept per trial).
-            let mut hops = Vec::with_capacity((hi - lo).max(4));
-            hops.extend((lo..hi).map(|h| self.hop(h, h - lo)));
-            // perf: flows own their strings (callers keep them past the
-            // table) — two allocations per flow, one more per hop for its node.
-            flows.push(RequestFlow {
-                request_id: self.ids[id_lo..id_hi].to_string(),
-                interaction: self.names[interaction as usize].clone(),
-                hops,
-            });
-            (lo, id_lo) = (hi, id_hi);
+    /// Appends one flow given by hand: its request ID, its interaction and
+    /// its hops in pipeline order, each `(node, ua, ud, ds, dr)`. A hop's
+    /// tier is its position. Names are interned by a scan of the table's
+    /// names, which suits the few a hand-written table holds.
+    pub fn push_flow<'a>(
+        &mut self,
+        request_id: &str,
+        interaction: &str,
+        hops: impl IntoIterator<Item = (&'a str, i64, i64, Option<i64>, Option<i64>)>,
+    ) {
+        for (node, ua, ud, ds, dr) in hops {
+            let node = self.name_id(node);
+            self.push_hop(ua, ud, ds, dr, node);
         }
-        flows
+        let interaction = self.name_id(interaction);
+        self.end_flow(request_id, interaction);
     }
 
-    /// Hop `h` as an owned [`FlowHop`] at position `tier` of its flow.
-    fn hop(&self, h: usize, tier: usize) -> FlowHop {
+    /// One handle per flow, in front-table row order, each sharing this
+    /// table.
+    pub fn flows(self: &Arc<Self>) -> Vec<RequestFlow> {
+        // A flow is a front-table row, so no table holds more flows than
+        // `u32` counts: that is a front table of over 2^32 rows.
+        (0..self.ends.len())
+            .map_while(|f| u32::try_from(f).ok())
+            .map(|flow| RequestFlow {
+                table: Arc::clone(self),
+                flow,
+            })
+            .collect()
+    }
+
+    /// Every hop of every flow, flows in order and each flow's hops in
+    /// pipeline order.
+    pub(crate) fn all_hops(&self) -> impl Iterator<Item = FlowHop<'_>> + '_ {
+        (0..self.ends.len()).flat_map(move |f| {
+            let hops = self.hop_range(f);
+            let lo = hops.start;
+            hops.map(move |h| self.hop(h, h - lo))
+        })
+    }
+
+    /// The hop rows of flow `f`.
+    fn hop_range(&self, f: usize) -> Range<usize> {
+        f.checked_sub(1).map_or(0, |p| self.ends[p])..self.ends[f]
+    }
+
+    /// The bytes of flow `f`'s request ID in `ids`.
+    fn id_range(&self, f: usize) -> Range<usize> {
+        f.checked_sub(1).map_or(0, |p| self.id_ends[p])..self.id_ends[f]
+    }
+
+    /// Hop `h`, at position `tier` of its flow.
+    fn hop(&self, h: usize, tier: usize) -> FlowHop<'_> {
         let bits = self.windows[h / 32] >> (2 * (h % 32));
         FlowHop {
             tier,
-            node: self.names[self.node[h] as usize].clone(),
+            node: &self.names[self.node[h] as usize],
             ua: self.ua[h],
             ud: self.ud[h],
             ds: (bits & 1 != 0).then_some(self.ds[h]),
@@ -454,7 +568,7 @@ impl FlowTable {
     /// Appends row `row` of `cols`'s table as the next hop. The cells are
     /// read in the order `ua`, `ud`, `ds`, `dr`, so a row with several bad
     /// cells is reported for the first of them.
-    fn push_hop<'t>(
+    fn push_row<'t>(
         &mut self,
         cols: &HopColumns<'t>,
         row: usize,
@@ -469,6 +583,12 @@ impl FlowTable {
             .and_then(|col| col.get(row))
             .and_then(Value::as_str)
             .unwrap_or("?");
+        self.push_hop(ua, ud, ds, dr, names.id(node));
+        Ok(())
+    }
+
+    /// Appends one hop to the hop columns.
+    fn push_hop(&mut self, ua: i64, ud: i64, ds: Option<i64>, dr: Option<i64>, node: u32) {
         self.ua.push(ua);
         self.ud.push(ud);
         let h = self.ds.len();
@@ -480,8 +600,28 @@ impl FlowTable {
         }
         self.ds.push(ds.unwrap_or(0));
         self.dr.push(dr.unwrap_or(0));
-        self.node.push(names.id(node));
-        Ok(())
+        self.node.push(node);
+    }
+
+    /// Closes the flow whose hops were pushed since the last one closed.
+    fn end_flow(&mut self, request_id: &str, interaction: u32) {
+        self.interaction.push(interaction);
+        self.ids.push_str(request_id);
+        self.id_ends.push(self.ids.len());
+        self.ends.push(self.ua.len());
+    }
+
+    /// The index of `name` in `names`, appended if new.
+    fn name_id(&mut self, name: &str) -> u32 {
+        let id = self
+            .names
+            .iter()
+            .position(|n| n == name)
+            .unwrap_or_else(|| {
+                self.names.push(name.to_string());
+                self.names.len() - 1
+            });
+        id as u32
     }
 }
 
@@ -578,6 +718,16 @@ mod tests {
     /// (request_id, ua, ud, ds, dr)
     type RowSpec<'a> = (&'a str, i64, i64, Option<i64>, Option<i64>);
 
+    /// (node, ua, ud, ds, dr)
+    type HopSpec<'a> = (&'a str, i64, i64, Option<i64>, Option<i64>);
+
+    /// A one-flow table written by hand, and the handle on its flow.
+    fn flow(id: &str, hops: &[HopSpec<'_>]) -> RequestFlow {
+        let mut table = FlowTable::default();
+        table.push_flow(id, "ViewStory", hops.iter().copied());
+        Arc::new(table).flows().remove(0)
+    }
+
     fn event_table(name: &str, rows: Vec<RowSpec<'_>>) -> Table {
         let schema = Schema::new(vec![
             Column::new("request_id", ColumnType::Text),
@@ -618,38 +768,65 @@ mod tests {
         let mysql = event_table("event_mysql", vec![("AAA", 22, 78, None, None)]);
         let flows = reconstruct_flows(&[&apache, &tomcat, &mysql]).unwrap();
         assert_eq!(flows.len(), 2);
-        let a = flows.iter().find(|f| f.request_id == "AAA").unwrap();
-        assert_eq!(a.hops.len(), 3);
+        let a = flows.iter().find(|f| f.request_id() == "AAA").unwrap();
+        assert_eq!(a.hops().len(), 3);
         assert!(a.is_causally_ordered());
-        let b = flows.iter().find(|f| f.request_id == "BBB").unwrap();
-        assert_eq!(b.hops.len(), 1);
+        let b = flows.iter().find(|f| f.request_id() == "BBB").unwrap();
+        assert_eq!(b.hops().len(), 1);
         assert!(b.is_causally_ordered());
+        let tiers: Vec<(usize, &str)> = a.hops().map(|h| (h.tier, h.node)).collect();
+        assert_eq!(
+            tiers,
+            [
+                (0, "event_apache-node"),
+                (1, "event_tomcat-node"),
+                (2, "event_mysql-node")
+            ]
+        );
+    }
+
+    /// The hand-written JSON is the shape the derived one had: the fields
+    /// in declaration order, a missing window as `null`.
+    #[test]
+    fn json_lists_the_fields_in_order() {
+        let f = flow(
+            "AB",
+            &[("a", 0, 9, Some(1), Some(8)), ("b", 2, 7, None, None)],
+        );
+        assert_eq!(
+            mscope_serdes::to_string(&f),
+            r#"{"request_id":"AB","interaction":"ViewStory","hops":[{"tier":0,"node":"a","ua":0,"ud":9,"ds":1,"dr":8},{"tier":1,"node":"b","ua":2,"ud":7,"ds":null,"dr":null}]}"#
+        );
+    }
+
+    /// Handles compare their flows, not their tables: the same flow
+    /// written into two tables is equal, and a flow of the same table
+    /// with other hops is not.
+    #[test]
+    fn equality_compares_content() {
+        let hops = [("a", 0, 9, Some(1), Some(8)), ("b", 2, 7, None, None)];
+        let mut table = FlowTable::default();
+        table.push_flow("X", "i", [("n", 0, 1, None, None)]);
+        table.push_flow("AB", "ViewStory", hops);
+        table.push_flow("AB", "ViewStory", [hops[0]]);
+        let flows = Arc::new(table).flows();
+        assert_eq!(flows[1], flow("AB", &hops));
+        assert!(!Arc::ptr_eq(flows[1].table(), flow("AB", &hops).table()));
+        assert_ne!(flows[1], flows[2]);
+        assert_ne!(flows[0], flows[1]);
+        assert_eq!(flows[0].interaction(), "i");
+        assert_eq!(flows[1].hops().nth(1).map(|h| h.node), Some("b"));
     }
 
     #[test]
     fn contributions_and_dominant_tier() {
-        let flow = RequestFlow {
-            request_id: "X".into(),
-            interaction: "ViewStory".into(),
-            hops: vec![
-                FlowHop {
-                    tier: 0,
-                    node: "a".into(),
-                    ua: 0,
-                    ud: 100_000,
-                    ds: Some(5_000),
-                    dr: Some(95_000),
-                },
-                FlowHop {
-                    tier: 1,
-                    node: "b".into(),
-                    ua: 6_000,
-                    ud: 94_000,
-                    ds: Some(10_000),
-                    dr: Some(20_000),
-                },
+        let flow = flow(
+            "X",
+            &[
+                ("a", 0, 100_000, Some(5_000), Some(95_000)),
+                ("b", 6_000, 94_000, Some(10_000), Some(20_000)),
             ],
-        };
+        );
         // Tier 0 local: 100 − 90 = 10 ms; tier 1 local: 88 − 10 = 78 ms.
         let c = flow.contributions();
         assert!((c[0].1 - 10.0).abs() < 1e-9);
@@ -660,69 +837,28 @@ mod tests {
 
     #[test]
     fn causality_violations_detected() {
-        let bad = RequestFlow {
-            request_id: "X".into(),
-            interaction: "i".into(),
-            hops: vec![FlowHop {
-                tier: 0,
-                node: "a".into(),
-                ua: 0,
-                ud: 100,
-                ds: Some(50),
-                dr: Some(40),
-            }],
-        };
+        let bad = flow("X", &[("a", 0, 100, Some(50), Some(40))]);
         assert!(!bad.is_causally_ordered());
-        let escape = RequestFlow {
-            request_id: "Y".into(),
-            interaction: "i".into(),
-            hops: vec![
-                FlowHop {
-                    tier: 0,
-                    node: "a".into(),
-                    ua: 0,
-                    ud: 100,
-                    ds: Some(10),
-                    dr: Some(50),
-                },
+        let escape = flow(
+            "Y",
+            &[
+                ("a", 0, 100, Some(10), Some(50)),
                 // Inner departs after the parent's dr.
-                FlowHop {
-                    tier: 1,
-                    node: "b".into(),
-                    ua: 12,
-                    ud: 60,
-                    ds: None,
-                    dr: None,
-                },
+                ("b", 12, 60, None, None),
             ],
-        };
+        );
         assert!(!escape.is_causally_ordered());
     }
 
     #[test]
     fn causal_violation_names_hop_and_constraint() {
-        let bad = RequestFlow {
-            request_id: "X".into(),
-            interaction: "i".into(),
-            hops: vec![
-                FlowHop {
-                    tier: 0,
-                    node: "a".into(),
-                    ua: 0,
-                    ud: 100,
-                    ds: Some(10),
-                    dr: Some(90),
-                },
-                FlowHop {
-                    tier: 1,
-                    node: "b".into(),
-                    ua: 12,
-                    ud: 88,
-                    ds: Some(60),
-                    dr: Some(40),
-                },
+        let bad = flow(
+            "X",
+            &[
+                ("a", 0, 100, Some(10), Some(90)),
+                ("b", 12, 88, Some(60), Some(40)),
             ],
-        };
+        );
         let v = bad.causal_violation().expect("violation");
         assert_eq!(v.hop, 1);
         assert_eq!(v.constraint, "intra-hop-order");
@@ -734,31 +870,11 @@ mod tests {
         // Child residency fits the parent window, but the child claims it
         // received its downstream reply *after* the parent's dr — the two
         // tiers disagree about when the downstream call finished.
-        let flow = RequestFlow {
-            request_id: "Z".into(),
-            interaction: "i".into(),
-            hops: vec![
-                FlowHop {
-                    tier: 0,
-                    node: "a".into(),
-                    ua: 0,
-                    ud: 100,
-                    ds: Some(10),
-                    dr: Some(60),
-                },
-                FlowHop {
-                    tier: 1,
-                    node: "b".into(),
-                    ua: 12,
-                    ud: 58,
-                    ds: Some(20),
-                    dr: Some(55),
-                },
-            ],
-        };
-        assert!(flow.is_causally_ordered());
-        let mut skewed = flow.clone();
-        skewed.hops[1].ds = Some(5); // child ds before parent ds
+        let parent = ("a", 0, 100, Some(10), Some(60));
+        let ok = flow("Z", &[parent, ("b", 12, 58, Some(20), Some(55))]);
+        assert!(ok.is_causally_ordered());
+        // The child's ds before the parent's ds.
+        let skewed = flow("Z", &[parent, ("b", 12, 58, Some(5), Some(55))]);
         let v = skewed.causal_violation().expect("violation");
         assert_eq!(v.hop, 0);
         assert_eq!(v.constraint, "inter-tier-ds-dr");
@@ -766,19 +882,9 @@ mod tests {
 
     #[test]
     fn half_open_window_is_rejected() {
-        let flow = RequestFlow {
-            request_id: "H".into(),
-            interaction: "i".into(),
-            hops: vec![FlowHop {
-                tier: 0,
-                node: "a".into(),
-                ua: 0,
-                ud: 100,
-                ds: Some(10),
-                dr: None,
-            }],
-        };
-        let v = flow.causal_violation().expect("violation");
+        let v = flow("H", &[("a", 0, 100, Some(10), None)])
+            .causal_violation()
+            .expect("violation");
         assert_eq!(v.constraint, "half-open-window");
     }
 
@@ -844,7 +950,8 @@ mod tests {
             t
         };
         let marks = reconstruct_flows(&[&table("-", " ")]).unwrap();
-        assert_eq!((marks[0].hops[0].ds, marks[0].hops[0].dr), (None, None));
+        let hop = marks[0].hops().next().unwrap();
+        assert_eq!((hop.ds, hop.dr), (None, None));
         let err = reconstruct_flows(&[&table("-", "00:00:01.000000")]).unwrap_err();
         assert_eq!(
             err,
@@ -869,7 +976,7 @@ mod tests {
         let mysql = event_table("event_mysql", vec![("AAA", 22, 78, None, None)]);
         let flows = reconstruct_flows(&[&apache, &tomcat, &mysql]).unwrap();
         // Without the Tomcat record the path cannot be stitched past tier 0.
-        assert_eq!(flows[0].hops.len(), 1);
+        assert_eq!(flows[0].hops().len(), 1);
     }
 
     #[test]
@@ -886,7 +993,7 @@ mod tests {
         let mut tomcat = event_table("event_tomcat", vec![("ZZZ", 1, 2, None, None)]);
         let mysql = event_table("event_mysql", vec![("AAA", 22, 78, None, None)]);
         let first = reconstruct_flows(&[&apache, &tomcat, &mysql]).unwrap();
-        assert_eq!(first[0].hops.len(), 1);
+        assert_eq!(first[0].hops().len(), 1);
         tomcat
             .push_row(vec![
                 Value::Text("AAA".into()),
@@ -899,9 +1006,12 @@ mod tests {
             ])
             .unwrap();
         let second = reconstruct_flows(&[&apache, &tomcat, &mysql]).unwrap();
-        assert_eq!(second[0].hops.len(), 3);
+        assert_eq!(second[0].hops().len(), 3);
         assert!(second[0].is_causally_ordered());
-        assert_eq!(second[0].hops[1].node, "event_tomcat-node");
+        assert_eq!(
+            second[0].hops().nth(1).map(|h| h.node),
+            Some("event_tomcat-node")
+        );
     }
 }
 
@@ -918,23 +1028,23 @@ impl RequestFlow {
     /// # Examples
     ///
     /// ```
-    /// use mscope_analysis::{FlowHop, RequestFlow};
-    /// let flow = RequestFlow {
-    ///     request_id: "0000000000AB".into(),
-    ///     interaction: "ViewStory".into(),
-    ///     hops: vec![FlowHop {
-    ///         tier: 0, node: "tier0-0".into(), ua: 0, ud: 10_000,
-    ///         ds: Some(2_000), dr: Some(8_000),
-    ///     }],
-    /// };
-    /// let map = flow.render_ascii(40);
+    /// use mscope_analysis::FlowTable;
+    /// use std::sync::Arc;
+    ///
+    /// let mut table = FlowTable::default();
+    /// table.push_flow(
+    ///     "0000000000AB",
+    ///     "ViewStory",
+    ///     [("tier0-0", 0, 10_000, Some(2_000), Some(8_000))],
+    /// );
+    /// let map = Arc::new(table).flows()[0].render_ascii(40);
     /// assert!(map.contains("ViewStory"));
     /// assert!(map.contains('A') && map.contains('D'));
     /// ```
     pub fn render_ascii(&self, width: usize) -> String {
         let width = width.max(20);
-        let Some(first) = self.hops.first() else {
-            return format!("{} {} (no hops)\n", self.request_id, self.interaction);
+        let Some(first) = self.hops().next() else {
+            return format!("{} {} (no hops)\n", self.request_id(), self.interaction());
         };
         let (t0, t1) = (first.ua, first.ud.max(first.ua + 1));
         let span = (t1 - t0) as f64;
@@ -948,17 +1058,17 @@ impl RequestFlow {
                 .clamp(0.0, (width - 1) as f64) as usize
         };
         use std::fmt::Write as _;
-        let mut out = String::with_capacity((width + 16) * (self.hops.len() + 2));
+        let mut out = String::with_capacity((width + 16) * (self.hops().len() + 2));
         let _ = writeln!(
             out,
             "request {} ({}, {:.1} ms)",
-            self.request_id,
-            self.interaction,
+            self.request_id(),
+            self.interaction(),
             self.response_time_ms().unwrap_or(0.0)
         );
         // The lane buffer is reused across hops; each iteration re-blanks it.
         let mut lane = vec![' '; width];
-        for hop in &self.hops {
+        for hop in self.hops() {
             lane.fill(' ');
             let (a, d) = (col(hop.ua), col(hop.ud));
             // Local processing by default…
@@ -998,37 +1108,17 @@ mod render_tests {
 
     #[test]
     fn fig5_style_map_places_markers_in_order() {
-        let flow = RequestFlow {
-            request_id: "X".into(),
-            interaction: "ViewStory".into(),
-            hops: vec![
-                FlowHop {
-                    tier: 0,
-                    node: "tier0-0".into(),
-                    ua: 0,
-                    ud: 100_000,
-                    ds: Some(10_000),
-                    dr: Some(90_000),
-                },
-                FlowHop {
-                    tier: 1,
-                    node: "tier1-0".into(),
-                    ua: 12_000,
-                    ud: 88_000,
-                    ds: Some(20_000),
-                    dr: Some(80_000),
-                },
-                FlowHop {
-                    tier: 3,
-                    node: "tier3-0".into(),
-                    ua: 22_000,
-                    ud: 78_000,
-                    ds: None,
-                    dr: None,
-                },
+        let mut table = FlowTable::default();
+        table.push_flow(
+            "X",
+            "ViewStory",
+            [
+                ("tier0-0", 0, 100_000, Some(10_000), Some(90_000)),
+                ("tier1-0", 12_000, 88_000, Some(20_000), Some(80_000)),
+                ("tier3-0", 22_000, 78_000, None, None),
             ],
-        };
-        let map = flow.render_ascii(60);
+        );
+        let map = Arc::new(table).flows()[0].render_ascii(60);
         let lanes: Vec<&str> = map.lines().skip(1).take(3).collect();
         assert_eq!(lanes.len(), 3);
         for lane in &lanes {
@@ -1048,25 +1138,12 @@ mod render_tests {
 
     #[test]
     fn degenerate_flows_do_not_panic() {
-        let empty = RequestFlow {
-            request_id: "E".into(),
-            interaction: "x".into(),
-            hops: vec![],
-        };
-        assert!(empty.render_ascii(40).contains("no hops"));
-        let instant = RequestFlow {
-            request_id: "I".into(),
-            interaction: "x".into(),
-            hops: vec![FlowHop {
-                tier: 0,
-                node: "n".into(),
-                ua: 5,
-                ud: 5,
-                ds: None,
-                dr: None,
-            }],
-        };
-        let map = instant.render_ascii(40);
+        let mut table = FlowTable::default();
+        table.push_flow("E", "x", []);
+        table.push_flow("I", "x", [("n", 5, 5, None, None)]);
+        let flows = Arc::new(table).flows();
+        assert!(flows[0].render_ascii(40).contains("no hops"));
+        let map = flows[1].render_ascii(40);
         assert!(
             map.contains('D'),
             "zero-length request still renders: {map}"

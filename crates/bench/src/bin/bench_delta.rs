@@ -37,7 +37,10 @@ const TRACKED: &[(&str, &[&str])] = &[
     ),
     (
         "transform_pipeline",
-        &["speedup_parallel_direct_vs_serial_xml"],
+        &[
+            "speedup_serial_direct_vs_serial_xml",
+            "speedup_parallel_direct_vs_serial_xml",
+        ],
     ),
     ("sim_scale", &["best_speedup", "shard_overhead"]),
     ("stream_ingest", &["throughput_vs_batch"]),
@@ -64,7 +67,10 @@ fn str_field<'j>(doc: &'j Json, key: &str, which: &str) -> Result<&'j str, Strin
 /// gate. `sim_scale` switches its gate off on a host with too few cores and
 /// then reports a `best_speedup` of 1.0 by construction — a number that
 /// cannot regress. Its `shard_overhead` is measured either way.
-const NEEDS_GATE: &[&str] = &["best_speedup"];
+/// `transform_pipeline`'s two-worker ratio reads whatever share of a second
+/// core the host leaves free, so below 4 cores it measures the host, not
+/// the code; its one-core ratio is measured either way.
+const NEEDS_GATE: &[&str] = &["best_speedup", "speedup_parallel_direct_vs_serial_xml"];
 
 /// True when a summary says its bench ran with its own gate switched off.
 fn gate_off(doc: &Json) -> bool {
@@ -180,10 +186,15 @@ fn main() {
 
     let deltas = compare(&baseline, &fresh, tolerance).unwrap_or_else(|e| die(&e));
     if gate_off(&baseline) || gate_off(&fresh) {
+        let skipped: Vec<&str> = TRACKED
+            .iter()
+            .flat_map(|(_, metrics)| metrics.iter().copied())
+            .filter(|m| NEEDS_GATE.contains(m) && baseline.get(m).is_some())
+            .collect();
         println!(
             "bench_delta: {baseline_path} or {fresh_path} ran with `gate_enforced: false`; \
-             not compared (cannot regress): {}",
-            NEEDS_GATE.join(", ")
+             not compared (measures the host, not the code): {}",
+            skipped.join(", ")
         );
     }
     let mut regressions = 0usize;
@@ -299,6 +310,35 @@ mod tests {
             let deltas = compare(base, fresh, 0.15).unwrap();
             assert_eq!(deltas.len(), 1, "{deltas:?}");
             assert_eq!(deltas[0].metric, "shard_overhead");
+            assert_eq!(deltas[0].regressed, regressed);
+        }
+        assert_eq!(compare(&gated, &gated, 0.15).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn ungated_summary_still_compares_the_serial_transform_ratio() {
+        let gated = summary(
+            "transform_pipeline",
+            "smoke",
+            &[
+                ("speedup_serial_direct_vs_serial_xml", 1.9),
+                ("speedup_parallel_direct_vs_serial_xml", 2.6),
+            ],
+        );
+        let ungated = Json::parse(
+            r#"{"bench":"transform_pipeline","mode":"smoke",
+                "speedup_serial_direct_vs_serial_xml":1.5,
+                "speedup_parallel_direct_vs_serial_xml":1.4,"gate_enforced":false}"#,
+        )
+        .unwrap();
+        // The two-worker ratio 2.6 → 1.4 would be a regression; with the
+        // gate off on either side it measures the host's free core, not
+        // the code. The one-core ratio is measured on any host, so
+        // 1.9 → 1.5 is one.
+        for (base, fresh, regressed) in [(&gated, &ungated, true), (&ungated, &gated, false)] {
+            let deltas = compare(base, fresh, 0.15).unwrap();
+            assert_eq!(deltas.len(), 1, "{deltas:?}");
+            assert_eq!(deltas[0].metric, "speedup_serial_direct_vs_serial_xml");
             assert_eq!(deltas[0].regressed, regressed);
         }
         assert_eq!(compare(&gated, &gated, 0.15).unwrap().len(), 2);

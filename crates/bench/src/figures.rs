@@ -826,7 +826,7 @@ pub fn fig1(ms: &MilliScope) -> String {
     let flows = ms.flows().expect("event monitors enabled");
     if let Some(flow) = flows
         .iter()
-        .filter(|f| f.hops.len() == cfg.tiers.len())
+        .filter(|f| f.hops().len() == cfg.tiers.len())
         .max_by(|a, b| {
             a.response_time_ms()
                 .unwrap_or(0.0)

@@ -10,7 +10,7 @@ use mscope_monitors::{merged_records, MonitorSuite, SysVizTrace};
 use mscope_ntier::{RunOutput, SystemConfig, TierId, TierKind};
 use mscope_sim::{SimDuration, SimTime};
 use mscope_transform::{DataTransformer, RunOptions, TransformReport};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A fully ingested experiment: native logs transformed, loaded into
 /// mScopeDB, and exposed through the analysis vocabulary of the paper.
@@ -39,11 +39,13 @@ pub struct MilliScope {
     report: TransformReport,
     end_time: SimTime,
     /// The request-ID join of the event tables, built by the first
-    /// [`flows`](MilliScope::flows) call and kept — a failed build too.
-    /// Nothing invalidates it because no method takes `&mut self`: the
-    /// event tables never change after construction. A future writer must
-    /// take `&mut self` and reset this slot.
-    flow_table: OnceLock<Result<FlowTable, FlowError>>,
+    /// [`flows`](MilliScope::flows) or
+    /// [`tier_contribution`](MilliScope::tier_contribution) call and kept —
+    /// a failed build too. Every flow handed out shares it. Nothing
+    /// invalidates it because no method takes `&mut self`: the event tables
+    /// never change after construction. A future writer must take
+    /// `&mut self` and reset this slot.
+    flow_table: OnceLock<Result<Arc<FlowTable>, FlowError>>,
 }
 
 impl MilliScope {
@@ -340,24 +342,32 @@ impl MilliScope {
 
     /// Full causal-path reconstruction by joining the event tables on the
     /// propagated request ID (§IV-B). The first call joins the tables into
-    /// a [`FlowTable`] and keeps it; every call copies the flows out of it.
+    /// a [`FlowTable`] and keeps it; every call hands out one
+    /// [`RequestFlow`] handle per flow, each sharing the kept table, so no
+    /// call after the first builds a string or a hop list. The handles
+    /// outlive `self`.
     ///
     /// # Errors
     ///
     /// Missing event tables or columns, or timestamps the join cannot
     /// read; a join that failed once fails the same way every time.
     pub fn flows(&self) -> Result<Vec<RequestFlow>, CoreError> {
+        self.flow_table().map(FlowTable::flows)
+    }
+
+    /// The kept request-ID join, built on first use.
+    fn flow_table(&self) -> Result<&Arc<FlowTable>, CoreError> {
         let kept = match self.flow_table.get() {
             Some(kept) => kept,
             None => {
                 let tables: Vec<&Table> = (0..self.config.tiers.len())
                     .map(|t| self.event_table(t))
                     .collect::<Result<_, _>>()?;
-                self.flow_table.get_or_init(|| FlowTable::build(&tables))
+                self.flow_table
+                    .get_or_init(|| FlowTable::build(&tables).map(Arc::new))
             }
         };
         kept.as_ref()
-            .map(FlowTable::flows)
             .map_err(|e| CoreError::Analysis(e.to_string()))
     }
 }
@@ -690,13 +700,13 @@ mod tests {
         let ms = ingested(60);
         let flows = ms.flows().unwrap();
         assert!(flows.len() > 20);
-        let deep: Vec<_> = flows.iter().filter(|f| f.hops.len() == 4).collect();
+        let deep: Vec<_> = flows.iter().filter(|f| f.hops().len() == 4).collect();
         assert!(!deep.is_empty());
         for f in deep.iter().take(100) {
             assert!(
                 f.is_causally_ordered(),
                 "flow {} out of order",
-                f.request_id
+                f.request_id()
             );
         }
     }
@@ -783,15 +793,15 @@ impl MilliScope {
     }
 
     /// Mean per-tier latency contribution (ms) across all reconstructed
-    /// flows.
+    /// flows, folded over the kept flow table's columns: no handle is
+    /// built.
     ///
     /// # Errors
     ///
-    /// Missing event tables.
+    /// What [`flows`](MilliScope::flows) fails with.
     pub fn tier_contribution(&self) -> Result<Vec<f64>, CoreError> {
-        let flows = self.flows()?;
         Ok(mscope_analysis::tier_contribution(
-            &flows,
+            self.flow_table()?,
             self.config.tiers.len(),
         ))
     }
@@ -1033,14 +1043,38 @@ mod slo_tests {
 #[cfg(test)]
 mod flow_table_tests {
     use super::*;
-    use mscope_analysis::{reconstruct_flows, FlowHop};
+    use mscope_analysis::reconstruct_flows;
     use mscope_db::{Column, ColumnType, Schema};
     use mscope_sim::prop::{forall, Gen};
+
+    /// A hop in owned form: (tier, node, ua, ud, ds, dr).
+    type OwnedHop = (usize, String, i64, i64, Option<i64>, Option<i64>);
+
+    /// A flow in owned form, which the oracle builds and the handles are
+    /// read into: (request ID, interaction, hops).
+    type OwnedFlow = (String, String, Vec<OwnedHop>);
+
+    /// What a handle reads, through its accessors.
+    fn owned(f: &RequestFlow) -> OwnedFlow {
+        let hops = f
+            .hops()
+            .map(|h| (h.tier, h.node.to_string(), h.ua, h.ud, h.ds, h.dr))
+            .collect();
+        (
+            f.request_id().to_string(),
+            f.interaction().to_string(),
+            hops,
+        )
+    }
+
+    fn owned_all<E>(flows: Result<Vec<RequestFlow>, E>) -> Result<Vec<OwnedFlow>, E> {
+        flows.map(|flows| flows.iter().map(owned).collect())
+    }
 
     /// The per-row join the kept table replaces, as the oracle: every hop
     /// read cell by cell from its event table, and every deeper record
     /// found by a linear scan for the last row carrying the ID.
-    fn flows_per_row(tables: &[&Table]) -> Result<Vec<RequestFlow>, FlowError> {
+    fn flows_per_row(tables: &[&Table]) -> Result<Vec<OwnedFlow>, FlowError> {
         let Some((front, deeper)) = tables.split_first() else {
             return Ok(Vec::new());
         };
@@ -1067,16 +1101,12 @@ mod flow_table_tests {
                 hops.push(hop_per_row(t, r, depth + 1)?);
             }
             let interaction = front.cell(row, "interaction").and_then(Value::as_str);
-            flows.push(RequestFlow {
-                request_id: id.to_string(),
-                interaction: interaction.unwrap_or("?").to_string(),
-                hops,
-            });
+            flows.push((id.to_string(), interaction.unwrap_or("?").to_string(), hops));
         }
         Ok(flows)
     }
 
-    fn hop_per_row(t: &Table, row: usize, tier: usize) -> Result<FlowHop, FlowError> {
+    fn hop_per_row(t: &Table, row: usize, tier: usize) -> Result<OwnedHop, FlowError> {
         let fault = |column: &str| (t.name().to_string(), row, column.to_string());
         let ts = |column: &str| -> Result<Option<i64>, FlowError> {
             let cell = t
@@ -1104,14 +1134,7 @@ mod flow_table_tests {
         let (ua, ud) = (mandatory("ua")?, mandatory("ud")?);
         let (ds, dr) = (ts("ds")?, ts("dr")?);
         let node = t.cell(row, "node").and_then(Value::as_str);
-        Ok(FlowHop {
-            tier,
-            node: node.unwrap_or("?").to_string(),
-            ua,
-            ud,
-            ds,
-            dr,
-        })
+        Ok((tier, node.unwrap_or("?").to_string(), ua, ud, ds, dr))
     }
 
     /// A request ID: mostly text from a small pool, so IDs repeat within a
@@ -1207,6 +1230,56 @@ mod flow_table_tests {
         }
     }
 
+    /// A small ingested trial.
+    fn trial() -> MilliScope {
+        let mut cfg = SystemConfig::rubbos_baseline(50);
+        cfg.duration = SimDuration::from_secs(3);
+        cfg.warmup = SimDuration::from_secs(1);
+        let out = crate::experiment::Experiment::new(cfg).unwrap().run();
+        MilliScope::ingest(&out).unwrap()
+    }
+
+    /// Handles keep their table alive: they read the same flows after the
+    /// `MilliScope` that handed them out is gone.
+    #[test]
+    fn flows_outlive_their_milliscope() {
+        let ms = trial();
+        let flows = ms.flows().unwrap();
+        let before: Vec<OwnedFlow> = flows.iter().map(owned).collect();
+        let json = mscope_serdes::to_string(&flows);
+        drop(ms);
+        assert!(before.iter().any(|f| f.2.len() == 4));
+        assert_eq!(flows.iter().map(owned).collect::<Vec<_>>(), before);
+        assert_eq!(mscope_serdes::to_string(&flows), json);
+    }
+
+    /// Every call hands out handles on the one kept table: the second call
+    /// joins nothing, and `tier_contribution` folds that same table.
+    #[test]
+    fn flows_calls_share_the_kept_table() {
+        let ms = trial();
+        let first = ms.flows().unwrap();
+        let second = ms.flows().unwrap();
+        let Some(Ok(kept)) = ms.flow_table.get() else {
+            panic!("no kept table after flows()");
+        };
+        assert!(first
+            .iter()
+            .chain(&second)
+            .all(|f| Arc::ptr_eq(f.table(), kept)));
+        assert_eq!(Arc::strong_count(kept), 1 + first.len() + second.len());
+        assert_eq!(first, second);
+        let contribution = ms.tier_contribution().unwrap();
+        assert!(Arc::ptr_eq(
+            ms.flow_table.get().and_then(|t| t.as_ref().ok()).unwrap(),
+            first[0].table()
+        ));
+        assert_eq!(
+            contribution,
+            mscope_analysis::tier_contribution(first[0].table(), ms.config.tiers.len())
+        );
+    }
+
     /// One wallclock cell too large to parse turns its whole column into
     /// text at load time. The join then names the first row it reads as
     /// not a timestamp, instead of calling the cell null (`ua`) or
@@ -1264,8 +1337,8 @@ mod flow_table_tests {
             let ms = handle(tables);
             let refs: Vec<&Table> = (0..tiers).map(|t| ms.event_table(t).unwrap()).collect();
             let want = flows_per_row(&refs);
-            let joined = reconstruct_flows(&refs);
-            let built = FlowTable::build(&refs).map(|t| t.flows());
+            let joined = owned_all(reconstruct_flows(&refs));
+            let built = owned_all(FlowTable::build(&refs).map(|t| Arc::new(t).flows()));
             if joined != want || built != want {
                 return Err(format!(
                     "want {want:?}\nreconstruct_flows {joined:?}\nFlowTable {built:?}"
@@ -1274,14 +1347,14 @@ mod flow_table_tests {
             let (deep, failed) = outcomes.get();
             outcomes.set(match &want {
                 Ok(flows) => (
-                    deep + usize::from(flows.iter().any(|f| f.hops.len() > 1)),
+                    deep + usize::from(flows.iter().any(|f| f.2.len() > 1)),
                     failed,
                 ),
                 Err(_) => (deep, failed + 1),
             });
             let want = want.map_err(|e| e.to_string());
             for call in ["first", "second"] {
-                let got = ms.flows().map_err(|e| match e {
+                let got = owned_all(ms.flows()).map_err(|e| match e {
                     CoreError::Analysis(s) => s,
                     other => other.to_string(),
                 });

@@ -27,17 +27,13 @@ pub struct TraceExportOptions {
 /// # Examples
 ///
 /// ```
-/// use mscope_analysis::{FlowHop, RequestFlow};
+/// use mscope_analysis::FlowTable;
 /// use mscope_core::{export_chrome_trace, TraceExportOptions};
+/// use std::sync::Arc;
 ///
-/// let flow = RequestFlow {
-///     request_id: "00000000000A".into(),
-///     interaction: "ViewStory".into(),
-///     hops: vec![FlowHop {
-///         tier: 0, node: "tier0-0".into(), ua: 0, ud: 10_000, ds: None, dr: None,
-///     }],
-/// };
-/// let json = export_chrome_trace(&[flow], &TraceExportOptions::default());
+/// let mut table = FlowTable::default();
+/// table.push_flow("00000000000A", "ViewStory", [("tier0-0", 0, 10_000, None, None)]);
+/// let json = export_chrome_trace(&Arc::new(table).flows(), &TraceExportOptions::default());
 /// assert!(json.contains("\"ViewStory\""));
 /// ```
 pub fn export_chrome_trace(flows: &[RequestFlow], opts: &TraceExportOptions) -> String {
@@ -51,7 +47,7 @@ pub fn export_chrome_trace(flows: &[RequestFlow], opts: &TraceExportOptions) -> 
         b.response_time_ms()
             .unwrap_or(0.0)
             .total_cmp(&a.response_time_ms().unwrap_or(0.0))
-            .then_with(|| a.request_id.cmp(&b.request_id))
+            .then_with(|| a.request_id().cmp(b.request_id()))
     });
     if opts.max_flows > 0 {
         selected.truncate(opts.max_flows);
@@ -59,9 +55,9 @@ pub fn export_chrome_trace(flows: &[RequestFlow], opts: &TraceExportOptions) -> 
 
     let mut events: Vec<Json> = Vec::new();
     for flow in &selected {
-        for hop in &flow.hops {
+        for hop in flow.hops() {
             events.push(Json::obj([
-                ("name", flow.interaction.to_json()),
+                ("name", flow.interaction().to_json()),
                 ("cat", "tier".to_json()),
                 ("ph", "X".to_json()),
                 ("ts", hop.ua.to_json()),
@@ -71,7 +67,7 @@ pub fn export_chrome_trace(flows: &[RequestFlow], opts: &TraceExportOptions) -> 
                 (
                     "args",
                     Json::obj([
-                        ("request_id", flow.request_id.to_json()),
+                        ("request_id", flow.request_id().to_json()),
                         ("node", hop.node.to_json()),
                         ("local_ms", hop.local_ms().to_json()),
                     ]),
@@ -88,7 +84,7 @@ pub fn export_chrome_trace(flows: &[RequestFlow], opts: &TraceExportOptions) -> 
                     ("tid", (hop.tier + 1).to_json()),
                     (
                         "args",
-                        Json::obj([("request_id", flow.request_id.to_json())]),
+                        Json::obj([("request_id", flow.request_id().to_json())]),
                     ),
                 ]));
             }
@@ -98,7 +94,7 @@ pub fn export_chrome_trace(flows: &[RequestFlow], opts: &TraceExportOptions) -> 
     let mut meta: Vec<Json> = Vec::new();
     let max_tier = selected
         .iter()
-        .flat_map(|f| f.hops.iter().map(|h| h.tier))
+        .filter_map(|f| f.hops().next_back().map(|h| h.tier))
         .max()
         .unwrap_or(0);
     for tier in 0..=max_tier {
@@ -120,36 +116,28 @@ pub fn export_chrome_trace(flows: &[RequestFlow], opts: &TraceExportOptions) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mscope_analysis::FlowHop;
+    use mscope_analysis::FlowTable;
+    use std::sync::Arc;
 
-    fn flow(id: &str, rt_us: i64) -> RequestFlow {
-        RequestFlow {
-            request_id: id.into(),
-            interaction: "ViewStory".into(),
-            hops: vec![
-                FlowHop {
-                    tier: 0,
-                    node: "tier0-0".into(),
-                    ua: 0,
-                    ud: rt_us,
-                    ds: Some(100),
-                    dr: Some(rt_us - 100),
-                },
-                FlowHop {
-                    tier: 1,
-                    node: "tier1-0".into(),
-                    ua: 200,
-                    ud: rt_us - 200,
-                    ds: None,
-                    dr: None,
-                },
-            ],
+    /// One flow per `(id, rt_us)`, each two hops deep, all in one table.
+    fn flows(specs: &[(&str, i64)]) -> Vec<RequestFlow> {
+        let mut table = FlowTable::default();
+        for &(id, rt_us) in specs {
+            table.push_flow(
+                id,
+                "ViewStory",
+                [
+                    ("tier0-0", 0, rt_us, Some(100), Some(rt_us - 100)),
+                    ("tier1-0", 200, rt_us - 200, None, None),
+                ],
+            );
         }
+        Arc::new(table).flows()
     }
 
     #[test]
     fn exports_events_and_tracks() {
-        let flows = vec![flow("A", 10_000)];
+        let flows = flows(&[("A", 10_000)]);
         let out = export_chrome_trace(&flows, &TraceExportOptions::default());
         let parsed = Json::parse(&out).expect("valid json");
         let events = parsed["traceEvents"].as_array().expect("array");
@@ -161,7 +149,7 @@ mod tests {
 
     #[test]
     fn filters_by_min_rt() {
-        let flows = vec![flow("FAST", 5_000), flow("SLOW", 500_000)];
+        let flows = flows(&[("FAST", 5_000), ("SLOW", 500_000)]);
         let out = export_chrome_trace(
             &flows,
             &TraceExportOptions {
@@ -175,7 +163,7 @@ mod tests {
 
     #[test]
     fn caps_flow_count_slowest_first() {
-        let flows = vec![flow("A", 5_000), flow("B", 50_000), flow("C", 20_000)];
+        let flows = flows(&[("A", 5_000), ("B", 50_000), ("C", 20_000)]);
         let out = export_chrome_trace(
             &flows,
             &TraceExportOptions {

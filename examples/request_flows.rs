@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         println!(
             "{:>14} {:>18} {:>9.1} | {:>8} {:>8} {:>8} {:>8}",
-            f.request_id,
-            f.interaction,
+            f.request_id(),
+            f.interaction(),
             f.response_time_ms().unwrap_or(0.0),
             fmt(per_tier[0]),
             fmt(per_tier[1]),

@@ -1,6 +1,7 @@
 //! Conservation and invariant checks over whole runs: things that must
 //! hold for *every* request and *every* sample regardless of scenario.
 
+use milliscope::analysis::RequestFlow;
 use milliscope::core::scenarios::{calibrated_db_io, calibrated_dirty_page, shorten};
 use milliscope::core::{Experiment, MilliScope};
 use milliscope::ntier::{
@@ -337,7 +338,7 @@ fn littles_law_holds_per_tier() {
             let l = queue.points.iter().map(|p| p.1).sum::<f64>() / queue.points.len() as f64;
             let residences: Vec<f64> = flows
                 .iter()
-                .flat_map(|f| &f.hops)
+                .flat_map(RequestFlow::hops)
                 .filter(|h| h.tier == tier && (lo..hi).contains(&h.ud))
                 .map(|h| (h.ud - h.ua.max(lo)) as f64 / 1e6)
                 .collect();

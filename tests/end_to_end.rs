@@ -98,12 +98,13 @@ fn flows_match_ground_truth_causality() {
     // residence matches a ground-truth record.
     let mut matched = 0;
     for f in &flows {
-        assert!(f.is_causally_ordered(), "flow {}", f.request_id);
-        let id = u64::from_str_radix(&f.request_id, 16).expect("hex id");
+        assert!(f.is_causally_ordered(), "flow {}", f.request_id());
+        let id = u64::from_str_radix(f.request_id(), 16).expect("hex id");
         let gt = &out.run.requests[id as usize];
         if !gt.spans.is_empty() {
             let gt_ua = gt.spans[0].upstream_arrival.as_micros() as i64;
-            assert_eq!(f.hops[0].ua, gt_ua, "flow {} UA mismatch", f.request_id);
+            let front = f.hops().next().expect("a flow has its front hop");
+            assert_eq!(front.ua, gt_ua, "flow {} UA mismatch", f.request_id());
             matched += 1;
         }
     }
