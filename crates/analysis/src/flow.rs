@@ -184,7 +184,7 @@ pub struct RequestFlow {
 impl RequestFlow {
     /// The propagated request ID (fixed-width hex).
     pub fn request_id(&self) -> &str {
-        &self.table.ids[self.table.id_range(self.flow())]
+        &self.table.ids[csr_range(&self.table.id_ends, self.flow())]
     }
 
     /// Interaction name.
@@ -194,13 +194,11 @@ impl RequestFlow {
 
     /// Hops in pipeline order (tier 0 first).
     pub fn hops(&self) -> impl ExactSizeIterator<Item = FlowHop<'_>> + DoubleEndedIterator + '_ {
-        let table = &*self.table;
-        let hops = table.hop_range(self.flow());
-        let lo = hops.start;
-        hops.map(move |h| table.hop(h, h - lo))
+        self.table.hops(self.flow())
     }
 
-    /// The table this flow is a row of.
+    /// The table this flow is a row of, which the column-wise folds
+    /// ([`tier_contribution`](crate::tier_contribution)) take.
     pub fn table(&self) -> &Arc<FlowTable> {
         &self.table
     }
@@ -508,8 +506,9 @@ impl FlowTable {
     /// One handle per flow, in front-table row order, each sharing this
     /// table.
     pub fn flows(self: &Arc<Self>) -> Vec<RequestFlow> {
-        // A flow is a front-table row, so no table holds more flows than
-        // `u32` counts: that is a front table of over 2^32 rows.
+        // Each flow is a front-table row, so more flows than `u32` counts
+        // take a front table of over 2^32 rows; the checked index stops
+        // there instead of wrapping.
         (0..self.ends.len())
             .map_while(|f| u32::try_from(f).ok())
             .map(|flow| RequestFlow {
@@ -522,21 +521,17 @@ impl FlowTable {
     /// Every hop of every flow, flows in order and each flow's hops in
     /// pipeline order.
     pub(crate) fn all_hops(&self) -> impl Iterator<Item = FlowHop<'_>> + '_ {
-        (0..self.ends.len()).flat_map(move |f| {
-            let hops = self.hop_range(f);
-            let lo = hops.start;
-            hops.map(move |h| self.hop(h, h - lo))
-        })
+        (0..self.ends.len()).flat_map(|f| self.hops(f))
     }
 
-    /// The hop rows of flow `f`.
-    fn hop_range(&self, f: usize) -> Range<usize> {
-        f.checked_sub(1).map_or(0, |p| self.ends[p])..self.ends[f]
-    }
-
-    /// The bytes of flow `f`'s request ID in `ids`.
-    fn id_range(&self, f: usize) -> Range<usize> {
-        f.checked_sub(1).map_or(0, |p| self.id_ends[p])..self.id_ends[f]
+    /// The hops of flow `f`, in pipeline order.
+    fn hops(
+        &self,
+        f: usize,
+    ) -> impl ExactSizeIterator<Item = FlowHop<'_>> + DoubleEndedIterator + '_ {
+        let hops = csr_range(&self.ends, f);
+        let lo = hops.start;
+        hops.map(move |h| self.hop(h, h - lo))
     }
 
     /// Hop `h`, at position `tier` of its flow.
@@ -623,6 +618,11 @@ impl FlowTable {
             });
         id as u32
     }
+}
+
+/// Entry `f` of a CSR column: from the end of entry `f − 1` to `ends[f]`.
+fn csr_range(ends: &[usize], f: usize) -> Range<usize> {
+    f.checked_sub(1).map_or(0, |p| ends[p])..ends[f]
 }
 
 /// One event table's hop columns, each name resolved to a column slice
