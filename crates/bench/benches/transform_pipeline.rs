@@ -22,8 +22,9 @@
 //! cargo bench -p mscope-bench --bench transform_pipeline -- [--smoke] [--out PATH]
 //! ```
 //!
-//! Writes a `BENCH_transform.json` summary (per-variant best-of-N seconds,
-//! speedups relative to the serial XML baseline, the host's core count and
+//! Writes a `BENCH_transform.json` summary (per-variant best-of-N seconds;
+//! speedups relative to the serial XML baseline, each the median over the
+//! N interleaved rounds of that round's ratio; the host's core count and
 //! `gate_enforced`: whether the two-worker ratio is one `bench_delta`
 //! compares) for CI artifact upload.
 
@@ -135,7 +136,10 @@ fn main() {
             concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transform.json").to_string()
         });
     // cargo bench passes --bench through to the binary; ignore it.
-    let samples = if smoke { 9 } else { 5 };
+    // Smoke legs last 3–8 ms, so one slow stretch of a shared host moves a
+    // best-of-9 ratio by a third; the median of 41 per-round ratios does
+    // not move with a few slow rounds.
+    let samples = if smoke { 41 } else { 11 };
 
     eprintln!(
         "## transform_pipeline ({})",
@@ -171,16 +175,23 @@ fn main() {
     }
     eprintln!("  all {} variants byte-identical", variants.len());
 
-    // Best of `samples` rounds, each timing every variant once: a stall of
-    // the host lands on one sample of each variant, not on all of one's.
+    // `samples` rounds, each timing every variant once: a stall of the host
+    // lands on one sample of each variant, not on all of one's. Each
+    // variant reports its best time; each ratio is the median over rounds
+    // of the two legs' times within one round.
     let mut timings: Vec<(&str, f64, usize)> =
         variants.iter().map(|v| (v.name, f64::MAX, 0)).collect();
+    let mut rounds: Vec<Vec<f64>> = Vec::with_capacity(samples);
     for _ in 0..samples {
+        let mut round = Vec::with_capacity(variants.len());
         for (v, (_, best, entries)) in variants.iter().zip(&mut timings) {
             let start = Instant::now();
             *entries = run(v, &tr, &art.store, &mut Database::new()).entries;
-            *best = best.min(start.elapsed().as_secs_f64());
+            let secs = start.elapsed().as_secs_f64();
+            *best = best.min(secs);
+            round.push(secs);
         }
+        rounds.push(round);
     }
     for (name, secs, _) in &timings {
         eprintln!(
@@ -189,7 +200,6 @@ fn main() {
         );
     }
 
-    let baseline = timings[0].1;
     // The auto heuristic must never pick the worst plan: whatever it
     // resolved to, some explicitly-configured variant is at least as bad.
     let auto = timings
@@ -206,6 +216,16 @@ fn main() {
         auto.1,
         slowest
     );
+    // The median over rounds of serial_xml's time over `variant`'s.
+    let ratio = |variant: &str| {
+        let at = variants
+            .iter()
+            .position(|v| v.name == variant)
+            .unwrap_or_else(|| panic!("{variant} variant present"));
+        let mut per_round: Vec<f64> = rounds.iter().map(|r| r[0] / r[at]).collect();
+        per_round.sort_by(f64::total_cmp);
+        per_round[per_round.len() / 2]
+    };
     let results: Vec<Json> = timings
         .iter()
         .map(|(name, secs, entries)| {
@@ -213,18 +233,11 @@ fn main() {
                 ("variant", Json::Str(name.to_string())),
                 ("best_seconds", Json::Float(*secs)),
                 ("entries", Json::Int(*entries as i128)),
-                ("speedup_vs_serial_xml", Json::Float(baseline / secs)),
+                ("speedup_vs_serial_xml", Json::Float(ratio(name))),
             ])
         })
         .collect();
-    let best = |variant: &str| {
-        timings
-            .iter()
-            .find(|(name, ..)| *name == variant)
-            .unwrap_or_else(|| panic!("{variant} variant present"))
-            .1
-    };
-    let (serial_direct, parallel_direct) = (best("serial_direct"), best("parallel_direct"));
+    let (serial_ratio, parallel_ratio) = (ratio("serial_direct"), ratio("parallel_direct"));
     // The parallel leg's ratio needs a second core free of other work,
     // which a shared host with fewer than 4 cores does not promise: there
     // the ratio is recorded but `bench_delta` does not compare it. The
@@ -243,20 +256,19 @@ fn main() {
         ("results", Json::Arr(results)),
         (
             "speedup_serial_direct_vs_serial_xml",
-            Json::Float(baseline / serial_direct),
+            Json::Float(serial_ratio),
         ),
         (
             "speedup_parallel_direct_vs_serial_xml",
-            Json::Float(baseline / parallel_direct),
+            Json::Float(parallel_ratio),
         ),
         ("gate_enforced", Json::Bool(gate_enforced)),
     ]);
     let text = mscope_serdes::to_string_pretty(&doc);
     std::fs::write(&out_path, &text).expect("write bench output");
     eprintln!(
-        "  speedup vs serial_xml: serial_direct {:.2}x, parallel_direct {:.2}x \
-         (host has {host_cores} cores) -> {out_path}",
-        baseline / serial_direct,
-        baseline / parallel_direct
+        "  speedup vs serial_xml (median of {samples} rounds): serial_direct \
+         {serial_ratio:.2}x, parallel_direct {parallel_ratio:.2}x (host has {host_cores} \
+         cores) -> {out_path}"
     );
 }

@@ -16,10 +16,6 @@ pub enum CoreError {
     Db(DbError),
     /// An analysis step failed (missing table/column, empty data, …).
     Analysis(String),
-    /// The trace front proved a scenario cannot yield a sound trace
-    /// (ID propagation, event pairing, type flow, clock, or sampling
-    /// invariant violated before anything ran).
-    Scenario(String),
 }
 
 impl fmt::Display for CoreError {
@@ -29,7 +25,6 @@ impl fmt::Display for CoreError {
             CoreError::Transform(e) => write!(f, "{e}"),
             CoreError::Db(e) => write!(f, "{e}"),
             CoreError::Analysis(m) => write!(f, "analysis failed: {m}"),
-            CoreError::Scenario(m) => write!(f, "scenario check failed: {m}"),
         }
     }
 }

@@ -123,44 +123,6 @@ impl MilliScope {
         Ok(())
     }
 
-    /// Statically proves a configuration can yield a sound end-to-end
-    /// trace *before* running it — the library face of `mscope-lint
-    /// trace`. The whole pipeline is abstractly interpreted: request-ID
-    /// injection and propagation across every tier edge, UA/UD/DS/DR
-    /// completeness and pairing, declaration→renderer→query type flow,
-    /// clock-domain agreement, and sampling granularity against every
-    /// phenomenon the configuration can produce.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Config`] if the configuration fails basic validation;
-    /// [`CoreError::Scenario`] carrying the first deny-level trace finding
-    /// otherwise.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mscope_core::MilliScope;
-    /// use mscope_ntier::SystemConfig;
-    ///
-    /// MilliScope::check_scenario(&SystemConfig::scenario_db_io(100))?;
-    /// # Ok::<(), mscope_core::CoreError>(())
-    /// ```
-    pub fn check_scenario(cfg: &SystemConfig) -> Result<(), CoreError> {
-        cfg.validate().map_err(CoreError::Config)?;
-        let findings = mscope_lint::trace::check_scenario("adhoc", cfg);
-        if let Some(f) = findings
-            .iter()
-            .find(|f| matches!(f.severity, mscope_lint::Severity::Deny))
-        {
-            return Err(CoreError::Scenario(format!(
-                "[{}] {}: {}",
-                f.rule, f.subject, f.message
-            )));
-        }
-        Ok(())
-    }
-
     /// What the transformation pipeline loaded.
     pub fn transform_report(&self) -> &TransformReport {
         &self.report
@@ -500,29 +462,6 @@ mod tests {
         cfg.workload.ramp_up = SimDuration::from_secs(1);
         let out = Experiment::new(cfg).unwrap().run();
         MilliScope::ingest(&out).unwrap()
-    }
-
-    #[test]
-    fn check_scenario_accepts_presets_and_rejects_invisible_phenomena() {
-        for (name, cfg) in SystemConfig::presets() {
-            MilliScope::check_scenario(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
-        }
-        // A 16 KiB commit buffer at 16 MB/s stalls for ~1 ms — far below
-        // what any deployed monitor can sample — so the proof must fail.
-        let mut cfg = SystemConfig::scenario_db_io(100);
-        if let Some(lf) = cfg.tiers[3].log_flush.as_mut() {
-            lf.buffer_threshold = 16 << 10;
-        }
-        let err = MilliScope::check_scenario(&cfg).unwrap_err();
-        assert!(matches!(err, CoreError::Scenario(_)), "{err}");
-        assert!(err.to_string().contains("TR008"), "{err}");
-        // Plain validation failures surface as Config, not Scenario.
-        let mut cfg = SystemConfig::rubbos_baseline(100);
-        cfg.workload.users = 0;
-        assert!(matches!(
-            MilliScope::check_scenario(&cfg),
-            Err(CoreError::Config(_))
-        ));
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! The needle rules, as one table.
 //!
-//! Four performance rules share one shape: a needle, a scope, an escape
-//! hatch and a message. Each is a row of [`NEEDLE_RULES`], and
+//! The performance front's two rules share one shape: a needle, a scope,
+//! an escape hatch and a message. Each is a row of [`NEEDLE_RULES`], and
 //! [`findings`] evaluates the rows over the shared source model
-//! ([`FileCtx`]). Rules with real structure — `DT001`, `DT002`, `DT006`,
-//! `PF002`, `PF003`, `PF007` and `hermetic-deps` — stay functions in their
-//! fronts. Rules a path resolves (`no-unwrap`, `no-wallclock`, `DT003`,
-//! `DT004`, `DT005`, `DT008` and `PF005`) are clippy's: see
-//! `crates/clippy.toml`.
+//! ([`FileCtx`]). Rules with real structure — `DT002`, `DT006` and
+//! `hermetic-deps` — stay functions in their fronts. Rules a path or a
+//! type resolves (`no-unwrap`, `no-wallclock`, `DT001`, `DT003`, `DT004`,
+//! `DT005`, `DT008`, `PF002` and `PF005`) are clippy's: see
+//! `crates/clippy.toml` and the crate roots' `#![deny]`.
 //!
 //! The determinism and performance fronts keep one finding per (rule,
 //! line), so overlapping needles report once.
 
 use crate::perf::{ENGINE_FILES, PERF_HOT_CRATES, PERF_TOKEN, PERF_WINDOW, TABLE_CRATES};
-use crate::source::{comment_evidence, enclosing_loop, is_ident, span_end, word_start, FileCtx};
+use crate::source::{comment_evidence, is_ident, loop_bodies, span_end, word_start, FileCtx};
 use crate::Finding;
 use std::ops::Range;
 
@@ -108,39 +108,6 @@ const NEEDLE_RULES: &[NeedleRule] = &[
         message: ROW_WISE,
         ..ROW
     },
-    NeedleRule {
-        rule: "PF006",
-        crates: PERF_HOT_CRATES,
-        needles: &[
-            "CompiledPredicate::compile(",
-            "Node::compile(",
-            "KeyIndex::build(",
-            "KeyIndex::over(",
-        ],
-        in_loop: true,
-        hatch: PERF_TOKEN,
-        window: PERF_WINDOW,
-        message: "`{call}` inside a loop — compilation binds column slices once per query; hoist it out of the iteration",
-        ..ROW
-    },
-    NeedleRule {
-        rule: "PF008",
-        crates: PERF_HOT_CRATES,
-        needles: &[
-            ".sort()",
-            ".sort_by(",
-            ".sort_by_key(",
-            ".sort_by_cached_key(",
-            ".sort_unstable()",
-            ".sort_unstable_by(",
-            ".sort_unstable_by_key(",
-        ],
-        in_loop: true,
-        hatch: PERF_TOKEN,
-        window: PERF_WINDOW,
-        message: "`{call}` inside a loop re-sorts every iteration — sort once after the loop or keep the data sorted by construction",
-        ..ROW
-    },
 ];
 
 /// Call spans that are cold by definition: error construction never runs
@@ -160,6 +127,7 @@ pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
     let rows = NEEDLE_RULES.iter().filter(|r| {
         r.crates.contains(&file.krate.as_str()) && !r.exempt.contains(&file.rel.as_str())
     });
+    let loops = loop_bodies(&file.masked);
     for row in rows {
         let cold = if row.cold_exempt {
             cold_spans(&file.masked)
@@ -170,7 +138,7 @@ pub(crate) fn findings(file: &FileCtx) -> Vec<Finding> {
             let word = row.word_start && is_ident(needle.as_bytes()[0]);
             for (at, _) in file.masked.match_indices(needle) {
                 if (word && !word_start(&file.masked, at))
-                    || (row.in_loop && enclosing_loop(&file.loops, at).is_none())
+                    || (row.in_loop && !loops.iter().any(|body| body.contains(&at)))
                     || (row.cold_exempt
                         && (cold.iter().any(|r| r.contains(&at))
                             || terminal_statement(&file.masked, at)))

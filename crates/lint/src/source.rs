@@ -1,7 +1,7 @@
 //! The shared source model, the workspace walk, and front 2 (the
 //! workspace source scanner).
 //!
-//! A line/token level Rust scanner — no rustc internals. Comments, string
+//! A byte-level Rust scrubber — no rustc internals. Comments, string
 //! literals, and char literals are *scrubbed* (replaced by spaces,
 //! preserving byte offsets and newlines) so rule needles never match inside
 //! them; `#[cfg(test)]` modules and `#[test]` functions are then *masked*
@@ -12,16 +12,15 @@
 //! `Workspace::load` is the one walk: it reads every `crates/*/src`
 //! file, the root `src/` and `examples/`, and every `crates/*/examples`
 //! (the last three for SQL literals only) and builds each file's
-//! `FileCtx` exactly once — raw text, masked text, non-test string
-//! literals, fn spans and loop spans — for every front to share.
+//! `FileCtx` exactly once — raw text, masked text and non-test string
+//! literals — for every front to share; the performance front walks the
+//! masked text for loop bodies.
 //!
 //! The front's one rule is `hermetic-deps`: every dependency entry in
 //! every manifest must resolve in-tree (`path = …` or `workspace = true`),
 //! and the historically banned registry crates must never reappear.
-//! `no-unwrap` and `no-wallclock` need a path resolved, so clippy enforces
-//! them: `#![deny(clippy::{unwrap_used, expect_used, panic})]` in the
-//! hot-path crates' roots and `disallowed-methods` in the wall-clock-free
-//! crates' `clippy.toml`.
+//! The rules that need a path or a type resolved are clippy's
+//! (DESIGN.md §7).
 
 use crate::{Finding, Severity};
 use std::fs;
@@ -264,17 +263,13 @@ pub(crate) fn mask_tests(scrubbed: &str) -> (String, Vec<Range<usize>>) {
     (String::from_utf8_lossy(&out).into_owned(), ranges)
 }
 
-pub(crate) fn line_of(src: &str, offset: usize) -> u64 {
+fn line_of(src: &str, offset: usize) -> u64 {
     src.as_bytes()[..offset.min(src.len())]
         .iter()
         .filter(|&&c| c == b'\n')
         .count() as u64
         + 1
 }
-
-// ---------------------------------------------------------------------
-// Source model: item spans
-// ---------------------------------------------------------------------
 
 /// End-exclusive offset of the `}` matching the `{` at `open` in scrubbed
 /// text, or of the `)` matching any other opener (falls back to the end of
@@ -300,57 +295,6 @@ pub(crate) fn span_end(scrubbed: &str, open: usize) -> usize {
     scrubbed.len()
 }
 
-/// Byte spans of `fn` items in scrubbed (and usually test-masked) source,
-/// from the `fn` keyword through the matching close brace of the body —
-/// signatures included, so parameter bindings fall inside their span.
-/// Trait-method declarations without a body (`fn f(…);`) are skipped.
-/// Spans of nested items overlap their parents; callers wanting the
-/// *enclosing* function of an offset should take the smallest span
-/// containing it.
-pub(crate) fn fn_spans(scrubbed: &str) -> Vec<Range<usize>> {
-    let bytes = scrubbed.as_bytes();
-    let mut spans = Vec::new();
-    for (at, _) in scrubbed.match_indices("fn ") {
-        // `fn` must be its own word (`pub fn`, not `type DynFn `).
-        if !word_start(scrubbed, at) {
-            continue;
-        }
-        // Walk to the body `{`, skipping `;` nested in brackets or parens
-        // (array return types, default const generics). Angle brackets are
-        // not tracked — `->` would unbalance them, and generics contain
-        // neither `;` nor `{`.
-        let mut depth = 0i64;
-        let mut k = at + 3;
-        while k < bytes.len() {
-            match bytes[k] {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => depth -= 1,
-                b'{' if depth <= 0 => {
-                    spans.push(at..span_end(scrubbed, k));
-                    break;
-                }
-                b';' if depth <= 0 => break, // bodyless declaration
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    spans
-}
-
-/// The smallest (innermost) function span containing `offset`, if any.
-pub(crate) fn enclosing_fn(spans: &[Range<usize>], offset: usize) -> Option<Range<usize>> {
-    spans
-        .iter()
-        .filter(|s| s.contains(&offset))
-        .min_by_key(|s| s.end - s.start)
-        .cloned()
-}
-
-// ---------------------------------------------------------------------
-// Source model: shared token helpers
-// ---------------------------------------------------------------------
-
 pub(crate) fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
@@ -359,47 +303,49 @@ pub(crate) fn word_start(text: &str, at: usize) -> bool {
     at == 0 || !is_ident(text.as_bytes()[at - 1])
 }
 
-pub(crate) fn word_end(text: &str, end: usize) -> bool {
-    end >= text.len() || !is_ident(text.as_bytes()[end])
-}
-
-/// Offsets of word-bounded occurrences of `needle` in `text`.
-pub(crate) fn find_word(text: &str, needle: &str) -> Vec<usize> {
-    text.match_indices(needle)
-        .map(|(at, _)| at)
-        .filter(|&at| word_start(text, at) && word_end(text, at + needle.len()))
-        .collect()
-}
-
-/// The trailing identifier of `s`, or `""`.
-pub(crate) fn trailing_ident(s: &str) -> &str {
-    let t = s.trim_end();
-    let b = t.as_bytes();
-    let mut i = t.len();
-    while i > 0 && is_ident(b[i - 1]) {
-        i -= 1;
-    }
-    &t[i..]
-}
-
-/// `true` when the word at `at` is the subject of a `for … in` loop
-/// (allowing `&`/`&mut` in front).
-pub(crate) fn is_loop_subject(masked: &str, at: usize) -> bool {
-    let mut pre = masked[..at].trim_end();
-    loop {
-        if let Some(s) = pre.strip_suffix('&') {
-            pre = s.trim_end();
-        } else if let Some(s) = pre.strip_suffix("mut") {
-            if word_start(s, s.len()) || s.is_empty() {
-                pre = s.trim_end();
-            } else {
-                break;
+/// Body extents (the opening `{` through its match) of every
+/// `for`/`while`/`loop` in scrubbed (and usually test-masked) source, so
+/// a rule can ask "inside a loop?". `impl Trait for Type` (preceded by an
+/// identifier or `>`) and HRTB `for<'a>` are not loops and are skipped;
+/// the body `{` is found at bracket/paren depth 0, so closure blocks
+/// inside a header don't end it early.
+pub(crate) fn loop_bodies(masked: &str) -> Vec<Range<usize>> {
+    let bytes = masked.as_bytes();
+    let mut bodies = Vec::new();
+    for kw in ["for", "while", "loop"] {
+        for (at, _) in masked.match_indices(kw) {
+            let after = at + kw.len();
+            if !word_start(masked, at) || bytes.get(after).is_some_and(|&b| is_ident(b)) {
+                continue;
             }
-        } else {
-            break;
+            // `impl Display for Type` / `&dyn for<'a> Fn(…)`: the word
+            // before a real loop keyword is never an identifier or `>`.
+            let prev = masked[..at].trim_end().as_bytes().last();
+            if kw == "for" && prev.is_some_and(|&b| is_ident(b) || b == b'>') {
+                continue;
+            }
+            let next = masked[after..].trim_start().as_bytes().first();
+            if (kw == "for" && next == Some(&b'<')) || (kw == "loop" && next != Some(&b'{')) {
+                continue;
+            }
+            // Scan to the body `{` at bracket depth 0; `;` or `}` first
+            // means this isn't a loop after all.
+            let mut depth = 0i64;
+            for (k, &b) in bytes.iter().enumerate().skip(after) {
+                match b {
+                    b'(' | b'[' => depth += 1,
+                    b')' | b']' => depth -= 1,
+                    b'{' if depth <= 0 => {
+                        bodies.push(k..span_end(masked, k));
+                        break;
+                    }
+                    b';' | b'}' if depth <= 0 => break,
+                    _ => {}
+                }
+            }
         }
     }
-    pre.ends_with("in") && word_start(pre, pre.len() - 2)
+    bodies
 }
 
 /// `true` when a `//` comment containing any of `tokens` appears on the
@@ -423,111 +369,13 @@ pub(crate) fn comment_evidence(text: &str, at: usize, window: usize, tokens: &[&
 }
 
 // ---------------------------------------------------------------------
-// Source model: loop spans
-// ---------------------------------------------------------------------
-
-/// One `for`/`while`/`loop` in scrubbed (and usually test-masked) source:
-/// the keyword offset, the header extent (keyword through the body's
-/// opening `{`, exclusive), the body extent (open brace through its match,
-/// exclusive), and the nesting depth (0 = not inside another loop body).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LoopSpan {
-    /// Offset of the loop keyword.
-    pub(crate) kw: usize,
-    /// `for`/`while` header: everything between the keyword and the body.
-    pub(crate) header: Range<usize>,
-    /// Body extent, from the opening `{` to past its matching `}`.
-    pub(crate) body: Range<usize>,
-    /// How many other loop bodies contain this loop (0 = outermost).
-    pub(crate) depth: usize,
-}
-
-/// Walks scrubbed source for `for`/`while`/`loop` constructs so rules can
-/// reason about "inside a loop on a hot path". `impl Trait for Type`
-/// (preceded by an identifier or `>`) and HRTB `for<'a>` are not loops
-/// and are skipped; the body `{` is found at bracket/paren depth 0, so
-/// closure blocks inside a header don't end it early.
-pub(crate) fn loop_spans(masked: &str) -> Vec<LoopSpan> {
-    let bytes = masked.as_bytes();
-    let mut spans: Vec<LoopSpan> = Vec::new();
-    for kw in ["for", "while", "loop"] {
-        for at in find_word(masked, kw) {
-            let after = at + kw.len();
-            // `impl Display for Type` / `&dyn for<'a> Fn(…)`: the word
-            // before a real loop keyword is never an identifier or `>`.
-            let prev = masked[..at].trim_end().as_bytes().last();
-            if kw == "for" && prev.is_some_and(|&b| is_ident(b) || b == b'>') {
-                continue;
-            }
-            let next = masked[after..].trim_start().as_bytes().first();
-            if kw == "for" && next == Some(&b'<') {
-                continue; // higher-ranked trait bound, not a loop
-            }
-            if kw == "loop" && next != Some(&b'{') {
-                continue; // e.g. a method or field named `loop_…` is
-                          // already word-bounded out; this skips `loop`
-                          // used as a macro ident fragment
-            }
-            // Scan to the body `{` at bracket depth 0; `;` or `}` first
-            // means this isn't a loop after all.
-            let mut depth = 0i64;
-            let mut k = after;
-            let mut open = None;
-            while k < bytes.len() {
-                match bytes[k] {
-                    b'(' | b'[' => depth += 1,
-                    b')' | b']' => depth -= 1,
-                    b'{' if depth <= 0 => {
-                        open = Some(k);
-                        break;
-                    }
-                    b';' | b'}' if depth <= 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            let Some(open) = open else { continue };
-            spans.push(LoopSpan {
-                kw: at,
-                header: at..open,
-                body: open..span_end(masked, open),
-                depth: 0,
-            });
-        }
-    }
-    spans.sort_by_key(|s| s.kw);
-    let depths: Vec<usize> = spans
-        .iter()
-        .map(|s| {
-            spans
-                .iter()
-                .filter(|o| o.kw != s.kw && o.body.contains(&s.kw))
-                .count()
-        })
-        .collect();
-    for (s, d) in spans.iter_mut().zip(depths) {
-        s.depth = d;
-    }
-    spans
-}
-
-/// The innermost loop whose *body* contains `offset`, if any.
-pub(crate) fn enclosing_loop(spans: &[LoopSpan], offset: usize) -> Option<&LoopSpan> {
-    spans
-        .iter()
-        .filter(|s| s.body.contains(&offset))
-        .min_by_key(|s| s.body.end - s.body.start)
-}
-
-// ---------------------------------------------------------------------
-// Source model: one file, one workspace
+// One file, one workspace
 // ---------------------------------------------------------------------
 
 /// One Rust source file, read and scrubbed once: everything the source,
 /// determinism, performance and SQL checks look at.
 pub(crate) struct FileCtx {
-    /// Workspace-relative path, used in findings and to recognise
-    /// sanctioned files.
+    /// Workspace-relative path, used in findings.
     pub(crate) rel: String,
     /// The crate of a `crates/<name>/src` file; empty for the SQL-only
     /// files (root `src/` and `examples/`, crate `examples/`), which no
@@ -539,10 +387,6 @@ pub(crate) struct FileCtx {
     pub(crate) masked: String,
     /// String literals outside test code.
     pub(crate) strings: Vec<StrLit>,
-    /// [`fn_spans`] of the masked text.
-    pub(crate) fns: Vec<Range<usize>>,
-    /// [`loop_spans`] of the masked text.
-    pub(crate) loops: Vec<LoopSpan>,
 }
 
 impl FileCtx {
@@ -553,16 +397,12 @@ impl FileCtx {
             .into_iter()
             .filter(|l| !tests.iter().any(|r| r.contains(&l.offset)))
             .collect();
-        let fns = fn_spans(&masked);
-        let loops = loop_spans(&masked);
         FileCtx {
             rel: rel.to_string(),
             krate: krate.to_string(),
             text,
             masked,
             strings,
-            fns,
-            loops,
         }
     }
 
@@ -832,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_spans_cover_for_while_loop_with_depth() {
+    fn loop_bodies_cover_for_while_and_loop() {
         let src = "fn f(rows: &[u64]) {\n\
                    for r in rows {\n\
                        let mut i = 0;\n\
@@ -841,37 +681,30 @@ mod tests {
                            i += 1;\n\
                        }\n\
                    }\n}\n";
-        let spans = loop_spans(src);
-        assert_eq!(spans.len(), 3, "{spans:?}");
-        assert_eq!(spans[0].depth, 0);
-        assert!(src[spans[0].header.clone()].contains("for r in rows"));
-        assert_eq!(spans[1].depth, 1);
-        assert!(src[spans[1].header.clone()].contains("while i"));
-        assert_eq!(spans[2].depth, 2);
-        // The innermost loop of an offset inside all three bodies.
+        let bodies = loop_bodies(src);
+        assert_eq!(bodies.len(), 3, "{bodies:?}");
         let brk = src.find("break").unwrap();
-        let inner = enclosing_loop(&spans, brk).unwrap();
-        assert_eq!(inner.depth, 2);
+        assert!(bodies.iter().all(|b| b.contains(&brk)));
     }
 
     #[test]
-    fn loop_spans_skip_impl_for_and_hrtb() {
+    fn loop_bodies_skip_impl_for_and_hrtb() {
         let src = "impl Display for Thing { fn fmt(&self) {} }\n\
                    fn g(f: &dyn for<'a> Fn(&'a str)) { f(\"x\"); }\n\
                    struct Loopy { loop_count: u64 }\n";
         let (scrubbed, _) = scrub(src);
-        assert_eq!(loop_spans(&scrubbed), vec![]);
+        assert_eq!(loop_bodies(&scrubbed), vec![]);
     }
 
     #[test]
-    fn loop_spans_find_body_past_closure_parens() {
+    fn loop_bodies_find_the_body_past_closure_parens() {
         let src = "fn f(v: Vec<u64>) {\n\
                    for x in v.iter().filter(|y| **y > 1) {\n\
                        use_it(x);\n\
                    }\n}\n";
-        let spans = loop_spans(src);
-        assert_eq!(spans.len(), 1);
-        assert!(src[spans[0].body.clone()].contains("use_it"));
+        let bodies = loop_bodies(src);
+        assert_eq!(bodies.len(), 1);
+        assert!(src[bodies[0].clone()].contains("use_it"));
     }
 
     #[test]

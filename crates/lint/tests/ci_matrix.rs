@@ -214,8 +214,9 @@ fn end_to_end_benchmark_is_built_and_tested() {
 
 #[test]
 fn clippy_step_keeps_the_flags_the_moved_rules_need() {
-    // `no-unwrap`, `no-wallclock`, DT003, DT004, DT005, DT008 and PF005
-    // are clippy lints now: without `--workspace` a crate goes unchecked,
+    // `no-unwrap`, `no-wallclock`, DT001, DT003, DT004, DT005, DT008,
+    // PF001's clone needle, PF002 and PF005 are clippy lints now: without
+    // `--workspace` a crate goes unchecked,
     // without `--all-targets` the `#[expect]` sites of test builds go
     // unchecked, and without `-D warnings` every `disallowed_*` hit and
     // every stale `#[expect]` is only a warning.

@@ -2,10 +2,13 @@
 //! their violating fixtures, and their scope has not drifted.
 //!
 //! `no-unwrap` is `#![deny(clippy::{unwrap_used, expect_used, panic})]`
-//! in the hot-path crates' roots; `no-wallclock`, DT003, DT004, DT005,
-//! DT008 and PF005 are `disallowed-methods`/`disallowed-types` in
+//! in the hot-path crates' roots; DT001, PF002 and PF001's `.clone()`
+//! needle are `#![deny(clippy::{iter_over_hash_type, needless_collect,
+//! redundant_clone})]` in the identity-gated crates' roots;
+//! `no-wallclock`, DT001's iterating methods, DT003, DT004, DT005, DT008
+//! and PF005 are `disallowed-methods`/`disallowed-types` in
 //! `crates/clippy.toml` and in the wall-clock-free crates' copies; test
-//! code is exempt through one `cfg_attr(test, allow(…))` per crate root
+//! code is exempt through `cfg_attr(test, allow(…))` in each crate root
 //! and `allow-*-in-tests`. The fixture crate (`clippy_fixture/`, outside
 //! the workspace) carries the same crate-root attributes and is run under
 //! the real config files through `CLIPPY_CONF_DIR`, so neither side can
@@ -26,6 +29,9 @@ const NO_UNWRAP: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clipp
 const TEST_EXEMPT: &str =
     "#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]";
 const NO_WRAP: &str = "#![deny(clippy::cast_possible_wrap, clippy::cast_sign_loss)]";
+const HASH_ORDER: &str =
+    "#![deny(clippy::iter_over_hash_type, clippy::needless_collect, clippy::redundant_clone)]";
+const HASH_ORDER_TEST_EXEMPT: &str = "#![cfg_attr(test, allow(clippy::iter_over_hash_type, clippy::needless_collect, clippy::redundant_clone))]";
 const FORBID_UNSAFE: &str = "#![forbid(unsafe_code)]";
 
 fn crates_dir() -> PathBuf {
@@ -37,6 +43,12 @@ fn crates_dir() -> PathBuf {
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/clippy_fixture")
+}
+
+/// `text` without whitespace, so an attribute matches however rustfmt
+/// wrapped it.
+fn squash(text: &str) -> String {
+    text.split_whitespace().collect()
 }
 
 fn read(path: &Path) -> String {
@@ -187,14 +199,18 @@ fn configs_keep_their_scopes() {
 #[test]
 fn crate_roots_carry_the_fixture_attributes() {
     let fixture = read(&fixture_dir().join("src/lib.rs"));
-    assert!(fixture.lines().any(|l| l == NO_UNWRAP));
-    assert!(fixture.lines().any(|l| l == TEST_EXEMPT));
+    for attr in [NO_UNWRAP, TEST_EXEMPT, HASH_ORDER, HASH_ORDER_TEST_EXEMPT] {
+        assert!(
+            squash(&fixture).contains(&squash(attr)),
+            "the fixture lacks `{attr}`"
+        );
+    }
     let with = |attr: &str| -> Vec<String> {
         let mut out = Vec::new();
         for entry in std::fs::read_dir(crates_dir()).expect("crates/") {
             let dir = entry.expect("crate dir").path();
             let root = dir.join("src/lib.rs");
-            if root.is_file() && read(&root).lines().any(|l| l == attr) {
+            if root.is_file() && squash(&read(&root)).contains(&squash(attr)) {
                 out.push(dir.file_name().unwrap().to_string_lossy().into_owned());
             }
         }
@@ -218,6 +234,8 @@ fn crate_roots_carry_the_fixture_attributes() {
             "warehouse"
         ]
     );
+    assert_eq!(with(HASH_ORDER), with(TEST_EXEMPT));
+    assert_eq!(with(HASH_ORDER_TEST_EXEMPT), with(TEST_EXEMPT));
     assert_eq!(with(NO_WRAP), ["analysis", "core"]);
     // DT005's `static mut`: neither a read nor a write compiles without
     // `unsafe`.

@@ -1,9 +1,11 @@
 //! Negative fixtures for the determinism front: every DT rule must fire
 //! on a deliberately-violating snippet and stay silent on its disciplined
 //! counterpart. Mirrors `trace_drift.rs` — if a refactor of `det.rs`
-//! weakens a rule, the exact rule ID names what broke. The rules clippy
-//! enforces (DT003, DT004, DT005, DT008) have their fixtures in
-//! `clippy_rules.rs`.
+//! weakens a rule, the exact rule ID names what broke. Each rule also
+//! fires on its planted regression: an edit of a shipping site that
+//! changed output bytes while every test suite stayed green. The rules
+//! clippy enforces (DT001, DT003, DT004, DT005, DT008) have their
+//! fixtures in `clippy_rules.rs`.
 //!
 //! The closing test proves the real workspace is 0-deny on this front at
 //! HEAD, so the fixtures are drills, not grandfathered reality.
@@ -33,58 +35,6 @@ fn workspace_root() -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// DT001 — hash iteration reaching output paths
-// ---------------------------------------------------------------------
-
-#[test]
-fn dt001_fires_on_hash_iteration_escaping_unsorted() {
-    let dirty = "use std::collections::HashMap;\n\
-                 fn render(by_id: &HashMap<u64, String>) -> String {\n\
-                     let mut out = String::new();\n\
-                     for (_id, row) in by_id {\n\
-                         out.push_str(row);\n\
-                     }\n\
-                     out\n\
-                 }\n";
-    assert_eq!(det_rules("crates/monitors/src/fake.rs", dirty), ["DT001"]);
-}
-
-#[test]
-fn dt001_accepts_sort_before_emit_and_btree_recollection() {
-    let sorted = "use std::collections::HashMap;\n\
-                  fn render(by_id: &HashMap<u64, String>) -> Vec<u64> {\n\
-                      let mut ids: Vec<u64> = by_id.keys().copied().collect();\n\
-                      ids.sort_unstable();\n\
-                      ids\n\
-                  }\n";
-    assert_eq!(det_rules("crates/monitors/src/fake.rs", sorted), [""; 0]);
-    let btree = "use std::collections::{BTreeMap, HashMap};\n\
-                 fn order(m: HashMap<u64, f64>) -> BTreeMap<u64, f64> {\n\
-                     m.into_iter().collect::<BTreeMap<_, _>>()\n\
-                 }\n";
-    assert_eq!(det_rules("crates/warehouse/src/fake.rs", btree), [""; 0]);
-}
-
-#[test]
-fn dt001_sees_impl_for_hash_self_consumption() {
-    let dirty = "impl ToJson for HashMap<String, u64> {\n\
-                     fn to_json(&self) -> Json {\n\
-                         Json::arr(self.iter().map(|(k, v)| pair(k, v)))\n\
-                     }\n\
-                 }\n";
-    assert_eq!(det_rules("crates/serdes/src/fake.rs", dirty), ["DT001"]);
-    // The shipped discipline: collect pairs, sort, then emit.
-    let sorted = "impl ToJson for HashMap<String, u64> {\n\
-                      fn to_json(&self) -> Json {\n\
-                          let mut pairs: Vec<_> = self.iter().collect();\n\
-                          pairs.sort_by(|a, b| a.0.cmp(b.0));\n\
-                          Json::arr(pairs)\n\
-                      }\n\
-                  }\n";
-    assert_eq!(det_rules("crates/serdes/src/fake.rs", sorted), [""; 0]);
-}
-
-// ---------------------------------------------------------------------
 // DT002 — float reductions inside worker closures
 // ---------------------------------------------------------------------
 
@@ -94,6 +44,28 @@ fn dt002_fires_on_undocumented_float_reduction_in_worker_span() {
                      parallel_map(cols.len(), 4, |i| cols[i].iter().sum::<f64>())\n\
                  }\n";
     assert_eq!(det_rules("crates/sim/src/fake.rs", dirty), ["DT002"]);
+}
+
+#[test]
+fn dt002_fires_on_the_planted_worker_count_split() {
+    // The planted regression: a whole-table SUM split into one chunk per
+    // worker. The chunks follow the worker count, so the sum's rounding
+    // does too — `SUM(x)` over 5,000 non-integral floats read differently
+    // at one worker and at two, with every suite green.
+    let planted = "fn sum(rows: &[usize], s: &[Value], workers: usize) -> f64 {\n\
+                       let chunk = rows.len().div_ceil(workers).max(1);\n\
+                       let parts = parallel_map(rows.len().div_ceil(chunk), workers, |c| {\n\
+                           rows[c * chunk..((c + 1) * chunk).min(rows.len())]\n\
+                               .iter()\n\
+                               .filter_map(|&r| s[r].as_f64())\n\
+                               .sum::<f64>()\n\
+                       });\n\
+                       parts.iter().sum()\n\
+                   }\n";
+    assert_eq!(
+        det_rules("crates/warehouse/src/vector.rs", planted),
+        ["DT002"]
+    );
 }
 
 #[test]
@@ -118,6 +90,25 @@ fn dt006_fires_on_bare_timestamp_sort() {
                      evs\n\
                  }\n";
     assert_eq!(det_rules("crates/ntier/src/fake.rs", dirty), ["DT006"]);
+}
+
+#[test]
+fn dt006_fires_on_the_planted_unstable_merge() {
+    // The planted regression: the partitioned simulator's merge of its
+    // cells' lifecycle streams, made unstable. Events of different cells
+    // that share a timestamp changed order, so a partitioned run's
+    // lifecycle stream changed bytes, with every suite green.
+    let planted = "fn merge(cells: Vec<Cell>) -> Vec<LifecycleEvent> {\n\
+                       // Concatenate cell-major, then restore the global\n\
+                       // total order.\n\
+                       let mut lifecycle = Vec::new();\n\
+                       for c in cells {\n\
+                           lifecycle.extend(c.lifecycle);\n\
+                       }\n\
+                       lifecycle.sort_unstable_by_key(|e| e.time);\n\
+                       lifecycle\n\
+                   }\n";
+    assert_eq!(det_rules("crates/ntier/src/engine.rs", planted), ["DT006"]);
 }
 
 #[test]
@@ -150,8 +141,8 @@ fn dt006_accepts_composite_keys_then_chains_and_documented_stability() {
 
 #[test]
 fn non_identity_gated_crates_are_exempt() {
-    let src = "fn t(m: &HashMap<u64, u64>) -> Vec<u64> { m.keys().copied().collect() }\n";
-    assert_eq!(det_rules("crates/warehouse/src/fake.rs", src), ["DT001"]);
+    let src = "fn t(mut evs: Vec<Ev>) -> Vec<Ev> { evs.sort_by_key(|e| e.time); evs }\n";
+    assert_eq!(det_rules("crates/warehouse/src/fake.rs", src), ["DT006"]);
     assert_eq!(
         mscope_lint::lint_file("bench", "crates/bench/src/fake.rs", src),
         vec![]
@@ -161,7 +152,7 @@ fn non_identity_gated_crates_are_exempt() {
 #[test]
 fn test_modules_are_exempt() {
     let src = "#[cfg(test)]\nmod tests {\n\
-               fn t(m: &HashMap<u64, u64>) { for v in m.values() { sink(v); } }\n\
+               fn t(mut evs: Vec<Ev>) { evs.sort_by_key(|e| e.time); }\n\
                }\n";
     assert_eq!(det_rules("crates/warehouse/src/fake.rs", src), [""; 0]);
 }

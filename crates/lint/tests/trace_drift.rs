@@ -196,4 +196,18 @@ fn clock_and_sampling_drift_are_flagged_as_tr007_and_tr008() {
         );
         Ok(())
     });
+
+    // A phenomenon too short for any deployed monitor: a 16 KiB commit
+    // buffer at 16 MB/s stalls the database for ~1 ms.
+    let mut cfg = SystemConfig::scenario_db_io(100);
+    cfg.tiers[3]
+        .log_flush
+        .as_mut()
+        .expect("the db-io scenario flushes its commit log")
+        .buffer_threshold = 16 << 10;
+    let got = rules(&mscope_lint::trace::check_scenario("scenario_db_io", &cfg));
+    assert!(
+        got.contains(&"TR008"),
+        "a ~1 ms log-flush stall should raise TR008, got {got:?}"
+    );
 }

@@ -2,9 +2,9 @@
 //!
 //! This is the same gate CI runs — every deny-level rule (pattern/decl
 //! validity, schema conflicts, SQL-vs-schema, hermetic-deps, the trace
-//! front's TR001–TR008 scenario proofs, the determinism front's
-//! DT001/DT002/DT006 discipline checks, and the performance front's
-//! PF001–PF004 and PF006–PF008 hot-path checks) must hold at HEAD. The
+//! front's TR001–TR008 scenario proofs, the determinism front's DT002
+//! and DT006 discipline checks, and the performance front's PF001) must
+//! hold at HEAD. The
 //! rules clippy enforces are CI's Clippy step; `clippy_rules.rs` holds
 //! their fixtures.
 
@@ -52,8 +52,8 @@ fn det_front_alone_is_clean() {
 
 #[test]
 fn perf_front_alone_is_clean() {
-    // The performance front's contract: every hot-path finding at HEAD
-    // has been fixed or carries a reviewed `// perf:` justification.
+    // The performance front's contract: every hot-loop allocation at HEAD
+    // has been hoisted or carries a reviewed `// perf:` justification.
     let report = mscope_lint::run(&workspace_root(), "perf", None).expect("lint run succeeds");
     assert!(
         report.is_clean(),

@@ -43,7 +43,20 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(
+    clippy::iter_over_hash_type,
+    clippy::needless_collect,
+    clippy::redundant_clone
+)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::iter_over_hash_type,
+        clippy::needless_collect,
+        clippy::redundant_clone
+    )
+)]
 #![warn(missing_docs)]
 
 mod config;

@@ -300,6 +300,10 @@ impl<K: JsonKey + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
 impl<K: JsonKey, V: ToJson> ToJson for HashMap<K, V> {
     /// Keys are sorted on write so output is deterministic regardless of
     /// hash order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "DT001: the pairs are sorted by key before they are emitted"
+    )]
     fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = self
             .iter()
