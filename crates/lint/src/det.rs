@@ -32,8 +32,7 @@
 //! crate) is retired: every such crate carries `#![forbid(unsafe_code)]`.
 //! Retired IDs are not reused.
 
-use crate::needle::one_per_line;
-use crate::source::{comment_evidence, span_end, FileCtx};
+use crate::source::{comment_evidence, one_per_line, span_end, FileCtx};
 use crate::Finding;
 
 /// Crates bound by the byte-identity contract: everything that produces,

@@ -27,17 +27,18 @@
 //! 4. **Determinism front** ([`det`]) — no float reduction in a worker
 //!    closure without a documented merge order, and tie-broken timestamp
 //!    sorts (rules `DT002`, `DT006`).
-//! 5. **Performance front** ([`perf`]) — no allocation inside a hot-path
-//!    loop and no row-wise `Table` scan outside the compiled engine
-//!    without a `// perf:` justification (rules `PF001`, `PF004`).
+//! 5. **Performance front** ([`perf`]) — no allocation, predicate
+//!    compilation or sort inside a hot-path loop and no row-wise `Table`
+//!    scan outside the compiled engine without a `// perf:` justification
+//!    (rules `PF001`, `PF004`, `PF006`, `PF008`).
 //!
-//! Those four text rules are the ones whose planted violation got past
+//! Those six text rules are the ones whose planted violation got past
 //! every other gate: it changed output bytes (`DT002`, `DT006`) or slowed
-//! an end-to-end workload (`PF001`, `PF004`) while clippy, the test
-//! suites and `bench_delta` stayed green (EXPERIMENTS.md, the
-//! planted-regression table). The others of the two fronts went to clippy
-//! or were retired. `PF001` and `PF004` are rows of one table
-//! (`needle.rs`) evaluated by one function.
+//! an end-to-end workload (`PF001`, `PF004`, `PF006`, `PF008`) while
+//! clippy, the test suites and `bench_delta` stayed green (EXPERIMENTS.md,
+//! the planted-regression table). The others of the two fronts went to
+//! clippy or were retired. The performance rules are rows of one table in
+//! [`perf`], evaluated by one function.
 //!
 //! Findings carry a stable rule ID, a severity, and a `file:line` anchor.
 //! A rule that needs a path or a type resolved is not here but in the
@@ -57,9 +58,9 @@
 //!   its copies, and `DT005`'s `static mut` is refused by the
 //!   `#![forbid(unsafe_code)]` of every identity-gated crate.
 //!
-//! `PF003` and `PF006`–`PF008` are retired: a planted violation of each
-//! was caught by a bench gate or moved no end-to-end median past the
-//! parent's spread. [`run`] is the one entry point: the `mscope-lint`
+//! `PF003` and `PF007` are retired: a planted violation of `PF003` moved
+//! no end-to-end median past the parent's spread, and one of `PF007` was
+//! caught by a bench gate. [`run`] is the one entry point: the `mscope-lint`
 //! binary runs one front or `all` of them and exits non-zero on any
 //! deny-level finding.
 
@@ -69,7 +70,6 @@
 pub mod det;
 pub mod domain;
 pub mod model;
-mod needle;
 pub mod perf;
 pub mod source;
 pub mod trace;

@@ -8,9 +8,10 @@
 //! `trace` runs the whole-pipeline flow analysis over every shipped
 //! scenario preset (or one, with `--scenario`); `det` checks the
 //! byte-identity parallel discipline (rules `DT002`, `DT006`; clippy holds
-//! the rest); `perf` checks hot-path loops for allocations and the
-//! table-holding crates for row-wise scans (rules `PF001`, `PF004`;
-//! clippy holds `PF002` and `PF005`); `all` runs every front.
+//! the rest); `perf` checks hot-path loops for allocations, predicate
+//! compilation and sorts, and the table-holding crates for row-wise scans
+//! (rules `PF001`, `PF004`, `PF006`, `PF008`; clippy holds `PF002` and
+//! `PF005`); `all` runs every front.
 //! `--format json` (alias: `--json`) emits the machine-readable report —
 //! each finding carries rule id, file, line, and severity — for CI
 //! annotations and downstream tooling.

@@ -426,6 +426,13 @@ impl FileCtx {
     }
 }
 
+/// Keeps one finding per (rule, line) — the first reported — in line
+/// order, so overlapping needles on one line do not double-report.
+pub(crate) fn one_per_line(findings: &mut Vec<Finding>) {
+    findings.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
+    findings.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
+}
+
 /// The workspace as every front sees it, read once.
 pub(crate) struct Workspace {
     /// Rust files in walk order: the root `src/` and `examples/`, then per

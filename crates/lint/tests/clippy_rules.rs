@@ -26,12 +26,10 @@ use std::process::Command;
 type Hit = (String, u64, String);
 
 const NO_UNWRAP: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
-const TEST_EXEMPT: &str =
-    "#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]";
+const TEST_EXEMPT: &str = "#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types, clippy::iter_over_hash_type, clippy::needless_collect, clippy::redundant_clone))]";
 const NO_WRAP: &str = "#![deny(clippy::cast_possible_wrap, clippy::cast_sign_loss)]";
-const HASH_ORDER: &str =
+const MOVED_RULES: &str =
     "#![deny(clippy::iter_over_hash_type, clippy::needless_collect, clippy::redundant_clone)]";
-const HASH_ORDER_TEST_EXEMPT: &str = "#![cfg_attr(test, allow(clippy::iter_over_hash_type, clippy::needless_collect, clippy::redundant_clone))]";
 const FORBID_UNSAFE: &str = "#![forbid(unsafe_code)]";
 
 fn crates_dir() -> PathBuf {
@@ -199,7 +197,7 @@ fn configs_keep_their_scopes() {
 #[test]
 fn crate_roots_carry_the_fixture_attributes() {
     let fixture = read(&fixture_dir().join("src/lib.rs"));
-    for attr in [NO_UNWRAP, TEST_EXEMPT, HASH_ORDER, HASH_ORDER_TEST_EXEMPT] {
+    for attr in [NO_UNWRAP, TEST_EXEMPT, MOVED_RULES] {
         assert!(
             squash(&fixture).contains(&squash(attr)),
             "the fixture lacks `{attr}`"
@@ -234,8 +232,7 @@ fn crate_roots_carry_the_fixture_attributes() {
             "warehouse"
         ]
     );
-    assert_eq!(with(HASH_ORDER), with(TEST_EXEMPT));
-    assert_eq!(with(HASH_ORDER_TEST_EXEMPT), with(TEST_EXEMPT));
+    assert_eq!(with(MOVED_RULES), with(TEST_EXEMPT));
     assert_eq!(with(NO_WRAP), ["analysis", "core"]);
     // DT005's `static mut`: neither a read nor a write compiles without
     // `unsafe`.

@@ -234,6 +234,154 @@ fn pf004_exempts_the_engine_probes_and_foreign_crates() {
 }
 
 // ---------------------------------------------------------------------
+// PF006 — per-row predicate/index construction
+// ---------------------------------------------------------------------
+
+#[test]
+fn pf006_fires_on_compilation_inside_a_loop() {
+    let dirty = "fn probe(t: &Table, ids: &[Vec<String>]) -> usize {\n\
+                 let mut n = 0;\n\
+                 for id in ids {\n\
+                     let idx = KeyIndex::build(id.clone());\n\
+                     n += idx.len();\n\
+                 }\n\
+                 n\n}\n";
+    assert!(perf_rules("crates/analysis/src/fake.rs", dirty).contains(&"PF006".to_string()));
+    // The selection constructor builds the same index.
+    let over = "fn probe(col: &[Value], sels: &[Vec<usize>]) -> usize {\n\
+                let mut n = 0;\n\
+                for sel in sels {\n\
+                    n += KeyIndex::over(col, sel.iter().copied()).len();\n\
+                }\n\
+                n\n}\n";
+    assert_eq!(
+        perf_findings("crates/warehouse/src/fake.rs", over),
+        deny(
+            "PF006",
+            "crates/warehouse/src/fake.rs",
+            4,
+            "`KeyIndex::over` inside a loop — compilation binds column slices once per query; hoist it out of the iteration: `n += KeyIndex::over(col, sel.iter().copied()).len();`"
+        )
+    );
+    // The pair-space entry (join residual, HAVING) binds slices the same way.
+    let pairs =
+        "fn residuals(preds: &[Predicate], resolve: &R, pairs: &[(usize, usize)]) -> usize {\n\
+                 let mut n = 0;\n\
+                 for p in preds {\n\
+                     let node = Node::compile(p, resolve);\n\
+                     n += pairs.iter().filter(|&&r| node.eval(r)).count();\n\
+                 }\n\
+                 n\n}\n";
+    assert_eq!(perf_rules("crates/warehouse/src/fake.rs", pairs), ["PF006"]);
+}
+
+#[test]
+fn pf006_fires_on_the_planted_per_row_compile() {
+    // The planted regression: the block scan compiling the predicate once
+    // per row of every block its zone maps cannot decide. `query_mix`
+    // `job_s` rose +48.5 % (5/5 pairs, past the parent's interquartile
+    // range) while clippy, every test and every `bench_delta` ratio stayed
+    // green.
+    let planted = "fn mixed(&self, s: usize, e: usize) -> Vec<usize> {\n\
+                       let mut hits = Vec::new();\n\
+                       for i in s..e {\n\
+                           let node = Node::compile(&self.pred, &|c| self.resolve(c));\n\
+                           if node.eval(i) {\n\
+                               hits.push(i);\n\
+                           }\n\
+                       }\n\
+                       hits\n\
+                   }\n";
+    assert_eq!(
+        perf_rules("crates/warehouse/src/engine.rs", planted),
+        ["PF006"]
+    );
+}
+
+#[test]
+fn pf006_accepts_hoisted_or_justified_construction() {
+    let hoisted = "fn probe(t: &Table, p: &Predicate, rows: &[usize]) -> usize {\n\
+                   let c = CompiledPredicate::compile(t, p);\n\
+                   let mut n = 0;\n\
+                   for r in rows { n += usize::from(c.matches(*r)); }\n\
+                   n\n}\n";
+    assert_eq!(perf_rules("crates/warehouse/src/fake.rs", hoisted), [""; 0]);
+    let justified = "fn deep(tables: &[Table]) -> Vec<KeyIndex> {\n\
+                     let mut out = Vec::with_capacity(tables.len());\n\
+                     for t in tables {\n\
+                         // perf: one index per deeper-tier *table*, built\n\
+                         // once per reconstruction, not per row.\n\
+                         out.push(KeyIndex::build(ids(t)));\n\
+                     }\n\
+                     out\n}\n";
+    assert_eq!(
+        perf_rules("crates/analysis/src/fake.rs", justified),
+        [""; 0]
+    );
+}
+
+// ---------------------------------------------------------------------
+// PF008 — sorting inside a loop
+// ---------------------------------------------------------------------
+
+#[test]
+fn pf008_fires_on_per_iteration_sorts() {
+    let dirty = "fn normalize(groups: &mut [Vec<u64>]) {\n\
+                 for g in groups.iter_mut() { g.sort_unstable(); }\n\
+                 }\n";
+    assert_eq!(
+        perf_findings("crates/sim/src/fake.rs", dirty),
+        deny(
+            "PF008",
+            "crates/sim/src/fake.rs",
+            2,
+            "`.sort_unstable()` inside a loop re-sorts every iteration — sort once after the loop or keep the data sorted by construction: `for g in groups.iter_mut() { g.sort_unstable(); }`"
+        )
+    );
+}
+
+#[test]
+fn pf008_fires_on_the_planted_per_probe_sort() {
+    // The planted regression: the hash join's probe loop re-sorting the
+    // pairs found so far after every probe row. `query_mix` `job_s` rose
+    // +51.7 % (5/5 pairs, past the parent's interquartile range) while
+    // clippy, every test and every `bench_delta` ratio stayed green.
+    let planted = "fn join_pairs(lcol: &[Value], rcol: &[Value], index: &KeyIndex, probe: Rows) -> Vec<(usize, usize)> {\n\
+                       let mut out = Vec::with_capacity(probe.len().min(index.len()));\n\
+                       for li in probe {\n\
+                           out.extend(index.rows(rcol, &lcol[li]).iter().map(|&ri| (li, ri)));\n\
+                           out.sort_unstable();\n\
+                       }\n\
+                       out\n\
+                   }\n";
+    assert_eq!(
+        perf_rules("crates/warehouse/src/vector.rs", planted),
+        ["PF008"]
+    );
+}
+
+#[test]
+fn pf008_accepts_one_sort_after_the_loop_or_a_justification() {
+    let outside = "fn gather(rows: &[Row]) -> Vec<u64> {\n\
+                   let mut all = Vec::with_capacity(rows.len());\n\
+                   for r in rows { all.push(r.id); }\n\
+                   all.sort_unstable();\n\
+                   all\n}\n";
+    assert_eq!(perf_rules("crates/sim/src/fake.rs", outside), [""; 0]);
+    let justified = "fn per_column(cols: &mut [Vec<Key>]) {\n\
+                     for keys in cols.iter_mut() {\n\
+                         // perf: one sort per described column — distinct\n\
+                         // counting needs any total order per column.\n\
+                         keys.sort_unstable();\n\
+                     }\n\
+                     }\n";
+    assert_eq!(
+        perf_rules("crates/warehouse/src/fake.rs", justified),
+        [""; 0]
+    );
+}
+
+// ---------------------------------------------------------------------
 // Scope
 // ---------------------------------------------------------------------
 

@@ -38,10 +38,11 @@
     clippy::needless_collect,
     clippy::redundant_clone
 )]
-#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 #![cfg_attr(
     test,
     allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
         clippy::iter_over_hash_type,
         clippy::needless_collect,
         clippy::redundant_clone

@@ -659,8 +659,8 @@ impl Table {
             let nulls = values.iter().filter(|v| v.is_null()).count();
             let distinct = {
                 let mut keys: Vec<crate::value::ValueKey> = values.iter().map(Value::key).collect();
-                // Distinct-counting needs any total order, and
-                // `ValueKey: Ord` is direct.
+                // perf: one sort per described column — distinct-counting
+                // needs any total order, and `ValueKey: Ord` is direct.
                 keys.sort_unstable();
                 keys.dedup();
                 keys.len()
