@@ -23,20 +23,23 @@
 //! decisions at once. Planner-off is pinned to hashing the right (large)
 //! input for the one query; planner-on probes the small `front` table's
 //! kept key index, which the table builds once and keeps until it is
-//! written, so every timed sample after the first also reuses that index.
-//! The request-ID join leg builds its index on every sample: it times
-//! build plus probe, not reuse.
+//! written, and the identity gate has already built it, so every timed
+//! round reuses that index. The request-ID join leg builds its index in
+//! every round: it times build plus probe, not reuse.
 //!
 //! ```text
 //! cargo bench -p mscope-bench --bench query_engine -- [--smoke] [--out PATH]
 //! ```
 //!
-//! Writes a `BENCH_query.json` summary for CI artifact upload and asserts
+//! Each pair of legs is timed in interleaved rounds and each speedup is the
+//! median of the per-round ratios ([`mscope_bench::harness`]). Writes a
+//! `BENCH_query.json` summary for CI artifact upload and asserts
 //! the windowed select and request-ID join are ≥3x over the naive scan,
 //! the equality select ≥1.5x,
 //! the materializing hash join is ≥2x over its naive oracle, and the
 //! planner's join-reorder win is ≥1.5x over the planner-off plan.
 
+use mscope_bench::harness::{interleave, pair, Bench, Rounds};
 use mscope_db::{
     Column, ColumnType, CompiledPredicate, Database, KeyIndex, Predicate, QueryOptions, Schema,
     Table, Value,
@@ -44,7 +47,6 @@ use mscope_db::{
 use mscope_ntier::INTERACTIONS;
 use mscope_serdes::Json;
 use mscope_sim::SimRng;
-use std::time::Instant;
 
 /// Builds a front-tier event table shaped like the transformer's output:
 /// `ua`-sorted (event logs are written in time order), fixed-width hex
@@ -87,48 +89,15 @@ fn event_table(rows: usize, rng: &mut SimRng) -> Table {
     t
 }
 
-/// Best-of-`samples` seconds and last output of each of two legs, timed
-/// in interleaved rounds (`a` then `b`, `samples` times): a stall of the
-/// host lands on one sample of each leg, not on all of one leg's.
-fn best_pair<A, B>(samples: usize, mut a: A, mut b: B) -> ((f64, usize), (f64, usize))
-where
-    A: FnMut() -> usize,
-    B: FnMut() -> usize,
-{
-    let time = |f: &mut dyn FnMut() -> usize, best: &mut (f64, usize)| {
-        let start = Instant::now();
-        let out = f();
-        *best = (best.0.min(start.elapsed().as_secs_f64()), out);
-    };
-    let (mut best_a, mut best_b) = ((f64::MAX, 0), (f64::MAX, 0));
-    for _ in 0..samples {
-        time(&mut a, &mut best_a);
-        time(&mut b, &mut best_b);
-    }
-    (best_a, best_b)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query.json").to_string()
-        });
+    let bench = Bench::from_args("query_engine", "BENCH_query.json");
+    let smoke = bench.smoke;
     let rows = if smoke { 20_000 } else { 150_000 };
     let probes = if smoke { 50 } else { 200 };
     // Smoke legs are 0.5–12 ms: one descheduling on a shared host is a 2x
-    // swing in a ratio, and best-of-3 let one run in eleven through at
-    // 2.5x on the request-ID join. More samples cost smoke ~0.25 s.
+    // swing in one round's ratio, which the median over rounds outvotes.
     let samples = if smoke { 9 } else { 5 };
-
-    eprintln!(
-        "## query_engine ({}, {rows} rows)",
-        if smoke { "smoke" } else { "full" }
-    );
+    eprintln!("  {rows} rows, {samples} rounds");
     let mut rng = SimRng::seed_from(0x6D73_636F_7065);
     let table = event_table(rows, &mut rng);
 
@@ -163,17 +132,12 @@ fn main() {
         expected.row_count()
     );
 
-    let ((naive_select, n_naive), (compiled_select, n_compiled)) = best_pair(
+    let select = pair(
         samples,
         || table.filter_naive(&window_pred).row_count(),
         || table.filter(&window_pred).row_count(),
     );
-    assert_eq!(n_naive, n_compiled);
-    let speedup_select = naive_select / compiled_select;
-    eprintln!(
-        "  windowed select: naive {:.4}s, compiled {:.4}s ({speedup_select:.1}x)",
-        naive_select, compiled_select
-    );
+    report("windowed select", &select);
 
     // ---- Equality select: one interaction's rows, `interaction = 'X'`
     // over an unsorted text column. Naive compares every row's string;
@@ -195,27 +159,17 @@ fn main() {
         "  equality select identical across worker counts ({} rows match)",
         expected.row_count()
     );
-    let ((naive_eq, n_naive_eq), (compiled_eq, n_compiled_eq)) = best_pair(
+    let eq = pair(
         samples,
         || table.filter_naive(&eq_pred).row_count(),
         || table.filter(&eq_pred).row_count(),
     );
-    assert_eq!(n_naive_eq, n_compiled_eq);
-    let speedup_eq = naive_eq / compiled_eq;
+    report("equality select", &eq);
     let interaction = table.column("interaction").expect("interaction column");
-    let eq_index_build = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            let index = KeyIndex::build(interaction);
-            let secs = start.elapsed().as_secs_f64();
-            assert_eq!(index.len(), INTERACTIONS.len());
-            secs
-        })
-        .fold(f64::MAX, f64::min);
-    eprintln!(
-        "  equality select: naive {naive_eq:.4}s, probed {compiled_eq:.4}s \
-         ({speedup_eq:.1}x); index build {eq_index_build:.4}s"
-    );
+    let eq_index = interleave(samples, 1, |_| KeyIndex::build(interaction).len());
+    assert_eq!(eq_index.outputs[0], INTERACTIONS.len());
+    let eq_index_build = eq_index.median(0);
+    eprintln!("  equality select index build {eq_index_build:.4}s");
 
     // ---- Request-ID join: resolve `probes` request IDs against the
     // table, the access pattern of §IV-B flow reconstruction. Naive scans
@@ -244,7 +198,7 @@ fn main() {
     }
     eprintln!("  request-ID join identical for {probes} probe IDs");
 
-    let ((naive_join, _), (compiled_join, _)) = best_pair(
+    let join = pair(
         samples,
         || {
             ids.iter()
@@ -260,11 +214,7 @@ fn main() {
             ids.iter().map(|id| index.rows(col, id).len()).sum()
         },
     );
-    let speedup_join = naive_join / compiled_join;
-    eprintln!(
-        "  request-ID join: naive {:.4}s, compiled {:.4}s ({speedup_join:.1}x)",
-        naive_join, compiled_join
-    );
+    report("request-ID join", &join);
 
     // ---- Full hash join (materializing output) against its oracle: the
     // ratio is modest because output cloning dominates both sides, so it
@@ -278,7 +228,7 @@ fn main() {
         .inner_join_naive(&table, "request_id", "request_id")
         .expect("join runs");
     assert_eq!(joined, joined_naive, "inner_join drift");
-    let ((hash_join_naive, _), (hash_join, _)) = best_pair(
+    let hash_join = pair(
         samples,
         || {
             front
@@ -293,11 +243,7 @@ fn main() {
                 .row_count()
         },
     );
-    let speedup_hash_join = hash_join_naive / hash_join;
-    eprintln!(
-        "  hash join (materialized): naive {:.4}s, typed gather {:.4}s ({speedup_hash_join:.1}x)",
-        hash_join_naive, hash_join
-    );
+    report("hash join (materialized)", &hash_join);
 
     // ---- SQL planner vs planner-off: the same parsed query run through
     // `query_opts` with the planner's choices live and pinned. The pair is
@@ -356,30 +302,6 @@ fn main() {
         }
         on
     };
-    let sql_pair = |sql: &str, samples: usize| -> (f64, f64) {
-        let ((off_secs, n_off), (on_secs, n_on)) = best_pair(
-            samples,
-            || {
-                db.query_opts(
-                    sql,
-                    QueryOptions {
-                        workers: 0,
-                        optimize: false,
-                    },
-                )
-                .expect("query runs")
-                .row_count()
-            },
-            || {
-                db.query_opts(sql, QueryOptions::default())
-                    .expect("query runs")
-                    .row_count()
-            },
-        );
-        assert_eq!(n_off, n_on);
-        (off_secs, on_secs)
-    };
-
     // Join reorder: the planner probes the small `front` table's kept
     // index with the event stream; planner-off always hashes the right
     // (large) input, paying a {rows}-entry index build for a {probes}-row
@@ -398,13 +320,32 @@ fn main() {
             );
         }
     }
-    let (join_off, join_on) = sql_pair(sql_join, samples);
-    let speedup_reorder = join_off / join_on;
-    eprintln!(
-        "  join reorder: planner-off {:.4}s, planner {:.4}s ({speedup_reorder:.1}x)",
-        join_off, join_on
+    let reorder = pair(
+        samples,
+        || {
+            db.query_opts(
+                sql_join,
+                QueryOptions {
+                    workers: 0,
+                    optimize: false,
+                },
+            )
+            .expect("query runs")
+            .row_count()
+        },
+        || {
+            db.query_opts(sql_join, QueryOptions::default())
+                .expect("query runs")
+                .row_count()
+        },
     );
+    report("join reorder (planner-off vs planner)", &reorder);
 
+    let speedup_select = select.ratio(0, 1);
+    let speedup_eq = eq.ratio(0, 1);
+    let speedup_join = join.ratio(0, 1);
+    let speedup_hash_join = hash_join.ratio(0, 1);
+    let speedup_reorder = reorder.ratio(0, 1);
     assert!(
         speedup_select >= 3.0,
         "windowed select speedup {speedup_select:.2}x < 3x"
@@ -426,52 +367,56 @@ fn main() {
         "join reorder speedup {speedup_reorder:.2}x < 1.5x"
     );
 
-    let result = |metric: &str, naive: f64, compiled: f64, n: usize| {
+    let result = |metric: &str, legs: &Rounds| {
         Json::obj([
             ("metric", Json::Str(metric.to_string())),
-            ("naive_seconds", Json::Float(naive)),
-            ("compiled_seconds", Json::Float(compiled)),
-            ("speedup", Json::Float(naive / compiled)),
-            ("output_size", Json::Int(n as i128)),
+            ("naive_seconds", Json::Float(legs.median(0))),
+            ("compiled_seconds", Json::Float(legs.median(1))),
+            ("speedup", Json::Float(legs.ratio(0, 1))),
+            ("output_size", Json::Int(legs.outputs[1] as i128)),
         ])
     };
-    let doc = Json::obj([
-        ("bench", Json::Str("query_engine".into())),
-        (
-            "mode",
-            Json::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("rows", Json::Int(rows as i128)),
-        ("samples", Json::Int(samples as i128)),
-        ("probe_ids", Json::Int(probes as i128)),
-        ("identity", Json::Bool(true)),
-        ("parallel_scan_byte_identical", Json::Bool(true)),
-        (
-            "results",
-            Json::Arr(vec![
-                result("window_select", naive_select, compiled_select, n_compiled),
-                result("eq_select", naive_eq, compiled_eq, n_compiled_eq),
-                result("request_id_join", naive_join, compiled_join, probes),
-                result(
-                    "hash_join_materialized",
-                    hash_join_naive,
-                    hash_join,
-                    joined.row_count(),
-                ),
-                result("sql_join_reorder", join_off, join_on, probes),
-            ]),
-        ),
-        ("speedup_window_select", Json::Float(speedup_select)),
-        ("speedup_eq_select", Json::Float(speedup_eq)),
-        ("eq_index_build_seconds", Json::Float(eq_index_build)),
-        ("speedup_request_id_join", Json::Float(speedup_join)),
-        (
-            "speedup_hash_join_materialized",
-            Json::Float(speedup_hash_join),
-        ),
-        ("speedup_join_reorder", Json::Float(speedup_reorder)),
-    ]);
-    let text = mscope_serdes::to_string_pretty(&doc);
-    std::fs::write(&out_path, &text).expect("write bench output");
-    eprintln!("  select {speedup_select:.1}x, join {speedup_join:.1}x -> {out_path}");
+    bench.write(
+        samples,
+        vec![
+            ("rows", Json::Int(rows as i128)),
+            ("probe_ids", Json::Int(probes as i128)),
+            ("identity", Json::Bool(true)),
+            ("parallel_scan_byte_identical", Json::Bool(true)),
+            (
+                "results",
+                Json::Arr(vec![
+                    result("window_select", &select),
+                    result("eq_select", &eq),
+                    result("request_id_join", &join),
+                    result("hash_join_materialized", &hash_join),
+                    result("sql_join_reorder", &reorder),
+                ]),
+            ),
+            ("speedup_window_select", Json::Float(speedup_select)),
+            ("speedup_eq_select", Json::Float(speedup_eq)),
+            ("eq_index_build_seconds", Json::Float(eq_index_build)),
+            ("speedup_request_id_join", Json::Float(speedup_join)),
+            (
+                "speedup_hash_join_materialized",
+                Json::Float(speedup_hash_join),
+            ),
+            ("speedup_join_reorder", Json::Float(speedup_reorder)),
+        ],
+    );
+}
+
+/// Prints a naive-vs-compiled pair's median legs and ratio, after checking
+/// both legs produced the same number of rows.
+fn report(what: &str, legs: &Rounds) {
+    assert_eq!(
+        legs.outputs[0], legs.outputs[1],
+        "{what}: leg outputs differ"
+    );
+    eprintln!(
+        "  {what}: {:.4}s vs {:.4}s ({:.1}x)",
+        legs.median(0),
+        legs.median(1),
+        legs.ratio(0, 1)
+    );
 }

@@ -9,22 +9,27 @@
 //!    lifecycle, messages, samples) and all four digests must be
 //!    byte-identical, and digest retention must reproduce the full-mode
 //!    digests exactly.
-//! 2. **Scale identity** — the big trial itself is run under digest
-//!    retention at every timed shard count; the digests must agree before
-//!    the speedups are computed.
+//! 2. **Scale identity** — the big trial is run under digest retention at
+//!    every timed shard count {1, 2, 4, 8}; the digests must agree.
+//!
+//! Then a shorter trial at the same population is timed in interleaved
+//! rounds, one leg per shard count, each run's digests checked against the
+//! serial engine's. Each speedup is the median of the per-round ratios
+//! ([`mscope_bench::harness`]); `shard_overhead` is the one at two shards.
 //!
 //! ```text
 //! cargo bench -p mscope-bench --bench sim_scale -- [--smoke] [--out PATH]
 //! ```
 //!
-//! Smoke mode (CI) times a 100k-user trial over 8 partitions; full mode
-//! scales to 1M users. The ≥2.5x events/sec gate at 4 shards is enforced
-//! whenever the host has at least 4 cores (recorded in the summary).
+//! Smoke mode (CI) checks a 100k-user, 60 s trial over 8 partitions and
+//! times a 5 s one; full mode scales to 1M users. The ≥2.5x events/sec
+//! gate at 4+ shards is enforced whenever the host has at least 4 cores
+//! (`host_cores` in the summary).
 
+use mscope_bench::harness::{interleave, Bench};
 use mscope_ntier::{Retention, RunOutput, SimOptions, Simulator, SystemConfig};
 use mscope_serdes::Json;
 use mscope_sim::SimDuration;
-use std::time::Instant;
 
 /// A partitioned trial scaled so per-cell resources stay at the baseline
 /// shape: cores and workers multiply with the partition count.
@@ -48,25 +53,19 @@ fn run(cfg: &SystemConfig, shards: usize, retention: Retention) -> RunOutput {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json").to_string()
-        });
+    let bench = Bench::from_args("sim_scale", "BENCH_sim.json");
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (users, partitions, secs) = if smoke {
-        (100_000u32, 8u32, 60u64)
+    // The scale identity trial, then the shorter timed trial: each timed
+    // round runs it at every shard count, so its length times the rounds
+    // is what a smoke run pays.
+    let (users, partitions, secs, timed_secs, samples) = if bench.smoke {
+        (100_000u32, 8u32, 60u64, 5u64, 9usize)
     } else {
-        (1_000_000, 8, 180)
+        (1_000_000, 8, 180, 60, 5)
     };
-
     eprintln!(
-        "## sim_scale ({}, {users} users, {partitions} partitions, {secs}s trial, host has {host_cores} cores)",
-        if smoke { "smoke" } else { "full" }
+        "  {users} users, {partitions} partitions, {secs}s identity trial, {timed_secs}s \
+         timed trial x {samples} rounds, host has {host_cores} cores"
     );
 
     // ---- Stage 1: stream identity on a small partitioned trial.
@@ -109,92 +108,81 @@ fn main() {
         reference.stats.issued, reference.stats.sim_events
     );
 
-    // ---- Stage 2: the scale trial, timed per shard count under digest
-    // retention (full retention at this size would measure the allocator).
+    // ---- Stage 2: scale identity, the big trial under digest retention
+    // (full retention at this size would measure the allocator) at every
+    // shard count.
+    let shard_counts = [1usize, 2, 4, 8];
     let big = scale_cfg(users, partitions, secs);
-    let shard_counts: &[usize] = &[1, 2, 4, 8];
-    let mut timings: Vec<(usize, f64, u64)> = Vec::new();
-    let mut big_digest = None;
-    for &shards in shard_counts {
-        let start = Instant::now();
-        let out = run(&big, shards, Retention::Digest);
-        let secs_wall = start.elapsed().as_secs_f64();
-        match &big_digest {
-            None => big_digest = Some(out.digest),
-            Some(d) => assert_eq!(
-                *d, out.digest,
-                "scale trial digest drift at {shards} shards"
-            ),
-        }
-        eprintln!(
-            "  shards={shards}: {:.2}s wall, {} events ({:.2}M events/sec), {} completed",
-            secs_wall,
-            out.stats.sim_events,
-            out.stats.sim_events as f64 / secs_wall / 1e6,
-            out.stats.completed
+    let big_digest = run(&big, 1, Retention::Digest).digest;
+    for &shards in &shard_counts[1..] {
+        assert_eq!(
+            run(&big, shards, Retention::Digest).digest,
+            big_digest,
+            "scale trial digest drift at {shards} shards"
         );
-        timings.push((shards, secs_wall, out.stats.sim_events));
     }
+    eprintln!("  scale identity: digests agree at shards {shard_counts:?}");
 
-    let serial_secs = timings[0].1;
-    let speedup_at = |shards: usize| -> f64 {
-        timings
-            .iter()
-            .find(|(s, ..)| *s == shards)
-            .map_or(0.0, |(_, w, _)| serial_secs / w)
-    };
-    let best_speedup = timings
-        .iter()
-        .map(|(_, w, _)| serial_secs / w)
-        .fold(0.0f64, f64::max);
-    // What sharding costs (or buys) at its smallest step: events/s at two
-    // shards over the serial engine's. Below 1.0 on a one-core host, where
-    // it is pure overhead; tracked whether or not the speedup gate is on.
-    let shard_overhead = speedup_at(2);
+    // ---- Stage 3: the timed trial, one leg per shard count, every run
+    // digest-checked against the first.
+    let timed = scale_cfg(users, partitions, timed_secs);
+    let mut reference = None;
+    let legs = interleave(samples, shard_counts.len(), |leg| {
+        let shards = shard_counts[leg];
+        let out = run(&timed, shards, Retention::Digest);
+        assert_eq!(
+            out.digest,
+            *reference.get_or_insert(out.digest),
+            "timed trial digest drift at {shards} shards"
+        );
+        out.stats.sim_events as usize
+    });
+    let events = legs.outputs[0];
+    // What sharding costs (or buys) at its smallest step: the serial
+    // engine's time over two shards'.
+    let shard_overhead = legs.ratio(0, 1);
     // The parallel gate needs parallel hardware: enforce on 4+ cores (CI
     // runners qualify), record the measurement either way.
-    let gate_enforced = host_cores >= 4;
-    if gate_enforced {
-        let s4 = speedup_at(4).max(speedup_at(8));
+    if host_cores >= 4 {
+        let s4 = legs.ratio(0, 2).max(legs.ratio(0, 3));
         assert!(
             s4 >= 2.5,
             "expected >=2.5x events/sec at 4+ shards, measured {s4:.2}x"
         );
     }
 
-    let per_shard: Vec<Json> = timings
+    let per_shard: Vec<Json> = shard_counts
         .iter()
-        .map(|&(shards, wall, events)| {
+        .enumerate()
+        .map(|(leg, &shards)| {
+            let wall = legs.median(leg);
+            eprintln!(
+                "  shards={shards}: median {wall:.3}s, {events} events ({:.2}M events/sec), \
+                 {:.2}x serial",
+                events as f64 / wall / 1e6,
+                legs.ratio(0, leg)
+            );
             Json::obj([
                 ("shards", Json::Int(shards as i128)),
                 ("seconds", Json::Float(wall)),
                 ("events", Json::Int(events as i128)),
                 ("events_per_sec", Json::Float(events as f64 / wall)),
-                ("speedup_vs_serial", Json::Float(serial_secs / wall)),
+                ("speedup_vs_serial", Json::Float(legs.ratio(0, leg))),
             ])
         })
         .collect();
-    let doc = Json::obj([
-        ("bench", Json::Str("sim_scale".into())),
-        (
-            "mode",
-            Json::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("users", Json::Int(users as i128)),
-        ("partitions", Json::Int(partitions as i128)),
-        ("trial_seconds", Json::Int(secs as i128)),
-        ("host_cores", Json::Int(host_cores as i128)),
-        ("streams_identical", Json::Bool(streams_identical)),
-        ("digest_retention_identical", Json::Bool(true)),
-        ("scale_digest_identical", Json::Bool(true)),
-        ("results", Json::Arr(per_shard)),
-        ("best_speedup", Json::Float(best_speedup)),
-        ("shard_overhead", Json::Float(shard_overhead)),
-        ("gate_enforced", Json::Bool(gate_enforced)),
-    ]);
-    let text = mscope_serdes::to_string_pretty(&doc);
-    std::fs::write(&out_path, &text).expect("write bench output");
-    eprintln!(
-        "  best speedup {best_speedup:.2}x, shards-2/serial {shard_overhead:.2}x -> {out_path}"
+    bench.write(
+        samples,
+        vec![
+            ("users", Json::Int(users as i128)),
+            ("partitions", Json::Int(partitions as i128)),
+            ("trial_seconds", Json::Int(timed_secs as i128)),
+            ("host_cores", Json::Int(host_cores as i128)),
+            ("streams_identical", Json::Bool(streams_identical)),
+            ("digest_retention_identical", Json::Bool(true)),
+            ("scale_digest_identical", Json::Bool(true)),
+            ("results", Json::Arr(per_shard)),
+            ("shard_overhead", Json::Float(shard_overhead)),
+        ],
     );
 }

@@ -14,16 +14,18 @@
 //! ```
 //!
 //! Writes a `BENCH_stream.json` summary. The tracked headline metric is
-//! `throughput_vs_batch` — streaming wall vs the batch path's wall on the
-//! same machine — a dimensionless ratio robust to runner speed (absolute
-//! events/sec is recorded alongside for context, not tracked).
+//! `throughput_vs_batch` — the batch path's wall over streaming's at the
+//! host's worker count, the median of per-round ratios of interleaved
+//! rounds ([`mscope_bench::harness`]) — a dimensionless ratio robust to
+//! runner speed (absolute events/sec is recorded alongside for context,
+//! not tracked).
 
+use mscope_bench::harness::{interleave, Bench};
 use mscope_core::{MilliScope, RunOptions};
 use mscope_monitors::MonitorSuite;
 use mscope_ntier::{RunOutput, Simulator, SystemConfig};
 use mscope_serdes::Json;
 use mscope_sim::SimDuration;
-use std::time::Instant;
 
 fn sim_run(users: u32, secs: u64) -> RunOutput {
     let mut cfg = SystemConfig::rubbos_baseline(users);
@@ -47,38 +49,15 @@ fn batch_ingest(run: &RunOutput) -> MilliScope {
     .expect("batch ingest")
 }
 
-fn best_of<F: FnMut() -> MilliScope>(samples: usize, mut f: F) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..samples {
-        let start = Instant::now();
-        let ms = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        drop(ms);
-    }
-    best
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json").to_string()
-        });
+    let bench = Bench::from_args("stream_ingest", "BENCH_stream.json");
+    let smoke = bench.smoke;
     let p = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Smoke legs are 0.1–0.16 s: with best-of-3 on a shared 2-core host
-    // `throughput_vs_batch` read 0.62–0.83 run to run against a 0.64
-    // floor. Nine samples per leg cost smoke ~2 s.
+    // Smoke legs are 0.05–0.1 s; a shared 2-core host stalls some rounds,
+    // and the median over nine rounds outvotes them.
     let samples = if smoke { 9 } else { 5 };
     let (users, secs) = if smoke { (800u32, 60u64) } else { (2000, 120) };
-
-    eprintln!(
-        "## stream_ingest ({}, {users} users, {secs}s trial, host has {p} cores)",
-        if smoke { "smoke" } else { "full" }
-    );
+    eprintln!("  {users} users, {secs}s trial, host has {p} cores, {samples} rounds");
 
     // ---- Stage 1: streaming ≡ batch identity on a small trial.
     let small = sim_run(40, 4);
@@ -111,28 +90,32 @@ fn main() {
     let events = run.lifecycle.len() + run.messages.len() + run.samples.len();
     eprintln!("  {events} records to ingest");
 
+    // The legs, in round order: batch (0 workers here), then streaming at
+    // one worker and at the host's `p`; one streaming leg on a one-core
+    // host. The headline compares batch with the last.
     let chunk = 4096usize;
-    let batch_secs = best_of(samples, || batch_ingest(&run));
-    eprintln!("  batch_render_ingest: best {batch_secs:.3}s");
-    let mut results: Vec<(String, f64)> = vec![("batch_render_ingest".into(), batch_secs)];
-    let mut stream_best = f64::MAX;
-    for workers in [1usize, p] {
-        let secs_wall = best_of(samples, || {
-            MilliScope::run_streaming(&run, chunk, workers).expect("streaming ingest")
-        });
-        eprintln!(
-            "  stream_w{workers}: best {secs_wall:.3}s ({:.2}M events/sec)",
-            events as f64 / secs_wall / 1e6
-        );
-        results.push((format!("stream_w{workers}"), secs_wall));
-        stream_best = stream_best.min(secs_wall);
-        if workers == p && p == 1 {
-            break; // single-core host: the two streaming variants coincide
-        }
+    let mut variants = vec![
+        ("batch_render_ingest".to_string(), 0),
+        ("stream_w1".into(), 1),
+    ];
+    if p > 1 {
+        variants.push((format!("stream_w{p}"), p));
     }
-
-    let events_per_sec = events as f64 / stream_best;
-    let throughput_vs_batch = batch_secs / stream_best;
+    let legs = interleave(samples, variants.len(), |leg| {
+        let ms = match variants[leg].1 {
+            0 => batch_ingest(&run),
+            workers => MilliScope::run_streaming(&run, chunk, workers).expect("streaming ingest"),
+        };
+        ms.transform_report().entries
+    });
+    assert!(
+        legs.outputs.iter().all(|&n| n == legs.outputs[0]),
+        "legs ingested different entry counts: {:?}",
+        legs.outputs
+    );
+    let streamed = variants.len() - 1;
+    let events_per_sec = events as f64 / legs.median(streamed);
+    let throughput_vs_batch = legs.ratio(0, streamed);
     // Incremental polling must stay in the same league as batch; a
     // collapse here means per-poll overhead stopped amortizing.
     assert!(
@@ -140,37 +123,38 @@ fn main() {
         "streaming fell to {throughput_vs_batch:.2}x of batch throughput"
     );
 
-    let per_variant: Vec<Json> = results
+    let per_variant: Vec<Json> = variants
         .iter()
-        .map(|(name, secs_wall)| {
+        .enumerate()
+        .map(|(leg, (name, _))| {
+            let secs_wall = legs.median(leg);
+            eprintln!(
+                "  {name}: median {secs_wall:.3}s ({:.2}M events/sec)",
+                events as f64 / secs_wall / 1e6
+            );
             Json::obj([
                 ("variant", Json::Str(name.clone())),
-                ("best_seconds", Json::Float(*secs_wall)),
+                ("median_seconds", Json::Float(secs_wall)),
                 ("events_per_sec", Json::Float(events as f64 / secs_wall)),
             ])
         })
         .collect();
-    let doc = Json::obj([
-        ("bench", Json::Str("stream_ingest".into())),
-        (
-            "mode",
-            Json::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("samples", Json::Int(samples as i128)),
-        ("users", Json::Int(users as i128)),
-        ("trial_seconds", Json::Int(secs as i128)),
-        ("host_cores", Json::Int(p as i128)),
-        ("chunk", Json::Int(chunk as i128)),
-        ("events", Json::Int(events as i128)),
-        ("identity_checked", Json::Bool(true)),
-        ("results", Json::Arr(per_variant)),
-        ("events_per_sec", Json::Float(events_per_sec)),
-        ("throughput_vs_batch", Json::Float(throughput_vs_batch)),
-    ]);
-    let text = mscope_serdes::to_string_pretty(&doc);
-    std::fs::write(&out_path, &text).expect("write bench output");
     eprintln!(
-        "  sustained {:.2}M events/sec, {throughput_vs_batch:.2}x of batch -> {out_path}",
+        "  sustained {:.2}M events/sec, {throughput_vs_batch:.2}x of batch",
         events_per_sec / 1e6
+    );
+    bench.write(
+        samples,
+        vec![
+            ("users", Json::Int(users as i128)),
+            ("trial_seconds", Json::Int(secs as i128)),
+            ("host_cores", Json::Int(p as i128)),
+            ("chunk", Json::Int(chunk as i128)),
+            ("events", Json::Int(events as i128)),
+            ("identity_checked", Json::Bool(true)),
+            ("results", Json::Arr(per_variant)),
+            ("events_per_sec", Json::Float(events_per_sec)),
+            ("throughput_vs_batch", Json::Float(throughput_vs_batch)),
+        ],
     );
 }

@@ -22,12 +22,12 @@
 //! cargo bench -p mscope-bench --bench transform_pipeline -- [--smoke] [--out PATH]
 //! ```
 //!
-//! Writes a `BENCH_transform.json` summary (per-variant best-of-N seconds;
-//! speedups relative to the serial XML baseline, each the median over the
-//! N interleaved rounds of that round's ratio; the host's core count and
-//! `gate_enforced`: whether the two-worker ratio is one `bench_delta`
-//! compares) for CI artifact upload.
+//! Writes a `BENCH_transform.json` summary for CI artifact upload: each
+//! variant's median seconds over N interleaved rounds and its speedup over
+//! the serial XML baseline, the median of the per-round ratios
+//! ([`mscope_bench::harness`]), and the host's core count.
 
+use mscope_bench::harness::{interleave, Bench};
 use mscope_db::Database;
 use mscope_monitors::{LogStore, MonitorSuite, MonitoringArtifacts};
 use mscope_ntier::{Simulator, SystemConfig};
@@ -37,7 +37,6 @@ use mscope_transform::{
     convert_xml, import_rows, DataTransformer, ParsingDeclaration, RunOptions, TransformReport,
 };
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 struct Variant {
     name: &'static str,
@@ -124,27 +123,12 @@ fn artifacts(smoke: bool) -> MonitoringArtifacts {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // cargo runs bench binaries with CWD = the package dir, so the default
-    // output path anchors to the workspace root instead.
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transform.json").to_string()
-        });
-    // cargo bench passes --bench through to the binary; ignore it.
+    let bench = Bench::from_args("transform_pipeline", "BENCH_transform.json");
+    let smoke = bench.smoke;
     // Smoke legs last 3–8 ms, so one slow stretch of a shared host moves a
-    // best-of-9 ratio by a third; the median of 41 per-round ratios does
-    // not move with a few slow rounds.
+    // single round's ratio by a third; the median of 41 does not move with
+    // a few slow rounds.
     let samples = if smoke { 41 } else { 11 };
-
-    eprintln!(
-        "## transform_pipeline ({})",
-        if smoke { "smoke" } else { "full" }
-    );
     let art = artifacts(smoke);
     let tr = DataTransformer::from_manifest(&art.manifest);
     let log_bytes = art.store.total_bytes();
@@ -175,100 +159,58 @@ fn main() {
     }
     eprintln!("  all {} variants byte-identical", variants.len());
 
-    // `samples` rounds, each timing every variant once: a stall of the host
-    // lands on one sample of each variant, not on all of one's. Each
-    // variant reports its best time; each ratio is the median over rounds
-    // of the two legs' times within one round.
-    let mut timings: Vec<(&str, f64, usize)> =
-        variants.iter().map(|v| (v.name, f64::MAX, 0)).collect();
-    let mut rounds: Vec<Vec<f64>> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut round = Vec::with_capacity(variants.len());
-        for (v, (_, best, entries)) in variants.iter().zip(&mut timings) {
-            let start = Instant::now();
-            *entries = run(v, &tr, &art.store, &mut Database::new()).entries;
-            let secs = start.elapsed().as_secs_f64();
-            *best = best.min(secs);
-            round.push(secs);
-        }
-        rounds.push(round);
-    }
-    for (name, secs, _) in &timings {
+    let legs = interleave(samples, variants.len(), |i| {
+        run(&variants[i], &tr, &art.store, &mut Database::new()).entries
+    });
+    let secs: Vec<f64> = (0..variants.len()).map(|i| legs.median(i)).collect();
+    for (v, s) in variants.iter().zip(&secs) {
         eprintln!(
-            "  {name}: best {secs:.3}s ({:.1} MiB/s)",
-            log_bytes as f64 / secs / (1 << 20) as f64
+            "  {}: median {s:.3}s ({:.1} MiB/s)",
+            v.name,
+            log_bytes as f64 / s / (1 << 20) as f64
         );
     }
 
     // The auto heuristic must never pick the worst plan: whatever it
     // resolved to, some explicitly-configured variant is at least as bad.
-    let auto = timings
-        .iter()
-        .find(|(name, ..)| *name == "auto_direct")
-        .expect("auto variant present");
-    let slowest = timings
-        .iter()
-        .map(|&(_, secs, _)| secs)
-        .fold(f64::MIN, f64::max);
+    // `auto_direct` is the last variant.
+    let auto = secs[variants.len() - 1];
+    let slowest = secs.iter().copied().fold(f64::MIN, f64::max);
     assert!(
-        auto.1 < slowest || timings.iter().all(|&(_, s, _)| s == auto.1),
-        "auto_direct ({:.3}s) is the slowest variant (slowest {:.3}s)",
-        auto.1,
-        slowest
+        auto < slowest || secs.iter().all(|&s| s == auto),
+        "auto_direct ({auto:.3}s) is the slowest variant (slowest {slowest:.3}s)"
     );
-    // The median over rounds of serial_xml's time over `variant`'s.
-    let ratio = |variant: &str| {
-        let at = variants
-            .iter()
-            .position(|v| v.name == variant)
-            .unwrap_or_else(|| panic!("{variant} variant present"));
-        let mut per_round: Vec<f64> = rounds.iter().map(|r| r[0] / r[at]).collect();
-        per_round.sort_by(f64::total_cmp);
-        per_round[per_round.len() / 2]
-    };
-    let results: Vec<Json> = timings
+    let results: Vec<Json> = variants
         .iter()
-        .map(|(name, secs, entries)| {
+        .enumerate()
+        .map(|(i, v)| {
             Json::obj([
-                ("variant", Json::Str(name.to_string())),
-                ("best_seconds", Json::Float(*secs)),
-                ("entries", Json::Int(*entries as i128)),
-                ("speedup_vs_serial_xml", Json::Float(ratio(name))),
+                ("variant", Json::Str(v.name.to_string())),
+                ("median_seconds", Json::Float(secs[i])),
+                ("entries", Json::Int(legs.outputs[i] as i128)),
+                ("speedup_vs_serial_xml", Json::Float(legs.ratio(0, i))),
             ])
         })
         .collect();
-    let (serial_ratio, parallel_ratio) = (ratio("serial_direct"), ratio("parallel_direct"));
-    // The parallel leg's ratio needs a second core free of other work,
-    // which a shared host with fewer than 4 cores does not promise: there
-    // the ratio is recorded but `bench_delta` does not compare it. The
-    // serial ratio needs one core and is compared on every host.
-    let gate_enforced = host_cores >= 4;
-    let doc = Json::obj([
-        ("bench", Json::Str("transform_pipeline".into())),
-        (
-            "mode",
-            Json::Str(if smoke { "smoke" } else { "full" }.into()),
-        ),
-        ("samples", Json::Int(samples as i128)),
-        ("host_cores", Json::Int(host_cores as i128)),
-        ("log_bytes", Json::Int(log_bytes as i128)),
-        ("byte_identical", Json::Bool(true)),
-        ("results", Json::Arr(results)),
-        (
-            "speedup_serial_direct_vs_serial_xml",
-            Json::Float(serial_ratio),
-        ),
-        (
-            "speedup_parallel_direct_vs_serial_xml",
-            Json::Float(parallel_ratio),
-        ),
-        ("gate_enforced", Json::Bool(gate_enforced)),
-    ]);
-    let text = mscope_serdes::to_string_pretty(&doc);
-    std::fs::write(&out_path, &text).expect("write bench output");
+    // The one-core ratio is the headline: the two-worker one reads whatever
+    // share of a second core the host leaves free, so it stays a record.
+    let serial_ratio = legs.ratio(0, 1);
     eprintln!(
         "  speedup vs serial_xml (median of {samples} rounds): serial_direct \
-         {serial_ratio:.2}x, parallel_direct {parallel_ratio:.2}x (host has {host_cores} \
-         cores) -> {out_path}"
+         {serial_ratio:.2}x, parallel_direct {:.2}x (host has {host_cores} cores)",
+        legs.ratio(0, 2)
+    );
+    bench.write(
+        samples,
+        vec![
+            ("host_cores", Json::Int(host_cores as i128)),
+            ("log_bytes", Json::Int(log_bytes as i128)),
+            ("byte_identical", Json::Bool(true)),
+            ("results", Json::Arr(results)),
+            (
+                "speedup_serial_direct_vs_serial_xml",
+                Json::Float(serial_ratio),
+            ),
+        ],
     );
 }

@@ -22,8 +22,11 @@
 use mscope_serdes::Json;
 
 /// Headline metrics per bench, all dimensionless ratios where larger is
-/// better. Adding a metric to a bench summary does not auto-track it:
-/// list it here (and refresh the baselines) to put it under guard.
+/// better, each the median of a bench's per-round ratios
+/// (`mscope_bench::harness`). A ratio is a headline only if it can regress
+/// on any host; the rest stay per-leg records in a summary's `results`.
+/// The tests hold every top-level ratio field of a committed summary to
+/// this list, and every listed one to each summary.
 const TRACKED: &[(&str, &[&str])] = &[
     (
         "query_engine",
@@ -37,12 +40,9 @@ const TRACKED: &[(&str, &[&str])] = &[
     ),
     (
         "transform_pipeline",
-        &[
-            "speedup_serial_direct_vs_serial_xml",
-            "speedup_parallel_direct_vs_serial_xml",
-        ],
+        &["speedup_serial_direct_vs_serial_xml"],
     ),
-    ("sim_scale", &["best_speedup", "shard_overhead"]),
+    ("sim_scale", &["shard_overhead"]),
     ("stream_ingest", &["throughput_vs_batch"]),
 ];
 
@@ -63,23 +63,8 @@ fn str_field<'j>(doc: &'j Json, key: &str, which: &str) -> Result<&'j str, Strin
         .ok_or_else(|| format!("{which} summary has no string `{key}` field"))
 }
 
-/// Tracked metrics that mean something only when the bench enforced its own
-/// gate. `sim_scale` switches its gate off on a host with too few cores and
-/// then reports a `best_speedup` of 1.0 by construction — a number that
-/// cannot regress. Its `shard_overhead` is measured either way.
-/// `transform_pipeline`'s two-worker ratio reads whatever share of a second
-/// core the host leaves free, so below 4 cores it measures the host, not
-/// the code; its one-core ratio is measured either way.
-const NEEDS_GATE: &[&str] = &["best_speedup", "speedup_parallel_direct_vs_serial_xml"];
-
-/// True when a summary says its bench ran with its own gate switched off.
-fn gate_off(doc: &Json) -> bool {
-    doc.get("gate_enforced").and_then(Json::as_bool) == Some(false)
-}
-
 /// Compares two parsed bench summaries; `Err` on malformed or mismatched
-/// input, `Ok` with per-metric outcomes otherwise — without the
-/// [`NEEDS_GATE`] metrics when either side ran with its gate off.
+/// input, `Ok` with per-metric outcomes otherwise.
 fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<Vec<Delta>, String> {
     let base_bench = str_field(baseline, "bench", "baseline")?;
     let fresh_bench = str_field(fresh, "bench", "fresh")?;
@@ -101,12 +86,8 @@ fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<Vec<Delta>, 
         .find(|(b, _)| *b == base_bench)
         .map(|(_, m)| *m)
         .ok_or_else(|| format!("no tracked headline metrics for bench `{base_bench}`"))?;
-    let ungated = gate_off(baseline) || gate_off(fresh);
     let mut out = Vec::with_capacity(metrics.len());
     for &metric in metrics {
-        if ungated && NEEDS_GATE.contains(&metric) {
-            continue;
-        }
         let base = baseline
             .get(metric)
             .and_then(Json::as_f64)
@@ -185,18 +166,6 @@ fn main() {
     let fresh = load(&fresh_path);
 
     let deltas = compare(&baseline, &fresh, tolerance).unwrap_or_else(|e| die(&e));
-    if gate_off(&baseline) || gate_off(&fresh) {
-        let skipped: Vec<&str> = TRACKED
-            .iter()
-            .flat_map(|(_, metrics)| metrics.iter().copied())
-            .filter(|m| NEEDS_GATE.contains(m) && baseline.get(m).is_some())
-            .collect();
-        println!(
-            "bench_delta: {baseline_path} or {fresh_path} ran with `gate_enforced: false`; \
-             not compared (measures the host, not the code): {}",
-            skipped.join(", ")
-        );
-    }
     let mut regressions = 0usize;
     for d in &deltas {
         let verdict = if d.regressed { "REGRESSED" } else { "ok" };
@@ -282,7 +251,7 @@ mod tests {
     #[test]
     fn bench_mismatch_and_missing_metric_are_errors() {
         let base = summary("query_engine", "full", &[("speedup_window_select", 8.0)]);
-        let other = summary("sim_scale", "full", &[("best_speedup", 1.0)]);
+        let other = summary("sim_scale", "full", &[("shard_overhead", 1.0)]);
         assert!(compare(&base, &other, 0.15)
             .unwrap_err()
             .contains("bench mismatch"));
@@ -291,63 +260,36 @@ mod tests {
         assert!(err.contains("speedup_eq_select"), "{err}");
     }
 
-    #[test]
-    fn ungated_summary_still_compares_shard_overhead() {
-        let gated = summary(
-            "sim_scale",
-            "smoke",
-            &[("best_speedup", 3.0), ("shard_overhead", 1.8)],
-        );
-        let ungated = Json::parse(
-            r#"{"bench":"sim_scale","mode":"smoke","best_speedup":1.0,
-                "shard_overhead":0.9,"gate_enforced":false}"#,
-        )
-        .unwrap();
-        // best_speedup 3.0 → 1.0 would be a regression; with the gate off
-        // on either side it is not a measurement at all. The two-shard
-        // ratio is measured on any host, so 1.8 → 0.9 is one.
-        for (base, fresh, regressed) in [(&gated, &ungated, true), (&ungated, &gated, false)] {
-            let deltas = compare(base, fresh, 0.15).unwrap();
-            assert_eq!(deltas.len(), 1, "{deltas:?}");
-            assert_eq!(deltas[0].metric, "shard_overhead");
-            assert_eq!(deltas[0].regressed, regressed);
+    /// Asserts `doc` carries every metric tracked for its bench, and that
+    /// every top-level ratio field it carries (`*speedup*`, `*_overhead`,
+    /// `*_vs_*`) is tracked: a headline either is under guard or is not a
+    /// headline.
+    fn assert_tracks_exactly(doc: &Json, path: &str) {
+        let bench = doc.get("bench").and_then(Json::as_str).unwrap();
+        let (_, metrics) = TRACKED
+            .iter()
+            .find(|(b, _)| *b == bench)
+            .unwrap_or_else(|| panic!("{path}: bench `{bench}` is untracked"));
+        for m in *metrics {
+            assert!(
+                doc.get(m).and_then(Json::as_f64).is_some(),
+                "{path} lacks tracked metric `{m}`"
+            );
         }
-        assert_eq!(compare(&gated, &gated, 0.15).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn ungated_summary_still_compares_the_serial_transform_ratio() {
-        let gated = summary(
-            "transform_pipeline",
-            "smoke",
-            &[
-                ("speedup_serial_direct_vs_serial_xml", 1.9),
-                ("speedup_parallel_direct_vs_serial_xml", 2.6),
-            ],
-        );
-        let ungated = Json::parse(
-            r#"{"bench":"transform_pipeline","mode":"smoke",
-                "speedup_serial_direct_vs_serial_xml":1.5,
-                "speedup_parallel_direct_vs_serial_xml":1.4,"gate_enforced":false}"#,
-        )
-        .unwrap();
-        // The two-worker ratio 2.6 → 1.4 would be a regression; with the
-        // gate off on either side it measures the host's free core, not
-        // the code. The one-core ratio is measured on any host, so
-        // 1.9 → 1.5 is one.
-        for (base, fresh, regressed) in [(&gated, &ungated, true), (&ungated, &gated, false)] {
-            let deltas = compare(base, fresh, 0.15).unwrap();
-            assert_eq!(deltas.len(), 1, "{deltas:?}");
-            assert_eq!(deltas[0].metric, "speedup_serial_direct_vs_serial_xml");
-            assert_eq!(deltas[0].regressed, regressed);
+        for (key, value) in doc.as_object().unwrap() {
+            let ratio =
+                key.contains("speedup") || key.ends_with("_overhead") || key.contains("_vs_");
+            assert!(
+                !(ratio && value.as_f64().is_some()) || metrics.contains(&key.as_str()),
+                "{path} carries headline `{key}`, which TRACKED does not list"
+            );
         }
-        assert_eq!(compare(&gated, &gated, 0.15).unwrap().len(), 2);
     }
 
     #[test]
     fn every_committed_root_summary_is_tracked() {
         // The repo-root records must stay comparable: each names a bench
-        // this guard tracks and carries every tracked headline field.
+        // this guard tracks and carries exactly its tracked headlines.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         for name in [
             "BENCH_query.json",
@@ -356,37 +298,21 @@ mod tests {
             "BENCH_stream.json",
         ] {
             let text = std::fs::read_to_string(format!("{root}/{name}")).unwrap();
-            let doc = Json::parse(&text).unwrap();
-            let bench = doc.get("bench").and_then(Json::as_str).unwrap();
-            let (_, metrics) = TRACKED
-                .iter()
-                .find(|(b, _)| *b == bench)
-                .unwrap_or_else(|| panic!("{name}: bench `{bench}` is untracked"));
-            for m in *metrics {
-                assert!(
-                    doc.get(m).and_then(Json::as_f64).is_some(),
-                    "{name} lacks tracked metric `{m}`"
-                );
-            }
+            assert_tracks_exactly(&Json::parse(&text).unwrap(), name);
         }
     }
 
     #[test]
     fn smoke_baselines_match_their_bench_and_mode() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines");
-        for (bench, metrics) in TRACKED {
+        for (bench, _) in TRACKED {
             let path = format!("{dir}/{bench}.smoke.json");
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("{path}: {e} — regenerate with --smoke"));
             let doc = Json::parse(&text).unwrap();
             assert_eq!(doc.get("bench").and_then(Json::as_str), Some(*bench));
             assert_eq!(doc.get("mode").and_then(Json::as_str), Some("smoke"));
-            for m in *metrics {
-                assert!(
-                    doc.get(m).and_then(Json::as_f64).is_some(),
-                    "{path} lacks tracked metric `{m}`"
-                );
-            }
+            assert_tracks_exactly(&doc, &path);
         }
     }
 }

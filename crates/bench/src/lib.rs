@@ -9,11 +9,14 @@
 //! [`Scale::Quick`] and [`Scale::Standard`] shrink users and duration while
 //! [`mscope_core::scenarios`] re-calibrates the bottleneck triggers so the
 //! *shapes* (episode rate, stall duration, who saturates) are preserved.
+//!
+//! [`harness`] holds the timing rule the bench binaries share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod harness;
 
 pub use figures::{
     fig1, fig10, fig11, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, overhead_sweep,

@@ -195,15 +195,19 @@ impl Spec {
 // Database generation
 // ---------------------------------------------------------------------
 
-/// `ev(ts, num, tag)` — timestamps sorted with probability ½ (so sort
-/// elision fires sometimes), Int metric and short-alphabet text key with
-/// nulls — and `dim(tag, w)`, a small fan-out dimension table. Both are
-/// reindexed at arbitrary block sizes.
+/// `ev(ts, num, tag, x)` — timestamps sorted with probability ½ (so sort
+/// elision fires sometimes), Int metric, short-alphabet text key and a
+/// Float metric of 0.1 steps, all with nulls — and `dim(tag, w)`, a small
+/// fan-out dimension table. Both are reindexed at arbitrary block sizes.
+/// The steps of `x` are not exact in binary, so a sum over it depends on
+/// the order of its additions, and one that followed the worker count
+/// would change the bytes the property compares.
 fn arb_db(g: &mut Gen) -> Database {
     let ev_schema = Schema::new(vec![
         Column::new("ts", ColumnType::Timestamp),
         Column::new("num", ColumnType::Int),
         Column::new("tag", ColumnType::Text),
+        Column::new("x", ColumnType::Float),
     ])
     .expect("static schema is valid");
     let mut ev = Table::new("ev", ev_schema);
@@ -230,7 +234,13 @@ fn arb_db(g: &mut Gen) -> Database {
         } else {
             Value::Text(g.choose(&["a", "b", "c", "d"]).to_string())
         };
-        ev.push_row(vec![tsv, num, tag]).expect("row fits schema");
+        let x = if g.bool() && g.bool() {
+            Value::Null
+        } else {
+            Value::Float(g.i64(-500..=500) as f64 / 10.0)
+        };
+        ev.push_row(vec![tsv, num, tag, x])
+            .expect("row fits schema");
     }
     ev.reindex(g.choose(&[1usize, 3, 7, 16, 1024]));
 
@@ -264,6 +274,8 @@ fn arb_db(g: &mut Gen) -> Database {
 fn arb_literal(g: &mut Gen, col: &str) -> Value {
     if col.ends_with("tag") {
         Value::Text(g.choose(&["a", "b", "c", "e"]).to_string())
+    } else if col == "x" {
+        Value::Float(g.i64(-400..=400) as f64 / 10.0)
     } else {
         Value::Int(g.i64(-40..=40))
     }
@@ -298,19 +310,19 @@ fn arb_spec(g: &mut Gen) -> Spec {
     // Source-relation column names: `dim.tag` collides with `ev.tag` and
     // surfaces as `dim_tag`.
     let source: Vec<&str> = if join {
-        vec!["ts", "num", "tag", "dim_tag", "w"]
+        vec!["ts", "num", "tag", "x", "dim_tag", "w"]
     } else {
-        vec!["ts", "num", "tag"]
+        vec!["ts", "num", "tag", "x"]
     };
     let where_cols: Vec<&str> = if join {
-        vec!["num", "tag", "dim_tag", "w"]
+        vec!["num", "tag", "x", "dim_tag", "w"]
     } else {
-        vec!["num", "tag"]
+        vec!["num", "tag", "x"]
     };
     let numeric: Vec<&str> = if join {
-        vec!["ts", "num", "w"]
+        vec!["ts", "num", "x", "w"]
     } else {
-        vec!["ts", "num"]
+        vec!["ts", "num", "x"]
     };
 
     let pred = if g.bool() {

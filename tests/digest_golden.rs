@@ -1,16 +1,23 @@
-//! Golden [`RunDigest`]s: the four stream digests of two small seeded
-//! trials, pinned to exact words.
+//! Golden [`RunDigest`]s: the four stream digests of three small seeded
+//! trials, pinned to exact words, and one word over the order of the
+//! merged event streams.
 //!
 //! `tests/sharding.rs` and the engine's own suites hold the streams equal
 //! *between* shard counts and retention modes of one build; nothing there
 //! notices if an engine change shifts every stream at once. These values
 //! do. A change to event order, an RNG draw, a folded field or the fold
 //! itself must show up here as a deliberate diff.
+//!
+//! `RunDigest` folds each partition's records before the partitions'
+//! streams are merged, so it cannot see the merge: two records of
+//! different partitions at the same instant may come out in either order
+//! without moving it. [`merged_order`] pins that order.
 
 use mscope_ntier::{
-    InjectorSpec, QueueDiscipline, Retention, RunDigest, SimOptions, Simulator, SystemConfig,
+    InjectorSpec, QueueDiscipline, Retention, RunDigest, RunOutput, SimOptions, Simulator,
+    SystemConfig,
 };
-use mscope_sim::SimDuration;
+use mscope_sim::{Fnv64, SimDuration};
 
 /// Closed loop, one cell, cFCFS: the DB-IO scenario shrunk so the commit
 /// log flushes (and stalls commits and reads) several times in six
@@ -54,7 +61,45 @@ fn partitioned_bursty_dfcfs() -> SystemConfig {
     cfg
 }
 
-fn assert_pinned(name: &str, cfg: &SystemConfig, want: RunDigest, want_rejected: bool) {
+/// RUBBoS over eight partitions, each cell at the baseline's shape.
+fn partitioned_rubbos() -> SystemConfig {
+    let mut cfg = SystemConfig::rubbos_baseline(1_600);
+    cfg.partitions = 8;
+    for t in &mut cfg.tiers {
+        t.cores *= 8;
+        t.workers *= 8;
+    }
+    cfg.duration = SimDuration::from_secs(6);
+    cfg.warmup = SimDuration::from_secs(1);
+    cfg.workload.ramp_up = SimDuration::from_secs(1);
+    cfg
+}
+
+/// An [`Fnv64`] word over the merged `lifecycle`, `messages` and
+/// `requests` streams of a full-retention run: every record's JSON text,
+/// in stream order.
+fn merged_order(out: &RunOutput) -> u64 {
+    let mut d = Fnv64::new();
+    let mut fold = |json: String| json.bytes().for_each(|b| d.fold_u64(u64::from(b)));
+    out.lifecycle
+        .iter()
+        .for_each(|e| fold(mscope_serdes::to_string(e)));
+    out.messages
+        .iter()
+        .for_each(|m| fold(mscope_serdes::to_string(m)));
+    out.requests
+        .iter()
+        .for_each(|r| fold(mscope_serdes::to_string(r)));
+    d.value()
+}
+
+fn assert_pinned(
+    name: &str,
+    cfg: &SystemConfig,
+    want: RunDigest,
+    want_merged: u64,
+    want_rejected: bool,
+) {
     for retention in [Retention::Full, Retention::Digest] {
         for shards in [1, 2] {
             let out = Simulator::new(cfg.clone())
@@ -66,6 +111,14 @@ fn assert_pinned(name: &str, cfg: &SystemConfig, want: RunDigest, want_rejected:
                 out.digest
             );
             assert_eq!(out.stats.rejected > 0, want_rejected, "{name} rejections");
+            if retention == Retention::Full {
+                assert_eq!(
+                    merged_order(&out),
+                    want_merged,
+                    "{name} merged stream order at {shards} shard(s): got {:#018x}",
+                    merged_order(&out)
+                );
+            }
         }
     }
 }
@@ -81,6 +134,7 @@ fn closed_loop_db_io_digest_is_pinned() {
             messages: 0x257f_21d8_33db_9bf3,
             samples: 0xf6ec_a887_4b1b_31d5,
         },
+        0xaf03_b345_6246_828f,
         false,
     );
 }
@@ -96,6 +150,23 @@ fn partitioned_bursty_dfcfs_digest_is_pinned() {
             messages: 0xdeaa_a92e_6c5c_e22c,
             samples: 0x1cfe_3e7f_42a1_6161,
         },
+        0xdc06_a532_ac3d_6458,
         true,
+    );
+}
+
+#[test]
+fn partitioned_rubbos_digest_is_pinned() {
+    assert_pinned(
+        "partitioned_rubbos",
+        &partitioned_rubbos(),
+        RunDigest {
+            requests: 0xde55_1161_f6d4_cb67,
+            lifecycle: 0x7398_c371_e257_6566,
+            messages: 0x50ae_1048_15c6_fb82,
+            samples: 0x6892_eca2_edaa_ab44,
+        },
+        0x538d_a526_1201_f10b,
+        false,
     );
 }
