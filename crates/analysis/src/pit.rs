@@ -7,6 +7,7 @@
 //! maximum is one to two orders of magnitude above the run's average —
 //! invisible to coarser, averaged monitoring.
 
+use crate::queue::interval_is_valid;
 use mscope_db::Table;
 use std::collections::BTreeMap;
 
@@ -41,60 +42,121 @@ mscope_serdes::json_struct!(PitSeries { window_us, points });
 
 impl PitSeries {
     /// Builds the series from `(completion_time_us, response_time_ms)`
-    /// pairs. Windows are keyed by completion time, like the paper's plots.
+    /// pairs. Windows are keyed by completion time, like the paper's plots:
+    /// window `k` starts at `k · window_us`, negative instants included
+    /// (they floor). Windows with no completions are omitted, and so is a
+    /// window whose start does not fit in `i64` (only an instant less than
+    /// one window above `i64::MIN` can fall in one).
+    ///
+    /// This is the general constructor, for completions in any order over
+    /// any span. [`PitSeries::from_event_table`] folds a front-tier table
+    /// over a bounded range and gives the same windows.
     ///
     /// # Panics
     ///
     /// Panics if `window_us` is not positive.
     pub fn from_completions(completions: &[(i64, f64)], window_us: i64) -> PitSeries {
         assert!(window_us > 0, "window must be positive");
-        // (max, sum, count) per window, folded in completion order: the
-        // sum adds left to right from 0.0, as the warehouse's window fold does.
+        // (max, sum, count) per window index, folded in completion order:
+        // the sum adds left to right from 0.0, as the warehouse's window
+        // fold does.
         let mut buckets: BTreeMap<i64, (f64, f64, u64)> = BTreeMap::new();
         for &(t, rt) in completions {
             let b = buckets
-                .entry(t.div_euclid(window_us) * window_us)
+                .entry(t.div_euclid(window_us))
                 .or_insert((f64::NEG_INFINITY, 0.0, 0));
             *b = (b.0.max(rt), b.1 + rt, b.2 + 1);
         }
         let points = buckets
             .into_iter()
-            .map(|(start_us, (max_ms, sum, count))| PitPoint {
-                start_us,
-                max_ms,
-                mean_ms: sum / count as f64,
-                count,
+            .filter_map(|(k, (max_ms, sum, count))| {
+                Some(PitPoint {
+                    start_us: k.checked_mul(window_us)?,
+                    max_ms,
+                    mean_ms: sum / count as f64,
+                    count,
+                })
             })
             .collect();
         PitSeries { window_us, points }
     }
 
-    /// Builds the series from a front-tier event table: response time is
-    /// `ud − ua` per record (the paper: Apache's native timestamps already
-    /// give each request's response time).
+    /// Builds the series over `[from_us, to_us)` from a front-tier event
+    /// table: response time is `ud − ua` per record (the paper: Apache's
+    /// native timestamps already give each request's response time), keyed
+    /// by `ud`.
     ///
-    /// Rows with null `ua`/`ud` are skipped.
+    /// Window `k` (start `k · window_us`) is kept iff `from_us ≤ k · w <
+    /// to_us`, exactly what [`PitSeries::slice`] keeps of the whole-table
+    /// series; a window that straddles `from_us` is dropped. The `ua`/`ud`
+    /// columns are read in place in one pass, each row folded into one
+    /// dense slot per window of the range, in row order (so every sum adds
+    /// in the order [`PitSeries::from_completions`] adds it). The slot
+    /// `Vec` holds `⌈to_us / w⌉ − ⌈from_us / w⌉` entries of 24 bytes — one
+    /// per window of the range, as many as the queue series of the same
+    /// range has points.
+    ///
+    /// Rows with a null `ua` or `ud` are skipped, and so are the rows the
+    /// queue series drops as corrupt: a negative `ua`, or `ud < ua`.
     ///
     /// # Errors
     ///
     /// Returns an error string if the table lacks `ua`/`ud` columns.
-    pub fn from_event_table(table: &Table, window_us: i64) -> Result<PitSeries, String> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_us` is not positive, or if the slots of the range
+    /// cannot be allocated.
+    pub fn from_event_table(
+        table: &Table,
+        window_us: i64,
+        from_us: i64,
+        to_us: i64,
+    ) -> Result<PitSeries, String> {
+        assert!(window_us > 0, "window must be positive");
         let ua = table
             .column("ua")
             .ok_or_else(|| format!("table `{}` has no `ua` column", table.name()))?;
         let ud = table
             .column("ud")
             .ok_or_else(|| format!("table `{}` has no `ud` column", table.name()))?;
-        let completions: Vec<(i64, f64)> = ua
-            .iter()
-            .zip(ud)
-            .filter_map(|(a, d)| {
-                let a = a.as_i64()?;
-                let d = d.as_i64()?;
-                Some((d, (d - a) as f64 / 1000.0))
+        // Window `k` is in range iff `lo ≤ k < hi`.
+        let ceil = |t: i64| t.div_euclid(window_us) + i64::from(t.rem_euclid(window_us) != 0);
+        let (lo, hi) = (ceil(from_us), ceil(to_us));
+        let len = usize::try_from(hi.saturating_sub(lo)).unwrap_or(0);
+        let mut slots = vec![(f64::NEG_INFINITY, 0.0, 0u64); len];
+        for (a, d) in ua.iter().zip(ud) {
+            let (Some(a), Some(d)) = (a.as_i64(), d.as_i64()) else {
+                continue;
+            };
+            if !interval_is_valid(a, Some(d)) {
+                continue;
+            }
+            // `k − lo` is negative before the range and `≥ len` after it.
+            let Some(slot) = d
+                .div_euclid(window_us)
+                .checked_sub(lo)
+                .and_then(|i| usize::try_from(i).ok())
+                .and_then(|i| slots.get_mut(i))
+            else {
+                continue;
+            };
+            // `0 ≤ a ≤ d`, so `d − a` cannot overflow.
+            let rt = (d - a) as f64 / 1000.0;
+            *slot = (slot.0.max(rt), slot.1 + rt, slot.2 + 1);
+        }
+        let points = slots
+            .into_iter()
+            .zip(lo..)
+            .filter(|&((_, _, count), _)| count > 0)
+            .map(|((max_ms, sum, count), k)| PitPoint {
+                start_us: k * window_us,
+                max_ms,
+                mean_ms: sum / count as f64,
+                count,
             })
             .collect();
-        Ok(Self::from_completions(&completions, window_us))
+        Ok(PitSeries { window_us, points })
     }
 
     /// Mean response time over all requests (ms), count-weighted.
@@ -184,25 +246,89 @@ mod tests {
         assert!(s.vlrt_windows(1000.0).is_empty());
     }
 
-    #[test]
-    fn from_event_table_computes_rt() {
+    fn event_table(rows: &[(Option<i64>, Option<i64>)]) -> Table {
         let schema = Schema::new(vec![
             Column::new("ua", ColumnType::Timestamp),
             Column::new("ud", ColumnType::Timestamp),
         ])
         .unwrap();
         let mut t = Table::new("event_apache", schema);
-        t.push_row(vec![Value::Timestamp(1_000), Value::Timestamp(6_000)])
-            .unwrap();
-        t.push_row(vec![Value::Timestamp(10_000), Value::Timestamp(12_000)])
-            .unwrap();
-        t.push_row(vec![Value::Null, Value::Timestamp(20_000)])
-            .unwrap(); // skipped
-        let s = PitSeries::from_event_table(&t, 50_000).unwrap();
+        let cell = |x: Option<i64>| x.map_or(Value::Null, Value::Timestamp);
+        for &(a, d) in rows {
+            t.push_row(vec![cell(a), cell(d)]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn from_event_table_computes_rt() {
+        let t = event_table(&[
+            (Some(1_000), Some(6_000)),
+            (Some(10_000), Some(12_000)),
+            (None, Some(20_000)), // skipped
+            (Some(20_000), None), // skipped
+        ]);
+        let s = PitSeries::from_event_table(&t, 50_000, 0, 50_000).unwrap();
         assert_eq!(s.points.len(), 1);
         assert_eq!(s.points[0].count, 2);
         assert_eq!(s.points[0].max_ms, 5.0);
-        assert!(PitSeries::from_event_table(&Table::new("x", Schema::default()), 1).is_err());
+        let empty = Table::new("x", Schema::default());
+        assert!(PitSeries::from_event_table(&empty, 1, 0, 1).is_err());
+    }
+
+    #[test]
+    fn from_event_table_keeps_the_windows_that_start_in_range() {
+        let t = event_table(&[
+            (Some(0), Some(10_000)),  // window 0 starts before `from`
+            (Some(0), Some(60_000)),  // window 1
+            (Some(0), Some(149_999)), // window 2
+            (Some(0), Some(150_000)), // window 3 starts at `to`
+        ]);
+        let s = PitSeries::from_event_table(&t, 50_000, 30_000, 150_000).unwrap();
+        let starts: Vec<i64> = s.points.iter().map(|p| p.start_us).collect();
+        assert_eq!(starts, [50_000, 100_000]);
+        assert_eq!(
+            s,
+            PitSeries::from_completions(&[(60_000, 60.0), (149_999, 149.999)], 50_000)
+        );
+        assert!(PitSeries::from_event_table(&t, 50_000, 150_000, 150_000)
+            .unwrap()
+            .points
+            .is_empty());
+        assert!(PitSeries::from_event_table(&t, 50_000, 100_000, 0)
+            .unwrap()
+            .points
+            .is_empty());
+    }
+
+    #[test]
+    fn inverted_row_is_dropped_as_the_queue_drops_it() {
+        let t = event_table(&[(Some(1_000), Some(6_000)), (Some(30_000), Some(5_000))]);
+        let s = PitSeries::from_event_table(&t, 50_000, 0, 50_000).unwrap();
+        assert_eq!(s.points.len(), 1);
+        assert_eq!(s.points[0].count, 1);
+        assert_eq!(s.points[0].mean_ms, 5.0);
+    }
+
+    #[test]
+    fn negative_arrival_near_i64_min_is_dropped_without_overflow() {
+        let t = event_table(&[(Some(i64::MIN + 5), Some(1_000)), (Some(0), Some(2_000))]);
+        let s = PitSeries::from_event_table(&t, 50_000, 0, 50_000).unwrap();
+        assert_eq!(s.points.len(), 1);
+        assert_eq!(s.points[0].count, 1);
+        assert_eq!(s.points[0].max_ms, 2.0);
+    }
+
+    #[test]
+    fn window_whose_start_overflows_is_dropped() {
+        let s = PitSeries::from_completions(&[(i64::MIN + 1, 1.0), (0, 2.0)], 50_000);
+        assert_eq!(s.points.len(), 1);
+        assert_eq!(s.points[0].start_us, 0);
+        // A window that starts exactly at `i64::MIN` fits and is kept.
+        let s = PitSeries::from_completions(&[(i64::MIN + 1, 1.0)], 1 << 20);
+        assert_eq!(s.points[0].start_us, i64::MIN);
+        let s = PitSeries::from_completions(&[(i64::MAX, 3.0)], 50_000);
+        assert_eq!(s.points[0].start_us, i64::MAX / 50_000 * 50_000);
     }
 
     #[test]

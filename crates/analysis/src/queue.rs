@@ -47,8 +47,9 @@ pub fn intervals_from_event_table(table: &Table) -> Result<Intervals, String> {
 /// mangled log line) used to be silently clamped to zero, which both
 /// invented phantom arrivals at t=0 and let inverted intervals inflate the
 /// queue forever; they are dropped instead, and the callers that care get
-/// the dropped count from [`queue_series_checked`].
-fn interval_is_valid(a: i64, d: Option<i64>) -> bool {
+/// the dropped count from [`queue_series_checked`]. The PIT fold drops the
+/// same rows.
+pub(crate) fn interval_is_valid(a: i64, d: Option<i64>) -> bool {
     a >= 0 && d.is_none_or(|d| d >= a)
 }
 

@@ -172,8 +172,7 @@ impl MilliScope {
     /// Missing event table or columns, or a zero `window`.
     pub fn pit(&self, window: SimDuration) -> Result<PitSeries, CoreError> {
         let table = self.event_table(0)?;
-        let full =
-            PitSeries::from_event_table(table, window_us(window)?).map_err(CoreError::Analysis)?;
+        let window = window_us(window)?;
         // Warm-up is excluded, matching every other measured-window metric.
         let (start, end) = self.measured_range();
         #[expect(
@@ -181,7 +180,7 @@ impl MilliScope {
             reason = "register_run admitted only a run whose end fits in i64 µs"
         )]
         let (start, end) = (start.as_micros() as i64, end.as_micros() as i64);
-        Ok(full.slice(start, end))
+        PitSeries::from_event_table(table, window, start, end).map_err(CoreError::Analysis)
     }
 
     /// Queue-length series for one tier over the measured window

@@ -15,11 +15,14 @@
 # Run length is the `run_seconds` of the change checkout's BENCHMARK.json,
 # the same on both sides. Build output and per-run results go under
 # $BENCH_AB_DIR (default ${TMPDIR:-/tmp}/mscope_bench_ab), never into
-# either checkout. Needs cargo (offline) and python3.
+# either checkout. Building a checkout's benchmark can rewrite its
+# committed benchmark/Cargo.lock, so each lockfile is copied aside before
+# the builds and put back on exit: both checkouts end as they began.
+# Needs cargo (offline) and python3.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -32,6 +35,18 @@ spec="$change/BENCHMARK.json"
 seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")"
 
 mkdir -p "$work"
+restore_locks() {
+    for side in parent change; do
+        if [ -f "$work/Cargo.lock.$side" ]; then
+            cp "$work/Cargo.lock.$side" "${!side}/benchmark/Cargo.lock"
+        fi
+    done
+}
+rm -f "$work/Cargo.lock.parent" "$work/Cargo.lock.change"
+for side in parent change; do
+    cp "${!side}/benchmark/Cargo.lock" "$work/Cargo.lock.$side"
+done
+trap restore_locks EXIT
 for side in parent change; do
     echo "building $side (${!side})" >&2
     CARGO_TARGET_DIR="$work/target_$side" cargo build --quiet --release --offline \

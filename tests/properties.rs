@@ -456,6 +456,128 @@ fn pit_max_ge_mean() {
     });
 }
 
+/// The completions the PIT oracle sees of a front-tier table: every row
+/// with both `ua` and `ud` that the queue series also keeps (`ua ≥ 0`,
+/// `ud ≥ ua`), as `(ud, (ud − ua) ms)`.
+fn valid_completions(table: &Table) -> Vec<(i64, f64)> {
+    let (ua, ud) = (
+        table.column("ua").expect("ua"),
+        table.column("ud").expect("ud"),
+    );
+    ua.iter()
+        .zip(ud)
+        .filter_map(|(a, d)| Some((a.as_i64()?, d.as_i64()?)))
+        .filter(|&(a, d)| a >= 0 && d >= a)
+        .map(|(a, d)| (d, (d - a) as f64 / 1000.0))
+        .collect()
+}
+
+/// A PIT series as bits: the window, then each point's start, count and
+/// the bits of its max and mean.
+fn pit_bits(s: &mscope_analysis::PitSeries) -> (i64, Vec<(i64, u64, u64, u64)>) {
+    let points = s
+        .points
+        .iter()
+        .map(|p| (p.start_us, p.count, p.max_ms.to_bits(), p.mean_ms.to_bits()))
+        .collect();
+    (s.window_us, points)
+}
+
+/// The dense fold over a front-tier table equals the general constructor
+/// over the table's valid rows, sliced to the same range, bit for bit.
+/// Tables mix null cells, inverted rows, negative arrivals and `i64`
+/// extremes; completions sit on `from`, on `to` and one µs either side of
+/// a window edge; `from`/`to` are by turns whole windows and not, the
+/// range is sometimes shorter than a window or empty, and the window is
+/// 1, 7 or 50 000 µs.
+#[test]
+fn pit_dense_fold_matches_sliced_oracle() {
+    forall("pit dense fold = sliced oracle", 256, |g| {
+        let window = g.choose(&[1i64, 7, 50_000]);
+        let from = match g.usize(0..=2) {
+            0 => window * g.i64(-4..=20),
+            _ => g.i64(-200_000..=400_000),
+        };
+        let to = match g.usize(0..=4) {
+            0 => from + window * g.i64(0..=40),
+            1 => from + g.i64(0..=window - 1),
+            2 => from - g.i64(0..=1_000),
+            _ => from + g.i64(0..=window * 40 + 999),
+        };
+        let (low, high) = (from.min(to), from.max(to));
+        let instant = |g: &mut Gen| match g.usize(0..=9) {
+            0 => from,
+            1 => to,
+            2 => window * g.i64(low / window - 1..=high / window + 1) - g.i64(0..=1),
+            3 => i64::MIN + g.i64(0..=99),
+            4 => i64::MAX - g.i64(0..=99),
+            _ => g.i64(low - 2 * window..=high + 2 * window),
+        };
+        let mut rows = g.vec(0..=80, |g| {
+            let d = instant(g);
+            let a = match g.usize(0..=7) {
+                0 => None,
+                1 => Some(d.saturating_add(g.i64(1..=30_000))),
+                2 => Some(i64::MIN + g.i64(0..=9)),
+                3 => Some(-g.i64(1..=1_000)),
+                _ => Some(d.saturating_sub(g.i64(0..=120_000))),
+            };
+            let d = (g.usize(0..=9) != 0).then_some(d);
+            (a, d)
+        });
+        if g.usize(0..=15) == 0 {
+            rows.clear();
+        }
+        let schema = Schema::new(vec![
+            Column::new("ua", ColumnType::Timestamp),
+            Column::new("ud", ColumnType::Timestamp),
+        ])
+        .expect("schema");
+        let mut table = Table::new("event_apache", schema);
+        let cell = |x: Option<i64>| x.map_or(Value::Null, Value::Timestamp);
+        for &(a, d) in &rows {
+            table.push_row(vec![cell(a), cell(d)]).expect("row");
+        }
+        let dense = mscope_analysis::PitSeries::from_event_table(&table, window, from, to)
+            .map_err(|e| format!("fold refused the table: {e}"))?;
+        let oracle =
+            mscope_analysis::PitSeries::from_completions(&valid_completions(&table), window)
+                .slice(from, to);
+        prop_ensure!(
+            pit_bits(&dense) == pit_bits(&oracle),
+            "w {window} [{from}, {to}) rows {rows:?}:\n dense {dense:?}\noracle {oracle:?}"
+        );
+        Ok(())
+    });
+}
+
+/// `MilliScope::pit` equals the oracle over the front-tier table's valid
+/// rows, sliced to the measured range, on every preset at 50 ms and at
+/// 7 ms (which does not divide the 2 s warm-up, so the window that
+/// straddles it is dropped).
+#[test]
+fn milliscope_pit_matches_sliced_oracle_on_every_preset() {
+    for (name, cfg) in SystemConfig::presets() {
+        let mut cfg = mscope_core::scenarios::shorten(cfg, SimDuration::from_secs(4));
+        cfg.workload.users = cfg.workload.users.min(400);
+        let out = mscope_core::Experiment::new(cfg)
+            .expect("valid preset")
+            .run();
+        let ms = mscope_core::MilliScope::ingest(&out).expect("ingests");
+        let completions = valid_completions(ms.event_table(0).expect("front tier"));
+        let (start, end) = ms.measured_range();
+        let (start, end) = (start.as_micros() as i64, end.as_micros() as i64);
+        for window in [SimDuration::from_millis(50), SimDuration::from_millis(7)] {
+            let w = window.as_micros() as i64;
+            let pit = ms.pit(window).expect("pit");
+            let oracle =
+                mscope_analysis::PitSeries::from_completions(&completions, w).slice(start, end);
+            assert!(!oracle.points.is_empty(), "{name}: no completions measured");
+            assert_eq!(pit_bits(&pit), pit_bits(&oracle), "{name} at {w} µs");
+        }
+    }
+}
+
 // ------------------------------------------------------------------
 // Event-log pattern matching
 // ------------------------------------------------------------------
@@ -499,7 +621,7 @@ fn apache_pattern_inverts_rendering() {
 // ------------------------------------------------------------------
 
 use mscope_monitors::{LogStore, ResourceMonitor, ResourceMonitorState, Tool};
-use mscope_ntier::{NodeId, ResourceSample, TierId, TierKind};
+use mscope_ntier::{NodeId, ResourceSample, SystemConfig, TierId, TierKind};
 
 /// Renders `samples` through one resource monitor's streaming state, the
 /// way `MonitorStream` drives every resource monitor.
