@@ -7,7 +7,7 @@
 //! maximum is one to two orders of magnitude above the run's average —
 //! invisible to coarser, averaged monitoring.
 
-use crate::queue::interval_is_valid;
+use crate::queue::{event_intervals, interval_is_valid};
 use mscope_db::Table;
 use std::collections::BTreeMap;
 
@@ -94,7 +94,7 @@ impl PitSeries {
     /// in the order [`PitSeries::from_completions`] adds it). The slot
     /// `Vec` holds `⌈to_us / w⌉ − ⌈from_us / w⌉` entries of 24 bytes — one
     /// per window of the range, as many as the queue series of the same
-    /// range has points.
+    /// range has points, give or take one.
     ///
     /// Rows with a null `ua` or `ud` are skipped, and so are the rows the
     /// queue series drops as corrupt: a negative `ua`, or `ud < ua`.
@@ -114,19 +114,15 @@ impl PitSeries {
         to_us: i64,
     ) -> Result<PitSeries, String> {
         assert!(window_us > 0, "window must be positive");
-        let ua = table
-            .column("ua")
-            .ok_or_else(|| format!("table `{}` has no `ua` column", table.name()))?;
-        let ud = table
-            .column("ud")
-            .ok_or_else(|| format!("table `{}` has no `ud` column", table.name()))?;
+        let rows = event_intervals(table)?;
         // Window `k` is in range iff `lo ≤ k < hi`.
         let ceil = |t: i64| t.div_euclid(window_us) + i64::from(t.rem_euclid(window_us) != 0);
         let (lo, hi) = (ceil(from_us), ceil(to_us));
         let len = usize::try_from(hi.saturating_sub(lo)).unwrap_or(0);
         let mut slots = vec![(f64::NEG_INFINITY, 0.0, 0u64); len];
-        for (a, d) in ua.iter().zip(ud) {
-            let (Some(a), Some(d)) = (a.as_i64(), d.as_i64()) else {
+        for (a, d) in rows {
+            // A request with no `ud` has not completed.
+            let Some(d) = d else {
                 continue;
             };
             if !interval_is_valid(a, Some(d)) {

@@ -18,7 +18,9 @@ pub type Intervals = Vec<(i64, Option<i64>)>;
 /// The `(arrival_us, departure_us)` pairs of an event table's `ua`/`ud`
 /// columns, read in place: rows with null `ua` are skipped, null `ud` →
 /// still resident.
-fn event_intervals(table: &Table) -> Result<impl Iterator<Item = (i64, Option<i64>)> + '_, String> {
+pub(crate) fn event_intervals(
+    table: &Table,
+) -> Result<impl Iterator<Item = (i64, Option<i64>)> + '_, String> {
     let ua = table
         .column("ua")
         .ok_or_else(|| format!("table `{}` has no `ua` column", table.name()))?;
