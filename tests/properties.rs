@@ -486,8 +486,8 @@ fn pit_bits(s: &mscope_analysis::PitSeries) -> (i64, Vec<(i64, u64, u64, u64)>) 
 /// The dense fold over a front-tier table equals the general constructor
 /// over the table's valid rows, sliced to the same range, bit for bit.
 /// Tables mix null cells, inverted rows, negative arrivals and `i64`
-/// extremes; completions sit on `from`, on `to` and one µs either side of
-/// a window edge; `from`/`to` are by turns whole windows and not, the
+/// extremes; completions sit on `from`, on `to`, on a window edge and one
+/// µs before one; `from`/`to` are by turns whole windows and not, the
 /// range is sometimes shorter than a window or empty, and the window is
 /// 1, 7 or 50 000 µs.
 #[test]
